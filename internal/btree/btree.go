@@ -216,14 +216,19 @@ func (t *Tree) kidv(s int32) []int32 {
 }
 
 // grown extends s by n elements, reusing spare capacity when the
-// arena has it (pooled trees) and doubling otherwise. The extension
-// is not zeroed: slot metadata is initialised on allocation and the
-// key/id columns are only read below the slot's live count.
+// arena has it (pooled trees) and growing it by a quarter otherwise —
+// the runtime's own policy for large slices. A bulk-loaded tree's
+// arenas are sized exactly and the first splits under updates
+// reallocate them; random updates then settle the tree at about 1.4×
+// its bulk-loaded slots, so quarter steps leave little capacity idle
+// where one doubling would leave a third of the arena unused for the
+// rest of the tree's life. The extension is not zeroed: slot metadata is initialised on allocation
+// and the key/id columns are only read below the slot's live count.
 func grown[E any](s []E, n int) []E {
 	if cap(s)-len(s) >= n {
 		return s[:len(s)+n]
 	}
-	out := make([]E, len(s)+n, 2*cap(s)+n)
+	out := make([]E, len(s)+n, cap(s)+cap(s)/4+n)
 	copy(out, s)
 	return out
 }

@@ -120,34 +120,29 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// dbKey carries the request's resolved store through the context so a
+// A storeHandler serves one request against the store withDB resolved
+// for it. The store is an argument, not looked up again, so a
 // re-bootstrap swapping the replica's DB mid-request cannot split one
 // handler across two stores.
-type dbKey struct{}
-
-// store returns the DB resolved for this request by withDB.
-func (s *Server) store(r *http.Request) *service.DB {
-	return r.Context().Value(dbKey{}).(*service.DB)
-}
+type storeHandler func(w http.ResponseWriter, r *http.Request, db *service.DB)
 
 // withDB resolves the current store once per request, answering 503
 // while a replica is still bootstrapping its first snapshot.
-func (s *Server) withDB(next http.HandlerFunc) http.HandlerFunc {
+func (s *Server) withDB(next storeHandler) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		db := s.db()
 		if db == nil {
 			fail(w, http.StatusServiceUnavailable, errors.New("store not ready (bootstrapping)"))
 			return
 		}
-		next(w, r.WithContext(context.WithValue(r.Context(), dbKey{}, db)))
+		next(w, r, db)
 	}
 }
 
 // readEndpoint wraps a read handler with the store resolution and the
 // monotonic read barrier.
-func (s *Server) readEndpoint(next http.HandlerFunc) http.HandlerFunc {
-	return s.withDB(func(w http.ResponseWriter, r *http.Request) {
-		db := s.store(r)
+func (s *Server) readEndpoint(next storeHandler) http.HandlerFunc {
+	return s.withDB(func(w http.ResponseWriter, r *http.Request, db *service.DB) {
 		if raw := r.Header.Get("X-Planar-Min-LSN"); raw != "" {
 			min, err := strconv.ParseUint(raw, 10, 64)
 			if err != nil {
@@ -171,14 +166,15 @@ func (s *Server) readEndpoint(next http.HandlerFunc) http.HandlerFunc {
 			}
 		}
 		w.Header().Set("X-Planar-LSN", strconv.FormatUint(db.LastLSN(), 10))
-		next(w, r)
+		next(w, r, db)
 	})
 }
 
 // writeEndpoint wraps a mutation handler with the replica write
 // guard: replicas reject (403 + primary URL) or proxy upstream until
 // promoted.
-func (s *Server) writeEndpoint(next http.HandlerFunc) http.HandlerFunc {
+func (s *Server) writeEndpoint(next storeHandler) http.HandlerFunc {
+	guarded := s.withDB(next)
 	return func(w http.ResponseWriter, r *http.Request) {
 		if s.rep != nil {
 			db := s.db()
@@ -196,7 +192,7 @@ func (s *Server) writeEndpoint(next http.HandlerFunc) http.HandlerFunc {
 				return
 			}
 		}
-		s.withDB(next)(w, r)
+		guarded(w, r)
 	}
 }
 
@@ -227,63 +223,60 @@ type queryRequest struct {
 	K  int       `json:"k,omitempty"`
 }
 
-func (r queryRequest) query() (core.Query, error) {
-	var op core.Op
-	switch r.Op {
+func (r *queryRequest) fields() [4]field {
+	return [4]field{{name: "a", floats: &r.A}, {name: "b", float: &r.B}, {name: "op", text: &r.Op}, {name: "k", count: &r.K}}
+}
+
+func (r *queryRequest) query() (core.Query, error) {
+	op, err := parseOp(r.Op)
+	return core.Query{A: r.A, B: r.B, Op: op}, err
+}
+
+func parseOp(op string) (core.Op, error) {
+	switch op {
 	case "<=", "le", "LE", "":
-		op = core.LE
+		return core.LE, nil
 	case ">=", "ge", "GE":
-		op = core.GE
-	default:
-		return core.Query{}, fmt.Errorf("unknown op %q (use \"<=\" or \">=\")", r.Op)
+		return core.GE, nil
 	}
-	return core.Query{A: r.A, B: r.B, Op: op}, nil
+	return 0, fmt.Errorf("unknown op %q (use \"<=\" or \">=\")", op)
 }
 
-type statsJSON struct {
-	N         int     `json:"n"`
-	Accepted  int     `json:"accepted"`
-	Verified  int     `json:"verified"`
-	Matched   int     `json:"matched"`
-	Rejected  int     `json:"rejected"`
-	Pruned    float64 `json:"prunedFraction"`
-	FellBack  bool    `json:"fellBack"`
-	IndexUsed int     `json:"indexUsed"`
-	PlanNanos int64   `json:"planNanos"`
-	ExecNanos int64   `json:"execNanos"`
-	CacheHit  bool    `json:"cacheHit"`
-	Workers   int     `json:"workers,omitempty"`
-}
-
-func toStatsJSON(st core.Stats) statsJSON {
-	return statsJSON{
-		N: st.N, Accepted: st.Accepted, Verified: st.Verified,
-		Matched: st.Matched, Rejected: st.Rejected,
-		Pruned: st.PruningFraction(), FellBack: st.FellBack, IndexUsed: st.IndexUsed,
-		PlanNanos: st.PlanNanos, ExecNanos: st.ExecNanos,
-		CacheHit: st.CacheHit, Workers: st.Workers,
-	}
-}
-
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+// decodeQuery decodes the request body shared by the query, top-k,
+// count and explain routes, answering the error itself when !ok.
+func (sc *scratch) decodeQuery(w http.ResponseWriter, r *http.Request) (q core.Query, k int, ok bool) {
 	var req queryRequest
-	if !decode(w, r, &req) {
-		return
+	fields := req.fields()
+	if !sc.decode(w, r, fields[:]) {
+		return q, 0, false
 	}
 	q, err := req.query()
 	if err != nil {
 		fail(w, http.StatusBadRequest, err)
+		return q, 0, false
+	}
+	return q, req.K, true
+}
+
+// reply sends the response a handler built in sc.out.
+func (sc *scratch) reply(w http.ResponseWriter, body []byte) {
+	sc.out = body
+	send(w, body)
+}
+
+func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, db *service.DB) {
+	sc := getScratch()
+	defer sc.release()
+	q, _, ok := sc.decodeQuery(w, r)
+	if !ok {
 		return
 	}
-	ids, st, err := s.store(r).Query(q)
+	ids, st, err := db.Query(q)
 	if err != nil {
 		fail(w, http.StatusBadRequest, err)
 		return
 	}
-	if ids == nil {
-		ids = []uint32{}
-	}
-	reply(w, map[string]interface{}{"ids": ids, "stats": toStatsJSON(st)})
+	sc.reply(w, appendQueryReply(sc.out[:0], ids, st))
 }
 
 type batchRequest struct {
@@ -292,12 +285,19 @@ type batchRequest struct {
 	Op string    `json:"op"`
 }
 
-func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
+func (r *batchRequest) fields() [3]field {
+	return [3]field{{name: "a", floats: &r.A}, {name: "bs", floats: &r.Bs}, {name: "op", text: &r.Op}}
+}
+
+func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request, db *service.DB) {
+	sc := getScratch()
+	defer sc.release()
 	var req batchRequest
-	if !decode(w, r, &req) {
+	fields := req.fields()
+	if !sc.decode(w, r, fields[:]) {
 		return
 	}
-	q, err := queryRequest{A: req.A, Op: req.Op}.query()
+	op, err := parseOp(req.Op)
 	if err != nil {
 		fail(w, http.StatusBadRequest, err)
 		return
@@ -306,91 +306,57 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		fail(w, http.StatusBadRequest, errors.New("batch requires at least one threshold in \"bs\""))
 		return
 	}
-	ids, sts, err := s.store(r).QueryBatch(q.A, q.Op, req.Bs)
+	ids, sts, err := db.QueryBatch(req.A, op, req.Bs)
 	if err != nil {
 		fail(w, http.StatusBadRequest, err)
 		return
 	}
-	type entry struct {
-		B     float64   `json:"b"`
-		IDs   []uint32  `json:"ids"`
-		Stats statsJSON `json:"stats"`
-	}
-	entries := make([]entry, len(req.Bs))
-	for i, b := range req.Bs {
-		e := entry{B: b, IDs: ids[i], Stats: toStatsJSON(sts[i])}
-		if e.IDs == nil {
-			e.IDs = []uint32{}
-		}
-		entries[i] = e
-	}
-	reply(w, map[string]interface{}{"queries": entries})
+	sc.reply(w, appendBatchReply(sc.out[:0], req.Bs, ids, sts))
 }
 
-func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
-	var req queryRequest
-	if !decode(w, r, &req) {
+func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request, db *service.DB) {
+	sc := getScratch()
+	defer sc.release()
+	q, k, ok := sc.decodeQuery(w, r)
+	if !ok {
 		return
 	}
-	q, err := req.query()
+	res, st, err := db.TopK(q, k)
 	if err != nil {
 		fail(w, http.StatusBadRequest, err)
 		return
 	}
-	res, st, err := s.store(r).TopK(q, req.K)
-	if err != nil {
-		fail(w, http.StatusBadRequest, err)
-		return
-	}
-	type item struct {
-		ID       uint32  `json:"id"`
-		Distance float64 `json:"distance"`
-	}
-	items := make([]item, len(res))
-	for i, rr := range res {
-		items[i] = item{rr.ID, rr.Distance}
-	}
-	reply(w, map[string]interface{}{"results": items, "stats": toStatsJSON(st)})
+	sc.reply(w, appendTopKReply(sc.out[:0], res, st))
 }
 
-func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
-	var req queryRequest
-	if !decode(w, r, &req) {
+func (s *Server) handleCount(w http.ResponseWriter, r *http.Request, db *service.DB) {
+	sc := getScratch()
+	defer sc.release()
+	q, _, ok := sc.decodeQuery(w, r)
+	if !ok {
 		return
 	}
-	q, err := req.query()
+	count, st, err := db.Count(q)
 	if err != nil {
 		fail(w, http.StatusBadRequest, err)
 		return
 	}
-	count, st, err := s.store(r).Count(q)
+	lo, hi, err := db.SelectivityBounds(q)
 	if err != nil {
 		fail(w, http.StatusBadRequest, err)
 		return
 	}
-	lo, hi, err := s.store(r).SelectivityBounds(q)
-	if err != nil {
-		fail(w, http.StatusBadRequest, err)
-		return
-	}
-	reply(w, map[string]interface{}{
-		"count":  count,
-		"bounds": map[string]int{"lo": lo, "hi": hi},
-		"stats":  toStatsJSON(st),
-	})
+	sc.reply(w, appendCountReply(sc.out[:0], count, lo, hi, st))
 }
 
-func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	var req queryRequest
-	if !decode(w, r, &req) {
+func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request, db *service.DB) {
+	sc := getScratch()
+	defer sc.release()
+	q, _, ok := sc.decodeQuery(w, r)
+	if !ok {
 		return
 	}
-	q, err := req.query()
-	if err != nil {
-		fail(w, http.StatusBadRequest, err)
-		return
-	}
-	plan, err := s.store(r).Explain(q)
+	plan, err := db.Explain(q)
 	if err != nil {
 		fail(w, http.StatusBadRequest, err)
 		return
@@ -414,17 +380,24 @@ type pointRequest struct {
 	Vec []float64 `json:"vec"`
 }
 
-func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
+func (r *pointRequest) fields() [1]field {
+	return [1]field{{name: "vec", floats: &r.Vec}}
+}
+
+func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request, db *service.DB) {
+	sc := getScratch()
+	defer sc.release()
 	var req pointRequest
-	if !decode(w, r, &req) {
+	fields := req.fields()
+	if !sc.decode(w, r, fields[:]) {
 		return
 	}
-	id, err := s.store(r).Append(req.Vec)
+	id, err := db.Append(req.Vec)
 	if err != nil {
 		fail(w, mutationStatus(err), err)
 		return
 	}
-	reply(w, map[string]interface{}{"id": id})
+	sc.reply(w, appendIDReply(sc.out[:0], id))
 }
 
 // mutationStatus maps a write error to its HTTP status: a shed by a
@@ -446,34 +419,37 @@ func pathID(r *http.Request) (uint32, error) {
 	return uint32(id), nil
 }
 
-func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request, db *service.DB) {
 	id, err := pathID(r)
 	if err != nil {
 		fail(w, http.StatusBadRequest, err)
 		return
 	}
+	sc := getScratch()
+	defer sc.release()
 	var req pointRequest
-	if !decode(w, r, &req) {
+	fields := req.fields()
+	if !sc.decode(w, r, fields[:]) {
 		return
 	}
-	if err := s.store(r).Update(id, req.Vec); err != nil {
+	if err := db.Update(id, req.Vec); err != nil {
 		fail(w, mutationStatus(err), err)
 		return
 	}
-	reply(w, map[string]interface{}{"ok": true})
+	send(w, okReply)
 }
 
-func (s *Server) handleRemove(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleRemove(w http.ResponseWriter, r *http.Request, db *service.DB) {
 	id, err := pathID(r)
 	if err != nil {
 		fail(w, http.StatusBadRequest, err)
 		return
 	}
-	if err := s.store(r).Remove(id); err != nil {
+	if err := db.Remove(id); err != nil {
 		fail(w, mutationStatus(err), err)
 		return
 	}
-	reply(w, map[string]interface{}{"ok": true})
+	send(w, okReply)
 }
 
 type indexRequest struct {
@@ -481,16 +457,23 @@ type indexRequest struct {
 	Signs  []int8    `json:"signs"`
 }
 
-func (s *Server) handleAddIndex(w http.ResponseWriter, r *http.Request) {
+func (r *indexRequest) fields() [2]field {
+	return [2]field{{name: "normal", floats: &r.Normal}, {name: "signs", signs: &r.Signs}}
+}
+
+func (s *Server) handleAddIndex(w http.ResponseWriter, r *http.Request, db *service.DB) {
+	sc := getScratch()
+	defer sc.release()
 	var req indexRequest
-	if !decode(w, r, &req) {
+	fields := req.fields()
+	if !sc.decode(w, r, fields[:]) {
 		return
 	}
 	signs := vecmath.SignPattern(req.Signs)
 	if len(signs) == 0 {
 		signs = vecmath.FirstOctant(len(req.Normal))
 	}
-	added, err := s.store(r).AddNormal(req.Normal, signs)
+	added, err := db.AddNormal(req.Normal, signs)
 	if err != nil {
 		fail(w, http.StatusBadRequest, err)
 		return
@@ -498,16 +481,15 @@ func (s *Server) handleAddIndex(w http.ResponseWriter, r *http.Request) {
 	reply(w, map[string]interface{}{"added": added})
 }
 
-func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
-	if err := s.store(r).Checkpoint(); err != nil {
+func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request, db *service.DB) {
+	if err := db.Checkpoint(); err != nil {
 		fail(w, http.StatusInternalServerError, err)
 		return
 	}
-	reply(w, map[string]interface{}{"ok": true})
+	send(w, okReply)
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	db := s.store(r)
+func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, db *service.DB) {
 	met := db.Metrics()
 	hits, misses := db.PlanCacheCounters()
 	body := map[string]interface{}{
@@ -589,8 +571,8 @@ func (s *Server) role() string {
 // handleReplSnapshot streams a consistent snapshot of the whole store
 // for replica bootstrap: a JSON header line (shard topology + the LSN
 // the cut is valid at) followed by one binary snapshot per shard.
-func (s *Server) handleReplSnapshot(w http.ResponseWriter, r *http.Request) {
-	st := s.store(r).CaptureState()
+func (s *Server) handleReplSnapshot(w http.ResponseWriter, r *http.Request, db *service.DB) {
+	st := db.CaptureState()
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("X-Planar-LSN", strconv.FormatUint(st.LSN, 10))
 	if err := replica.WriteSnapshot(w, st); err != nil {
@@ -601,8 +583,7 @@ func (s *Server) handleReplSnapshot(w http.ResponseWriter, r *http.Request) {
 
 // handleReplStream answers a long-poll for committed records from
 // LSN ?from, holding an empty poll up to ?waitms for new commits.
-func (s *Server) handleReplStream(w http.ResponseWriter, r *http.Request) {
-	db := s.store(r)
+func (s *Server) handleReplStream(w http.ResponseWriter, r *http.Request, db *service.DB) {
 	q := r.URL.Query()
 	from, err := strconv.ParseUint(q.Get("from"), 10, 64)
 	if err != nil || from == 0 {
@@ -698,16 +679,9 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	reply(w, map[string]interface{}{"ready": true, "role": s.role(), "lsn": db.LastLSN()})
 }
 
-func decode(w http.ResponseWriter, r *http.Request, into interface{}) bool {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
-		fail(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return false
-	}
-	return true
-}
-
+// reply sends a cold route's answer (administration, replication
+// status, health) through encoding/json; the query and mutation routes
+// encode theirs with the wire codec.
 func reply(w http.ResponseWriter, body interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(body)

@@ -1,0 +1,621 @@
+package httpapi
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"io"
+	"math"
+	"net/http"
+	"strconv"
+	"strings"
+	"sync"
+	"unicode/utf16"
+	"unicode/utf8"
+
+	"planar/internal/core"
+)
+
+// The wire codec of the query and mutation routes. Their request
+// bodies are all flat JSON objects of numbers, strings and number
+// arrays, and their replies a few fixed shapes, so both directions are
+// written by hand over byte slices: no reflection, no intermediate
+// maps, and buffers that are pooled across requests. The decoder
+// accepts what encoding/json with DisallowUnknownFields accepted
+// before it (the first JSON value of the body, keys matched exactly
+// and then case-insensitively, null leaving a field at its zero
+// value) and decodes it to the same bits, with one exception: a key
+// that appears twice is an error, where encoding/json kept the last.
+// The encoders produce encoding/json's bytes, trailing newline
+// included.
+
+// maxBodyBytes caps a request body. The decoder reads the whole body
+// before parsing it; 1 MiB holds some forty thousand thresholds or
+// coordinates at full float precision.
+const maxBodyBytes = 1 << 20
+
+// maxPooledBytes is the largest buffer a scratch keeps for the next
+// request, so one huge answer does not pin its buffer forever.
+const maxPooledBytes = 1 << 20
+
+// scratch holds one request's buffers. Nothing decoded or encoded
+// aliases it after the handler returns: decoded arrays and strings
+// are copied out, and the response is written before release.
+type scratch struct {
+	in   bytes.Buffer // request body, at most maxBodyBytes
+	tmp  []byte       // a string value or key with its escapes resolved
+	nums []float64    // an array's elements before their exact-size copy
+	out  []byte       // response body
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+func getScratch() *scratch { return scratchPool.Get().(*scratch) }
+
+func (sc *scratch) release() {
+	if cap(sc.out) > maxPooledBytes {
+		sc.out = nil
+	}
+	scratchPool.Put(sc)
+}
+
+// field binds one key of a request object to the variable its value
+// decodes into; exactly one pointer is set. name is lower-case ASCII.
+type field struct {
+	name   string
+	floats *[]float64
+	float  *float64
+	text   *string
+	count  *int
+	signs  *[]int8
+}
+
+// errDuplicateField is the decoder's one deliberate departure from
+// encoding/json, which lets a repeated key overwrite the earlier one.
+var errDuplicateField = errors.New("duplicate field")
+
+// decode reads the request body and decodes its first JSON value into
+// fields, answering 413 for an oversized body and 400 for anything
+// else it rejects.
+func (sc *scratch) decode(w http.ResponseWriter, r *http.Request, fields []field) bool {
+	sc.in.Reset()
+	if _, err := sc.in.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		fail(w, status, fmt.Errorf("reading request: %w", err))
+		return false
+	}
+	if err := sc.decodeObject(sc.in.Bytes(), fields); err != nil {
+		fail(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		return false
+	}
+	return true
+}
+
+// decoder is a cursor over one request body.
+type decoder struct {
+	buf []byte
+	pos int
+	sc  *scratch
+}
+
+// decodeObject decodes the first JSON value of body, which must be an
+// object holding only the given fields (or null, which sets nothing).
+// Bytes after the value are ignored, as json.Decoder ignores them.
+func (sc *scratch) decodeObject(body []byte, fields []field) error {
+	d := decoder{buf: body, sc: sc}
+	switch d.skipSpace() {
+	case 0:
+		return io.ErrUnexpectedEOF
+	case 'n':
+		return d.null()
+	case '{':
+	default:
+		return d.errSyntax("looking for beginning of object")
+	}
+	d.pos++
+	if d.skipSpace() == '}' {
+		return nil
+	}
+	var seen uint
+	for {
+		if d.skipSpace() != '"' {
+			return d.errSyntax("looking for beginning of object key string")
+		}
+		key, err := d.str()
+		if err != nil {
+			return err
+		}
+		i := lookup(fields, key)
+		if i < 0 {
+			return fmt.Errorf("unknown field %q", key)
+		}
+		if seen&(1<<i) != 0 {
+			return fmt.Errorf("%w %s", errDuplicateField, strconv.Quote(fields[i].name))
+		}
+		seen |= 1 << i
+		if d.skipSpace() != ':' {
+			return d.errSyntax("after object key")
+		}
+		d.pos++
+		if err := d.value(&fields[i]); err != nil {
+			return err
+		}
+		switch d.skipSpace() {
+		case ',':
+			d.pos++
+		case '}':
+			return nil
+		default:
+			return d.errSyntax("after object key:value pair")
+		}
+	}
+}
+
+// lookup finds the field a key names: an exact match first, then a
+// case-insensitive one, as encoding/json resolves struct fields.
+func lookup(fields []field, key []byte) int {
+	for i := range fields {
+		if string(key) == fields[i].name {
+			return i
+		}
+	}
+	for i := range fields {
+		if strings.EqualFold(string(key), fields[i].name) {
+			return i
+		}
+	}
+	return -1
+}
+
+// value decodes the value at the cursor into f. null leaves a scalar
+// untouched and makes an array nil.
+func (d *decoder) value(f *field) error {
+	c := d.skipSpace()
+	if c == 'n' {
+		if err := d.null(); err != nil {
+			return err
+		}
+		if f.floats != nil {
+			*f.floats = nil
+		}
+		if f.signs != nil {
+			*f.signs = nil
+		}
+		return nil
+	}
+	switch {
+	case f.floats != nil:
+		return d.floatArray(f)
+	case f.signs != nil:
+		return d.signArray(f)
+	case f.float != nil:
+		v, err := d.float()
+		if err != nil {
+			return d.errField(f, err)
+		}
+		*f.float = v
+	case f.count != nil:
+		v, err := d.integer(strconv.IntSize)
+		if err != nil {
+			return d.errField(f, err)
+		}
+		*f.count = int(v)
+	case f.text != nil:
+		if c != '"' {
+			return d.errField(f, errors.New("want a string"))
+		}
+		s, err := d.str()
+		if err != nil {
+			return err
+		}
+		*f.text = string(s)
+	}
+	return nil
+}
+
+// errField names the field a value was rejected for. The name goes
+// through strconv.Quote, not %q: handing f.name itself to fmt would
+// make escape analysis treat everything f points to, the handler's
+// request struct included, as escaping, and cost every request an
+// allocation.
+func (d *decoder) errField(f *field, err error) error {
+	return fmt.Errorf("field %s at offset %d: %w", strconv.Quote(f.name), d.pos, err)
+}
+
+func (d *decoder) errSyntax(where string) error {
+	if d.pos >= len(d.buf) {
+		return io.ErrUnexpectedEOF
+	}
+	return fmt.Errorf("invalid character %q at offset %d %s", d.buf[d.pos], d.pos, where)
+}
+
+// skipSpace advances past JSON whitespace and returns the byte at the
+// cursor, or 0 at the end of the body.
+func (d *decoder) skipSpace() byte {
+	for d.pos < len(d.buf) {
+		switch c := d.buf[d.pos]; c {
+		case ' ', '\t', '\r', '\n':
+			d.pos++
+		default:
+			return c
+		}
+	}
+	return 0
+}
+
+// null consumes the literal null.
+func (d *decoder) null() error {
+	if rest := d.buf[d.pos:]; len(rest) < 4 || string(rest[:4]) != "null" {
+		return fmt.Errorf("invalid literal at offset %d", d.pos)
+	}
+	d.pos += len("null")
+	return nil
+}
+
+// elements walks a JSON array, calling elem with the cursor on each
+// element; elem consumes it.
+func (d *decoder) elements(f *field, elem func() error) error {
+	if d.skipSpace() != '[' {
+		return d.errField(f, errors.New("want an array of numbers"))
+	}
+	d.pos++
+	if d.skipSpace() == ']' {
+		d.pos++
+		return nil
+	}
+	for {
+		if err := elem(); err != nil {
+			return d.errField(f, err)
+		}
+		switch d.skipSpace() {
+		case ',':
+			d.pos++
+		case ']':
+			d.pos++
+			return nil
+		default:
+			return d.errSyntax("after array element")
+		}
+	}
+}
+
+// floatArray decodes an array of numbers into *f.floats: a fresh
+// slice of exactly the array's length (empty, not nil, for []). A null
+// element reads as 0.
+func (d *decoder) floatArray(f *field) error {
+	nums := d.sc.nums[:0]
+	err := d.elements(f, func() error {
+		if d.skipSpace() == 'n' {
+			nums = append(nums, 0)
+			return d.null()
+		}
+		v, err := d.float()
+		nums = append(nums, v)
+		return err
+	})
+	d.sc.nums = nums
+	if err != nil {
+		return err
+	}
+	*f.floats = append(make([]float64, 0, len(nums)), nums...)
+	return nil
+}
+
+// signArray decodes an array of small integers into *f.signs.
+func (d *decoder) signArray(f *field) error {
+	signs := []int8{}
+	err := d.elements(f, func() error {
+		if d.skipSpace() == 'n' {
+			signs = append(signs, 0)
+			return d.null()
+		}
+		v, err := d.integer(8)
+		signs = append(signs, int8(v))
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	*f.signs = signs
+	return nil
+}
+
+// number consumes one token of JSON's number grammar,
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and returns it.
+func (d *decoder) number() ([]byte, error) {
+	start := d.pos
+	digits := func() bool {
+		from := d.pos
+		for d.pos < len(d.buf) && '0' <= d.buf[d.pos] && d.buf[d.pos] <= '9' {
+			d.pos++
+		}
+		return d.pos > from
+	}
+	at := func(set string) bool {
+		return d.pos < len(d.buf) && strings.IndexByte(set, d.buf[d.pos]) >= 0
+	}
+	if at("-") {
+		d.pos++
+	}
+	if at("0") {
+		d.pos++
+	} else if !digits() {
+		return nil, errors.New("want a number")
+	}
+	if at(".") {
+		d.pos++
+		if !digits() {
+			return nil, errors.New("want a digit after the decimal point")
+		}
+	}
+	if at("eE") {
+		d.pos++
+		if at("+-") {
+			d.pos++
+		}
+		if !digits() {
+			return nil, errors.New("want a digit in the exponent")
+		}
+	}
+	return d.buf[start:d.pos], nil
+}
+
+// float decodes one number as encoding/json does into a float64:
+// strconv.ParseFloat on the token, out of range rejected.
+func (d *decoder) float() (float64, error) {
+	tok, err := d.number()
+	if err != nil {
+		return 0, err
+	}
+	return strconv.ParseFloat(string(tok), 64)
+}
+
+// integer decodes one number into a signed integer of the given bit
+// size; a fraction or an exponent is rejected, as encoding/json does.
+func (d *decoder) integer(bits int) (int64, error) {
+	tok, err := d.number()
+	if err != nil {
+		return 0, err
+	}
+	return strconv.ParseInt(string(tok), 10, bits)
+}
+
+// str consumes the string literal at the cursor (which is on its
+// opening quote) and returns its value with escapes resolved and
+// invalid UTF-8 replaced by U+FFFD. The result aliases the body or
+// the scratch and is valid until the next call.
+func (d *decoder) str() ([]byte, error) {
+	d.pos++
+	start := d.pos
+	// A string of printable ASCII, the usual case, is returned in place.
+	for d.pos < len(d.buf) {
+		c := d.buf[d.pos]
+		if c == '"' {
+			d.pos++
+			return d.buf[start : d.pos-1], nil
+		}
+		if c == '\\' || c < ' ' || c >= utf8.RuneSelf {
+			break
+		}
+		d.pos++
+	}
+	out := append(d.sc.tmp[:0], d.buf[start:d.pos]...)
+	for d.pos < len(d.buf) {
+		c := d.buf[d.pos]
+		switch {
+		case c == '"':
+			d.pos++
+			d.sc.tmp = out
+			return out, nil
+		case c < ' ':
+			return nil, d.errSyntax("in string literal")
+		case c == '\\':
+			d.pos++
+			if d.pos >= len(d.buf) {
+				return nil, io.ErrUnexpectedEOF
+			}
+			switch e := d.buf[d.pos]; e {
+			case '"', '\\', '/':
+				out = append(out, e)
+			case 'b':
+				out = append(out, '\b')
+			case 'f':
+				out = append(out, '\f')
+			case 'n':
+				out = append(out, '\n')
+			case 'r':
+				out = append(out, '\r')
+			case 't':
+				out = append(out, '\t')
+			case 'u':
+				r, ok := d.hex4(d.pos + 1)
+				if !ok {
+					return nil, d.errSyntax("in \\u hexadecimal character escape")
+				}
+				d.pos += 4
+				if utf16.IsSurrogate(r) {
+					// A high surrogate pairs with a \u low surrogate right
+					// after it; alone, either half reads as U+FFFD.
+					pair := utf8.RuneError
+					if d.pos+2 < len(d.buf) && d.buf[d.pos+1] == '\\' && d.buf[d.pos+2] == 'u' {
+						if r2, ok := d.hex4(d.pos + 3); ok {
+							pair = utf16.DecodeRune(r, r2)
+						}
+					}
+					if r = pair; r != utf8.RuneError {
+						d.pos += 6
+					}
+				}
+				out = utf8.AppendRune(out, r)
+			default:
+				return nil, d.errSyntax("in string escape code")
+			}
+			d.pos++
+		case c < utf8.RuneSelf:
+			out = append(out, c)
+			d.pos++
+		default:
+			r, size := utf8.DecodeRune(d.buf[d.pos:])
+			out = utf8.AppendRune(out, r)
+			d.pos += size
+		}
+	}
+	return nil, io.ErrUnexpectedEOF
+}
+
+// hex4 reads the four hexadecimal digits at buf[at:at+4].
+func (d *decoder) hex4(at int) (rune, bool) {
+	if at+4 > len(d.buf) {
+		return 0, false
+	}
+	v, err := strconv.ParseUint(string(d.buf[at:at+4]), 16, 32)
+	return rune(v), err == nil
+}
+
+// send writes a JSON response body in one Write with its length
+// declared.
+func send(w http.ResponseWriter, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	_, _ = w.Write(body)
+}
+
+// appendFloat appends f as encoding/json formats a float64: the
+// shortest digits that round-trip, exponent form below 1e-6 and from
+// 1e21 up. JSON has no NaN or infinity; they are written as null.
+func appendFloat(b []byte, f float64) []byte {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return append(b, "null"...)
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		// e-09 is written e-9.
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
+}
+
+// appendIDs appends ids as a JSON array; a nil slice is [], not null.
+func appendIDs(b []byte, ids []uint32) []byte {
+	b = append(b, '[')
+	for i, id := range ids {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendUint(b, uint64(id), 10)
+	}
+	return append(b, ']')
+}
+
+// appendStats appends a query's pipeline statistics as the "stats"
+// object of a reply.
+func appendStats(b []byte, st core.Stats) []byte {
+	b = append(b, `{"n":`...)
+	b = strconv.AppendInt(b, int64(st.N), 10)
+	b = append(b, `,"accepted":`...)
+	b = strconv.AppendInt(b, int64(st.Accepted), 10)
+	b = append(b, `,"verified":`...)
+	b = strconv.AppendInt(b, int64(st.Verified), 10)
+	b = append(b, `,"matched":`...)
+	b = strconv.AppendInt(b, int64(st.Matched), 10)
+	b = append(b, `,"rejected":`...)
+	b = strconv.AppendInt(b, int64(st.Rejected), 10)
+	b = append(b, `,"prunedFraction":`...)
+	b = appendFloat(b, st.PruningFraction())
+	b = append(b, `,"fellBack":`...)
+	b = strconv.AppendBool(b, st.FellBack)
+	b = append(b, `,"indexUsed":`...)
+	b = strconv.AppendInt(b, int64(st.IndexUsed), 10)
+	b = append(b, `,"planNanos":`...)
+	b = strconv.AppendInt(b, st.PlanNanos, 10)
+	b = append(b, `,"execNanos":`...)
+	b = strconv.AppendInt(b, st.ExecNanos, 10)
+	b = append(b, `,"cacheHit":`...)
+	b = strconv.AppendBool(b, st.CacheHit)
+	if st.Workers != 0 {
+		b = append(b, `,"workers":`...)
+		b = strconv.AppendInt(b, int64(st.Workers), 10)
+	}
+	return append(b, '}')
+}
+
+// appendQueryReply appends the /v1/query reply.
+func appendQueryReply(b []byte, ids []uint32, st core.Stats) []byte {
+	b = append(b, `{"ids":`...)
+	b = appendIDs(b, ids)
+	b = append(b, `,"stats":`...)
+	b = appendStats(b, st)
+	return append(b, "}\n"...)
+}
+
+// appendBatchReply appends the /v1/query/batch reply: one entry per
+// threshold, in request order.
+func appendBatchReply(b []byte, bs []float64, ids [][]uint32, sts []core.Stats) []byte {
+	b = append(b, `{"queries":[`...)
+	for i, threshold := range bs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"b":`...)
+		b = appendFloat(b, threshold)
+		b = append(b, `,"ids":`...)
+		b = appendIDs(b, ids[i])
+		b = append(b, `,"stats":`...)
+		b = appendStats(b, sts[i])
+		b = append(b, '}')
+	}
+	return append(b, "]}\n"...)
+}
+
+// appendTopKReply appends the /v1/topk reply.
+func appendTopKReply(b []byte, res []core.Result, st core.Stats) []byte {
+	b = append(b, `{"results":[`...)
+	for i, r := range res {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"id":`...)
+		b = strconv.AppendUint(b, uint64(r.ID), 10)
+		b = append(b, `,"distance":`...)
+		b = appendFloat(b, r.Distance)
+		b = append(b, '}')
+	}
+	b = append(b, `],"stats":`...)
+	b = appendStats(b, st)
+	return append(b, "}\n"...)
+}
+
+// appendCountReply appends the /v1/count reply.
+func appendCountReply(b []byte, count, lo, hi int, st core.Stats) []byte {
+	b = append(b, `{"bounds":{"hi":`...)
+	b = strconv.AppendInt(b, int64(hi), 10)
+	b = append(b, `,"lo":`...)
+	b = strconv.AppendInt(b, int64(lo), 10)
+	b = append(b, `},"count":`...)
+	b = strconv.AppendInt(b, int64(count), 10)
+	b = append(b, `,"stats":`...)
+	b = appendStats(b, st)
+	return append(b, "}\n"...)
+}
+
+// appendIDReply appends the reply to an append: the id the point got.
+func appendIDReply(b []byte, id uint32) []byte {
+	b = append(b, `{"id":`...)
+	b = strconv.AppendUint(b, uint64(id), 10)
+	return append(b, "}\n"...)
+}
+
+// okReply is the reply to a mutation that returns nothing.
+var okReply = []byte("{\"ok\":true}\n")

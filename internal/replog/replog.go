@@ -1,6 +1,6 @@
 // Package replog owns the commit sequence of a planar store: a
 // Sequencer assigns log sequence numbers (LSNs) to mutations at
-// commit time, keeps a bounded in-memory ring of recently committed
+// commit time, keeps a fixed-size circular buffer of recently committed
 // records in the global id space, and lets readers wait for an LSN to
 // commit. It is the meeting point of the durability layer (per-shard
 // WAL segments journal records under the sequencer's lock, so segment
@@ -38,13 +38,23 @@ const DefaultRingSize = 1 << 14
 
 // Sequencer assigns LSNs at commit and retains the recent commit
 // tail. All methods are safe for concurrent use.
+//
+// The tail is a fixed-capacity circular buffer, allocated once by the
+// first commit (a store that is only read, or only recovered and
+// closed, never pays for it): the record with LSN l lives in
+// ring[l % size] and its vector in the matching dim-wide stripe of one
+// float64 slab, so a commit publishes by copying into place — constant
+// cost and no allocation however full the ring is.
 type Sequencer struct {
 	mu       sync.Mutex
-	next     uint64       // guarded by mu; next LSN to assign (≥ 1)
-	ring     []wal.Record // guarded by mu
-	ringCap  int
-	ringBase uint64        // guarded by mu; LSN of ring[0]; ring holds [ringBase, next)
+	next     uint64    // guarded by mu; next LSN to assign (≥ 1)
+	ring     []entry   // guarded by mu; LSN l is at ring[l % size]; nil before the first commit
+	slab     []float64 // guarded by mu; size stripes of dim floats, entry i's vector leads stripe i
+	size     int
+	dim      int
+	ringBase uint64        // guarded by mu; the ring holds [ringBase, next)
 	notify   chan struct{} // guarded by mu
+	waiting  bool          // guarded by mu; a Wait has taken notify since it was made
 
 	// last mirrors next-1 so Last — called on every read to stamp the
 	// X-Planar-LSN header — never contends with commits holding mu
@@ -52,10 +62,20 @@ type Sequencer struct {
 	last atomic.Uint64
 }
 
+// entry is one ring slot: a committed record less its vector, whose
+// first n components lead the slot's stripe of the slab.
+type entry struct {
+	lsn uint64
+	id  uint32
+	n   uint32
+	op  wal.Op
+}
+
 // NewSequencer starts the sequence at next (the first LSN it will
 // assign; 0 is treated as 1 — LSN 0 means "nothing"). ringSize ≤ 0
-// selects DefaultRingSize.
-func NewSequencer(next uint64, ringSize int) *Sequencer {
+// selects DefaultRingSize. dim is the store's vector dimension: every
+// committed vector must be empty (a remove) or at most dim long.
+func NewSequencer(next uint64, ringSize, dim int) *Sequencer {
 	if next == 0 {
 		next = 1
 	}
@@ -64,7 +84,8 @@ func NewSequencer(next uint64, ringSize int) *Sequencer {
 	}
 	s := &Sequencer{
 		next:     next,
-		ringCap:  ringSize,
+		size:     ringSize,
+		dim:      dim,
 		ringBase: next,
 		notify:   make(chan struct{}),
 	}
@@ -94,12 +115,9 @@ func (s *Sequencer) Commit(op wal.Op, gid uint32, vec []float64, journal func(ls
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	lsn := s.next
-	if journal != nil {
-		if err := journal(lsn); err != nil {
-			return 0, err
-		}
+	if err := s.commitLocked(lsn, op, gid, vec, journal); err != nil {
+		return 0, err
 	}
-	s.publishLocked(wal.Record{Op: op, LSN: lsn, ID: gid, Vec: cloneVec(vec)})
 	return lsn, nil
 }
 
@@ -113,13 +131,26 @@ func (s *Sequencer) CommitAt(lsn uint64, op wal.Op, gid uint32, vec []float64, j
 	if lsn != s.next {
 		return fmt.Errorf("commit at LSN %d, sequence expects %d: %w", lsn, s.next, ErrDiverged)
 	}
+	return s.commitLocked(lsn, op, gid, vec, journal)
+}
+
+// commitLocked journals and publishes one record at lsn == s.next.
+func (s *Sequencer) commitLocked(lsn uint64, op wal.Op, gid uint32, vec []float64, journal func(lsn uint64) error) error {
+	if len(vec) > s.dim {
+		return s.errVecTooLong(len(vec))
+	}
 	if journal != nil {
 		if err := journal(lsn); err != nil {
 			return err
 		}
 	}
-	s.publishLocked(wal.Record{Op: op, LSN: lsn, ID: gid, Vec: cloneVec(vec)})
+	s.storeLocked(wal.Record{Op: op, LSN: lsn, ID: gid, Vec: vec})
+	s.advanceLocked(lsn + 1)
 	return nil
+}
+
+func (s *Sequencer) errVecTooLong(n int) error {
+	return fmt.Errorf("replog: vector has dimension %d, sequencer was sized for %d", n, s.dim)
 }
 
 // CommitBatch assigns a contiguous LSN range to a group-committed
@@ -127,14 +158,20 @@ func (s *Sequencer) CommitAt(lsn uint64, op wal.Op, gid uint32, vec []float64, j
 // multi-record WAL append plus one fsync) runs under the sequence
 // lock so on-disk order matches LSN order, and all records publish to
 // the ring with a single waiter wakeup. The record ids must already
-// be global; vectors are cloned into the ring. The caller holds its
-// shard lock across this call, exactly as for Commit.
+// be global; vectors are copied into the ring. A batch larger than
+// the ring leaves its last ring-capacity records there. The caller
+// holds its shard lock across this call, exactly as for Commit.
 func (s *Sequencer) CommitBatch(recs []wal.Record, journal func(base uint64) error) (uint64, error) {
 	if len(recs) == 0 {
 		return 0, errors.New("replog: empty batch")
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	for _, r := range recs {
+		if len(r.Vec) > s.dim {
+			return 0, s.errVecTooLong(len(r.Vec))
+		}
+	}
 	base := s.next
 	for j := range recs {
 		recs[j].LSN = base + uint64(j)
@@ -144,43 +181,55 @@ func (s *Sequencer) CommitBatch(recs []wal.Record, journal func(base uint64) err
 			return 0, err
 		}
 	}
-	for _, r := range recs {
-		r.Vec = cloneVec(r.Vec)
-		s.ring = append(s.ring, r)
+	tail := recs
+	if over := len(recs) - s.size; over > 0 {
+		tail = recs[over:] // the head would be overwritten by the tail anyway
 	}
-	if over := len(s.ring) - s.ringCap; over > 0 {
-		s.ring = append(s.ring[:0], s.ring[over:]...)
-		s.ringBase += uint64(over)
+	for _, r := range tail {
+		s.storeLocked(r)
 	}
 	s.advanceLocked(base + uint64(len(recs)))
 	return base, nil
 }
 
-// publishLocked appends one record to the ring and wakes waiters.
-func (s *Sequencer) publishLocked(rec wal.Record) {
-	s.ring = append(s.ring, rec)
-	if over := len(s.ring) - s.ringCap; over > 0 {
-		s.ring = append(s.ring[:0], s.ring[over:]...)
-		s.ringBase += uint64(over)
+// storeLocked copies one record and its vector into the slot its LSN
+// maps to, overwriting whatever older record lived there.
+func (s *Sequencer) storeLocked(rec wal.Record) {
+	if s.ring == nil {
+		s.ring = make([]entry, s.size)
+		s.slab = make([]float64, s.size*s.dim)
 	}
-	s.advanceLocked(rec.LSN + 1)
+	slot := int(rec.LSN % uint64(s.size))
+	n := copy(s.slab[slot*s.dim:(slot+1)*s.dim], rec.Vec)
+	s.ring[slot] = entry{lsn: rec.LSN, id: rec.ID, n: uint32(n), op: rec.Op}
 }
 
-// advanceLocked moves the sequence to next, mirrors it for lock-free
-// Last readers, and wakes waiters.
+// advanceLocked moves the sequence to next, drops the records the
+// ring no longer has room for, mirrors the position for lock-free
+// Last readers, and wakes waiters. The notify channel is only
+// replaced when a waiter took it: commits with nobody waiting — the
+// common case — allocate nothing.
 func (s *Sequencer) advanceLocked(next uint64) {
 	s.next = next
+	if size := uint64(s.size); next-s.ringBase > size {
+		s.ringBase = next - size
+	}
 	s.last.Store(next - 1)
-	close(s.notify)
-	s.notify = make(chan struct{})
+	if s.waiting {
+		close(s.notify)
+		s.notify = make(chan struct{})
+		s.waiting = false
+	}
 }
 
 // ReadFrom returns up to max committed records starting at LSN from,
 // in LSN order. tooOld reports that the ring no longer covers from —
 // the caller must fall back to on-disk segments or a snapshot. An
 // empty, non-tooOld result means from has not been committed yet.
-// The returned records share vector storage with the ring and must
-// not be mutated.
+// Ring slots are overwritten as the sequence advances, so the records
+// and their vectors are copied out under the lock (the vectors into
+// one flat allocation): the result is the caller's own and stays
+// valid however many commits follow.
 func (s *Sequencer) ReadFrom(from uint64, max int) (recs []wal.Record, tooOld bool) {
 	if from == 0 {
 		from = 1
@@ -193,13 +242,22 @@ func (s *Sequencer) ReadFrom(from uint64, max int) (recs []wal.Record, tooOld bo
 	if from < s.ringBase {
 		return nil, true
 	}
-	lo := int(from - s.ringBase)
-	hi := len(s.ring)
-	if max > 0 && hi-lo > max {
-		hi = lo + max
+	n := int(s.next - from)
+	if max > 0 && n > max {
+		n = max
 	}
-	out := make([]wal.Record, hi-lo)
-	copy(out, s.ring[lo:hi])
+	out := make([]wal.Record, n)
+	vecs := make([]float64, 0, n*s.dim)
+	for i := range out {
+		slot := int((from + uint64(i)) % uint64(s.size))
+		e := s.ring[slot]
+		out[i] = wal.Record{Op: e.op, LSN: e.lsn, ID: e.id}
+		if e.n > 0 {
+			off := len(vecs)
+			vecs = append(vecs, s.slab[slot*s.dim:slot*s.dim+int(e.n)]...)
+			out[i].Vec = vecs[off:len(vecs):len(vecs)]
+		}
+	}
 	return out, false
 }
 
@@ -224,6 +282,7 @@ func (s *Sequencer) Wait(ctx context.Context, lsn uint64) error {
 			return nil
 		}
 		ch := s.notify
+		s.waiting = true
 		s.mu.Unlock()
 		select {
 		case <-ch:
@@ -231,15 +290,6 @@ func (s *Sequencer) Wait(ctx context.Context, lsn uint64) error {
 			return ctx.Err()
 		}
 	}
-}
-
-func cloneVec(v []float64) []float64 {
-	if len(v) == 0 {
-		return nil
-	}
-	out := make([]float64, len(v))
-	copy(out, v)
-	return out
 }
 
 // ReadSegmentFrom scans one on-disk WAL segment and returns up to max

@@ -3,7 +3,9 @@ package replog
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -12,7 +14,7 @@ import (
 )
 
 func TestCommitAssignsDenseLSNs(t *testing.T) {
-	s := NewSequencer(1, 8)
+	s := NewSequencer(1, 8, 1)
 	for i := 0; i < 5; i++ {
 		lsn, err := s.Commit(wal.OpAppend, uint32(i), []float64{1}, nil)
 		if err != nil {
@@ -28,7 +30,7 @@ func TestCommitAssignsDenseLSNs(t *testing.T) {
 }
 
 func TestReadFromRingAndTooOld(t *testing.T) {
-	s := NewSequencer(1, 4)
+	s := NewSequencer(1, 4, 1)
 	for i := 0; i < 10; i++ {
 		if _, err := s.Commit(wal.OpAppend, uint32(i), []float64{float64(i)}, nil); err != nil {
 			t.Fatal(err)
@@ -56,7 +58,7 @@ func TestReadFromRingAndTooOld(t *testing.T) {
 }
 
 func TestCommitBatchAssignsContiguousRange(t *testing.T) {
-	s := NewSequencer(1, 8)
+	s := NewSequencer(1, 8, 1)
 	if _, err := s.Commit(wal.OpAppend, 0, []float64{0}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +97,7 @@ func TestCommitBatchAssignsContiguousRange(t *testing.T) {
 			t.Fatalf("ring LSN order: %v", got)
 		}
 	}
-	// Ring vectors are clones: mutating the caller's batch must not
+	// Ring vectors are copies: mutating the caller's batch must not
 	// reach replication readers.
 	recs[0].Vec[0] = 99
 	if got[1].Vec[0] != 1 {
@@ -116,7 +118,7 @@ func TestCommitBatchAssignsContiguousRange(t *testing.T) {
 }
 
 func TestCommitBatchWakesWaiters(t *testing.T) {
-	s := NewSequencer(1, 8)
+	s := NewSequencer(1, 8, 1)
 	done := make(chan error, 1)
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -138,7 +140,7 @@ func TestCommitBatchWakesWaiters(t *testing.T) {
 }
 
 func TestCommitAtEnforcesSequence(t *testing.T) {
-	s := NewSequencer(5, 8)
+	s := NewSequencer(5, 8, 1)
 	if err := s.CommitAt(5, wal.OpAppend, 0, []float64{1}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +155,7 @@ func TestCommitAtEnforcesSequence(t *testing.T) {
 }
 
 func TestJournalRunsUnderSequenceLock(t *testing.T) {
-	s := NewSequencer(1, 8)
+	s := NewSequencer(1, 8, 1)
 	var order []uint64
 	var wg sync.WaitGroup
 	for i := 0; i < 32; i++ {
@@ -178,7 +180,7 @@ func TestJournalRunsUnderSequenceLock(t *testing.T) {
 }
 
 func TestWaitBlocksUntilCommit(t *testing.T) {
-	s := NewSequencer(1, 8)
+	s := NewSequencer(1, 8, 1)
 	done := make(chan error, 1)
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -226,5 +228,167 @@ func TestReadSegmentFrom(t *testing.T) {
 	recs, err = ReadSegmentFrom(filepath.Join(t.TempDir(), "missing.log"), 1, 0, nil)
 	if err != nil || recs != nil {
 		t.Fatalf("missing file: recs=%v err=%v", recs, err)
+	}
+}
+
+// TestRingMatchesSliceModel drives the circular ring with a seeded mix
+// of Commit and CommitBatch (batch sizes from 1 to beyond the ring
+// capacity) and compares every observable — RingBase, the tooOld
+// boundary, and ReadFrom for every from/max — against a plain slice
+// holding the whole history.
+func TestRingMatchesSliceModel(t *testing.T) {
+	const dim = 3
+	for _, ringSize := range []int{1, 2, 5, 8} {
+		rng := rand.New(rand.NewSource(int64(ringSize)))
+		start := uint64(1 + rng.Intn(20))
+		s := NewSequencer(start, ringSize, dim)
+		var model []wal.Record // model[i] has LSN start+i
+		gen := func() wal.Record {
+			r := wal.Record{Op: wal.Op(1 + rng.Intn(3)), ID: rng.Uint32()}
+			if r.Op != wal.OpRemove {
+				r.Vec = []float64{rng.Float64(), rng.Float64(), rng.Float64()}
+			}
+			return r
+		}
+		check := func(step int) {
+			t.Helper()
+			next := start + uint64(len(model))
+			wantBase := start
+			if len(model) > ringSize {
+				wantBase = next - uint64(ringSize)
+			}
+			if got := s.RingBase(); got != wantBase {
+				t.Fatalf("ring %d step %d: RingBase %d, want %d", ringSize, step, got, wantBase)
+			}
+			if s.Next() != next || s.Last() != next-1 {
+				t.Fatalf("ring %d step %d: next=%d last=%d, want %d/%d", ringSize, step, s.Next(), s.Last(), next, next-1)
+			}
+			for from := uint64(0); from <= next+1; from++ {
+				for max := 0; max <= ringSize+1; max++ {
+					got, tooOld := s.ReadFrom(from, max)
+					lo := from
+					if lo == 0 {
+						lo = 1
+					}
+					if wantOld := lo < wantBase && lo < next; tooOld != wantOld {
+						t.Fatalf("ring %d step %d: ReadFrom(%d,%d) tooOld=%v, want %v", ringSize, step, from, max, tooOld, wantOld)
+					}
+					var want []wal.Record
+					if !tooOld && lo < next {
+						want = model[lo-start:]
+						if max > 0 && len(want) > max {
+							want = want[:max]
+						}
+					}
+					if len(got) != len(want) {
+						t.Fatalf("ring %d step %d: ReadFrom(%d,%d) returned %d records, want %d", ringSize, step, from, max, len(got), len(want))
+					}
+					for i := range want {
+						if !reflect.DeepEqual(got[i], want[i]) {
+							t.Fatalf("ring %d step %d: ReadFrom(%d,%d)[%d] = %+v, want %+v", ringSize, step, from, max, i, got[i], want[i])
+						}
+					}
+				}
+			}
+		}
+		check(0)
+		for step := 1; step <= 60; step++ {
+			if rng.Intn(2) == 0 {
+				r := gen()
+				lsn, err := s.Commit(r.Op, r.ID, r.Vec, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r.LSN = lsn
+				model = append(model, r)
+			} else {
+				batch := make([]wal.Record, 1+rng.Intn(ringSize+3))
+				for j := range batch {
+					batch[j] = gen()
+				}
+				if _, err := s.CommitBatch(batch, nil); err != nil {
+					t.Fatal(err)
+				}
+				model = append(model, batch...) // CommitBatch stamped the LSNs
+			}
+			check(step)
+		}
+	}
+}
+
+// TestReadFromDoesNotAliasRing pins the copy-out contract: records
+// returned by ReadFrom keep their values while a second goroutine
+// overwrites every ring slot several times over. Run with -race.
+func TestReadFromDoesNotAliasRing(t *testing.T) {
+	const ringSize, dim = 8, 2
+	s := NewSequencer(1, ringSize, dim)
+	vecOf := func(lsn uint64) []float64 { return []float64{float64(lsn), -float64(lsn)} }
+	for lsn := uint64(1); lsn <= ringSize; lsn++ {
+		if _, err := s.Commit(wal.OpUpdate, uint32(lsn), vecOf(lsn), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, tooOld := s.ReadFrom(1, 0)
+	if tooOld || len(got) != ringSize {
+		t.Fatalf("ReadFrom(1): tooOld=%v n=%d", tooOld, len(got))
+	}
+
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < 4*ringSize; i++ {
+			lsn := s.Next()
+			if _, err := s.Commit(wal.OpUpdate, uint32(lsn), vecOf(lsn), nil); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	// Read concurrently with the overwriting commits, then once more
+	// after all of them.
+	for pass := 0; pass < 2; pass++ {
+		for i, r := range got {
+			lsn := uint64(i + 1)
+			if r.LSN != lsn || r.ID != uint32(lsn) || !reflect.DeepEqual(r.Vec, vecOf(lsn)) {
+				t.Fatalf("pass %d: record %d changed under later commits: %+v", pass, i, r)
+			}
+		}
+		if pass == 0 {
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if base := s.RingBase(); base != 4*ringSize+1 {
+		t.Fatalf("ring base %d after %d further commits", base, 4*ringSize)
+	}
+	// A returned vector has no spare capacity reaching into its
+	// neighbour's storage.
+	if v := got[0].Vec; cap(v) != len(v) {
+		t.Fatalf("returned vector has cap %d > len %d", cap(v), len(v))
+	}
+}
+
+// TestCommitDoesNotAllocate pins the constant-cost commit: on a full
+// ring with nobody waiting, Commit and CommitBatch allocate nothing.
+func TestCommitDoesNotAllocate(t *testing.T) {
+	const ringSize = 16
+	s := NewSequencer(1, ringSize, 2)
+	vec := []float64{1, 2}
+	batch := []wal.Record{{Op: wal.OpAppend, ID: 1, Vec: vec}, {Op: wal.OpRemove, ID: 1}}
+	journal := func(uint64) error { return nil }
+	run := func() {
+		if _, err := s.Commit(wal.OpUpdate, 7, vec, journal); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.CommitBatch(batch, journal); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < ringSize; i++ {
+		run()
+	}
+	if allocs := testing.AllocsPerRun(200, run); allocs != 0 {
+		t.Fatalf("commit on a full ring allocated %v times per run, want 0", allocs)
 	}
 }

@@ -49,6 +49,12 @@ const (
 	// defaultPageCacheBytes sizes the paged tier's cache when the
 	// options leave it unset (64 MiB).
 	defaultPageCacheBytes = 64 << 20
+
+	// minMutation and minPagedMutation are the pacing floors: the
+	// least time a synchronous Append, Update or Remove takes on the
+	// RAM and on the paged tier (see DB.pace).
+	minMutation      = 10 * time.Microsecond
+	minPagedMutation = 28 * time.Microsecond
 )
 
 // Options configures a DB.
@@ -164,6 +170,9 @@ type DB struct {
 	// pipe is the group-commit ingest pipeline (nil when
 	// Options.IngestBatch is 0 — the synchronous write path).
 	pipe *ingest.Pipeline
+
+	// floor is the pacing floor of this store's tier, fixed at Open.
+	floor time.Duration
 
 	met metricsBlock
 }
@@ -484,7 +493,11 @@ func Open(dir string, opts Options) (*DB, error) {
 	db := &DB{
 		dir: dir, opts: opts, multi: m, log: w, pending: applied,
 		pstore: pstore, replayed: applied,
-		seq: replog.NewSequencer(w.NextLSN(), opts.RingSize),
+		seq:   replog.NewSequencer(w.NextLSN(), opts.RingSize, m.Store().Dim()),
+		floor: minMutation,
+	}
+	if pstore != nil {
+		db.floor = minPagedMutation
 	}
 	if err := db.startIngest(); err != nil {
 		return nil, errors.Join(err, db.Close())
@@ -525,7 +538,10 @@ func openSharded(dir string, opts Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	db := &DB{dir: dir, opts: opts, shards: st, seq: st.Seq()}
+	db := &DB{dir: dir, opts: opts, shards: st, seq: st.Seq(), floor: minMutation}
+	if st.Paged() {
+		db.floor = minPagedMutation
+	}
 	if err := db.startIngest(); err != nil {
 		return nil, errors.Join(err, db.Close())
 	}
@@ -642,6 +658,23 @@ func (db *DB) bumpLocked() error {
 	return nil
 }
 
+// pace holds a synchronous mutation that began at start until the
+// tier's floor has passed, spinning (the wait is shorter than any
+// sleep) after every lock has been released — callers defer it first.
+// What a mutation costs on its own depends on where the tree leaves it
+// touches sit between the core's cache and DRAM (about 2 µs hot, 4 µs
+// and more cold on the RAM tier; 10 to 60 µs with page faults on the
+// paged tier), and on a shared host that moves by a third from one
+// minute to the next. Under the floor the acknowledged duration is
+// the same whichever it was. The floor is a throughput cost taken on
+// purpose, per writer, not a lock: concurrent writers wait side by
+// side, and the group-commit path is not paced. It is temporary:
+// DESIGN.md §13 says what it is there for and when it goes.
+func (db *DB) pace(start time.Time) {
+	for time.Since(start) < db.floor {
+	}
+}
+
 // Append durably adds a point and returns its id. With the ingest
 // pipeline enabled the write group-commits: it is acked after the
 // fsync of the batch frame holding it.
@@ -657,6 +690,7 @@ func (db *DB) Append(v []float64) (uint32, error) {
 		res := f.Wait()
 		return res.ID, res.Err
 	}
+	defer db.pace(time.Now())
 	db.commitMu.RLock()
 	defer db.commitMu.RUnlock()
 	if db.shards != nil {
@@ -688,6 +722,7 @@ func (db *DB) Update(id uint32, v []float64) error {
 		}
 		return f.Wait().Err
 	}
+	defer db.pace(time.Now())
 	db.commitMu.RLock()
 	defer db.commitMu.RUnlock()
 	if db.shards != nil {
@@ -716,6 +751,7 @@ func (db *DB) Remove(id uint32) error {
 		}
 		return f.Wait().Err
 	}
+	defer db.pace(time.Now())
 	db.commitMu.RLock()
 	defer db.commitMu.RUnlock()
 	if db.shards != nil {

@@ -243,7 +243,7 @@ func Open(dir string, opts Options) (*Store, error) {
 			next = n
 		}
 	}
-	s.seq = replog.NewSequencer(next, opts.RingSize)
+	s.seq = replog.NewSequencer(next, opts.RingSize, dim)
 	for i, p := range s.parts {
 		p.seq = s.seq
 		idx := uint32(i)

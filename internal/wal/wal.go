@@ -98,30 +98,33 @@ func IsTail(err error) bool {
 	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, ErrCorrupt)
 }
 
-// EncodeRecord writes one record in the segment wire format. The same
-// encoding is used on disk and on the replication stream, so the
-// receiver re-verifies the CRC the committer computed.
+// EncodeRecord writes one record in the segment wire format, as a
+// single Write. The same encoding is used on disk and on the
+// replication stream, so the receiver re-verifies the CRC the
+// committer computed.
 func EncodeRecord(w io.Writer, r Record) error {
-	h := crc32.NewIEEE()
-	out := io.MultiWriter(w, h)
-	if err := binary.Write(out, binary.LittleEndian, uint8(r.Op)); err != nil {
-		return err
+	_, err := w.Write(appendRecord(make([]byte, 0, recordSize(len(r.Vec))), r))
+	return err
+}
+
+// appendRecord appends r's flat frame to dst.
+func appendRecord(dst []byte, r Record) []byte {
+	start := len(dst)
+	dst = append(dst, byte(r.Op))
+	dst = binary.LittleEndian.AppendUint64(dst, r.LSN)
+	dst = binary.LittleEndian.AppendUint32(dst, r.ID)
+	dst = appendVec(dst, r.Vec)
+	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
+}
+
+// appendVec appends the n(2) vec(8n) tail shared by flat records and
+// batch sub-records.
+func appendVec(dst []byte, vec []float64) []byte {
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(vec)))
+	for _, v := range vec {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 	}
-	if err := binary.Write(out, binary.LittleEndian, r.LSN); err != nil {
-		return err
-	}
-	if err := binary.Write(out, binary.LittleEndian, r.ID); err != nil {
-		return err
-	}
-	if err := binary.Write(out, binary.LittleEndian, uint16(len(r.Vec))); err != nil {
-		return err
-	}
-	for _, v := range r.Vec {
-		if err := binary.Write(out, binary.LittleEndian, math.Float64bits(v)); err != nil {
-			return err
-		}
-	}
-	return binary.Write(w, binary.LittleEndian, h.Sum32())
+	return dst
 }
 
 // DecodeRecord reads one record, re-verifying its CRC. It returns
@@ -130,174 +133,176 @@ func EncodeRecord(w io.Writer, r Record) error {
 // segment-file construct and report ErrCorrupt here; replication
 // streams carry only flat records (use Segment to read a file).
 func DecodeRecord(br io.Reader) (Record, error) {
-	recs, _, err := decodeFrame(br, false)
+	fr := frameReader{r: br}
+	recs, _, err := fr.decode(nil, false)
 	if err != nil {
 		return Record{}, err
 	}
 	return recs[0], nil
 }
 
-// EncodeBatch writes a batch frame: the records share one header and
-// one trailing CRC, so the whole group is atomic under torn-tail
-// recovery. Records must carry contiguous LSNs starting at the
-// frame's base; each is encoded as op(1) id(4) n(2) vec(8n) with the
-// LSN left implicit.
+// EncodeBatch writes a batch frame as a single Write: the records
+// share one header and one trailing CRC, so the whole group is atomic
+// under torn-tail recovery. Records must carry contiguous LSNs
+// starting at the frame's base; each is encoded as op(1) id(4) n(2)
+// vec(8n) with the LSN left implicit. A rejected batch writes nothing.
 func EncodeBatch(w io.Writer, recs []Record) error {
+	if err := checkBatch(recs); err != nil {
+		return err
+	}
+	_, err := w.Write(appendBatch(nil, recs))
+	return err
+}
+
+// checkBatch validates what a batch frame cannot represent: fewer
+// than two or too many records, or LSNs that are not contiguous.
+func checkBatch(recs []Record) error {
 	if len(recs) < 2 {
 		return errors.New("wal: batch frame needs at least two records")
 	}
 	if len(recs) > MaxBatchRecords {
 		return fmt.Errorf("wal: batch of %d records exceeds %d", len(recs), MaxBatchRecords)
 	}
-	h := crc32.NewIEEE()
-	out := io.MultiWriter(w, h)
-	if err := binary.Write(out, binary.LittleEndian, uint8(opBatch)); err != nil {
-		return err
-	}
 	base := recs[0].LSN
-	if err := binary.Write(out, binary.LittleEndian, base); err != nil {
-		return err
-	}
-	if err := binary.Write(out, binary.LittleEndian, uint16(len(recs))); err != nil {
-		return err
-	}
 	for i, r := range recs {
 		if r.LSN != base+uint64(i) {
 			return fmt.Errorf("wal: batch LSNs not contiguous: record %d has %d, want %d", i, r.LSN, base+uint64(i))
 		}
-		if err := binary.Write(out, binary.LittleEndian, uint8(r.Op)); err != nil {
-			return err
-		}
-		if err := binary.Write(out, binary.LittleEndian, r.ID); err != nil {
-			return err
-		}
-		if err := binary.Write(out, binary.LittleEndian, uint16(len(r.Vec))); err != nil {
-			return err
-		}
-		for _, v := range r.Vec {
-			if err := binary.Write(out, binary.LittleEndian, math.Float64bits(v)); err != nil {
-				return err
-			}
-		}
 	}
-	return binary.Write(w, binary.LittleEndian, h.Sum32())
+	return nil
 }
 
-// decodeFrame reads one wire frame — a flat record or (when
-// allowBatch) a batch frame — returning the records it carries and
+// appendBatch appends the batch frame of recs, which checkBatch has
+// accepted, to dst.
+func appendBatch(dst []byte, recs []Record) []byte {
+	start := len(dst)
+	dst = append(dst, byte(opBatch))
+	dst = binary.LittleEndian.AppendUint64(dst, recs[0].LSN)
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(recs)))
+	for _, r := range recs {
+		dst = append(dst, byte(r.Op))
+		dst = binary.LittleEndian.AppendUint32(dst, r.ID)
+		dst = appendVec(dst, r.Vec)
+	}
+	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
+}
+
+// frameReader decodes wire frames from r. It reads each frame's bytes
+// into one buffer it keeps between frames, so a frame is checksummed
+// in one pass and decoding allocates only the records' vectors.
+type frameReader struct {
+	r   io.Reader
+	buf []byte // the frame being decoded, header to trailing CRC
+}
+
+// fill reads the frame's next n bytes and returns them.
+func (fr *frameReader) fill(n int) ([]byte, error) {
+	at := len(fr.buf)
+	fr.buf = append(fr.buf, make([]byte, n)...)
+	_, err := io.ReadFull(fr.r, fr.buf[at:])
+	return fr.buf[at:], err
+}
+
+// decode reads one wire frame — a flat record or (when allowBatch) a
+// batch frame — appending the records it carries to dst and returning
 // its full on-disk byte length. Errors follow DecodeRecord: io.EOF at
 // a clean boundary, io.ErrUnexpectedEOF for a frame cut short,
 // ErrCorrupt for a checksum failure or implausible field.
-func decodeFrame(br io.Reader, allowBatch bool) ([]Record, int64, error) {
-	h := crc32.NewIEEE()
-	hr := io.TeeReader(br, h)
-
-	var op uint8
-	if err := binary.Read(hr, binary.LittleEndian, &op); err != nil {
-		return nil, 0, err
-	}
-	if Op(op) == opBatch {
-		if !allowBatch {
-			return nil, 0, ErrCorrupt
-		}
-		return decodeBatchBody(br, hr, h)
-	}
-	var lsn uint64
-	if err := binary.Read(hr, binary.LittleEndian, &lsn); err != nil {
-		return nil, 0, io.ErrUnexpectedEOF
-	}
-	var id uint32
-	if err := binary.Read(hr, binary.LittleEndian, &id); err != nil {
-		return nil, 0, io.ErrUnexpectedEOF
-	}
-	vec, err := decodeVec(hr)
+func (fr *frameReader) decode(dst []Record, allowBatch bool) ([]Record, int64, error) {
+	fr.buf = fr.buf[:0]
+	b, err := fr.fill(1)
 	if err != nil {
 		return nil, 0, err
 	}
-	if err := checkCRC(br, h); err != nil {
+	op := Op(b[0])
+	if op == opBatch {
+		if !allowBatch {
+			return nil, 0, ErrCorrupt
+		}
+		return fr.decodeBatchBody(dst)
+	}
+	if b, err = fr.fill(12); err != nil {
+		return nil, 0, io.ErrUnexpectedEOF
+	}
+	lsn := binary.LittleEndian.Uint64(b)
+	id := binary.LittleEndian.Uint32(b[8:])
+	vec, err := fr.decodeVec()
+	if err != nil {
 		return nil, 0, err
 	}
-	return []Record{{Op: Op(op), LSN: lsn, ID: id, Vec: vec}}, recordSize(len(vec)), nil
+	if err := fr.checkCRC(); err != nil {
+		return nil, 0, err
+	}
+	return append(dst, Record{Op: op, LSN: lsn, ID: id, Vec: vec}), int64(len(fr.buf)), nil
 }
 
 // decodeBatchBody reads a batch frame after its op byte. Every short
 // read or checksum failure rejects the frame as a unit: the caller
 // never sees a prefix of a torn batch.
-func decodeBatchBody(br io.Reader, hr io.Reader, h hash32) ([]Record, int64, error) {
-	var base uint64
-	if err := binary.Read(hr, binary.LittleEndian, &base); err != nil {
+func (fr *frameReader) decodeBatchBody(dst []Record) ([]Record, int64, error) {
+	b, err := fr.fill(10)
+	if err != nil {
 		return nil, 0, io.ErrUnexpectedEOF
 	}
-	var count uint16
-	if err := binary.Read(hr, binary.LittleEndian, &count); err != nil {
-		return nil, 0, io.ErrUnexpectedEOF
-	}
-	if count < 2 || int(count) > MaxBatchRecords {
+	base := binary.LittleEndian.Uint64(b)
+	count := int(binary.LittleEndian.Uint16(b[8:]))
+	if count < 2 || count > MaxBatchRecords {
 		return nil, 0, ErrCorrupt
 	}
-	size := int64(11 + 4) // op + base + count + trailing crc
-	recs := make([]Record, count)
-	for i := range recs {
-		var op uint8
-		if err := binary.Read(hr, binary.LittleEndian, &op); err != nil {
+	for i := 0; i < count; i++ {
+		if b, err = fr.fill(5); err != nil {
 			return nil, 0, io.ErrUnexpectedEOF
 		}
-		if Op(op) != OpAppend && Op(op) != OpUpdate && Op(op) != OpRemove {
+		op := Op(b[0])
+		if op != OpAppend && op != OpUpdate && op != OpRemove {
 			return nil, 0, ErrCorrupt
 		}
-		var id uint32
-		if err := binary.Read(hr, binary.LittleEndian, &id); err != nil {
-			return nil, 0, io.ErrUnexpectedEOF
-		}
-		vec, err := decodeVec(hr)
+		id := binary.LittleEndian.Uint32(b[1:])
+		vec, err := fr.decodeVec()
 		if err != nil {
 			return nil, 0, err
 		}
-		recs[i] = Record{Op: Op(op), LSN: base + uint64(i), ID: id, Vec: vec}
-		size += 7 + 8*int64(len(vec))
+		dst = append(dst, Record{Op: op, LSN: base + uint64(i), ID: id, Vec: vec})
 	}
-	if err := checkCRC(br, h); err != nil {
+	if err := fr.checkCRC(); err != nil {
 		return nil, 0, err
 	}
-	return recs, size, nil
+	return dst, int64(len(fr.buf)), nil
 }
-
-// hash32 is the slice of hash.Hash32 the decoder needs.
-type hash32 interface{ Sum32() uint32 }
 
 // decodeVec reads the n(2) vec(8n) tail shared by flat records and
 // batch sub-records.
-func decodeVec(hr io.Reader) ([]float64, error) {
-	var n uint16
-	if err := binary.Read(hr, binary.LittleEndian, &n); err != nil {
+func (fr *frameReader) decodeVec() ([]float64, error) {
+	b, err := fr.fill(2)
+	if err != nil {
 		return nil, io.ErrUnexpectedEOF
 	}
+	n := int(binary.LittleEndian.Uint16(b))
 	if n > 1<<12 {
 		return nil, ErrCorrupt
 	}
 	if n == 0 {
 		return nil, nil
 	}
+	if b, err = fr.fill(8 * n); err != nil {
+		return nil, io.ErrUnexpectedEOF
+	}
 	vec := make([]float64, n)
 	for i := range vec {
-		var b uint64
-		if err := binary.Read(hr, binary.LittleEndian, &b); err != nil {
-			return nil, io.ErrUnexpectedEOF
-		}
-		vec[i] = math.Float64frombits(b)
+		vec[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
 	return vec, nil
 }
 
 // checkCRC reads the trailing checksum and compares it against the
-// hash accumulated over the frame body.
-func checkCRC(br io.Reader, h hash32) error {
-	want := h.Sum32()
-	var got uint32
-	if err := binary.Read(br, binary.LittleEndian, &got); err != nil {
+// frame bytes read so far.
+func (fr *frameReader) checkCRC() error {
+	want := crc32.ChecksumIEEE(fr.buf)
+	b, err := fr.fill(4)
+	if err != nil {
 		return io.ErrUnexpectedEOF
 	}
-	if got != want {
+	if binary.LittleEndian.Uint32(b) != want {
 		return ErrCorrupt
 	}
 	return nil
@@ -315,6 +320,7 @@ type Writer struct {
 	base      uint64 // header base LSN
 	next      uint64 // lowest LSN the next Append may carry
 	recovered int64  // torn-tail bytes truncated by Open (0 if clean)
+	scratch   []byte // the frame being appended, reused across appends
 }
 
 // Create opens a fresh segment (truncating any existing file) for
@@ -416,6 +422,22 @@ func (w *Writer) Recovered() int64 { return w.recovered }
 // store-wide LSN space, not necessarily a dense one. The record is
 // buffered; call Sync to force it to stable storage.
 func (w *Writer) Append(r Record) error {
+	if err := w.check(r); err != nil {
+		return err
+	}
+	if r.LSN < w.next {
+		return fmt.Errorf("wal: record LSN %d below segment position %d", r.LSN, w.next)
+	}
+	w.scratch = appendRecord(w.scratch[:0], r)
+	if _, err := w.bw.Write(w.scratch); err != nil {
+		return err
+	}
+	w.next = r.LSN + 1
+	return nil
+}
+
+// check validates a record's op and vector against the segment.
+func (w *Writer) check(r Record) error {
 	if r.Op != OpAppend && r.Op != OpUpdate && r.Op != OpRemove {
 		return fmt.Errorf("wal: unknown op %d", r.Op)
 	}
@@ -426,13 +448,6 @@ func (w *Writer) Append(r Record) error {
 	} else if len(r.Vec) != w.dim {
 		return fmt.Errorf("wal: vector has dimension %d, want %d", len(r.Vec), w.dim)
 	}
-	if r.LSN < w.next {
-		return fmt.Errorf("wal: record LSN %d below segment position %d", r.LSN, w.next)
-	}
-	if err := EncodeRecord(w.bw, r); err != nil {
-		return err
-	}
-	w.next = r.LSN + 1
 	return nil
 }
 
@@ -440,8 +455,10 @@ func (w *Writer) Append(r Record) error {
 // single CRC, so the whole batch is atomic under torn-tail recovery.
 // Records must carry contiguous LSNs starting at or above NextLSN. A
 // single record is logged as a plain frame (there is nothing to
-// group); an empty batch is a no-op. Like Append, the frame is
-// buffered — call Sync to force it to stable storage.
+// group); an empty batch is a no-op. The batch is validated before
+// any byte is buffered, so a rejected batch leaves the log untouched.
+// Like Append, the frame is buffered — call Sync to force it to
+// stable storage.
 func (w *Writer) AppendBatch(recs []Record) error {
 	if len(recs) == 0 {
 		return nil
@@ -449,29 +466,20 @@ func (w *Writer) AppendBatch(recs []Record) error {
 	if len(recs) == 1 {
 		return w.Append(recs[0])
 	}
-	if len(recs) > MaxBatchRecords {
-		return fmt.Errorf("wal: batch of %d records exceeds %d", len(recs), MaxBatchRecords)
+	if err := checkBatch(recs); err != nil {
+		return err
 	}
 	base := recs[0].LSN
 	if base < w.next {
 		return fmt.Errorf("wal: batch base LSN %d below segment position %d", base, w.next)
 	}
-	for i, r := range recs {
-		if r.Op != OpAppend && r.Op != OpUpdate && r.Op != OpRemove {
-			return fmt.Errorf("wal: unknown op %d", r.Op)
-		}
-		if r.Op == OpRemove {
-			if len(r.Vec) != 0 {
-				return errors.New("wal: remove record must not carry a vector")
-			}
-		} else if len(r.Vec) != w.dim {
-			return fmt.Errorf("wal: vector has dimension %d, want %d", len(r.Vec), w.dim)
-		}
-		if r.LSN != base+uint64(i) {
-			return fmt.Errorf("wal: batch LSNs not contiguous: record %d has %d, want %d", i, r.LSN, base+uint64(i))
+	for _, r := range recs {
+		if err := w.check(r); err != nil {
+			return err
 		}
 	}
-	if err := EncodeBatch(w.bw, recs); err != nil {
+	w.scratch = appendBatch(w.scratch[:0], recs)
+	if _, err := w.bw.Write(w.scratch); err != nil {
 		return err
 	}
 	w.next = base + uint64(len(recs))
@@ -504,11 +512,12 @@ func (w *Writer) Close() error {
 // re-reading the whole file).
 type Segment struct {
 	f       *os.File
-	br      *bufio.Reader
+	fr      frameReader
 	base    uint64
 	pos     int64    // end offset of the last good frame
 	last    uint64   // LSN of the last good record (0 before any)
-	pending []Record // batch-frame records not yet handed out
+	frame   []Record // the last decoded frame's records, reused across frames
+	pending []Record // the part of frame not yet handed out
 }
 
 // OpenSegment opens a segment file for iteration, validating its
@@ -527,7 +536,7 @@ func OpenSegment(path string) (*Segment, error) {
 	}
 	return &Segment{
 		f:    f,
-		br:   bufio.NewReader(f),
+		fr:   frameReader{r: bufio.NewReader(f)},
 		base: binary.LittleEndian.Uint64(hdr[8:]),
 		pos:  HeaderSize,
 	}, nil
@@ -552,12 +561,12 @@ func (s *Segment) LastLSN() uint64 { return s.last }
 // a torn batch never contributes a partial prefix.
 func (s *Segment) Next() (Record, error) {
 	if len(s.pending) == 0 {
-		recs, size, err := decodeFrame(s.br, true)
+		recs, size, err := s.fr.decode(s.frame[:0], true)
 		if err != nil {
 			return Record{}, err
 		}
 		s.pos += size
-		s.pending = recs
+		s.frame, s.pending = recs, recs
 	}
 	r := s.pending[0]
 	s.pending = s.pending[1:]
