@@ -158,7 +158,7 @@ func main() {
 		fmt.Printf("planarserve: replica of %s, data %s, listening on %s\n", *replicateFrom, *dataDir, *addr)
 	} else {
 		layout := "unsharded"
-		if db.Sharded() {
+		if db.Shards() > 1 {
 			layout = fmt.Sprintf("%d shards", db.Shards())
 		}
 		if db.Paged() {

@@ -1,8 +1,6 @@
 package service
 
 import (
-	"fmt"
-
 	"planar/internal/ingest"
 	"planar/internal/wal"
 )
@@ -11,112 +9,33 @@ import (
 // caller should retry later (the HTTP layer answers 429).
 var ErrBackpressure = ingest.ErrBacklog
 
-// startIngest wires the group-commit pipeline when Options.IngestBatch
-// asks for one: a lane per shard (one lane in single mode), committed
-// through the mode's batch-commit path. Replicas never configure a
-// pipeline — their writes arrive pre-sequenced on the replication
-// stream.
-func (db *DB) startIngest() error {
-	if db.opts.IngestBatch <= 0 {
+// startIngest wires the group-commit pipeline when opts.IngestBatch
+// asks for one: a lane per shard, committed through the store's
+// batch-commit path. Replicas never configure a pipeline — their
+// writes arrive pre-sequenced on the replication stream.
+func (db *DB) startIngest(opts Options) error {
+	if opts.IngestBatch <= 0 {
 		return nil
 	}
-	batch := db.opts.IngestBatch
-	if batch > wal.MaxBatchRecords {
-		batch = wal.MaxBatchRecords
-	}
-	lanes := 1
-	commit := db.commitBatch
-	if db.shards != nil {
-		lanes = db.shards.NumShards()
-		commit = func(lane int, intents []ingest.Intent, results []ingest.Result) error {
+	p, err := ingest.New(ingest.Config{
+		Lanes:         db.store.NumShards(),
+		BatchSize:     min(opts.IngestBatch, wal.MaxBatchRecords),
+		FlushInterval: opts.IngestFlushInterval,
+		QueueDepth:    opts.IngestQueueDepth,
+		Block:         opts.IngestBlock,
+		Commit: func(lane int, intents []ingest.Intent, results []ingest.Result) error {
 			// commitMu read-held across apply+journal, exactly like a
 			// synchronous write, so CaptureState can drain in-flight
 			// batches to a consistent cut.
 			db.commitMu.RLock()
 			defer db.commitMu.RUnlock()
-			return db.shards.CommitBatch(lane, intents, results)
-		}
-	}
-	p, err := ingest.New(ingest.Config{
-		Lanes:         lanes,
-		BatchSize:     batch,
-		FlushInterval: db.opts.IngestFlushInterval,
-		QueueDepth:    db.opts.IngestQueueDepth,
-		Block:         db.opts.IngestBlock,
-		Commit:        commit,
+			return db.store.CommitBatch(lane, intents, results)
+		},
 	})
 	if err != nil {
 		return err
 	}
 	db.pipe = p
-	return nil
-}
-
-// commitBatch is the single-mode group commit: apply every intent
-// under one acquisition of db.mu, journal the survivors as one WAL
-// frame with one fsync, and let the sequencer hand the batch a
-// contiguous LSN range. Apply errors stay scoped to their intent; a
-// journal error fails the whole batch.
-func (db *DB) commitBatch(_ int, intents []ingest.Intent, results []ingest.Result) error {
-	db.commitMu.RLock()
-	defer db.commitMu.RUnlock()
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	recs := make([]wal.Record, 0, len(intents))
-	okIdx := make([]int, 0, len(intents))
-	for i, in := range intents {
-		if results[i].Err != nil {
-			continue
-		}
-		op := wal.Op(in.Op)
-		id := in.ID
-		var err error
-		switch op {
-		case wal.OpAppend:
-			id, err = db.multi.Append(in.Vec)
-		case wal.OpUpdate:
-			err = db.multi.Update(id, in.Vec)
-		case wal.OpRemove:
-			err = db.multi.Remove(id)
-		default:
-			err = fmt.Errorf("service: unknown op %d", in.Op)
-		}
-		if err != nil {
-			results[i] = ingest.Result{Err: err}
-			continue
-		}
-		vec := in.Vec
-		if op == wal.OpRemove {
-			vec = nil
-		}
-		results[i] = ingest.Result{ID: id}
-		recs = append(recs, wal.Record{Op: op, ID: id, Vec: vec})
-		okIdx = append(okIdx, i)
-	}
-	if len(recs) == 0 {
-		return nil
-	}
-	// CommitBatch assigns recs[j].LSN = base+j before the journal
-	// runs, so the frame encodes the final LSNs. Group commit always
-	// fsyncs before acking — that is its durability contract, stronger
-	// than the SyncEveryWrite default.
-	base, err := db.seq.CommitBatch(recs, func(uint64) error {
-		if err := db.log.AppendBatch(recs); err != nil {
-			return err
-		}
-		return db.log.Sync()
-	})
-	if err != nil {
-		return err
-	}
-	for j, i := range okIdx {
-		results[i].LSN = base + uint64(j)
-	}
-	for range okIdx {
-		if err := db.bumpLocked(); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -135,11 +54,7 @@ func (db *DB) AppendAsync(v []float64) (*ingest.Future, error) {
 		}
 		return ingest.Resolved(ingest.Result{ID: id, LSN: db.seq.Last()}), nil
 	}
-	lane := 0
-	if db.shards != nil {
-		lane = db.shards.NextAppendLane()
-	}
-	return db.pipe.Submit(lane, ingest.Intent{Op: uint8(wal.OpAppend), Vec: v})
+	return db.pipe.Submit(db.store.NextAppendLane(), ingest.Intent{Op: uint8(wal.OpAppend), Vec: v})
 }
 
 // UpdateAsync submits an update to the ingest pipeline. Same-key
@@ -154,7 +69,7 @@ func (db *DB) UpdateAsync(id uint32, v []float64) (*ingest.Future, error) {
 		}
 		return ingest.Resolved(ingest.Result{ID: id, LSN: db.seq.Last()}), nil
 	}
-	return db.pipe.Submit(db.laneOf(id), ingest.Intent{Op: uint8(wal.OpUpdate), ID: id, Vec: v})
+	return db.pipe.Submit(db.store.LaneOf(id), ingest.Intent{Op: uint8(wal.OpUpdate), ID: id, Vec: v})
 }
 
 // RemoveAsync submits a remove to the ingest pipeline.
@@ -168,16 +83,7 @@ func (db *DB) RemoveAsync(id uint32) (*ingest.Future, error) {
 		}
 		return ingest.Resolved(ingest.Result{ID: id, LSN: db.seq.Last()}), nil
 	}
-	return db.pipe.Submit(db.laneOf(id), ingest.Intent{Op: uint8(wal.OpRemove), ID: id})
-}
-
-// laneOf routes a keyed intent to its commit lane: the owning shard,
-// or the only lane in single mode.
-func (db *DB) laneOf(id uint32) int {
-	if db.shards != nil {
-		return db.shards.LaneOf(id)
-	}
-	return 0
+	return db.pipe.Submit(db.store.LaneOf(id), ingest.Intent{Op: uint8(wal.OpRemove), ID: id})
 }
 
 // IngestStats snapshots the pipeline counters; ok is false when the

@@ -106,6 +106,33 @@ func runGoldenGrouped(t *testing.T, db *DB) []uint32 {
 	return ids
 }
 
+// tailInto streams primary's committed records from LSN from on into
+// replica, the way package replica's applier does.
+func tailInto(t *testing.T, primary, replica *DB, from uint64) {
+	t.Helper()
+	for from <= primary.LastLSN() {
+		recs, tooOld, err := primary.FeedRead(from, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tooOld {
+			t.Fatalf("feed too old at LSN %d", from)
+		}
+		if len(recs) == 0 {
+			t.Fatalf("feed empty at LSN %d (last %d)", from, primary.LastLSN())
+		}
+		for _, rec := range recs {
+			if rec.LSN != from {
+				t.Fatalf("stream gap: got LSN %d, want %d", rec.LSN, from)
+			}
+			if err := replica.ApplyReplicated(rec); err != nil {
+				t.Fatalf("apply LSN %d: %v", rec.LSN, err)
+			}
+			from++
+		}
+	}
+}
+
 // snapshotBytes serialises every shard snapshot of a consistent cut.
 func snapshotBytes(t *testing.T, db *DB) (uint64, [][]byte) {
 	t.Helper()
@@ -248,27 +275,7 @@ func TestReplicaTailsGroupedPrimary(t *testing.T) {
 	if _, err := replica.AddNormal([]float64{1, 2, 3}, vecmath.FirstOctant(goldenDim)); err != nil {
 		t.Fatal(err)
 	}
-	for from := uint64(1); from <= primary.LastLSN(); {
-		recs, tooOld, err := primary.FeedRead(from, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tooOld {
-			t.Fatalf("feed too old at LSN %d", from)
-		}
-		if len(recs) == 0 {
-			t.Fatalf("feed empty at LSN %d (last %d)", from, primary.LastLSN())
-		}
-		for _, rec := range recs {
-			if rec.LSN != from {
-				t.Fatalf("stream gap: got LSN %d, want %d", rec.LSN, from)
-			}
-			if err := replica.ApplyReplicated(rec); err != nil {
-				t.Fatalf("apply LSN %d: %v", rec.LSN, err)
-			}
-			from++
-		}
-	}
+	tailInto(t, primary, replica, 1)
 
 	wantLSN, wantSnaps := snapshotBytes(t, primary)
 	gotLSN, gotSnaps := snapshotBytes(t, replica)

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"planar/internal/core"
+	"planar/internal/pager"
 	"planar/internal/vecmath"
 )
 
@@ -104,191 +105,246 @@ func (g *pagedGolden) compare(queries int) {
 	}
 }
 
-// TestPagedServiceEndToEnd is the paged tier's kill-and-reopen e2e:
-// a paged DB with a cache far smaller than the dataset must answer
-// every query identically to a snapshot-mode golden twin, survive a
-// checkpoint + close + reopen cycle with trees coming back in paged
-// mode, and replay only the WAL records the checkpoint does not
-// cover.
+// TestPagedServiceEndToEnd is the paged tier's kill-and-reopen e2e,
+// unsharded and sharded: a paged DB with a cache far smaller than the
+// dataset must answer every query identically to a snapshot-mode
+// golden twin, survive a checkpoint + close + reopen cycle with trees
+// coming back in paged mode, and replay only the WAL records the
+// checkpoint does not cover.
 func TestPagedServiceEndToEnd(t *testing.T) {
-	root := t.TempDir()
-	const dim = 6
-	// The cache budget is below the pager's floor, so it clamps to the
-	// minimum (32 frames) — far fewer than the trees' page count.
-	const tinyCache = 1 << 15
-	paged, err := Open(filepath.Join(root, "paged"), Options{
-		Dim: dim, Paged: true, PageCacheBytes: tinyCache,
+	eachTopology(t, func(t *testing.T, shards int) {
+		root := t.TempDir()
+		const dim = 6
+		// The cache budget is below the pager's floor, so every shard's
+		// slice clamps to the minimum (32 frames) — far fewer than the
+		// trees' page count.
+		const tinyCache = 1 << 15
+		paged, err := Open(filepath.Join(root, "paged"), Options{
+			Dim: dim, Shards: shards, Paged: true, PageCacheBytes: tinyCache,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, err := Open(filepath.Join(root, "plain"), Options{Dim: dim, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !paged.Paged() || paged.Shards() != shards {
+			t.Fatalf("want %d shards, paged; got %d, paged=%v", shards, paged.Shards(), paged.Paged())
+		}
+		for _, pd := range partDirs(filepath.Join(root, "paged"), shards) {
+			if _, err := os.Stat(filepath.Join(pd, "pages.plnr")); err != nil {
+				t.Fatalf("page file missing: %v", err)
+			}
+		}
+
+		g := &pagedGolden{t: t, rng: rand.New(rand.NewSource(20140808)), dim: dim, paged: paged, plain: plain}
+		defer func() {
+			g.paged.Close()
+			g.plain.Close()
+		}()
+		// The twins restart together: a sharded store's round-robin
+		// append cursor starts over at Open, so the ids the two assign
+		// keep matching only if both reopen.
+		reopen := func() {
+			t.Helper()
+			if err := g.paged.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := g.plain.Close(); err != nil {
+				t.Fatal(err)
+			}
+			// The twin never checkpoints, so only its options know Dim.
+			plain, err := Open(filepath.Join(root, "plain"), Options{Dim: dim})
+			if err != nil {
+				t.Fatal(err)
+			}
+			g.plain = plain
+			paged, err = Open(filepath.Join(root, "paged"), Options{PageCacheBytes: tinyCache})
+			if err != nil {
+				t.Fatal(err)
+			}
+			g.paged = paged
+		}
+
+		signs := make(vecmath.SignPattern, dim)
+		for i := range signs {
+			signs[i] = 1
+		}
+		addNormal := func(seed int64) {
+			nrng := rand.New(rand.NewSource(seed))
+			normal := make([]float64, dim)
+			for i := range normal {
+				normal[i] = 0.1 + nrng.Float64()
+			}
+			if _, err := g.paged.AddNormal(normal, signs); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := g.plain.AddNormal(normal, signs); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		// Every shard has its own floor-sized cache to outgrow.
+		g.mutate(8000 * shards)
+		addNormal(1)
+		addNormal(2)
+		g.mutate(8000 * shards)
+		g.compare(10)
+
+		// First durable checkpoint, then a tail of mutations that only
+		// the WAL holds.
+		if err := paged.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		const tail = 137
+		g.mutate(tail)
+		g.compare(5)
+
+		// Kill and reopen: replay must apply exactly the post-checkpoint
+		// tail, and the restored trees must run in paged-arena mode.
+		reopen()
+		if !paged.Paged() || paged.Shards() != shards {
+			t.Fatalf("directory with page files reopened with %d shards, paged=%v", paged.Shards(), paged.Paged())
+		}
+		if got := paged.ReplayedRecords(); got != tail {
+			t.Fatalf("reopen replayed %d WAL records, want exactly the post-checkpoint %d", got, tail)
+		}
+		// Only an unsharded store exposes its trees.
+		if m := paged.Multi(); m != nil {
+			for i := 0; i < m.NumIndexes(); i++ {
+				if !m.Index(i).Tree().Paged() {
+					t.Fatalf("restored index %d is not paged", i)
+				}
+			}
+		}
+		g.compare(15)
+
+		// The cache must be faulting pages in, not holding the whole
+		// file.
+		st, ok := paged.PageStats()
+		if !ok {
+			t.Fatal("PageStats not available on the paged tier")
+		}
+		if st.Hits == 0 || st.Misses == 0 {
+			t.Fatalf("page cache idle after queries: %+v", st)
+		}
+
+		// Keep mutating after the reopen (copy-on-write against the new
+		// checkpoint), checkpoint again, reopen again.
+		g.mutate(1000)
+		g.compare(10)
+		if err := paged.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		reopen()
+		if got := paged.ReplayedRecords(); got != 0 {
+			t.Fatalf("reopen after clean checkpoint replayed %d records, want 0", got)
+		}
+		g.compare(15)
+
+		// After a clean reopen every frame is clean (no WAL tail to
+		// COW), so the query sweep above must have cycled the tiny
+		// cache: more distinct pages touched than frames, hence
+		// evictions.
+		st, ok = paged.PageStats()
+		if !ok {
+			t.Fatal("PageStats not available after clean reopen")
+		}
+		if st.Evictions == 0 {
+			t.Fatalf("cache larger than dataset defeats the test: %+v", st)
+		}
+		if st.Resident >= int(st.Pages) {
+			t.Fatalf("entire page file resident (%d/%d): cache not smaller than dataset", st.Resident, st.Pages)
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := Open(filepath.Join(root, "plain"), Options{Dim: dim})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer plain.Close()
-	if !paged.Paged() {
-		t.Fatal("Paged option did not select the paged tier")
-	}
-	if _, err := os.Stat(filepath.Join(root, "paged", pagesFile)); err != nil {
-		t.Fatalf("page file missing: %v", err)
-	}
-
-	g := &pagedGolden{t: t, rng: rand.New(rand.NewSource(20140808)), dim: dim, paged: paged, plain: plain}
-
-	signs := make(vecmath.SignPattern, dim)
-	for i := range signs {
-		signs[i] = 1
-	}
-	addNormal := func(seed int64) {
-		nrng := rand.New(rand.NewSource(seed))
-		normal := make([]float64, dim)
-		for i := range normal {
-			normal[i] = 0.1 + nrng.Float64()
-		}
-		if _, err := g.paged.AddNormal(normal, signs); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := g.plain.AddNormal(normal, signs); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	g.mutate(8000)
-	addNormal(1)
-	addNormal(2)
-	g.mutate(8000)
-	g.compare(10)
-
-	// First durable checkpoint, then a tail of mutations that only the
-	// WAL holds.
-	if err := paged.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	const tail = 137
-	g.mutate(tail)
-	g.compare(5)
-
-	// Kill and reopen: replay must apply exactly the post-checkpoint
-	// tail, and the restored trees must run in paged-arena mode.
-	if err := paged.Close(); err != nil {
-		t.Fatal(err)
-	}
-	paged, err = Open(filepath.Join(root, "paged"), Options{PageCacheBytes: tinyCache})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer paged.Close()
-	g.paged = paged
-	if !paged.Paged() {
-		t.Fatal("directory with a page file did not reopen paged")
-	}
-	if got := paged.ReplayedRecords(); got != tail {
-		t.Fatalf("reopen replayed %d WAL records, want exactly the post-checkpoint %d", got, tail)
-	}
-	for i := 0; i < paged.Multi().NumIndexes(); i++ {
-		if !paged.Multi().Index(i).Tree().Paged() {
-			t.Fatalf("restored index %d is not paged", i)
-		}
-	}
-	g.compare(15)
-
-	// The cache must be faulting pages in, not holding the whole file.
-	st, ok := paged.PageStats()
-	if !ok {
-		t.Fatal("PageStats not available on the paged tier")
-	}
-	if st.Hits == 0 || st.Misses == 0 {
-		t.Fatalf("page cache idle after queries: %+v", st)
-	}
-
-	// Keep mutating after the reopen (copy-on-write against the new
-	// checkpoint), checkpoint again, reopen again.
-	g.mutate(1000)
-	g.compare(10)
-	if err := paged.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if err := paged.Close(); err != nil {
-		t.Fatal(err)
-	}
-	paged, err = Open(filepath.Join(root, "paged"), Options{PageCacheBytes: tinyCache})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer paged.Close()
-	g.paged = paged
-	if got := paged.ReplayedRecords(); got != 0 {
-		t.Fatalf("reopen after clean checkpoint replayed %d records, want 0", got)
-	}
-	g.compare(15)
-
-	// After a clean reopen every frame is clean (no WAL tail to COW),
-	// so the query sweep above must have cycled the tiny cache: more
-	// distinct pages touched than frames, hence evictions.
-	st, ok = paged.PageStats()
-	if !ok {
-		t.Fatal("PageStats not available after clean reopen")
-	}
-	if st.Evictions == 0 {
-		t.Fatalf("cache larger than dataset defeats the test: %+v", st)
-	}
-	if st.Resident >= int(st.Pages) {
-		t.Fatalf("entire page file resident (%d/%d): cache not smaller than dataset", st.Resident, st.Pages)
-	}
 }
 
-// TestPagedServiceSharded runs the paged tier under the sharded
-// layout: per-shard page files, split cache budget, aggregated stats.
+// TestPagedServiceSharded runs the paged tier with automatic
+// checkpoints under both layouts: per-shard page files, split cache
+// budget, aggregated stats.
 func TestPagedServiceSharded(t *testing.T) {
-	root := t.TempDir()
-	const dim = 4
-	paged, err := Open(filepath.Join(root, "paged"), Options{
-		Dim: dim, Shards: 3, Paged: true, PageCacheBytes: 1 << 19,
-		CheckpointEvery: 500,
+	eachTopology(t, func(t *testing.T, shards int) {
+		root := t.TempDir()
+		const dim = 4
+		paged, err := Open(filepath.Join(root, "paged"), Options{
+			Dim: dim, Shards: shards, Paged: true, PageCacheBytes: 1 << 19,
+			CheckpointEvery: 500,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, err := Open(filepath.Join(root, "plain"), Options{Dim: dim, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer plain.Close()
+		if !paged.Paged() || paged.Shards() != shards {
+			t.Fatalf("want %d shards, paged; got %d, paged=%v", shards, paged.Shards(), paged.Paged())
+		}
+
+		g := &pagedGolden{t: t, rng: rand.New(rand.NewSource(7)), dim: dim, paged: paged, plain: plain}
+		signs := make(vecmath.SignPattern, dim)
+		for i := range signs {
+			signs[i] = 1
+		}
+		normal := []float64{0.5, 1.1, 0.9, 1.4}
+		if _, err := paged.AddNormal(normal, signs); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := plain.AddNormal(normal, signs); err != nil {
+			t.Fatal(err)
+		}
+		g.mutate(6000) // crosses the automatic per-shard checkpoint threshold
+		g.compare(10)
+
+		if err := paged.Close(); err != nil {
+			t.Fatal(err)
+		}
+		paged, err = Open(filepath.Join(root, "paged"), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer paged.Close()
+		g.paged = paged
+		if !paged.Paged() || paged.Shards() != shards {
+			t.Fatalf("paged directory reopened with %d shards, paged=%v", paged.Shards(), paged.Paged())
+		}
+		if got := paged.ReplayedRecords(); got >= 500*shards {
+			t.Fatalf("replayed %d records: automatic checkpoints did not bound the logs", got)
+		}
+		g.compare(15)
+		if st, ok := paged.PageStats(); !ok || st.Pages == 0 {
+			t.Fatalf("PageStats = %+v, %v", st, ok)
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := Open(filepath.Join(root, "plain"), Options{Dim: dim, Shards: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer plain.Close()
-	if !paged.Paged() || !paged.Sharded() {
-		t.Fatalf("want sharded+paged, got sharded=%v paged=%v", paged.Sharded(), paged.Paged())
-	}
+}
 
-	g := &pagedGolden{t: t, rng: rand.New(rand.NewSource(7)), dim: dim, paged: paged, plain: plain}
-	signs := make(vecmath.SignPattern, dim)
-	for i := range signs {
-		signs[i] = 1
+// TestPageCacheDefaultSplit pins where the page-cache default is
+// resolved: before the per-shard split. Left unset, the budget is the
+// documented 64 MiB whatever the shard count — four shards get a
+// quarter each, not 0/4 = 0 and the cache's floor of a few frames.
+func TestPageCacheDefaultSplit(t *testing.T) {
+	target := func(shards int) int {
+		db, err := Open(t.TempDir(), Options{Dim: 2, Paged: true, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		st, ok := db.PageStats()
+		if !ok {
+			t.Fatal("PageStats not available on the paged tier")
+		}
+		return st.Target
 	}
-	normal := []float64{0.5, 1.1, 0.9, 1.4}
-	if _, err := paged.AddNormal(normal, signs); err != nil {
-		t.Fatal(err)
+	one, four := target(1), target(4)
+	// A floored cache targets 32 frames; 64 MiB is some 16 000.
+	if want := (64 << 20) / pager.PageSize; one < want*9/10 {
+		t.Fatalf("unsharded default cache targets %d frames, want about %d", one, want)
 	}
-	if _, err := plain.AddNormal(normal, signs); err != nil {
-		t.Fatal(err)
-	}
-	g.mutate(6000) // crosses the automatic per-shard checkpoint threshold
-	g.compare(10)
-
-	if err := paged.Close(); err != nil {
-		t.Fatal(err)
-	}
-	paged, err = Open(filepath.Join(root, "paged"), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer paged.Close()
-	g.paged = paged
-	if !paged.Paged() || !paged.Sharded() {
-		t.Fatal("sharded paged directory did not reopen sharded+paged")
-	}
-	g.compare(15)
-	if st, ok := paged.PageStats(); !ok || st.Pages == 0 {
-		t.Fatalf("sharded PageStats = %+v, %v", st, ok)
+	// Each shard rounds its slice down to whole frames per cache shard.
+	if diff := one - four; diff < 0 || diff > one/100 {
+		t.Fatalf("default cache targets %d frames over 4 shards, %d unsharded", four, one)
 	}
 }
 

@@ -11,8 +11,6 @@ package service
 import (
 	"context"
 	"fmt"
-	"os"
-	"path/filepath"
 
 	"planar/internal/codec"
 	"planar/internal/replog"
@@ -26,7 +24,7 @@ var ErrDiverged = replog.ErrDiverged
 
 // ReplState is a consistent cut of a store for replica bootstrap:
 // every shard's snapshot plus the LSN the cut is valid at. Shards is
-// 1 for a single-mode store.
+// 1 for an unsharded store.
 type ReplState struct {
 	Shards int
 	Dim    int
@@ -42,54 +40,23 @@ type ReplState struct {
 func (db *DB) CaptureState() *ReplState {
 	db.commitMu.Lock()
 	defer db.commitMu.Unlock()
-	st := &ReplState{Dim: db.Dim(), LSN: db.seq.Last()}
-	if db.shards != nil {
-		st.Shards = db.shards.NumShards()
-		st.Snaps = db.shards.CaptureAll()
-		return st
+	return &ReplState{
+		Shards: db.store.NumShards(),
+		Dim:    db.Dim(),
+		LSN:    db.seq.Last(),
+		Snaps:  db.store.CaptureAll(),
 	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	st.Shards = 1
-	st.Snaps = []*codec.Snapshot{codec.Capture(db.multi)}
-	return st
 }
 
 // MaterializeReplState writes a captured state into dir as a fresh
-// data directory: single-store layout when Shards == 1, the sharded
-// layout otherwise. Each WAL segment is created empty with its base
-// pinned at LSN+1, so opening the directory resumes the replication
-// cursor exactly where the snapshot left off.
+// data directory in the layout its shard count implies (see
+// shard.WriteLayout), so opening the directory resumes the
+// replication cursor exactly where the snapshot left off.
 func MaterializeReplState(dir string, st *ReplState) error {
 	if len(st.Snaps) != st.Shards || st.Shards < 1 {
 		return fmt.Errorf("service: state has %d snapshots for %d shards", len(st.Snaps), st.Shards)
 	}
-	write := func(snapPath, walPath string, snap *codec.Snapshot) error {
-		if err := snap.Save(snapPath); err != nil {
-			return err
-		}
-		w, err := wal.Create(walPath, st.Dim, st.LSN+1)
-		if err != nil {
-			return err
-		}
-		return w.Close()
-	}
-	if st.Shards == 1 {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-		return write(filepath.Join(dir, snapshotFile), filepath.Join(dir, walFile), st.Snaps[0])
-	}
-	if err := shard.WriteLayout(dir, st.Shards, st.Dim); err != nil {
-		return err
-	}
-	for i, snap := range st.Snaps {
-		sd := shard.Dir(dir, i)
-		if err := write(filepath.Join(sd, shard.SnapshotFileName), filepath.Join(sd, shard.WALFileName), snap); err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
-		}
-	}
-	return nil
+	return shard.WriteLayout(dir, st.Dim, st.LSN, st.Snaps)
 }
 
 // ApplyReplicated applies one record streamed from a primary,
@@ -102,35 +69,7 @@ func MaterializeReplState(dir string, st *ReplState) error {
 func (db *DB) ApplyReplicated(rec wal.Record) error {
 	db.commitMu.RLock()
 	defer db.commitMu.RUnlock()
-	if db.shards != nil {
-		return db.shards.Apply(rec)
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	switch rec.Op {
-	case wal.OpAppend:
-		id, err := db.multi.Append(rec.Vec)
-		if err != nil {
-			return fmt.Errorf("service: apply append: %v: %w", err, ErrDiverged)
-		}
-		if id != rec.ID {
-			return fmt.Errorf("service: apply assigned id %d, stream says %d: %w", id, rec.ID, ErrDiverged)
-		}
-	case wal.OpUpdate:
-		if err := db.multi.Update(rec.ID, rec.Vec); err != nil {
-			return fmt.Errorf("service: apply update: %v: %w", err, ErrDiverged)
-		}
-	case wal.OpRemove:
-		if err := db.multi.Remove(rec.ID); err != nil {
-			return fmt.Errorf("service: apply remove: %v: %w", err, ErrDiverged)
-		}
-	default:
-		return fmt.Errorf("service: apply op %d: %w", rec.Op, ErrDiverged)
-	}
-	if err := db.seq.CommitAt(rec.LSN, rec.Op, rec.ID, rec.Vec, db.journal(rec.Op, rec.ID, rec.Vec)); err != nil {
-		return err
-	}
-	return db.bumpLocked()
+	return db.store.Apply(rec)
 }
 
 // FeedRead returns up to max committed records starting at LSN from,
@@ -143,26 +82,7 @@ func (db *DB) FeedRead(from uint64, max int) (recs []wal.Record, tooOld bool, er
 	if !tooOld {
 		return recs, false, nil
 	}
-	if db.shards != nil {
-		return db.shards.FeedFromDisk(from, max)
-	}
-	if db.dir == "" {
-		return nil, true, nil
-	}
-	db.mu.Lock()
-	err = db.log.Flush()
-	db.mu.Unlock()
-	if err != nil {
-		return nil, false, err
-	}
-	recs, err = replog.ReadSegmentFrom(filepath.Join(db.dir, walFile), from, max, nil)
-	if err != nil {
-		return nil, false, err
-	}
-	if len(recs) == 0 || recs[0].LSN > from {
-		return nil, true, nil
-	}
-	return recs, false, nil
+	return db.store.FeedFromDisk(from, max)
 }
 
 // LastLSN returns the most recently committed (primary) or applied

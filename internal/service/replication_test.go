@@ -1,0 +1,106 @@
+package service
+
+import (
+	"bytes"
+	"context"
+	"math/rand"
+	"sync"
+	"testing"
+	"time"
+
+	"planar/internal/vecmath"
+)
+
+// TestStressCaptureStateUnderWriters takes replication cuts of an
+// unsharded store while synchronous or grouped writers run. With one
+// partition, commitMu is the only thing that makes a cut consistent —
+// CaptureState reads the LSN and the snapshot in two steps — so every
+// cut is put to the test a replica would: materialised, opened and
+// fed the primary's log from its LSN on, it must replay without
+// diverging into the primary's final state. make race-shard runs it
+// under the race detector.
+func TestStressCaptureStateUnderWriters(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		batch int
+	}{{"sync", 0}, {"grouped", 16}} {
+		t.Run(tc.name, func(t *testing.T) {
+			primary, err := Open(t.TempDir(), Options{
+				Dim: 2, Shards: 1,
+				IngestBatch: tc.batch, IngestFlushInterval: time.Millisecond, IngestBlock: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer primary.Close()
+			if _, err := primary.AddNormal([]float64{1, 2}, vecmath.FirstOctant(2)); err != nil {
+				t.Fatal(err)
+			}
+
+			// Each writer mutates only the points it appended, so no
+			// operation can fail for a reason other than a bug.
+			const writers, perWriter = 4, 250
+			ctx, writersDone := context.WithCancel(context.Background())
+			var wg sync.WaitGroup
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(int64(w)))
+					vec := func() []float64 { return []float64{rng.Float64() * 10, rng.Float64() * 10} }
+					for i := 0; i < perWriter; i++ {
+						id, err := primary.Append(vec())
+						if err == nil && i%3 == 0 {
+							err = primary.Update(id, vec())
+						}
+						if err == nil && i%7 == 0 {
+							err = primary.Remove(id)
+						}
+						if err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}(w)
+			}
+			go func() {
+				wg.Wait()
+				writersDone()
+			}()
+
+			// A cut every hundred commits or so, until the writers finish.
+			var cuts []*ReplState
+			for ctx.Err() == nil {
+				cut := primary.CaptureState()
+				cuts = append(cuts, cut)
+				_ = primary.WaitLSN(ctx, cut.LSN+100) // fails only when the writers are done
+			}
+			if len(cuts) < 3 {
+				t.Fatalf("only %d cuts overlapped the writers", len(cuts))
+			}
+
+			wantLSN, want := snapshotBytes(t, primary)
+			for _, cut := range cuts {
+				dir := t.TempDir()
+				if err := MaterializeReplState(dir, cut); err != nil {
+					t.Fatal(err)
+				}
+				replica, err := Open(dir, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if replica.LastLSN() != cut.LSN {
+					t.Fatalf("cut at LSN %d opened at LSN %d", cut.LSN, replica.LastLSN())
+				}
+				tailInto(t, primary, replica, cut.LSN+1)
+				gotLSN, got := snapshotBytes(t, replica)
+				if gotLSN != wantLSN || !bytes.Equal(got[0], want[0]) {
+					t.Fatalf("cut at LSN %d replayed to LSN %d and a different store than the primary's at LSN %d", cut.LSN, gotLSN, wantLSN)
+				}
+				if err := replica.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+}

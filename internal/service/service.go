@@ -1,27 +1,24 @@
-// Package service combines the planar index collection with
-// durability: a directory holds a CRC-checked snapshot (package
-// codec) plus a write-ahead log of point mutations (package wal).
-// Opening the directory restores the snapshot, replays the log, and
-// rebuilds the indexes, giving a crash-safe dynamic scalar-product
-// store a downstream application can embed or expose over HTTP
-// (cmd/planarserve).
+// Package service is the durable scalar-product store a downstream
+// application embeds or exposes over HTTP (cmd/planarserve). The
+// engine underneath is always an internal/shard Store — N hash
+// partitions, each with its own index collection, checkpoint file
+// (a CRC-checked snapshot or a page file, package codec) and
+// write-ahead log (package wal); opening a directory restores each
+// partition's checkpoint and replays its log. The default, unsharded
+// store is the N = 1 case: one partition rooted at the directory
+// itself, its answers handed back untouched. Options.Shards > 1 lays
+// a fresh directory out partitioned; an existing directory reopens
+// with the layout it was created with, and the two are not
+// convertible in place.
 //
-// A DB runs in one of two modes. Single mode (the default) keeps one
-// Multi, one snapshot and one log in the directory root. Sharded mode
-// (Options.Shards > 1, or a directory that was created sharded)
-// delegates to internal/shard: points are hash-partitioned across N
-// shards, each with its own Multi, snapshot and WAL segment, queries
-// run scatter-gather, and mutations lock only the owning shard. A
-// sharded directory reopens sharded automatically; the two layouts
-// are not convertible in place.
+// What this package adds to the engine is the service's own job: the
+// public mutation surface with its read-only guard, the commit
+// barrier behind consistent replication snapshots, the group-commit
+// ingest pipeline, pacing, and the query metrics rollup.
 package service
 
 import (
 	"errors"
-	"fmt"
-	"log"
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,11 +26,9 @@ import (
 	"planar/internal/codec"
 	"planar/internal/core"
 	"planar/internal/ingest"
-	"planar/internal/pager"
 	"planar/internal/replog"
 	"planar/internal/shard"
 	"planar/internal/vecmath"
-	"planar/internal/wal"
 )
 
 // ErrReadOnly reports a mutation attempted on a read-only store — a
@@ -42,14 +37,6 @@ import (
 var ErrReadOnly = errors.New("service: store is read-only (replica)")
 
 const (
-	snapshotFile = "snapshot.plnr"
-	walFile      = "wal.log"
-	pagesFile    = "pages.plnr"
-
-	// defaultPageCacheBytes sizes the paged tier's cache when the
-	// options leave it unset (64 MiB).
-	defaultPageCacheBytes = 64 << 20
-
 	// minMutation and minPagedMutation are the pacing floors: the
 	// least time a synchronous Append, Update or Remove takes on the
 	// RAM and on the paged tier (see DB.pace).
@@ -62,19 +49,20 @@ type Options struct {
 	// Dim is the φ dimensionality; required when creating a fresh
 	// directory, validated against the snapshot otherwise.
 	Dim int
-	// Shards enables sharded mode: points are hash-partitioned across
-	// this many shards, each with its own indexes, snapshot and WAL
-	// segment (see internal/shard). 0 or 1 keeps the single-store
-	// layout. A directory created sharded reopens sharded regardless;
-	// the stored count is validated against a non-zero Shards.
+	// Shards hash-partitions a fresh store's points across this many
+	// shards, each with its own indexes, checkpoint file and WAL
+	// segment in a sub-directory (see internal/shard). 0 or 1 keeps
+	// one partition, whose files sit in the directory itself. A
+	// directory created sharded reopens sharded regardless; the stored
+	// count is validated against a non-zero Shards.
 	Shards int
 	// SyncEveryWrite fsyncs the log after each mutation (durable but
 	// slower). Off by default: the log is synced on Checkpoint and
 	// Close.
 	SyncEveryWrite bool
 	// CheckpointEvery triggers an automatic checkpoint after this
-	// many logged mutations (0 disables automatic checkpoints). In
-	// sharded mode the counter is per shard.
+	// many logged mutations (0 disables automatic checkpoints). The
+	// counter is per shard.
 	CheckpointEvery int
 	// RingSize bounds the in-memory tail of committed records kept
 	// for replication streaming (0 = replog.DefaultRingSize).
@@ -88,8 +76,8 @@ type Options struct {
 	// layouts are not convertible in place.
 	Paged bool
 	// PageCacheBytes sizes the paged tier's page cache (0 = a 64 MiB
-	// default; a small floor is always enforced). In sharded mode the
-	// budget is split evenly across shards.
+	// default; a small floor is always enforced). The budget is split
+	// evenly across shards.
 	PageCacheBytes int
 	// WritebackInterval is the paged tier's background writer cadence
 	// (0 = a 25ms default). The writer shadow-flushes dirty tree
@@ -130,36 +118,18 @@ type Options struct {
 	MultiOptions []core.MultiOption
 }
 
-// DB is a durable planar index store.
-//
-// The mode determines which fields are set: single mode uses multi
-// and log; sharded mode uses shards. mu is the single-mode lock:
-// query paths hold it for reading, so concurrent readers proceed in
-// parallel, while mutations, checkpoints and Close hold it
-// exclusively (the WAL append and the in-memory apply must be atomic
-// with respect to each other). Sharded mode has a finer-grained lock
-// per shard inside the shard.Store and does not take mu at all.
+// DB is a durable planar index store: a shard.Store plus the
+// service's own concerns. The store has its own locks (one RWMutex
+// per partition — queries share it, a mutation or checkpoint holds
+// its partition's exclusively — and the sequencer's), so DB adds only
+// commitMu above them: lock order commitMu → partition mu → seq mu.
 type DB struct {
-	mu      sync.RWMutex
-	dir     string
-	opts    Options
-	multi   *core.Multi
-	log     *wal.Writer // guarded by mu
-	pending int         // guarded by mu; mutations since the last checkpoint
+	store *shard.Store // never nil
 
-	// pstore is the paged tier's checkpoint file (nil in snapshot
-	// mode); replayed counts WAL records applied at Open after the
-	// checkpoint-LSN filter.
-	pstore   *codec.PagedStore // guarded by mu
-	replayed int
-
-	shards *shard.Store // non-nil in sharded mode
-
-	// seq is the commit sequencer: it assigns LSNs, orders journal
-	// appends, and retains the in-memory replication tail. In sharded
-	// mode it is the shard.Store's sequencer; commitMu lets
-	// CaptureState drain every in-flight commit (writers hold the
-	// read side for the whole apply+journal) so a replication
+	// seq is the store's commit sequencer: it assigns LSNs, orders
+	// journal appends, and retains the in-memory replication tail.
+	// commitMu lets CaptureState drain every in-flight commit (writers
+	// hold the read side for the whole apply+journal) so a replication
 	// snapshot is consistent at one LSN. readOnly guards the public
 	// mutation surface on replicas; the replication apply path
 	// bypasses it.
@@ -179,8 +149,8 @@ type DB struct {
 
 // Metrics aggregates execution-pipeline stats across every query
 // answered through the DB's query methods — the per-process rollup of
-// the per-query core.Stats. In sharded mode each scatter-gather query
-// counts once, with its per-shard stats already merged.
+// the per-query core.Stats. A scatter-gather query counts once, with
+// its per-shard stats already merged.
 type Metrics struct {
 	// Queries is the number of pipeline runs recorded.
 	Queries uint64
@@ -242,21 +212,11 @@ func (db *DB) Metrics() Metrics {
 	}
 }
 
-// Query answers an inequality query, recording pipeline metrics. In
-// sharded mode the ids come back in ascending global id order.
+// Query answers an inequality query, recording pipeline metrics. A
+// sharded store returns the ids in ascending global id order, an
+// unsharded one in its index's own order.
 func (db *DB) Query(q core.Query) ([]uint32, core.Stats, error) {
-	var (
-		ids []uint32
-		st  core.Stats
-		err error
-	)
-	if db.shards != nil {
-		ids, st, err = db.shards.Query(q)
-	} else {
-		db.mu.RLock()
-		ids, st, err = db.multi.InequalityIDs(q)
-		db.mu.RUnlock()
-	}
+	ids, st, err := db.store.Query(q)
 	if err == nil {
 		db.record(st)
 	}
@@ -266,18 +226,7 @@ func (db *DB) Query(q core.Query) ([]uint32, core.Stats, error) {
 // QueryBatch answers one inequality query per threshold, sharing a
 // single plan across the batch (see core.Multi.InequalityBatch).
 func (db *DB) QueryBatch(a []float64, op core.Op, bs []float64) ([][]uint32, []core.Stats, error) {
-	var (
-		ids [][]uint32
-		sts []core.Stats
-		err error
-	)
-	if db.shards != nil {
-		ids, sts, err = db.shards.QueryBatch(a, op, bs)
-	} else {
-		db.mu.RLock()
-		ids, sts, err = db.multi.InequalityBatch(a, op, bs)
-		db.mu.RUnlock()
-	}
+	ids, sts, err := db.store.QueryBatch(a, op, bs)
 	if err == nil {
 		for _, st := range sts {
 			db.record(st)
@@ -289,18 +238,7 @@ func (db *DB) QueryBatch(a []float64, op core.Op, bs []float64) ([][]uint32, []c
 // TopK answers a top-k nearest-to-hyperplane query, recording
 // pipeline metrics.
 func (db *DB) TopK(q core.Query, k int) ([]core.Result, core.Stats, error) {
-	var (
-		res []core.Result
-		st  core.Stats
-		err error
-	)
-	if db.shards != nil {
-		res, st, err = db.shards.TopK(q, k)
-	} else {
-		db.mu.RLock()
-		res, st, err = db.multi.TopK(q, k)
-		db.mu.RUnlock()
-	}
+	res, st, err := db.store.TopK(q, k)
 	if err == nil {
 		db.record(st)
 	}
@@ -309,18 +247,7 @@ func (db *DB) TopK(q core.Query, k int) ([]core.Result, core.Stats, error) {
 
 // Count answers an exact COUNT(*), recording pipeline metrics.
 func (db *DB) Count(q core.Query) (int, core.Stats, error) {
-	var (
-		n   int
-		st  core.Stats
-		err error
-	)
-	if db.shards != nil {
-		n, st, err = db.shards.Count(q)
-	} else {
-		db.mu.RLock()
-		n, st, err = db.multi.Count(q)
-		db.mu.RUnlock()
-	}
+	n, st, err := db.store.Count(q)
 	if err == nil {
 		db.record(st)
 	}
@@ -328,197 +255,22 @@ func (db *DB) Count(q core.Query) (int, core.Stats, error) {
 }
 
 // SelectivityBounds returns guaranteed cardinality bounds
-// lo ≤ |answer| ≤ hi without computing a scalar product. In sharded
-// mode the per-shard bounds are summed (each shard's answer is
-// individually bracketed).
+// lo ≤ |answer| ≤ hi without computing a scalar product: the sum of
+// the per-shard bounds (each shard's answer is individually
+// bracketed).
 func (db *DB) SelectivityBounds(q core.Query) (lo, hi int, err error) {
-	if db.shards != nil {
-		return db.shards.SelectivityBounds(q)
-	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.multi.SelectivityBounds(q)
+	return db.store.SelectivityBounds(q)
 }
 
-// Explain returns the execution plan for q without touching data. In
-// sharded mode interval sizes and bounds aggregate across shards.
-func (db *DB) Explain(q core.Query) (core.Plan, error) {
-	if db.shards != nil {
-		return db.shards.Explain(q)
-	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.multi.Explain(q)
-}
+// Explain returns the execution plan for q without touching data;
+// interval sizes and bounds aggregate across shards.
+func (db *DB) Explain(q core.Query) (core.Plan, error) { return db.store.Explain(q) }
 
-// Open restores (or initialises) a DB in dir.
+// Open restores (or initialises) a DB in dir. Layout, recovery and
+// the option defaults are shard.Open's.
 func Open(dir string, opts Options) (*DB, error) {
 	if dir == "" {
 		return nil, errors.New("service: empty directory")
-	}
-	if opts.Shards > 1 || shard.IsSharded(dir) {
-		return openSharded(dir, opts)
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	snapPath := filepath.Join(dir, snapshotFile)
-	walPath := filepath.Join(dir, walFile)
-	pagePath := filepath.Join(dir, pagesFile)
-
-	// A directory holding a page file reopens paged regardless of the
-	// option, mirroring the sharded-layout auto-detection.
-	_, pageStatErr := os.Stat(pagePath)
-	paged := opts.Paged || pageStatErr == nil
-
-	var (
-		m      *core.Multi
-		pstore *codec.PagedStore
-		cpLSN  uint64 // WAL records at or below this are in the checkpoint
-	)
-	if paged {
-		if _, err := os.Stat(snapPath); err == nil {
-			return nil, errors.New("service: directory holds a flat snapshot; converting to the paged layout in place is not supported")
-		}
-		opts.Paged = true
-		cacheBytes := opts.PageCacheBytes
-		if cacheBytes <= 0 {
-			cacheBytes = defaultPageCacheBytes
-		}
-		var err error
-		if pageStatErr == nil {
-			pstore, m, err = codec.OpenPaged(pagePath, cacheBytes, opts.MultiOptions...)
-			if err != nil {
-				return nil, err
-			}
-			if opts.Dim != 0 && opts.Dim != pstore.Dim() {
-				pstore.Close()
-				return nil, fmt.Errorf("service: page file dimension %d, options say %d", pstore.Dim(), opts.Dim)
-			}
-			opts.Dim = pstore.Dim()
-			cpLSN = pstore.CheckpointLSN()
-		} else {
-			if opts.Dim <= 0 {
-				return nil, errors.New("service: Dim required to create a fresh store")
-			}
-			if pstore, err = codec.CreatePaged(pagePath, opts.Dim, cacheBytes); err != nil {
-				return nil, err
-			}
-			store, serr := core.NewPointStore(opts.Dim)
-			if serr == nil {
-				m, serr = core.NewMulti(store, opts.MultiOptions...)
-			}
-			if serr != nil {
-				pstore.Close()
-				return nil, serr
-			}
-		}
-		if !opts.DisableWriteback {
-			pstore.StartWriter(pager.WriterOptions{
-				Interval:   opts.WritebackInterval,
-				BatchPages: opts.WritebackBatchPages,
-			}, m.WritebackIndexes)
-		}
-	} else if snap, err := codec.Load(snapPath); err == nil {
-		if opts.Dim != 0 && opts.Dim != snap.Dim {
-			return nil, fmt.Errorf("service: snapshot dimension %d, options say %d", snap.Dim, opts.Dim)
-		}
-		opts.Dim = snap.Dim
-		m, err = snap.Restore(opts.MultiOptions...)
-		if err != nil {
-			return nil, err
-		}
-	} else if errors.Is(err, os.ErrNotExist) {
-		if opts.Dim <= 0 {
-			return nil, errors.New("service: Dim required to create a fresh store")
-		}
-		store, err := core.NewPointStore(opts.Dim)
-		if err != nil {
-			return nil, err
-		}
-		m, err = core.NewMulti(store, opts.MultiOptions...)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		return nil, err
-	}
-
-	// Replay mutations logged after the checkpoint. In snapshot mode
-	// the checkpoint truncated the log, so everything in it applies; in
-	// paged mode records at or below the checkpoint LSN are filtered
-	// out (a crash between pager commit and log truncation leaves
-	// them behind, already durable in the page file).
-	applied := 0
-	_, err := wal.Replay(walPath, func(r wal.Record) error {
-		if paged && r.LSN != 0 && r.LSN <= cpLSN {
-			return nil
-		}
-		applied++
-		switch r.Op {
-		case wal.OpAppend:
-			id, err := m.Append(r.Vec)
-			if err != nil {
-				return err
-			}
-			if id != r.ID {
-				return fmt.Errorf("service: replay assigned id %d, log says %d", id, r.ID)
-			}
-			return nil
-		case wal.OpUpdate:
-			return m.Update(r.ID, r.Vec)
-		case wal.OpRemove:
-			return m.Remove(r.ID)
-		default:
-			return fmt.Errorf("service: unknown op %d in log", r.Op)
-		}
-	})
-	if err != nil {
-		if pstore != nil {
-			pstore.Close()
-		}
-		return nil, fmt.Errorf("service: replaying log: %w", err)
-	}
-
-	w, err := wal.Open(walPath, opts.Dim)
-	if err != nil {
-		if pstore != nil {
-			pstore.Close()
-		}
-		return nil, err
-	}
-	if n := w.Recovered(); n > 0 {
-		log.Printf("service: %s: recovered torn tail, truncated %d bytes", walPath, n)
-	}
-	db := &DB{
-		dir: dir, opts: opts, multi: m, log: w, pending: applied,
-		pstore: pstore, replayed: applied,
-		seq:   replog.NewSequencer(w.NextLSN(), opts.RingSize, m.Store().Dim()),
-		floor: minMutation,
-	}
-	if pstore != nil {
-		db.floor = minPagedMutation
-	}
-	if err := db.startIngest(); err != nil {
-		return nil, errors.Join(err, db.Close())
-	}
-	return db, nil
-}
-
-// openSharded opens (or creates) the sharded layout. A directory
-// holding a single-store snapshot cannot be resharded in place — the
-// shard layout would silently shadow the existing data.
-func openSharded(dir string, opts Options) (*DB, error) {
-	if !shard.IsSharded(dir) {
-		if _, err := os.Stat(filepath.Join(dir, snapshotFile)); err == nil {
-			return nil, errors.New("service: directory holds a single-store snapshot; resharding in place is not supported")
-		}
-		if _, err := os.Stat(filepath.Join(dir, walFile)); err == nil {
-			return nil, errors.New("service: directory holds a single-store log; resharding in place is not supported")
-		}
-		if _, err := os.Stat(filepath.Join(dir, pagesFile)); err == nil {
-			return nil, errors.New("service: directory holds a single-store page file; resharding in place is not supported")
-		}
 	}
 	st, err := shard.Open(dir, shard.Options{
 		Shards:          opts.Shards,
@@ -538,124 +290,55 @@ func openSharded(dir string, opts Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	db := &DB{dir: dir, opts: opts, shards: st, seq: st.Seq(), floor: minMutation}
+	db := &DB{store: st, seq: st.Seq(), floor: minMutation}
 	if st.Paged() {
 		db.floor = minPagedMutation
 	}
-	if err := db.startIngest(); err != nil {
+	if err := db.startIngest(opts); err != nil {
 		return nil, errors.Join(err, db.Close())
 	}
 	return db, nil
 }
 
-// Multi exposes the underlying index collection in single mode. It
-// returns nil in sharded mode — use the DB-level accessors (Len, Dim,
-// NumIndexes, MemoryBytes, SelectivityBounds, …), which work in both
-// modes.
-func (db *DB) Multi() *core.Multi { return db.multi }
+// Multi exposes the underlying index collection of an unsharded
+// store. It returns nil on a sharded one — use the DB-level accessors
+// (Len, Dim, NumIndexes, MemoryBytes, SelectivityBounds, …), which
+// work for any shard count.
+func (db *DB) Multi() *core.Multi { return db.store.Multi() }
 
-// Sharded reports whether the DB runs in sharded mode.
-func (db *DB) Sharded() bool { return db.shards != nil }
-
-// Shards returns the number of hash partitions (1 in single mode).
-func (db *DB) Shards() int {
-	if db.shards != nil {
-		return db.shards.NumShards()
-	}
-	return 1
-}
+// Shards returns the number of hash partitions (1 when unsharded).
+func (db *DB) Shards() int { return db.store.NumShards() }
 
 // Dim returns the φ dimensionality.
-func (db *DB) Dim() int {
-	if db.shards != nil {
-		return db.shards.Dim()
-	}
-	return db.multi.Store().Dim()
-}
+func (db *DB) Dim() int { return db.store.Dim() }
 
 // Len returns the number of live points.
-func (db *DB) Len() int {
-	if db.shards != nil {
-		return db.shards.Len()
-	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.multi.Store().Len()
-}
+func (db *DB) Len() int { return db.store.Len() }
 
-// NumIndexes returns the number of planar indexes (per shard in
-// sharded mode — every shard holds the same configuration).
-func (db *DB) NumIndexes() int {
-	if db.shards != nil {
-		return db.shards.NumIndexes()
-	}
-	return db.multi.NumIndexes()
-}
+// NumIndexes returns the number of planar indexes (per shard — every
+// shard holds the same configuration).
+func (db *DB) NumIndexes() int { return db.store.NumIndexes() }
 
 // MemoryBytes returns the approximate footprint of the store and
-// indexes, summed across shards in sharded mode.
-func (db *DB) MemoryBytes() int {
-	if db.shards != nil {
-		return db.shards.MemoryBytes()
-	}
-	return db.multi.MemoryBytes()
-}
+// indexes, summed across shards.
+func (db *DB) MemoryBytes() int { return db.store.MemoryBytes() }
 
 // PlanCacheCounters returns cumulative plan-cache hits and misses,
-// summed across shards in sharded mode.
-func (db *DB) PlanCacheCounters() (hits, misses uint64) {
-	if db.shards != nil {
-		return db.shards.PlanCacheCounters()
-	}
-	return db.multi.PlanCacheCounters()
-}
+// summed across shards.
+func (db *DB) PlanCacheCounters() (hits, misses uint64) { return db.store.PlanCacheCounters() }
 
-// AddNormal installs a planar index (on every shard in sharded mode);
-// the configuration is persisted at the next checkpoint. Index
-// changes are not journaled, so they reach replicas only through a
-// snapshot bootstrap — query answers do not depend on indexes, only
-// query speed, so replicated results stay identical either way.
+// AddNormal installs a planar index (on every shard); the
+// configuration is persisted at the next checkpoint. Index changes
+// are not journaled, so they reach replicas only through a snapshot
+// bootstrap — query answers do not depend on indexes, only query
+// speed, so replicated results stay identical either way.
 func (db *DB) AddNormal(normal []float64, signs vecmath.SignPattern) (bool, error) {
 	if db.readOnly.Load() {
 		return false, ErrReadOnly
 	}
 	db.commitMu.RLock()
 	defer db.commitMu.RUnlock()
-	if db.shards != nil {
-		return db.shards.AddNormal(normal, signs)
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.multi.AddNormal(normal, signs)
-}
-
-// journal returns the commit callback appending the record to the
-// single-mode log; it runs under the sequencer lock so log order
-// matches LSN order. The callback touches db.log without taking db.mu
-// because every caller invokes it from a mutation path that already
-// holds mu exclusively (the apply and the append must be atomic).
-//
-//planar:locked
-func (db *DB) journal(op wal.Op, id uint32, vec []float64) func(uint64) error {
-	return func(lsn uint64) error {
-		if err := db.log.Append(wal.Record{Op: op, LSN: lsn, ID: id, Vec: vec}); err != nil {
-			return err
-		}
-		if db.opts.SyncEveryWrite {
-			return db.log.Sync()
-		}
-		return nil
-	}
-}
-
-// bumpLocked advances the pending-mutation counter and triggers the
-// automatic checkpoint. Callers hold db.mu exclusively.
-func (db *DB) bumpLocked() error {
-	db.pending++
-	if db.opts.CheckpointEvery > 0 && db.pending >= db.opts.CheckpointEvery {
-		return db.checkpointLocked()
-	}
-	return nil
+	return db.store.AddNormal(normal, signs)
 }
 
 // pace holds a synchronous mutation that began at start until the
@@ -693,21 +376,7 @@ func (db *DB) Append(v []float64) (uint32, error) {
 	defer db.pace(time.Now())
 	db.commitMu.RLock()
 	defer db.commitMu.RUnlock()
-	if db.shards != nil {
-		return db.shards.Append(v)
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	// Apply first: the record carries the id the store assigned, and a
-	// rejected vector never reaches the log.
-	id, err := db.multi.Append(v)
-	if err != nil {
-		return 0, err
-	}
-	if _, err := db.seq.Commit(wal.OpAppend, id, v, db.journal(wal.OpAppend, id, v)); err != nil {
-		return 0, err
-	}
-	return id, db.bumpLocked()
+	return db.store.Append(v)
 }
 
 // Update durably replaces a point's φ vector.
@@ -725,18 +394,7 @@ func (db *DB) Update(id uint32, v []float64) error {
 	defer db.pace(time.Now())
 	db.commitMu.RLock()
 	defer db.commitMu.RUnlock()
-	if db.shards != nil {
-		return db.shards.Update(id, v)
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.multi.Update(id, v); err != nil {
-		return err
-	}
-	if _, err := db.seq.Commit(wal.OpUpdate, id, v, db.journal(wal.OpUpdate, id, v)); err != nil {
-		return err
-	}
-	return db.bumpLocked()
+	return db.store.Update(id, v)
 }
 
 // Remove durably deletes a point.
@@ -754,143 +412,35 @@ func (db *DB) Remove(id uint32) error {
 	defer db.pace(time.Now())
 	db.commitMu.RLock()
 	defer db.commitMu.RUnlock()
-	if db.shards != nil {
-		return db.shards.Remove(id)
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.multi.Remove(id); err != nil {
-		return err
-	}
-	if _, err := db.seq.Commit(wal.OpRemove, id, nil, db.journal(wal.OpRemove, id, nil)); err != nil {
-		return err
-	}
-	return db.bumpLocked()
+	return db.store.Remove(id)
 }
 
-// Checkpoint writes a fresh snapshot atomically (write-temp, sync,
-// rename) and truncates the log. In sharded mode every shard
-// checkpoints in parallel. On the paged tier the background writer is
-// drained *before* the write lock is taken, so the locked section
-// only flushes the pages dirtied in between — the stop-the-world
-// window shrinks to the residual delta plus the fsync+superblock
-// flip.
-func (db *DB) Checkpoint() error {
-	if db.shards != nil {
-		return db.shards.Checkpoint()
-	}
-	db.mu.RLock()
-	ps := db.pstore
-	db.mu.RUnlock()
-	if ps != nil {
-		if err := ps.DrainWriteback(); err != nil {
-			return err
-		}
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.checkpointLocked()
-}
+// Checkpoint makes every shard's state durable in its checkpoint file
+// (a fresh snapshot written atomically, or an incremental page-file
+// commit on the paged tier) and truncates its log; shards checkpoint
+// in parallel.
+func (db *DB) Checkpoint() error { return db.store.Checkpoint() }
 
-func (db *DB) checkpointLocked() error {
-	if err := db.log.Sync(); err != nil {
-		return err
-	}
-	if db.pstore != nil {
-		// Paged tier: COW the data pages dirty rows touch, delta-flush
-		// or dump every index tree, then one atomic pager commit
-		// carrying the last assigned LSN — replay after a crash skips
-		// records the checkpoint covers.
-		cp := db.pstore.Checkpoint
-		if db.opts.FullCheckpoints {
-			cp = db.pstore.CheckpointFull
-		}
-		if err := cp(db.multi, db.seq.Next()-1); err != nil {
-			return err
-		}
-	} else {
-		if err := codec.Capture(db.multi).Save(filepath.Join(db.dir, snapshotFile)); err != nil {
-			return err
-		}
-	}
-	// The checkpoint covers everything: start a fresh log whose header
-	// pins the LSN position across restarts.
-	if err := db.log.Close(); err != nil {
-		return err
-	}
-	w, err := wal.Create(filepath.Join(db.dir, walFile), db.multi.Store().Dim(), db.seq.Next())
-	if err != nil {
-		return err
-	}
-	db.log = w
-	db.pending = 0
-	return nil
-}
-
-// Close flushes the log and releases the DB. It does not checkpoint;
-// the log is replayed on the next Open. An active ingest pipeline is
-// drained first — every queued intent commits and resolves its future
-// before the logs close, so an acked write is never dropped.
+// Close flushes the logs and releases the DB. It does not checkpoint;
+// the logs are replayed on the next Open. An active ingest pipeline
+// is drained first — every queued intent commits and resolves its
+// future before the logs close, so an acked write is never dropped.
 func (db *DB) Close() error {
 	if db.pipe != nil {
 		db.pipe.Close()
 	}
-	if db.shards != nil {
-		return db.shards.Close()
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.log == nil {
-		return nil
-	}
-	err := db.log.Sync()
-	if cerr := db.log.Close(); err == nil {
-		err = cerr
-	}
-	db.log = nil
-	if db.pstore != nil {
-		// Dirty pages in the cache are deliberately dropped: they are
-		// re-derived from the WAL on the next Open, and the page file's
-		// durable state stays the last committed checkpoint.
-		if cerr := db.pstore.Close(); err == nil {
-			err = cerr
-		}
-		db.pstore = nil
-	}
-	return err
+	return db.store.Close()
 }
 
 // Paged reports whether the DB runs on the disk-paged storage tier.
-func (db *DB) Paged() bool {
-	if db.shards != nil {
-		return db.shards.Paged()
-	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.pstore != nil
-}
+func (db *DB) Paged() bool { return db.store.Paged() }
 
 // PageStats returns the paged tier's cache and file counters, summed
-// across shards in sharded mode. ok is false when the DB runs on the
-// flat-snapshot tier.
-func (db *DB) PageStats() (st codec.PageTierStats, ok bool) {
-	if db.shards != nil {
-		return db.shards.PageStats()
-	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if db.pstore == nil {
-		return codec.PageTierStats{}, false
-	}
-	return db.pstore.Stats(), true
-}
+// across shards. ok is false when the DB runs on the flat-snapshot
+// tier.
+func (db *DB) PageStats() (st codec.PageTierStats, ok bool) { return db.store.PageStats() }
 
 // ReplayedRecords returns how many WAL records Open applied after the
 // checkpoint filter — the restart-cost observability hook (paged mode
 // replays only post-checkpoint entries), summed across shards.
-func (db *DB) ReplayedRecords() int {
-	if db.shards != nil {
-		return db.shards.ReplayedRecords()
-	}
-	return db.replayed
-}
+func (db *DB) ReplayedRecords() int { return db.store.ReplayedRecords() }

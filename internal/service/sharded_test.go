@@ -2,27 +2,14 @@ package service
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 
 	"planar/internal/core"
 	"planar/internal/vecmath"
 )
 
-// shardedQueryIDs goes through the DB-level query path (which works
-// in both modes), unlike queryIDs which reaches into Multi.
-func shardedQueryIDs(t *testing.T, db *DB, q core.Query) []uint32 {
-	t.Helper()
-	ids, _, err := db.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
 // TestShardedMatchesSingle drives the same mutation stream through a
-// single-store DB and a sharded DB and checks every DB-level query
+// unsharded DB and a sharded DB and checks every DB-level query
 // method answers identically — the service-layer cut of the golden
 // cross-path suite in internal/shard.
 func TestShardedMatchesSingle(t *testing.T) {
@@ -36,12 +23,11 @@ func TestShardedMatchesSingle(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sharded.Close()
-	if single.Sharded() || !sharded.Sharded() || sharded.Shards() != 4 {
-		t.Fatalf("mode detection wrong: single=%v sharded=%v/%d",
-			single.Sharded(), sharded.Sharded(), sharded.Shards())
+	if single.Shards() != 1 || sharded.Shards() != 4 {
+		t.Fatalf("shard counts wrong: single=%d sharded=%d", single.Shards(), sharded.Shards())
 	}
-	if sharded.Multi() != nil {
-		t.Fatal("Multi() must be nil in sharded mode")
+	if single.Multi() == nil || sharded.Multi() != nil {
+		t.Fatal("Multi() must be the only partition's when unsharded, nil when sharded")
 	}
 
 	oct := vecmath.FirstOctant(3)
@@ -100,8 +86,8 @@ func TestShardedMatchesSingle(t *testing.T) {
 		if trial%2 == 1 {
 			q.Op = core.GE
 		}
-		want := shardedQueryIDs(t, single, q)
-		got := shardedQueryIDs(t, sharded, q)
+		want := sortedQuery(t, single, q)
+		got := sortedQuery(t, sharded, q)
 		if len(want) != len(got) {
 			t.Fatalf("trial %d: %d vs %d ids", trial, len(want), len(got))
 		}
@@ -150,65 +136,7 @@ func TestShardedMatchesSingle(t *testing.T) {
 	}
 	met := sharded.Metrics()
 	if met.Queries == 0 {
-		t.Fatal("sharded mode did not record metrics")
-	}
-}
-
-// TestShardedDurabilityAcrossReopen checkpoints a sharded DB, keeps
-// mutating, closes, and reopens with zero options — the stored
-// shards.meta supplies the shard count and dimensionality.
-func TestShardedDurabilityAcrossReopen(t *testing.T) {
-	dir := t.TempDir()
-	db, err := Open(dir, Options{Dim: 2, Shards: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.AddNormal([]float64{1, 1}, vecmath.FirstOctant(2)); err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(8))
-	for i := 0; i < 250; i++ {
-		if _, err := db.Append([]float64{rng.Float64() * 10, rng.Float64() * 10}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := db.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 40; i++ {
-		if err := db.Update(uint32(i), []float64{rng.Float64() * 10, rng.Float64() * 10}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := db.Remove(7); err != nil {
-		t.Fatal(err)
-	}
-	q := core.Query{A: []float64{1, 2}, B: 16, Op: core.LE}
-	want := shardedQueryIDs(t, db, q)
-	wantLen := db.Len()
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	db2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	if !db2.Sharded() || db2.Shards() != 3 || db2.Dim() != 2 {
-		t.Fatalf("reopened sharded=%v shards=%d dim=%d", db2.Sharded(), db2.Shards(), db2.Dim())
-	}
-	if db2.Len() != wantLen || db2.NumIndexes() != 1 {
-		t.Fatalf("reopened Len=%d indexes=%d want %d/1", db2.Len(), db2.NumIndexes(), wantLen)
-	}
-	got := shardedQueryIDs(t, db2, q)
-	if len(got) != len(want) {
-		t.Fatalf("reopened answer %d ids, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("id mismatch at %d", i)
-		}
+		t.Fatal("sharded store did not record metrics")
 	}
 }
 
@@ -243,8 +171,8 @@ func TestReshardGuards(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer back.Close()
-	if !back.Sharded() || back.Shards() != 2 {
-		t.Fatalf("sharded layout not detected on reopen: %v/%d", back.Sharded(), back.Shards())
+	if back.Shards() != 2 {
+		t.Fatalf("sharded layout not detected on reopen: %d shards", back.Shards())
 	}
 	if _, err := Open(sdir, Options{Shards: 5}); err == nil {
 		t.Fatal("shard-count mismatch accepted")

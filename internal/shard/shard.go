@@ -17,15 +17,11 @@ import (
 	"planar/internal/wal"
 )
 
+// The durability files inside a partition directory: a flat snapshot
+// or a page file (never both), plus the WAL segment.
 const (
-	// SnapshotFileName and WALFileName are the per-shard durability
-	// files inside a shard directory; exported so replica bootstrap
-	// (package replica via service) can materialise a layout.
-	SnapshotFileName = "snapshot.plnr"
-	WALFileName      = "wal.log"
-
-	snapshotFile = SnapshotFileName
-	walFile      = WALFileName
+	snapshotFile = "snapshot.plnr"
+	walFile      = "wal.log"
 	pagesFile    = "pages.plnr"
 )
 
@@ -34,37 +30,67 @@ const (
 // RWMutex. All point ids at this level are shard-local; the Store
 // translates global ids at the boundary.
 //
-// The lock discipline mirrors service.DB: mutations and checkpoints
-// hold the write lock so the WAL append and the in-memory apply are
-// atomic with respect to each other; queries hold the read lock, so
-// readers of the same shard proceed concurrently and writers on
-// *other* shards are never even consulted. Commits additionally pass
-// through the store-wide sequencer (under p.mu, so the lock order is
-// always p.mu → seq.mu), which assigns the LSN, journals the record
-// and publishes it to the replication ring in one critical section.
+// Mutations and checkpoints hold the write lock so the WAL append and
+// the in-memory apply are atomic with respect to each other; queries
+// hold the read lock, so readers of the same shard proceed
+// concurrently and writers on *other* shards are never even
+// consulted. Commits additionally pass through the store-wide
+// sequencer (under p.mu, so the lock order is always p.mu → seq.mu),
+// which assigns the LSN, journals the record and publishes it to the
+// replication ring in one critical section.
 type partition struct {
 	mu      sync.RWMutex
 	dir     string // "" for an ephemeral partition
 	multi   *core.Multi
-	log     *wal.Writer // nil when ephemeral
-	pending int         // mutations since the last checkpoint
+	log     *wal.Writer // guarded by mu; nil when ephemeral
+	pending int         // guarded by mu; mutations since the last checkpoint
 
 	// pstore is this shard's paged checkpoint file (nil in snapshot
 	// mode); replayed counts WAL records applied at open after the
 	// checkpoint-LSN filter.
-	pstore   *codec.PagedStore
+	pstore   *codec.PagedStore // guarded by mu
 	replayed int
 
-	seq *replog.Sequencer
-	gid func(uint32) uint32 // shard-local id → global id
+	// seq is the store-wide sequencer; global id = local*stride + index
+	// (stride is the partition count). All three are fixed by Open.
+	seq           *replog.Sequencer
+	stride, index uint32
 
 	syncEveryWrite  bool
 	checkpointEvery int
 	fullCheckpoints bool
 }
 
-// openPartition restores (or initialises) one shard in dir. An empty
-// dir creates an ephemeral in-memory partition.
+// gid maps a shard-local id to its global id.
+func (p *partition) gid(local uint32) uint32 { return local*p.stride + p.index }
+
+// globalize rewrites a query answer's local ids to global ids in
+// place.
+func (p *partition) globalize(ids []uint32) []uint32 {
+	for i, id := range ids {
+		ids[i] = p.gid(id)
+	}
+	return ids
+}
+
+// freshMulti builds an empty index collection of dimension dim.
+func freshMulti(dim int, opts Options) (*core.Multi, error) {
+	if dim <= 0 {
+		return nil, errors.New("shard: Dim required to create a fresh store")
+	}
+	store, err := core.NewPointStore(dim)
+	if err != nil {
+		return nil, err
+	}
+	return core.NewMulti(store, opts.MultiOptions...)
+}
+
+// openPartition restores (or initialises) one shard in dir — the only
+// open-and-recover path there is. An empty dir creates an ephemeral
+// in-memory partition. dim 0 adopts the stored dimensionality; a
+// directory holding a page file reopens paged whatever opts.Paged
+// says. opts.PageCacheBytes is this partition's share, already
+// resolved by Open.
 func openPartition(dir string, dim int, opts Options) (*partition, error) {
 	p := &partition{
 		dir:             dir,
@@ -73,17 +99,11 @@ func openPartition(dir string, dim int, opts Options) (*partition, error) {
 		fullCheckpoints: opts.FullCheckpoints,
 	}
 	if dir == "" {
-		if dim <= 0 {
-			return nil, errors.New("shard: Dim required for an ephemeral store")
-		}
-		store, err := core.NewPointStore(dim)
+		m, err := freshMulti(dim, opts)
 		if err != nil {
 			return nil, err
 		}
-		p.multi, err = core.NewMulti(store, opts.MultiOptions...)
-		if err != nil {
-			return nil, err
-		}
+		p.multi = m
 		return p, nil
 	}
 
@@ -98,66 +118,56 @@ func openPartition(dir string, dim int, opts Options) (*partition, error) {
 	paged := opts.Paged || pageStatErr == nil
 
 	var (
-		m     *core.Multi
-		cpLSN uint64
+		m      *core.Multi
+		pstore *codec.PagedStore
+		cpLSN  uint64 // WAL records at or below this are in the checkpoint
 	)
+	// Past this point a failed open must release the page file.
+	fail := func(err error) (*partition, error) {
+		if pstore != nil {
+			pstore.Close()
+		}
+		return nil, err
+	}
 	if paged {
 		if _, err := os.Stat(snapPath); err == nil {
 			return nil, errors.New("shard: directory holds a flat snapshot; converting to the paged layout in place is not supported")
 		}
 		var err error
 		if pageStatErr == nil {
-			p.pstore, m, err = codec.OpenPaged(pagePath, opts.PageCacheBytes, opts.MultiOptions...)
+			pstore, m, err = codec.OpenPaged(pagePath, opts.PageCacheBytes, opts.MultiOptions...)
 			if err != nil {
 				return nil, err
 			}
-			if dim != 0 && dim != p.pstore.Dim() {
-				p.pstore.Close()
-				return nil, fmt.Errorf("shard: page file dimension %d, store says %d", p.pstore.Dim(), dim)
+			if dim != 0 && dim != pstore.Dim() {
+				return fail(fmt.Errorf("shard: page file dimension %d, options say %d", pstore.Dim(), dim))
 			}
-			dim = p.pstore.Dim()
-			cpLSN = p.pstore.CheckpointLSN()
+			dim = pstore.Dim()
+			cpLSN = pstore.CheckpointLSN()
 		} else {
-			if dim <= 0 {
-				return nil, errors.New("shard: Dim required to create a fresh shard")
-			}
-			if p.pstore, err = codec.CreatePaged(pagePath, dim, opts.PageCacheBytes); err != nil {
+			if m, err = freshMulti(dim, opts); err != nil {
 				return nil, err
 			}
-			store, serr := core.NewPointStore(dim)
-			if serr == nil {
-				m, serr = core.NewMulti(store, opts.MultiOptions...)
-			}
-			if serr != nil {
-				p.pstore.Close()
-				return nil, serr
+			if pstore, err = codec.CreatePaged(pagePath, dim, opts.PageCacheBytes); err != nil {
+				return nil, err
 			}
 		}
 		if !opts.DisableWriteback {
-			p.pstore.StartWriter(pager.WriterOptions{
+			pstore.StartWriter(pager.WriterOptions{
 				Interval:   opts.WritebackInterval,
 				BatchPages: opts.WritebackBatchPages,
 			}, m.WritebackIndexes)
 		}
 	} else if snap, err := codec.Load(snapPath); err == nil {
 		if dim != 0 && dim != snap.Dim {
-			return nil, fmt.Errorf("shard: snapshot dimension %d, store says %d", snap.Dim, dim)
+			return nil, fmt.Errorf("shard: snapshot dimension %d, options say %d", snap.Dim, dim)
 		}
 		dim = snap.Dim
-		m, err = snap.Restore(opts.MultiOptions...)
-		if err != nil {
+		if m, err = snap.Restore(opts.MultiOptions...); err != nil {
 			return nil, err
 		}
 	} else if errors.Is(err, os.ErrNotExist) {
-		if dim <= 0 {
-			return nil, errors.New("shard: Dim required to create a fresh shard")
-		}
-		store, err := core.NewPointStore(dim)
-		if err != nil {
-			return nil, err
-		}
-		m, err = core.NewMulti(store, opts.MultiOptions...)
-		if err != nil {
+		if m, err = freshMulti(dim, opts); err != nil {
 			return nil, err
 		}
 	} else {
@@ -165,9 +175,11 @@ func openPartition(dir string, dim int, opts Options) (*partition, error) {
 	}
 
 	// Replay mutations logged after the checkpoint. Records carry
-	// shard-local ids, so each shard's log is self-contained; in paged
-	// mode records the page file's checkpoint already covers are
-	// filtered by LSN.
+	// shard-local ids, so each shard's log is self-contained. In
+	// snapshot mode the checkpoint truncated the log, so everything in
+	// it applies; in paged mode records at or below the checkpoint LSN
+	// are filtered out (a crash between pager commit and log truncation
+	// leaves them behind, already durable in the page file).
 	applied := 0
 	_, err := wal.Replay(walPath, func(r wal.Record) error {
 		if paged && r.LSN != 0 && r.LSN <= cpLSN {
@@ -193,18 +205,12 @@ func openPartition(dir string, dim int, opts Options) (*partition, error) {
 		}
 	})
 	if err != nil {
-		if p.pstore != nil {
-			p.pstore.Close()
-		}
-		return nil, fmt.Errorf("shard: replaying %s: %w", walPath, err)
+		return fail(fmt.Errorf("shard: replaying %s: %w", walPath, err))
 	}
 
 	w, err := wal.Open(walPath, dim)
 	if err != nil {
-		if p.pstore != nil {
-			p.pstore.Close()
-		}
-		return nil, err
+		return fail(err)
 	}
 	if n := w.Recovered(); n > 0 {
 		log.Printf("shard: %s: recovered torn tail, truncated %d bytes", walPath, n)
@@ -212,6 +218,7 @@ func openPartition(dir string, dim int, opts Options) (*partition, error) {
 	p.multi = m
 	p.log = w
 	p.pending = applied
+	p.pstore = pstore
 	p.replayed = applied
 	return p, nil
 }
@@ -219,6 +226,8 @@ func openPartition(dir string, dim int, opts Options) (*partition, error) {
 // nextLSN reports the LSN position this partition's durable state
 // implies: one past the last journaled record, or the segment base.
 func (p *partition) nextLSN() uint64 {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
 	if p.log == nil {
 		return 1
 	}
@@ -228,6 +237,11 @@ func (p *partition) nextLSN() uint64 {
 // journal returns the commit callback that appends the shard-local
 // record to this partition's WAL segment, or nil when ephemeral. It
 // runs under the sequencer lock, so segment order matches LSN order.
+// Every caller is a mutation path holding p.mu exclusively (the apply
+// and the append must be atomic), which is what lets the callback
+// touch p.log.
+//
+//planar:locked
 func (p *partition) journal(op wal.Op, local uint32, vec []float64) func(uint64) error {
 	if p.log == nil {
 		return nil
@@ -349,7 +363,9 @@ func (p *partition) commitBatch(intents []ingest.Intent, results []ingest.Result
 // journalBatch returns the batch commit callback: one frame, one
 // fsync. Acks resolve only after this fsync — group commit always
 // syncs regardless of syncEveryWrite, that is its durability
-// contract. Nil when ephemeral.
+// contract. Nil when ephemeral. Called, like journal, with p.mu held.
+//
+//planar:locked
 func (p *partition) journalBatch(recs []wal.Record) func(uint64) error {
 	if p.log == nil {
 		return nil
@@ -415,6 +431,46 @@ func (p *partition) addNormal(normal []float64, signs vecmath.SignPattern) (bool
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.multi.AddNormal(normal, signs)
+}
+
+// The read methods answer one query against this partition under its
+// read lock, in shard-local ids. They are all a one-partition Store
+// returns, and what a scatter runs on every shard.
+
+func (p *partition) query(q core.Query) ([]uint32, core.Stats, error) {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	return p.multi.InequalityIDs(q)
+}
+
+func (p *partition) queryBatch(a []float64, op core.Op, bs []float64) ([][]uint32, []core.Stats, error) {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	return p.multi.InequalityBatch(a, op, bs)
+}
+
+func (p *partition) topK(q core.Query, k int) ([]core.Result, core.Stats, error) {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	return p.multi.TopK(q, k)
+}
+
+func (p *partition) count(q core.Query) (int, core.Stats, error) {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	return p.multi.Count(q)
+}
+
+func (p *partition) bounds(q core.Query) (lo, hi int, err error) {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	return p.multi.SelectivityBounds(q)
+}
+
+func (p *partition) explain(q core.Query) (core.Plan, error) {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	return p.multi.Explain(q)
 }
 
 // capture snapshots the partition's in-memory state (store layout +

@@ -20,19 +20,24 @@ import (
 )
 
 // metaFile records the shard count and dimensionality at the root of
-// a sharded data directory, so reopening never needs them respecified
-// and a mismatched -shards flag is caught instead of silently
-// resharding.
+// a partitioned data directory, so reopening never needs them
+// respecified and a mismatched -shards flag is caught instead of
+// silently resharding.
 const metaFile = "shards.meta"
+
+// defaultPageCacheBytes is the store-wide page-cache budget when the
+// options leave it unset (64 MiB).
+const defaultPageCacheBytes = 64 << 20
 
 // Options configures a Store.
 type Options struct {
-	// Shards is the number of hash partitions. Required (≥ 1) when
-	// creating a fresh store; validated against the directory's meta
-	// file otherwise (0 adopts the stored count).
+	// Shards is the number of hash partitions of a fresh store (0 or 1:
+	// one partition, rooted at the directory itself). A directory that
+	// was created partitioned reopens with its stored count whatever
+	// this says; a non-zero value is validated against it.
 	Shards int
 	// Dim is the φ dimensionality; required when creating a fresh
-	// store, validated against the meta file otherwise.
+	// store, validated against the stored one otherwise.
 	Dim int
 	// SyncEveryWrite fsyncs a shard's log after each mutation.
 	SyncEveryWrite bool
@@ -49,11 +54,12 @@ type Options struct {
 	// for replication streaming (0 = replog.DefaultRingSize).
 	RingSize int
 	// Paged selects the disk-paged storage tier for every shard (see
-	// service.Options.Paged). Shard directories holding page files
-	// reopen paged regardless.
+	// service.Options.Paged). Directories holding page files reopen
+	// paged regardless.
 	Paged bool
-	// PageCacheBytes is the store-wide page-cache budget, split evenly
-	// across shards (each shard enforces a small floor).
+	// PageCacheBytes is the store-wide page-cache budget (0 = a 64 MiB
+	// default), split evenly across shards (each shard enforces a
+	// small floor).
 	PageCacheBytes int
 	// WritebackInterval is each shard's background page-writer cadence
 	// (0 = a 25ms default; see service.Options.WritebackInterval).
@@ -71,51 +77,64 @@ type Options struct {
 // Store is a hash-partitioned collection of planar index shards with
 // scatter-gather query execution. Global point ids are dense across
 // the store: global id g lives on shard g mod N as local id g div N.
-// All methods are safe for concurrent use; mutations lock only the
-// owning shard.
+// An unpartitioned store is the N = 1 case, not a different thing:
+// ids are the partition's own and every answer is the partition's
+// own, returned untouched. All methods are safe for concurrent use;
+// mutations lock only the owning shard.
 type Store struct {
 	parts  []*partition
 	fanout int
-	dir    string // "" for an ephemeral store
 	rr     atomic.Uint64
 	seq    *replog.Sequencer
 }
 
-// IsSharded reports whether dir holds a sharded store (its meta file
-// exists). It is how service.Open decides which mode to reopen in.
-func IsSharded(dir string) bool {
-	if dir == "" {
-		return false
-	}
-	_, err := os.Stat(filepath.Join(dir, metaFile))
-	return err == nil
+func shardDir(root string, i int) string {
+	return filepath.Join(root, fmt.Sprintf("shard-%03d", i))
 }
 
-func shardDir(dir string, i int) string {
-	return filepath.Join(dir, fmt.Sprintf("shard-%03d", i))
+// partDir is the layout rule for a fresh store: partition i of n
+// lives in root/shard-00i, and the only partition of an unpartitioned
+// store in root itself.
+func partDir(root string, i, n int) string {
+	if n == 1 {
+		return root
+	}
+	return shardDir(root, i)
 }
 
-// Dir returns the directory of shard i under a sharded store root —
-// the layout contract replica bootstrap materialises into.
-func Dir(root string, i int) string { return shardDir(root, i) }
-
-// WriteLayout initialises an empty sharded directory (root dir,
-// per-shard dirs, meta file) without opening a store. Replica
-// bootstrap uses it to lay down a primary's topology before filling
-// in the streamed snapshots.
-func WriteLayout(dir string, shards, dim int) error {
-	if shards <= 0 || dim <= 0 {
-		return fmt.Errorf("shard: layout needs shards=%d dim=%d positive", shards, dim)
+// WriteLayout lays a consistent cut of a store down in dir as a fresh
+// data directory — replica bootstrap's way of adopting a primary's
+// topology: one snapshot per partition where partDir puts it (and the
+// meta file when there are several), each beside an empty WAL segment
+// whose base is pinned at lsn+1 so opening the directory resumes the
+// replication cursor exactly where the cut was taken.
+func WriteLayout(dir string, dim int, lsn uint64, snaps []*codec.Snapshot) error {
+	n := len(snaps)
+	if n == 0 || dim <= 0 {
+		return fmt.Errorf("shard: layout needs shards=%d dim=%d positive", n, dim)
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	for i := 0; i < shards; i++ {
-		if err := os.MkdirAll(shardDir(dir, i), 0o755); err != nil {
+	write := func(pd string, snap *codec.Snapshot) error {
+		if err := os.MkdirAll(pd, 0o755); err != nil {
 			return err
 		}
+		if err := snap.Save(filepath.Join(pd, snapshotFile)); err != nil {
+			return err
+		}
+		w, err := wal.Create(filepath.Join(pd, walFile), dim, lsn+1)
+		if err != nil {
+			return err
+		}
+		return w.Close()
 	}
-	return writeMeta(filepath.Join(dir, metaFile), shards, dim)
+	for i, snap := range snaps {
+		if err := write(partDir(dir, i, n), snap); err != nil {
+			return fmt.Errorf("shard %d: %w", i, err)
+		}
+	}
+	if n == 1 {
+		return nil
+	}
+	return writeMeta(filepath.Join(dir, metaFile), n, dim)
 }
 
 // readMeta parses the meta file's "shards=N dim=D" line.
@@ -156,47 +175,68 @@ func writeMeta(path string, shards, dim int) error {
 	return os.Rename(tmp, path)
 }
 
-// Open restores (or initialises) a sharded store in dir. An empty dir
-// creates an ephemeral store with no durability — the configuration
-// used by benchmarks and tests. Crash recovery opens every shard in
-// parallel: each shard independently loads its snapshot and replays
-// its own WAL segment.
-func Open(dir string, opts Options) (*Store, error) {
-	n, dim := opts.Shards, opts.Dim
-	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, err
+// layout decides where the partitions of the store in dir live,
+// returning one directory per partition and the dimensionality to
+// open them with (0: adopt each partition's stored one). A directory
+// with a meta file keeps its shard-NNN/ partitions and stored count;
+// otherwise Shards ≤ 1 means one partition rooted at dir itself — no
+// meta file, no sub-directory — and Shards > 1 creates the
+// partitioned layout, unless dir already holds an unpartitioned
+// store's files, which the shard directories would silently shadow.
+func layout(dir string, n, dim int) (dirs []string, _ int, err error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, 0, err
+	}
+	metaPath := filepath.Join(dir, metaFile)
+	stored, storedDim, err := readMeta(metaPath)
+	switch {
+	case err == nil:
+		if n != 0 && n != stored {
+			return nil, 0, fmt.Errorf("shard: directory has %d shards, options say %d (resharding is not supported)", stored, n)
 		}
-		metaPath := filepath.Join(dir, metaFile)
-		if stored, storedDim, err := readMeta(metaPath); err == nil {
-			if n != 0 && n != stored {
-				return nil, fmt.Errorf("shard: directory has %d shards, options say %d (resharding is not supported)", stored, n)
-			}
-			if dim != 0 && dim != storedDim {
-				return nil, fmt.Errorf("shard: directory dimension %d, options say %d", storedDim, dim)
-			}
-			n, dim = stored, storedDim
-		} else if errors.Is(err, os.ErrNotExist) {
-			if n <= 0 {
-				return nil, errors.New("shard: Shards required to create a fresh sharded store")
-			}
-			if dim <= 0 {
-				return nil, errors.New("shard: Dim required to create a fresh sharded store")
-			}
-			if err := writeMeta(metaPath, n, dim); err != nil {
-				return nil, err
-			}
-		} else {
-			return nil, err
+		if dim != 0 && dim != storedDim {
+			return nil, 0, fmt.Errorf("shard: directory dimension %d, options say %d", storedDim, dim)
 		}
-	} else {
-		if n <= 0 {
-			n = 1
+		n, dim = stored, storedDim
+	case !errors.Is(err, os.ErrNotExist):
+		return nil, 0, err
+	case n <= 1:
+		return []string{dir}, dim, nil
+	default:
+		for _, name := range []string{snapshotFile, walFile, pagesFile} {
+			if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
+				return nil, 0, fmt.Errorf("shard: directory holds an unpartitioned store (%s); resharding in place is not supported", name)
+			}
 		}
 		if dim <= 0 {
-			return nil, errors.New("shard: Dim required for an ephemeral store")
+			return nil, 0, errors.New("shard: Dim required to create a fresh store")
+		}
+		if err := writeMeta(metaPath, n, dim); err != nil {
+			return nil, 0, err
 		}
 	}
+	dirs = make([]string, n)
+	for i := range dirs {
+		dirs[i] = shardDir(dir, i)
+	}
+	return dirs, dim, nil
+}
+
+// Open restores (or initialises) the store in dir; see layout for
+// where its partitions live. An empty dir creates an ephemeral store
+// with no durability — the configuration used by benchmarks and
+// tests. Crash recovery opens every shard in parallel: each shard
+// independently loads its snapshot and replays its own WAL segment.
+func Open(dir string, opts Options) (*Store, error) {
+	// An ephemeral store's partitions have no directories.
+	dirs, dim := make([]string, max(opts.Shards, 1)), opts.Dim
+	if dir != "" {
+		var err error
+		if dirs, dim, err = layout(dir, opts.Shards, opts.Dim); err != nil {
+			return nil, err
+		}
+	}
+	n := len(dirs)
 
 	fanout := opts.Fanout
 	if fanout <= 0 {
@@ -205,32 +245,31 @@ func Open(dir string, opts Options) (*Store, error) {
 	if fanout > n {
 		fanout = n
 	}
-	s := &Store{parts: make([]*partition, n), fanout: fanout, dir: dir}
+	s := &Store{parts: make([]*partition, n), fanout: fanout}
 
 	// The page-cache budget is store-wide; each shard gets an equal
 	// slice (the per-shard cache enforces its own floor).
+	if opts.PageCacheBytes <= 0 {
+		opts.PageCacheBytes = defaultPageCacheBytes
+	}
 	opts.PageCacheBytes /= n
 
 	// Shards recover independently, so open them in parallel: each
 	// goroutine loads one snapshot and replays one WAL segment.
 	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	for i := range dirs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			pdir := ""
-			if dir != "" {
-				pdir = shardDir(dir, i)
-			}
-			s.parts[i], errs[i] = openPartition(pdir, dim, opts)
+			s.parts[i], errs[i] = openPartition(dirs[i], dim, opts)
 		}(i)
 	}
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
 			s.Close() // release shards that did open
-			return nil, fmt.Errorf("shard %d: %w", i, err)
+			return nil, s.shardErr(i, err)
 		}
 	}
 
@@ -243,13 +282,20 @@ func Open(dir string, opts Options) (*Store, error) {
 			next = n
 		}
 	}
-	s.seq = replog.NewSequencer(next, opts.RingSize, dim)
+	s.seq = replog.NewSequencer(next, opts.RingSize, s.Dim())
 	for i, p := range s.parts {
-		p.seq = s.seq
-		idx := uint32(i)
-		p.gid = func(local uint32) uint32 { return local*uint32(n) + idx }
+		p.seq, p.stride, p.index = s.seq, uint32(n), uint32(i)
 	}
 	return s, nil
+}
+
+// shardErr names the failing shard in an error, except on an
+// unpartitioned store, which has no shard to name.
+func (s *Store) shardErr(i int, err error) error {
+	if err == nil || len(s.parts) == 1 {
+		return err
+	}
+	return fmt.Errorf("shard %d: %w", i, err)
 }
 
 // Seq exposes the store-wide commit sequencer — the LSN authority and
@@ -262,33 +308,26 @@ func (s *Store) NumShards() int { return len(s.parts) }
 // Dim returns the φ dimensionality.
 func (s *Store) Dim() int { return s.parts[0].multi.Store().Dim() }
 
-// shardOf routes a global id to its owning shard and local id.
-func (s *Store) shardOf(gid uint32) (shardIdx int, local uint32) {
-	n := uint32(len(s.parts))
-	return int(gid % n), gid / n
-}
-
-// globalID is the inverse mapping: the global id of a shard-local id.
-func (s *Store) globalID(shardIdx int, local uint32) uint32 {
-	return local*uint32(len(s.parts)) + uint32(shardIdx)
-}
-
-// globalize rewrites a shard's local ids to global ids in place.
-func (s *Store) globalize(ids []uint32, shardIdx int) []uint32 {
-	n, off := uint32(len(s.parts)), uint32(shardIdx)
-	for i, id := range ids {
-		ids[i] = id*n + off
+// Multi exposes the index collection of an unpartitioned store, whose
+// local ids are the global ids. It returns nil on a partitioned store
+// — use the Store-level accessors, which work for every N.
+func (s *Store) Multi() *core.Multi {
+	if len(s.parts) != 1 {
+		return nil
 	}
-	return ids
+	return s.parts[0].multi
+}
+
+// shardOf routes a global id to its owning shard and local id.
+func (s *Store) shardOf(gid uint32) (p *partition, shardIdx int, local uint32) {
+	n := uint32(len(s.parts))
+	shardIdx = int(gid % n)
+	return s.parts[shardIdx], shardIdx, gid / n
 }
 
 // scatter runs fn once per shard on a worker pool bounded by the
-// store's fanout, returning the first error. A single-shard store
-// runs inline — no goroutine, no pool.
+// store's fanout, returning the first error.
 func (s *Store) scatter(fn func(shardIdx int) error) error {
-	if len(s.parts) == 1 {
-		return fn(0)
-	}
 	// With no concurrency budget there is nothing to overlap — visit
 	// the shards sequentially and skip the goroutine machinery.
 	if s.fanout <= 1 {
@@ -364,8 +403,7 @@ func (s *Store) PlanCacheCounters() (hits, misses uint64) {
 
 // Live reports whether a global id names a live point.
 func (s *Store) Live(gid uint32) bool {
-	si, local := s.shardOf(gid)
-	p := s.parts[si]
+	p, _, local := s.shardOf(gid)
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	return p.multi.Store().Live(local)
@@ -373,8 +411,7 @@ func (s *Store) Live(gid uint32) bool {
 
 // Vector returns a copy of a live point's φ vector.
 func (s *Store) Vector(gid uint32) ([]float64, error) {
-	si, local := s.shardOf(gid)
-	p := s.parts[si]
+	p, _, local := s.shardOf(gid)
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	if !p.multi.Store().Live(local) {
@@ -383,24 +420,9 @@ func (s *Store) Vector(gid uint32) ([]float64, error) {
 	return vecmath.Clone(p.multi.Store().Vector(local)), nil
 }
 
-// Append adds a point to the next shard in round-robin order and
-// returns its global id. For an append-only stream the assigned ids
-// are the dense sequence 0, 1, 2, … — identical to an unsharded
-// store; after removals each shard recycles its own local ids, so
-// ids stay unique and stable but the exact values may differ from an
-// unsharded store's recycling order.
-func (s *Store) Append(v []float64) (uint32, error) {
-	si := int(s.rr.Add(1)-1) % len(s.parts)
-	local, err := s.parts[si].append(v)
-	if err != nil {
-		return 0, err
-	}
-	return s.globalID(si, local), nil
-}
-
-// NextAppendLane returns the shard the next append routes to, drawing
-// from the same round-robin counter as Append — the grouped and
-// synchronous write paths assign points to shards in the same order,
+// NextAppendLane returns the shard the next append routes to, in
+// round-robin order. Append and the grouped write path draw from the
+// same counter, so both assign points to shards in the same order,
 // which is what makes them produce identical stores.
 func (s *Store) NextAppendLane() int {
 	return int(s.rr.Add(1)-1) % len(s.parts)
@@ -410,8 +432,43 @@ func (s *Store) NextAppendLane() int {
 // updates and removes must ride so same-key operations commit in
 // submission order.
 func (s *Store) LaneOf(gid uint32) int {
-	si, _ := s.shardOf(gid)
+	_, si, _ := s.shardOf(gid)
 	return si
+}
+
+// Append adds a point to the next shard in round-robin order and
+// returns its global id. For an append-only stream the assigned ids
+// are the dense sequence 0, 1, 2, … whatever N is; after removals
+// each shard recycles its own local ids, so ids stay unique and
+// stable but the exact values depend on N.
+func (s *Store) Append(v []float64) (uint32, error) {
+	p := s.parts[s.NextAppendLane()]
+	local, err := p.append(v)
+	if err != nil {
+		return 0, err
+	}
+	return p.gid(local), nil
+}
+
+// pointErr names the point and its owning shard in a mutation error
+// (nothing to add on an unpartitioned store).
+func (s *Store) pointErr(shardIdx int, gid uint32, err error) error {
+	if err == nil || len(s.parts) == 1 {
+		return err
+	}
+	return fmt.Errorf("shard %d: point %d: %w", shardIdx, gid, err)
+}
+
+// Update replaces a point's φ vector on its owning shard.
+func (s *Store) Update(gid uint32, v []float64) error {
+	p, si, local := s.shardOf(gid)
+	return s.pointErr(si, gid, p.update(local, v))
+}
+
+// Remove deletes a point from its owning shard.
+func (s *Store) Remove(gid uint32) error {
+	p, si, local := s.shardOf(gid)
+	return s.pointErr(si, gid, p.remove(local))
 }
 
 // CommitBatch group-commits one ingest batch on shard lane: apply
@@ -423,7 +480,7 @@ func (s *Store) CommitBatch(lane int, intents []ingest.Intent, results []ingest.
 	local := make([]ingest.Intent, len(intents))
 	for i, in := range intents {
 		if wal.Op(in.Op) != wal.OpAppend {
-			si, lid := s.shardOf(in.ID)
+			_, si, lid := s.shardOf(in.ID)
 			if si != lane {
 				results[i] = ingest.Result{Err: fmt.Errorf("shard: point %d belongs to shard %d, batch is on lane %d", in.ID, si, lane)}
 			}
@@ -434,24 +491,6 @@ func (s *Store) CommitBatch(lane int, intents []ingest.Intent, results []ingest.
 	return s.parts[lane].commitBatch(local, results)
 }
 
-// Update replaces a point's φ vector on its owning shard.
-func (s *Store) Update(gid uint32, v []float64) error {
-	si, local := s.shardOf(gid)
-	if err := s.parts[si].update(local, v); err != nil {
-		return fmt.Errorf("shard %d: point %d: %w", si, gid, err)
-	}
-	return nil
-}
-
-// Remove deletes a point from its owning shard.
-func (s *Store) Remove(gid uint32) error {
-	si, local := s.shardOf(gid)
-	if err := s.parts[si].remove(local); err != nil {
-		return fmt.Errorf("shard %d: point %d: %w", si, gid, err)
-	}
-	return nil
-}
-
 // AddNormal installs a planar index on every shard (shards must share
 // one index configuration for scatter-gather plans to be comparable).
 // It reports whether an index was added.
@@ -460,7 +499,7 @@ func (s *Store) AddNormal(normal []float64, signs vecmath.SignPattern) (bool, er
 	for i, p := range s.parts {
 		ok, err := p.addNormal(normal, signs)
 		if err != nil {
-			return false, fmt.Errorf("shard %d: %w", i, err)
+			return false, s.shardErr(i, err)
 		}
 		if i == 0 {
 			added = ok
@@ -501,22 +540,31 @@ func getGather(n int) *gatherBufs {
 
 func putGather(g *gatherBufs) { gatherPool.Put(g) }
 
-// Query answers an inequality query scatter-gather: planned once per
-// shard, executed concurrently, ids merged in ascending global id
-// order with the per-stage stats rolled up.
+// The query methods share one shape. The accept / verify / reject
+// decision is made per point from that point's own key, so the answer
+// over a partitioned point set is the union of the partitions'
+// answers: each shard plans and executes on its own (concurrently, up
+// to the fanout) and the parts are merged. With one partition there
+// is nothing to merge and its answer is returned untouched — no id
+// rewrite, no copy, no sort, ids in the index's own order — because
+// on a 20 000-id answer the gather's sort alone costs several times
+// the query.
+
+// Query answers an inequality query. A partitioned store returns the
+// ids in ascending global id order, with the per-stage stats rolled
+// up.
 func (s *Store) Query(q core.Query) ([]uint32, core.Stats, error) {
+	if len(s.parts) == 1 {
+		return s.parts[0].query(q)
+	}
 	g := getGather(len(s.parts))
 	defer putGather(g)
 	err := s.scatter(func(i int) error {
-		p := s.parts[i]
-		p.mu.RLock()
-		defer p.mu.RUnlock()
-		lids, st, err := p.multi.InequalityIDs(q)
+		lids, st, err := s.parts[i].query(q)
 		if err != nil {
 			return err
 		}
-		g.ids[i] = s.globalize(lids, i)
-		g.sts[i] = st
+		g.ids[i], g.sts[i] = s.parts[i].globalize(lids), st
 		return nil
 	})
 	if err != nil {
@@ -528,18 +576,18 @@ func (s *Store) Query(q core.Query) ([]uint32, core.Stats, error) {
 // QueryBatch answers one inequality query per threshold, sharing a
 // single plan per shard across the batch.
 func (s *Store) QueryBatch(a []float64, op core.Op, bs []float64) ([][]uint32, []core.Stats, error) {
+	if len(s.parts) == 1 {
+		return s.parts[0].queryBatch(a, op, bs)
+	}
 	ids := make([][][]uint32, len(s.parts)) // [shard][threshold]
 	sts := make([][]core.Stats, len(s.parts))
 	err := s.scatter(func(i int) error {
-		p := s.parts[i]
-		p.mu.RLock()
-		defer p.mu.RUnlock()
-		lids, lsts, err := p.multi.InequalityBatch(a, op, bs)
+		lids, lsts, err := s.parts[i].queryBatch(a, op, bs)
 		if err != nil {
 			return err
 		}
 		for t := range lids {
-			lids[t] = s.globalize(lids[t], i)
+			lids[t] = s.parts[i].globalize(lids[t])
 		}
 		ids[i], sts[i] = lids, lsts
 		return nil
@@ -562,23 +610,24 @@ func (s *Store) QueryBatch(a []float64, op core.Op, bs []float64) ([][]uint32, [
 	return outIDs, outSts, nil
 }
 
-// TopK answers a top-k nearest-to-hyperplane query scatter-gather:
-// each shard runs the pipeline's descending smaller-interval walk
-// with the Claim-3 cut-off locally, then the per-shard answers are
-// k-way merged on (distance, id).
+// TopK answers a top-k nearest-to-hyperplane query: each shard runs
+// the pipeline's descending smaller-interval walk with the Claim-3
+// cut-off locally, then the per-shard answers are k-way merged on
+// (distance, id).
 func (s *Store) TopK(q core.Query, k int) ([]core.Result, core.Stats, error) {
+	if len(s.parts) == 1 {
+		return s.parts[0].topK(q, k)
+	}
 	res := make([][]core.Result, len(s.parts))
 	sts := make([]core.Stats, len(s.parts))
 	err := s.scatter(func(i int) error {
 		p := s.parts[i]
-		p.mu.RLock()
-		defer p.mu.RUnlock()
-		rs, st, err := p.multi.TopK(q, k)
+		rs, st, err := p.topK(q, k)
 		if err != nil {
 			return err
 		}
 		for j := range rs {
-			rs[j].ID = s.globalID(i, rs[j].ID)
+			rs[j].ID = p.gid(rs[j].ID)
 		}
 		res[i], sts[i] = rs, st
 		return nil
@@ -591,18 +640,14 @@ func (s *Store) TopK(q core.Query, k int) ([]core.Result, core.Stats, error) {
 
 // Count answers an exact COUNT(*) as the sum of per-shard counts.
 func (s *Store) Count(q core.Query) (int, core.Stats, error) {
+	if len(s.parts) == 1 {
+		return s.parts[0].count(q)
+	}
 	g := getGather(len(s.parts))
 	defer putGather(g)
-	err := s.scatter(func(i int) error {
-		p := s.parts[i]
-		p.mu.RLock()
-		defer p.mu.RUnlock()
-		n, st, err := p.multi.Count(q)
-		if err != nil {
-			return err
-		}
-		g.counts[i], g.sts[i] = n, st
-		return nil
+	err := s.scatter(func(i int) (err error) {
+		g.counts[i], g.sts[i], err = s.parts[i].count(q)
+		return err
 	})
 	if err != nil {
 		return 0, core.Stats{}, err
@@ -618,25 +663,13 @@ func (s *Store) Count(q core.Query) (int, core.Stats, error) {
 // each shard's answer size is individually bracketed, so the sums
 // bracket the global answer.
 func (s *Store) SelectivityBounds(q core.Query) (lo, hi int, err error) {
-	los := make([]int, len(s.parts))
-	his := make([]int, len(s.parts))
-	err = s.scatter(func(i int) error {
-		p := s.parts[i]
-		p.mu.RLock()
-		defer p.mu.RUnlock()
-		plo, phi, err := p.multi.SelectivityBounds(q)
+	for _, p := range s.parts {
+		plo, phi, err := p.bounds(q)
 		if err != nil {
-			return err
+			return 0, 0, err
 		}
-		los[i], his[i] = plo, phi
-		return nil
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	for i := range los {
-		lo += los[i]
-		hi += his[i]
+		lo += plo
+		hi += phi
 	}
 	return lo, hi, nil
 }
@@ -648,18 +681,18 @@ func (s *Store) SelectivityBounds(q core.Query) (lo, hi int, err error) {
 // choice is representative even though data-dependent interval sizes
 // can occasionally tip another shard toward a different candidate.
 func (s *Store) Explain(q core.Query) (core.Plan, error) {
-	var out core.Plan
-	for i, p := range s.parts {
-		p.mu.RLock()
-		pl, err := p.multi.Explain(q)
-		p.mu.RUnlock()
+	out, err := s.parts[0].explain(q)
+	if err != nil {
+		return core.Plan{}, s.shardErr(0, err)
+	}
+	if len(s.parts) == 1 {
+		return out, nil
+	}
+	out.Reason = fmt.Sprintf("scatter-gather over %d shards: %s", len(s.parts), out.Reason)
+	for i, p := range s.parts[1:] {
+		pl, err := p.explain(q)
 		if err != nil {
-			return core.Plan{}, fmt.Errorf("shard %d: %w", i, err)
-		}
-		if i == 0 {
-			out = pl
-			out.Reason = fmt.Sprintf("scatter-gather over %d shards: %s", len(s.parts), pl.Reason)
-			continue
+			return core.Plan{}, s.shardErr(i+1, err)
 		}
 		out.Accepted += pl.Accepted
 		out.Verified += pl.Verified
@@ -676,11 +709,8 @@ func (s *Store) Explain(q core.Query) (core.Plan, error) {
 // primary's id assignment exactly (any disagreement reports
 // replog.ErrDiverged). Records must arrive in LSN order.
 func (s *Store) Apply(rec wal.Record) error {
-	si, local := s.shardOf(rec.ID)
-	if err := s.parts[si].applyReplicated(rec, local); err != nil {
-		return fmt.Errorf("shard %d: %w", si, err)
-	}
-	return nil
+	p, si, local := s.shardOf(rec.ID)
+	return s.shardErr(si, p.applyReplicated(rec, local))
 }
 
 // CaptureAll snapshots every shard's in-memory state. The caller must
@@ -701,7 +731,7 @@ func (s *Store) CaptureAll() []*codec.Snapshot {
 // longer cover from (a checkpoint truncated them) — the replica must
 // re-bootstrap from a snapshot.
 func (s *Store) FeedFromDisk(from uint64, max int) (recs []wal.Record, tooOld bool, err error) {
-	if s.dir == "" {
+	if s.parts[0].dir == "" {
 		return nil, true, nil // ephemeral: ring is the only history
 	}
 	for _, p := range s.parts {
@@ -710,14 +740,10 @@ func (s *Store) FeedFromDisk(from uint64, max int) (recs []wal.Record, tooOld bo
 		}
 	}
 	var merged []wal.Record
-	for i := range s.parts {
-		n, idx := uint32(len(s.parts)), uint32(i)
-		part, err := replog.ReadSegmentFrom(
-			filepath.Join(shardDir(s.dir, i), walFile), from, max,
-			func(local uint32) uint32 { return local*n + idx },
-		)
+	for i, p := range s.parts {
+		part, err := replog.ReadSegmentFrom(filepath.Join(p.dir, walFile), from, max, p.gid)
 		if err != nil {
-			return nil, false, fmt.Errorf("shard %d: %w", i, err)
+			return nil, false, s.shardErr(i, err)
 		}
 		merged = append(merged, part...)
 	}
@@ -744,7 +770,10 @@ func (s *Store) FeedFromDisk(from uint64, max int) (recs []wal.Record, tooOld bo
 // Paged reports whether the shards run on the disk-paged storage
 // tier (all shards share one layout).
 func (s *Store) Paged() bool {
-	return s.parts[0].pstore != nil
+	p := s.parts[0]
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	return p.pstore != nil
 }
 
 // PageStats sums every shard's page-tier counters. ok is false when
@@ -762,7 +791,8 @@ func (s *Store) PageStats() (st codec.PageTierStats, ok bool) {
 }
 
 // ReplayedRecords sums the WAL records each shard applied at open
-// after its checkpoint filter.
+// after its checkpoint filter — the restart-cost observability hook
+// (the paged tier replays only post-checkpoint entries).
 func (s *Store) ReplayedRecords() int {
 	total := 0
 	for _, p := range s.parts {
@@ -774,10 +804,7 @@ func (s *Store) ReplayedRecords() int {
 // Checkpoint snapshots every shard in parallel.
 func (s *Store) Checkpoint() error {
 	return s.scatter(func(i int) error {
-		if err := s.parts[i].checkpoint(); err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
-		}
-		return nil
+		return s.shardErr(i, s.parts[i].checkpoint())
 	})
 }
 

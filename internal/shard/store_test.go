@@ -14,11 +14,62 @@ func TestOpenValidation(t *testing.T) {
 	if _, err := Open("", Options{Shards: 4}); err == nil {
 		t.Error("ephemeral store without Dim accepted")
 	}
-	if _, err := Open(t.TempDir(), Options{Dim: 2}); err == nil {
-		t.Error("fresh sharded dir without Shards accepted")
+	if _, err := Open(t.TempDir(), Options{}); err == nil {
+		t.Error("fresh unsharded dir without Dim accepted")
 	}
 	if _, err := Open(t.TempDir(), Options{Shards: 3}); err == nil {
 		t.Error("fresh sharded dir without Dim accepted")
+	}
+}
+
+// TestLayoutRule pins where partitions live: an unsharded store in
+// the directory itself with no meta file, a sharded one under
+// shard-NNN/ beside shards.meta, and neither convertible to the other.
+func TestLayoutRule(t *testing.T) {
+	root := t.TempDir()
+	for _, shards := range []int{0, 1} {
+		st, err := Open(root, Options{Shards: shards, Dim: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.Append([]float64{1, 2}); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if st.NumShards() != 1 || st.Multi() == nil {
+			t.Fatalf("Shards=%d: NumShards=%d Multi=%v", shards, st.NumShards(), st.Multi())
+		}
+		st.Close()
+		ents, err := os.ReadDir(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ents) != 2 || ents[0].Name() != snapshotFile || ents[1].Name() != walFile {
+			t.Fatalf("Shards=%d: unsharded root holds %v", shards, ents)
+		}
+	}
+	if _, err := Open(root, Options{Shards: 4}); err == nil {
+		t.Fatal("resharding an unsharded directory accepted")
+	}
+
+	sroot := t.TempDir()
+	st, err := Open(sroot, Options{Shards: 2, Dim: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Multi() != nil {
+		t.Fatal("Multi() must be nil on a partitioned store")
+	}
+	st.Close()
+	for _, name := range []string{metaFile, "shard-000", "shard-001"} {
+		if _, err := os.Stat(filepath.Join(sroot, name)); err != nil {
+			t.Fatalf("sharded root: %v", err)
+		}
+	}
+	if _, err := Open(sroot, Options{Shards: 1}); err == nil {
+		t.Fatal("opening a sharded directory as one partition accepted")
 	}
 }
 
@@ -53,8 +104,8 @@ func TestIDMappingRoundTrip(t *testing.T) {
 	}
 	defer st.Close()
 	for _, gid := range []uint32{0, 1, 7, 8, 9, 1023, 1 << 20} {
-		si, local := st.shardOf(gid)
-		if back := st.globalID(si, local); back != gid {
+		p, si, local := st.shardOf(gid)
+		if back := p.gid(local); back != gid || p != st.parts[si] {
 			t.Fatalf("gid %d → (%d, %d) → %d", gid, si, local, back)
 		}
 	}
@@ -187,7 +238,7 @@ func TestMutationsRouteToOwningShard(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		si, local := st.shardOf(id)
+		_, si, local := st.shardOf(id)
 		if si != i%4 || local != uint32(i/4) {
 			t.Fatalf("append %d landed on shard %d local %d", i, si, local)
 		}

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"sync"
@@ -10,14 +11,25 @@ import (
 	"planar/internal/vecmath"
 )
 
-// TestStressConcurrentMixedOps hammers one sharded store with
-// concurrent appends, updates, removes and every query variant. Run
-// under -race (make race-shard) it proves the per-shard lock
-// discipline: writers contend only within a shard, readers only take
-// read locks, and the scatter-gather merge never observes a torn
-// store.
+// stressTopologies are the two shapes the lock discipline has to hold
+// in: the unsharded store every default deployment runs, where all
+// traffic meets on one partition lock and answers bypass the gather,
+// and a partitioned one.
+var stressTopologies = []int{1, 4}
+
+// TestStressConcurrentMixedOps hammers one store with concurrent
+// appends, updates, removes and every query variant. Run under -race
+// (make race-shard) it proves the per-shard lock discipline: writers
+// contend only within a shard, readers only take read locks, and the
+// scatter-gather merge never observes a torn store.
 func TestStressConcurrentMixedOps(t *testing.T) {
-	st, err := Open("", Options{Shards: 4, Dim: 3})
+	for _, shards := range stressTopologies {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { stressConcurrentMixedOps(t, shards) })
+	}
+}
+
+func stressConcurrentMixedOps(t *testing.T, shards int) {
+	st, err := Open("", Options{Shards: shards, Dim: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,8 +162,14 @@ func TestStressConcurrentMixedOps(t *testing.T) {
 // durable store (per-shard WALs, auto-checkpoints) and verifies the
 // reopened store matches what was in memory at close.
 func TestStressDurableConcurrent(t *testing.T) {
+	for _, shards := range stressTopologies {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { stressDurableConcurrent(t, shards) })
+	}
+}
+
+func stressDurableConcurrent(t *testing.T, shards int) {
 	dir := t.TempDir()
-	st, err := Open(dir, Options{Shards: 3, Dim: 2, CheckpointEvery: 64})
+	st, err := Open(dir, Options{Shards: shards, Dim: 2, CheckpointEvery: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
