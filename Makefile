@@ -58,15 +58,18 @@ race-shard:
 # The pager and paged-btree suites under the race detector: the pin
 # discipline, shard-locked cache, and paged-mode tree operations that
 # the pinrelease/guardedby analyzers reason about statically get their
-# dynamic counterpart here.
+# dynamic counterpart here, with the executor's chunked walk over a
+# paged tree whose cache is smaller than the accepted interval.
 race-pager:
 	$(GO) test -race ./internal/pager
-	$(GO) test -race -run 'TestPaged' ./internal/btree
+	$(GO) test -race -run 'TestPaged' ./internal/btree ./internal/exec
 
 # A fast benchmark smoke: a handful of iterations of the pipeline and
-# plan-cache benchmarks, just to prove they still compile and run.
+# plan-cache benchmarks and of the reply's id writer against the
+# strconv loop it replaced, just to prove they still compile and run.
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkPlanCache$$|BenchmarkPipelineOverhead' -benchtime 10x .
+	$(GO) test -run xxx -bench 'BenchmarkAppendIDs' -benchtime 10x ./internal/httpapi
 
 # A tiny run of the concurrent-client shard benchmark (no JSON
 # report) to prove the -clients path still works.
@@ -86,7 +89,7 @@ replica-integration:
 # crash recovery at every byte offset, cache eviction, COW flushes.
 page-integration:
 	$(GO) test -race ./internal/pager ./internal/codec
-	$(GO) test -race -run 'TestPaged' ./internal/service ./internal/btree
+	$(GO) test -race -run 'TestPaged' ./internal/service ./internal/btree ./internal/exec
 
 # End-to-end group commit under the race detector: the grouped-vs-
 # sync golden identity (byte-identical snapshots, WAL batch-frame

@@ -12,8 +12,8 @@
 // through per-arena free lists.
 //
 // The payoff is that the leaf arena IS the packed column the batched
-// verification kernels consume: Leaves and RangeChunks hand out
-// contiguous key/id slices that alias the arena directly, so the
+// verification kernels consume: RankChunks and RangeChunks hand out
+// contiguous id (and key) slices that alias the arena directly, so the
 // engine no longer maintains a separate packed mirror of the tree.
 //
 // The tree is a set: each (Key, ID) pair appears at most once.
@@ -27,7 +27,6 @@ package btree
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 )
@@ -907,25 +906,6 @@ func (t *Tree) seekLE(key float64, id uint32) (int32, int) {
 	return s, i - 1
 }
 
-// Ascend calls fn for every entry in ascending order until fn
-// returns false.
-func (t *Tree) Ascend(fn func(Entry) bool) {
-	if t.beginOp(false) {
-		defer t.pg.end()
-	}
-	for s := t.firstLeaf(); s != nilSlot; {
-		n := int(t.lnum[s])
-		lk, li := t.lkeys(s), t.lids(s)
-		for i := 0; i < n; i++ {
-			if !fn(Entry{Key: lk[i], ID: li[i]}) {
-				return
-			}
-		}
-		t.releaseLeaf(s)
-		s = t.lnext[s]
-	}
-}
-
 // AscendLE calls fn for every entry with Key <= maxKey in ascending
 // order until fn returns false.
 func (t *Tree) AscendLE(maxKey float64, fn func(Entry) bool) {
@@ -955,10 +935,6 @@ func (t *Tree) AscendRange(loKeyExcl, hiKeyIncl float64, fn func(Entry) bool) {
 	if t.beginOp(false) {
 		defer t.pg.end()
 	}
-	t.ascendRange(loKeyExcl, hiKeyIncl, fn)
-}
-
-func (t *Tree) ascendRange(loKeyExcl, hiKeyIncl float64, fn func(Entry) bool) {
 	if loKeyExcl > hiKeyIncl {
 		return
 	}
@@ -978,16 +954,6 @@ func (t *Tree) ascendRange(loKeyExcl, hiKeyIncl float64, fn func(Entry) bool) {
 		s = t.lnext[s]
 		i = 0
 	}
-}
-
-// AscendGT calls fn for every entry with Key > minKeyExcl in
-// ascending order until fn returns false. This is the
-// larger-interval scan.
-func (t *Tree) AscendGT(minKeyExcl float64, fn func(Entry) bool) {
-	if t.beginOp(false) {
-		defer t.pg.end()
-	}
-	t.ascendRange(minKeyExcl, math.Inf(1), fn)
 }
 
 // DescendLE calls fn for every entry with Key <= maxKey in
@@ -1013,31 +979,59 @@ func (t *Tree) DescendLE(maxKey float64, fn func(Entry) bool) {
 	}
 }
 
-// Leaves calls fn with each leaf's live key and id columns in
-// ascending order until fn returns false. The slices alias the
-// arena: they are valid until the next tree mutation and must not be
-// modified. Chunks never exceed LeafCap entries. This is the packed
-// export the batched verification engine consumes — the arena is the
-// column, so there is nothing to copy.
-func (t *Tree) Leaves(fn func(keys []float64, ids []uint32) bool) {
+// seekRank returns the leaf slot and index of the entry at position r
+// of the key order, 0 <= r < Len, descending by the per-slot subtree
+// counts: no key is compared.
+func (t *Tree) seekRank(r int) (int32, int) {
+	s := t.root
+	for d := 0; d < t.height-1; d++ {
+		childLeaf := d+1 == t.height-1
+		for _, k := range t.kidv(s)[:t.knum[s]] {
+			c := t.subtree(k, childLeaf)
+			if r < c {
+				s = k
+				break
+			}
+			r -= c
+		}
+	}
+	return s, r
+}
+
+// RankChunks calls fn with contiguous id chunks covering exactly the
+// entries at positions [lo, hi) of the key order (position 0 is the
+// smallest entry; the range is clamped to [0, Len)), in ascending
+// order, until fn returns false. Positions come from RankLE, so one
+// walk of the leaf chain serves a run of adjacent key intervals. A
+// chunk aliases the arena: it is valid only until fn returns — the
+// paged tier unpins the leaf right after — and must not be modified.
+// Each chunk stays within one leaf (at most LeafCap entries).
+func (t *Tree) RankChunks(lo, hi int, fn func(ids []uint32) bool) {
 	if t.beginOp(false) {
 		defer t.pg.end()
 	}
-	for s := t.firstLeaf(); s != nilSlot; {
-		n := int(t.lnum[s])
-		if n > 0 && !fn(t.lkeys(s)[:n], t.lids(s)[:n]) {
+	lo, hi = max(lo, 0), min(hi, t.size)
+	if lo >= hi {
+		return
+	}
+	s, i := t.seekRank(lo)
+	for left := hi - lo; left > 0; {
+		n := min(int(t.lnum[s])-i, left)
+		if !fn(t.lids(s)[i : i+n : i+n]) {
 			return
 		}
+		left -= n
 		t.releaseLeaf(s)
 		s = t.lnext[s]
+		i = 0
 	}
 }
 
 // RangeChunks calls fn with contiguous key/id chunks covering
 // exactly the entries with loKeyExcl < Key <= hiKeyIncl, in
-// ascending order, until fn returns false. Like Leaves, the slices
-// alias the arena and each chunk stays within one leaf (at most
-// LeafCap entries).
+// ascending order, until fn returns false. Like RankChunks, the
+// slices alias the arena and each chunk stays within one leaf (at
+// most LeafCap entries).
 func (t *Tree) RangeChunks(loKeyExcl, hiKeyIncl float64, fn func(keys []float64, ids []uint32) bool) {
 	if t.beginOp(false) {
 		defer t.pg.end()

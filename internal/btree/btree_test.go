@@ -10,7 +10,7 @@ import (
 
 func collect(t *Tree) []Entry {
 	var out []Entry
-	t.Ascend(func(e Entry) bool { out = append(out, e); return true })
+	t.AscendLE(math.Inf(1), func(e Entry) bool { out = append(out, e); return true })
 	return out
 }
 
@@ -39,7 +39,8 @@ func TestEmptyTree(t *testing.T) {
 	if tr.Delete(1, 1) {
 		t.Fatal("Delete on empty tree succeeded")
 	}
-	tr.Ascend(func(Entry) bool { t.Fatal("Ascend visited entry"); return false })
+	tr.AscendLE(10, func(Entry) bool { t.Fatal("AscendLE visited entry"); return false })
+	tr.RankChunks(0, 10, func([]uint32) bool { t.Fatal("RankChunks visited a chunk"); return false })
 	tr.DescendLE(10, func(Entry) bool { t.Fatal("DescendLE visited entry"); return false })
 }
 
@@ -202,7 +203,7 @@ func TestRangeScans(t *testing.T) {
 	}
 	scanGT := func(lo float64) []Entry {
 		var out []Entry
-		tr.AscendGT(lo, func(e Entry) bool { out = append(out, e); return true })
+		tr.AscendRange(lo, math.Inf(1), func(e Entry) bool { out = append(out, e); return true })
 		return out
 	}
 	descLE := func(maxKey float64) []Entry {
@@ -266,9 +267,9 @@ func TestRangeScans(t *testing.T) {
 func TestScanEarlyStop(t *testing.T) {
 	tr := BulkLoad([]Entry{{1, 1}, {2, 2}, {3, 3}, {4, 4}})
 	count := 0
-	tr.Ascend(func(Entry) bool { count++; return count < 2 })
+	tr.AscendLE(10, func(Entry) bool { count++; return count < 2 })
 	if count != 2 {
-		t.Fatalf("Ascend visited %d want 2", count)
+		t.Fatalf("AscendLE visited %d want 2", count)
 	}
 	count = 0
 	tr.DescendLE(10, func(Entry) bool { count++; return false })

@@ -200,27 +200,34 @@ func TestChunkViewsMatchEntryWalks(t *testing.T) {
 	}
 	mustValidate(t, tr)
 
-	var walked []Entry
-	tr.Ascend(func(e Entry) bool { walked = append(walked, e); return true })
-	var chunked []Entry
-	tr.Leaves(func(keys []float64, ids []uint32) bool {
-		if len(keys) != len(ids) {
-			t.Fatalf("Leaves chunk: %d keys, %d ids", len(keys), len(ids))
+	walked := collect(tr)
+	// RankChunks: every window of positions, the whole tree and the
+	// out-of-range clamps included, is that window of the entry walk.
+	for trial := 0; trial < 80; trial++ {
+		lo, hi := rng.Intn(len(walked)+40)-20, rng.Intn(len(walked)+40)-20
+		switch trial {
+		case 0:
+			lo, hi = 0, len(walked)
+		case 1:
+			lo, hi = -5, len(walked)+5
 		}
-		if len(keys) == 0 || len(keys) > LeafCap {
-			t.Fatalf("Leaves chunk size %d out of (0, %d]", len(keys), LeafCap)
+		from := min(max(lo, 0), len(walked))
+		want := walked[from:max(min(hi, len(walked)), from)]
+		var got []uint32
+		tr.RankChunks(lo, hi, func(ids []uint32) bool {
+			if len(ids) == 0 || len(ids) > LeafCap || cap(ids) != len(ids) {
+				t.Fatalf("RankChunks chunk len %d cap %d, want 0 < len = cap <= %d", len(ids), cap(ids), LeafCap)
+			}
+			got = append(got, ids...)
+			return true
+		})
+		if len(got) != len(want) {
+			t.Fatalf("RankChunks(%d,%d): %d ids, want %d", lo, hi, len(got), len(want))
 		}
-		for i := range keys {
-			chunked = append(chunked, Entry{Key: keys[i], ID: ids[i]})
-		}
-		return true
-	})
-	if len(walked) != len(chunked) {
-		t.Fatalf("Leaves: %d entries, Ascend %d", len(chunked), len(walked))
-	}
-	for i := range walked {
-		if walked[i] != chunked[i] {
-			t.Fatalf("Leaves mismatch at %d: %v vs %v", i, chunked[i], walked[i])
+		for i := range want {
+			if got[i] != want[i].ID {
+				t.Fatalf("RankChunks(%d,%d) mismatch at %d: %d vs %d", lo, hi, i, got[i], want[i].ID)
+			}
 		}
 	}
 
@@ -263,9 +270,9 @@ func TestChunkViewsMatchEntryWalks(t *testing.T) {
 
 	// Early stop: a chunk callback returning false ends the walk.
 	calls := 0
-	tr.Leaves(func([]float64, []uint32) bool { calls++; return false })
+	tr.RankChunks(0, tr.Len(), func([]uint32) bool { calls++; return false })
 	if calls != 1 {
-		t.Fatalf("Leaves early stop made %d calls", calls)
+		t.Fatalf("RankChunks early stop made %d calls", calls)
 	}
 	calls = 0
 	tr.RangeChunks(math.Inf(-1), math.Inf(1), func([]float64, []uint32) bool { calls++; return false })

@@ -16,7 +16,7 @@ import (
 // inside a pager.File and are faulted through a shared pager.Cache on
 // first touch. The arena accessors hand out slices aliasing the
 // pinned cache frame, so every algorithm above them — including the
-// zero-copy Leaves/RangeChunks chunk APIs the verification kernels
+// zero-copy RankChunks/RangeChunks chunk APIs the verification kernels
 // consume — runs unchanged on either representation.
 //
 // Concurrency: a paged tree serializes its operations on an internal

@@ -38,7 +38,7 @@ func buildPaged(t *testing.T, entries []Entry, cacheBytes int) (*Tree, *Tree, *p
 
 func collectAll(t *Tree) []Entry {
 	var out []Entry
-	t.Ascend(func(e Entry) bool { out = append(out, e); return true })
+	t.AscendLE(math.Inf(1), func(e Entry) bool { out = append(out, e); return true })
 	return out
 }
 
@@ -86,10 +86,17 @@ func comparePagedRAM(t *testing.T, ram, paged *Tree, rng *rand.Rand, keyMax floa
 	}
 	// Chunk APIs must hand out identical columns.
 	var rk, pk []float64
-	ram.Leaves(func(keys []float64, _ []uint32) bool { rk = append(rk, keys...); return true })
-	paged.Leaves(func(keys []float64, _ []uint32) bool { pk = append(pk, keys...); return true })
+	ram.RangeChunks(math.Inf(-1), math.Inf(1), func(keys []float64, _ []uint32) bool { rk = append(rk, keys...); return true })
+	paged.RangeChunks(math.Inf(-1), math.Inf(1), func(keys []float64, _ []uint32) bool { pk = append(pk, keys...); return true })
 	if !reflect.DeepEqual(rk, pk) {
-		t.Fatal("Leaves diverges")
+		t.Fatal("RangeChunks diverges")
+	}
+	lo, hi := rng.Intn(ram.Len()+1), rng.Intn(ram.Len()+1)
+	var ri, pi []uint32
+	ram.RankChunks(lo, hi, func(ids []uint32) bool { ri = append(ri, ids...); return true })
+	paged.RankChunks(lo, hi, func(ids []uint32) bool { pi = append(pi, ids...); return true })
+	if !reflect.DeepEqual(ri, pi) {
+		t.Fatalf("RankChunks(%d,%d) diverges", lo, hi)
 	}
 }
 
@@ -196,6 +203,12 @@ func TestPagedTinyCacheScans(t *testing.T) {
 		if !reflect.DeepEqual(rids, pids) {
 			t.Fatalf("RangeChunks(%v,%v) diverges under a tiny cache", lo, hi)
 		}
+	}
+	var rids, pids []uint32
+	ram.RankChunks(0, ram.Len(), func(ids []uint32) bool { rids = append(rids, ids...); return true })
+	paged.RankChunks(0, paged.Len(), func(ids []uint32) bool { pids = append(pids, ids...); return true })
+	if !reflect.DeepEqual(rids, pids) {
+		t.Fatal("RankChunks over the whole tree diverges under a tiny cache")
 	}
 	st := cache.Stats()
 	if st.Evictions == 0 {

@@ -183,7 +183,7 @@ func TestSteadyStateQueryAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	store, _ := NewPointStore(4)
 	m, _ := NewMulti(store)
-	for i := 0; i < 4096; i++ {
+	for i := 0; i < 16384; i++ {
 		if _, err := m.Append([]float64{rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64()}); err != nil {
 			t.Fatal(err)
 		}
@@ -202,8 +202,30 @@ func TestSteadyStateQueryAllocs(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		run() // warm the plan cache and pools
 	}
+	// The append-style route on a large answer: once the caller's
+	// buffer has grown to the answer, the ids go from the leaf arena
+	// into it with no allocation either — not the sink's, not a
+	// growing slice's.
+	large := Query{A: []float64{1, 1, 1, 1}, B: 2.4, Op: LE}
+	var ids []uint32
+	collect := func() {
+		var err error
+		if ids, _, err = m.AppendInequalityIDs(ids[:0], large); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		collect()
+	}
+	if len(ids) < 10000 {
+		t.Fatalf("the large query answers %d ids, want at least 10000", len(ids))
+	}
+
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	if allocs := testing.AllocsPerRun(200, run); allocs != 0 {
 		t.Fatalf("steady-state query allocated %v times per run, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(200, collect); allocs != 0 {
+		t.Fatalf("steady-state %d-id query into a warmed buffer allocated %v times per run, want 0", len(ids), allocs)
 	}
 }

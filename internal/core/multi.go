@@ -214,6 +214,10 @@ func (m *Multi) PlanCacheCounters() (hits, misses uint64) {
 type sourceLease struct {
 	src     exec.Source
 	indexes []*Index // read-locked until Release
+	// ids is the sink of an id-collecting query. It lives here so that
+	// handing it to the pipeline allocates nothing; the buffer it
+	// fills is the caller's and leaves with the answer.
+	ids exec.IDSink
 }
 
 var leasePool = sync.Pool{New: func() any { return new(sourceLease) }}
@@ -462,22 +466,33 @@ func (m *Multi) Inequality(q Query, visit func(id uint32) bool) (Stats, error) {
 	return exec.Run(src, q.LE(), exec.FuncSink(visit), m.execOpts)
 }
 
-// InequalityIDs collects all matching point ids.
+// InequalityIDs collects all matching point ids into a fresh slice.
 func (m *Multi) InequalityIDs(q Query) ([]uint32, Stats, error) {
+	return m.AppendInequalityIDs(nil, q)
+}
+
+// AppendInequalityIDs appends all matching point ids to dst and
+// returns the extended slice, as append does. The pipeline reserves
+// room once, from the index's rank counts, so a caller that hands the
+// returned slice back (cut to [:0]) on its next query reaches a steady
+// state in which nothing is allocated. On an error dst is returned
+// as it came.
+func (m *Multi) AppendInequalityIDs(dst []uint32, q Query) ([]uint32, Stats, error) {
 	if err := q.Validate(m.store.Dim()); err != nil {
-		return nil, Stats{}, err
+		return dst, Stats{}, err
 	}
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	lease := m.sourceLocked(true)
 	defer lease.Release()
-	src := &lease.src
-	var sink exec.IDSink
-	st, err := exec.Run(src, q.LE(), &sink, m.execOpts)
+	lease.ids.IDs = dst
+	st, err := exec.Run(&lease.src, q.LE(), &lease.ids, m.execOpts)
+	ids := lease.ids.IDs
+	lease.ids.IDs = nil
 	if err != nil {
-		return nil, Stats{}, err
+		return dst, Stats{}, err
 	}
-	return sink.IDs, st, nil
+	return ids, st, nil
 }
 
 // InequalityBatch answers one inequality query per threshold in bs,

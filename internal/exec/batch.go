@@ -8,22 +8,23 @@ import (
 	"planar/internal/kernel"
 )
 
-// This file is the batched verification engine: the KindRange and
-// KindScan execution strategies re-expressed over contiguous arrays.
-// The interval boundaries are rank queries on the index tree, the
-// smaller interval resolves to a single rank, and the intermediate
-// interval is verified block-by-block through the
-// dimension-specialized kernels in internal/kernel. The key/id
-// columns are not copied anywhere: the tree's leaf arena IS the
-// packed column, and RangeChunks hands out slices that alias it
-// directly. All scratch memory is pooled, so a steady-state query
-// allocates nothing.
+// This file is the batched execution engine: the KindRange and
+// KindScan strategies re-expressed over contiguous arrays. Two rank
+// queries on the index tree fix every interval size up front, and one
+// walk of the leaf chain then serves both intervals that are read:
+// the smaller interval's leaf id slices go to the sink as they are,
+// and the intermediate interval, which follows it in key order, is
+// verified block-by-block through the dimension-specialized kernels
+// in internal/kernel. The id column is not copied anywhere on the
+// way: the tree's leaf arena IS the packed column, and RankChunks
+// hands out slices that alias it directly. All scratch memory is
+// pooled, so a steady-state query allocates nothing.
 //
 // The engine runs whenever the source exposes raw rows; ForceTreeWalk
 // pins the scalar per-entry walk in run.go instead, which remains the
 // reference implementation for correctness tests.
 
-// One RangeChunks chunk stays within one leaf, and one leaf is
+// One RankChunks chunk stays within one leaf, and one leaf is
 // exactly one kernel block. The two uint conversions reject a drift
 // in either direction at compile time.
 const (
@@ -31,11 +32,14 @@ const (
 	_ = uint(btree.LeafCap - kernel.BlockRows)
 )
 
-// scratch is the per-query working set of the batched engine: a
-// gather buffer of one block of φ rows and a match-offset buffer.
+// scratch is the per-query working set of the engine: a gather buffer
+// of one block of φ rows, a match-offset buffer, and the one-entry
+// chunk of the walks that decide per entry (pooled with the rest so
+// handing it to a Sink costs no allocation).
 type scratch struct {
 	gather  []float64
 	matches []uint32
+	one     [1]uint32
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -60,54 +64,67 @@ type hitBuf struct{ ids []uint32 }
 
 var hitPool = sync.Pool{New: func() any { return new(hitBuf) }}
 
-// executeBatched is the three-interval walk over the leaf arena.
-// Contract differences from the tree walk are deliberate and
-// documented: once the intermediate phase starts, Verified and
-// Rejected are final (as in the parallel walk) even if the sink stops
-// early.
+// answerReserve is what a buffering sink is told to make room for:
+// the accepted ids, which are certain, and the verified ones with
+// them while that at most doubles the room — a selective query's
+// large II must not size the buffer of its small answer.
+func answerReserve(accepted, verified int) int {
+	if verified <= accepted {
+		return accepted + verified
+	}
+	return accepted
+}
+
+// executeBatched is the three-interval walk over the leaf arena: SI
+// is positions [0, acc) of the key order and II the ver after it, so
+// both are one pass of the leaf chain from its first leaf. Contract
+// differences from the tree walk are deliberate and documented: once
+// SI has been delivered, Verified and Rejected are final (as in the
+// parallel walk) even if the sink stops early.
 func executeBatched(src *Source, q Query, plan Plan, info *IndexInfo, sink Sink, workers int, st Stats) (Stats, error) {
 	tree := info.Tree
+	acc := tree.RankLE(plan.Tmin)
+	ver := max(tree.RankLE(plan.Tmax)-acc, 0)
 
-	// Smaller interval: accepted without verification, by rank
-	// arithmetic when the sink only counts.
+	// A sink that only counts takes SI as a number and the walk
+	// starts at II; any other is handed SI's leaf id slices.
+	pos := 0
 	if ac, ok := sink.(AcceptCounter); ok {
-		st.Accepted = tree.RankLE(plan.Tmin)
-		ac.AcceptCount(st.Accepted)
+		ac.AcceptCount(acc)
+		st.Accepted = acc
+		pos = acc
 	} else {
-		stopped := false
-		tree.AscendLE(plan.Tmin, func(e btree.Entry) bool {
-			st.Accepted++
-			if !sink.Accept(e.ID) {
-				stopped = true
+		sink.Reserve(answerReserve(acc, ver))
+	}
+	// The worker pool verifies II out of a flat copy; the walk then
+	// ends with SI.
+	parallel := workers > 1 && ver >= 2*kernel.BlockRows
+	end := acc + ver
+	if parallel {
+		end = acc
+	}
+
+	sc := getScratch(src.RowDim)
+	defer putScratch(sc)
+	d := src.RowDim
+	stoppedInSI := false
+	tree.RankChunks(pos, end, func(ids []uint32) bool {
+		if pos < acc {
+			si := ids[:min(len(ids), acc-pos)]
+			taken, more := sink.AcceptChunk(si)
+			st.Accepted += taken
+			if !more {
+				stoppedInSI = true
 				return false
 			}
-			return true
-		})
-		if stopped {
-			// Legacy early-stop contract: partial stats, larger
-			// interval unclassified.
-			return st, nil
+			pos += len(si)
+			if ids = ids[len(si):]; len(ids) == 0 {
+				return true
+			}
 		}
-	}
-
-	// Intermediate interval: the rank difference fixes Verified and
-	// Rejected before verification starts.
-	middleN := tree.CountRange(plan.Tmin, plan.Tmax)
-	st.Verified = middleN
-	st.Rejected = st.N - st.Accepted - st.Verified
-	if middleN == 0 {
-		return st, nil
-	}
-
-	if workers > 1 && middleN >= 2*kernel.BlockRows {
-		executeParallelBatched(src, q, plan, tree, sink, workers, &st)
-		return st, nil
-	}
-
-	// Tiny intervals skip the gather: a direct pass over the arena
-	// ids already beats the per-entry tree walk.
-	if middleN < kernel.MinBatch {
-		tree.RangeChunks(plan.Tmin, plan.Tmax, func(_ []float64, ids []uint32) bool {
+		// Tiny intervals skip the gather: a direct pass over the arena
+		// ids already beats the per-entry tree walk.
+		if ver < kernel.MinBatch {
 			for _, id := range ids {
 				if q.Satisfies(src.Vector(id)) {
 					st.Matched++
@@ -117,14 +134,7 @@ func executeBatched(src *Source, q Query, plan Plan, info *IndexInfo, sink Sink,
 				}
 			}
 			return true
-		})
-		return st, nil
-	}
-
-	sc := getScratch(src.RowDim)
-	defer putScratch(sc)
-	d := src.RowDim
-	tree.RangeChunks(plan.Tmin, plan.Tmax, func(_ []float64, ids []uint32) bool {
+		}
 		kernel.Gather(src.Rows, d, ids, sc.gather)
 		m := kernel.FilterLE(q.A, q.B, sc.gather[:len(ids)*d], sc.matches)
 		for _, off := range sc.matches[:m] {
@@ -135,6 +145,16 @@ func executeBatched(src *Source, q Query, plan Plan, info *IndexInfo, sink Sink,
 		}
 		return true
 	})
+	if stoppedInSI {
+		// Legacy early-stop contract: partial stats, larger
+		// interval unclassified.
+		return st, nil
+	}
+	st.Verified = ver
+	st.Rejected = st.N - acc - ver
+	if parallel {
+		executeParallelBatched(src, q, tree, acc, ver, sink, workers, &st)
+	}
 	return st, nil
 }
 
@@ -145,10 +165,14 @@ func executeBatched(src *Source, q Query, plan Plan, info *IndexInfo, sink Sink,
 // match distribution cannot leave one goroutine holding the tail.
 // Matches are handed back to the calling goroutine in worker order —
 // sinks never see concurrent calls.
-func executeParallelBatched(src *Source, q Query, plan Plan, tree *btree.Tree, sink Sink, workers int, st *Stats) {
+func executeParallelBatched(src *Source, q Query, tree *btree.Tree, acc, ver int, sink Sink, workers int, st *Stats) {
 	mb := hitPool.Get().(*hitBuf)
 	defer hitPool.Put(mb)
-	mb.ids = tree.CollectRange(plan.Tmin, plan.Tmax, mb.ids[:0])
+	mb.ids = mb.ids[:0]
+	tree.RankChunks(acc, acc+ver, func(ids []uint32) bool {
+		mb.ids = append(mb.ids, ids...)
+		return true
+	})
 	middle := mb.ids
 
 	blocks := (len(middle) + kernel.BlockRows - 1) / kernel.BlockRows

@@ -10,10 +10,11 @@
 //	        tmin/tmax with the conservative guard band, and the
 //	        cost-based index-vs-scan choice. Plans for repeated
 //	        coefficient directions come from an LRU plan cache.
-//	Execute key-range iteration over the smaller and intermediate
-//	        intervals of the chosen index — or a sequential scan —
-//	        with optional worker-pool verification of the
-//	        intermediate interval.
+//	Execute two rank queries, then one pass of the chosen index's
+//	        leaf chain over the smaller interval (whole leaf id
+//	        slices handed to the sink) and the intermediate interval
+//	        after it (verified, optionally on a worker pool) — or a
+//	        sequential scan.
 //	Sink    pluggable result collectors: raw ids (IDSink), exact
 //	        counts in O(log n) (CountSink), top-k nearest to the
 //	        query hyperplane with lower-bound pruning (TopKSink),

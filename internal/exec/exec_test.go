@@ -126,22 +126,18 @@ func TestPartitionProperty(t *testing.T) {
 		}
 
 		var si, ii, li []uint32
+		all := func(dst *[]uint32) {
+			info.Tree.RankChunks(0, n, func(ids []uint32) bool { *dst = append(*dst, ids...); return true })
+		}
 		switch plan.Kind {
 		case KindNone:
-			info.Tree.Ascend(func(e btree.Entry) bool { li = append(li, e.ID); return true })
+			all(&li)
 		case KindAll:
-			info.Tree.Ascend(func(e btree.Entry) bool { si = append(si, e.ID); return true })
+			all(&si)
 		case KindRange:
 			info.Tree.AscendLE(plan.Tmin, func(e btree.Entry) bool { si = append(si, e.ID); return true })
 			info.Tree.AscendRange(plan.Tmin, plan.Tmax, func(e btree.Entry) bool { ii = append(ii, e.ID); return true })
-			if !math.IsInf(plan.Tmax, 1) {
-				info.Tree.Ascend(func(e btree.Entry) bool {
-					if e.Key > plan.Tmax {
-						li = append(li, e.ID)
-					}
-					return true
-				})
-			}
+			info.Tree.AscendRange(plan.Tmax, math.Inf(1), func(e btree.Entry) bool { li = append(li, e.ID); return true })
 		default:
 			t.Fatalf("trial %d: unexpected plan kind %v", trial, plan.Kind)
 		}

@@ -90,7 +90,13 @@ func execute(src *Source, q Query, plan Plan, sink Sink, opts Options) (Stats, e
 			ac.AcceptCount(st.N)
 			return st, nil
 		}
-		info.Tree.Ascend(func(e btree.Entry) bool { return sink.Accept(e.ID) })
+		// Every entry, a key that overflowed to −Inf included, from
+		// the first leaf on.
+		sink.Reserve(st.N)
+		info.Tree.RankChunks(0, st.N, func(ids []uint32) bool {
+			_, more := sink.AcceptChunk(ids)
+			return more
+		})
 		return st, nil
 	}
 
@@ -115,14 +121,15 @@ func execute(src *Source, q Query, plan Plan, sink Sink, opts Options) (Stats, e
 		st.Accepted = info.Tree.RankLE(plan.Tmin)
 		ac.AcceptCount(st.Accepted)
 	} else {
+		sc := getScratch(0)
+		defer putScratch(sc)
 		stopped := false
 		info.Tree.AscendLE(plan.Tmin, func(e btree.Entry) bool {
-			st.Accepted++
-			if !sink.Accept(e.ID) {
-				stopped = true
-				return false
-			}
-			return true
+			sc.one[0] = e.ID
+			taken, more := sink.AcceptChunk(sc.one[:])
+			st.Accepted += taken
+			stopped = !more
+			return more
 		})
 		if stopped {
 			return st, nil
@@ -245,6 +252,10 @@ func executeTopK(src *Source, q Query, plan Plan, info *IndexInfo, sink Sink, bo
 			invCoef = append(invCoef, math.Abs(a)/info.C[i])
 		}
 	}
+	// The cut-off is decided before every entry, so the descending
+	// walk hands one-entry chunks.
+	sc := getScratch(0)
+	defer putScratch(sc)
 	info.Tree.DescendLE(plan.Tmin, func(e btree.Entry) bool {
 		if bound, full := bounded.Bound(); full {
 			lbs := math.Inf(1)
@@ -258,8 +269,10 @@ func executeTopK(src *Source, q Query, plan Plan, info *IndexInfo, sink Sink, bo
 				return false // Claim 3: no remaining point can improve
 			}
 		}
-		st.Accepted++
-		return sink.Accept(e.ID)
+		sc.one[0] = e.ID
+		taken, more := sink.AcceptChunk(sc.one[:])
+		st.Accepted += taken
+		return more
 	})
 	st.Rejected = st.N - st.Accepted - st.Verified
 	return st, nil

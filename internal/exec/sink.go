@@ -1,21 +1,38 @@
 package exec
 
 import (
+	"slices"
+
 	"planar/internal/topk"
 )
 
 // Sink consumes the points a query reports. The Execute stage calls
-// Accept for points proven to match without verification (the smaller
-// interval, or an all-match plan) and Match for points that passed
-// scalar-product verification (the intermediate interval, or a
-// sequential scan). Either call may return false to stop execution
-// early; Stats then reflect the work done so far.
+// AcceptChunk for points proven to match without verification (the
+// smaller interval, or an all-match plan) and Match for points that
+// passed scalar-product verification (the intermediate interval, or a
+// sequential scan). Either call may stop execution early; Stats then
+// reflect the work done so far.
 //
 // Sinks are used from a single goroutine even when verification runs
 // on a worker pool — workers hand matches back to the calling
 // goroutine for delivery.
 type Sink interface {
-	Accept(id uint32) bool
+	// Reserve announces, before an indexed plan delivers anything,
+	// how many ids to make room for: the size of the smaller
+	// interval, which is certain to be delivered, plus that of the
+	// intermediate interval when it is no larger. A buffering sink
+	// grows once; the others ignore it. Scans and top-k walks, which
+	// cannot tell, never call it.
+	Reserve(n int)
+	// AcceptChunk delivers a run of accepted ids in key order. The
+	// slice aliases the index's leaf arena — a pinned page-cache frame
+	// on the paged tier — and is valid only during the call: a sink
+	// that keeps ids copies them. It returns how many ids the sink
+	// took, and more = false to stop execution; the id a sink stops
+	// on counts as taken. Walks that decide per entry (the scalar
+	// reference walk, top-k's descending cut-off) hand one-entry
+	// chunks.
+	AcceptChunk(ids []uint32) (taken int, more bool)
 	Match(id uint32) bool
 }
 
@@ -41,15 +58,27 @@ type IDSink struct {
 	IDs []uint32
 }
 
-func (s *IDSink) Accept(id uint32) bool { s.IDs = append(s.IDs, id); return true }
-func (s *IDSink) Match(id uint32) bool  { s.IDs = append(s.IDs, id); return true }
+func (s *IDSink) Reserve(n int) { s.IDs = slices.Grow(s.IDs, n) }
+func (s *IDSink) AcceptChunk(ids []uint32) (int, bool) {
+	s.IDs = append(s.IDs, ids...)
+	return len(ids), true
+}
+func (s *IDSink) Match(id uint32) bool { s.IDs = append(s.IDs, id); return true }
 
 // FuncSink streams every reported id to a callback; a false return
 // stops execution early.
 type FuncSink func(id uint32) bool
 
-func (f FuncSink) Accept(id uint32) bool { return f(id) }
-func (f FuncSink) Match(id uint32) bool  { return f(id) }
+func (f FuncSink) Reserve(int) {}
+func (f FuncSink) AcceptChunk(ids []uint32) (int, bool) {
+	for i, id := range ids {
+		if !f(id) {
+			return i + 1, false
+		}
+	}
+	return len(ids), true
+}
+func (f FuncSink) Match(id uint32) bool { return f(id) }
 
 // CountSink counts matches without materialising ids. Its
 // AcceptCounter capability lets range plans resolve the smaller
@@ -59,9 +88,13 @@ type CountSink struct {
 	N int
 }
 
-func (s *CountSink) Accept(id uint32) bool { s.N++; return true }
-func (s *CountSink) Match(id uint32) bool  { s.N++; return true }
-func (s *CountSink) AcceptCount(n int)     { s.N += n }
+func (s *CountSink) Reserve(int) {}
+func (s *CountSink) AcceptChunk(ids []uint32) (int, bool) {
+	s.N += len(ids)
+	return len(ids), true
+}
+func (s *CountSink) Match(id uint32) bool { s.N++; return true }
+func (s *CountSink) AcceptCount(n int)    { s.N += n }
 
 // TopKSink retains the k reported points closest to the query
 // hyperplane. Its Bounded capability drives the descending
@@ -78,9 +111,13 @@ func NewTopKSink(k int, dist func(id uint32) float64) *TopKSink {
 	return &TopKSink{buf: topk.New(k), dist: dist}
 }
 
-func (s *TopKSink) Accept(id uint32) bool {
-	s.buf.Push(topk.Item{ID: id, Score: s.dist(id)})
-	return true
+func (s *TopKSink) Reserve(int) {}
+
+func (s *TopKSink) AcceptChunk(ids []uint32) (int, bool) {
+	for _, id := range ids {
+		s.buf.Push(topk.Item{ID: id, Score: s.dist(id)})
+	}
+	return len(ids), true
 }
 
 func (s *TopKSink) Match(id uint32) bool {
@@ -117,13 +154,22 @@ type TraceSink struct {
 	Stopped bool // the inner sink stopped execution early
 }
 
-func (s *TraceSink) Accept(id uint32) bool {
-	s.Accepts++
-	if s.Inner != nil && !s.Inner.Accept(id) {
-		s.Stopped = true
-		return false
+func (s *TraceSink) Reserve(n int) {
+	if s.Inner != nil {
+		s.Inner.Reserve(n)
 	}
-	return true
+}
+
+func (s *TraceSink) AcceptChunk(ids []uint32) (int, bool) {
+	taken, more := len(ids), true
+	if s.Inner != nil {
+		taken, more = s.Inner.AcceptChunk(ids)
+	}
+	s.Accepts += taken
+	if !more {
+		s.Stopped = true
+	}
+	return taken, more
 }
 
 func (s *TraceSink) Match(id uint32) bool {

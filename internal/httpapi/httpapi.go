@@ -271,11 +271,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, db *service
 	if !ok {
 		return
 	}
-	ids, st, err := db.Query(q)
+	ids, st, err := db.AppendQuery(sc.ids[:0], q)
 	if err != nil {
 		fail(w, http.StatusBadRequest, err)
 		return
 	}
+	sc.ids = ids
 	sc.reply(w, appendQueryReply(sc.out[:0], ids, st))
 }
 

@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
+	"planar/internal/ingest"
 	"planar/internal/service"
 )
 
@@ -291,5 +293,69 @@ func TestPagedStats(t *testing.T) {
 	}
 	if pc["lastCheckpointMs"].(float64) <= 0 {
 		t.Fatalf("checkpoint reported no duration: %v", pc)
+	}
+}
+
+// TestOversizedAnswerIsNotPooled answers a query whose id buffer and
+// reply both exceed maxPooledBytes and checks that no scratch in the
+// pool kept either: one huge answer must not pin its buffers for the
+// life of the server. The handler runs on the test's goroutine, so
+// the scratch it released is the first the pool hands back.
+func TestOversizedAnswerIsNotPooled(t *testing.T) {
+	const n = maxPooledBytes/4 + 1000
+	db, err := service.Open(t.TempDir(), service.Options{Dim: 2, IngestBatch: 4096, IngestBlock: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	futures := make([]*ingest.Future, n)
+	for i := range futures {
+		if futures[i], err = db.AppendAsync([]float64{float64(i % 1000), float64(i / 1000)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, f := range futures {
+		if res := f.Wait(); res.Err != nil {
+			t.Fatal(res.Err)
+		}
+	}
+	if _, err := db.AddNormal([]float64{1, 1}, []int8{1, 1}); err != nil {
+		t.Fatal(err)
+	}
+	api, err := New(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(body string) []byte {
+		rec := httptest.NewRecorder()
+		api.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/query", strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("query %s: status %d: %s", body, rec.Code, rec.Body)
+		}
+		return rec.Body.Bytes()
+	}
+
+	// A small answer first: its buffers are the kind the pool keeps.
+	post(`{"a":[1,1],"b":40,"op":"<="}`)
+	sc := getScratch()
+	if cap(sc.ids) == 0 || cap(sc.out) == 0 {
+		t.Skip("the pool did not hand back the handler's scratch (race detector, or a GC in between)")
+	}
+	sc.release()
+
+	var reply struct {
+		IDs []uint32 `json:"ids"`
+	}
+	if err := json.Unmarshal(post(`{"a":[1,1],"b":1e9,"op":"<="}`), &reply); err != nil {
+		t.Fatal(err)
+	}
+	if len(reply.IDs) != n {
+		t.Fatalf("the large query answered %d ids, want all %d", len(reply.IDs), n)
+	}
+	for i := 0; i < 64; i++ {
+		sc := getScratch()
+		if 4*cap(sc.ids) > maxPooledBytes || cap(sc.out) > maxPooledBytes {
+			t.Fatalf("a pooled scratch kept %d id bytes and %d reply bytes, cap %d", 4*cap(sc.ids), cap(sc.out), maxPooledBytes)
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -35,7 +36,7 @@ import (
 const maxBodyBytes = 1 << 20
 
 // maxPooledBytes is the largest buffer a scratch keeps for the next
-// request, so one huge answer does not pin its buffer forever.
+// request, so one huge answer does not pin its buffers forever.
 const maxPooledBytes = 1 << 20
 
 // scratch holds one request's buffers. Nothing decoded or encoded
@@ -45,6 +46,7 @@ type scratch struct {
 	in   bytes.Buffer // request body, at most maxBodyBytes
 	tmp  []byte       // a string value or key with its escapes resolved
 	nums []float64    // an array's elements before their exact-size copy
+	ids  []uint32     // a query's answer, filled by service.DB.AppendQuery
 	out  []byte       // response body
 }
 
@@ -55,6 +57,9 @@ func getScratch() *scratch { return scratchPool.Get().(*scratch) }
 func (sc *scratch) release() {
 	if cap(sc.out) > maxPooledBytes {
 		sc.out = nil
+	}
+	if 4*cap(sc.ids) > maxPooledBytes {
+		sc.ids = nil
 	}
 	scratchPool.Put(sc)
 }
@@ -507,16 +512,71 @@ func appendFloat(b []byte, f float64) []byte {
 	return b
 }
 
+// digitPairs is "00" "01" … "99": the two decimal digits of every
+// value below a hundred, read by index.
+const digitPairs = "00010203040506070809101112131415161718192021222324252627282930313233343536373839404142434445464748495051525354555657585960616263646566676869707172737475767778798081828384858687888990919293949596979899"
+
+// maxIDBytes is the longest an id gets in decimal (4294967295) plus
+// the comma after it.
+const maxIDBytes = 11
+
 // appendIDs appends ids as a JSON array; a nil slice is [], not null.
+// The bytes are strconv.AppendUint's. Room for the longest possible
+// array is reserved once, and every id is then stored two digits at a
+// time, backwards from where its last digit belongs, with no append
+// and no capacity check per id.
 func appendIDs(b []byte, ids []uint32) []byte {
-	b = append(b, '[')
-	for i, id := range ids {
-		if i > 0 {
-			b = append(b, ',')
+	n := len(b)
+	b = slices.Grow(b, maxIDBytes*len(ids)+2)[:n+maxIDBytes*len(ids)+2]
+	b[n] = '['
+	n++
+	for _, id := range ids {
+		end := n + decimalLen(id)
+		i := end
+		for id >= 100 {
+			pair := 2 * (id % 100)
+			id /= 100
+			i -= 2
+			b[i], b[i+1] = digitPairs[pair], digitPairs[pair+1]
 		}
-		b = strconv.AppendUint(b, uint64(id), 10)
+		if id >= 10 {
+			b[i-2], b[i-1] = digitPairs[2*id], digitPairs[2*id+1]
+		} else {
+			b[i-1] = byte('0' + id)
+		}
+		b[end] = ','
+		n = end + 1
 	}
-	return append(b, ']')
+	if len(ids) > 0 {
+		n-- // the closing bracket takes the last comma's place
+	}
+	b[n] = ']'
+	return b[:n+1]
+}
+
+// decimalLen returns the number of decimal digits of v.
+func decimalLen(v uint32) int {
+	switch {
+	case v < 10:
+		return 1
+	case v < 100:
+		return 2
+	case v < 1000:
+		return 3
+	case v < 10000:
+		return 4
+	case v < 100000:
+		return 5
+	case v < 1000000:
+		return 6
+	case v < 10000000:
+		return 7
+	case v < 100000000:
+		return 8
+	case v < 1000000000:
+		return 9
+	}
+	return 10
 }
 
 // appendStats appends a query's pipeline statistics as the "stats"

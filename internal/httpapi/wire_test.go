@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"math/rand"
 	"net/http"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -85,6 +87,15 @@ func checkAllShapes(t *testing.T, body []byte) {
 		var got, want batchRequest
 		f := got.fields()
 		checkAgainstJSON(t, body, &got, &want, f[:])
+		// The whole numbers among the thresholds double as ids for
+		// the reply side's id writer.
+		var ids []uint32
+		for _, b := range got.Bs {
+			if id := uint32(b); float64(id) == b {
+				ids = append(ids, id)
+			}
+		}
+		checkIDWriter(t, ids)
 	}
 	{
 		var got, want pointRequest
@@ -107,6 +118,7 @@ var wireSeeds = []string{
 	`{"a":[1,1],"b":0,"op":">=","k":2}`,
 	`{"a":[1,1],"bs":[3,7,100],"op":"<="}`,
 	`{"a":[1,1],"bs":[]}`,
+	`{"bs":[0,9,10,99,100,999,1000,9999,10000,99999,100000,999999,1000000,9999999,10000000,99999999,100000000,999999999,1000000000,4294967295]}`,
 	`{"vec":[1.5,2.5]}`,
 	`{"vec":[9,9]}`,
 	`{"normal":[1,2]}`,
@@ -212,6 +224,74 @@ func refIDs(ids []uint32) []uint32 {
 		return []uint32{}
 	}
 	return ids
+}
+
+// refAppendIDs is the id writer appendIDs replaced, kept as its
+// reference and as BenchmarkAppendIDs' baseline.
+func refAppendIDs(b []byte, ids []uint32) []byte {
+	b = append(b, '[')
+	for i, id := range ids {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendUint(b, uint64(id), 10)
+	}
+	return append(b, ']')
+}
+
+// checkIDWriter fails unless appendIDs writes ids exactly as the
+// strconv loop does, after a prefix it must leave alone.
+func checkIDWriter(t *testing.T, ids []uint32) {
+	t.Helper()
+	const prefix = `{"ids":`
+	got, want := appendIDs([]byte(prefix), ids), refAppendIDs([]byte(prefix), ids)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("appendIDs(%v)\n got %s\nwant %s", ids, got, want)
+	}
+}
+
+// TestAppendIDsMatchesStrconv walks the id writer over every
+// digit-count boundary of a uint32, each id alone and all of them in
+// one array, and over a large answer like the emit workload's.
+func TestAppendIDsMatchesStrconv(t *testing.T) {
+	edges := []uint32{0, math.MaxUint32}
+	for p := uint64(10); p <= math.MaxUint32; p *= 10 {
+		edges = append(edges, uint32(p-1), uint32(p), uint32(p+1))
+	}
+	checkIDWriter(t, nil)
+	checkIDWriter(t, []uint32{})
+	for _, id := range edges {
+		checkIDWriter(t, []uint32{id})
+	}
+	checkIDWriter(t, edges)
+
+	rng := rand.New(rand.NewSource(5))
+	large := make([]uint32, 20000)
+	for i := range large {
+		large[i] = rng.Uint32() >> rng.Intn(32)
+	}
+	checkIDWriter(t, large)
+}
+
+func BenchmarkAppendIDs(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	ids := make([]uint32, 20000) // the emit workload's answer
+	for i := range ids {
+		ids[i] = uint32(rng.Intn(100000))
+	}
+	for _, w := range []struct {
+		name  string
+		write func([]byte, []uint32) []byte
+	}{{"pairs", appendIDs}, {"strconv", refAppendIDs}} {
+		b.Run(w.name, func(b *testing.B) {
+			buf := w.write(nil, ids)
+			b.SetBytes(int64(len(buf)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf = w.write(buf[:0], ids)
+			}
+		})
+	}
 }
 
 // checkReply fails unless got is byte-for-byte what encoding/json

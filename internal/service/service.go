@@ -212,11 +212,18 @@ func (db *DB) Metrics() Metrics {
 	}
 }
 
-// Query answers an inequality query, recording pipeline metrics. A
-// sharded store returns the ids in ascending global id order, an
-// unsharded one in its index's own order.
+// Query answers an inequality query into a fresh slice, recording
+// pipeline metrics. A sharded store returns the ids in ascending
+// global id order, an unsharded one in its index's own order.
 func (db *DB) Query(q core.Query) ([]uint32, core.Stats, error) {
-	ids, st, err := db.store.Query(q)
+	return db.AppendQuery(nil, q)
+}
+
+// AppendQuery is Query appending the answer to dst, which it returns
+// extended as append does: a caller that hands the returned slice
+// back, cut to [:0], reuses one buffer across queries.
+func (db *DB) AppendQuery(dst []uint32, q core.Query) ([]uint32, core.Stats, error) {
+	ids, st, err := db.store.AppendQuery(dst, q)
 	if err == nil {
 		db.record(st)
 	}

@@ -129,6 +129,7 @@ func TestGoldenShardedMatchesUnsharded(t *testing.T) {
 			t.Fatalf("shards=%d: Len=%d want %d", shards, st.Len(), ref.Store().Len())
 		}
 		indexOrder := 0 // answers the reference did not return ascending
+		var buf []uint32
 		for qi, q := range queries {
 			wantIDs, _, err := ref.InequalityIDs(q)
 			if err != nil {
@@ -157,6 +158,16 @@ func TestGoldenShardedMatchesUnsharded(t *testing.T) {
 			}
 			if st1.N != ref.Store().Len() {
 				t.Fatalf("shards=%d query %d: merged stats N=%d want %d", shards, qi, st1.N, ref.Store().Len())
+			}
+			// The append-style route, into one buffer carried across
+			// the queries: the same answer behind an untouched prefix.
+			buf, _, err = st.AppendQuery(append(buf[:0], 7, 7), q)
+			if err != nil {
+				t.Fatalf("shards=%d query %d: %v", shards, qi, err)
+			}
+			if buf[0] != 7 || buf[1] != 7 || !equalIDs(buf[2:], want) {
+				t.Fatalf("shards=%d query %d: AppendQuery wrote %d ids behind its prefix %v, want %d",
+					shards, qi, len(buf)-2, buf[:2], len(want))
 			}
 			if st1.Accepted+st1.Matched != len(want) {
 				t.Fatalf("shards=%d query %d: stats report %d results, want %d",

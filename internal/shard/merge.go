@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"slices"
 	"sort"
 
 	"planar/internal/core"
@@ -43,23 +44,22 @@ func MergeStats(sts []core.Stats) core.Stats {
 	return out
 }
 
-// mergeIDs flattens per-shard global id sets into one ascending-id
-// answer. Sorting makes the scatter-gather result deterministic
-// regardless of shard count and gather order.
-func mergeIDs(parts [][]uint32) []uint32 {
+// mergeIDs appends per-shard global id sets to dst as one
+// ascending-id answer. Sorting makes the scatter-gather result
+// deterministic regardless of shard count and gather order. An empty
+// answer leaves dst as it came (nil stays nil).
+func mergeIDs(dst []uint32, parts [][]uint32) []uint32 {
 	total := 0
 	for _, ids := range parts {
 		total += len(ids)
 	}
-	if total == 0 {
-		return nil
-	}
-	out := make([]uint32, 0, total)
+	from := len(dst)
+	dst = slices.Grow(dst, total)
 	for _, ids := range parts {
-		out = append(out, ids...)
+		dst = append(dst, ids...)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(dst[from:])
+	return dst
 }
 
 // mergeTopK k-way merges per-shard top-k answers. Each shard already

@@ -437,10 +437,10 @@ func (p *partition) addNormal(normal []float64, signs vecmath.SignPattern) (bool
 // read lock, in shard-local ids. They are all a one-partition Store
 // returns, and what a scatter runs on every shard.
 
-func (p *partition) query(q core.Query) ([]uint32, core.Stats, error) {
+func (p *partition) query(dst []uint32, q core.Query) ([]uint32, core.Stats, error) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	return p.multi.InequalityIDs(q)
+	return p.multi.AppendInequalityIDs(dst, q)
 }
 
 func (p *partition) queryBatch(a []float64, op core.Op, bs []float64) ([][]uint32, []core.Stats, error) {

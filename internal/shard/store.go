@@ -509,9 +509,10 @@ func (s *Store) AddNormal(normal []float64, signs vecmath.SignPattern) (bool, er
 }
 
 // gatherBufs is the pooled per-query scratch of a scatter-gather:
-// one id slot and one stats slot per shard. Pooling it keeps the
-// scatter overhead of Query and Count off the allocator; the merged
-// result is the only allocation that escapes to the caller.
+// one id buffer and one stats slot per shard. Pooling it keeps the
+// scatter overhead of Query and Count off the allocator: the id
+// buffers keep their capacity from one query to the next, and the
+// merged result goes into the caller's.
 type gatherBufs struct {
 	ids    [][]uint32
 	sts    []core.Stats
@@ -531,14 +532,26 @@ func getGather(n int) *gatherBufs {
 	g.sts = g.sts[:n]
 	g.counts = g.counts[:n]
 	for i := range g.ids {
-		g.ids[i] = nil
+		g.ids[i] = g.ids[i][:0]
 		g.sts[i] = core.Stats{}
 		g.counts[i] = 0
 	}
 	return g
 }
 
-func putGather(g *gatherBufs) { gatherPool.Put(g) }
+// maxPooledIDs is the largest per-shard id buffer a gatherBufs keeps
+// for the next query (1 MiB), so one huge answer does not pin its
+// buffers in the pool forever.
+const maxPooledIDs = 1 << 18
+
+func putGather(g *gatherBufs) {
+	for i, ids := range g.ids {
+		if cap(ids) > maxPooledIDs {
+			g.ids[i] = nil
+		}
+	}
+	gatherPool.Put(g)
+}
 
 // The query methods share one shape. The accept / verify / reject
 // decision is made per point from that point's own key, so the answer
@@ -550,17 +563,25 @@ func putGather(g *gatherBufs) { gatherPool.Put(g) }
 // on a 20 000-id answer the gather's sort alone costs several times
 // the query.
 
-// Query answers an inequality query. A partitioned store returns the
-// ids in ascending global id order, with the per-stage stats rolled
-// up.
+// Query answers an inequality query into a fresh slice. A partitioned
+// store returns the ids in ascending global id order, with the
+// per-stage stats rolled up.
 func (s *Store) Query(q core.Query) ([]uint32, core.Stats, error) {
+	return s.AppendQuery(nil, q)
+}
+
+// AppendQuery is Query appending the answer to dst, which it returns
+// extended as append does (and untouched on an error). One partition
+// fills dst itself; several fill pooled buffers of their own, which
+// are merged into dst.
+func (s *Store) AppendQuery(dst []uint32, q core.Query) ([]uint32, core.Stats, error) {
 	if len(s.parts) == 1 {
-		return s.parts[0].query(q)
+		return s.parts[0].query(dst, q)
 	}
 	g := getGather(len(s.parts))
 	defer putGather(g)
 	err := s.scatter(func(i int) error {
-		lids, st, err := s.parts[i].query(q)
+		lids, st, err := s.parts[i].query(g.ids[i], q)
 		if err != nil {
 			return err
 		}
@@ -568,9 +589,9 @@ func (s *Store) Query(q core.Query) ([]uint32, core.Stats, error) {
 		return nil
 	})
 	if err != nil {
-		return nil, core.Stats{}, err
+		return dst, core.Stats{}, err
 	}
-	return mergeIDs(g.ids), MergeStats(g.sts), nil
+	return mergeIDs(dst, g.ids), MergeStats(g.sts), nil
 }
 
 // QueryBatch answers one inequality query per threshold, sharing a
@@ -604,7 +625,7 @@ func (s *Store) QueryBatch(a []float64, op core.Op, bs []float64) ([][]uint32, [
 			perShard[i] = ids[i][t]
 			perStats[i] = sts[i][t]
 		}
-		outIDs[t] = mergeIDs(perShard)
+		outIDs[t] = mergeIDs(nil, perShard)
 		outSts[t] = MergeStats(perStats)
 	}
 	return outIDs, outSts, nil
