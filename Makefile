@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint lint-strict race race-shard race-pager replica-integration page-integration ingest-integration bench-smoke bench-shard-smoke bench-replica-smoke bench-hotpath-smoke bench-build-smoke bench-page-smoke bench-ingest-smoke bench-checkpoint-smoke bench-record-smoke ci clean
+.PHONY: all build test vet lint lint-strict race race-shard race-pager replica-integration page-integration ingest-integration bench-smoke planarbench-smoke bench-record-smoke ci clean
 
 all: build
 
@@ -10,8 +10,10 @@ build:
 test:
 	$(GO) test ./...
 
+# benchmark/ is a nested module, invisible to ./... at the root.
 vet:
 	$(GO) vet ./...
+	(cd benchmark && $(GO) vet ./...)
 
 # Static analysis beyond vet: formatting, module hygiene, the
 # planarlint analyzer suite (see DESIGN.md §9), and — when the binary
@@ -71,11 +73,6 @@ bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkPlanCache$$|BenchmarkPipelineOverhead' -benchtime 10x .
 	$(GO) test -run xxx -bench 'BenchmarkAppendIDs' -benchtime 10x ./internal/httpapi
 
-# A tiny run of the concurrent-client shard benchmark (no JSON
-# report) to prove the -clients path still works.
-bench-shard-smoke:
-	$(GO) run ./cmd/planarbench -clients 2 -shards 2 -points 2000 -benchdur 200ms -benchout ""
-
 # End-to-end replication under the race detector: in-process
 # primary+replica over real HTTP — bootstrap, catch-up identity,
 # mid-stream disconnect/resume, too-old re-bootstrap, promote, proxy.
@@ -101,39 +98,12 @@ ingest-integration:
 	$(GO) test -race -run 'TestAppendBatch|TestTornBatch|TestDecodeRecordRejectsBatch' ./internal/wal
 	$(GO) test -race -run 'TestCommitBatch' ./internal/replog
 
-# A tiny run of the replica read scale-out benchmark (no JSON report)
-# to prove the -replicas path still works.
-bench-replica-smoke:
-	$(GO) run ./cmd/planarbench -replicas 1 -points 2000 -benchdur 200ms -repout ""
-
-# A tiny run of the batched-vs-treewalk verification benchmark (no
-# JSON report) to prove the -mode hotpath path still works, including
-# the II-selectivity calibration.
-bench-hotpath-smoke:
-	$(GO) run ./cmd/planarbench -mode hotpath -points 1500 -hotdur 50ms -hotout ""
-
-# A tiny run of the arena-vs-pointer-tree index build benchmark (no
-# JSON report) to prove the -mode build path still works.
-bench-build-smoke:
-	$(GO) run ./cmd/planarbench -mode build -points 20000 -buildout ""
-
-# A tiny run of the disk-paged tier benchmark (no JSON report) to
-# prove the -mode paged path still works: cold open vs snapshot
-# rebuild plus the faulting regime with a floor-sized cache.
-bench-page-smoke:
-	$(GO) run ./cmd/planarbench -mode paged -points 5000 -queries 50 -pageout ""
-
-# A tiny run of the group-commit write benchmark (no JSON report) to
-# prove the -mode ingest path still works: sync vs grouped fsync
-# amortisation with windowed writers.
-bench-ingest-smoke:
-	$(GO) run ./cmd/planarbench -mode ingest -writers 2 -window 4 -batch 8 -benchdur 200ms -ingestout ""
-
-# A tiny run of the checkpoint benchmark (no JSON report) to prove
-# the -mode checkpoint path still works: full-flush vs background
-# writeback plus incremental checkpoints under localized churn.
-bench-checkpoint-smoke:
-	$(GO) run ./cmd/planarbench -mode checkpoint -points 5000 -rounds 3 -muts 500 -checkpointout ""
+# The paper-figure binary still runs: the experiment list, and the
+# cheapest of the paper's figures (13(c), index build plus dynamic
+# updates, a few ms) at a small cardinality.
+planarbench-smoke:
+	$(GO) run ./cmd/planarbench -list
+	$(GO) run ./cmd/planarbench -exp fig13c -points 2000
 
 # The bench of record (benchmark/, BENCHMARK.json) is a nested module,
 # invisible to `go test ./...` at the root: its own smoke test — every
@@ -142,7 +112,7 @@ bench-checkpoint-smoke:
 bench-record-smoke:
 	(cd benchmark && $(GO) test ./...)
 
-ci: vet lint build race race-shard race-pager replica-integration page-integration ingest-integration bench-smoke bench-shard-smoke bench-replica-smoke bench-hotpath-smoke bench-build-smoke bench-page-smoke bench-ingest-smoke bench-checkpoint-smoke bench-record-smoke
+ci: vet lint build race race-shard race-pager replica-integration page-integration ingest-integration bench-smoke planarbench-smoke bench-record-smoke
 
 clean:
 	$(GO) clean ./...

@@ -574,26 +574,6 @@ func thresholdsFor(q core.Query, c []float64) (tmin, tmax float64) {
 }
 
 // ---------------------------------------------------------------
-// Ablation C: parallel intermediate-interval verification.
-
-func BenchmarkAblationParallel(b *testing.B) {
-	// RQ=12 with a single index yields a fat intermediate interval —
-	// the regime where parallel verification can pay off.
-	f := getSynth(b, dataset.KindIndependent, 10, 12, 1)
-	qs := queryList(f.gen, 64, 21)
-	ix := f.multi.Index(0)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := ix.InequalityParallelIDs(qs[i%len(qs)], workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// ---------------------------------------------------------------
 // Extension benchmarks (DESIGN.md extensions beyond the paper).
 
 func BenchmarkExtCount(b *testing.B) {

@@ -9,73 +9,6 @@
 //	planarbench -exp fig7                 # one experiment, laptop scale
 //	planarbench -exp all -paper           # everything at paper scale
 //	planarbench -exp fig14a -moving 2000  # override workload sizes
-//
-// A second mode benchmarks the sharded store's scatter-gather path:
-//
-//	planarbench -clients 8 -shards 8      # aggregate QPS vs shard count
-//
-// which sweeps shard counts up to -shards, drives a mixed read/write
-// workload from -clients concurrent goroutines, and writes the
-// throughput table to -benchout (BENCH_shard.json).
-//
-// A third mode benchmarks replication read scale-out:
-//
-//	planarbench -replicas 2
-//
-// which serves a primary plus N streaming replicas over in-process
-// HTTP, measures read QPS against the primary alone versus the full
-// fleet (with a background writer so lag is measured under load), and
-// writes the report to -repout (BENCH_replica.json).
-//
-// A fourth mode benchmarks the verification hot path:
-//
-//	planarbench -mode hotpath
-//
-// which compares the batched kernel engine against the classic
-// per-entry tree walk across dimensionalities and intermediate-
-// interval selectivities, and writes the report to -hotout
-// (BENCH_hotpath.json).
-//
-// A fifth mode benchmarks the index structure itself:
-//
-//	planarbench -mode build
-//
-// which measures bulk-load time, steady-state insert/delete churn,
-// and resident bytes per entry for the arena B+ tree against the
-// pointer-node reference tree, and writes the report to -buildout
-// (BENCH_build.json).
-//
-// A sixth mode benchmarks the disk-paged storage tier:
-//
-//	planarbench -mode paged
-//
-// which builds equivalent snapshot-mode and paged directories,
-// compares cold-open latency (full snapshot rebuild vs lazy page
-// faulting), warm-cache query latency against the all-RAM store, and
-// the faulting regime where the page cache is smaller than the
-// working set, and writes the report to -pageout (BENCH_page.json).
-//
-// A seventh mode benchmarks the group-commit write pipeline:
-//
-//	planarbench -mode ingest
-//
-// which drives -writers concurrent writers against a durable store
-// twice — the synchronous per-request-fsync path versus the ingest
-// pipeline batching records into single-fsync WAL frames — and writes
-// sustained QPS plus ack latency percentiles to -ingestout
-// (BENCH_ingest.json).
-//
-// An eighth mode benchmarks paged-tier checkpoints:
-//
-//	planarbench -mode checkpoint
-//
-// which runs a write-heavy churn workload (skewed updates plus
-// appends) against two paged stores — full-flush checkpoints with no
-// background writer vs background writeback plus incremental
-// checkpoints — and reports checkpoint latency percentiles,
-// lock-window durations, pages written per checkpoint, and
-// dirty-frame high-water marks to -checkpointout
-// (BENCH_checkpoint.json).
 package main
 
 import (
@@ -97,176 +30,8 @@ func main() {
 		queries = flag.Int("queries", 0, "override queries averaged per measurement")
 		movingN = flag.Int("moving", 0, "override moving objects per set")
 		seed    = flag.Int64("seed", 0, "override random seed")
-
-		clients   = flag.Int("clients", 0, "run the concurrent-client shard benchmark with this many clients")
-		shardsMax = flag.Int("shards", 8, "largest shard count in the -clients sweep")
-		dim       = flag.Int("dim", 4, "point dimensionality for the -clients sweep")
-		writeFrac = flag.Float64("writefrac", 0.5, "fraction of mutations in the -clients workload")
-		benchDur  = flag.Duration("benchdur", 2*time.Second, "measurement window per shard count in the -clients sweep")
-		benchOut  = flag.String("benchout", "BENCH_shard.json", "JSON report path for the -clients sweep (empty = stdout only)")
-
-		replicas   = flag.Int("replicas", 0, "run the replication read scale-out benchmark with this many replicas")
-		repClients = flag.Int("repclients", 8, "client goroutines in the -replicas benchmark")
-		repOut     = flag.String("repout", "BENCH_replica.json", "JSON report path for the -replicas benchmark (empty = stdout only)")
-
-		mode     = flag.String("mode", "", "extra benchmark mode: \"hotpath\" compares batched vs tree-walk verification; \"build\" compares arena vs pointer-tree index builds; \"paged\" compares the disk-paged tier against snapshot restore and all-RAM queries; \"checkpoint\" compares full-flush vs background+incremental checkpoints")
-		hotOut   = flag.String("hotout", "BENCH_hotpath.json", "JSON report path for -mode hotpath (empty = stdout only)")
-		hotDur   = flag.Duration("hotdur", 300*time.Millisecond, "measurement window per engine per cell in -mode hotpath")
-		buildOut = flag.String("buildout", "BENCH_build.json", "JSON report path for -mode build (empty = stdout only)")
-		pageOut  = flag.String("pageout", "BENCH_page.json", "JSON report path for -mode paged (empty = stdout only)")
-
-		cpRounds   = flag.Int("rounds", 10, "churn+checkpoint cycles per engine in -mode checkpoint")
-		cpMuts     = flag.Int("muts", 3000, "mutations per round in -mode checkpoint")
-		cpInterval = flag.Duration("writeback-interval", 5*time.Millisecond, "background writer cadence in -mode checkpoint")
-		cpOut      = flag.String("checkpointout", "BENCH_checkpoint.json", "JSON report path for -mode checkpoint (empty = stdout only)")
-
-		writers      = flag.Int("writers", 8, "concurrent writers in -mode ingest")
-		ingestWindow = flag.Int("window", 16, "in-flight submissions per writer on the grouped run of -mode ingest")
-		ingestBatch  = flag.Int("batch", 256, "group-commit batch cap in -mode ingest")
-		ingestFlush  = flag.Duration("flush", 2*time.Millisecond, "group-commit flush interval in -mode ingest")
-		ingestOut    = flag.String("ingestout", "BENCH_ingest.json", "JSON report path for -mode ingest (empty = stdout only)")
 	)
 	flag.Parse()
-
-	if *mode != "" {
-		switch *mode {
-		case "hotpath":
-			cfg := hotpathConfig{Points: 20000, Seed: 2014, Window: *hotDur, OutPath: *hotOut}
-			if *points > 0 {
-				cfg.Points = *points
-			}
-			if *seed != 0 {
-				cfg.Seed = *seed
-			}
-			if err := runHotpathBench(cfg, os.Stdout); err != nil {
-				fmt.Fprintf(os.Stderr, "planarbench: %v\n", err)
-				os.Exit(1)
-			}
-		case "build":
-			cfg := buildBenchConfig{Points: 200000, Seed: 2014, OutPath: *buildOut}
-			if *points > 0 {
-				cfg.Points = *points
-			}
-			if *seed != 0 {
-				cfg.Seed = *seed
-			}
-			if err := runBuildBench(cfg, os.Stdout); err != nil {
-				fmt.Fprintf(os.Stderr, "planarbench: %v\n", err)
-				os.Exit(1)
-			}
-		case "paged":
-			cfg := pagedBenchConfig{
-				Points:    150000,
-				Dim:       *dim,
-				Seed:      2014,
-				Queries:   300,
-				TinyBytes: 1, // clamps to the pager's minimum frame count
-				OutPath:   *pageOut,
-			}
-			if *points > 0 {
-				cfg.Points = *points
-			}
-			if *queries > 0 {
-				cfg.Queries = *queries
-			}
-			if *seed != 0 {
-				cfg.Seed = *seed
-			}
-			if err := runPagedBench(cfg, os.Stdout); err != nil {
-				fmt.Fprintf(os.Stderr, "planarbench: %v\n", err)
-				os.Exit(1)
-			}
-		case "checkpoint":
-			cfg := checkpointBenchConfig{
-				Points:   80000,
-				Dim:      8,
-				Rounds:   *cpRounds,
-				Muts:     *cpMuts,
-				Seed:     2014,
-				Interval: *cpInterval,
-				OutPath:  *cpOut,
-			}
-			if *points > 0 {
-				cfg.Points = *points
-			}
-			if *seed != 0 {
-				cfg.Seed = *seed
-			}
-			if err := runCheckpointBench(cfg, os.Stdout); err != nil {
-				fmt.Fprintf(os.Stderr, "planarbench: %v\n", err)
-				os.Exit(1)
-			}
-		case "ingest":
-			cfg := ingestBenchConfig{
-				Writers:  *writers,
-				Window:   *ingestWindow,
-				Dim:      *dim,
-				Batch:    *ingestBatch,
-				Flush:    *ingestFlush,
-				Duration: *benchDur,
-				Seed:     2014,
-				OutPath:  *ingestOut,
-			}
-			if *seed != 0 {
-				cfg.Seed = *seed
-			}
-			if err := runIngestBench(cfg, os.Stdout); err != nil {
-				fmt.Fprintf(os.Stderr, "planarbench: %v\n", err)
-				os.Exit(1)
-			}
-		default:
-			fmt.Fprintf(os.Stderr, "planarbench: unknown -mode %q (\"hotpath\", \"build\", \"paged\", \"checkpoint\", or \"ingest\")\n", *mode)
-			os.Exit(2)
-		}
-		return
-	}
-
-	if *replicas > 0 {
-		cfg := replicaBenchConfig{
-			Replicas: *replicas,
-			Clients:  *repClients,
-			Points:   20000,
-			Dim:      *dim,
-			Duration: *benchDur,
-			Seed:     2014,
-			OutPath:  *repOut,
-		}
-		if *points > 0 {
-			cfg.Points = *points
-		}
-		if *seed != 0 {
-			cfg.Seed = *seed
-		}
-		if err := runReplicaBench(cfg, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "planarbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *clients > 0 {
-		cfg := shardBenchConfig{
-			Clients:   *clients,
-			MaxShards: *shardsMax,
-			Points:    100000,
-			Dim:       *dim,
-			WriteFrac: *writeFrac,
-			Duration:  *benchDur,
-			Seed:      2014,
-			OutPath:   *benchOut,
-		}
-		if *points > 0 {
-			cfg.Points = *points
-		}
-		if *seed != 0 {
-			cfg.Seed = *seed
-		}
-		if err := runShardBench(cfg, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "planarbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *list {
 		for _, e := range experiments.All() {

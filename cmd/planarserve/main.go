@@ -57,9 +57,6 @@ func main() {
 		cacheMB    = flag.Int("page-cache-mb", 0, "page-cache budget in MiB for the paged tier (implies -paged; 0 = default budget)")
 
 		writebackEvery = flag.Duration("writeback-interval", 0, "paged tier: background page-writer cadence (0 = default 25ms)")
-		writebackPages = flag.Int("writeback-pages", 0, "paged tier: max pages per writer round (0 = default 128)")
-		noWriteback    = flag.Bool("no-writeback", false, "paged tier: disable the background page writer (dirty frames flush only at checkpoint)")
-		fullCheckpoint = flag.Bool("full-checkpoints", false, "paged tier: rewrite the whole store page set each checkpoint instead of the delta")
 
 		ingestBatch = flag.Int("ingest-batch", 0, "group-commit writes in batches up to this size (0 = synchronous per-request path)")
 		ingestFlush = flag.Duration("ingest-flush-interval", 0, "max time a group commit waits to fill its batch (0 = default 2ms; needs -ingest-batch)")
@@ -132,10 +129,7 @@ func main() {
 			Paged:           *paged,
 			PageCacheBytes:  *cacheMB << 20,
 
-			WritebackInterval:   *writebackEvery,
-			WritebackBatchPages: *writebackPages,
-			DisableWriteback:    *noWriteback,
-			FullCheckpoints:     *fullCheckpoint,
+			WritebackInterval: *writebackEvery,
 
 			IngestBatch:         *ingestBatch,
 			IngestFlushInterval: *ingestFlush,
@@ -150,7 +144,15 @@ func main() {
 		log.Fatalf("planarserve: %v", err)
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: api.Handler()}
+	// No ReadTimeout or WriteTimeout: either would cut the
+	// /v1/replication/stream long-poll. The header and idle limits
+	// bound what a slow or silent client can hold open.
+	srv := &http.Server{
+		Addr:              *addr,
+		Handler:           api.Handler(),
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       120 * time.Second,
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 

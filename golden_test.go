@@ -1,8 +1,7 @@
 // Golden cross-path tests: every query entry point now routes through
-// internal/exec, so the index pipeline, the scan fallback, the
-// parallel verifier, the batch API and a brute-force oracle must all
-// agree on every answer — across sinks and with the plan cache on or
-// off.
+// internal/exec, so the index pipeline, the scan fallback, the batch
+// API and a brute-force oracle must all agree on every answer —
+// across sinks and with the plan cache on or off.
 package planar
 
 import (
@@ -80,7 +79,7 @@ func goldenBrute(s *core.PointStore, q core.Query) []uint32 {
 
 // TestGoldenAllPathsAgree is the post-refactor equivalence suite: for
 // a stream of random queries, the indexed pipeline, the scan package,
-// parallel verification, the batch API, COUNT and top-k must match
+// the batch API, COUNT and top-k must match
 // the brute-force oracle and each other.
 func TestGoldenAllPathsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(2014))
@@ -134,34 +133,6 @@ func TestGoldenAllPathsAgree(t *testing.T) {
 		}
 		if !goldenEqual(goldenSorted(batch[0]), want) {
 			t.Fatalf("trial %d: batch ids differ from brute force", trial)
-		}
-	}
-}
-
-// TestGoldenParallelPath exercises the worker-pool verifier on a
-// single index against the serial pipeline.
-func TestGoldenParallelPath(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	s := goldenStore(t, rng, 3000, 3)
-	ix, err := core.NewIndex(s, []float64{1, 2, 1}, vecmath.FirstOctant(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for trial := 0; trial < 10; trial++ {
-		q := core.Query{
-			A:  []float64{1 + rng.Float64()*4, 1 + rng.Float64()*4, 1 + rng.Float64()*4},
-			B:  rng.Float64() * 600,
-			Op: core.LE,
-		}
-		want := goldenSorted(goldenBrute(s, q))
-		for _, workers := range []int{1, 3, 7} {
-			ids, _, err := ix.InequalityParallelIDs(q, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !goldenEqual(goldenSorted(ids), want) {
-				t.Fatalf("trial %d workers %d: parallel ids differ", trial, workers)
-			}
 		}
 	}
 }

@@ -2,10 +2,7 @@
 // planar index before the arena (Structure-of-Arrays) rewrite of
 // package btree. It exists as a reference implementation only: the
 // btree differential tests replay random workloads against both trees
-// and assert identical answers, and `planarbench -mode build`
-// measures the arena layout's build time, churn throughput and
-// resident bytes per entry against this one. Engine code must not
-// import it.
+// and assert identical answers. Engine code must not import it.
 //
 // The tree is a set: each (Key, ID) pair appears at most once.
 // Entries are ordered by Key first, then ID. The zero Tree is empty

@@ -35,8 +35,8 @@ import (
 // were already delta-flushed: paged trees relocate mutated nodes
 // copy-on-write and FlushPaged writes just the epoch's dirty set.
 // Checkpoint cost is therefore proportional to what changed, not to
-// the store; CheckpointFull forces the v1-equivalent full rewrite
-// (every data page) for comparison and paranoia.
+// the store; marking every row dirty first (PointStore.MarkAllDirty)
+// makes it the v1-equivalent full rewrite the tests use as oracle.
 //
 // Page ownership is split two ways. Data pages are owned through the
 // manifest and freed individually as they are superseded. Header
@@ -64,7 +64,7 @@ const (
 // trees fault through and, optionally, the background writer that
 // shadow-flushes dirty tree pages between checkpoints.
 //
-// Checkpoint/CheckpointFull/DrainWriteback/Close and the field set
+// Checkpoint/DrainWriteback/Close and the field set
 // below are serialised by the owner (service.DB holds its write lock
 // or calls before publishing the store); Stats and the writer's flush
 // callback are safe concurrently.
@@ -243,15 +243,6 @@ func (ps *PagedStore) Checkpoint(m *core.Multi, lsn uint64) error {
 	ps.incrPages.Store(int64(pages))
 	ps.lastCpUs.Store(time.Since(start).Microseconds())
 	return nil
-}
-
-// CheckpointFull marks every row dirty first, forcing Checkpoint to
-// rewrite the complete data-page set — the v1 full-flush behaviour.
-// The incremental path must recover byte-identical state; this is the
-// baseline it is benchmarked (and golden-tested) against.
-func (ps *PagedStore) CheckpointFull(m *core.Multi, lsn uint64) error {
-	m.Store().MarkAllDirty()
-	return ps.Checkpoint(m, lsn)
 }
 
 // flushDataPages copy-on-writes every data page touched by a dirty

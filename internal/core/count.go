@@ -57,7 +57,7 @@ func (m *Multi) Count(q Query) (int, Stats, error) {
 	defer lease.Release()
 	src := &lease.src
 	var sink exec.CountSink
-	st, err := exec.Run(src, q.LE(), &sink, m.execOpts)
+	st, err := exec.Run(src, q.LE(), &sink, exec.Options{})
 	if err != nil {
 		return 0, Stats{}, err
 	}

@@ -98,7 +98,6 @@ type Multi struct {
 	costPenalty float64 // >0 enables cost-based index-vs-scan choice
 	epoch       uint64  // bumped on every mutation; invalidates cached plans
 	cache       *exec.PlanCache
-	execOpts    exec.Options // per-Multi execution tuning (batching, workers)
 
 	// Store accessors bound once so building a lease allocates no
 	// closures.
@@ -149,20 +148,6 @@ func WithPlanCache(capacity int) MultiOption {
 // sequential pass (Section 7.2.2). penalty <= 0 disables the model.
 func WithCostBased(penalty float64) MultiOption {
 	return func(m *Multi) { m.costPenalty = penalty }
-}
-
-// WithBatchedVerify toggles the batched verification engine (default
-// on). Off pins the classic per-entry B-tree walk — the escape hatch
-// benchmarks and bisections use to compare the two paths.
-func WithBatchedVerify(on bool) MultiOption {
-	return func(m *Multi) { m.execOpts.ForceTreeWalk = !on }
-}
-
-// WithVerifyWorkers sets the goroutine count used to verify the
-// intermediate interval (clamped to [1, GOMAXPROCS] at query time; 0
-// or 1 verifies serially).
-func WithVerifyWorkers(n int) MultiOption {
-	return func(m *Multi) { m.execOpts.Workers = n }
 }
 
 // NewMulti creates an empty index collection over store.
@@ -463,7 +448,7 @@ func (m *Multi) Inequality(q Query, visit func(id uint32) bool) (Stats, error) {
 	lease := m.sourceLocked(true)
 	defer lease.Release()
 	src := &lease.src
-	return exec.Run(src, q.LE(), exec.FuncSink(visit), m.execOpts)
+	return exec.Run(src, q.LE(), exec.FuncSink(visit), exec.Options{})
 }
 
 // InequalityIDs collects all matching point ids into a fresh slice.
@@ -486,7 +471,7 @@ func (m *Multi) AppendInequalityIDs(dst []uint32, q Query) ([]uint32, Stats, err
 	lease := m.sourceLocked(true)
 	defer lease.Release()
 	lease.ids.IDs = dst
-	st, err := exec.Run(&lease.src, q.LE(), &lease.ids, m.execOpts)
+	st, err := exec.Run(&lease.src, q.LE(), &lease.ids, exec.Options{})
 	ids := lease.ids.IDs
 	lease.ids.IDs = nil
 	if err != nil {
@@ -532,7 +517,7 @@ func (m *Multi) InequalityBatch(a []float64, op Op, bs []float64) (ids [][]uint3
 	stats, err = exec.RunBatch(src, na, nbs, func(i int, _ float64) exec.Sink {
 		sinks[i] = &exec.IDSink{}
 		return sinks[i]
-	}, m.execOpts)
+	}, exec.Options{})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -567,7 +552,7 @@ func (m *Multi) TopK(q Query, k int) ([]Result, Stats, error) {
 	src := &lease.src
 	nq := q.LE()
 	sink := topKSink(m.store, nq, k)
-	st, err := exec.Run(src, nq, sink, m.execOpts)
+	st, err := exec.Run(src, nq, sink, exec.Options{})
 	if err != nil {
 		return nil, Stats{}, err
 	}

@@ -370,44 +370,3 @@ func TestSelectionString(t *testing.T) {
 	}
 	var _ fmt.Stringer = SelectVolume
 }
-
-func TestParallelVerificationMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	s := randomStore(t, rng, 2000, 4, 1, 100)
-	ix, _ := NewIndex(s, []float64{1, 1, 1, 1}, vecmath.FirstOctant(4))
-	for trial := 0; trial < 20; trial++ {
-		q := Query{
-			A:  []float64{1 + rng.Float64()*8, 1 + rng.Float64()*8, 1 + rng.Float64()*8, 1 + rng.Float64()*8},
-			B:  rng.Float64() * 1200,
-			Op: LE,
-		}
-		serial, st1, err := ix.InequalityIDs(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{1, 2, 4, 8} {
-			par, st2, err := ix.InequalityParallelIDs(q, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !equalIDs(sortedIDs(par), sortedIDs(serial)) {
-				t.Fatalf("workers=%d mismatch", workers)
-			}
-			if st1.Matched != st2.Matched || st1.Verified != st2.Verified {
-				t.Fatalf("stats diverge: %+v vs %+v", st1, st2)
-			}
-		}
-	}
-	// Degenerate parallel paths.
-	if _, _, err := ix.InequalityParallelIDs(Query{A: []float64{1}, B: 0, Op: LE}, 4); err == nil {
-		t.Error("bad query accepted")
-	}
-	ids, _, err := ix.InequalityParallelIDs(Query{A: []float64{0, 0, 0, 0}, B: 1, Op: LE}, 4)
-	if err != nil || len(ids) != 2000 {
-		t.Errorf("all-match parallel: %d ids err=%v", len(ids), err)
-	}
-	ids, _, err = ix.InequalityParallelIDs(Query{A: []float64{1, 1, 1, 1}, B: -1, Op: LE}, 4)
-	if err != nil || len(ids) != 0 {
-		t.Errorf("none-match parallel: %d ids err=%v", len(ids), err)
-	}
-}

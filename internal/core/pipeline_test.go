@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"planar/internal/vecmath"
@@ -189,54 +188,6 @@ func TestInequalityBatchMatchesSingles(t *testing.T) {
 	}
 	if out, sts, err := m.InequalityBatch(a, LE, nil); err != nil || len(out) != 0 || len(sts) != 0 {
 		t.Errorf("empty batch: out=%d sts=%d err=%v", len(out), len(sts), err)
-	}
-}
-
-// TestParallelWorkersClampedBeforeDispatch pins the fix for the
-// worker-clamp ordering bug: with GOMAXPROCS=1 a request for many
-// workers must degrade to the serial path (Workers stays 0) instead
-// of spinning up a one-goroutine "parallel" run.
-func TestParallelWorkersClampedBeforeDispatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	s := randomStore(t, rng, 1500, 3, 1, 100)
-	ix, err := NewIndex(s, []float64{1, 1, 1}, vecmath.FirstOctant(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := Query{A: []float64{2, 1, 3}, B: 350, Op: LE}
-	serial, stSerial, err := ix.InequalityIDs(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	prev := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(prev)
-	ids, st, err := ix.InequalityParallelIDs(q, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Workers != 0 {
-		t.Errorf("GOMAXPROCS=1 request spawned %d workers, want serial path", st.Workers)
-	}
-	if !equalIDs(sortedIDs(ids), sortedIDs(serial)) {
-		t.Error("clamped run returned different ids")
-	}
-	if st.Matched != stSerial.Matched || st.Verified != stSerial.Verified {
-		t.Errorf("clamped stats %+v differ from serial %+v", st, stSerial)
-	}
-	runtime.GOMAXPROCS(prev)
-
-	if prev >= 2 {
-		ids, st, err = ix.InequalityParallelIDs(q, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Workers < 2 {
-			t.Errorf("parallel run recorded Workers=%d, want >=2", st.Workers)
-		}
-		if !equalIDs(sortedIDs(ids), sortedIDs(serial)) {
-			t.Error("parallel run returned different ids")
-		}
 	}
 }
 

@@ -115,5 +115,5 @@ func (q Query) Hyperplane() (vecmath.Hyperplane, error) {
 // layer (core, service, HTTP API, CLI) shares one vocabulary: the
 // interval counters behind the paper's "pruning percentage" figures
 // plus per-stage observability (planning and execution time, plan
-// cache hits, verification workers).
+// cache hits).
 type Stats = exec.Stats

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"planar/internal/btree"
 	"planar/internal/kernel"
@@ -57,13 +56,6 @@ func getScratch(dim int) *scratch {
 
 func putScratch(sc *scratch) { scratchPool.Put(sc) }
 
-// hitBuf is a pooled grow-able id buffer: parallel workers collect
-// their matches in one before ordered delivery, and the parallel
-// driver flattens the intermediate interval into one.
-type hitBuf struct{ ids []uint32 }
-
-var hitPool = sync.Pool{New: func() any { return new(hitBuf) }}
-
 // answerReserve is what a buffering sink is told to make room for:
 // the accepted ids, which are certain, and the verified ones with
 // them while that at most doubles the room — a selective query's
@@ -79,9 +71,9 @@ func answerReserve(accepted, verified int) int {
 // is positions [0, acc) of the key order and II the ver after it, so
 // both are one pass of the leaf chain from its first leaf. Contract
 // differences from the tree walk are deliberate and documented: once
-// SI has been delivered, Verified and Rejected are final (as in the
-// parallel walk) even if the sink stops early.
-func executeBatched(src *Source, q Query, plan Plan, info *IndexInfo, sink Sink, workers int, st Stats) (Stats, error) {
+// SI has been delivered, Verified and Rejected are final even if the
+// sink stops early.
+func executeBatched(src *Source, q Query, plan Plan, info *IndexInfo, sink Sink, st Stats) (Stats, error) {
 	tree := info.Tree
 	acc := tree.RankLE(plan.Tmin)
 	ver := max(tree.RankLE(plan.Tmax)-acc, 0)
@@ -96,19 +88,11 @@ func executeBatched(src *Source, q Query, plan Plan, info *IndexInfo, sink Sink,
 	} else {
 		sink.Reserve(answerReserve(acc, ver))
 	}
-	// The worker pool verifies II out of a flat copy; the walk then
-	// ends with SI.
-	parallel := workers > 1 && ver >= 2*kernel.BlockRows
-	end := acc + ver
-	if parallel {
-		end = acc
-	}
-
 	sc := getScratch(src.RowDim)
 	defer putScratch(sc)
 	d := src.RowDim
 	stoppedInSI := false
-	tree.RankChunks(pos, end, func(ids []uint32) bool {
+	tree.RankChunks(pos, acc+ver, func(ids []uint32) bool {
 		if pos < acc {
 			si := ids[:min(len(ids), acc-pos)]
 			taken, more := sink.AcceptChunk(si)
@@ -152,80 +136,7 @@ func executeBatched(src *Source, q Query, plan Plan, info *IndexInfo, sink Sink,
 	}
 	st.Verified = ver
 	st.Rejected = st.N - acc - ver
-	if parallel {
-		executeParallelBatched(src, q, tree, acc, ver, sink, workers, &st)
-	}
 	return st, nil
-}
-
-// executeParallelBatched verifies the intermediate interval with
-// block-granular work stealing: the interval's ids are flattened out
-// of the leaf arena into a pooled buffer, workers claim
-// BlockRows-sized blocks off a shared atomic cursor, so a skewed
-// match distribution cannot leave one goroutine holding the tail.
-// Matches are handed back to the calling goroutine in worker order —
-// sinks never see concurrent calls.
-func executeParallelBatched(src *Source, q Query, tree *btree.Tree, acc, ver int, sink Sink, workers int, st *Stats) {
-	mb := hitPool.Get().(*hitBuf)
-	defer hitPool.Put(mb)
-	mb.ids = mb.ids[:0]
-	tree.RankChunks(acc, acc+ver, func(ids []uint32) bool {
-		mb.ids = append(mb.ids, ids...)
-		return true
-	})
-	middle := mb.ids
-
-	blocks := (len(middle) + kernel.BlockRows - 1) / kernel.BlockRows
-	if workers > blocks {
-		workers = blocks
-	}
-	st.Workers = workers
-
-	hits := make([]*hitBuf, workers)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	d := src.RowDim
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sc := getScratch(d)
-			defer putScratch(sc)
-			hb := hitPool.Get().(*hitBuf)
-			hb.ids = hb.ids[:0]
-			for {
-				bi := int(next.Add(1) - 1)
-				if bi >= blocks {
-					break
-				}
-				lo := bi * kernel.BlockRows
-				end := lo + kernel.BlockRows
-				if end > len(middle) {
-					end = len(middle)
-				}
-				blk := middle[lo:end]
-				kernel.Gather(src.Rows, d, blk, sc.gather)
-				m := kernel.FilterLE(q.A, q.B, sc.gather[:len(blk)*d], sc.matches)
-				for _, off := range sc.matches[:m] {
-					hb.ids = append(hb.ids, blk[off])
-				}
-			}
-			hits[w] = hb
-		}(w)
-	}
-	wg.Wait()
-	stopped := false
-	for _, hb := range hits {
-		for _, id := range hb.ids {
-			if !stopped {
-				st.Matched++
-				if !sink.Match(id) {
-					stopped = true
-				}
-			}
-		}
-		hitPool.Put(hb)
-	}
 }
 
 // executeScanBatched answers a scan plan with block kernels over the

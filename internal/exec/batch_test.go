@@ -155,9 +155,9 @@ func TestBatchedScanSkipsDeadRows(t *testing.T) {
 	}
 }
 
-// TestOptionsWorkerClamp pins the hardened clamp: zero, negative, and
-// oversized Workers values all normalize into [1, GOMAXPROCS] and
-// produce identical answers.
+// TestOptionsWorkerClamp pins the clamp that sizes the parallel index
+// build: zero, negative, and oversized counts all normalize into
+// [1, GOMAXPROCS].
 func TestOptionsWorkerClamp(t *testing.T) {
 	if got := ClampWorkers(0); got != 1 {
 		t.Fatalf("ClampWorkers(0) = %d, want 1", got)
@@ -167,63 +167,6 @@ func TestOptionsWorkerClamp(t *testing.T) {
 	}
 	if max := runtime.GOMAXPROCS(0); ClampWorkers(max+100) != max {
 		t.Fatalf("ClampWorkers(max+100) = %d, want %d", ClampWorkers(max+100), max)
-	}
-
-	rng := rand.New(rand.NewSource(13))
-	points := randPoints(rng, 600, 3)
-	signs := vecmath.SignPattern{1, 1, 1}
-	infos := []IndexInfo{buildInfo(points, []float64{1, 1.5, 2}, signs, 1e-9)}
-	src := packSource(points, infos, nil)
-	q := Query{A: []float64{1, 2, 0.5}, B: 20}
-
-	want := sortedCopy(bruteIDs(points, q))
-	for _, workers := range []int{-3, 0, 1, 2, 1 << 20} {
-		var sink IDSink
-		if _, err := Run(src, q, &sink, Options{Workers: workers}); err != nil {
-			t.Fatalf("Workers=%d: %v", workers, err)
-		}
-		if !equalIDs(sortedCopy(sink.IDs), want) {
-			t.Fatalf("Workers=%d: wrong answer", workers)
-		}
-	}
-}
-
-// TestBatchedParallelWorkStealing exercises the block-stealing
-// parallel verifier (GOMAXPROCS is raised so the clamp does not
-// collapse it to the serial path on single-CPU machines).
-func TestBatchedParallelWorkStealing(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-
-	rng := rand.New(rand.NewSource(29))
-	points := randPoints(rng, 5000, 4)
-	signs := vecmath.SignPattern{1, 1, 1, 1}
-	// A deliberately misaligned normal so the intermediate interval is
-	// large enough to split into many blocks.
-	infos := []IndexInfo{buildInfo(points, []float64{1, 1, 1, 1}, signs, 1e-9)}
-	src := packSource(points, infos, nil)
-	q := Query{A: []float64{5, 0.1, 0.1, 0.1}, B: 30}
-
-	var serial, parallel IDSink
-	stS, err := Run(src, q, &serial, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stP, err := Run(src, q, &parallel, Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stS.Verified < 2*512 {
-		t.Fatalf("intermediate interval too small (%d) to exercise stealing", stS.Verified)
-	}
-	if stP.Workers < 2 {
-		t.Fatalf("parallel run used %d workers", stP.Workers)
-	}
-	if !equalIDs(sortedCopy(serial.IDs), sortedCopy(parallel.IDs)) {
-		t.Fatal("parallel batched ids differ from serial")
-	}
-	if stS.Matched != stP.Matched || stS.Verified != stP.Verified {
-		t.Fatalf("stats differ: serial %+v parallel %+v", stS, stP)
 	}
 }
 

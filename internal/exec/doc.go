@@ -2,7 +2,7 @@
 // planar query variant runs on. It factors the paper's three-interval
 // scheme (smaller interval accept / larger interval reject /
 // intermediate interval verify, Section 4.3) into three explicit
-// stages so batching, parallelism, caching and observability are
+// stages so batching, caching and observability are
 // implemented once instead of per query type:
 //
 //	Plan    octant compatibility, best-index selection (volume or
@@ -13,8 +13,7 @@
 //	Execute two rank queries, then one pass of the chosen index's
 //	        leaf chain over the smaller interval (whole leaf id
 //	        slices handed to the sink) and the intermediate interval
-//	        after it (verified, optionally on a worker pool) — or a
-//	        sequential scan.
+//	        after it (verified) — or a sequential scan.
 //	Sink    pluggable result collectors: raw ids (IDSink), exact
 //	        counts in O(log n) (CountSink), top-k nearest to the
 //	        query hyperplane with lower-bound pruning (TopKSink),

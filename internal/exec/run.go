@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math"
 	"runtime"
-	"sync"
 	"time"
 
 	"planar/internal/btree"
@@ -13,10 +12,6 @@ import (
 
 // Options tunes the Execute stage.
 type Options struct {
-	// Workers > 1 verifies the intermediate interval on a goroutine
-	// pool (clamped to GOMAXPROCS). Values below 1 — including 0 and
-	// negatives — verify serially.
-	Workers int
 	// ForceTreeWalk selects the scalar per-entry verification walk
 	// instead of the batched kernel engine. Both read the same leaf
 	// arena; the scalar walk is the reference implementation that
@@ -24,10 +19,8 @@ type Options struct {
 	ForceTreeWalk bool
 }
 
-// ClampWorkers normalizes a worker count to [1, GOMAXPROCS]. It is
-// the single clamp shared by every parallel stage (exec verification,
-// core parallel queries), so 0, negative and oversized requests mean
-// the same thing everywhere.
+// ClampWorkers normalizes a worker count to [1, GOMAXPROCS]; it sizes
+// core.Multi.AddNormals' parallel index build.
 func ClampWorkers(workers int) int {
 	if workers < 1 {
 		return 1
@@ -111,7 +104,7 @@ func execute(src *Source, q Query, plan Plan, sink Sink, opts Options) (Stats, e
 	// block kernels. The scalar walk below is the reference engine,
 	// kept for verification-path tests behind ForceTreeWalk.
 	if !opts.ForceTreeWalk && src.Rows != nil && src.RowDim > 0 {
-		return executeBatched(src, q, plan, info, sink, ClampWorkers(opts.Workers), st)
+		return executeBatched(src, q, plan, info, sink, st)
 	}
 
 	// Smaller interval: accepted without verification. An early stop
@@ -136,23 +129,18 @@ func execute(src *Source, q Query, plan Plan, sink Sink, opts Options) (Stats, e
 		}
 	}
 
-	// Intermediate interval: verify, serially or on a worker pool.
-	workers := ClampWorkers(opts.Workers)
-	if workers > 1 {
-		executeParallelII(src, q, plan, info, sink, workers, &st)
-	} else {
-		info.Tree.AscendRange(plan.Tmin, plan.Tmax, func(e btree.Entry) bool {
-			st.Verified++
-			if q.Satisfies(src.Vector(e.ID)) {
-				st.Matched++
-				if !sink.Match(e.ID) {
-					return false
-				}
+	// Intermediate interval: verify.
+	info.Tree.AscendRange(plan.Tmin, plan.Tmax, func(e btree.Entry) bool {
+		st.Verified++
+		if q.Satisfies(src.Vector(e.ID)) {
+			st.Matched++
+			if !sink.Match(e.ID) {
+				return false
 			}
-			return true
-		})
-		st.Rejected = st.N - st.Accepted - st.Verified
-	}
+		}
+		return true
+	})
+	st.Rejected = st.N - st.Accepted - st.Verified
 	return st, nil
 }
 
@@ -169,60 +157,6 @@ func executeScan(src *Source, q Query, sink Sink) Stats {
 		return true
 	})
 	return st
-}
-
-// executeParallelII verifies the intermediate interval on a worker
-// pool. The interval's ids are collected first (so Verified and
-// Rejected are final before verification starts), split into
-// contiguous chunks, and each worker's matches are handed back to the
-// calling goroutine in worker order — sinks never see concurrent
-// calls.
-func executeParallelII(src *Source, q Query, plan Plan, info *IndexInfo, sink Sink, workers int, st *Stats) {
-	var middle []uint32
-	info.Tree.AscendRange(plan.Tmin, plan.Tmax, func(e btree.Entry) bool {
-		middle = append(middle, e.ID)
-		return true
-	})
-	st.Verified = len(middle)
-	st.Rejected = st.N - st.Accepted - st.Verified
-	if len(middle) == 0 {
-		return
-	}
-	if workers > len(middle) {
-		workers = len(middle)
-	}
-	st.Workers = workers
-
-	matched := make([][]uint32, workers)
-	var wg sync.WaitGroup
-	chunk := (len(middle) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(middle) {
-			hi = len(middle)
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			var local []uint32
-			for _, id := range middle[lo:hi] {
-				if q.Satisfies(src.Vector(id)) {
-					local = append(local, id)
-				}
-			}
-			matched[w] = local
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, local := range matched {
-		st.Matched += len(local)
-		for _, id := range local {
-			if !sink.Match(id) {
-				return
-			}
-		}
-	}
 }
 
 // executeTopK is the range walk for Bounded (top-k) sinks: the

@@ -13,9 +13,8 @@ import (
 // sequential scan). Either call may stop execution early; Stats then
 // reflect the work done so far.
 //
-// Sinks are used from a single goroutine even when verification runs
-// on a worker pool — workers hand matches back to the calling
-// goroutine for delivery.
+// Sinks are used from a single goroutine: the one that runs the
+// query.
 type Sink interface {
 	// Reserve announces, before an indexed plan delivers anything,
 	// how many ids to make room for: the size of the smaller

@@ -32,7 +32,7 @@ func (s Selection) String() string {
 // The interval counters are the source of the paper's "pruning
 // percentage" figures (Figures 9 and 10): Accepted + Rejected points
 // never had their scalar product computed. The stage counters
-// (PlanNanos, ExecNanos, CacheHit, Workers) are the pipeline's
+// (PlanNanos, ExecNanos, CacheHit) are the pipeline's
 // observability surface, reported uniformly by the service, HTTP API
 // and CLI layers.
 type Stats struct {
@@ -62,9 +62,6 @@ type Stats struct {
 	// CacheHit reports that index selection came from the plan cache
 	// instead of scoring every candidate index.
 	CacheHit bool
-	// Workers is the number of goroutines used to verify the
-	// intermediate interval (0 or 1 means serial verification).
-	Workers int
 }
 
 // Results returns the total number of points reported.

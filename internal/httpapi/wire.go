@@ -604,10 +604,6 @@ func appendStats(b []byte, st core.Stats) []byte {
 	b = strconv.AppendInt(b, st.ExecNanos, 10)
 	b = append(b, `,"cacheHit":`...)
 	b = strconv.AppendBool(b, st.CacheHit)
-	if st.Workers != 0 {
-		b = append(b, `,"workers":`...)
-		b = strconv.AppendInt(b, int64(st.Workers), 10)
-	}
 	return append(b, '}')
 }
 

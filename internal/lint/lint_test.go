@@ -66,7 +66,7 @@ func TestWalorderingUnscoped(t *testing.T) {
 }
 
 func TestLocknesting(t *testing.T) {
-	run(t, "locknesting", "locknesting", "planar/internal/service")
+	run(t, "locknesting", "locknesting", "planar/internal/replica")
 }
 
 func TestPinrelease(t *testing.T) {

@@ -44,19 +44,11 @@ type lockClass string
 var lockRank = map[lockClass]int{
 	"planar/internal/service.DB.commitMu": 10, // commit barrier, outermost
 	"planar/internal/shard.partition.mu":  20, // per-shard store lock
-	// DB.mu was retired when service.DB became a shard.Store (the
-	// partition lock is the store lock); like metMu below, the rank
-	// survives for the analyzer fixture, which nests through it.
-	"planar/internal/service.DB.mu":       20,
 	"planar/internal/core.Multi.mu":       30, // index-collection lock
 	"planar/internal/core.Index.mu":       40, // per-index lock
 	"planar/internal/exec.PlanCache.mu":   50, // plan-cache lock
 	"planar/internal/replog.Sequencer.mu": 60, // commit sequencer (journal-under-lock)
-	// DB.metMu was retired when the metrics rollup went atomic; the
-	// rank survives as the generic service-side leaf (the analyzer
-	// fixture exercises leaf nesting through it).
-	"planar/internal/service.DB.metMu":   90,
-	"planar/internal/replica.Replica.mu": 90, // replica status leaf
+	"planar/internal/replica.Replica.mu":  90, // replica status leaf
 }
 
 // lockAcquiredByCall maps exported entry points ("pkgpath.Type.Method"

@@ -1,84 +1,84 @@
 // Fixture for the locknesting analyzer, type-checked as
-// planar/internal/service so the local DB type lands on the real rank
-// table entries (commitMu=10, mu=20, metMu=90). The replog import
-// exercises the cross-package acquisition table.
-package service
+// planar/internal/replica so the local Replica type lands on the real
+// rank table's leaf (Replica.mu=90). The service, shard and replog
+// imports exercise the cross-package acquisition table, which is how
+// the partition lock (shard.partition.mu=20) and the commit barrier
+// (service.DB.commitMu=10) are reached from here. Legal ranked nesting
+// (partition → Multi → Index → plan cache → sequencer) is what the
+// real tree does, and TestTreeClean holds it at zero findings.
+package replica
 
 import (
 	"sync"
 
 	"planar/internal/replog"
+	"planar/internal/service"
+	"planar/internal/shard"
 )
 
-type DB struct {
-	commitMu sync.RWMutex
-	mu       sync.RWMutex
-	metMu    sync.Mutex
+type Replica struct {
+	mu sync.Mutex
 }
 
-func rightOrder(db *DB) {
-	db.commitMu.RLock()
-	defer db.commitMu.RUnlock()
-	db.mu.Lock()
-	defer db.mu.Unlock()
+func rightOrder(r *Replica, db *service.DB) {
+	_ = db.Len() // partition lock taken and released inside the call
+	r.mu.Lock()
+	defer r.mu.Unlock()
 }
 
-func wrongOrder(db *DB) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.commitMu.RLock() // want `wrongOrder acquires planar/internal/service.DB.commitMu while holding planar/internal/service.DB.mu`
-	db.commitMu.RUnlock()
+func wrongOrder(r *Replica, db *service.DB) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	_ = db.Close() // want `wrongOrder calls Close which acquires planar/internal/shard.partition.mu while holding planar/internal/replica.Replica.mu`
 }
 
-func doubleAcquire(db *DB) {
-	db.metMu.Lock()
-	db.metMu.Lock() // want `doubleAcquire acquires planar/internal/service.DB.metMu while already holding it`
-	db.metMu.Unlock()
-	db.metMu.Unlock()
+func storeUnderLeaf(r *Replica, st *shard.Store) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	_ = st.Len() // want `storeUnderLeaf calls Len which acquires planar/internal/shard.partition.mu while holding planar/internal/replica.Replica.mu`
 }
 
-func unlockThenRelock(db *DB) {
-	db.metMu.Lock()
-	db.metMu.Unlock()
-	db.metMu.Lock() // released above: not a double-acquire
-	db.metMu.Unlock()
+func doubleAcquire(r *Replica) {
+	r.mu.Lock()
+	r.mu.Lock() // want `doubleAcquire acquires planar/internal/replica.Replica.mu while already holding it`
+	r.mu.Unlock()
+	r.mu.Unlock()
 }
 
-func sequencerUnderLeaf(db *DB, s *replog.Sequencer) {
-	db.metMu.Lock()
-	defer db.metMu.Unlock()
-	_ = s.Next() // want `sequencerUnderLeaf calls Next which acquires planar/internal/replog.Sequencer.mu while holding planar/internal/service.DB.metMu`
+func unlockThenRelock(r *Replica) {
+	r.mu.Lock()
+	r.mu.Unlock()
+	r.mu.Lock() // released above: not a double-acquire
+	r.mu.Unlock()
 }
 
-func sequencerOK(db *DB, s *replog.Sequencer) {
-	db.commitMu.RLock()
-	defer db.commitMu.RUnlock()
-	_ = s.Next() // sequencer (60) nests fine under commitMu (10)
+func sequencerUnderLeaf(r *Replica, s *replog.Sequencer) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	_ = s.Next() // want `sequencerUnderLeaf calls Next which acquires planar/internal/replog.Sequencer.mu while holding planar/internal/replica.Replica.mu`
 }
 
-func lockFreeLastUnderLeaf(db *DB, s *replog.Sequencer) {
-	db.metMu.Lock()
-	defer db.metMu.Unlock()
+func lockFreeLastUnderLeaf(r *Replica, s *replog.Sequencer) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	_ = s.Last() // atomic mirror, takes no lock: fine under a leaf
 }
 
-func helper(db *DB) {
-	db.commitMu.Lock()
-	db.commitMu.Unlock()
+func helper(db *service.DB) {
+	_, _ = db.Append(nil)
 }
 
-func callsHelperUnderMu(db *DB) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	helper(db) // want `callsHelperUnderMu calls helper which acquires planar/internal/service.DB.commitMu while holding planar/internal/service.DB.mu`
+func callsHelperUnderMu(r *Replica, db *service.DB) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	helper(db) // want `callsHelperUnderMu calls helper which acquires planar/internal/service.DB.commitMu while holding planar/internal/replica.Replica.mu`
 }
 
-func goroutineIsolated(db *DB) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
+func goroutineIsolated(r *Replica, db *service.DB) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	go func() {
-		db.commitMu.Lock() // fresh goroutine: the enclosing held set does not apply
-		db.commitMu.Unlock()
+		_ = db.Checkpoint() // fresh goroutine: the enclosing held set does not apply
 	}()
 }
 
@@ -102,10 +102,9 @@ func lockBA() {
 	muB.Unlock()
 }
 
-func suppressedWrongOrder(db *DB) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
+func suppressedWrongOrder(r *Replica, db *service.DB) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	//nolint:locknesting // fixture: documented startup-only exception
-	db.commitMu.RLock()
-	db.commitMu.RUnlock()
+	_ = db.Checkpoint()
 }

@@ -2,6 +2,7 @@ package pager
 
 import (
 	"errors"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -215,11 +216,15 @@ func TestWriterErrorIsAdvisory(t *testing.T) {
 // TestWriterPressureIntegration wires a cache's pressure hook to a
 // writer whose flush callback cleans frames, and checks that dirtying
 // past the high-water mark alone (no interval, no manual kick) brings
-// the dirty count back down.
+// the dirty count back down. The hook fires only on the exact upward
+// crossing, so the test holds mu while it dirties all ten frames: the
+// kicked round's first callback blocks until the backlog is complete
+// and then drains it in one round of 4+4+2.
 func TestWriterPressureIntegration(t *testing.T) {
 	c := NewCache(1<<20, PayloadSize)
 	var mu sync.Mutex
 	var backlog []*Frame
+	var batches []int
 	w := NewWriter(WriterOptions{Interval: time.Hour, BatchPages: 4}, func(max int) (int, error) {
 		mu.Lock()
 		defer mu.Unlock()
@@ -231,19 +236,26 @@ func TestWriterPressureIntegration(t *testing.T) {
 			c.Unpin(fr)
 			n++
 		}
+		batches = append(batches, n)
 		return n, nil
 	})
 	defer w.Close()
 	c.SetPressure(6, w.Kick)
+	mu.Lock()
 	for k := uint64(0); k < 10; k++ {
 		fr, err := c.Get(k, fillSeed(byte(k)))
 		if err != nil {
+			mu.Unlock()
 			t.Fatal(err)
 		}
 		c.MarkDirty(fr)
-		mu.Lock()
 		backlog = append(backlog, fr)
-		mu.Unlock()
 	}
+	mu.Unlock()
 	waitFor(t, "pressure kick to clean the cache", func() bool { return c.DirtyFrames() == 0 })
+	mu.Lock()
+	defer mu.Unlock()
+	if !reflect.DeepEqual(batches, []int{4, 4, 2}) {
+		t.Fatalf("kicked round flushed %v, want [4 4 2]", batches)
+	}
 }

@@ -84,18 +84,6 @@ type Options struct {
 	// pages between checkpoints so they become clean and evictable,
 	// keeping the cache's resident set bounded under write pressure.
 	WritebackInterval time.Duration
-	// WritebackBatchPages bounds pages flushed per writer round
-	// (0 = 128).
-	WritebackBatchPages int
-	// DisableWriteback turns the background writer off: dirty frames
-	// then stay resident until the next checkpoint flushes them (the
-	// pre-writeback behaviour; checkpoints also lose their
-	// drain-ahead and flush the whole delta under the write lock).
-	DisableWriteback bool
-	// FullCheckpoints forces every paged checkpoint to rewrite the
-	// complete store page set instead of just the delta since the
-	// last one — the measurement baseline and an escape hatch.
-	FullCheckpoints bool
 	// IngestBatch enables the asynchronous group-commit write pipeline
 	// (internal/ingest): up to this many mutations apply under one
 	// lock acquisition and journal as one WAL frame with one fsync.
@@ -289,10 +277,7 @@ func Open(dir string, opts Options) (*DB, error) {
 		PageCacheBytes:  opts.PageCacheBytes,
 		MultiOptions:    opts.MultiOptions,
 
-		WritebackInterval:   opts.WritebackInterval,
-		WritebackBatchPages: opts.WritebackBatchPages,
-		DisableWriteback:    opts.DisableWriteback,
-		FullCheckpoints:     opts.FullCheckpoints,
+		WritebackInterval: opts.WritebackInterval,
 	})
 	if err != nil {
 		return nil, err

@@ -37,9 +37,6 @@ func MergeStats(sts []core.Stats) core.Stats {
 		if st.IndexUsed != out.IndexUsed {
 			out.IndexUsed = -1
 		}
-		if st.Workers > out.Workers {
-			out.Workers = st.Workers
-		}
 	}
 	return out
 }

@@ -58,7 +58,6 @@ type partition struct {
 
 	syncEveryWrite  bool
 	checkpointEvery int
-	fullCheckpoints bool
 }
 
 // gid maps a shard-local id to its global id.
@@ -96,7 +95,6 @@ func openPartition(dir string, dim int, opts Options) (*partition, error) {
 		dir:             dir,
 		syncEveryWrite:  opts.SyncEveryWrite,
 		checkpointEvery: opts.CheckpointEvery,
-		fullCheckpoints: opts.FullCheckpoints,
 	}
 	if dir == "" {
 		m, err := freshMulti(dim, opts)
@@ -152,12 +150,7 @@ func openPartition(dir string, dim int, opts Options) (*partition, error) {
 				return nil, err
 			}
 		}
-		if !opts.DisableWriteback {
-			pstore.StartWriter(pager.WriterOptions{
-				Interval:   opts.WritebackInterval,
-				BatchPages: opts.WritebackBatchPages,
-			}, m.WritebackIndexes)
-		}
+		pstore.StartWriter(pager.WriterOptions{Interval: opts.WritebackInterval}, m.WritebackIndexes)
 	} else if snap, err := codec.Load(snapPath); err == nil {
 		if dim != 0 && dim != snap.Dim {
 			return nil, fmt.Errorf("shard: snapshot dimension %d, options say %d", snap.Dim, dim)
@@ -517,11 +510,7 @@ func (p *partition) checkpointLocked() error {
 		return err
 	}
 	if p.pstore != nil {
-		cp := p.pstore.Checkpoint
-		if p.fullCheckpoints {
-			cp = p.pstore.CheckpointFull
-		}
-		if err := cp(p.multi, p.seq.Next()-1); err != nil {
+		if err := p.pstore.Checkpoint(p.multi, p.seq.Next()-1); err != nil {
 			return err
 		}
 	} else {

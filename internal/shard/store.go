@@ -64,14 +64,6 @@ type Options struct {
 	// WritebackInterval is each shard's background page-writer cadence
 	// (0 = a 25ms default; see service.Options.WritebackInterval).
 	WritebackInterval time.Duration
-	// WritebackBatchPages bounds pages flushed per writer round
-	// (0 = 128).
-	WritebackBatchPages int
-	// DisableWriteback turns the per-shard background writers off.
-	DisableWriteback bool
-	// FullCheckpoints forces full store-page rewrites at every paged
-	// checkpoint instead of the delta since the last one.
-	FullCheckpoints bool
 }
 
 // Store is a hash-partitioned collection of planar index shards with
@@ -424,6 +416,13 @@ func (s *Store) Vector(gid uint32) ([]float64, error) {
 // round-robin order. Append and the grouped write path draw from the
 // same counter, so both assign points to shards in the same order,
 // which is what makes them produce identical stores.
+//
+// The counter is not persisted: it restarts at lane 0 at every Open,
+// wherever the previous process left off. Ids stay unique (each shard
+// hands out its own next local id), but the dense 0, 1, 2, … sequence
+// breaks at a restart that did not fall on a multiple of N, so a twin
+// store fed the same appends without the restart assigns different
+// ids from there on.
 func (s *Store) NextAppendLane() int {
 	return int(s.rr.Add(1)-1) % len(s.parts)
 }

@@ -288,10 +288,54 @@ func TestExplainAggregates(t *testing.T) {
 	}
 }
 
+// TestAppendCursorRestartsAtOpen pins that the round-robin append
+// cursor is process state: a reopened store routes its first append
+// to lane 0 again, so ids stay unique but diverge from a twin that
+// took the same appends without restarting.
+func TestAppendCursorRestartsAtOpen(t *testing.T) {
+	open := func(dir string) *Store {
+		st, err := Open(dir, Options{Shards: 3, Dim: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	appendN := func(st *Store, n int) (last uint32) {
+		for i := 0; i < n; i++ {
+			id, err := st.Append([]float64{1, 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			last = id
+		}
+		return last
+	}
+
+	twin := open(t.TempDir())
+	defer twin.Close()
+	if got := appendN(twin, 5); got != 4 {
+		t.Fatalf("uninterrupted fifth append got id %d, want the dense 4", got)
+	}
+
+	dir := t.TempDir()
+	st := open(dir)
+	appendN(st, 4) // lanes 0, 1, 2, 0: the cursor stands at lane 1
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st = open(dir)
+	defer st.Close()
+	// Lane 0 again, whose next local id is 2: global 2*3+0 — unique,
+	// but not the twin's 4.
+	if got := appendN(st, 1); got != 6 {
+		t.Fatalf("append after reopen got id %d, want 6 (lane 0, local 2)", got)
+	}
+}
+
 func TestStatsMerge(t *testing.T) {
 	merged := MergeStats([]core.Stats{
-		{N: 10, Accepted: 2, Verified: 3, Matched: 1, Rejected: 5, PlanNanos: 7, ExecNanos: 11, CacheHit: true, IndexUsed: 1, Workers: 1},
-		{N: 20, Accepted: 4, Verified: 6, Matched: 2, Rejected: 10, PlanNanos: 13, ExecNanos: 17, CacheHit: true, IndexUsed: 1, Workers: 3},
+		{N: 10, Accepted: 2, Verified: 3, Matched: 1, Rejected: 5, PlanNanos: 7, ExecNanos: 11, CacheHit: true, IndexUsed: 1},
+		{N: 20, Accepted: 4, Verified: 6, Matched: 2, Rejected: 10, PlanNanos: 13, ExecNanos: 17, CacheHit: true, IndexUsed: 1},
 	})
 	if merged.N != 30 || merged.Accepted != 6 || merged.Verified != 9 || merged.Matched != 3 || merged.Rejected != 15 {
 		t.Fatalf("counter merge wrong: %+v", merged)
@@ -299,7 +343,7 @@ func TestStatsMerge(t *testing.T) {
 	if merged.PlanNanos != 20 || merged.ExecNanos != 28 {
 		t.Fatalf("stage-time merge wrong: %+v", merged)
 	}
-	if !merged.CacheHit || merged.IndexUsed != 1 || merged.Workers != 3 {
+	if !merged.CacheHit || merged.IndexUsed != 1 {
 		t.Fatalf("flag merge wrong: %+v", merged)
 	}
 	diverged := MergeStats([]core.Stats{{IndexUsed: 0, CacheHit: true}, {IndexUsed: 2, FellBack: true}})
