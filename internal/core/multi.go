@@ -99,6 +99,10 @@ type Multi struct {
 	epoch       uint64  // bumped on every mutation; invalidates cached plans
 	cache       *exec.PlanCache
 
+	// old holds the vector an Update is overwriting until every index
+	// has dropped the key it was indexed under.
+	old []float64 // guarded by mu
+
 	// Store accessors bound once so building a lease allocates no
 	// closures.
 	vecFn  func(uint32) []float64
@@ -161,6 +165,7 @@ func NewMulti(store *PointStore, opts ...MultiOption) (*Multi, error) {
 		fallback: true,
 		guard:    DefaultGuard,
 		cache:    exec.NewPlanCache(DefaultPlanCacheSize),
+		old:      make([]float64, store.Dim()),
 		vecFn:    store.Vector,
 		eachFn:   store.Each,
 	}
@@ -585,14 +590,14 @@ func (m *Multi) Update(id uint32, v []float64) error {
 	if !m.store.Live(id) {
 		return fmt.Errorf("core: point %d is not live", id)
 	}
-	old := vecmath.Clone(m.store.Vector(id))
+	copy(m.old, m.store.Vector(id))
 	if err := m.store.Set(id, v); err != nil {
 		return err
 	}
 	cur := m.store.Vector(id)
 	for _, ix := range m.indexes {
 		ix.mu.Lock()
-		ix.update(id, old, cur)
+		ix.update(id, m.old, cur)
 		ix.mu.Unlock()
 	}
 	m.epoch++
@@ -606,7 +611,7 @@ func (m *Multi) Remove(id uint32) error {
 	if !m.store.Live(id) {
 		return fmt.Errorf("core: point %d is not live", id)
 	}
-	old := vecmath.Clone(m.store.Vector(id))
+	old := m.store.Vector(id) // the row stays as it is until store.Remove below
 	for _, ix := range m.indexes {
 		ix.mu.Lock()
 		ix.remove(id, old)

@@ -43,6 +43,18 @@ func helperAnnotated(m *core.Multi, v []float64) error {
 	return err
 }
 
+func helperUnjournaled(m *core.Multi, v []float64) error {
+	return helperAnnotated(m, v) // want `mutates the store via helperAnnotated without a sequencer Commit`
+}
+
+func helperJournaled(m *core.Multi, s *replog.Sequencer, v []float64) error {
+	if err := helperAnnotated(m, v); err != nil {
+		return err
+	}
+	_, err := s.Commit(wal.OpAppend, 0, v, func(uint64) error { return nil })
+	return err
+}
+
 func replayExempt(path string, m *core.Multi) (int, error) {
 	return wal.Replay(path, func(r wal.Record) error {
 		_, err := m.Append(r.Vec) // re-applying already-journaled records

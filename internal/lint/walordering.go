@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/types"
 
 	"planar/internal/lint/analysis"
 )
@@ -22,7 +23,8 @@ import (
 //   - a function annotated with a `//planar:journaled` directive (doc
 //     comment or the line above) declares that journaling happens in
 //     its caller; use it for helpers that run under an already-open
-//     commit.
+//     commit. The obligation moves with the declaration: a call to
+//     such a helper counts as a mutation where it is made.
 var Walordering = &analysis.Analyzer{
 	Name: "walordering",
 	Doc:  "flag store mutations not paired with a WAL/sequencer journal step",
@@ -60,6 +62,8 @@ func runWalordering(pass *analysis.Pass) error {
 		return nil
 	}
 	replayLits := collectReplayLits(pass)
+	var unannotated []*ast.FuncDecl
+	helpers := map[*types.Func]bool{} // //planar:journaled: mutators in their own right
 	for _, file := range pass.Files {
 		for _, d := range file.Decls {
 			fd, ok := d.(*ast.FuncDecl)
@@ -67,10 +71,16 @@ func runWalordering(pass *analysis.Pass) error {
 				continue
 			}
 			if hasDirective(pass.Fset, pass.Files, fd, "planar:journaled") {
+				if f, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
+					helpers[f] = true
+				}
 				continue
 			}
-			checkWalFunc(pass, fd.Name.Name, fd.Body, replayLits)
+			unannotated = append(unannotated, fd)
 		}
+	}
+	for _, fd := range unannotated {
+		checkWalFunc(pass, fd.Name.Name, fd.Body, replayLits, helpers)
 	}
 	return nil
 }
@@ -102,7 +112,7 @@ func collectReplayLits(pass *analysis.Pass) map[*ast.FuncLit]bool {
 // except exempt replay callbacks — a mutation inside a closure still
 // pairs with a journal call in the same lexical function) and reports
 // mutators when the body contains no journal call.
-func checkWalFunc(pass *analysis.Pass, name string, body *ast.BlockStmt, replayLits map[*ast.FuncLit]bool) {
+func checkWalFunc(pass *analysis.Pass, name string, body *ast.BlockStmt, replayLits map[*ast.FuncLit]bool, helpers map[*types.Func]bool) {
 	var mutations []*ast.CallExpr
 	journaled := false
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -124,7 +134,7 @@ func checkWalFunc(pass *analysis.Pass, name string, body *ast.BlockStmt, replayL
 			return true
 		}
 		switch key := funcKey(f); {
-		case walMutators[key]:
+		case walMutators[key] || helpers[f]:
 			mutations = append(mutations, call)
 		case walJournals[key]:
 			journaled = true

@@ -39,51 +39,33 @@ func (db *DB) startIngest(opts Options) error {
 	return nil
 }
 
-// AppendAsync submits an append to the ingest pipeline and returns an
-// awaitable future; the write is durable (batch frame fsynced) when
-// the future resolves. Without a pipeline it degrades to the
-// synchronous path and returns an already-resolved future.
+// future hands a write's outcome back as a future: the pipeline's own,
+// or, for a direct write, one resolved with its result. A write that
+// was not accepted or failed directly reports its error instead.
+func future(f *ingest.Future, res ingest.Result) (*ingest.Future, error) {
+	if f != nil || res.Err != nil {
+		return f, res.Err
+	}
+	return ingest.Resolved(res), nil
+}
+
+// AppendAsync submits an append and returns an awaitable future; the
+// write is durable (batch frame fsynced) when the future resolves.
+// Without a pipeline the write has committed synchronously and the
+// future is already resolved.
 func (db *DB) AppendAsync(v []float64) (*ingest.Future, error) {
-	if db.readOnly.Load() {
-		return nil, ErrReadOnly
-	}
-	if db.pipe == nil {
-		id, err := db.Append(v)
-		if err != nil {
-			return nil, err
-		}
-		return ingest.Resolved(ingest.Result{ID: id, LSN: db.seq.Last()}), nil
-	}
-	return db.pipe.Submit(db.store.NextAppendLane(), ingest.Intent{Op: uint8(wal.OpAppend), Vec: v})
+	return future(db.write(wal.OpAppend, 0, v))
 }
 
-// UpdateAsync submits an update to the ingest pipeline. Same-key
-// operations ride the same lane, so they commit in submission order.
+// UpdateAsync submits an update. Same-key operations ride the same
+// ingest lane, so they commit in submission order.
 func (db *DB) UpdateAsync(id uint32, v []float64) (*ingest.Future, error) {
-	if db.readOnly.Load() {
-		return nil, ErrReadOnly
-	}
-	if db.pipe == nil {
-		if err := db.Update(id, v); err != nil {
-			return nil, err
-		}
-		return ingest.Resolved(ingest.Result{ID: id, LSN: db.seq.Last()}), nil
-	}
-	return db.pipe.Submit(db.store.LaneOf(id), ingest.Intent{Op: uint8(wal.OpUpdate), ID: id, Vec: v})
+	return future(db.write(wal.OpUpdate, id, v))
 }
 
-// RemoveAsync submits a remove to the ingest pipeline.
+// RemoveAsync submits a remove.
 func (db *DB) RemoveAsync(id uint32) (*ingest.Future, error) {
-	if db.readOnly.Load() {
-		return nil, ErrReadOnly
-	}
-	if db.pipe == nil {
-		if err := db.Remove(id); err != nil {
-			return nil, err
-		}
-		return ingest.Resolved(ingest.Result{ID: id, LSN: db.seq.Last()}), nil
-	}
-	return db.pipe.Submit(db.store.LaneOf(id), ingest.Intent{Op: uint8(wal.OpRemove), ID: id})
+	return future(db.write(wal.OpRemove, id, nil))
 }
 
 // IngestStats snapshots the pipeline counters; ok is false when the

@@ -2,8 +2,10 @@ package service
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -12,11 +14,12 @@ import (
 	"planar/internal/core"
 	"planar/internal/ingest"
 	"planar/internal/vecmath"
+	"planar/internal/wal"
 )
 
-// goldenWorkload is the deterministic op script both write paths run:
-// appends first (ids recorded in submission order), then updates and
-// removes on disjoint key ranges.
+// goldenWorkload is the deterministic op script every write route
+// runs: appends first (ids recorded in submission order), then updates
+// and removes on disjoint key ranges, then goldenTail.
 const (
 	goldenAppends = 240
 	goldenUpdates = 60
@@ -32,9 +35,68 @@ func goldenVec(rng *rand.Rand) []float64 {
 	return v
 }
 
+// goldenStep is one mutation of the script's tail; refused marks one
+// the store must refuse.
+type goldenStep struct {
+	op      wal.Op
+	id      uint32
+	vec     []float64
+	refused bool
+}
+
+// goldenTail ends the script with mutations that succeed around —
+// when refusals is set — ones that cannot: an update and a remove of a
+// removed id and of an id past the end, and vectors of the wrong
+// dimension or with a NaN or +Inf coordinate. The refused steps draw
+// nothing from rng, so the script with them and the script without
+// differ in nothing else. The refused appends come after the last good
+// one: an append takes its turn in the round-robin before it is
+// checked, so a refused one moves every later append to another shard.
+func goldenTail(rng *rand.Rand, ids []uint32, refusals bool) []goldenStep {
+	const pastEnd = 1 << 20
+	dead, live := ids[200], ids[2]
+	steps := []goldenStep{
+		{op: wal.OpUpdate, id: dead, vec: []float64{1, 1, 1}, refused: true},
+		{op: wal.OpRemove, id: dead, refused: true},
+		{op: wal.OpUpdate, id: ids[1], vec: goldenVec(rng)},
+		{op: wal.OpUpdate, id: pastEnd, vec: []float64{1, 1, 1}, refused: true},
+		{op: wal.OpRemove, id: pastEnd, refused: true},
+		{op: wal.OpRemove, id: ids[100]},
+		{op: wal.OpUpdate, id: live, vec: []float64{1, 2}, refused: true},
+		{op: wal.OpUpdate, id: live, vec: []float64{1, math.NaN(), 3}, refused: true},
+		{op: wal.OpUpdate, id: live, vec: []float64{1, math.Inf(1), 3}, refused: true},
+		{op: wal.OpUpdate, id: live, vec: goldenVec(rng)},
+		{op: wal.OpAppend, vec: goldenVec(rng)},
+		{op: wal.OpAppend, vec: goldenVec(rng)},
+		{op: wal.OpAppend, vec: []float64{1, 2, 3, 4}, refused: true},
+		{op: wal.OpAppend, vec: []float64{math.Inf(1), 2, 3}, refused: true},
+		{op: wal.OpUpdate, id: ids[4], vec: goldenVec(rng)},
+	}
+	if refusals {
+		return steps
+	}
+	return slices.DeleteFunc(steps, func(s goldenStep) bool { return s.refused })
+}
+
+// settle checks one tail step's outcome and returns the text of a
+// refusal ("" for a step that went through).
+func (s goldenStep) settle(t *testing.T, err error) string {
+	t.Helper()
+	switch {
+	case s.refused && err == nil:
+		t.Fatalf("op %d on id %d with %v went through", s.op, s.id, s.vec)
+	case s.refused:
+		return err.Error()
+	case err != nil:
+		t.Fatal(err)
+	}
+	return ""
+}
+
 // runGoldenSync drives the workload through the synchronous
-// per-request path.
-func runGoldenSync(t *testing.T, db *DB) []uint32 {
+// per-request path and returns the appended ids and, step by step,
+// what the tail's refusals said.
+func runGoldenSync(t *testing.T, db *DB, refusals bool) ([]uint32, []string) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
 	ids := make([]uint32, 0, goldenAppends)
@@ -55,25 +117,42 @@ func runGoldenSync(t *testing.T, db *DB) []uint32 {
 			t.Fatal(err)
 		}
 	}
-	return ids
+	var said []string
+	for _, s := range goldenTail(rng, ids, refusals) {
+		var err error
+		switch s.op {
+		case wal.OpAppend:
+			_, err = db.Append(s.vec)
+		case wal.OpUpdate:
+			err = db.Update(s.id, s.vec)
+		case wal.OpRemove:
+			err = db.Remove(s.id)
+		}
+		said = append(said, s.settle(t, err))
+	}
+	return ids, said
 }
 
 // runGoldenGrouped drives the same workload through the async
 // pipeline, keeping a window of submissions in flight so the
-// committer forms real multi-record batches. Appends ride one lane in
-// submission order (and the round-robin shard router shares its
+// committer forms real multi-record batches — the tail's refusals sit
+// in the same batches as the steps around them. Appends ride one lane
+// in submission order (and the round-robin shard router shares its
 // counter with the sync path), so id assignment matches the sync run
 // exactly.
-func runGoldenGrouped(t *testing.T, db *DB) []uint32 {
+func runGoldenGrouped(t *testing.T, db *DB, refusals bool) ([]uint32, []string) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
-	futs := make([]*ingest.Future, 0, goldenAppends)
-	for i := 0; i < goldenAppends; i++ {
-		f, err := db.AppendAsync(goldenVec(rng))
+	var futs []*ingest.Future
+	submit := func(f *ingest.Future, err error) {
+		t.Helper()
 		if err != nil {
 			t.Fatal(err)
 		}
 		futs = append(futs, f)
+	}
+	for i := 0; i < goldenAppends; i++ {
+		submit(db.AppendAsync(goldenVec(rng)))
 	}
 	ids := make([]uint32, 0, goldenAppends)
 	for _, f := range futs {
@@ -85,25 +164,33 @@ func runGoldenGrouped(t *testing.T, db *DB) []uint32 {
 	}
 	futs = futs[:0]
 	for i := 0; i < goldenUpdates; i++ {
-		f, err := db.UpdateAsync(ids[i*3], goldenVec(rng))
-		if err != nil {
-			t.Fatal(err)
-		}
-		futs = append(futs, f)
+		submit(db.UpdateAsync(ids[i*3], goldenVec(rng)))
 	}
 	for i := 0; i < goldenRemoves; i++ {
-		f, err := db.RemoveAsync(ids[200+i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		futs = append(futs, f)
+		submit(db.RemoveAsync(ids[200+i]))
 	}
 	for _, f := range futs {
 		if res := f.Wait(); res.Err != nil {
 			t.Fatal(res.Err)
 		}
 	}
-	return ids
+	futs = futs[:0]
+	tail := goldenTail(rng, ids, refusals)
+	for _, s := range tail {
+		switch s.op {
+		case wal.OpAppend:
+			submit(db.AppendAsync(s.vec))
+		case wal.OpUpdate:
+			submit(db.UpdateAsync(s.id, s.vec))
+		case wal.OpRemove:
+			submit(db.RemoveAsync(s.id))
+		}
+	}
+	var said []string
+	for i, f := range futs {
+		said = append(said, tail[i].settle(t, f.Wait().Err))
+	}
+	return ids, said
 }
 
 // tailInto streams primary's committed records from LSN from on into
@@ -158,10 +245,28 @@ func sortedQuery(t *testing.T, db *DB, q core.Query) []uint32 {
 	return ids
 }
 
-// TestGroupedMatchesSyncGolden is the subsystem's correctness bar:
-// the grouped and synchronous write paths must produce byte-identical
-// snapshots, and replaying the grouped WAL (batch frames) across a
-// reopen must land on the same bytes again.
+// openGolden opens a store for the golden script with its one index.
+func openGolden(t *testing.T, dir string, opts Options) *DB {
+	t.Helper()
+	opts.Dim = goldenDim
+	db, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.AddNormal([]float64{1, 2, 3}, vecmath.FirstOctant(goldenDim)); err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// TestGroupedMatchesSyncGolden is the write path's correctness bar.
+// The script, refusals included, goes through the synchronous and the
+// grouped route; both must land on the snapshot bytes and the LSN of a
+// run of the script without the refusals — a refused mutation changes
+// nothing and the ones after it commit — and must word each refusal
+// alike. Neither log holds a record more than that LSN counts, and
+// two more routes read the grouped log back to the same bytes: a
+// replica tailing the feed, and Open replaying the batch frames.
 func TestGroupedMatchesSyncGolden(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -169,28 +274,20 @@ func TestGroupedMatchesSyncGolden(t *testing.T) {
 	}{
 		{"single", 0},
 		{"sharded", 4},
+		{"three", 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			syncDB, err := Open(t.TempDir(), Options{Dim: goldenDim, Shards: tc.shards})
-			if err != nil {
-				t.Fatal(err)
-			}
+			cleanDB := openGolden(t, t.TempDir(), Options{Shards: tc.shards})
+			defer cleanDB.Close()
+			syncDB := openGolden(t, t.TempDir(), Options{Shards: tc.shards})
 			defer syncDB.Close()
 			groupedDir := t.TempDir()
-			groupedDB, err := Open(groupedDir, Options{
-				Dim: goldenDim, Shards: tc.shards,
+			groupedDB := openGolden(t, groupedDir, Options{
+				Shards:              tc.shards,
 				IngestBatch:         16,
 				IngestFlushInterval: time.Millisecond,
 				IngestBlock:         true,
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, db := range []*DB{syncDB, groupedDB} {
-				if _, err := db.AddNormal([]float64{1, 2, 3}, vecmath.FirstOctant(goldenDim)); err != nil {
-					t.Fatal(err)
-				}
-			}
 			// Index configs persist at checkpoint time, not in the WAL;
 			// checkpoint the grouped store now so the replay leg below
 			// starts from a base that carries the index.
@@ -198,28 +295,46 @@ func TestGroupedMatchesSyncGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			syncIDs := runGoldenSync(t, syncDB)
-			groupedIDs := runGoldenGrouped(t, groupedDB)
-			for i := range syncIDs {
-				if syncIDs[i] != groupedIDs[i] {
-					t.Fatalf("append %d: sync id %d, grouped id %d", i, syncIDs[i], groupedIDs[i])
+			runGoldenSync(t, cleanDB, false)
+			syncIDs, syncSaid := runGoldenSync(t, syncDB, true)
+			groupedIDs, groupedSaid := runGoldenGrouped(t, groupedDB, true)
+			if !slices.Equal(syncIDs, groupedIDs) {
+				t.Fatalf("appends were assigned\n%v synchronously,\n%v grouped", syncIDs, groupedIDs)
+			}
+			if !slices.Equal(syncSaid, groupedSaid) {
+				t.Fatalf("refusals read\n%q synchronously,\n%q grouped", syncSaid, groupedSaid)
+			}
+
+			wantLSN, wantSnaps := snapshotBytes(t, cleanDB)
+			same := func(route string, db *DB) {
+				t.Helper()
+				gotLSN, gotSnaps := snapshotBytes(t, db)
+				if gotLSN != wantLSN {
+					t.Fatalf("%s LSN %d, want %d", route, gotLSN, wantLSN)
+				}
+				for i := range wantSnaps {
+					if !bytes.Equal(gotSnaps[i], wantSnaps[i]) {
+						t.Fatalf("shard %d: %s snapshot differs (%d vs %d bytes)",
+							i, route, len(gotSnaps[i]), len(wantSnaps[i]))
+					}
+				}
+			}
+			same("sync", syncDB)
+			same("grouped", groupedDB)
+			for route, db := range map[string]*DB{"sync": syncDB, "grouped": groupedDB} {
+				recs, tooOld, err := db.store.FeedFromDisk(1, 0)
+				if err != nil || tooOld || uint64(len(recs)) != wantLSN {
+					t.Fatalf("%s log holds %d records for %d commits (tooOld=%v, err=%v)", route, len(recs), wantLSN, tooOld, err)
 				}
 			}
 
-			wantLSN, wantSnaps := snapshotBytes(t, syncDB)
-			gotLSN, gotSnaps := snapshotBytes(t, groupedDB)
-			if gotLSN != wantLSN {
-				t.Fatalf("grouped LSN %d, sync LSN %d", gotLSN, wantLSN)
-			}
-			for i := range wantSnaps {
-				if !bytes.Equal(gotSnaps[i], wantSnaps[i]) {
-					t.Fatalf("shard %d: grouped snapshot differs from sync (%d vs %d bytes)",
-						i, len(gotSnaps[i]), len(wantSnaps[i]))
-				}
-			}
+			replica := openGolden(t, t.TempDir(), Options{Shards: tc.shards})
+			defer replica.Close()
+			tailInto(t, groupedDB, replica, 1)
+			same("replica", replica)
 
 			q := core.Query{A: []float64{1, 2, 3}, B: 30, Op: core.LE}
-			want := sortedQuery(t, syncDB, q)
+			want := sortedQuery(t, cleanDB, q)
 
 			// Reopen without a checkpoint: Open must replay the batch
 			// frames the grouped run journaled and land on the same state.
@@ -231,16 +346,8 @@ func TestGroupedMatchesSyncGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer re.Close()
-			reLSN, reSnaps := snapshotBytes(t, re)
-			if reLSN != wantLSN {
-				t.Fatalf("replayed LSN %d, sync LSN %d", reLSN, wantLSN)
-			}
-			for i := range wantSnaps {
-				if !bytes.Equal(reSnaps[i], wantSnaps[i]) {
-					t.Fatalf("shard %d: replayed snapshot differs from sync", i)
-				}
-			}
-			if got := sortedQuery(t, re, q); len(got) != len(want) {
+			same("replayed", re)
+			if got := sortedQuery(t, re, q); !slices.Equal(got, want) {
 				t.Fatalf("replayed query matched %d ids, sync matched %d", len(got), len(want))
 			}
 		})
@@ -265,7 +372,7 @@ func TestReplicaTailsGroupedPrimary(t *testing.T) {
 	if _, err := primary.AddNormal([]float64{1, 2, 3}, vecmath.FirstOctant(goldenDim)); err != nil {
 		t.Fatal(err)
 	}
-	runGoldenGrouped(t, primary)
+	runGoldenGrouped(t, primary, false)
 
 	replica, err := Open(t.TempDir(), Options{Dim: goldenDim})
 	if err != nil {
@@ -449,4 +556,58 @@ func TestIngestCloseDrainsAndStopsGoroutines(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+}
+
+// TestDirectFutureCarriesItsOwnLSN pins Result.LSN on a store without
+// a pipeline: under concurrent writers every future reports the LSN of
+// its own record — no two alike, and the record the feed serves at
+// that LSN is the update that future made.
+func TestDirectFutureCarriesItsOwnLSN(t *testing.T) {
+	eachTopology(t, func(t *testing.T, shards int) {
+		db, err := Open(t.TempDir(), Options{Dim: goldenDim, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		const writers, perWriter = 8, 200
+		for i := 0; i < writers; i++ {
+			if _, err := db.Append(make([]float64, goldenDim)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		lsns := make([][]uint64, writers)
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) { // writer w updates point w and no other
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(w)))
+				for i := 0; i < perWriter; i++ {
+					f, err := db.UpdateAsync(uint32(w), goldenVec(rng))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					lsns[w] = append(lsns[w], f.Wait().LSN)
+				}
+			}(w)
+		}
+		wg.Wait()
+		seen := map[uint64]bool{}
+		for w := range lsns {
+			for _, lsn := range lsns[w] {
+				if seen[lsn] {
+					t.Fatalf("LSN %d reported by two futures", lsn)
+				}
+				seen[lsn] = true
+				recs, tooOld, err := db.FeedRead(lsn, 1)
+				if err != nil || tooOld || len(recs) != 1 {
+					t.Fatalf("feed at LSN %d: %d records, tooOld=%v, err=%v", lsn, len(recs), tooOld, err)
+				}
+				if recs[0].LSN != lsn || recs[0].ID != uint32(w) {
+					t.Fatalf("writer %d was told LSN %d, which is point %d's record (LSN %d)", w, lsn, recs[0].ID, recs[0].LSN)
+				}
+			}
+		}
+	})
 }

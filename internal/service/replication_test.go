@@ -5,6 +5,7 @@ import (
 	"context"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -38,8 +39,12 @@ func TestStressCaptureStateUnderWriters(t *testing.T) {
 			}
 
 			// Each writer mutates only the points it appended, so no
-			// operation can fail for a reason other than a bug.
-			const writers, perWriter = 4, 250
+			// operation can fail for a reason other than a bug. A write
+			// takes some ten microseconds, so perWriter of them can be
+			// over before the cutter is scheduled three times: the
+			// writers go on until it has the cuts the test needs.
+			const writers, perWriter, minCuts = 4, 250, 3
+			var taken atomic.Int32
 			ctx, writersDone := context.WithCancel(context.Background())
 			var wg sync.WaitGroup
 			for w := 0; w < writers; w++ {
@@ -48,7 +53,7 @@ func TestStressCaptureStateUnderWriters(t *testing.T) {
 					defer wg.Done()
 					rng := rand.New(rand.NewSource(int64(w)))
 					vec := func() []float64 { return []float64{rng.Float64() * 10, rng.Float64() * 10} }
-					for i := 0; i < perWriter; i++ {
+					for i := 0; i < perWriter || taken.Load() < minCuts; i++ {
 						id, err := primary.Append(vec())
 						if err == nil && i%3 == 0 {
 							err = primary.Update(id, vec())
@@ -73,9 +78,10 @@ func TestStressCaptureStateUnderWriters(t *testing.T) {
 			for ctx.Err() == nil {
 				cut := primary.CaptureState()
 				cuts = append(cuts, cut)
+				taken.Add(1)
 				_ = primary.WaitLSN(ctx, cut.LSN+100) // fails only when the writers are done
 			}
-			if len(cuts) < 3 {
+			if len(cuts) < minCuts {
 				t.Fatalf("only %d cuts overlapped the writers", len(cuts))
 			}
 

@@ -29,6 +29,7 @@ import (
 	"planar/internal/replog"
 	"planar/internal/shard"
 	"planar/internal/vecmath"
+	"planar/internal/wal"
 )
 
 // ErrReadOnly reports a mutation attempted on a read-only store — a
@@ -333,9 +334,9 @@ func (db *DB) AddNormal(normal []float64, signs vecmath.SignPattern) (bool, erro
 	return db.store.AddNormal(normal, signs)
 }
 
-// pace holds a synchronous mutation that began at start until the
-// tier's floor has passed, spinning (the wait is shorter than any
-// sleep) after every lock has been released — callers defer it first.
+// pace holds a directly committed mutation that began at start until
+// the tier's floor has passed, spinning (the wait is shorter than any
+// sleep) after every lock has been released — write defers it first.
 // What a mutation costs on its own depends on where the tree leaves it
 // touches sit between the core's cache and DRAM (about 2 µs hot, 4 µs
 // and more cold on the RAM tier; 10 to 60 µs with page faults on the
@@ -344,67 +345,68 @@ func (db *DB) AddNormal(normal []float64, signs vecmath.SignPattern) (bool, erro
 // the same whichever it was. The floor is a throughput cost taken on
 // purpose, per writer, not a lock: concurrent writers wait side by
 // side, and the group-commit path is not paced. It is temporary:
-// DESIGN.md §13 says what it is there for and when it goes.
+// DESIGN.md §13 says what it is there for and what removing it takes.
 func (db *DB) pace(start time.Time) {
 	for time.Since(start) < db.floor {
 	}
+}
+
+// write is the one route a public mutation takes: refused on a
+// read-only store; handed to the ingest pipeline when there is one,
+// which resolves the returned future after the batch's fsync; otherwise
+// committed here under the commit barrier and paced, the future nil
+// and the result — which carries any error — final on return.
+func (db *DB) write(op wal.Op, id uint32, v []float64) (*ingest.Future, ingest.Result) {
+	if db.readOnly.Load() {
+		return nil, ingest.Result{Err: ErrReadOnly}
+	}
+	if db.pipe != nil {
+		lane := db.store.LaneOf(id)
+		if op == wal.OpAppend {
+			lane = db.store.NextAppendLane()
+		}
+		f, err := db.pipe.Submit(lane, ingest.Intent{Op: uint8(op), ID: id, Vec: v})
+		return f, ingest.Result{Err: err}
+	}
+	defer db.pace(time.Now())
+	db.commitMu.RLock()
+	defer db.commitMu.RUnlock()
+	res := ingest.Result{ID: id}
+	switch op {
+	case wal.OpAppend:
+		res.ID, res.LSN, res.Err = db.store.Append(v)
+	case wal.OpUpdate:
+		res.LSN, res.Err = db.store.Update(id, v)
+	case wal.OpRemove:
+		res.LSN, res.Err = db.store.Remove(id)
+	}
+	return nil, res
+}
+
+// settled waits out a pipelined write; a direct one is already final.
+func settled(f *ingest.Future, res ingest.Result) ingest.Result {
+	if f != nil {
+		return f.Wait()
+	}
+	return res
 }
 
 // Append durably adds a point and returns its id. With the ingest
 // pipeline enabled the write group-commits: it is acked after the
 // fsync of the batch frame holding it.
 func (db *DB) Append(v []float64) (uint32, error) {
-	if db.readOnly.Load() {
-		return 0, ErrReadOnly
-	}
-	if db.pipe != nil {
-		f, err := db.AppendAsync(v)
-		if err != nil {
-			return 0, err
-		}
-		res := f.Wait()
-		return res.ID, res.Err
-	}
-	defer db.pace(time.Now())
-	db.commitMu.RLock()
-	defer db.commitMu.RUnlock()
-	return db.store.Append(v)
+	res := settled(db.write(wal.OpAppend, 0, v))
+	return res.ID, res.Err
 }
 
 // Update durably replaces a point's φ vector.
 func (db *DB) Update(id uint32, v []float64) error {
-	if db.readOnly.Load() {
-		return ErrReadOnly
-	}
-	if db.pipe != nil {
-		f, err := db.UpdateAsync(id, v)
-		if err != nil {
-			return err
-		}
-		return f.Wait().Err
-	}
-	defer db.pace(time.Now())
-	db.commitMu.RLock()
-	defer db.commitMu.RUnlock()
-	return db.store.Update(id, v)
+	return settled(db.write(wal.OpUpdate, id, v)).Err
 }
 
 // Remove durably deletes a point.
 func (db *DB) Remove(id uint32) error {
-	if db.readOnly.Load() {
-		return ErrReadOnly
-	}
-	if db.pipe != nil {
-		f, err := db.RemoveAsync(id)
-		if err != nil {
-			return err
-		}
-		return f.Wait().Err
-	}
-	defer db.pace(time.Now())
-	db.commitMu.RLock()
-	defer db.commitMu.RUnlock()
-	return db.store.Remove(id)
+	return settled(db.write(wal.OpRemove, id, nil)).Err
 }
 
 // Checkpoint makes every shard's state durable in its checkpoint file

@@ -62,7 +62,7 @@ func goldenShardStore(t *testing.T, dir string, shards int, vecs [][]float64) *S
 		}
 	}
 	for i, v := range vecs {
-		id, err := st.Append(v)
+		id, _, err := st.Append(v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,7 +271,7 @@ func TestGoldenShardedAfterChurn(t *testing.T) {
 				if err := ref.Update(id, v); err != nil {
 					t.Fatal(err)
 				}
-				if err := st.Update(id, v); err != nil {
+				if _, err := st.Update(id, v); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -280,7 +280,7 @@ func TestGoldenShardedAfterChurn(t *testing.T) {
 				if err := ref.Remove(id); err != nil {
 					t.Fatal(err)
 				}
-				if err := st.Remove(id); err != nil {
+				if _, err := st.Remove(id); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -179,23 +179,11 @@ func openPartition(dir string, dim int, opts Options) (*partition, error) {
 			return nil
 		}
 		applied++
-		switch r.Op {
-		case wal.OpAppend:
-			id, err := m.Append(r.Vec)
-			if err != nil {
-				return err
-			}
-			if id != r.ID {
-				return fmt.Errorf("shard: replay assigned local id %d, log says %d", id, r.ID)
-			}
-			return nil
-		case wal.OpUpdate:
-			return m.Update(r.ID, r.Vec)
-		case wal.OpRemove:
-			return m.Remove(r.ID)
-		default:
-			return fmt.Errorf("shard: unknown op %d in log", r.Op)
+		id, err := apply(m, r.Op, r.ID, r.Vec)
+		if err == nil && id != r.ID {
+			err = fmt.Errorf("shard: replay assigned local id %d, log says %d", id, r.ID)
 		}
+		return err
 	})
 	if err != nil {
 		return fail(fmt.Errorf("shard: replaying %s: %w", walPath, err))
@@ -250,55 +238,64 @@ func (p *partition) journal(op wal.Op, local uint32, vec []float64) func(uint64)
 	}
 }
 
-// append durably adds a point and returns its shard-local id.
-func (p *partition) append(v []float64) (uint32, error) {
+// apply performs one mutation on an index collection and returns the
+// local id it landed on (an append ignores the one given). Every write
+// route ends here: log replay at open, the synchronous commit, the
+// group commit and the replication stream. A mutation that fails has
+// changed nothing. Journaling is the caller's job, and walordering
+// holds each caller to it.
+//
+//planar:journaled
+func apply(m *core.Multi, op wal.Op, id uint32, vec []float64) (uint32, error) {
+	switch op {
+	case wal.OpAppend:
+		return m.Append(vec)
+	case wal.OpUpdate:
+		return id, m.Update(id, vec)
+	case wal.OpRemove:
+		return id, m.Remove(id)
+	default:
+		return id, fmt.Errorf("shard: unknown op %d", op)
+	}
+}
+
+// pointErr names the point and this shard in the error of an update or
+// a remove (nothing to add on an unpartitioned store).
+func (p *partition) pointErr(local uint32, err error) error {
+	if err == nil || p.stride == 1 {
+		return err
+	}
+	return fmt.Errorf("shard %d: point %d: %w", p.index, p.gid(local), err)
+}
+
+// commit is the synchronous write: under the shard lock, apply one
+// mutation, let the sequencer assign its LSN and journal it as one
+// plain record frame (fsynced when syncEveryWrite), and count it
+// toward the automatic checkpoint. It returns the local id the
+// mutation landed on and its LSN. vec is nil for a remove.
+func (p *partition) commit(op wal.Op, local uint32, vec []float64) (uint32, uint64, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	id, err := p.multi.Append(v)
+	local, err := apply(p.multi, op, local, vec)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	if _, err := p.seq.Commit(wal.OpAppend, p.gid(id), v, p.journal(wal.OpAppend, id, v)); err != nil {
-		return 0, err
+	lsn, err := p.seq.Commit(op, p.gid(local), vec, p.journal(op, local, vec))
+	if err != nil {
+		return 0, 0, err
 	}
-	return id, p.bumpLocked()
-}
-
-// update durably replaces a local point's φ vector.
-func (p *partition) update(id uint32, v []float64) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if err := p.multi.Update(id, v); err != nil {
-		return err
-	}
-	if _, err := p.seq.Commit(wal.OpUpdate, p.gid(id), v, p.journal(wal.OpUpdate, id, v)); err != nil {
-		return err
-	}
-	return p.bumpLocked()
-}
-
-// remove durably deletes a local point.
-func (p *partition) remove(id uint32) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if err := p.multi.Remove(id); err != nil {
-		return err
-	}
-	if _, err := p.seq.Commit(wal.OpRemove, p.gid(id), nil, p.journal(wal.OpRemove, id, nil)); err != nil {
-		return err
-	}
-	return p.bumpLocked()
+	return local, lsn, p.bumpLocked(1)
 }
 
 // commitBatch group-commits one ingest batch: every intent applies
 // under a single acquisition of the shard lock, the survivors journal
 // as one multi-record WAL frame with one fsync, and the sequencer
-// hands the batch a contiguous LSN range. Intent ids are shard-local
-// (the Store translates at the boundary); results carry global ids.
-// Entries whose result already holds an error are skipped — the Store
-// pre-fails mis-routed intents. Apply errors (bad dimension, dead
-// point) stay scoped to their intent and never reach the journal; a
-// journal error fails the whole batch.
+// hands the batch a contiguous LSN range. The batch arrives and leaves
+// in the pipeline's terms, so intent and result ids are global. What
+// fails one intent (a point of another shard, a bad dimension, a dead
+// point) stays scoped to its result, worded as the synchronous route
+// words it, and never reaches the journal; a journal error fails the
+// whole batch.
 func (p *partition) commitBatch(intents []ingest.Intent, results []ingest.Result) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -306,33 +303,20 @@ func (p *partition) commitBatch(intents []ingest.Intent, results []ingest.Result
 	ringRecs := make([]wal.Record, 0, len(intents))
 	okIdx := make([]int, 0, len(intents))
 	for i, in := range intents {
-		if results[i].Err != nil {
-			continue
-		}
-		op := wal.Op(in.Op)
-		local := in.ID
+		op, local := wal.Op(in.Op), in.ID/p.stride
 		var err error
-		switch op {
-		case wal.OpAppend:
-			local, err = p.multi.Append(in.Vec)
-		case wal.OpUpdate:
-			err = p.multi.Update(local, in.Vec)
-		case wal.OpRemove:
-			err = p.multi.Remove(local)
-		default:
-			err = fmt.Errorf("shard: unknown op %d", in.Op)
+		if op != wal.OpAppend && in.ID%p.stride != p.index {
+			err = fmt.Errorf("shard: point %d belongs to shard %d, batch is on lane %d", in.ID, in.ID%p.stride, p.index)
+		} else if local, err = apply(p.multi, op, local, in.Vec); err != nil && op != wal.OpAppend {
+			err = p.pointErr(local, err)
 		}
 		if err != nil {
 			results[i] = ingest.Result{Err: err}
 			continue
 		}
-		vec := in.Vec
-		if op == wal.OpRemove {
-			vec = nil
-		}
 		results[i] = ingest.Result{ID: p.gid(local)}
-		walRecs = append(walRecs, wal.Record{Op: op, ID: local, Vec: vec})
-		ringRecs = append(ringRecs, wal.Record{Op: op, ID: p.gid(local), Vec: vec})
+		walRecs = append(walRecs, wal.Record{Op: op, ID: local, Vec: in.Vec})
+		ringRecs = append(ringRecs, wal.Record{Op: op, ID: p.gid(local), Vec: in.Vec})
 		okIdx = append(okIdx, i)
 	}
 	if len(ringRecs) == 0 {
@@ -345,12 +329,7 @@ func (p *partition) commitBatch(intents []ingest.Intent, results []ingest.Result
 	for j, i := range okIdx {
 		results[i].LSN = base + uint64(j)
 	}
-	for range okIdx {
-		if err := p.bumpLocked(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return p.bumpLocked(len(okIdx))
 }
 
 // journalBatch returns the batch commit callback: one frame, one
@@ -383,36 +362,24 @@ func (p *partition) journalBatch(recs []wal.Record) func(uint64) error {
 func (p *partition) applyReplicated(rec wal.Record, local uint32) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	switch rec.Op {
-	case wal.OpAppend:
-		id, err := p.multi.Append(rec.Vec)
-		if err != nil {
-			return fmt.Errorf("apply append: %v: %w", err, replog.ErrDiverged)
-		}
-		if id != local {
-			return fmt.Errorf("apply assigned local id %d, stream says %d: %w", id, local, replog.ErrDiverged)
-		}
-	case wal.OpUpdate:
-		if err := p.multi.Update(local, rec.Vec); err != nil {
-			return fmt.Errorf("apply update: %v: %w", err, replog.ErrDiverged)
-		}
-	case wal.OpRemove:
-		if err := p.multi.Remove(local); err != nil {
-			return fmt.Errorf("apply remove: %v: %w", err, replog.ErrDiverged)
-		}
-	default:
-		return fmt.Errorf("apply op %d: %w", rec.Op, replog.ErrDiverged)
+	id, err := apply(p.multi, rec.Op, local, rec.Vec)
+	if err != nil {
+		return fmt.Errorf("apply op %d: %v: %w", rec.Op, err, replog.ErrDiverged)
+	}
+	if id != local {
+		return fmt.Errorf("apply assigned local id %d, stream says %d: %w", id, local, replog.ErrDiverged)
 	}
 	if err := p.seq.CommitAt(rec.LSN, rec.Op, rec.ID, rec.Vec, p.journal(rec.Op, local, rec.Vec)); err != nil {
 		return err
 	}
-	return p.bumpLocked()
+	return p.bumpLocked(1)
 }
 
-// bumpLocked advances the pending-mutation counter and triggers the
-// automatic per-shard checkpoint. Callers hold the write lock.
-func (p *partition) bumpLocked() error {
-	p.pending++
+// bumpLocked counts n journaled mutations toward the automatic
+// per-shard checkpoint; a group commit counts whole, so it takes at
+// most one. Callers hold the write lock.
+func (p *partition) bumpLocked(n int) error {
+	p.pending += n
 	if p.log != nil && p.checkpointEvery > 0 && p.pending >= p.checkpointEvery {
 		return p.checkpointLocked()
 	}

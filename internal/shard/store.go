@@ -436,58 +436,39 @@ func (s *Store) LaneOf(gid uint32) int {
 }
 
 // Append adds a point to the next shard in round-robin order and
-// returns its global id. For an append-only stream the assigned ids
-// are the dense sequence 0, 1, 2, … whatever N is; after removals
-// each shard recycles its own local ids, so ids stay unique and
-// stable but the exact values depend on N.
-func (s *Store) Append(v []float64) (uint32, error) {
+// returns its global id and the LSN of its record. For an append-only
+// stream the assigned ids are the dense sequence 0, 1, 2, … whatever N
+// is; after removals each shard recycles its own local ids, so ids
+// stay unique and stable but the exact values depend on N.
+func (s *Store) Append(v []float64) (gid uint32, lsn uint64, err error) {
 	p := s.parts[s.NextAppendLane()]
-	local, err := p.append(v)
+	local, lsn, err := p.commit(wal.OpAppend, 0, v)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	return p.gid(local), nil
+	return p.gid(local), lsn, nil
 }
 
-// pointErr names the point and its owning shard in a mutation error
-// (nothing to add on an unpartitioned store).
-func (s *Store) pointErr(shardIdx int, gid uint32, err error) error {
-	if err == nil || len(s.parts) == 1 {
-		return err
-	}
-	return fmt.Errorf("shard %d: point %d: %w", shardIdx, gid, err)
+// Update replaces a point's φ vector on its owning shard and returns
+// the LSN of its record.
+func (s *Store) Update(gid uint32, v []float64) (lsn uint64, err error) {
+	p, _, local := s.shardOf(gid)
+	_, lsn, err = p.commit(wal.OpUpdate, local, v)
+	return lsn, p.pointErr(local, err)
 }
 
-// Update replaces a point's φ vector on its owning shard.
-func (s *Store) Update(gid uint32, v []float64) error {
-	p, si, local := s.shardOf(gid)
-	return s.pointErr(si, gid, p.update(local, v))
+// Remove deletes a point from its owning shard and returns the LSN of
+// its record.
+func (s *Store) Remove(gid uint32) (lsn uint64, err error) {
+	p, _, local := s.shardOf(gid)
+	_, lsn, err = p.commit(wal.OpRemove, local, nil)
+	return lsn, p.pointErr(local, err)
 }
 
-// Remove deletes a point from its owning shard.
-func (s *Store) Remove(gid uint32) error {
-	p, si, local := s.shardOf(gid)
-	return s.pointErr(si, gid, p.remove(local))
-}
-
-// CommitBatch group-commits one ingest batch on shard lane: apply
-// under one shard-lock acquisition, journal as one WAL frame with one
-// fsync, allocate a contiguous LSN range. Intent and result ids are
-// global; a mis-routed intent (wrong lane for its id) fails scoped to
-// its own result.
+// CommitBatch group-commits one ingest batch on shard lane, in global
+// ids on both sides (see partition.commitBatch).
 func (s *Store) CommitBatch(lane int, intents []ingest.Intent, results []ingest.Result) error {
-	local := make([]ingest.Intent, len(intents))
-	for i, in := range intents {
-		if wal.Op(in.Op) != wal.OpAppend {
-			_, si, lid := s.shardOf(in.ID)
-			if si != lane {
-				results[i] = ingest.Result{Err: fmt.Errorf("shard: point %d belongs to shard %d, batch is on lane %d", in.ID, si, lane)}
-			}
-			in.ID = lid
-		}
-		local[i] = in
-	}
-	return s.parts[lane].commitBatch(local, results)
+	return s.parts[lane].commitBatch(intents, results)
 }
 
 // AddNormal installs a planar index on every shard (shards must share

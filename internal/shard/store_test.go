@@ -6,8 +6,11 @@ import (
 	"path/filepath"
 	"testing"
 
+	"planar/internal/codec"
 	"planar/internal/core"
+	"planar/internal/ingest"
 	"planar/internal/vecmath"
+	"planar/internal/wal"
 )
 
 func TestOpenValidation(t *testing.T) {
@@ -32,7 +35,7 @@ func TestLayoutRule(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := st.Append([]float64{1, 2}); err != nil {
+		if _, _, err := st.Append([]float64{1, 2}); err != nil {
 			t.Fatal(err)
 		}
 		if err := st.Checkpoint(); err != nil {
@@ -126,19 +129,19 @@ func TestDurabilityAcrossReopen(t *testing.T) {
 	}
 	var ids []uint32
 	for i := 0; i < 300; i++ {
-		id, err := st.Append([]float64{rng.Float64() * 10, rng.Float64() * 10})
+		id, _, err := st.Append([]float64{rng.Float64() * 10, rng.Float64() * 10})
 		if err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, id)
 	}
 	for i := 0; i < 60; i++ {
-		if err := st.Update(ids[i], []float64{rng.Float64() * 10, rng.Float64() * 10}); err != nil {
+		if _, err := st.Update(ids[i], []float64{rng.Float64() * 10, rng.Float64() * 10}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 60; i < 90; i++ {
-		if err := st.Remove(ids[i]); err != nil {
+		if _, err := st.Remove(ids[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -148,11 +151,11 @@ func TestDurabilityAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 90; i < 130; i++ {
-		if err := st.Update(ids[i], []float64{rng.Float64() * 10, rng.Float64() * 10}); err != nil {
+		if _, err := st.Update(ids[i], []float64{rng.Float64() * 10, rng.Float64() * 10}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	extra, err := st.Append([]float64{5, 5})
+	extra, _, err := st.Append([]float64{5, 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +206,7 @@ func TestAutomaticPerShardCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 24; i++ {
-		if _, err := st.Append([]float64{float64(i)}); err != nil {
+		if _, _, err := st.Append([]float64{float64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -227,6 +230,49 @@ func TestAutomaticPerShardCheckpoint(t *testing.T) {
 	}
 }
 
+// TestBatchCountsWholeTowardCheckpoint: a group commit that crosses
+// the automatic-checkpoint threshold checkpoints once, after its last
+// record, and leaves nothing pending — the records are all in the
+// snapshot and the fresh segment is empty.
+func TestBatchCountsWholeTowardCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir, Options{Dim: 1, CheckpointEvery: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	intents := make([]ingest.Intent, 6)
+	for i := range intents {
+		intents[i] = ingest.Intent{Op: uint8(wal.OpAppend), Vec: []float64{float64(i)}}
+	}
+	results := make([]ingest.Result, len(intents))
+	if err := st.CommitBatch(0, intents, results); err != nil {
+		t.Fatal(err)
+	}
+	for i, res := range results {
+		if res.Err != nil || res.ID != uint32(i) || res.LSN != uint64(i+1) {
+			t.Fatalf("intent %d: %+v", i, res)
+		}
+	}
+	p := st.parts[0]
+	p.mu.Lock()
+	pending, err := p.pending, p.log.Flush()
+	p.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pending != 0 {
+		t.Fatalf("pending = %d after a checkpoint that took the whole batch", pending)
+	}
+	n, err := wal.Replay(filepath.Join(dir, walFile), func(wal.Record) error { return nil })
+	if err != nil || n != 0 {
+		t.Fatalf("segment after the checkpoint holds %d records (err %v)", n, err)
+	}
+	if snap, err := codec.Load(filepath.Join(dir, snapshotFile)); err != nil || snap.NumLive() != 6 {
+		t.Fatalf("snapshot does not hold the six points (err %v)", err)
+	}
+}
+
 func TestMutationsRouteToOwningShard(t *testing.T) {
 	st, err := Open("", Options{Shards: 4, Dim: 1})
 	if err != nil {
@@ -234,7 +280,7 @@ func TestMutationsRouteToOwningShard(t *testing.T) {
 	}
 	defer st.Close()
 	for i := 0; i < 16; i++ {
-		id, err := st.Append([]float64{float64(i)})
+		id, _, err := st.Append([]float64{float64(i)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,7 +291,7 @@ func TestMutationsRouteToOwningShard(t *testing.T) {
 	}
 	// Removing and re-appending recycles the shard-local id, so the
 	// same global id comes back.
-	if err := st.Remove(6); err != nil {
+	if _, err := st.Remove(6); err != nil {
 		t.Fatal(err)
 	}
 	if st.Live(6) {
@@ -258,8 +304,24 @@ func TestMutationsRouteToOwningShard(t *testing.T) {
 	if _, err := st.Vector(6); err == nil {
 		t.Fatal("Vector on a dead id succeeded")
 	}
-	if err := st.Update(6, []float64{1}); err == nil {
+	if _, err := st.Update(6, []float64{1}); err == nil {
 		t.Fatal("Update on a dead id succeeded")
+	}
+	// A batch on lane 1 refuses the point of another shard and commits
+	// the one that is its own.
+	results := make([]ingest.Result, 2)
+	err = st.CommitBatch(1, []ingest.Intent{
+		{Op: uint8(wal.OpUpdate), ID: 7, Vec: []float64{70}},
+		{Op: uint8(wal.OpUpdate), ID: 5, Vec: []float64{50}},
+	}, results)
+	if err != nil || results[0].Err == nil || results[1].Err != nil || results[1].ID != 5 {
+		t.Fatalf("batch on lane 1: %v, results %+v", err, results)
+	}
+	if v, _ := st.Vector(7); v[0] != 7 {
+		t.Fatalf("the refused update reached point 7: %v", v)
+	}
+	if v, _ := st.Vector(5); v[0] != 50 {
+		t.Fatalf("the routed update did not reach point 5: %v", v)
 	}
 }
 
@@ -302,7 +364,7 @@ func TestAppendCursorRestartsAtOpen(t *testing.T) {
 	}
 	appendN := func(st *Store, n int) (last uint32) {
 		for i := 0; i < n; i++ {
-			id, err := st.Append([]float64{1, 2})
+			id, _, err := st.Append([]float64{1, 2})
 			if err != nil {
 				t.Fatal(err)
 			}

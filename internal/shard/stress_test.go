@@ -42,7 +42,7 @@ func stressConcurrentMixedOps(t *testing.T, shards int) {
 	}
 	seed := rand.New(rand.NewSource(1))
 	for i := 0; i < 2000; i++ {
-		if _, err := st.Append([]float64{seed.Float64() * 60, seed.Float64() * 60, seed.Float64() * 60}); err != nil {
+		if _, _, err := st.Append([]float64{seed.Float64() * 60, seed.Float64() * 60, seed.Float64() * 60}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -71,17 +71,17 @@ func stressConcurrentMixedOps(t *testing.T, shards int) {
 				v := []float64{rng.Float64() * 60, rng.Float64() * 60, rng.Float64() * 60}
 				switch rng.Intn(4) {
 				case 0:
-					if _, err := st.Append(v); err != nil {
+					if _, _, err := st.Append(v); err != nil {
 						fail <- err
 						return
 					}
 				case 1:
-					if err := st.Update(uint32(rng.Intn(idHorizon)), v); !acceptable(err) {
+					if _, err := st.Update(uint32(rng.Intn(idHorizon)), v); !acceptable(err) {
 						fail <- err
 						return
 					}
 				default:
-					if err := st.Remove(uint32(rng.Intn(idHorizon))); !acceptable(err) {
+					if _, err := st.Remove(uint32(rng.Intn(idHorizon))); !acceptable(err) {
 						fail <- err
 						return
 					}
