@@ -67,10 +67,10 @@ race-pager:
 	$(GO) test -race -run 'TestPaged' ./internal/btree ./internal/exec
 
 # A fast benchmark smoke: a handful of iterations of the pipeline and
-# plan-cache benchmarks and of the reply's id writer against the
+# planner benchmarks and of the reply's id writer against the
 # strconv loop it replaced, just to prove they still compile and run.
 bench-smoke:
-	$(GO) test -run xxx -bench 'BenchmarkPlanCache$$|BenchmarkPipelineOverhead' -benchtime 10x .
+	$(GO) test -run xxx -bench 'BenchmarkPlan$$|BenchmarkPipelineOverhead' -benchtime 10x .
 	$(GO) test -run xxx -bench 'BenchmarkAppendIDs' -benchtime 10x ./internal/httpapi
 
 # End-to-end replication under the race detector: in-process

@@ -712,40 +712,12 @@ func BenchmarkBtreeBulkLoad(b *testing.B) {
 }
 
 // ---------------------------------------------------------------
-// Execution-pipeline benchmarks: plan-cache hit vs miss, and the
+// Execution-pipeline benchmarks: the planner alone, and the
 // abstraction overhead of internal/exec against an inline port of the
 // pre-refactor three-interval loop.
 
-// planCacheFixture builds two Multis over the same store and index
-// set, one with the default plan cache and one with caching disabled,
-// so hit and miss planning costs are compared on identical data.
-func planCacheFixture(b *testing.B) (cached, uncached *core.Multi, q core.Query) {
-	b.Helper()
-	d := dataset.Synthetic(dataset.KindIndependent, benchPoints, 6, 1)
-	store, err := d.Store()
-	if err != nil {
-		b.Fatal(err)
-	}
-	g, err := queries.NewEq18(d.AxisMaxes(), 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	build := func(opts ...core.MultiOption) *core.Multi {
-		m, err := core.NewMulti(store, opts...)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := g.BuildIndexes(m, 100, rand.New(rand.NewSource(7))); err != nil {
-			b.Fatal(err)
-		}
-		return m
-	}
-	q = queryList(g, 1, 33)[0]
-	return build(), build(core.WithPlanCache(0)), q
-}
-
 // planOnlyFixture builds an exec.Source with many candidate indexes
-// directly, so BenchmarkPlanCache can time the planner alone — no
+// directly, so BenchmarkPlan can time the planner alone — no
 // per-index read locks, no interval-size estimation, no execution.
 func planOnlyFixture(b *testing.B, numIndexes int) (*exec.Source, exec.Query) {
 	b.Helper()
@@ -800,55 +772,23 @@ func planOnlyFixture(b *testing.B, numIndexes int) (*exec.Source, exec.Query) {
 	return src, q
 }
 
-// BenchmarkPlanCache isolates the planning stage: "hit" serves the
-// index selection from the direction-keyed cache, "miss" re-scores
-// every candidate index's interval thresholds each time.
-func BenchmarkPlanCache(b *testing.B) {
-	src, q := planOnlyFixture(b, 100)
-	b.Run("hit", func(b *testing.B) {
-		src.Cache = exec.NewPlanCache(core.DefaultPlanCacheSize)
-		if _, err := exec.PlanQuery(src, q); err != nil { // warm
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			q.B = float64(i % 1000) // vary threshold, keep direction
-			if _, err := exec.PlanQuery(src, q); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		hits, misses := src.Cache.Counters()
-		b.ReportMetric(float64(hits)/float64(hits+misses), "hit-rate")
-	})
-	b.Run("miss", func(b *testing.B) {
-		src.Cache = nil
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			q.B = float64(i % 1000)
-			if _, err := exec.PlanQuery(src, q); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkPlanCacheQueries measures the cache's effect on whole
-// queries (plan + execute) with a repeated-direction workload.
-func BenchmarkPlanCacheQueries(b *testing.B) {
-	cached, uncached, q := planCacheFixture(b)
-	run := func(m *core.Multi) func(b *testing.B) {
-		return func(b *testing.B) {
+// BenchmarkPlan is the layer record for the planner: the whole Plan
+// stage (octant checks, scoring every candidate, thresholds) at a
+// service-sized and a paper-sized index budget. 0 allocs/op.
+func BenchmarkPlan(b *testing.B) {
+	for _, r := range []int{4, 100} {
+		b.Run(fmt.Sprintf("r=%d", r), func(b *testing.B) {
+			src, q := planOnlyFixture(b, r)
+			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				q.B = float64(i % 1000)
-				if _, _, err := m.Count(q); err != nil {
+				if _, err := exec.PlanQuery(src, q); err != nil {
 					b.Fatal(err)
 				}
 			}
-		}
+		})
 	}
-	b.Run("cache", run(cached))
-	b.Run("nocache", run(uncached))
 }
 
 // pipelineOverheadFixture assembles an exec.Source over one index the

@@ -118,15 +118,11 @@ func run() error {
 		}
 		elapsed := time.Since(start)
 		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		cache := "miss"
-		if st.CacheHit {
-			cache = "hit"
-		}
-		fmt.Printf("%d rows in %s (pruned %.1f%%, index %d, fellback=%v, plan %s, exec %s, cache %s)\n",
+		fmt.Printf("%d rows in %s (pruned %.1f%%, index %d, fellback=%v, plan %s, exec %s)\n",
 			len(ids), elapsed.Round(time.Microsecond), 100*st.PruningFraction(),
 			st.IndexUsed, st.FellBack,
 			time.Duration(st.PlanNanos).Round(time.Microsecond),
-			time.Duration(st.ExecNanos).Round(time.Microsecond), cache)
+			time.Duration(st.ExecNanos).Round(time.Microsecond))
 		preview := ids
 		if len(preview) > 20 {
 			preview = preview[:20]

@@ -172,8 +172,9 @@ func TestMutationVisibility(t *testing.T) {
 }
 
 // TestSteadyStateQueryAllocs pins the tentpole's headline claim: a
-// warmed-up inequality query through Multi — validate, lease, plan
-// cache, batched execute, sink — allocates zero bytes. GC is paused
+// warmed-up inequality query through Multi — validate, lease, plan,
+// batched execute, sink — allocates zero bytes, and so does the
+// first query after a write. GC is paused
 // for the measurement so a collection cannot empty the pools
 // mid-run.
 func TestSteadyStateQueryAllocs(t *testing.T) {
@@ -200,7 +201,7 @@ func TestSteadyStateQueryAllocs(t *testing.T) {
 		}
 	}
 	for i := 0; i < 10; i++ {
-		run() // warm the plan cache and pools
+		run() // warm the pools
 	}
 	// The append-style route on a large answer: once the caller's
 	// buffer has grown to the answer, the ids go from the leaf arena
@@ -220,6 +221,16 @@ func TestSteadyStateQueryAllocs(t *testing.T) {
 	if len(ids) < 10000 {
 		t.Fatalf("the large query answers %d ids, want at least 10000", len(ids))
 	}
+	// Read after write: a plan is recomputed for every query, so a
+	// mutation leaves nothing to rebuild on the next read.
+	moved := []float64{0.5, 0.5, 0.5, 0.5}
+	readAfterWrite := func() {
+		if err := m.Update(7, moved); err != nil {
+			t.Fatal(err)
+		}
+		collect()
+	}
+	readAfterWrite()
 
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	if allocs := testing.AllocsPerRun(200, run); allocs != 0 {
@@ -227,5 +238,8 @@ func TestSteadyStateQueryAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(200, collect); allocs != 0 {
 		t.Fatalf("steady-state %d-id query into a warmed buffer allocated %v times per run, want 0", len(ids), allocs)
+	}
+	if allocs := testing.AllocsPerRun(200, readAfterWrite); allocs != 0 {
+		t.Fatalf("an update and the read after it allocated %v times per run, want 0", allocs)
 	}
 }

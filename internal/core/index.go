@@ -290,26 +290,3 @@ func (ix *Index) InequalityIDs(q Query) ([]uint32, Stats, error) {
 	}
 	return sink.IDs, st, nil
 }
-
-// Stretch evaluates the paper's Problem 3 objective for this index
-// against a query: the maximum stretch of the intermediate interval
-// along any axis, (tmax − tmin) / min_i c_i. Smaller is better; 0
-// means the index normal is parallel to the query hyperplane and the
-// intermediate interval is empty (Corollary 1). It returns +Inf for
-// incompatible octants or degenerate queries.
-func (ix *Index) Stretch(q Query) float64 {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	info := ix.info()
-	return exec.Stretch(&info, q.LE())
-}
-
-// CosToQuery returns |cos| of the angle between the query hyperplane
-// normal and the index's effective normal — the angle-minimisation
-// selection criterion of Section 5.1.2 (larger is better).
-func (ix *Index) CosToQuery(q Query) float64 {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	info := ix.info()
-	return exec.CosToQuery(&info, q.A)
-}

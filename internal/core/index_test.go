@@ -282,11 +282,17 @@ func TestParallelIndexGivesEmptyIntermediateInterval(t *testing.T) {
 	if st.Verified > 2 { // guard band may catch boundary points
 		t.Fatalf("parallel query verified %d points, want ~0", st.Verified)
 	}
-	if got := ix.Stretch(q); got > 1e-6 {
-		t.Fatalf("Stretch=%v want ~0", got)
+	m, _ := NewMulti(s)
+	m.AddNormal(normal, vecmath.FirstOctant(3))
+	p, err := m.Explain(q)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := ix.CosToQuery(q); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("CosToQuery=%v want 1", got)
+	if p.Stretch > 1e-6 {
+		t.Fatalf("Stretch=%v want ~0", p.Stretch)
+	}
+	if math.Abs(p.Cos-1) > 1e-12 {
+		t.Fatalf("Cos=%v want 1", p.Cos)
 	}
 }
 

@@ -32,10 +32,6 @@ const (
 // keep working.
 var ErrNoCompatibleIndex = exec.ErrNoCompatibleIndex
 
-// DefaultPlanCacheSize is the number of distinct query coefficient
-// directions whose index selection a Multi memoises by default.
-const DefaultPlanCacheSize = 128
-
 // Domain is the a-priori range of one query coefficient (paper
 // Section 4.1). Lo and Hi must not straddle zero: the octant of each
 // coefficient must be known for indexes to be built.
@@ -86,8 +82,8 @@ func (d Domain) sample(rng *rand.Rand) float64 {
 // point store, with best-index selection at query time (Section 5)
 // and coordinated dynamic updates (Section 4.4). All methods are
 // safe for concurrent use; mutations are serialised. Queries run on
-// the internal/exec pipeline; repeated coefficient directions hit the
-// plan cache.
+// the internal/exec pipeline, which chooses the index afresh for
+// every query.
 type Multi struct {
 	mu          sync.RWMutex
 	store       *PointStore
@@ -96,8 +92,6 @@ type Multi struct {
 	fallback    bool
 	guard       float64
 	costPenalty float64 // >0 enables cost-based index-vs-scan choice
-	epoch       uint64  // bumped on every mutation; invalidates cached plans
-	cache       *exec.PlanCache
 
 	// old holds the vector an Update is overwriting until every index
 	// has dropped the key it was indexed under.
@@ -130,13 +124,6 @@ func WithIndexGuard(g float64) MultiOption {
 	return func(m *Multi) { m.guard = g }
 }
 
-// WithPlanCache overrides the plan cache's capacity (number of
-// distinct coefficient directions memoised). capacity <= 0 disables
-// plan caching entirely.
-func WithPlanCache(capacity int) MultiOption {
-	return func(m *Multi) { m.cache = exec.NewPlanCache(capacity) }
-}
-
 // WithCostBased enables cost-based execution for inequality queries
 // (top-k always prefers an index: its SI walk is pruned early, so
 // the scan rarely wins there). Before answering through an index,
@@ -164,7 +151,6 @@ func NewMulti(store *PointStore, opts ...MultiOption) (*Multi, error) {
 		sel:      SelectVolume,
 		fallback: true,
 		guard:    DefaultGuard,
-		cache:    exec.NewPlanCache(DefaultPlanCacheSize),
 		old:      make([]float64, store.Dim()),
 		vecFn:    store.Vector,
 		eachFn:   store.Each,
@@ -190,12 +176,6 @@ func (m *Multi) Index(i int) *Index {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	return m.indexes[i]
-}
-
-// PlanCacheCounters returns the plan cache's cumulative hit and miss
-// counts (both zero when caching is disabled).
-func (m *Multi) PlanCacheCounters() (hits, misses uint64) {
-	return m.cache.Counters()
 }
 
 // sourceLease is one query's pipeline view of a Multi plus the set of
@@ -247,8 +227,6 @@ func (m *Multi) sourceLocked(costBased bool) *sourceLease {
 		Rows:     rows,
 		RowLive:  live,
 		RowDim:   m.store.Dim(),
-		Epoch:    m.epoch,
-		Cache:    m.cache,
 	}
 	if costBased {
 		l.src.CostPenalty = m.costPenalty
@@ -273,7 +251,6 @@ func (m *Multi) AddNormal(normal []float64, signs vecmath.SignPattern) (bool, er
 		return false, err
 	}
 	m.indexes = append(m.indexes, ix)
-	m.epoch++
 	return true, nil
 }
 
@@ -357,7 +334,6 @@ func (m *Multi) AddNormals(specs []NormalSpec) (int, error) {
 		}
 	}
 	m.indexes = append(m.indexes, built...)
-	m.epoch++
 	return len(built), nil
 }
 
@@ -405,37 +381,6 @@ func (m *Multi) RemoveAllIndexes() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.indexes = nil
-	m.epoch++
-}
-
-// Best returns the index the selection heuristic prefers for q,
-// along with its position. Only octant-compatible indexes are
-// considered.
-func (m *Multi) Best(q Query) (*Index, int, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	nq := q.normalized()
-	bestIdx := -1
-	bestScore := math.Inf(1)
-	for i, ix := range m.indexes {
-		if !ix.signs.Matches(nq.A) {
-			continue
-		}
-		var score float64
-		switch m.sel {
-		case SelectAngle:
-			score = -ix.CosToQuery(nq) // maximise |cos|
-		default:
-			score = ix.Stretch(nq)
-		}
-		if score < bestScore {
-			bestScore, bestIdx = score, i
-		}
-	}
-	if bestIdx < 0 {
-		return nil, -1, ErrNoCompatibleIndex
-	}
-	return m.indexes[bestIdx], bestIdx, nil
 }
 
 // Inequality answers Problem 1 using the best compatible index, or a
@@ -578,7 +523,6 @@ func (m *Multi) Append(v []float64) (uint32, error) {
 		ix.add(id, m.store.Vector(id))
 		ix.mu.Unlock()
 	}
-	m.epoch++
 	return id, nil
 }
 
@@ -600,7 +544,6 @@ func (m *Multi) Update(id uint32, v []float64) error {
 		ix.update(id, m.old, cur)
 		ix.mu.Unlock()
 	}
-	m.epoch++
 	return nil
 }
 
@@ -617,7 +560,6 @@ func (m *Multi) Remove(id uint32) error {
 		ix.remove(id, old)
 		ix.mu.Unlock()
 	}
-	m.epoch++
 	return m.store.Remove(id)
 }
 

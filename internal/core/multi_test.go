@@ -120,19 +120,19 @@ func TestMultiQueryMatchesBruteForceAndSelectsParallel(t *testing.T) {
 	// A query parallel to the third index must select it under both
 	// heuristics.
 	q := Query{A: []float64{4, 6, 8}, B: 900, Op: LE}
-	ix, pos, err := m.Best(q)
+	p, err := m.Explain(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pos != 2 {
-		t.Fatalf("volume selection picked index %d, want 2 (stretch=%v)", pos, ix.Stretch(q))
+	if p.IndexUsed != 2 {
+		t.Fatalf("volume selection picked index %d, want 2 (stretch=%v)", p.IndexUsed, p.Stretch)
 	}
 	mAngle, _ := NewMulti(s, WithSelection(SelectAngle))
 	mAngle.AddNormal([]float64{1, 1, 1}, oct)
 	mAngle.AddNormal([]float64{5, 1, 1}, oct)
 	mAngle.AddNormal([]float64{2, 3, 4}, oct)
-	if _, pos, _ := mAngle.Best(q); pos != 2 {
-		t.Fatalf("angle selection picked index %d, want 2", pos)
+	if p, _ := mAngle.Explain(q); p.IndexUsed != 2 {
+		t.Fatalf("angle selection picked index %d, want 2", p.IndexUsed)
 	}
 
 	for trial := 0; trial < 40; trial++ {

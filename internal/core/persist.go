@@ -125,7 +125,6 @@ func (m *Multi) AttachPrebuilt(ps []PrebuiltIndex) error {
 		built[i] = ix
 	}
 	m.indexes = append(m.indexes, built...)
-	m.epoch++
 	return nil
 }
 

@@ -1,15 +1,18 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"planar/internal/exec"
 	"planar/internal/vecmath"
 )
 
 // pipelineMulti builds a store plus a Multi with two first-octant
-// indexes, the shared fixture for the plan-cache and batch tests.
+// indexes, the shared fixture for the selection and batch tests.
 func pipelineMulti(t *testing.T, opts ...MultiOption) (*PointStore, *Multi) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(31))
@@ -27,121 +30,137 @@ func pipelineMulti(t *testing.T, opts ...MultiOption) (*PointStore, *Multi) {
 	return s, m
 }
 
-func TestPlanCacheEndToEnd(t *testing.T) {
-	s, m := pipelineMulti(t)
-	a := []float64{1, 1, 2}
-
-	q := Query{A: a, B: 90, Op: LE}
-	ids1, st1, err := m.InequalityIDs(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st1.CacheHit {
-		t.Error("first query reported a cache hit")
-	}
-	// Same direction, different threshold: the selection is served
-	// from the cache but the answer must stay exact.
-	for _, b := range []float64{-10, 40, 90, 200, 5000} {
-		q := Query{A: a, B: b, Op: LE}
-		ids, st, err := m.InequalityIDs(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !st.CacheHit {
-			t.Errorf("b=%v: repeated direction missed the plan cache", b)
-		}
-		if !equalIDs(sortedIDs(ids), bruteForce(s, q)) {
-			t.Fatalf("b=%v: cached plan returned wrong ids", b)
-		}
-	}
-	if !equalIDs(sortedIDs(ids1), bruteForce(s, q)) {
-		t.Fatal("cold plan returned wrong ids")
-	}
-	hits, misses := m.PlanCacheCounters()
-	if hits < 5 || misses < 1 {
-		t.Fatalf("cache counters hits=%d misses=%d", hits, misses)
-	}
-
-	// Any mutation bumps the epoch and invalidates cached selections.
-	if _, err := m.Append([]float64{100, 100, 100}); err != nil {
-		t.Fatal(err)
-	}
-	_, st2, err := m.InequalityIDs(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st2.CacheHit {
-		t.Error("query after mutation still reported a cache hit")
-	}
-	_, st3, err := m.InequalityIDs(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st3.CacheHit {
-		t.Error("second query after mutation should re-hit the cache")
-	}
-}
-
-func TestPlanCacheDisabled(t *testing.T) {
-	s, m := pipelineMulti(t, WithPlanCache(0))
-	a := []float64{2, 1, 1}
-	for _, b := range []float64{50, 50, 120} {
-		q := Query{A: a, B: b, Op: LE}
-		ids, st, err := m.InequalityIDs(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.CacheHit {
-			t.Fatal("disabled cache reported a hit")
-		}
-		if !equalIDs(sortedIDs(ids), bruteForce(s, q)) {
-			t.Fatalf("b=%v: wrong ids with cache disabled", b)
-		}
-	}
-	if hits, misses := m.PlanCacheCounters(); hits != 0 || misses != 0 {
-		t.Fatalf("disabled cache has counters hits=%d misses=%d", hits, misses)
-	}
-}
-
-// TestPlanCacheAgreesWithUncached runs the same random query stream
-// through a cached and an uncached Multi over the same store and
-// demands identical answers and identical index selections.
-func TestPlanCacheAgreesWithUncached(t *testing.T) {
+// TestSelectionIsArgminOverCompatible pins what "best index" means:
+// the first minimum of exec.Stretch (or maximum of exec.CosToQuery)
+// over the indexes whose octant matches the normalized query — for
+// every query on its own, whatever was asked or written before it.
+func TestSelectionIsArgminOverCompatible(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	s := randomStore(t, rng, 600, 3, 1, 40)
-	build := func(opts ...MultiOption) *Multi {
-		m, err := NewMulti(s, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		oct := vecmath.FirstOctant(3)
-		for _, normal := range [][]float64{{1, 1, 1}, {1, 4, 2}, {5, 1, 1}} {
-			if _, err := m.AddNormal(normal, oct); err != nil {
+	octants := []vecmath.SignPattern{{1, 1, 1}, {-1, -1, -1}, {1, -1, 1}, {-1, 1, -1}}
+	normals := [][]float64{{1, 1, 1}, {1, 4, 2}, {5, 1, 1}}
+	coeffs := []float64{-3, -1, 0, 0.5, 1, 2, 7}
+
+	for _, sel := range []Selection{SelectVolume, SelectAngle} {
+		for _, fallback := range []bool{true, false} {
+			m, err := NewMulti(s, WithSelection(sel), WithFallback(fallback))
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		return m
-	}
-	cached, uncached := build(), build(WithPlanCache(0))
+			for _, oct := range octants {
+				for _, normal := range normals {
+					if _, err := m.AddNormal(normal, oct); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			// want is the selection rule written out longhand.
+			want := func(q Query) (pos, compatible int) {
+				le := q.LE()
+				pos, first, bestScore := -1, -1, math.Inf(1)
+				for i := 0; i < m.NumIndexes(); i++ {
+					info := m.Index(i).info()
+					if !info.Signs.Matches(le.A) {
+						continue
+					}
+					if compatible++; compatible == 1 {
+						first = i
+					}
+					score := exec.Stretch(&info, le)
+					if sel == SelectAngle {
+						score = -exec.CosToQuery(&info, le.A)
+					}
+					if score < bestScore {
+						pos, bestScore = i, score
+					}
+				}
+				if pos < 0 && !fallback {
+					pos = first // all tied at +Inf: any index answers
+				}
+				return pos, compatible
+			}
 
-	dirs := [][]float64{{1, 2, 1}, {3, 1, 2}, {1, 1, 5}}
-	for trial := 0; trial < 60; trial++ {
-		q := Query{A: dirs[trial%len(dirs)], B: rng.Float64() * 2000, Op: LE}
-		got, st1, err := cached.InequalityIDs(q)
-		if err != nil {
-			t.Fatal(err)
+			queries := make([]Query, 300)
+			for i := range queries {
+				q := Query{A: make([]float64, 3), B: rng.Float64()*400 - 100, Op: Op(i % 2)}
+				for j := range q.A {
+					q.A[j] = coeffs[rng.Intn(len(coeffs))]
+				}
+				if q.Validate(3) != nil {
+					q.A[0] = 1 // all-zero draw
+				}
+				queries[i] = q
+			}
+			chosen := make([]int, len(queries))
+			pass := func(round string) {
+				for i, q := range queries {
+					pos, compatible := want(q)
+					ids, st, err := m.InequalityIDs(q)
+					if compatible == 0 && !fallback {
+						if !errors.Is(err, ErrNoCompatibleIndex) {
+							t.Fatalf("%v %s q=%+v: err %v, want ErrNoCompatibleIndex", sel, round, q, err)
+						}
+						continue
+					}
+					if err != nil {
+						t.Fatalf("%v %s q=%+v (%d compatible): %v", sel, round, q, compatible, err)
+					}
+					if st.IndexUsed != pos {
+						t.Fatalf("%v %s q=%+v: index %d answered, argmin is %d", sel, round, q, st.IndexUsed, pos)
+					}
+					if round == "before" {
+						chosen[i] = pos
+					} else if pos != chosen[i] {
+						t.Fatalf("%v q=%+v: index %d before the update, %d after", sel, q, chosen[i], pos)
+					}
+					if !equalIDs(sortedIDs(ids), bruteForce(s, q)) {
+						t.Fatalf("%v %s q=%+v: wrong ids", sel, round, q)
+					}
+				}
+			}
+			pass("before")
+			// An update inside the data's bounding box moves one key
+			// and no index geometry.
+			if err := m.Update(7, s.Vector(8)); err != nil {
+				t.Fatal(err)
+			}
+			pass("after")
 		}
-		want, st2, err := uncached.InequalityIDs(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !equalIDs(sortedIDs(got), sortedIDs(want)) {
-			t.Fatalf("trial %d: cached ids differ from uncached", trial)
-		}
-		if st1.IndexUsed != st2.IndexUsed {
-			t.Fatalf("trial %d: cached selection chose index %d, uncached %d",
-				trial, st1.IndexUsed, st2.IndexUsed)
-		}
+	}
+}
+
+// A zero coefficient ties every compatible index at stretch +Inf.
+// With no scan to fall back on the Multi must still answer — through
+// an index, exactly as the standalone Index does — and with one it
+// must not blame the octant.
+func TestZeroCoefficientQuery(t *testing.T) {
+	s, strict := pipelineMulti(t, WithFallback(false))
+	q := Query{A: []float64{1, 0, 2}, B: 60, Op: LE}
+	ids, st, err := strict.InequalityIDs(q)
+	if err != nil {
+		t.Fatalf("2 compatible indexes, fallback off: %v", err)
+	}
+	_, want, err := strict.Index(0).InequalityIDs(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.IndexUsed != 0 || st.FellBack || st.Accepted != want.Accepted || st.Verified != want.Verified {
+		t.Fatalf("stats %+v, want index 0 with the standalone index's intervals %+v", st, want)
+	}
+	if !equalIDs(sortedIDs(ids), bruteForce(s, q)) {
+		t.Fatal("wrong ids")
+	}
+	if p, err := strict.Explain(q); err != nil || p.IndexUsed != 0 {
+		t.Fatalf("Explain = %+v, %v; the query runs on index 0", p, err)
+	}
+
+	_, lax := pipelineMulti(t)
+	p, err := lax.Explain(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.IndexUsed != -1 || p.Compatible != 2 || strings.Contains(p.Reason, "hyper-octant") {
+		t.Fatalf("Explain = %+v, want a scan over 2 compatible indexes that does not blame the octant", p)
 	}
 }
 

@@ -114,6 +114,5 @@ func (q Query) Hyperplane() (vecmath.Hyperplane, error) {
 // pipeline. It is an alias of the pipeline's stats type, so every
 // layer (core, service, HTTP API, CLI) shares one vocabulary: the
 // interval counters behind the paper's "pruning percentage" figures
-// plus per-stage observability (planning and execution time, plan
-// cache hits).
+// plus per-stage observability (planning and execution time).
 type Stats = exec.Stats

@@ -2,14 +2,14 @@
 // planar query variant runs on. It factors the paper's three-interval
 // scheme (smaller interval accept / larger interval reject /
 // intermediate interval verify, Section 4.3) into three explicit
-// stages so batching, caching and observability are
-// implemented once instead of per query type:
+// stages so batching and observability are implemented once instead
+// of per query type:
 //
 //	Plan    octant compatibility, best-index selection (volume or
 //	        angle minimisation, Section 5.1), interval thresholds
 //	        tmin/tmax with the conservative guard band, and the
-//	        cost-based index-vs-scan choice. Plans for repeated
-//	        coefficient directions come from an LRU plan cache.
+//	        cost-based index-vs-scan choice. O(r·d′) arithmetic,
+//	        run on every query; nothing is memoised.
 //	Execute two rank queries, then one pass of the chosen index's
 //	        leaf chain over the smaller interval (whole leaf id
 //	        slices handed to the sink) and the intermediate interval
@@ -24,5 +24,5 @@
 // vecmath primitives; internal/core builds its public query API on
 // top of this pipeline, and internal/service, internal/httpapi and
 // the CLIs inherit the per-stage Stats (planning time, interval
-// sizes, cache hits) uniformly.
+// sizes) uniformly.
 package exec

@@ -1,10 +1,12 @@
 package exec
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"planar/internal/btree"
@@ -255,7 +257,9 @@ func TestFuncSinkEarlyStop(t *testing.T) {
 	}
 }
 
-func TestPlanCacheHitAndInvalidation(t *testing.T) {
+// A zero coefficient makes rejection impossible, so every compatible
+// index scores +Inf. That is a tie, not "no compatible index".
+func TestPlanZeroCoefficient(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	points := randPoints(rng, 300, 3)
 	signs := vecmath.FirstOctant(3)
@@ -264,107 +268,42 @@ func TestPlanCacheHitAndInvalidation(t *testing.T) {
 		buildInfo(points, []float64{3, 1, 1}, signs, 1e-9),
 	}
 	src := makeSource(points, infos)
-	src.Cache = NewPlanCache(8)
+	q := Query{A: []float64{1, 0, 2}, B: 60}
 
-	a := []float64{1, 1, 2}
-	p1, err := PlanQuery(src, Query{A: a, B: 40})
+	src.Fallback = false
+	p, err := PlanQuery(src, q)
+	if err != nil {
+		t.Fatalf("fallback off, 2 compatible indexes: %v", err)
+	}
+	if p.Kind != KindRange || p.IndexPos != 0 || p.Compatible != 2 || !math.IsInf(p.Tmax, 1) {
+		t.Fatalf("fallback off: plan %+v, want a range plan on the first compatible index", p)
+	}
+	var got IDSink
+	if _, err := Execute(src, q, p, &got, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if want := bruteIDs(points, q); !reflect.DeepEqual(sortedCopy(got.IDs), want) {
+		t.Fatalf("fallback off: %d ids, want %d", len(got.IDs), len(want))
+	}
+
+	src.Fallback = true
+	p, err = PlanQuery(src, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p1.CacheHit {
-		t.Fatal("first plan reported a cache hit")
-	}
-	p2, err := PlanQuery(src, Query{A: a, B: -20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !p2.CacheHit {
-		t.Fatal("second plan with the same direction missed the cache")
-	}
-	// Scaling the coefficients by a power of two is exact in floating
-	// point, so the normalized direction key is identical.
-	p3, err := PlanQuery(src, Query{A: []float64{4, 4, 8}, B: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !p3.CacheHit {
-		t.Fatal("scaled coefficients missed the cache")
-	}
-	hits, misses := src.Cache.Counters()
-	if hits != 2 || misses != 1 {
-		t.Fatalf("counters hits=%d misses=%d, want 2/1", hits, misses)
+	if p.Kind != KindScan || p.Compatible != 2 || strings.Contains(p.Reason, "hyper-octant") {
+		t.Fatalf("fallback on: plan %+v, want a scan that does not blame the octant", p)
 	}
 
-	// A mutation epoch bump invalidates the entry.
-	src.Epoch++
-	p4, err := PlanQuery(src, Query{A: a, B: 40})
-	if err != nil {
-		t.Fatal(err)
+	// The octant reason and error still mean compatible == 0.
+	neg := Query{A: []float64{-1, 1, 2}, B: 60}
+	p, err = PlanQuery(src, neg)
+	if err != nil || p.Compatible != 0 || !strings.Contains(p.Reason, "hyper-octant") {
+		t.Fatalf("incompatible query with fallback: plan %+v, err %v", p, err)
 	}
-	if p4.CacheHit {
-		t.Fatal("stale-epoch entry served a cache hit")
-	}
-
-	// Cached and uncached plans must deliver identical answers.
-	for _, b := range []float64{-50, 0, 35, 90, 400} {
-		q := Query{A: a, B: b}
-		var cold, warm IDSink
-		uncached := *src
-		uncached.Cache = nil
-		if _, err := Run(&uncached, q, &cold, Options{}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Run(src, q, &warm, Options{}); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(sortedCopy(cold.IDs), sortedCopy(warm.IDs)) {
-			t.Fatalf("b=%v: cached answer differs from uncached", b)
-		}
-	}
-}
-
-func TestPlanCacheLRUEviction(t *testing.T) {
-	c := NewPlanCache(2)
-	e := func() *planEntry { return &planEntry{} }
-	c.insert([]byte("a"), e())
-	c.insert([]byte("b"), e())
-	if c.lookup([]byte("a"), 0) == nil { // refresh a; b becomes LRU
-		t.Fatal("a missing")
-	}
-	c.insert([]byte("c"), e())
-	if c.lookup([]byte("b"), 0) != nil {
-		t.Fatal("b should have been evicted")
-	}
-	if c.lookup([]byte("a"), 0) == nil || c.lookup([]byte("c"), 0) == nil {
-		t.Fatal("a and c should survive")
-	}
-	if c.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", c.Len())
-	}
-	c.Purge()
-	if c.Len() != 0 {
-		t.Fatalf("Len after Purge = %d", c.Len())
-	}
-}
-
-func TestDirKey(t *testing.T) {
-	k1, ok := dirKey([]float64{1, 2, 2})
-	if !ok {
-		t.Fatal("finite vector not cacheable")
-	}
-	k2, _ := dirKey([]float64{0.5, 1, 1})
-	if k1 != k2 {
-		t.Fatal("scaled vectors should share a key")
-	}
-	k3, _ := dirKey([]float64{1, 2, 2.0001})
-	if k1 == k3 {
-		t.Fatal("different directions share a key")
-	}
-	if _, ok := dirKey([]float64{0, 0}); ok {
-		t.Fatal("zero vector should not be cacheable")
-	}
-	if _, ok := dirKey([]float64{math.Inf(1), 1}); ok {
-		t.Fatal("non-finite vector should not be cacheable")
+	src.Fallback = false
+	if _, err = PlanQuery(src, neg); !errors.Is(err, ErrNoCompatibleIndex) {
+		t.Fatalf("incompatible query without fallback: err %v", err)
 	}
 }
 

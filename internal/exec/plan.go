@@ -45,8 +45,6 @@ type Plan struct {
 	Reason string
 	// PlanNanos is the time the Plan stage took.
 	PlanNanos int64
-	// CacheHit reports that selection came from the plan cache.
-	CacheHit bool
 }
 
 // intervals is the raw threshold computation for one index (the
@@ -188,52 +186,28 @@ func intervalSizes(info *IndexInfo, iv intervals) (si, ii int) {
 }
 
 // PlanQuery runs the Plan stage: octant compatibility, best-index
-// selection (through the plan cache when available), interval
-// thresholds and the cost-based scan choice.
+// selection, interval thresholds and the cost-based scan choice. A
+// plan is a pure function of the query and the source's state, so it
+// is computed afresh — O(r·d′) arithmetic — on every query.
 func PlanQuery(src *Source, q Query) (Plan, error) {
 	start := time.Now()
-	p, err := planQuery(src, q)
+	p, err := planScored(src, q)
 	p.PlanNanos = time.Since(start).Nanoseconds()
 	return p, err
 }
 
-func planQuery(src *Source, q Query) (Plan, error) {
-	if src.Cache != nil && !src.Single {
-		kb := keyBufPool.Get().(*[]byte)
-		key, ok := dirKeyInto(q.A, (*kb)[:0])
-		*kb = key
-		if ok {
-			if e := src.Cache.lookup(key, src.Epoch); e != nil {
-				keyBufPool.Put(kb)
-				return planFromEntry(src, q, e)
-			}
-			p, e, err := planScored(src, q, true)
-			if err == nil && e != nil {
-				src.Cache.insert(key, e)
-			}
-			keyBufPool.Put(kb)
-			return p, err
-		}
-		keyBufPool.Put(kb)
-	}
-	p, _, err := planScored(src, q, false)
-	return p, err
-}
-
-// planScored is the uncached Plan stage: every candidate index is
-// octant-checked and scored. When memo is set it also builds the
-// plan-cache entry for the query's coefficient direction.
-func planScored(src *Source, q Query, memo bool) (Plan, *planEntry, error) {
+// planScored is the one place an index is chosen: every candidate is
+// octant-checked and the compatible ones are scored.
+func planScored(src *Source, q Query) (Plan, error) {
 	best, bestScore := -1, math.Inf(1)
-	compatible := 0
-	var entry *planEntry
-	if memo {
-		entry = &planEntry{epoch: src.Epoch}
-	}
+	first, compatible := -1, 0
 	for i := range src.Indexes {
 		info := &src.Indexes[i]
 		if !info.Signs.Matches(q.A) {
 			continue
+		}
+		if compatible == 0 {
+			first = i
 		}
 		compatible++
 		if src.Single {
@@ -253,41 +227,13 @@ func planScored(src *Source, q Query, memo bool) (Plan, *planEntry, error) {
 		if score < bestScore {
 			bestScore, best = score, i
 		}
-		if memo {
-			entry.idx = append(entry.idx, makeCachedIndex(info, q, i))
-		}
 	}
-	if memo {
-		entry.compatible = compatible
+	if best < 0 && !src.Fallback {
+		// Every compatible index tied at +Inf (a zero coefficient):
+		// any of them answers exactly, and there is no scan to prefer.
+		best = first
 	}
-	p, err := finishPlan(src, q, best, compatible)
-	return p, entry, err
-}
-
-// planFromEntry is the cached Plan stage: the octant checks and
-// per-index scoring collapse to O(compatible) arithmetic on the
-// cached direction constants. Thresholds for the chosen index are
-// still computed with the exact per-query arithmetic, so cached and
-// uncached plans execute identically.
-func planFromEntry(src *Source, q Query, e *planEntry) (Plan, error) {
-	s := vecmath.Norm(q.A)
-	beta := q.B / s
-	best, bestScore := -1, math.Inf(1)
-	for i := range e.idx {
-		ci := &e.idx[i]
-		var score float64
-		if src.Sel == SelectAngle {
-			score = -ci.cos
-		} else {
-			score = ci.stretchAt(beta)
-		}
-		if score < bestScore {
-			bestScore, best = score, ci.pos
-		}
-	}
-	p, err := finishPlan(src, q, best, e.compatible)
-	p.CacheHit = true
-	return p, err
+	return finishPlan(src, q, best, compatible)
 }
 
 // finishPlan turns a selection outcome into an executable plan:
@@ -296,16 +242,22 @@ func planFromEntry(src *Source, q Query, e *planEntry) (Plan, error) {
 func finishPlan(src *Source, q Query, best, compatible int) (Plan, error) {
 	if best < 0 {
 		if !src.Fallback {
+			// planScored settles for the first compatible index when
+			// there is no scan to fall back on, so nothing matched.
 			if src.Single {
 				return Plan{}, ErrIncompatibleOctant
 			}
 			return Plan{}, ErrNoCompatibleIndex
 		}
+		reason := "no index serves the query's hyper-octant"
+		if compatible > 0 {
+			reason = "a zero coefficient leaves the intermediate interval unbounded on every compatible index"
+		}
 		return Plan{
 			Kind:       KindScan,
 			IndexPos:   -1,
 			Compatible: compatible,
-			Reason:     "no index serves the query's hyper-octant",
+			Reason:     reason,
 		}, nil
 	}
 	info := &src.Indexes[best]
@@ -376,11 +328,13 @@ type PlanInfo struct {
 // executing anything. Unlike PlanQuery it never fails on a missing
 // index — it reports the scan plan that would be used instead.
 func Explain(src *Source, q Query) (PlanInfo, error) {
-	forced := *src
-	forced.Fallback = true
-	plan, err := PlanQuery(&forced, q)
+	plan, err := PlanQuery(src, q)
 	if err != nil {
-		return PlanInfo{}, err
+		forced := *src
+		forced.Fallback = true
+		if plan, err = PlanQuery(&forced, q); err != nil {
+			return PlanInfo{}, err
+		}
 	}
 	pi := PlanInfo{Plan: plan, N: src.N, BoundsLo: 0, BoundsHi: src.N}
 	if plan.Kind == KindScan {

@@ -43,13 +43,12 @@ func Run(src *Source, q Query, sink Sink, opts Options) (Stats, error) {
 }
 
 // Execute runs a previously planned query into sink, timing the stage
-// and merging the plan's timing and cache fields into the Stats.
+// and merging the plan's timing into the Stats.
 func Execute(src *Source, q Query, plan Plan, sink Sink, opts Options) (Stats, error) {
 	start := time.Now()
 	st, err := execute(src, q, plan, sink, opts)
 	st.ExecNanos = time.Since(start).Nanoseconds()
 	st.PlanNanos = plan.PlanNanos
-	st.CacheHit = plan.CacheHit
 	return st, err
 }
 
@@ -223,9 +222,7 @@ func RunBatch(src *Source, a []float64, bs []float64, sinkFor func(i int, b floa
 	if len(bs) == 0 {
 		return out, nil
 	}
-	selStart := time.Now()
-	base, err := planQuery(src, Query{A: a, B: bs[0]})
-	selNanos := time.Since(selStart).Nanoseconds()
+	base, err := PlanQuery(src, Query{A: a, B: bs[0]})
 	if err != nil {
 		return nil, err
 	}
@@ -235,19 +232,16 @@ func RunBatch(src *Source, a []float64, bs []float64, sinkFor func(i int, b floa
 		switch {
 		case i == 0:
 			p = base
-			p.PlanNanos = selNanos
 		case base.IndexPos >= 0:
 			t0 := time.Now()
 			p, err = finishPlan(src, q, base.IndexPos, base.Compatible)
 			if err != nil {
 				return nil, err
 			}
-			p.CacheHit = base.CacheHit
 			p.PlanNanos = time.Since(t0).Nanoseconds()
 		default:
 			// The shared plan is a scan; every threshold scans.
-			p = Plan{Kind: KindScan, IndexPos: -1, Compatible: base.Compatible,
-				Reason: base.Reason, CacheHit: base.CacheHit}
+			p = Plan{Kind: KindScan, IndexPos: -1, Compatible: base.Compatible, Reason: base.Reason}
 		}
 		st, err := Execute(src, q, p, sinkFor(i, b), opts)
 		if err != nil {

@@ -97,10 +97,4 @@ type Source struct {
 	RowLive []bool
 	// RowDim is the row stride of Rows.
 	RowDim int
-	// Epoch is the owner's mutation counter; plan-cache entries from
-	// an older epoch are discarded.
-	Epoch uint64
-	// Cache, when non-nil, memoises octant compatibility and index
-	// selection per normalized coefficient direction.
-	Cache *PlanCache
 }

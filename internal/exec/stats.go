@@ -32,7 +32,7 @@ func (s Selection) String() string {
 // The interval counters are the source of the paper's "pruning
 // percentage" figures (Figures 9 and 10): Accepted + Rejected points
 // never had their scalar product computed. The stage counters
-// (PlanNanos, ExecNanos, CacheHit) are the pipeline's
+// (PlanNanos, ExecNanos) are the pipeline's
 // observability surface, reported uniformly by the service, HTTP API
 // and CLI layers.
 type Stats struct {
@@ -59,9 +59,6 @@ type Stats struct {
 	// ExecNanos is the time spent in the Execute stage: interval
 	// walks, verification and sink delivery.
 	ExecNanos int64
-	// CacheHit reports that index selection came from the plan cache
-	// instead of scoring every candidate index.
-	CacheHit bool
 }
 
 // Results returns the total number of points reported.

@@ -34,8 +34,8 @@
 // primary's URL (or transparently proxy when enabled).
 //
 // Per-query stats come straight from the execution pipeline
-// (internal/exec): interval sizes, plan/execute stage times in
-// nanoseconds, and whether index selection hit the plan cache.
+// (internal/exec): interval sizes and plan/execute stage times in
+// nanoseconds.
 package httpapi
 
 import (
@@ -492,7 +492,6 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request, db *se
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, db *service.DB) {
 	met := db.Metrics()
-	hits, misses := db.PlanCacheCounters()
 	body := map[string]interface{}{
 		"points":      db.Len(),
 		"dim":         db.Dim(),
@@ -506,12 +505,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, db *service
 			"queries":        met.Queries,
 			"planNanos":      met.PlanNanos,
 			"execNanos":      met.ExecNanos,
-			"cacheHits":      met.CacheHits,
 			"fellBack":       met.FellBack,
 			"pointsPruned":   met.PointsPruned,
 			"pointsVerified": met.PointsVerified,
 		},
-		"planCache": map[string]uint64{"hits": hits, "misses": misses},
 	}
 	if ist, ok := db.IngestStats(); ok {
 		avg := 0.0

@@ -602,8 +602,6 @@ func appendStats(b []byte, st core.Stats) []byte {
 	b = strconv.AppendInt(b, st.PlanNanos, 10)
 	b = append(b, `,"execNanos":`...)
 	b = strconv.AppendInt(b, st.ExecNanos, 10)
-	b = append(b, `,"cacheHit":`...)
-	b = strconv.AppendBool(b, st.CacheHit)
 	return append(b, '}')
 }
 

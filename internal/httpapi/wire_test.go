@@ -205,7 +205,6 @@ type refStats struct {
 	IndexUsed int     `json:"indexUsed"`
 	PlanNanos int64   `json:"planNanos"`
 	ExecNanos int64   `json:"execNanos"`
-	CacheHit  bool    `json:"cacheHit"`
 }
 
 func toRefStats(st core.Stats) refStats {
@@ -214,7 +213,6 @@ func toRefStats(st core.Stats) refStats {
 		Matched: st.Matched, Rejected: st.Rejected,
 		Pruned: st.PruningFraction(), FellBack: st.FellBack, IndexUsed: st.IndexUsed,
 		PlanNanos: st.PlanNanos, ExecNanos: st.ExecNanos,
-		CacheHit: st.CacheHit,
 	}
 }
 
@@ -324,7 +322,7 @@ func TestWireRepliesMatchJSON(t *testing.T) {
 		{},
 		{N: 3, Accepted: 0, Verified: 3, Matched: 1, Rejected: 0, IndexUsed: -1, FellBack: true},
 		{N: 100000, Accepted: 20000, Verified: 400, Matched: 7, Rejected: 79600, IndexUsed: 2,
-			PlanNanos: 1234, ExecNanos: math.MaxInt64, CacheHit: true},
+			PlanNanos: 1234, ExecNanos: math.MaxInt64},
 	}
 
 	for _, st := range stats {

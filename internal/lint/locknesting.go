@@ -46,7 +46,6 @@ var lockRank = map[lockClass]int{
 	"planar/internal/shard.partition.mu":  20, // per-shard store lock
 	"planar/internal/core.Multi.mu":       30, // index-collection lock
 	"planar/internal/core.Index.mu":       40, // per-index lock
-	"planar/internal/exec.PlanCache.mu":   50, // plan-cache lock
 	"planar/internal/replog.Sequencer.mu": 60, // commit sequencer (journal-under-lock)
 	"planar/internal/replica.Replica.mu":  90, // replica status leaf
 }
@@ -88,8 +87,6 @@ func init() {
 		"Append", "Update", "Remove", "AddNormal", "InequalityIDs",
 		"InequalityBatch", "TopK", "Count", "SelectivityBounds", "Explain",
 		"NumIndexes", "MemoryBytes")
-	add("planar/internal/exec.PlanCache.mu", "planar/internal/exec.PlanCache",
-		"Lookup", "Insert", "Invalidate", "Counters", "Len")
 }
 
 type lockEventKind int

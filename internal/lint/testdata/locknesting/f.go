@@ -4,7 +4,7 @@
 // imports exercise the cross-package acquisition table, which is how
 // the partition lock (shard.partition.mu=20) and the commit barrier
 // (service.DB.commitMu=10) are reached from here. Legal ranked nesting
-// (partition → Multi → Index → plan cache → sequencer) is what the
+// (partition → Multi → Index → sequencer) is what the
 // real tree does, and TestTreeClean holds it at zero findings.
 package replica
 

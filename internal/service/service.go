@@ -146,9 +146,6 @@ type Metrics struct {
 	// PlanNanos and ExecNanos are cumulative stage times.
 	PlanNanos int64
 	ExecNanos int64
-	// CacheHits counts queries whose index selection came from the
-	// plan cache.
-	CacheHits uint64
 	// FellBack counts queries answered by a sequential scan.
 	FellBack uint64
 	// PointsPruned and PointsVerified are cumulative interval sizes:
@@ -167,7 +164,6 @@ type metricsBlock struct {
 	queries   atomic.Uint64
 	planNanos atomic.Int64
 	execNanos atomic.Int64
-	cacheHits atomic.Uint64
 	fellBack  atomic.Uint64
 	pruned    atomic.Uint64
 	verified  atomic.Uint64
@@ -178,9 +174,6 @@ func (db *DB) record(st core.Stats) {
 	db.met.queries.Add(1)
 	db.met.planNanos.Add(st.PlanNanos)
 	db.met.execNanos.Add(st.ExecNanos)
-	if st.CacheHit {
-		db.met.cacheHits.Add(1)
-	}
 	if st.FellBack {
 		db.met.fellBack.Add(1)
 	}
@@ -194,7 +187,6 @@ func (db *DB) Metrics() Metrics {
 		Queries:        db.met.queries.Load(),
 		PlanNanos:      db.met.planNanos.Load(),
 		ExecNanos:      db.met.execNanos.Load(),
-		CacheHits:      db.met.cacheHits.Load(),
 		FellBack:       db.met.fellBack.Load(),
 		PointsPruned:   db.met.pruned.Load(),
 		PointsVerified: db.met.verified.Load(),
@@ -315,10 +307,6 @@ func (db *DB) NumIndexes() int { return db.store.NumIndexes() }
 // MemoryBytes returns the approximate footprint of the store and
 // indexes, summed across shards.
 func (db *DB) MemoryBytes() int { return db.store.MemoryBytes() }
-
-// PlanCacheCounters returns cumulative plan-cache hits and misses,
-// summed across shards.
-func (db *DB) PlanCacheCounters() (hits, misses uint64) { return db.store.PlanCacheCounters() }
 
 // AddNormal installs a planar index (on every shard); the
 // configuration is persisted at the next checkpoint. Index changes

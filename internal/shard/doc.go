@@ -7,12 +7,12 @@
 // local id space dense (exactly what core.PointStore assigns) and
 // makes routing a single modulo. Each shard owns a full vertical
 // slice of the engine — its own core.Multi (point store, planar
-// indexes, plan cache), its own write-ahead-log segment and
-// checkpoint file (a flat snapshot or a page file), guarded by a
-// per-shard sync.RWMutex — so writers on different shards never
-// contend and crash recovery replays all shards in parallel. Opening
-// and recovering a partition, checkpointing it and journaling its
-// commits happen here and nowhere else.
+// indexes), its own write-ahead-log segment and checkpoint file (a
+// flat snapshot or a page file), guarded by a per-shard sync.RWMutex
+// — so writers on different shards never contend and crash recovery
+// replays all shards in parallel. Opening and recovering a partition,
+// checkpointing it and journaling its commits happen here and nowhere
+// else.
 //
 // On disk a partitioned store keeps shards.meta and one shard-NNN/
 // directory per partition; a one-partition store keeps its files in
@@ -23,8 +23,9 @@
 // from that point's own key, so the answer over a partitioned point
 // set is the union of the partitions' answers. Queries run
 // scatter-gather through the internal/exec pipeline: the query is
-// planned once per shard (each shard's plan cache is consulted
-// independently), executed concurrently on a bounded worker pool, and
+// planned once per shard (interval sizes are data-dependent, so
+// shards choose independently), executed concurrently on a bounded
+// worker pool, and
 // the per-shard answers are merged — id sets in ascending global id
 // order, counts by summation, top-k by a k-way merge on (distance, id)
 // that preserves the per-shard Claim-3 cut-off. Per-stage execution

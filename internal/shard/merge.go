@@ -10,16 +10,15 @@ import (
 // MergeStats rolls one query's per-shard pipeline stats up into a
 // single Stats: interval counters and stage times sum (the totals are
 // cumulative work across shards, not wall clock), FellBack reports
-// any shard scanning, CacheHit reports every shard's plan coming from
-// its cache, and IndexUsed survives only when all shards selected the
-// same index position (the usual case — shards share one index
-// configuration — but interval sizes are data-dependent, so they may
-// legitimately disagree).
+// any shard scanning, and IndexUsed survives only when all shards
+// selected the same index position (the usual case — shards share one
+// index configuration — but interval sizes are data-dependent, so
+// they may legitimately disagree).
 func MergeStats(sts []core.Stats) core.Stats {
 	if len(sts) == 0 {
 		return core.Stats{}
 	}
-	out := core.Stats{IndexUsed: sts[0].IndexUsed, CacheHit: true}
+	out := core.Stats{IndexUsed: sts[0].IndexUsed}
 	for _, st := range sts {
 		out.N += st.N
 		out.Accepted += st.Accepted
@@ -30,9 +29,6 @@ func MergeStats(sts []core.Stats) core.Stats {
 		out.ExecNanos += st.ExecNanos
 		if st.FellBack {
 			out.FellBack = true
-		}
-		if !st.CacheHit {
-			out.CacheHit = false
 		}
 		if st.IndexUsed != out.IndexUsed {
 			out.IndexUsed = -1

@@ -26,7 +26,7 @@ const (
 )
 
 // partition is one shard: a full vertical slice of the engine
-// (point store, indexes, plan cache, WAL segment) behind its own
+// (point store, indexes, WAL segment) behind its own
 // RWMutex. All point ids at this level are shard-local; the Store
 // translates global ids at the boundary.
 //

@@ -382,17 +382,6 @@ func (s *Store) MemoryBytes() int {
 	return total
 }
 
-// PlanCacheCounters sums every shard's plan-cache hit and miss
-// counts.
-func (s *Store) PlanCacheCounters() (hits, misses uint64) {
-	for _, p := range s.parts {
-		h, m := p.multi.PlanCacheCounters()
-		hits += h
-		misses += m
-	}
-	return hits, misses
-}
-
 // Live reports whether a global id names a live point.
 func (s *Store) Live(gid uint32) bool {
 	p, _, local := s.shardOf(gid)

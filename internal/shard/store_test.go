@@ -396,8 +396,8 @@ func TestAppendCursorRestartsAtOpen(t *testing.T) {
 
 func TestStatsMerge(t *testing.T) {
 	merged := MergeStats([]core.Stats{
-		{N: 10, Accepted: 2, Verified: 3, Matched: 1, Rejected: 5, PlanNanos: 7, ExecNanos: 11, CacheHit: true, IndexUsed: 1},
-		{N: 20, Accepted: 4, Verified: 6, Matched: 2, Rejected: 10, PlanNanos: 13, ExecNanos: 17, CacheHit: true, IndexUsed: 1},
+		{N: 10, Accepted: 2, Verified: 3, Matched: 1, Rejected: 5, PlanNanos: 7, ExecNanos: 11, IndexUsed: 1},
+		{N: 20, Accepted: 4, Verified: 6, Matched: 2, Rejected: 10, PlanNanos: 13, ExecNanos: 17, IndexUsed: 1},
 	})
 	if merged.N != 30 || merged.Accepted != 6 || merged.Verified != 9 || merged.Matched != 3 || merged.Rejected != 15 {
 		t.Fatalf("counter merge wrong: %+v", merged)
@@ -405,11 +405,11 @@ func TestStatsMerge(t *testing.T) {
 	if merged.PlanNanos != 20 || merged.ExecNanos != 28 {
 		t.Fatalf("stage-time merge wrong: %+v", merged)
 	}
-	if !merged.CacheHit || merged.IndexUsed != 1 {
+	if merged.IndexUsed != 1 {
 		t.Fatalf("flag merge wrong: %+v", merged)
 	}
-	diverged := MergeStats([]core.Stats{{IndexUsed: 0, CacheHit: true}, {IndexUsed: 2, FellBack: true}})
-	if diverged.IndexUsed != -1 || !diverged.FellBack || diverged.CacheHit {
+	diverged := MergeStats([]core.Stats{{IndexUsed: 0}, {IndexUsed: 2, FellBack: true}})
+	if diverged.IndexUsed != -1 || !diverged.FellBack {
 		t.Fatalf("divergence merge wrong: %+v", diverged)
 	}
 }
