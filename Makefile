@@ -61,17 +61,20 @@ race-shard:
 # discipline, shard-locked cache, and paged-mode tree operations that
 # the pinrelease/guardedby analyzers reason about statically get their
 # dynamic counterpart here, with the executor's chunked walk over a
-# paged tree whose cache is smaller than the accepted interval.
+# paged tree whose cache is smaller than the accepted interval, and
+# the background writeback interleaved with foreground tree ops.
 race-pager:
 	$(GO) test -race ./internal/pager
-	$(GO) test -race -run 'TestPaged' ./internal/btree ./internal/exec
+	$(GO) test -race -run 'TestPaged|TestWriteback' ./internal/btree ./internal/exec
 
 # A fast benchmark smoke: a handful of iterations of the pipeline and
-# planner benchmarks and of the reply's id writer against the
-# strconv loop it replaced, just to prove they still compile and run.
+# planner benchmarks, of the reply's id writer against the strconv
+# loop it replaced, and of paged-tree Inserts racing a writeback loop,
+# just to prove they still compile and run.
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkPlan$$|BenchmarkPipelineOverhead' -benchtime 10x .
 	$(GO) test -run xxx -bench 'BenchmarkAppendIDs' -benchtime 10x ./internal/httpapi
+	$(GO) test -run xxx -bench 'BenchmarkWritebackConcurrentInsert' -benchtime 10x ./internal/btree
 
 # End-to-end replication under the race detector: in-process
 # primary+replica over real HTTP — bootstrap, catch-up identity,
@@ -86,7 +89,7 @@ replica-integration:
 # crash recovery at every byte offset, cache eviction, COW flushes.
 page-integration:
 	$(GO) test -race ./internal/pager ./internal/codec
-	$(GO) test -race -run 'TestPaged' ./internal/service ./internal/btree ./internal/exec
+	$(GO) test -race -run 'TestPaged|TestWriteback' ./internal/service ./internal/btree ./internal/exec
 
 # End-to-end group commit under the race detector: the grouped-vs-
 # sync golden identity (byte-identical snapshots, WAL batch-frame

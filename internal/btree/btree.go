@@ -128,11 +128,12 @@ func New() *Tree { return &Tree{} }
 // Release resets the tree and returns its arenas to the package pool
 // for reuse by a future BulkLoad. A paged tree instead frees its
 // on-disk pages back to its file (reclaimed at the next checkpoint
-// commit) and is not pooled. The tree must not be used after Release.
+// commit) and is not pooled; it keeps its emptied arena, so a
+// background writeback still holding the tree finds nothing to write.
+// The tree must not be used after Release.
 func (t *Tree) Release() {
 	if t.pg != nil {
 		t.pg.destroy()
-		t.pg = nil
 		t.root, t.size, t.height = 0, 0, 0
 		return
 	}

@@ -37,7 +37,10 @@ import (
 // background writer, marking flushed frames clean (hence evictable)
 // while the slot stays in the epoch's dirty set. A slot touched again
 // after its writeback re-marks its frame dirty and rejoins the
-// to-flush set — same page, still unreferenced, still safe.
+// to-flush set — same page, still unreferenced, still safe. The
+// writeback copies frames out under the arena mutex and writes the
+// copies holding only its own io mutex, so a foreground operation
+// never waits on a pwrite.
 // FlushPaged writes the remaining unflushed slots out and the
 // caller's pager.Commit publishes the new epoch atomically. A crash
 // at any moment therefore leaves the previous checkpoint intact.
@@ -61,11 +64,18 @@ const (
 	innerPayload = innerKidsOff + innerCap*4 // 1012
 )
 
-// Compile-time: both node payloads must fit one pager page.
+// Compile-time: both node payloads must fit one pager page, and an
+// inner payload fits a leaf-sized staging slot.
 var (
 	_ [pager.PayloadSize - leafPayload]byte
 	_ [pager.PayloadSize - innerPayload]byte
+	_ [leafPayload - innerPayload]byte
 )
+
+// stageChunk is how many dirty frames one writeback chunk copies out
+// under the arena mutex: the hold is a few µs, and io is released
+// between chunks so a checkpoint waits for at most one chunk's writes.
+const stageChunk = 16
 
 // leafColumns reinterprets a frame payload as the leaf key/id columns.
 func leafColumns(buf []byte) ([]float64, []uint32) {
@@ -92,11 +102,39 @@ type pagedView struct {
 	kids []int32   // inner only
 }
 
+// stagedPage is one frame a writeback chunk copied out for its write
+// phase. The frame stays pinned until the chunk completes.
+type stagedPage struct {
+	f     *pager.Frame
+	page  int64
+	slot  int32
+	inner bool
+}
+
 // pagedArena is the paged tree's extra state.
 type pagedArena struct {
+	// io is held by a writeback chunk from stage through complete, and
+	// taken first by FlushPaged and destroy (lock order io → mu): a
+	// checkpoint never counts a staged-but-unwritten slot as flushed,
+	// and a released tree's pages reach the pending-free list only
+	// after its in-flight writes finish. No foreground operation takes
+	// it.
+	io    sync.Mutex
 	mu    sync.Mutex
 	file  *pager.File
 	cache *pager.Cache
+
+	// stageBuf holds a chunk's staged payloads, one leafPayload-sized
+	// slot per staged page, and staged describes them.
+	// guarded by io
+	stageBuf []byte
+	// guarded by io
+	staged []stagedPage
+	// writeHook, when set (tests only, before the tree is shared), runs
+	// at the start of a chunk's write phase — with only io held on the
+	// writeback route; a non-nil return fails the phase as a pwrite
+	// error would.
+	writeHook func() error
 
 	leafPage  []int64 // page per leaf slot, -1 for free slots
 	innerPage []int64
@@ -581,61 +619,155 @@ func (t *Tree) pagedMeta() *PagedMeta {
 // later write op rejoins the to-flush set via the leafView re-mark
 // hook. Safe at any moment: every dirty slot's page is unreferenced
 // by the durable superblock until pager.Commit flips it. Returns the
-// number of pages written. Serializes with tree ops on the arena
-// mutex, so no frame is mutated mid-write.
+// number of pages written.
+//
+// The work runs in chunks of stageChunk pages, each in three phases
+// so that no lock a foreground operation takes is held across a
+// pwrite: stage copies the frames out under the arena mutex, the
+// write phase writes the copies holding only io, and complete marks
+// clean, again under the arena mutex, the frames no write touched
+// meanwhile.
 func (t *Tree) WritebackPaged(max int) (int, error) {
 	pg := t.pg
 	if pg == nil {
 		return 0, nil
 	}
-	pg.mu.Lock()
-	defer pg.mu.Unlock()
 	n := 0
-	for s, dirty := range pg.ldirty {
-		if n >= max {
-			return n, nil
-		}
-		if !dirty || pg.lflushed[s] {
-			continue
-		}
-		f, ok := pg.cache.Lookup(uint64(pg.leafPage[s]))
-		if !ok {
-			return n, fmt.Errorf("btree: dirty leaf slot %d not resident", s)
-		}
-		err := pg.file.WritePage(pg.leafPage[s], pager.PageLeaf, f.Bytes()[:leafPayload])
-		if err == nil {
-			pg.cache.MarkClean(f)
-			pg.lflushed[s] = true
-			n++
-		}
-		pg.cache.Unpin(f)
-		if err != nil {
-			return n, err
-		}
-	}
-	for s, dirty := range pg.idirty {
-		if n >= max {
-			return n, nil
-		}
-		if !dirty || pg.iflushed[s] {
-			continue
-		}
-		f, ok := pg.cache.Lookup(uint64(pg.innerPage[s]))
-		if !ok {
-			return n, fmt.Errorf("btree: dirty inner slot %d not resident", s)
-		}
-		err := pg.file.WritePage(pg.innerPage[s], pager.PageInner, f.Bytes()[:innerPayload])
-		if err == nil {
-			pg.cache.MarkClean(f)
-			pg.iflushed[s] = true
-			n++
-		}
-		pg.cache.Unpin(f)
-		if err != nil {
+	var leafAt, innerAt int // each chunk resumes the scan where the last stopped
+	for n < max {
+		k := min(stageChunk, max-n)
+		w, err := pg.writebackChunk(k, &leafAt, &innerAt)
+		n += w
+		if err != nil || w < k {
 			return n, err
 		}
 	}
 	return n, nil
+}
+
+// writebackChunk stages up to k dirty, unflushed slots from the scan
+// cursors, writes them, and completes them. It returns the number of
+// pages written; fewer than k without an error means the scan is
+// exhausted.
+func (pg *pagedArena) writebackChunk(k int, leafAt, innerAt *int) (int, error) {
+	pg.io.Lock()
+	defer pg.io.Unlock()
+	pg.mu.Lock()
+	serr := pg.stage(k, leafAt, innerAt)
+	pg.mu.Unlock()
+	if len(pg.staged) == 0 {
+		return 0, serr
+	}
+	written, werr := pg.writeStaged()
+	pg.mu.Lock()
+	pg.complete(written)
+	pg.mu.Unlock()
+	if werr != nil {
+		return written, werr
+	}
+	return written, serr
+}
+
+// stage copies up to k dirty, unflushed frames into stageBuf, pins
+// them, and sets each slot's flushed bit tentatively: a write that
+// touches the slot before complete clears the bit again through the
+// leafView/innerView re-mark hook, which is how complete learns the
+// copy is stale. Runs with io and mu held.
+//
+//planar:locked
+func (pg *pagedArena) stage(k int, leafAt, innerAt *int) error {
+	if pg.stageBuf == nil {
+		pg.stageBuf = make([]byte, stageChunk*leafPayload)
+	}
+	for ; *leafAt < len(pg.ldirty) && len(pg.staged) < k; *leafAt++ {
+		s := *leafAt
+		if !pg.ldirty[s] || pg.lflushed[s] {
+			continue
+		}
+		if err := pg.stageFrame(int32(s), pg.leafPage[s], false); err != nil {
+			return err
+		}
+		pg.lflushed[s] = true
+	}
+	for ; *innerAt < len(pg.idirty) && len(pg.staged) < k; *innerAt++ {
+		s := *innerAt
+		if !pg.idirty[s] || pg.iflushed[s] {
+			continue
+		}
+		if err := pg.stageFrame(int32(s), pg.innerPage[s], true); err != nil {
+			return err
+		}
+		pg.iflushed[s] = true
+	}
+	return nil
+}
+
+// stageFrame pins one dirty slot's frame and copies it into the next
+// staging slot.
+//
+//planar:locked
+func (pg *pagedArena) stageFrame(s int32, page int64, inner bool) error {
+	f, ok := pg.cache.Lookup(uint64(page))
+	if !ok {
+		kind := "leaf"
+		if inner {
+			kind = "inner"
+		}
+		return fmt.Errorf("btree: dirty %s slot %d not resident", kind, s)
+	}
+	copy(pg.stageBuf[len(pg.staged)*leafPayload:], f.Bytes()[:leafPayload])
+	pg.staged = append(pg.staged, stagedPage{f: f, page: page, slot: s, inner: inner})
+	return nil
+}
+
+// writeStaged is a chunk's write phase. On the writeback route it
+// holds io only — not the arena mutex, not pager.File's. It returns
+// how many staged pages it wrote before the first error.
+//
+//planar:locked
+func (pg *pagedArena) writeStaged() (int, error) {
+	if pg.writeHook != nil {
+		if err := pg.writeHook(); err != nil {
+			return 0, err
+		}
+	}
+	for i, st := range pg.staged {
+		typ, size := pager.PageLeaf, leafPayload
+		if st.inner {
+			typ, size = pager.PageInner, innerPayload
+		}
+		if err := pg.file.WritePage(st.page, typ, pg.stageBuf[i*leafPayload:][:size]); err != nil {
+			return i, err
+		}
+	}
+	return len(pg.staged), nil
+}
+
+// complete ends a chunk: a staged frame is marked clean only if its
+// slot still maps to the staged page and the flushed bit stage set
+// survived — no write touched the slot and no delete freed it since.
+// A slot whose write failed has the bit cleared so the next writeback
+// or FlushPaged writes it. Every staged pin is released. Runs with io
+// and mu held.
+//
+//planar:locked
+func (pg *pagedArena) complete(written int) {
+	for i, st := range pg.staged {
+		pages, flushed := pg.leafPage, pg.lflushed
+		if st.inner {
+			pages, flushed = pg.innerPage, pg.iflushed
+		}
+		if pages[st.slot] == st.page && flushed[st.slot] {
+			if i < written {
+				pg.cache.MarkClean(st.f)
+			} else {
+				flushed[st.slot] = false
+			}
+		}
+		pg.cache.Unpin(st.f)
+	}
+	clear(pg.staged)
+	pg.staged = pg.staged[:0]
 }
 
 // FlushPaged writes every still-unflushed dirty slot back to its
@@ -645,61 +777,50 @@ func (t *Tree) WritebackPaged(max int) (int, error) {
 // Slots the background writer already shadow-wrote are skipped — their
 // frames may have been evicted, but their disk copy is current. The
 // caller is responsible for pager.Commit; until then the previous
-// checkpoint remains the durable state.
+// checkpoint remains the durable state. It waits for an in-flight
+// writeback chunk, so every flushed bit it trusts is a finished write.
 func (t *Tree) FlushPaged() (*PagedMeta, int, error) {
 	pg := t.pg
 	if pg == nil {
 		return nil, 0, fmt.Errorf("btree: FlushPaged on a non-paged tree")
 	}
+	pg.io.Lock()
+	defer pg.io.Unlock()
 	pg.mu.Lock()
 	defer pg.mu.Unlock()
+	// The writeback's chunks, with the arena mutex held throughout: the
+	// checkpoint caller excludes tree operations anyway, and holding it
+	// keeps a slot from turning dirty between the last chunk and the
+	// reset below.
+	var leafAt, innerAt int
+	for {
+		serr := pg.stage(stageChunk, &leafAt, &innerAt)
+		if len(pg.staged) == 0 {
+			if serr != nil {
+				return nil, 0, serr
+			}
+			break
+		}
+		written, werr := pg.writeStaged()
+		pg.complete(written)
+		if werr != nil {
+			return nil, 0, werr
+		}
+		if serr != nil {
+			return nil, 0, serr
+		}
+	}
 	delta := 0
 	for s, dirty := range pg.ldirty {
-		if !dirty {
-			continue
-		}
-		delta++
-		if pg.lflushed[s] {
-			pg.ldirty[s] = false
-			pg.lflushed[s] = false
-			continue
-		}
-		f, ok := pg.cache.Lookup(uint64(pg.leafPage[s]))
-		if !ok {
-			return nil, delta, fmt.Errorf("btree: dirty leaf slot %d not resident", s)
-		}
-		err := pg.file.WritePage(pg.leafPage[s], pager.PageLeaf, f.Bytes()[:leafPayload])
-		if err == nil {
-			pg.cache.MarkClean(f)
-			pg.ldirty[s] = false
-		}
-		pg.cache.Unpin(f)
-		if err != nil {
-			return nil, delta, err
+		if dirty {
+			delta++
+			pg.ldirty[s], pg.lflushed[s] = false, false
 		}
 	}
 	for s, dirty := range pg.idirty {
-		if !dirty {
-			continue
-		}
-		delta++
-		if pg.iflushed[s] {
-			pg.idirty[s] = false
-			pg.iflushed[s] = false
-			continue
-		}
-		f, ok := pg.cache.Lookup(uint64(pg.innerPage[s]))
-		if !ok {
-			return nil, delta, fmt.Errorf("btree: dirty inner slot %d not resident", s)
-		}
-		err := pg.file.WritePage(pg.innerPage[s], pager.PageInner, f.Bytes()[:innerPayload])
-		if err == nil {
-			pg.cache.MarkClean(f)
-			pg.idirty[s] = false
-		}
-		pg.cache.Unpin(f)
-		if err != nil {
-			return nil, delta, err
+		if dirty {
+			delta++
+			pg.idirty[s], pg.iflushed[s] = false, false
 		}
 	}
 	return t.pagedMeta(), delta, nil
@@ -778,8 +899,12 @@ func (m *PagedMeta) Pages(dst []int64) []int64 {
 // destroy frees every page the paged tree owns and drops their
 // frames. Called from Release (e.g. when an index rebuild replaces a
 // paged tree with a fresh RAM bulk load); the pages become
-// allocatable after the next pager commit.
+// allocatable after the next pager commit. Taking io first lets an
+// in-flight writeback chunk finish its writes before the pages are
+// freed; a writeback that starts later finds no dirty slot.
 func (pg *pagedArena) destroy() {
+	pg.io.Lock()
+	defer pg.io.Unlock()
 	pg.mu.Lock()
 	defer pg.mu.Unlock()
 	for s := range pg.leafPage {

@@ -14,7 +14,7 @@ import (
 // buildPaged bulk-loads a RAM tree from entries, checkpoints it into
 // a fresh page file, and opens the paged twin. Returns both plus the
 // file (caller closes) and cache.
-func buildPaged(t *testing.T, entries []Entry, cacheBytes int) (*Tree, *Tree, *pager.File, *pager.Cache) {
+func buildPaged(t testing.TB, entries []Entry, cacheBytes int) (*Tree, *Tree, *pager.File, *pager.Cache) {
 	t.Helper()
 	ram := BulkLoad(append([]Entry(nil), entries...))
 	f, err := pager.Create(filepath.Join(t.TempDir(), "tree.plnr"), nil, 0)

@@ -295,3 +295,108 @@ func TestCrashDuringWritebackEveryOffset(t *testing.T) {
 		}
 	})
 }
+
+// TestWritebackStressMatchesRAMTwin runs every writer of a paged
+// store's trees at once: the background writer on a 1 ms interval, a
+// goroutine draining it in a loop, foreground appends/updates/removes
+// and checkpoints. One append lands outside the +1 octant's
+// translation, so Index.rebuild releases those paged trees mid-run
+// while writebacks may hold them; the other-octant index stays paged
+// throughout. After close and reopen the store must equal a RAM twin
+// that took the same mutation stream, id for id.
+func TestWritebackStressMatchesRAMTwin(t *testing.T) {
+	const dim = 4
+	path := filepath.Join(t.TempDir(), "stress.plnr")
+	build := func() *core.Multi {
+		m := buildPagedMulti(t, rand.New(rand.NewSource(60)), dim, 1500)
+		// Coordinate 0 at the top of mutateMulti's [0,100) range gives
+		// the octant-(-1,…) index a translation no later point leaves.
+		if _, err := m.Append([]float64{100, 50, 50, 50}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.AddNormal([]float64{0.7, 0.2, 0.5, 0.9}, vecmath.SignPattern{-1, 1, 1, 1}); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	twin := build()
+	ps, err := CreatePaged(path, dim, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ps.Checkpoint(build(), 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := ps.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	ps2, m2, err := OpenPaged(path, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps2.StartWriter(pager.WriterOptions{Interval: time.Millisecond, BatchPages: 16}, m2.WritebackIndexes)
+	stop, drained := make(chan struct{}), make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				drained <- nil
+				return
+			default:
+			}
+			if err := ps2.DrainWriteback(); err != nil {
+				drained <- err
+				return
+			}
+		}
+	}()
+
+	rngPaged, rngTwin := rand.New(rand.NewSource(61)), rand.New(rand.NewSource(61))
+	outside := []float64{-5, 40, 40, 40} // negative in an octant-(+1) coordinate
+	for epoch := 0; epoch < 6; epoch++ {
+		mutateMulti(t, rngPaged, m2, dim, 300)
+		mutateMulti(t, rngTwin, twin, dim, 300)
+		if epoch == 2 {
+			for _, m := range []*core.Multi{m2, twin} {
+				if _, err := m.Append(outside); err != nil {
+					t.Fatal(err)
+				}
+			}
+			paged := 0
+			for i := 0; i < m2.NumIndexes(); i++ {
+				if m2.Index(i).Tree().Paged() {
+					paged++
+				}
+			}
+			if paged != 1 {
+				t.Fatalf("%d paged trees after the out-of-translation append, want 1 (the other octant's)", paged)
+			}
+		}
+		if err := ps2.Checkpoint(m2, uint64(2+epoch)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	if err := <-drained; err != nil {
+		t.Fatal(err)
+	}
+	if st := ps2.Stats(); st.WritebackPages == 0 || st.WritebackErrors != 0 {
+		t.Fatalf("writer stats %+v: want pages written and no errors", st)
+	}
+	if err := ps2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	ps3, m3, err := OpenPaged(path, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ps3.Close()
+	wd, wl, wf := storeState(twin)
+	gd, gl, gf := storeState(m3)
+	if !reflect.DeepEqual(wd, gd) || !reflect.DeepEqual(wl, gl) || !reflect.DeepEqual(wf, gf) {
+		t.Fatal("reopened store differs from its RAM twin")
+	}
+	compareMultis(t, rand.New(rand.NewSource(62)), twin, m3, dim)
+}

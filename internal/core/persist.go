@@ -163,32 +163,29 @@ func (ix *Index) persist(file *pager.File) (IndexPersist, error) {
 	return p, nil
 }
 
-// writeback shadow-flushes up to max of one index's dirty tree pages;
-// see Tree.WritebackPaged. RAM trees have nothing to write back.
-func (ix *Index) writeback(max int) (int, error) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	if !ix.tree.Paged() {
-		return 0, nil
-	}
-	return ix.tree.WritebackPaged(max)
-}
-
 // WritebackIndexes is the background writer's flush callback target:
 // it walks the indexes shadow-writing dirty tree pages until max
-// pages are written or every index is clean. Safe concurrently with
-// queries and mutations — each tree serializes internally and the
-// pages being written are invisible to the durable superblock until
-// the next commit.
+// pages are written or every index is clean. It holds Multi.mu and
+// Index.mu only to collect the paged trees, and writes with both
+// released, so a mutation never waits on its pwrites; each tree
+// serializes with its own operations, checkpoint flush and release
+// (Tree.WritebackPaged), and the pages being written are invisible
+// to the durable superblock until the next commit.
 func (m *Multi) WritebackIndexes(max int) (int, error) {
 	m.mu.RLock()
-	defer m.mu.RUnlock()
-	total := 0
+	trees := make([]*btree.Tree, 0, len(m.indexes))
 	for _, ix := range m.indexes {
+		if t := ix.Tree(); t.Paged() {
+			trees = append(trees, t)
+		}
+	}
+	m.mu.RUnlock()
+	total := 0
+	for _, t := range trees {
 		if total >= max {
 			break
 		}
-		n, err := ix.writeback(max - total)
+		n, err := t.WritebackPaged(max - total)
 		total += n
 		if err != nil {
 			return total, err

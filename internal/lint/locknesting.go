@@ -47,7 +47,11 @@ var lockRank = map[lockClass]int{
 	"planar/internal/core.Multi.mu":       30, // index-collection lock
 	"planar/internal/core.Index.mu":       40, // per-index lock
 	"planar/internal/replog.Sequencer.mu": 60, // commit sequencer (journal-under-lock)
+	"planar/internal/btree.pagedArena.io": 70, // paged tree: writeback chunk, checkpoint flush, release
+	"planar/internal/btree.pagedArena.mu": 72, // paged tree: op bracket, writeback stage/complete
+	"planar/internal/pager.cacheShard.mu": 74, // page cache shard
 	"planar/internal/replica.Replica.mu":  90, // replica status leaf
+	"planar/internal/pager.File.mu":       95, // page allocator leaf (page I/O takes no lock)
 }
 
 // lockAcquiredByCall maps exported entry points ("pkgpath.Type.Method"
@@ -87,6 +91,21 @@ func init() {
 		"Append", "Update", "Remove", "AddNormal", "InequalityIDs",
 		"InequalityBatch", "TopK", "Count", "SelectivityBounds", "Explain",
 		"NumIndexes", "MemoryBytes")
+	// The paged tier (DESIGN.md §12). Tree methods are tagged with the
+	// outermost arena lock they take; a RAM tree takes none, which the
+	// table cannot see, so the check is conservative. File.ReadPage and
+	// File.WritePage are lock-free and deliberately absent.
+	add("planar/internal/btree.pagedArena.io", "planar/internal/btree.Tree",
+		"WritebackPaged", "FlushPaged", "Release")
+	add("planar/internal/btree.pagedArena.mu", "planar/internal/btree.Tree",
+		"Contains", "Insert", "Delete", "Min", "Max", "AscendLE", "AscendRange",
+		"DescendLE", "RankChunks", "RangeChunks", "CollectRange", "RankLE",
+		"CountRange", "Validate")
+	add("planar/internal/pager.cacheShard.mu", "planar/internal/pager.Cache",
+		"Get", "Lookup", "NewFrame", "Unpin", "MarkDirty", "MarkClean", "Rekey",
+		"Drop", "Stats")
+	add("planar/internal/pager.File.mu", "planar/internal/pager.File",
+		"Alloc", "Free", "Commit", "Meta", "CheckpointLSN", "NumPages")
 }
 
 type lockEventKind int

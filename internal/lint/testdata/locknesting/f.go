@@ -1,9 +1,11 @@
 // Fixture for the locknesting analyzer, type-checked as
 // planar/internal/replica so the local Replica type lands on the real
-// rank table's leaf (Replica.mu=90). The service, shard and replog
-// imports exercise the cross-package acquisition table, which is how
-// the partition lock (shard.partition.mu=20) and the commit barrier
-// (service.DB.commitMu=10) are reached from here. Legal ranked nesting
+// rank table's leaf (Replica.mu=90). The service, shard, replog, btree
+// and pager imports exercise the cross-package acquisition table,
+// which is how the partition lock (shard.partition.mu=20), the commit
+// barrier (service.DB.commitMu=10) and the paged tier's locks
+// (pagedArena.io=70 < pagedArena.mu=72 < cacheShard.mu=74, with
+// pager.File.mu=95 the leaf above everything) are reached from here. Legal ranked nesting
 // (partition → Multi → Index → sequencer) is what the
 // real tree does, and TestTreeClean holds it at zero findings.
 package replica
@@ -11,6 +13,8 @@ package replica
 import (
 	"sync"
 
+	"planar/internal/btree"
+	"planar/internal/pager"
 	"planar/internal/replog"
 	"planar/internal/service"
 	"planar/internal/shard"
@@ -107,4 +111,14 @@ func suppressedWrongOrder(r *Replica, db *service.DB) {
 	defer r.mu.Unlock()
 	//nolint:locknesting // fixture: documented startup-only exception
 	_ = db.Checkpoint()
+}
+
+func pagedTierUnderLeaf(r *Replica, tr *btree.Tree, c *pager.Cache, f *pager.File) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	_, _ = tr.WritebackPaged(1) // want `pagedTierUnderLeaf calls WritebackPaged which acquires planar/internal/btree.pagedArena.io while holding planar/internal/replica.Replica.mu`
+	_ = tr.Insert(1, 1)         // want `pagedTierUnderLeaf calls Insert which acquires planar/internal/btree.pagedArena.mu while holding planar/internal/replica.Replica.mu`
+	c.Unpin(nil)                // want `pagedTierUnderLeaf calls Unpin which acquires planar/internal/pager.cacheShard.mu while holding planar/internal/replica.Replica.mu`
+	_ = f.NumPages()            // the page allocator is the leaf ranked above every other lock
+	_ = f.WritePage(2, 0, nil)  // page I/O is lock-free
 }

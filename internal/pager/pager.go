@@ -36,6 +36,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 )
 
 const (
@@ -75,15 +76,21 @@ var (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// File is an open page file. Alloc/Free/WritePage/Commit are guarded
-// by an internal mutex; ReadPage is lock-free (positional reads into
-// a caller buffer) so concurrent faults from several trees do not
-// serialize on the allocator.
+// File is an open page file. Alloc/Free/Commit are guarded by an
+// internal mutex; ReadPage and WritePage are lock-free (positional
+// I/O on a caller buffer touches none of the mutex-guarded state), so
+// concurrent faults from several trees do not serialize on the
+// allocator, and a background writeback's page writes never make a
+// copy-on-write Alloc or Free wait.
 type File struct {
 	mu sync.Mutex
 
-	f    *os.File
-	path string
+	// f is fixed from Open/Create until the File is dropped; Close
+	// flips closed instead of clearing it, so the lock-free ReadPage
+	// and WritePage never race with Close.
+	f      *os.File
+	closed atomic.Bool
+	path   string
 
 	epoch    uint64  // guarded by mu
 	slot     int     // guarded by mu; superblock slot holding the current epoch (0 or 1)
@@ -396,14 +403,17 @@ func (f *File) Free(page int64) {
 
 // WritePage writes a payload (at most PayloadSize bytes; shorter
 // payloads are zero-padded) to the given page with the given type
-// tag. The write is not synced; Commit's fsync covers it.
+// tag. The write is not synced; Commit's fsync covers it. It is safe
+// for concurrent use and takes no lock: callers own the page they
+// write (Alloc handed it out), so no other state needs guarding.
 func (f *File) WritePage(page int64, typ byte, payload []byte) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.writePageLocked(page, typ, -1, payload)
+	return f.writePage(page, typ, -1, payload)
 }
 
-func (f *File) writePageLocked(page int64, typ byte, next int64, payload []byte) error {
+func (f *File) writePage(page int64, typ byte, next int64, payload []byte) error {
+	if f.closed.Load() {
+		return fmt.Errorf("pager: write page %d: %w", page, os.ErrClosed)
+	}
 	if len(payload) > PayloadSize {
 		return fmt.Errorf("pager: payload %d exceeds page payload %d", len(payload), PayloadSize)
 	}
@@ -436,6 +446,9 @@ func (f *File) ReadPage(page int64, buf []byte) (byte, error) {
 func (f *File) readPageInto(page int64, buf []byte) (typ byte, next int64, err error) {
 	if page < 2 {
 		return 0, 0, fmt.Errorf("pager: read of reserved page %d", page)
+	}
+	if f.closed.Load() {
+		return 0, 0, fmt.Errorf("pager: read page %d: %w", page, os.ErrClosed)
 	}
 	if _, err := f.f.ReadAt(buf[:PageSize], page*PageSize); err != nil {
 		return 0, 0, fmt.Errorf("pager: read page %d: %w", page, err)
@@ -494,7 +507,7 @@ func (f *File) commitLocked(userMeta []byte, cpLSN uint64) error {
 		if lo < len(blob) {
 			payload = blob[lo:hi]
 		}
-		if err := f.writePageLocked(page, PageMeta, next, payload); err != nil {
+		if err := f.writePage(page, PageMeta, next, payload); err != nil {
 			return err
 		}
 	}
@@ -534,14 +547,14 @@ func (f *File) commitLocked(userMeta []byte, cpLSN uint64) error {
 
 // Close closes the file without committing: in-memory state that was
 // never committed is discarded, and the next Open recovers the last
-// durable checkpoint.
+// durable checkpoint. Idempotent; it waits for an in-flight Commit,
+// and a ReadPage or WritePage racing with or following it returns an
+// error wrapping os.ErrClosed.
 func (f *File) Close() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.f == nil {
+	if f.closed.Swap(true) {
 		return nil
 	}
-	err := f.f.Close()
-	f.f = nil
-	return err
+	return f.f.Close()
 }

@@ -326,3 +326,63 @@ func TestCrashRecoveryEveryOffset(t *testing.T) {
 		}
 	})
 }
+
+// TestCloseRacesLockFreeIO closes a file while goroutines read and
+// write pages without any lock (ReadPage and WritePage take none).
+// Under -race this pins that Close never writes state the lock-free
+// paths read; after Close both return os.ErrClosed, and a second
+// Close is a no-op.
+func TestCloseRacesLockFreeIO(t *testing.T) {
+	f, err := Create(tempFile(t), nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers = 4
+	pages := make([]int64, workers)
+	for i := range pages {
+		pages[i] = f.Alloc()
+		if err := f.WritePage(pages[i], PageBlob, payloadFor(byte(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	start := make(chan struct{})
+	errs := make(chan error, workers)
+	for i := 0; i < workers; i++ {
+		go func(page int64, seed byte) {
+			<-start
+			buf := make([]byte, PayloadSize)
+			for {
+				werr := f.WritePage(page, PageBlob, payloadFor(seed))
+				_, rerr := f.ReadPage(page, buf)
+				for _, err := range []error{werr, rerr} {
+					if err != nil {
+						if errors.Is(err, os.ErrClosed) {
+							errs <- nil
+						} else {
+							errs <- err
+						}
+						return
+					}
+				}
+			}
+		}(pages[i], byte(i))
+	}
+	close(start)
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < workers; i++ {
+		if err := <-errs; err != nil {
+			t.Fatalf("I/O racing Close failed with %v, want os.ErrClosed", err)
+		}
+	}
+	if err := f.WritePage(pages[0], PageBlob, payloadFor(9)); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("WritePage after Close = %v, want os.ErrClosed", err)
+	}
+	if _, err := f.ReadPage(pages[0], make([]byte, PayloadSize)); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("ReadPage after Close = %v, want os.ErrClosed", err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatalf("second Close = %v, want nil", err)
+	}
+}
