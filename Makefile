@@ -61,20 +61,23 @@ race-shard:
 # discipline, shard-locked cache, and paged-mode tree operations that
 # the pinrelease/guardedby analyzers reason about statically get their
 # dynamic counterpart here, with the executor's chunked walk over a
-# paged tree whose cache is smaller than the accepted interval, and
-# the background writeback interleaved with foreground tree ops.
+# paged tree whose cache is smaller than the accepted interval, the
+# background writeback interleaved with foreground tree ops, and
+# indexes widening their translation on paged trees.
 race-pager:
 	$(GO) test -race ./internal/pager
-	$(GO) test -race -run 'TestPaged|TestWriteback' ./internal/btree ./internal/exec
+	$(GO) test -race -run 'TestPaged|TestWriteback|TestWiden' ./internal/btree ./internal/exec ./internal/core
 
 # A fast benchmark smoke: a handful of iterations of the pipeline and
 # planner benchmarks, of the reply's id writer against the strconv
-# loop it replaced, and of paged-tree Inserts racing a writeback loop,
+# loop it replaced, of paged-tree Inserts racing a writeback loop, and
+# of an Append that widens the translation beside an in-range one,
 # just to prove they still compile and run.
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkPlan$$|BenchmarkPipelineOverhead' -benchtime 10x .
 	$(GO) test -run xxx -bench 'BenchmarkAppendIDs' -benchtime 10x ./internal/httpapi
 	$(GO) test -run xxx -bench 'BenchmarkWritebackConcurrentInsert' -benchtime 10x ./internal/btree
+	$(GO) test -run xxx -bench 'BenchmarkAppendOutsideTranslation' -benchtime 10x ./internal/core
 
 # End-to-end replication under the race detector: in-process
 # primary+replica over real HTTP — bootstrap, catch-up identity,
@@ -86,10 +89,11 @@ replica-integration:
 # reopen service e2e (golden identity vs the all-RAM store with the
 # page cache smaller than the dataset, WAL replay bounded by the
 # checkpoint LSN) plus the pager, codec, and paged-btree suites —
-# crash recovery at every byte offset, cache eviction, COW flushes.
+# crash recovery at every byte offset, cache eviction, COW flushes,
+# trees adopted onto their pages at a fresh store's first checkpoint.
 page-integration:
 	$(GO) test -race ./internal/pager ./internal/codec
-	$(GO) test -race -run 'TestPaged|TestWriteback' ./internal/service ./internal/btree ./internal/exec
+	$(GO) test -race -run 'TestPaged|TestWriteback|TestWiden' ./internal/service ./internal/btree ./internal/exec ./internal/core
 
 # End-to-end group commit under the race detector: the grouped-vs-
 # sync golden identity (byte-identical snapshots, WAL batch-frame

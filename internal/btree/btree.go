@@ -2,7 +2,7 @@
 // 4.2) as an arena-backed, Structure-of-Arrays B+ tree over
 // (key, id) pairs, where the key is the scalar product ⟨c, φ(x)⟩.
 //
-// Nodes are fixed-size slots in flat pooled buffers: a leaf slot owns
+// Nodes are fixed-size slots in flat buffers: a leaf slot owns
 // a LeafCap-wide window of the parallel `keys []float64` / `ids
 // []uint32` columns, an inner slot owns windows of the separator and
 // child-index columns. Child and leaf-chain references are int32 slot
@@ -28,7 +28,6 @@ package btree
 import (
 	"fmt"
 	"sort"
-	"sync"
 )
 
 // Entry is one element of the tree: a sort key (the scalar product
@@ -116,49 +115,8 @@ type Tree struct {
 	pg *pagedArena
 }
 
-// arenaPool recycles Tree arenas across the rebuild churn: an index
-// rebuild Releases the old tree and BulkLoads the replacement, so
-// steady-state mutation batches reuse the same flat buffers instead
-// of regrowing them.
-var arenaPool = sync.Pool{New: func() any { return new(Tree) }}
-
 // New returns an empty tree.
 func New() *Tree { return &Tree{} }
-
-// Release resets the tree and returns its arenas to the package pool
-// for reuse by a future BulkLoad. A paged tree instead frees its
-// on-disk pages back to its file (reclaimed at the next checkpoint
-// commit) and is not pooled; it keeps its emptied arena, so a
-// background writeback still holding the tree finds nothing to write.
-// The tree must not be used after Release.
-func (t *Tree) Release() {
-	if t.pg != nil {
-		t.pg.destroy()
-		t.root, t.size, t.height = 0, 0, 0
-		return
-	}
-	t.reset()
-	arenaPool.Put(t)
-}
-
-// reset empties the tree but keeps arena capacity.
-func (t *Tree) reset() {
-	t.keys = t.keys[:0]
-	t.ids = t.ids[:0]
-	t.lnum = t.lnum[:0]
-	t.lnext = t.lnext[:0]
-	t.lprev = t.lprev[:0]
-	t.sepKeys = t.sepKeys[:0]
-	t.sepIDs = t.sepIDs[:0]
-	t.kids = t.kids[:0]
-	t.knum = t.knum[:0]
-	t.counts = t.counts[:0]
-	t.freeLeaf = t.freeLeaf[:0]
-	t.freeInner = t.freeInner[:0]
-	t.root = 0
-	t.size = 0
-	t.height = 0
-}
 
 // Len returns the number of entries.
 func (t *Tree) Len() int { return t.size }
@@ -216,7 +174,7 @@ func (t *Tree) kidv(s int32) []int32 {
 }
 
 // grown extends s by n elements, reusing spare capacity when the
-// arena has it (pooled trees) and growing it by a quarter otherwise —
+// arena has it and growing it by a quarter otherwise —
 // the runtime's own policy for large slices. A bulk-loaded tree's
 // arenas are sized exactly and the first splits under updates
 // reallocate them; random updates then settle the tree at about 1.4×
@@ -229,19 +187,6 @@ func grown[E any](s []E, n int) []E {
 		return s[:len(s)+n]
 	}
 	out := make([]E, len(s)+n, cap(s)+cap(s)/4+n)
-	copy(out, s)
-	return out
-}
-
-// ensureCap grows s's capacity to at least n elements without
-// changing its length. Bulk loading pre-sizes the arenas through it
-// so the build path never pays doubling reallocations (or their ~2x
-// spare-capacity footprint).
-func ensureCap[E any](s []E, n int) []E {
-	if cap(s) >= n {
-		return s
-	}
-	out := make([]E, len(s), n)
 	copy(out, s)
 	return out
 }
@@ -370,9 +315,7 @@ func (t *Tree) lastLeaf() int32 {
 }
 
 // BulkLoad builds a tree from entries in O(n log n). The input slice
-// is sorted in place. Duplicate (Key, ID) pairs are collapsed. The
-// arenas come from the package pool; pair with Release to recycle
-// them.
+// is sorted in place. Duplicate (Key, ID) pairs are collapsed.
 func BulkLoad(entries []Entry) *Tree {
 	sort.Slice(entries, func(i, j int) bool { return entries[i].Less(entries[j]) })
 	// Collapse duplicates.
@@ -385,30 +328,30 @@ func BulkLoad(entries []Entry) *Tree {
 	}
 	entries = dedup
 
-	t := arenaPool.Get().(*Tree)
-	t.reset()
 	if len(entries) == 0 {
-		return t
+		return &Tree{}
 	}
 
 	// Pack leaves at ~87% fill so immediate inserts do not split.
 	const fill = leafCap - leafCap/8
 
-	// Pre-size the arenas: at most one chunk per fill-target stride
-	// plus a split tail per level, and the inner levels shrink
-	// geometrically by at least innerMin.
+	// Pre-size the arenas so the build never regrows them: at most one
+	// chunk per fill-target stride plus a split tail per level, and the
+	// inner levels shrink geometrically by at least innerMin.
 	nl := len(entries)/fill + 2
 	ni := nl/innerMin + 2*8
-	t.keys = ensureCap(t.keys, nl*leafCap)
-	t.ids = ensureCap(t.ids, nl*leafCap)
-	t.lnum = ensureCap(t.lnum, nl)
-	t.lnext = ensureCap(t.lnext, nl)
-	t.lprev = ensureCap(t.lprev, nl)
-	t.sepKeys = ensureCap(t.sepKeys, ni*sepCap)
-	t.sepIDs = ensureCap(t.sepIDs, ni*sepCap)
-	t.kids = ensureCap(t.kids, ni*innerCap)
-	t.knum = ensureCap(t.knum, ni)
-	t.counts = ensureCap(t.counts, ni)
+	t := &Tree{
+		keys:    make([]float64, 0, nl*leafCap),
+		ids:     make([]uint32, 0, nl*leafCap),
+		lnum:    make([]int32, 0, nl),
+		lnext:   make([]int32, 0, nl),
+		lprev:   make([]int32, 0, nl),
+		sepKeys: make([]float64, 0, ni*sepCap),
+		sepIDs:  make([]uint32, 0, ni*sepCap),
+		kids:    make([]int32, 0, ni*innerCap),
+		knum:    make([]int32, 0, ni),
+		counts:  make([]int32, 0, ni),
+	}
 
 	var level []int32
 	var mins []Entry

@@ -175,7 +175,6 @@ func TestDifferentialBulkLoad(t *testing.T) {
 		ref := reftree.BulkLoad(refEnts)
 		mustValidate(t, arena)
 		compareTrees(t, arena, ref, rng)
-		arena.Release()
 	}
 }
 
@@ -189,7 +188,6 @@ func TestChunkViewsMatchEntryWalks(t *testing.T) {
 		ents[i] = Entry{Key: math.Floor(rng.Float64()*1000) / 8, ID: uint32(i)}
 	}
 	tr := BulkLoad(append([]Entry(nil), ents...))
-	defer tr.Release()
 	// Churn so the leaf chain includes split and merged slots.
 	for i := 0; i < 1500; i++ {
 		e := ents[rng.Intn(len(ents))]
@@ -278,24 +276,5 @@ func TestChunkViewsMatchEntryWalks(t *testing.T) {
 	tr.RangeChunks(math.Inf(-1), math.Inf(1), func([]float64, []uint32) bool { calls++; return false })
 	if calls != 1 {
 		t.Fatalf("RangeChunks early stop made %d calls", calls)
-	}
-}
-
-// TestArenaPoolReuse pins Release/BulkLoad recycling: a released
-// tree's arenas are reused without leaking state into the next load.
-func TestArenaPoolReuse(t *testing.T) {
-	rng := rand.New(rand.NewSource(45))
-	for round := 0; round < 10; round++ {
-		n := 1 + rng.Intn(4000)
-		ents := make([]Entry, n)
-		for i := range ents {
-			ents[i] = Entry{Key: rng.Float64(), ID: uint32(i)}
-		}
-		tr := BulkLoad(append([]Entry(nil), ents...))
-		mustValidate(t, tr)
-		if tr.Len() != len(collect(tr)) {
-			t.Fatalf("round %d: Len %d, walk %d", round, tr.Len(), len(collect(tr)))
-		}
-		tr.Release()
 	}
 }

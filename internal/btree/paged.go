@@ -114,11 +114,9 @@ type stagedPage struct {
 // pagedArena is the paged tree's extra state.
 type pagedArena struct {
 	// io is held by a writeback chunk from stage through complete, and
-	// taken first by FlushPaged and destroy (lock order io → mu): a
-	// checkpoint never counts a staged-but-unwritten slot as flushed,
-	// and a released tree's pages reach the pending-free list only
-	// after its in-flight writes finish. No foreground operation takes
-	// it.
+	// taken first by FlushPaged (lock order io → mu): a checkpoint never
+	// counts a staged-but-unwritten slot as flushed. No foreground
+	// operation takes it.
 	io    sync.Mutex
 	mu    sync.Mutex
 	file  *pager.File
@@ -555,7 +553,8 @@ func (m *PagedMeta) validate() error {
 // OpenPaged materializes a tree from a checkpointed PagedMeta. Slot
 // metadata is loaded eagerly (a few bytes per slot); the data columns
 // stay on disk and fault through cache on first touch. The returned
-// tree owns its pages: Release frees them back to the file.
+// tree owns its pages from then on: copy-on-write and slot frees
+// hand superseded pages back to the file.
 func OpenPaged(file *pager.File, cache *pager.Cache, m *PagedMeta) (*Tree, error) {
 	if err := m.validate(); err != nil {
 		return nil, err
@@ -827,10 +826,10 @@ func (t *Tree) FlushPaged() (*PagedMeta, int, error) {
 }
 
 // WritePaged writes a RAM tree's full contents into the file as one
-// page per live slot and returns the metadata describing it. The tree
-// itself stays a RAM tree (live trees only become paged through
-// OpenPaged after a restart); the caller owns the returned pages and
-// frees them when it rewrites the tree at the next checkpoint.
+// page per live slot and returns the metadata describing it. The RAM
+// tree is left as it was; the pages belong to whichever tree
+// OpenPaged opens over the meta (an index's first checkpoint swaps
+// that tree in for the RAM one).
 func (t *Tree) WritePaged(file *pager.File) (*PagedMeta, error) {
 	if t.pg != nil {
 		return nil, fmt.Errorf("btree: WritePaged on an already-paged tree")
@@ -877,40 +876,4 @@ func (t *Tree) WritePaged(file *pager.File) (*PagedMeta, error) {
 		m.InnerPage[s] = p
 	}
 	return m, nil
-}
-
-// Pages appends every on-disk page a PagedMeta references to dst and
-// returns it — the page set a checkpoint owner must free when it
-// supersedes the meta.
-func (m *PagedMeta) Pages(dst []int64) []int64 {
-	for _, p := range m.LeafPage {
-		if p >= 0 {
-			dst = append(dst, p)
-		}
-	}
-	for _, p := range m.InnerPage {
-		if p >= 0 {
-			dst = append(dst, p)
-		}
-	}
-	return dst
-}
-
-// destroy frees every page the paged tree owns and drops their
-// frames. Called from Release (e.g. when an index rebuild replaces a
-// paged tree with a fresh RAM bulk load); the pages become
-// allocatable after the next pager commit. Taking io first lets an
-// in-flight writeback chunk finish its writes before the pages are
-// freed; a writeback that starts later finds no dirty slot.
-func (pg *pagedArena) destroy() {
-	pg.io.Lock()
-	defer pg.io.Unlock()
-	pg.mu.Lock()
-	defer pg.mu.Unlock()
-	for s := range pg.leafPage {
-		pg.dropLeaf(int32(s))
-	}
-	for s := range pg.innerPage {
-		pg.dropInner(int32(s))
-	}
 }

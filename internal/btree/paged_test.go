@@ -219,35 +219,6 @@ func TestPagedTinyCacheScans(t *testing.T) {
 	}
 }
 
-// TestPagedReleaseReclaimsPages checks Release + commit returns every
-// page to the allocator: rewriting the same tree must not grow the
-// file.
-func TestPagedReleaseReclaimsPages(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	var entries []Entry
-	for i := 0; i < 20000; i++ {
-		entries = append(entries, Entry{Key: rng.Float64(), ID: uint32(i)})
-	}
-	ram, paged, f, _ := buildPaged(t, entries, 1<<20)
-	defer f.Close()
-	n1 := f.NumPages()
-	paged.Release()
-	if err := f.Commit(nil, 2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ram.WritePaged(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Commit(nil, 3); err != nil {
-		t.Fatal(err)
-	}
-	// Meta chains cost a few pages per commit; anything beyond that
-	// slack means Release leaked tree pages.
-	if grew := f.NumPages() - n1; grew > 8 {
-		t.Fatalf("file grew %d pages across release+rewrite: pages leaked", grew)
-	}
-}
-
 // FuzzPageCodec fuzzes the paged-tree metadata codec (the only
 // variable-length page-borne encoding the tree owns), seeded with
 // real arena dumps. Decoded metas must round-trip exactly; arbitrary
@@ -275,7 +246,6 @@ func FuzzPageCodec(f *testing.F) {
 			m.InnerPage[i] = int64(1000 + i)
 		}
 		f.Add(m.AppendTo(nil))
-		tr.Release()
 	}
 	f.Add([]byte{})
 	f.Add([]byte{pagedMetaVersion})

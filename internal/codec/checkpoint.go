@@ -32,17 +32,19 @@ import (
 // after, so a failed attempt retried later can never free the same
 // page twice. The header (live bitmap + free list, ~1 byte/row) is
 // small and rewritten every checkpoint as a fresh chain. Index trees
-// were already delta-flushed: paged trees relocate mutated nodes
-// copy-on-write and FlushPaged writes just the epoch's dirty set.
-// Checkpoint cost is therefore proportional to what changed, not to
-// the store; marking every row dirty first (PointStore.MarkAllDirty)
-// makes it the v1-equivalent full rewrite the tests use as oracle.
+// are delta-flushed: paged trees relocate mutated nodes copy-on-write
+// and FlushPaged writes just the epoch's dirty set. A tree built in
+// RAM (a fresh store, or an index added since the last checkpoint) is
+// written out once at its first checkpoint and from then on lives on
+// those pages. Checkpoint cost is therefore proportional to what
+// changed, not to the store; marking every row dirty first
+// (PointStore.MarkAllDirty) makes it the v1-equivalent full rewrite
+// the tests use as oracle.
 //
-// Page ownership is split two ways. Data pages are owned through the
-// manifest and freed individually as they are superseded. Header
-// pages and RAM-tree dumps (trees freshly built since the last
-// restart, rewritten wholesale each checkpoint) live in the owned
-// list, freed when the next checkpoint supersedes them.
+// Page ownership is split three ways. Data pages are owned through
+// the manifest and freed individually as they are superseded. Tree
+// pages are owned by their tree. Header pages live in the owned list,
+// freed when the next checkpoint supersedes them.
 //
 // Crash safety comes from the pager: nothing here overwrites a page
 // reachable from the durable superblock, and Commit publishes the new
@@ -53,8 +55,11 @@ import (
 // and those pages too are invisible until the superblock flip.
 
 const (
-	pagedMagic   = uint32(0x504c4e43) // "PLNC"
-	pagedVersion = byte(2)
+	pagedMagic = uint32(0x504c4e43) // "PLNC"
+	// pagedVersion 3 stores each index's key frame (base) after its
+	// delta; a version 2 meta has none, and its trees were keyed in
+	// the frame of the delta it stores.
+	pagedVersion = byte(3)
 
 	// valsPerPage is the float64 capacity of one store data page.
 	valsPerPage = pager.PayloadSize / 8
@@ -72,8 +77,8 @@ type PagedStore struct {
 	file  *pager.File
 	cache *pager.Cache
 	dim   int
-	// owned is the header-chain and RAM-tree-dump page set of the last
-	// committed checkpoint; the next Checkpoint frees it.
+	// owned is the header-chain page set of the last committed
+	// checkpoint; the next Checkpoint frees it.
 	owned []int64
 	// dataPages maps data-page index → page number (-1 transiently for
 	// pages not yet written). Entry i holds rows' floats
@@ -153,6 +158,7 @@ func openPagedFile(f *pager.File, cacheBytes int, opts ...core.MultiOption) (*Pa
 			Normal: ix.normal,
 			Signs:  ix.signs,
 			Delta:  ix.delta,
+			Base:   ix.base,
 			Tree:   tree,
 		}
 	}
@@ -189,8 +195,10 @@ func (ps *PagedStore) DrainWriteback() error {
 // Checkpoint writes m's changes since the previous checkpoint as the
 // file's next durable epoch: data pages touched by dirty rows are
 // copy-on-written, the header chain is rewritten, every index tree is
-// delta-flushed (paged) or dumped (RAM), the superseded pages freed,
-// and one atomic pager.Commit carrying lsn publishes it all. The
+// delta-flushed (a RAM tree is first written out and adopted as a
+// paged tree over the store's cache), the superseded pages freed, and
+// one atomic pager.Commit carrying lsn publishes it all. From then on
+// m's trees live on this store's file, so m must not outlive Close. The
 // caller must exclude concurrent mutations of m for the duration; on
 // error the previous checkpoint remains the durable state and nothing
 // is unmarked, so a retry covers the same delta.
@@ -204,7 +212,7 @@ func (ps *PagedStore) Checkpoint(m *core.Multi, lsn uint64) error {
 	if err != nil {
 		return err
 	}
-	persists, err := m.CheckpointIndexes(ps.file)
+	persists, err := m.CheckpointIndexes(ps.file, ps.cache)
 	if err != nil {
 		return err
 	}
@@ -212,12 +220,6 @@ func (ps *PagedStore) Checkpoint(m *core.Multi, lsn uint64) error {
 	headerPages, err := ps.writeChain(header)
 	if err != nil {
 		return err
-	}
-	newOwned := append([]int64(nil), headerPages...)
-	for _, p := range persists {
-		if p.Owned {
-			newOwned = p.Meta.Pages(newOwned)
-		}
 	}
 	data, _ := store.RawRows()
 	meta := encodePagedUserMeta(ps.dim, int64(len(data)), ps.dataPages, int64(len(header)), headerPages, persists)
@@ -234,7 +236,7 @@ func (ps *PagedStore) Checkpoint(m *core.Multi, lsn uint64) error {
 	if err := ps.file.Commit(meta, lsn); err != nil {
 		return err
 	}
-	ps.owned = newOwned
+	ps.owned = headerPages
 	store.ResetDirty()
 	pages := dataWritten + len(headerPages)
 	for _, p := range persists {
@@ -417,8 +419,8 @@ func (ps *PagedStore) Path() string { return ps.file.Path() }
 func (ps *PagedStore) Dim() int { return ps.dim }
 
 // Close stops the background writer (if any) and closes the
-// underlying page file. Trees opened from this store must not be used
-// afterwards.
+// underlying page file. Trees opened from this store, or adopted by
+// its checkpoints, must not be used afterwards.
 func (ps *PagedStore) Close() error {
 	if ps.writer != nil {
 		ps.writer.Close()
@@ -487,6 +489,7 @@ type pagedIndexMeta struct {
 	normal []float64
 	signs  vecmath.SignPattern
 	delta  []float64
+	base   float64
 	meta   *btree.PagedMeta
 }
 
@@ -598,6 +601,7 @@ func encodePagedUserMeta(dim int, dataLen int64, dataPages []int64, headerLen in
 		for _, v := range ix.Delta {
 			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 		}
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(ix.Base))
 		mb := ix.Meta.AppendTo(nil)
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(mb)))
 		buf = append(buf, mb...)
@@ -612,8 +616,9 @@ func decodePagedUserMeta(buf []byte) (*pagedUserMeta, error) {
 	if m := binary.LittleEndian.Uint32(buf); m != pagedMagic {
 		return nil, fmt.Errorf("%w: bad paged meta magic %08x", ErrCorrupt, m)
 	}
-	if buf[4] != pagedVersion {
-		return nil, fmt.Errorf("codec: unsupported paged meta version %d", buf[4])
+	version := buf[4]
+	if version != 2 && version != pagedVersion {
+		return nil, fmt.Errorf("codec: unsupported paged meta version %d", version)
 	}
 	d := &pagedUserMeta{
 		dim:       int(binary.LittleEndian.Uint32(buf[5:])),
@@ -685,6 +690,14 @@ func decodePagedUserMeta(buf []byte) (*pagedUserMeta, error) {
 		ix.delta = make([]float64, d.dim)
 		for j := range ix.delta {
 			ix.delta[j] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*j:]))
+		}
+		if version == 2 {
+			ix.base = vecmath.Dot(ix.normal, ix.delta)
+		} else {
+			if b, err = take(8, "index base"); err != nil {
+				return nil, err
+			}
+			ix.base = math.Float64frombits(binary.LittleEndian.Uint64(b))
 		}
 		if b, err = take(4, "index meta length"); err != nil {
 			return nil, err

@@ -82,16 +82,18 @@ func compareMultis(t *testing.T, rng *rand.Rand, want, got *core.Multi, dim int)
 // checkpoints again through the paged-tree flush path, and reopens
 // once more.
 func TestPagedStoreRoundtrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
 	const dim = 4
 	path := filepath.Join(t.TempDir(), "pages.plnr")
 
+	// The checkpoint adopts its Multi's trees onto the file, so the
+	// Multi closes with the store; m is a RAM twin built the same way.
+	rng := rand.New(rand.NewSource(42))
 	m := buildPagedMulti(t, rng, dim, 3000)
 	ps, err := CreatePaged(path, dim, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ps.Checkpoint(m, 7); err != nil {
+	if err := ps.Checkpoint(buildPagedMulti(t, rand.New(rand.NewSource(42)), dim, 3000), 7); err != nil {
 		t.Fatal(err)
 	}
 	if err := ps.Close(); err != nil {

@@ -180,119 +180,132 @@ func TestCheckpointWithWriterEnabled(t *testing.T) {
 // written (but never published by a superblock flip). Every truncation
 // and every flipped byte must either fail loudly on open or recover
 // the committed epoch byte-identically — the shadow writes are dead
-// bytes until the flip.
+// bytes until the flip. The top-level sweeps write back from a
+// reopened store; the fresh leg from a never-reopened one, whose trees
+// its first checkpoint adopted.
 func TestCrashDuringWritebackEveryOffset(t *testing.T) {
 	const dim = 3
 	dir := t.TempDir()
-	path := filepath.Join(dir, "wb.plnr")
 
-	// One small index keeps the file (and the sweep) small.
-	store, err := core.NewPointStore(dim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := core.NewMulti(store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(90))
-	for i := 0; i < 25; i++ {
-		v := make([]float64, dim)
-		for j := range v {
-			v[j] = rng.Float64() * 100
-		}
-		if _, err := m.Append(v); err != nil {
+	// crashImage builds a store of 25 points and one small index (a
+	// small file keeps the sweep small), commits it as LSN 1, then
+	// mutates it and shadow-writes the dirty tree frames exactly as the
+	// background writer would — and crashes before any commit. It
+	// returns the committed store state and the file's bytes.
+	crashImage := func(t *testing.T, path string, reopen bool) (data []float64, live []bool, free []uint32, blob []byte) {
+		t.Helper()
+		store, err := core.NewPointStore(dim)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	signs := make(vecmath.SignPattern, dim)
-	for i := range signs {
-		signs[i] = 1
-	}
-	if _, err := m.AddNormal([]float64{0.3, 0.5, 0.7}, signs); err != nil {
-		t.Fatal(err)
-	}
+		m, err := core.NewMulti(store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(90))
+		for i := 0; i < 25; i++ {
+			v := make([]float64, dim)
+			for j := range v {
+				v[j] = rng.Float64() * 100
+			}
+			if _, err := m.Append(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		signs := make(vecmath.SignPattern, dim)
+		for i := range signs {
+			signs[i] = 1
+		}
+		if _, err := m.AddNormal([]float64{0.3, 0.5, 0.7}, signs); err != nil {
+			t.Fatal(err)
+		}
 
-	ps, err := CreatePaged(path, dim, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ps.Checkpoint(m, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := ps.Close(); err != nil {
-		t.Fatal(err)
-	}
+		ps, err := CreatePaged(path, dim, 1<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ps.Checkpoint(m, 1); err != nil {
+			t.Fatal(err)
+		}
+		if reopen {
+			if err := ps.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if ps, m, err = OpenPaged(path, 1<<20); err != nil {
+				t.Fatal(err)
+			}
+		}
+		data, live, free = storeState(m)
 
-	ps2, m2, err := OpenPaged(path, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantData, wantLive, wantFree := storeState(m2)
-
-	// Uncommitted epoch: mutate, then shadow-write the dirty frames
-	// exactly as the background writer would — and crash before any
-	// commit.
-	mutateMulti(t, rng, m2, dim, 40)
-	n, err := m2.WritebackIndexes(1 << 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n == 0 {
-		t.Fatal("writeback wrote nothing: the crash sweep would prove nothing")
-	}
-	if err := ps2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+		mutateMulti(t, rng, m, dim, 40)
+		n, err := m.WritebackIndexes(1 << 20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n == 0 {
+			t.Fatal("writeback wrote nothing: the crash sweep would prove nothing")
+		}
+		if err := ps.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if blob, err = os.ReadFile(path); err != nil {
+			t.Fatal(err)
+		}
+		return data, live, free, blob
 	}
 
 	mpath := filepath.Join(dir, "mut.plnr")
-	verify := func(t *testing.T, mutated []byte) {
-		t.Helper()
-		if err := os.WriteFile(mpath, mutated, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		gps, gm, err := OpenPaged(mpath, 1<<20)
-		if err != nil {
-			return // loud failure is an allowed outcome
-		}
-		lsn := gps.CheckpointLSN()
-		switch lsn {
-		case 1:
-			d, l, f := storeState(gm)
-			if !reflect.DeepEqual(d, wantData) || !reflect.DeepEqual(l, wantLive) || !reflect.DeepEqual(f, wantFree) {
-				gps.Close()
-				t.Fatalf("recovered LSN 1 with different store state")
+	sweep := func(t *testing.T, path string, reopen bool) {
+		wantData, wantLive, wantFree, blob := crashImage(t, path, reopen)
+		verify := func(t *testing.T, mutated []byte) {
+			t.Helper()
+			if err := os.WriteFile(mpath, mutated, 0o644); err != nil {
+				t.Fatal(err)
 			}
-		case 0:
-			// The create-time superblock: only reachable when the
-			// corruption killed the LSN-1 superblock. An empty store.
-			if gm.Store().Len() != 0 {
-				gps.Close()
-				t.Fatalf("recovered LSN 0 with %d points", gm.Store().Len())
+			gps, gm, err := OpenPaged(mpath, 1<<20)
+			if err != nil {
+				return // loud failure is an allowed outcome
 			}
-		default:
+			lsn := gps.CheckpointLSN()
+			switch lsn {
+			case 1:
+				d, l, f := storeState(gm)
+				if !reflect.DeepEqual(d, wantData) || !reflect.DeepEqual(l, wantLive) || !reflect.DeepEqual(f, wantFree) {
+					gps.Close()
+					t.Fatalf("recovered LSN 1 with different store state")
+				}
+			case 0:
+				// The create-time superblock: only reachable when the
+				// corruption killed the LSN-1 superblock. An empty store.
+				if gm.Store().Len() != 0 {
+					gps.Close()
+					t.Fatalf("recovered LSN 0 with %d points", gm.Store().Len())
+				}
+			default:
+				gps.Close()
+				t.Fatalf("recovered impossible LSN %d (no commit ever wrote it)", lsn)
+			}
 			gps.Close()
-			t.Fatalf("recovered impossible LSN %d (no commit ever wrote it)", lsn)
 		}
-		gps.Close()
+
+		t.Run("truncate", func(t *testing.T) {
+			for cut := 0; cut < len(blob); cut++ {
+				verify(t, blob[:cut])
+			}
+		})
+		t.Run("corrupt", func(t *testing.T) {
+			mut := make([]byte, len(blob))
+			for off := 0; off < len(blob); off++ {
+				copy(mut, blob)
+				mut[off] ^= 0x5a
+				verify(t, mut)
+			}
+		})
 	}
 
-	t.Run("truncate", func(t *testing.T) {
-		for cut := 0; cut < len(blob); cut++ {
-			verify(t, blob[:cut])
-		}
-	})
-	t.Run("corrupt", func(t *testing.T) {
-		mut := make([]byte, len(blob))
-		for off := 0; off < len(blob); off++ {
-			copy(mut, blob)
-			mut[off] ^= 0x5a
-			verify(t, mut)
-		}
+	sweep(t, filepath.Join(dir, "wb.plnr"), true)
+	t.Run("fresh", func(t *testing.T) {
+		sweep(t, filepath.Join(dir, "fresh.plnr"), false)
 	})
 }
 
@@ -300,10 +313,10 @@ func TestCrashDuringWritebackEveryOffset(t *testing.T) {
 // store's trees at once: the background writer on a 1 ms interval, a
 // goroutine draining it in a loop, foreground appends/updates/removes
 // and checkpoints. One append lands outside the +1 octant's
-// translation, so Index.rebuild releases those paged trees mid-run
-// while writebacks may hold them; the other-octant index stays paged
-// throughout. After close and reopen the store must equal a RAM twin
-// that took the same mutation stream, id for id.
+// translation: it widens those indexes' delta while writebacks may
+// hold their trees, and every tree stays paged throughout. After close
+// and reopen the store must equal a RAM twin that took the same
+// mutation stream, id for id.
 func TestWritebackStressMatchesRAMTwin(t *testing.T) {
 	const dim = 4
 	path := filepath.Join(t.TempDir(), "stress.plnr")
@@ -363,14 +376,10 @@ func TestWritebackStressMatchesRAMTwin(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			paged := 0
 			for i := 0; i < m2.NumIndexes(); i++ {
-				if m2.Index(i).Tree().Paged() {
-					paged++
+				if !m2.Index(i).Tree().Paged() {
+					t.Fatalf("index %d is not paged after the out-of-translation append", i)
 				}
-			}
-			if paged != 1 {
-				t.Fatalf("%d paged trees after the out-of-translation append, want 1 (the other octant's)", paged)
 			}
 		}
 		if err := ps2.Checkpoint(m2, uint64(2+epoch)); err != nil {

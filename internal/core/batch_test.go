@@ -127,8 +127,8 @@ func TestGoldenBatchedIdentity(t *testing.T) {
 }
 
 // TestMutationVisibility checks the freshness contract: every kind of
-// mutation (append, update, remove) rebuilds the leaf arena the
-// batched engine reads, so the next query sees current data.
+// mutation (append, update, remove) edits the leaf arena the batched
+// engine reads, so the next query sees current data.
 func TestMutationVisibility(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	store, _ := NewPointStore(3)

@@ -26,15 +26,19 @@ var ErrIncompatibleOctant = exec.ErrIncompatibleOctant
 // Index is a single Planar index: a family of parallel hyperplanes
 // with normal c, one through each point's φ vector, realised as a B+
 // tree over the keys ⟨c, z(x)⟩ where z is the octant translation of
-// φ (Section 4.5).
+// φ (Section 4.5). The tree keeps its build's key frame for life; a
+// point outside the translation widens delta, which moves every key
+// by one constant, so only the planner's thresholds move (by shift).
 type Index struct {
 	mu    sync.RWMutex
 	store *PointStore
 	c     []float64           // normal in the translated frame; all entries > 0
 	signs vecmath.SignPattern // octant the index serves
-	delta []float64           // translation offsets; all entries >= 0
 	cs    []float64           // cs[i] = c[i]*signs[i]: effective normal in φ space
-	base  float64             // ⟨c, delta⟩, so key = ⟨cs, φ⟩ + base
+	base  float64             // ⟨c, δ⟩ at the tree's build, so key = ⟨cs, φ⟩ + base
+	// delta is the query-time translation (entries >= 0); it only widens.
+	delta []float64 // guarded by mu
+	shift float64   // guarded by mu; ⟨c, delta⟩ − base, 0 until delta widens
 	tree  *btree.Tree
 	guard float64
 
@@ -96,21 +100,20 @@ func NewIndex(store *PointStore, normal []float64, signs vecmath.SignPattern, op
 	}
 	ix.vecFn = store.Vector
 	ix.eachFn = store.Each
-	ix.rebuild()
+	ix.build()
 	return ix, nil
 }
 
-// rebuild recomputes the translation offsets from the current store
-// contents and bulk-loads the key tree. Callers hold ix.mu.
-func (ix *Index) rebuild() {
+// build computes the translation offsets from the store's points,
+// which fixes the key frame, and bulk-loads the key tree. It runs
+// from NewIndex before ix is shared, so it takes no lock.
+//
+//planar:locked
+func (ix *Index) build() {
 	d := ix.store.Dim()
 	ix.delta = make([]float64, d)
 	ix.store.Each(func(_ uint32, v []float64) bool {
-		for i := 0; i < d; i++ {
-			if z := float64(ix.signs[i]) * v[i]; -z > ix.delta[i] {
-				ix.delta[i] = -z
-			}
-		}
+		ix.widen(v)
 		return true
 	})
 	ix.cs = make([]float64, d)
@@ -124,26 +127,28 @@ func (ix *Index) rebuild() {
 		entries = append(entries, btree.Entry{Key: ix.key(v), ID: id})
 		return true
 	})
-	if ix.tree != nil {
-		ix.tree.Release()
-	}
 	ix.tree = btree.BulkLoad(entries)
 }
 
-// key returns ⟨c, z(v)⟩ in the translated frame.
+// key returns v's key in the tree's frame, ⟨cs, v⟩ + base.
 func (ix *Index) key(v []float64) float64 {
 	return vecmath.Dot(ix.cs, v) + ix.base
 }
 
-// fits reports whether v respects the current translation, i.e. its
-// translated coordinates are all non-negative.
-func (ix *Index) fits(v []float64) bool {
+// widen raises delta until v's translated coordinates are all
+// non-negative, in O(d′), and reports whether any offset moved.
+// Callers hold ix.mu.
+//
+//planar:locked
+func (ix *Index) widen(v []float64) bool {
+	moved := false
 	for i := range v {
-		if float64(ix.signs[i])*v[i]+ix.delta[i] < 0 {
-			return false
+		if z := float64(ix.signs[i]) * v[i]; -z > ix.delta[i] {
+			ix.delta[i] = -z
+			moved = true
 		}
 	}
-	return true
+	return moved
 }
 
 // Normal returns a copy of the index normal (translated frame).
@@ -163,6 +168,14 @@ func (ix *Index) Signs() vecmath.SignPattern {
 	return append(vecmath.SignPattern(nil), ix.signs...)
 }
 
+// Shift returns how far the query-time translation has widened past
+// the tree's key frame, ⟨c, δ⟩ − ⟨c, δ_build⟩ (0 if it never has).
+func (ix *Index) Shift() float64 {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	return ix.shift
+}
+
 // Len returns the number of indexed points.
 func (ix *Index) Len() int {
 	ix.mu.RLock()
@@ -178,13 +191,14 @@ func (ix *Index) MemoryBytes() int {
 	return ix.tree.Stats().Bytes + 8*(len(ix.c)+len(ix.delta)+len(ix.cs)) + len(ix.signs)
 }
 
-// add indexes a point already present in the store. If the point
-// breaks the translation invariant the whole index is rebuilt with
-// fresh offsets. Callers hold ix.mu.
+// add indexes a point already present in the store, widening the
+// translation first if the point lies outside it: O(d′ + log n)
+// either way. Callers hold ix.mu.
+//
+//planar:locked
 func (ix *Index) add(id uint32, v []float64) {
-	if !ix.fits(v) {
-		ix.rebuild()
-		return
+	if ix.widen(v) {
+		ix.shift = vecmath.Dot(ix.c, ix.delta) - ix.base
 	}
 	ix.tree.Insert(ix.key(v), id)
 }
@@ -218,11 +232,14 @@ func (ix *Index) Add(id uint32) error {
 // info returns the planner's view of this index. The slices are
 // shared, not copied; callers hold ix.mu for the lifetime of the
 // returned value.
+//
+//planar:locked
 func (ix *Index) info() exec.IndexInfo {
 	return exec.IndexInfo{
 		Tree:  ix.tree,
 		C:     ix.c,
 		Delta: ix.delta,
+		Shift: ix.shift,
 		CS:    ix.cs,
 		Signs: ix.signs,
 		Guard: ix.guard,

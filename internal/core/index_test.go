@@ -313,7 +313,7 @@ func TestEarlyStopVisit(t *testing.T) {
 	}
 }
 
-func TestDynamicAddAndGuardRebuild(t *testing.T) {
+func TestDynamicAddWidensTranslation(t *testing.T) {
 	s, _ := NewPointStore(2)
 	for i := 0; i < 50; i++ {
 		s.Append([]float64{float64(i), float64(50 - i)})
@@ -322,9 +322,10 @@ func TestDynamicAddAndGuardRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tree := ix.Tree()
 	// Adding a point with a negative coordinate violates the
-	// first-octant translation (δ was 0) and must trigger a rebuild
-	// rather than a corrupt index.
+	// first-octant translation (δ was 0): δ widens to 10 and the point
+	// goes into the same tree, keyed in the frame it was built in.
 	id, _ := s.Append([]float64{-10, 5})
 	if err := ix.Add(id); err != nil {
 		t.Fatal(err)
@@ -332,13 +333,19 @@ func TestDynamicAddAndGuardRebuild(t *testing.T) {
 	if ix.Len() != 51 {
 		t.Fatalf("Len=%d", ix.Len())
 	}
+	if ix.Tree() != tree {
+		t.Fatal("widening the translation replaced the tree")
+	}
+	if got := ix.Shift(); got != 10 {
+		t.Fatalf("Shift=%v, want 10", got)
+	}
 	q := Query{A: []float64{2, 3}, B: 40, Op: LE}
 	ids, _, err := ix.InequalityIDs(q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !equalIDs(sortedIDs(ids), bruteForce(s, q)) {
-		t.Fatal("index wrong after rebuild-on-add")
+		t.Fatal("index wrong after a widening add")
 	}
 	if err := ix.Add(9999); err == nil {
 		t.Error("Add of dead id succeeded")

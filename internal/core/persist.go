@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"planar/internal/btree"
 	"planar/internal/pager"
@@ -14,16 +15,17 @@ import (
 //
 //   - Checkpoint: CheckpointIndexes turns every index into an
 //     IndexPersist — geometry plus a btree.PagedMeta whose pages are
-//     durable once the caller commits the pager file.
+//     durable once the caller commits the pager file. An index's first
+//     checkpoint adopts its tree onto those pages; later ones flush
+//     only the epoch's delta.
 //   - Restart: AttachPrebuilt installs indexes whose trees were opened
 //     straight from those pages (btree.OpenPaged), skipping the
-//     O(n log n) bulk rebuild that Snapshot.Restore pays.
+//     O(n log n) bulk load that Snapshot.Restore pays.
 //
-// The translation offsets (delta) are part of the persisted geometry:
-// tree keys are ⟨cs, φ⟩ + ⟨c, delta⟩, and a live index's delta can be
-// wider than what rebuild() would recompute from the current points
-// (deletes never shrink it). Restoring with a recomputed delta would
-// silently shift every key, so the exact vector travels with the tree.
+// The key frame (base, fixed at the tree's build) and the translation
+// (delta, widened since and never shrunk by deletes) both travel with
+// the tree: recomputing either from the points would silently shift
+// every key or threshold.
 
 // PrebuiltIndex is the restart-path constructor input for one index:
 // its geometry plus an already-materialised tree (typically paged).
@@ -31,23 +33,19 @@ type PrebuiltIndex struct {
 	Normal []float64
 	Signs  vecmath.SignPattern
 	Delta  []float64
+	Base   float64 // the tree's key frame, ⟨Normal, δ⟩ at its build
 	Tree   *btree.Tree
 }
 
 // IndexPersist is the durable state of one index at a checkpoint.
-// Owned reports that the meta's pages were freshly written by this
-// checkpoint pass (a RAM tree dumped via WritePaged) and are therefore
-// owned — and later freed — by the checkpoint writer; paged trees
-// manage their own pages copy-on-write and Owned is false.
-// DeltaPages counts the pages this checkpoint actually touched for
-// the index (the incremental cost: epoch delta for paged trees, the
-// whole dump for RAM trees).
+// DeltaPages counts the pages this checkpoint wrote for the index: the
+// whole tree at its first checkpoint, the epoch's delta after that.
 type IndexPersist struct {
 	Normal     []float64
 	Signs      vecmath.SignPattern
 	Delta      []float64
+	Base       float64
 	Meta       *btree.PagedMeta
-	Owned      bool
 	DeltaPages int
 }
 
@@ -91,11 +89,15 @@ func newPrebuiltIndex(store *PointStore, p PrebuiltIndex, guard float64) (*Index
 			return nil, fmt.Errorf("core: index delta component %d is %v, must be >= 0", i, v)
 		}
 	}
+	if math.IsNaN(p.Base) || math.IsInf(p.Base, 0) {
+		return nil, fmt.Errorf("core: index key base is %v, must be finite", p.Base)
+	}
 	ix := &Index{
 		store: store,
 		c:     vecmath.Clone(p.Normal),
 		signs: append(vecmath.SignPattern(nil), p.Signs...),
 		delta: vecmath.Clone(p.Delta),
+		base:  p.Base,
 		tree:  p.Tree,
 		guard: guard,
 	}
@@ -103,7 +105,7 @@ func newPrebuiltIndex(store *PointStore, p PrebuiltIndex, guard float64) (*Index
 	for i := 0; i < d; i++ {
 		ix.cs[i] = ix.c[i] * float64(ix.signs[i])
 	}
-	ix.base = vecmath.Dot(ix.c, ix.delta)
+	ix.shift = vecmath.Dot(ix.c, ix.delta) - ix.base
 	ix.vecFn = store.Vector
 	ix.eachFn = store.Each
 	return ix, nil
@@ -129,38 +131,61 @@ func (m *Multi) AttachPrebuilt(ps []PrebuiltIndex) error {
 }
 
 // Tree exposes the index's underlying key tree for inspection (e.g.
-// checking paged mode after a restart). Callers must not mutate it.
+// checking paged mode after a checkpoint). Callers must not mutate it.
 func (ix *Index) Tree() *btree.Tree {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	return ix.tree
 }
 
-// persist checkpoints one index's tree into file: paged trees flush
-// their dirty pages in place (copy-on-write already relocated them),
-// RAM trees are dumped as a fresh page set the caller owns.
-func (ix *Index) persist(file *pager.File) (IndexPersist, error) {
+// persist checkpoints one index's tree into file: a RAM tree is
+// adopted first, then the paged tree flushes the dirty pages its
+// copy-on-write already relocated.
+func (ix *Index) persist(file *pager.File, cache *pager.Cache) (IndexPersist, error) {
 	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	p := IndexPersist{
-		Normal: vecmath.Clone(ix.c),
-		Signs:  append(vecmath.SignPattern(nil), ix.signs...),
-		Delta:  vecmath.Clone(ix.delta),
-	}
-	var err error
-	if ix.tree.Paged() {
-		p.Meta, p.DeltaPages, err = ix.tree.FlushPaged()
-	} else {
-		p.Meta, err = ix.tree.WritePaged(file)
-		p.Owned = true
-		if p.Meta != nil {
-			p.DeltaPages = len(p.Meta.Pages(nil))
+	paged := ix.tree.Paged()
+	ix.mu.RUnlock()
+	written := 0
+	if !paged {
+		var err error
+		if written, err = ix.adopt(file, cache); err != nil {
+			return IndexPersist{}, err
 		}
 	}
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	meta, delta, err := ix.tree.FlushPaged()
 	if err != nil {
 		return IndexPersist{}, err
 	}
-	return p, nil
+	return IndexPersist{
+		Normal:     vecmath.Clone(ix.c),
+		Signs:      append(vecmath.SignPattern(nil), ix.signs...),
+		Delta:      vecmath.Clone(ix.delta),
+		Base:       ix.base,
+		Meta:       meta,
+		DeltaPages: written + delta,
+	}, nil
+}
+
+// adopt writes the index's RAM tree into file and swaps in the tree
+// btree.OpenPaged opens over those pages, faulting through cache —
+// the constructor a restart uses. It returns the pages written. This
+// swap happens once per index, and it is the only step of a
+// checkpoint that takes ix.mu exclusively.
+func (ix *Index) adopt(file *pager.File, cache *pager.Cache) (int, error) {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	meta, err := ix.tree.WritePaged(file)
+	if err != nil {
+		return 0, err
+	}
+	tree, err := btree.OpenPaged(file, cache, meta)
+	if err != nil {
+		return 0, err
+	}
+	ix.tree = tree
+	return len(meta.Lnum) - len(meta.FreeLeaf) + len(meta.Knum) - len(meta.FreeInner), nil
 }
 
 // WritebackIndexes is the background writer's flush callback target:
@@ -168,9 +193,11 @@ func (ix *Index) persist(file *pager.File) (IndexPersist, error) {
 // pages are written or every index is clean. It holds Multi.mu and
 // Index.mu only to collect the paged trees, and writes with both
 // released, so a mutation never waits on its pwrites; each tree
-// serializes with its own operations, checkpoint flush and release
+// serializes with its own operations and checkpoint flush
 // (Tree.WritebackPaged), and the pages being written are invisible
-// to the durable superblock until the next commit.
+// to the durable superblock until the next commit. A paged tree stays
+// its index's tree until the store closes, so the collected trees
+// remain live.
 func (m *Multi) WritebackIndexes(max int) (int, error) {
 	m.mu.RLock()
 	trees := make([]*btree.Tree, 0, len(m.indexes))
@@ -194,18 +221,19 @@ func (m *Multi) WritebackIndexes(max int) (int, error) {
 	return total, nil
 }
 
-// CheckpointIndexes flushes or dumps every index's tree into file and
+// CheckpointIndexes flushes every index's tree into file, adopting
+// RAM trees onto their pages (faulting through cache) on the way, and
 // returns the persistent spec list in index order. Pages written here
 // are durable only after the caller's pager.Commit; on error the
 // durable state is untouched (pages allocated by a failed pass leak
 // in memory until the next reopen, never on disk). The caller must
 // exclude concurrent mutations of the Multi for the duration.
-func (m *Multi) CheckpointIndexes(file *pager.File) ([]IndexPersist, error) {
+func (m *Multi) CheckpointIndexes(file *pager.File, cache *pager.Cache) ([]IndexPersist, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	out := make([]IndexPersist, len(m.indexes))
 	for i, ix := range m.indexes {
-		p, err := ix.persist(file)
+		p, err := ix.persist(file, cache)
 		if err != nil {
 			return nil, fmt.Errorf("core: checkpoint index %d: %w", i, err)
 		}

@@ -35,11 +35,11 @@ type Plan struct {
 	IndexPos int
 	// Compatible counts octant-compatible candidate indexes.
 	Compatible int
-	// Tmin and Tmax delimit SI/II/LI in key space (KindRange only);
-	// Tmax may be +Inf when some coefficient is zero.
+	// Tmin and Tmax delimit SI/II/LI in the tree's key frame (KindRange
+	// only); Tmax may be +Inf when some coefficient is zero.
 	Tmin, Tmax float64
 	// BPrime is the translated query bound b′ (KindRange only), used
-	// by the top-k lower-bound pruning rule.
+	// by the top-k lower-bound pruning rule; it is in Delta's frame.
 	BPrime float64
 	// Reason explains the choice in one sentence.
 	Reason string
@@ -61,8 +61,9 @@ type intervals struct {
 // Returned cases:
 //   - all:   every point matches (all coefficients zero, B ≥ 0)
 //   - none:  no point can match (all zero with B < 0, or b′ < 0)
-//   - else tmin/tmax delimit SI/II/LI in key space; tmax may be +Inf
-//     when some coefficient is zero (rejection impossible).
+//   - else tmin/tmax delimit SI/II/LI in the tree's key frame (computed
+//     in Delta's, guard band included, then moved by Shift); tmax may
+//     be +Inf when some coefficient is zero (rejection impossible).
 func thresholds(info *IndexInfo, q Query) (intervals, error) {
 	if !info.Signs.Matches(q.A) {
 		return intervals{}, ErrIncompatibleOctant
@@ -110,6 +111,8 @@ func thresholds(info *IndexInfo, q Query) (intervals, error) {
 			iv.tmax += info.Guard * (1 + math.Abs(iv.tmax))
 		}
 	}
+	iv.tmin -= info.Shift
+	iv.tmax -= info.Shift // +Inf stays +Inf
 	return iv, nil
 }
 
@@ -118,7 +121,7 @@ func thresholds(info *IndexInfo, q Query) (intervals, error) {
 // interval along any axis, (tmax − tmin) / min_i c_i. Smaller is
 // better; 0 means the index normal is parallel to the query
 // hyperplane (Corollary 1). It returns +Inf for incompatible octants
-// or degenerate queries.
+// or degenerate queries. A width, it does not depend on Shift.
 func Stretch(info *IndexInfo, q Query) float64 {
 	iv, err := thresholds(info, q)
 	if err != nil {

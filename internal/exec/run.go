@@ -177,7 +177,7 @@ func executeTopK(src *Source, q Query, plan Plan, info *IndexInfo, sink Sink, bo
 
 	// Lower-bound distance from a key to the query hyperplane
 	// (Definition 5): min over nonzero axes of ||a_i|/c_i·key − b′|,
-	// scaled by 1/|a|.
+	// scaled by 1/|a|, with the tree key moved into b′'s frame.
 	normA := vecmath.Norm(q.A)
 	invCoef := make([]float64, 0, len(q.A))
 	for i, a := range q.A {
@@ -192,8 +192,9 @@ func executeTopK(src *Source, q Query, plan Plan, info *IndexInfo, sink Sink, bo
 	info.Tree.DescendLE(plan.Tmin, func(e btree.Entry) bool {
 		if bound, full := bounded.Bound(); full {
 			lbs := math.Inf(1)
+			key := e.Key + info.Shift
 			for _, r := range invCoef {
-				if d := math.Abs(r*e.Key - plan.BPrime); d < lbs {
+				if d := math.Abs(r*key - plan.BPrime); d < lbs {
 					lbs = d
 				}
 			}

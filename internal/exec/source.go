@@ -48,6 +48,9 @@ type IndexInfo struct {
 	C []float64
 	// Delta holds the octant translation offsets; all entries ≥ 0.
 	Delta []float64
+	// Shift is ⟨C, Delta⟩ minus its value at the tree's build: a key in
+	// Delta's frame is the tree key plus Shift (0 until Delta widens).
+	Shift float64
 	// CS is the effective normal in φ space (c_i·s_i), used for angle
 	// comparisons with query hyperplanes.
 	CS []float64

@@ -260,6 +260,69 @@ func TestPagedServiceEndToEnd(t *testing.T) {
 	})
 }
 
+// TestPagedNeverReopenedStore runs a paged DB that is never closed and
+// reopened: every index lives on pages from its first checkpoint on,
+// the background writer has trees to write, and answers match a
+// snapshot-mode twin throughout.
+func TestPagedNeverReopenedStore(t *testing.T) {
+	root := t.TempDir()
+	const dim = 4
+	paged, err := Open(filepath.Join(root, "paged"), Options{
+		Dim: dim, Paged: true, PageCacheBytes: 1 << 18, WritebackInterval: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer paged.Close()
+	plain, err := Open(filepath.Join(root, "plain"), Options{Dim: dim})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plain.Close()
+	g := &pagedGolden{t: t, rng: rand.New(rand.NewSource(41)), dim: dim, paged: paged, plain: plain}
+	for _, normal := range [][]float64{{0.5, 1.1, 0.9, 1.4}, {1.3, 0.2, 0.7, 0.6}} {
+		for _, db := range []*DB{paged, plain} {
+			if _, err := db.AddNormal(normal, vecmath.FirstOctant(dim)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	g.mutate(3000)
+
+	requirePaged := func(when string) {
+		t.Helper()
+		m := paged.Multi()
+		for i := 0; i < m.NumIndexes(); i++ {
+			if !m.Index(i).Tree().Paged() {
+				t.Fatalf("%s: index %d is not paged", when, i)
+			}
+		}
+	}
+	if err := paged.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	requirePaged("after the first checkpoint")
+	g.compare(10)
+
+	g.mutate(1000)
+	g.compare(10)
+	if err := paged.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	requirePaged("after the second checkpoint")
+	st, ok := paged.PageStats()
+	if !ok {
+		t.Fatal("PageStats not available on the paged tier")
+	}
+	if st.WritebackPages == 0 || st.WritebackErrors != 0 {
+		t.Fatalf("writer stats %+v: want tree pages written and no errors", st)
+	}
+	if st.DirtyFrames != 0 {
+		t.Fatalf("%d dirty frames survived a checkpoint", st.DirtyFrames)
+	}
+	g.compare(10)
+}
+
 // TestPagedServiceSharded runs the paged tier with automatic
 // checkpoints under both layouts: per-shard page files, split cache
 // budget, aggregated stats.
