@@ -508,7 +508,7 @@ func BenchmarkAblationSelect(b *testing.B) {
 
 func BenchmarkAblationStore(b *testing.B) {
 	f := getSynth(b, dataset.KindIndependent, 6, 4, 1)
-	ix := f.multi.Index(0)
+	ix := f.multi.Index(0) // the one index of a budget-1 Multi
 	qs := queryList(f.gen, 64, 20)
 
 	// Sorted-slice twin: same keys, answered with binary search and
@@ -531,7 +531,7 @@ func BenchmarkAblationStore(b *testing.B) {
 
 	b.Run("btree", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := ix.InequalityIDs(qs[i%len(qs)]); err != nil {
+			if _, _, err := f.multi.InequalityIDs(qs[i%len(qs)]); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -753,7 +753,6 @@ func planOnlyFixture(b *testing.B, numIndexes int) (*exec.Source, exec.Query) {
 			Delta: make([]float64, dim),
 			CS:    normal,
 			Signs: vecmath.FirstOctant(dim),
-			Guard: core.DefaultGuard,
 		}
 	}
 	src := &exec.Source{
@@ -783,9 +782,7 @@ func BenchmarkPlan(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				q.B = float64(i % 1000)
-				if _, err := exec.PlanQuery(src, q); err != nil {
-					b.Fatal(err)
-				}
+				exec.PlanQuery(src, q)
 			}
 		})
 	}
@@ -823,12 +820,10 @@ func pipelineOverheadFixture(b *testing.B) (*exec.Source, []exec.Query, [][]floa
 		Delta: make([]float64, dim),
 		CS:    cs,
 		Signs: vecmath.FirstOctant(dim),
-		Guard: core.DefaultGuard,
 	}
 	src := &exec.Source{
 		N:       len(points),
 		Indexes: []exec.IndexInfo{info},
-		Single:  true,
 		Vector:  func(id uint32) []float64 { return points[id] },
 		Each: func(fn func(id uint32, v []float64) bool) {
 			for id, v := range points {
@@ -857,10 +852,7 @@ func BenchmarkPipelineOverhead(b *testing.B) {
 	b.Run("inline", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			q := qs[i%len(qs)]
-			plan, err := exec.PlanQuery(src, q)
-			if err != nil {
-				b.Fatal(err)
-			}
+			plan := exec.PlanQuery(src, q)
 			matched := 0
 			tree := src.Indexes[0].Tree
 			tree.AscendLE(plan.Tmin, func(e btree.Entry) bool { matched++; return true })
@@ -879,7 +871,7 @@ func BenchmarkPipelineOverhead(b *testing.B) {
 			_, err := exec.Run(src, qs[i%len(qs)], exec.FuncSink(func(uint32) bool {
 				matched++
 				return true
-			}), exec.Options{})
+			}))
 			if err != nil {
 				b.Fatal(err)
 			}

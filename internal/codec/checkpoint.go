@@ -115,12 +115,12 @@ func CreatePaged(path string, dim int, cacheBytes int) (*PagedStore, error) {
 // Multi: the point store is read into RAM, every index is reattached
 // with its tree in paged-arena mode. On success the caller owns both
 // the returned store (Close it last) and the Multi.
-func OpenPaged(path string, cacheBytes int, opts ...core.MultiOption) (*PagedStore, *core.Multi, error) {
+func OpenPaged(path string, cacheBytes int) (*PagedStore, *core.Multi, error) {
 	f, err := pager.Open(path)
 	if err != nil {
 		return nil, nil, err
 	}
-	ps, m, err := openPagedFile(f, cacheBytes, opts...)
+	ps, m, err := openPagedFile(f, cacheBytes)
 	if err != nil {
 		f.Close()
 		return nil, nil, err
@@ -128,7 +128,7 @@ func OpenPaged(path string, cacheBytes int, opts ...core.MultiOption) (*PagedSto
 	return ps, m, nil
 }
 
-func openPagedFile(f *pager.File, cacheBytes int, opts ...core.MultiOption) (*PagedStore, *core.Multi, error) {
+func openPagedFile(f *pager.File, cacheBytes int) (*PagedStore, *core.Multi, error) {
 	dec, err := decodePagedUserMeta(f.Meta())
 	if err != nil {
 		return nil, nil, err
@@ -137,7 +137,7 @@ func openPagedFile(f *pager.File, cacheBytes int, opts ...core.MultiOption) (*Pa
 	if err != nil {
 		return nil, nil, err
 	}
-	m, err := core.NewMulti(store, opts...)
+	m, err := core.NewMulti(store)
 	if err != nil {
 		return nil, nil, err
 	}

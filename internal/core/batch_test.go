@@ -9,16 +9,18 @@ import (
 	"planar/internal/exec"
 )
 
-// treeWalkIDs answers q through the same Multi but with the batched
-// engine disabled — the classic per-entry B-tree walk.
+// treeWalkIDs answers q through the same Multi's indexes but on a
+// row-less copy of its Source — the classic per-entry B-tree walk.
 func treeWalkIDs(t *testing.T, m *Multi, q Query) []uint32 {
 	t.Helper()
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	lease := m.sourceLocked(true)
+	lease := m.sourceLocked()
 	defer lease.Release()
+	rowless := lease.src
+	rowless.Rows = nil
 	var sink exec.IDSink
-	if _, err := exec.Run(&lease.src, q.LE(), &sink, exec.Options{ForceTreeWalk: true}); err != nil {
+	if _, err := exec.Run(&rowless, q.LE(), &sink); err != nil {
 		t.Fatal(err)
 	}
 	sort.Slice(sink.IDs, func(i, j int) bool { return sink.IDs[i] < sink.IDs[j] })
@@ -40,7 +42,7 @@ func idsEqual(a, b []uint32) bool {
 // TestGoldenBatchedIdentity is the end-to-end golden test of the
 // batched verification engine: a store with deleted-row holes, a
 // Multi with several indexes, and random LE/GE queries must produce
-// identical answers through the batched path, the forced tree walk,
+// identical answers through the batched path, the row-less tree walk,
 // and brute force.
 func TestGoldenBatchedIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"planar/internal/exec"
 	"planar/internal/vecmath"
 )
 
@@ -11,10 +12,7 @@ func TestCountMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	s := randomStore(t, rng, 700, 4, -20, 80)
 	signs := vecmath.SignPattern{1, -1, 1, 1}
-	ix, err := NewIndex(s, []float64{1, 2, 0.5, 3}, signs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := oneIndex(t, s, []float64{1, 2, 0.5, 3}, signs)
 	for trial := 0; trial < 60; trial++ {
 		a := make([]float64, 4)
 		for i := range a {
@@ -25,7 +23,7 @@ func TestCountMatchesBruteForce(t *testing.T) {
 		}
 		b := (rng.Float64() - 0.2) * 400
 		q := Query{A: a, B: b, Op: LE}
-		count, st, err := ix.Count(q)
+		count, st, err := m.Count(q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -37,7 +35,7 @@ func TestCountMatchesBruteForce(t *testing.T) {
 			t.Fatalf("stats inconsistent: %+v", st)
 		}
 		// Bounds must bracket the truth.
-		lo, hi, err := ix.SelectivityBounds(q)
+		lo, hi, err := m.SelectivityBounds(q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,40 +48,36 @@ func TestCountMatchesBruteForce(t *testing.T) {
 func TestCountDegenerateCases(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	s := randomStore(t, rng, 100, 2, 1, 10)
-	ix, _ := NewIndex(s, []float64{1, 1}, vecmath.FirstOctant(2))
+	m := oneIndex(t, s, []float64{1, 1}, vecmath.FirstOctant(2))
 	// All match.
-	if c, _, err := ix.Count(Query{A: []float64{0, 0}, B: 1, Op: LE}); err != nil || c != 100 {
+	if c, _, err := m.Count(Query{A: []float64{0, 0}, B: 1, Op: LE}); err != nil || c != 100 {
 		t.Fatalf("all-match Count=%d err=%v", c, err)
 	}
-	if lo, hi, _ := ix.SelectivityBounds(Query{A: []float64{0, 0}, B: 1, Op: LE}); lo != 100 || hi != 100 {
+	if lo, hi, _ := m.SelectivityBounds(Query{A: []float64{0, 0}, B: 1, Op: LE}); lo != 100 || hi != 100 {
 		t.Fatalf("all-match bounds [%d,%d]", lo, hi)
 	}
 	// None match.
-	if c, _, err := ix.Count(Query{A: []float64{1, 1}, B: -5, Op: LE}); err != nil || c != 0 {
+	if c, _, err := m.Count(Query{A: []float64{1, 1}, B: -5, Op: LE}); err != nil || c != 0 {
 		t.Fatalf("none-match Count=%d err=%v", c, err)
 	}
-	if lo, hi, _ := ix.SelectivityBounds(Query{A: []float64{1, 1}, B: -5, Op: LE}); lo != 0 || hi != 0 {
+	if lo, hi, _ := m.SelectivityBounds(Query{A: []float64{1, 1}, B: -5, Op: LE}); lo != 0 || hi != 0 {
 		t.Fatalf("none-match bounds [%d,%d]", lo, hi)
 	}
 	// Validation.
-	if _, _, err := ix.Count(Query{A: []float64{1}, B: 0, Op: LE}); err == nil {
+	if _, _, err := m.Count(Query{A: []float64{1}, B: 0, Op: LE}); err == nil {
 		t.Error("wrong-dim Count accepted")
 	}
-	if _, _, err := ix.SelectivityBounds(Query{A: []float64{1}, B: 0, Op: LE}); err == nil {
+	if _, _, err := m.SelectivityBounds(Query{A: []float64{1}, B: 0, Op: LE}); err == nil {
 		t.Error("wrong-dim bounds accepted")
-	}
-	// Wrong octant.
-	if _, _, err := ix.Count(Query{A: []float64{-1, 1}, B: 5, Op: LE}); err != ErrIncompatibleOctant {
-		t.Errorf("expected octant error, got %v", err)
 	}
 }
 
 func TestParallelIndexGivesExactBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	s := randomStore(t, rng, 1000, 3, 1, 100)
-	ix, _ := NewIndex(s, []float64{2, 3, 4}, vecmath.FirstOctant(3))
+	m := oneIndex(t, s, []float64{2, 3, 4}, vecmath.FirstOctant(3))
 	q := Query{A: []float64{2, 3, 4}, B: 600, Op: LE}
-	lo, hi, err := ix.SelectivityBounds(q)
+	lo, hi, err := m.SelectivityBounds(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,8 +118,8 @@ func TestMultiCountAndBounds(t *testing.T) {
 			t.Fatalf("trial %d: multi bounds [%d,%d] miss %d", trial, lo, hi, want)
 		}
 		// The intersection must be at least as tight as each index.
-		l0, h0, _ := m.Index(0).SelectivityBounds(q)
-		l1, h1, _ := m.Index(1).SelectivityBounds(q)
+		l0, h0 := indexBounds(t, m, 0, q)
+		l1, h1 := indexBounds(t, m, 1, q)
 		if lo < max(l0, l1) || hi > min(h0, h1) {
 			t.Fatalf("bounds not intersected: [%d,%d] vs [%d,%d] and [%d,%d]", lo, hi, l0, h0, l1, h1)
 		}
@@ -147,6 +141,17 @@ func TestMultiCountAndBounds(t *testing.T) {
 	if lo != 0 || hi != s.Len() {
 		t.Fatalf("trivial bounds [%d,%d]", lo, hi)
 	}
+}
+
+// indexBounds returns index i's own guaranteed bounds for q, the
+// per-index input that Multi.SelectivityBounds intersects.
+func indexBounds(t *testing.T, m *Multi, i int, q Query) (lo, hi int) {
+	t.Helper()
+	ix := m.Index(i)
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	info := ix.info()
+	return exec.Bounds(&info, q.LE())
 }
 
 func max(a, b int) int {

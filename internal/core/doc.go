@@ -17,13 +17,16 @@
 //   - PointStore: shared, flat storage of φ vectors, so many indexes
 //     over the same points cost O(n) each rather than O(n·d').
 //   - Index: a single planar index — construction (with the paper's
-//     octant translation, Section 4.5), inequality queries
-//     (Algorithm 1), top-k nearest-neighbour queries (Algorithm 2),
-//     and O(log n) dynamic updates backed by a B+ tree.
-//   - Multi: a budgeted collection of indexes with the paper's two
-//     best-index selection heuristics (volume/stretch minimisation
-//     and angle minimisation, Section 5) plus uniform normal sampling
-//     from parameter domains and redundancy elimination.
+//     octant translation, Section 4.5) and O(log n) dynamic updates
+//     backed by a B+ tree.
+//   - Multi: a budgeted collection of indexes and the one query
+//     surface — inequality queries (Algorithm 1), top-k
+//     nearest-neighbour queries (Algorithm 2), COUNT(*) and EXPLAIN —
+//     with the paper's two best-index selection heuristics
+//     (volume/stretch minimisation and angle minimisation, Section 5),
+//     a sequential scan when no compatible index bounds a query, plus
+//     uniform normal sampling from parameter domains and redundancy
+//     elimination. A one-index Multi is the single-index case.
 //
 // All query answers are exact: the interval thresholds carry a small
 // conservative guard band so that floating-point rounding can only

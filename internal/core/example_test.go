@@ -15,11 +15,12 @@ func ExampleIndex() {
 	for _, v := range [][]float64{{1, 1}, {3, 3}, {2, 5}, {8, 2}, {9, 9}, {4, 4}} {
 		store.Append(v)
 	}
-	ix, _ := core.NewIndex(store, []float64{1, 1}, vecmath.FirstOctant(2))
+	m, _ := core.NewMulti(store)
+	m.AddNormal([]float64{1, 1}, vecmath.FirstOctant(2))
 
 	// ⟨(1, 2), φ(x)⟩ ≤ 10
 	q, _ := core.NewQuery([]float64{1, 2}, 10, core.LE)
-	ids, st, _ := ix.InequalityIDs(q)
+	ids, st, _ := m.InequalityIDs(q)
 	fmt.Printf("matches=%d accepted-without-verification=%d\n", len(ids), st.Accepted)
 	// Output:
 	// matches=2 accepted-without-verification=1
@@ -43,18 +44,19 @@ func ExampleMulti() {
 	// results=3 closest-first=true
 }
 
-// ExampleIndex_Count shows the O(log n) COUNT(*) path: only the
+// ExampleMulti_Count shows the O(log n) COUNT(*) path: only the
 // intermediate interval is verified.
-func ExampleIndex_Count() {
+func ExampleMulti_Count() {
 	store, _ := core.NewPointStore(2)
 	for i := 0; i < 100; i++ {
 		store.Append([]float64{float64(i), float64(i)})
 	}
-	ix, _ := core.NewIndex(store, []float64{1, 1}, vecmath.FirstOctant(2))
+	m, _ := core.NewMulti(store)
+	m.AddNormal([]float64{1, 1}, vecmath.FirstOctant(2))
 
 	// Parallel to the index family: counted with zero verification.
 	q, _ := core.NewQuery([]float64{2, 2}, 150, core.LE)
-	count, st, _ := ix.Count(q)
+	count, st, _ := m.Count(q)
 	fmt.Printf("count=%d verified=%d\n", count, st.Verified)
 	// Output:
 	// count=38 verified=0

@@ -53,23 +53,19 @@ func (p Plan) String() string {
 	return b.String()
 }
 
-// Explain returns the execution plan for q under the Multi's current
-// configuration (selection heuristic, cost model, fallback policy)
-// without visiting any data point. It runs the pipeline's Plan stage
-// only.
+// Explain returns the execution plan for q under the Multi's
+// selection heuristic without visiting any data point. It runs the
+// pipeline's Plan stage only.
 func (m *Multi) Explain(q Query) (Plan, error) {
 	if err := q.Validate(m.store.Dim()); err != nil {
 		return Plan{}, err
 	}
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	lease := m.sourceLocked(true)
+	lease := m.sourceLocked()
 	defer lease.Release()
 	src := &lease.src
-	pi, err := exec.Explain(src, q.LE())
-	if err != nil {
-		return Plan{}, err
-	}
+	pi := exec.Explain(src, q.LE())
 	return Plan{
 		IndexUsed:  pi.Plan.IndexPos,
 		Reason:     pi.Plan.Reason,

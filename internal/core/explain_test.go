@@ -70,17 +70,6 @@ func TestExplainScanPlans(t *testing.T) {
 		t.Fatalf("String() = %q", plan.String())
 	}
 
-	// Cost model rejects the index for an unselective query.
-	cb, _ := NewMulti(s, WithCostBased(2.5))
-	cb.AddNormal([]float64{1, 1}, vecmath.FirstOctant(2))
-	plan, err = cb.Explain(Query{A: []float64{5, 1}, B: 1e9, Op: LE})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.IndexUsed != -1 || !strings.Contains(plan.Reason, "cost model") {
-		t.Fatalf("cost-based plan %+v", plan)
-	}
-
 	// Validation.
 	if _, err := m.Explain(Query{A: []float64{1}, B: 0, Op: LE}); err == nil {
 		t.Fatal("wrong-dim query accepted")

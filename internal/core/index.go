@@ -10,25 +10,13 @@ import (
 	"planar/internal/vecmath"
 )
 
-// DefaultGuard is the relative width of the conservative band added
-// around the interval thresholds so floating-point rounding can only
-// enlarge the verified range, never corrupt an accept/reject
-// decision.
-const DefaultGuard = 1e-9
-
-// ErrIncompatibleOctant is returned when a query's coefficient signs
-// do not match the octant an index was built for (paper Section 4.5:
-// each index serves one hyper-octant of query normals). It is the
-// pipeline's error value, re-exported so existing == comparisons keep
-// working.
-var ErrIncompatibleOctant = exec.ErrIncompatibleOctant
-
 // Index is a single Planar index: a family of parallel hyperplanes
 // with normal c, one through each point's φ vector, realised as a B+
 // tree over the keys ⟨c, z(x)⟩ where z is the octant translation of
 // φ (Section 4.5). The tree keeps its build's key frame for life; a
 // point outside the translation widens delta, which moves every key
 // by one constant, so only the planner's thresholds move (by shift).
+// Indexes live in a Multi, which answers every query.
 type Index struct {
 	mu    sync.RWMutex
 	store *PointStore
@@ -40,35 +28,14 @@ type Index struct {
 	delta []float64 // guarded by mu
 	shift float64   // guarded by mu; ⟨c, delta⟩ − base, 0 until delta widens
 	tree  *btree.Tree
-	guard float64
-
-	// Bound once at construction so building an exec.Source does not
-	// allocate closures per query. The batched engine reads keys and
-	// ids directly out of the tree's leaf arena — there is no packed
-	// mirror to maintain.
-	vecFn  func(uint32) []float64
-	eachFn func(func(uint32, []float64) bool)
 }
 
-// IndexOption customises index construction.
-type IndexOption func(*Index)
-
-// WithGuard overrides the conservative threshold band (0 disables
-// it; exactness then depends on the data being away from query
-// boundaries).
-func WithGuard(g float64) IndexOption {
-	return func(ix *Index) { ix.guard = g }
-}
-
-// NewIndex builds a planar index over every live point of store. The
-// normal must be strictly positive (it lives in the translated
-// first-octant frame); signs selects the hyper-octant of query
-// coefficient vectors the index will serve. Build time is
-// O(n log n), memory O(n) (paper Section 4.2).
-func NewIndex(store *PointStore, normal []float64, signs vecmath.SignPattern, opts ...IndexOption) (*Index, error) {
-	if store == nil {
-		return nil, errors.New("core: nil point store")
-	}
+// newIndexFrame validates an index's geometry against store — a
+// strictly positive normal (it lives in the translated first-octant
+// frame) and a ±1 sign pattern selecting the hyper-octant of query
+// coefficient vectors served — and returns the index without a
+// translation or a tree.
+func newIndexFrame(store *PointStore, normal []float64, signs vecmath.SignPattern) (*Index, error) {
 	d := store.Dim()
 	if err := vecmath.CheckDim("index normal", normal, d); err != nil {
 		return nil, err
@@ -93,33 +60,36 @@ func NewIndex(store *PointStore, normal []float64, signs vecmath.SignPattern, op
 		store: store,
 		c:     vecmath.Clone(normal),
 		signs: append(vecmath.SignPattern(nil), signs...),
-		guard: DefaultGuard,
+		cs:    make([]float64, d),
 	}
-	for _, o := range opts {
-		o(ix)
+	for i := range ix.cs {
+		ix.cs[i] = ix.c[i] * float64(ix.signs[i])
 	}
-	ix.vecFn = store.Vector
-	ix.eachFn = store.Each
+	return ix, nil
+}
+
+// newIndex builds a planar index over every live point of store.
+// Build time is O(n log n), memory O(n) (paper Section 4.2).
+func newIndex(store *PointStore, normal []float64, signs vecmath.SignPattern) (*Index, error) {
+	ix, err := newIndexFrame(store, normal, signs)
+	if err != nil {
+		return nil, err
+	}
 	ix.build()
 	return ix, nil
 }
 
 // build computes the translation offsets from the store's points,
 // which fixes the key frame, and bulk-loads the key tree. It runs
-// from NewIndex before ix is shared, so it takes no lock.
+// from newIndex before ix is shared, so it takes no lock.
 //
 //planar:locked
 func (ix *Index) build() {
-	d := ix.store.Dim()
-	ix.delta = make([]float64, d)
+	ix.delta = make([]float64, ix.store.Dim())
 	ix.store.Each(func(_ uint32, v []float64) bool {
 		ix.widen(v)
 		return true
 	})
-	ix.cs = make([]float64, d)
-	for i := 0; i < d; i++ {
-		ix.cs[i] = ix.c[i] * float64(ix.signs[i])
-	}
 	ix.base = vecmath.Dot(ix.c, ix.delta)
 
 	entries := make([]btree.Entry, 0, ix.store.Len())
@@ -216,19 +186,6 @@ func (ix *Index) update(id uint32, old, new []float64) {
 	ix.add(id, new)
 }
 
-// Add indexes a point that was appended to the shared store. Use
-// Multi for multi-index maintenance; Add is the standalone
-// single-index path.
-func (ix *Index) Add(id uint32) error {
-	if !ix.store.Live(id) {
-		return fmt.Errorf("core: point %d is not live", id)
-	}
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	ix.add(id, ix.store.Vector(id))
-	return nil
-}
-
 // info returns the planner's view of this index. The slices are
 // shared, not copied; callers hold ix.mu for the lifetime of the
 // returned value.
@@ -242,68 +199,5 @@ func (ix *Index) info() exec.IndexInfo {
 		Shift: ix.shift,
 		CS:    ix.cs,
 		Signs: ix.signs,
-		Guard: ix.guard,
 	}
-}
-
-// sourcePool recycles exec.Source values across queries (standalone
-// Index and Multi leases both draw from it) so acquiring a pipeline
-// view allocates nothing in the steady state.
-var sourcePool = sync.Pool{New: func() any { return new(exec.Source) }}
-
-// source wraps the standalone index as a single-candidate pipeline
-// source, drawn from sourcePool. Callers hold ix.mu for the lifetime
-// of the returned value and must hand it back with putSource.
-func (ix *Index) source() *exec.Source {
-	s := sourcePool.Get().(*exec.Source)
-	rows, live := ix.store.RawRows()
-	*s = exec.Source{
-		N:       ix.tree.Len(),
-		Indexes: append(s.Indexes[:0], ix.info()),
-		Single:  true,
-		Vector:  ix.vecFn,
-		Each:    ix.eachFn,
-		Rows:    rows,
-		RowLive: live,
-		RowDim:  ix.store.Dim(),
-	}
-	return s
-}
-
-// putSource returns a Source acquired from sourcePool.
-func putSource(s *exec.Source) { sourcePool.Put(s) }
-
-// Inequality answers Problem 1 with Algorithm 1 through the execution
-// pipeline: points in the smaller interval are reported without
-// verification, points in the intermediate interval are verified by
-// computing the true scalar product, and the larger interval is
-// rejected wholesale. visit is called once per matching point id, in
-// no particular order; a false return stops early (Stats are then
-// partial).
-func (ix *Index) Inequality(q Query, visit func(id uint32) bool) (Stats, error) {
-	if err := q.Validate(ix.store.Dim()); err != nil {
-		return Stats{}, err
-	}
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	src := ix.source()
-	defer putSource(src)
-	return exec.Run(src, q.LE(), exec.FuncSink(visit), exec.Options{})
-}
-
-// InequalityIDs is a convenience wrapper collecting all matching ids.
-func (ix *Index) InequalityIDs(q Query) ([]uint32, Stats, error) {
-	if err := q.Validate(ix.store.Dim()); err != nil {
-		return nil, Stats{}, err
-	}
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	src := ix.source()
-	defer putSource(src)
-	var sink exec.IDSink
-	st, err := exec.Run(src, q.LE(), &sink, exec.Options{})
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	return sink.IDs, st, nil
 }

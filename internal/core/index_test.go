@@ -41,6 +41,20 @@ func bruteForce(s *PointStore, q Query) []uint32 {
 	return ids
 }
 
+// oneIndex builds a Multi over s holding the single index (normal,
+// signs): the one-index case of the query surface.
+func oneIndex(t testing.TB, s *PointStore, normal []float64, signs vecmath.SignPattern, opts ...MultiOption) *Multi {
+	t.Helper()
+	m, err := NewMulti(s, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := m.AddNormal(normal, signs); err != nil || !ok {
+		t.Fatalf("AddNormal(%v, %v): ok=%v err=%v", normal, signs, ok, err)
+	}
+	return m
+}
+
 func sortedIDs(ids []uint32) []uint32 {
 	out := append([]uint32(nil), ids...)
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
@@ -63,31 +77,35 @@ func TestNewIndexValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	s := randomStore(t, rng, 10, 3, 0, 1)
 	oct := vecmath.FirstOctant(3)
-	if _, err := NewIndex(nil, []float64{1, 1, 1}, oct); err == nil {
+	if _, err := NewMulti(nil); err == nil {
 		t.Error("nil store accepted")
 	}
-	if _, err := NewIndex(s, []float64{1, 1}, oct); err == nil {
-		t.Error("wrong-dim normal accepted")
-	}
-	if _, err := NewIndex(s, []float64{1, 0, 1}, oct); err == nil {
-		t.Error("zero normal component accepted")
-	}
-	if _, err := NewIndex(s, []float64{1, -1, 1}, oct); err == nil {
-		t.Error("negative normal component accepted")
-	}
-	if _, err := NewIndex(s, []float64{1, math.NaN(), 1}, oct); err == nil {
-		t.Error("NaN normal accepted")
-	}
-	if _, err := NewIndex(s, []float64{1, 1, 1}, vecmath.SignPattern{1, 1}); err == nil {
-		t.Error("wrong-dim signs accepted")
-	}
-	if _, err := NewIndex(s, []float64{1, 1, 1}, vecmath.SignPattern{1, 0, 1}); err == nil {
-		t.Error("zero sign accepted")
-	}
-	ix, err := NewIndex(s, []float64{1, 2, 3}, oct)
+	m, err := NewMulti(s)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := m.AddNormal([]float64{1, 1}, oct); err == nil {
+		t.Error("wrong-dim normal accepted")
+	}
+	if _, err := m.AddNormal([]float64{1, 0, 1}, oct); err == nil {
+		t.Error("zero normal component accepted")
+	}
+	if _, err := m.AddNormal([]float64{1, -1, 1}, oct); err == nil {
+		t.Error("negative normal component accepted")
+	}
+	if _, err := m.AddNormal([]float64{1, math.NaN(), 1}, oct); err == nil {
+		t.Error("NaN normal accepted")
+	}
+	if _, err := m.AddNormal([]float64{1, 1, 1}, vecmath.SignPattern{1, 1}); err == nil {
+		t.Error("wrong-dim signs accepted")
+	}
+	if _, err := m.AddNormal([]float64{1, 1, 1}, vecmath.SignPattern{1, 0, 1}); err == nil {
+		t.Error("zero sign accepted")
+	}
+	if m.NumIndexes() != 0 {
+		t.Fatalf("invalid normals left %d indexes", m.NumIndexes())
+	}
+	ix := oneIndex(t, s, []float64{1, 2, 3}, oct).Index(0)
 	if ix.Len() != 10 {
 		t.Fatalf("Len=%d", ix.Len())
 	}
@@ -113,10 +131,7 @@ func TestInequalityMatchesBruteForceFirstOctant(t *testing.T) {
 		for i := range normal {
 			normal[i] = 1 + rng.Float64()*5
 		}
-		ix, err := NewIndex(s, normal, vecmath.FirstOctant(dim))
-		if err != nil {
-			t.Fatal(err)
-		}
+		m := oneIndex(t, s, normal, vecmath.FirstOctant(dim))
 		for trial := 0; trial < 50; trial++ {
 			a := make([]float64, dim)
 			for i := range a {
@@ -125,7 +140,7 @@ func TestInequalityMatchesBruteForceFirstOctant(t *testing.T) {
 			// Bounds spanning empty through full selectivity.
 			b := rng.Float64() * 200 * float64(dim) * 5
 			q := Query{A: a, B: b, Op: LE}
-			ids, st, err := ix.InequalityIDs(q)
+			ids, st, err := m.InequalityIDs(q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -158,10 +173,10 @@ func TestInequalityAllOctantsAndOps(t *testing.T) {
 			}
 		}
 		normal := []float64{1 + rng.Float64(), 1 + rng.Float64(), 1 + rng.Float64()}
-		ix, err := NewIndex(s, normal, signs)
-		if err != nil {
-			t.Fatal(err)
-		}
+		// Angle selection keeps the index in use on the zero-axis
+		// trials too, where its intermediate interval has no upper
+		// bound; volume selection would score it +Inf and scan.
+		m := oneIndex(t, s, normal, signs, WithSelection(SelectAngle))
 		for trial := 0; trial < 30; trial++ {
 			a := make([]float64, dim)
 			for i := range a {
@@ -172,7 +187,7 @@ func TestInequalityAllOctantsAndOps(t *testing.T) {
 			}
 			b := (rng.Float64() - 0.3) * 300
 			q := Query{A: a, B: b, Op: LE}
-			ids, st, err := ix.InequalityIDs(q)
+			ids, st, err := m.InequalityIDs(q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -180,6 +195,10 @@ func TestInequalityAllOctantsAndOps(t *testing.T) {
 			if !equalIDs(sortedIDs(ids), want) {
 				t.Fatalf("oct=%s trial=%d: got %d want %d (stats %+v)",
 					signs, trial, len(ids), len(want), st)
+			}
+			if st.IndexUsed != 0 || st.FellBack {
+				t.Fatalf("oct=%s trial=%d: answered by index %d (fellBack=%v), want the index",
+					signs, trial, st.IndexUsed, st.FellBack)
 			}
 		}
 	}
@@ -193,10 +212,7 @@ func TestGEQueriesViaNegatedOctant(t *testing.T) {
 	// with all-negative coefficients, so the serving index must be
 	// built for the all-negative octant.
 	neg := vecmath.FirstOctant(dim).Negate()
-	ix, err := NewIndex(s, []float64{1, 1}, neg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := oneIndex(t, s, []float64{1, 1}, neg)
 	for trial := 0; trial < 40; trial++ {
 		q := Query{
 			A:  []float64{rng.Float64() * 4, rng.Float64() * 4},
@@ -206,7 +222,7 @@ func TestGEQueriesViaNegatedOctant(t *testing.T) {
 		if q.A[0] == 0 && q.A[1] == 0 {
 			continue
 		}
-		ids, _, err := ix.InequalityIDs(q)
+		ids, st, err := m.InequalityIDs(q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,22 +230,27 @@ func TestGEQueriesViaNegatedOctant(t *testing.T) {
 		if !equalIDs(sortedIDs(ids), want) {
 			t.Fatalf("trial %d: got %d want %d", trial, len(ids), len(want))
 		}
+		if st.IndexUsed != 0 {
+			t.Fatalf("trial %d: the negated-octant index did not answer: %+v", trial, st)
+		}
 	}
-	// The positive octant index must refuse the same GE query.
-	pos, _ := NewIndex(s, []float64{1, 1}, vecmath.FirstOctant(dim))
-	_, _, err = pos.InequalityIDs(Query{A: []float64{1, 1}, B: 5, Op: GE})
-	if err != ErrIncompatibleOctant {
-		t.Fatalf("expected ErrIncompatibleOctant, got %v", err)
+	// The positive octant index cannot serve the same GE query: it is
+	// scanned.
+	pos := oneIndex(t, s, []float64{1, 1}, vecmath.FirstOctant(dim))
+	q := Query{A: []float64{1, 1}, B: 5, Op: GE}
+	ids, st, err := pos.InequalityIDs(q)
+	if err != nil || !st.FellBack || !equalIDs(sortedIDs(ids), bruteForce(s, q)) {
+		t.Fatalf("octant miss: %d ids, stats %+v, err %v; want the scan's answer", len(ids), st, err)
 	}
 }
 
 func TestDegenerateQueries(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	s := randomStore(t, rng, 100, 2, 1, 10)
-	ix, _ := NewIndex(s, []float64{1, 1}, vecmath.FirstOctant(2))
+	m := oneIndex(t, s, []float64{1, 1}, vecmath.FirstOctant(2))
 
 	// All-zero coefficients, non-negative bound: everything matches.
-	ids, st, err := ix.InequalityIDs(Query{A: []float64{0, 0}, B: 0, Op: LE})
+	ids, st, err := m.InequalityIDs(Query{A: []float64{0, 0}, B: 0, Op: LE})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +258,7 @@ func TestDegenerateQueries(t *testing.T) {
 		t.Fatalf("all-match case: ids=%d stats=%+v", len(ids), st)
 	}
 	// All-zero coefficients, negative bound: nothing matches.
-	ids, st, err = ix.InequalityIDs(Query{A: []float64{0, 0}, B: -1, Op: LE})
+	ids, st, err = m.InequalityIDs(Query{A: []float64{0, 0}, B: -1, Op: LE})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +266,7 @@ func TestDegenerateQueries(t *testing.T) {
 		t.Fatalf("none-match case: ids=%d stats=%+v", len(ids), st)
 	}
 	// Negative bound with positive data: empty without verification.
-	ids, st, err = ix.InequalityIDs(Query{A: []float64{1, 1}, B: -5, Op: LE})
+	ids, st, err = m.InequalityIDs(Query{A: []float64{1, 1}, B: -5, Op: LE})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,16 +274,16 @@ func TestDegenerateQueries(t *testing.T) {
 		t.Fatalf("b<0 case: ids=%d stats=%+v", len(ids), st)
 	}
 	// Invalid queries.
-	if _, _, err := ix.InequalityIDs(Query{A: []float64{1}, B: 0, Op: LE}); err == nil {
+	if _, _, err := m.InequalityIDs(Query{A: []float64{1}, B: 0, Op: LE}); err == nil {
 		t.Error("wrong-dim query accepted")
 	}
-	if _, _, err := ix.InequalityIDs(Query{A: []float64{1, math.NaN()}, B: 0, Op: LE}); err == nil {
+	if _, _, err := m.InequalityIDs(Query{A: []float64{1, math.NaN()}, B: 0, Op: LE}); err == nil {
 		t.Error("NaN query accepted")
 	}
-	if _, _, err := ix.InequalityIDs(Query{A: []float64{1, 1}, B: math.Inf(1), Op: LE}); err == nil {
+	if _, _, err := m.InequalityIDs(Query{A: []float64{1, 1}, B: math.Inf(1), Op: LE}); err == nil {
 		t.Error("infinite bound accepted")
 	}
-	if _, _, err := ix.InequalityIDs(Query{A: []float64{1, 1}, B: 0, Op: Op(9)}); err == nil {
+	if _, _, err := m.InequalityIDs(Query{A: []float64{1, 1}, B: 0, Op: Op(9)}); err == nil {
 		t.Error("bad op accepted")
 	}
 }
@@ -271,19 +292,17 @@ func TestParallelIndexGivesEmptyIntermediateInterval(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	s := randomStore(t, rng, 1000, 3, 1, 100)
 	normal := []float64{2, 3, 4}
-	ix, _ := NewIndex(s, normal, vecmath.FirstOctant(3))
+	m := oneIndex(t, s, normal, vecmath.FirstOctant(3))
 	// Query hyperplane parallel to the index family (same normal):
 	// Corollary 1 says stretch is 0 and the II is (nearly) empty.
 	q := Query{A: normal, B: 500, Op: LE}
-	_, st, err := ix.InequalityIDs(q)
+	_, st, err := m.InequalityIDs(q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Verified > 2 { // guard band may catch boundary points
 		t.Fatalf("parallel query verified %d points, want ~0", st.Verified)
 	}
-	m, _ := NewMulti(s)
-	m.AddNormal(normal, vecmath.FirstOctant(3))
 	p, err := m.Explain(q)
 	if err != nil {
 		t.Fatal(err)
@@ -299,9 +318,9 @@ func TestParallelIndexGivesEmptyIntermediateInterval(t *testing.T) {
 func TestEarlyStopVisit(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	s := randomStore(t, rng, 200, 2, 1, 10)
-	ix, _ := NewIndex(s, []float64{1, 1}, vecmath.FirstOctant(2))
+	m := oneIndex(t, s, []float64{1, 1}, vecmath.FirstOctant(2))
 	count := 0
-	_, err := ix.Inequality(Query{A: []float64{1, 1}, B: 1e6, Op: LE}, func(uint32) bool {
+	_, err := m.Inequality(Query{A: []float64{1, 1}, B: 1e6, Op: LE}, func(uint32) bool {
 		count++
 		return count < 5
 	})
@@ -318,16 +337,13 @@ func TestDynamicAddWidensTranslation(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		s.Append([]float64{float64(i), float64(50 - i)})
 	}
-	ix, err := NewIndex(s, []float64{1, 1}, vecmath.FirstOctant(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := oneIndex(t, s, []float64{1, 1}, vecmath.FirstOctant(2))
+	ix := m.Index(0)
 	tree := ix.Tree()
 	// Adding a point with a negative coordinate violates the
 	// first-octant translation (δ was 0): δ widens to 10 and the point
 	// goes into the same tree, keyed in the frame it was built in.
-	id, _ := s.Append([]float64{-10, 5})
-	if err := ix.Add(id); err != nil {
+	if _, err := m.Append([]float64{-10, 5}); err != nil {
 		t.Fatal(err)
 	}
 	if ix.Len() != 51 {
@@ -340,15 +356,15 @@ func TestDynamicAddWidensTranslation(t *testing.T) {
 		t.Fatalf("Shift=%v, want 10", got)
 	}
 	q := Query{A: []float64{2, 3}, B: 40, Op: LE}
-	ids, _, err := ix.InequalityIDs(q)
+	ids, _, err := m.InequalityIDs(q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !equalIDs(sortedIDs(ids), bruteForce(s, q)) {
 		t.Fatal("index wrong after a widening add")
 	}
-	if err := ix.Add(9999); err == nil {
-		t.Error("Add of dead id succeeded")
+	if err := m.Update(9999, []float64{1, 1}); err == nil {
+		t.Error("Update of dead id succeeded")
 	}
 }
 
@@ -357,33 +373,29 @@ func TestEmptyStoreQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := NewIndex(s, []float64{1, 1}, vecmath.FirstOctant(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := oneIndex(t, s, []float64{1, 1}, vecmath.FirstOctant(2))
 	q := Query{A: []float64{1, 1}, B: 10, Op: LE}
-	ids, st, err := ix.InequalityIDs(q)
+	ids, st, err := m.InequalityIDs(q)
 	if err != nil || len(ids) != 0 || st.N != 0 {
 		t.Fatalf("empty inequality: ids=%v st=%+v err=%v", ids, st, err)
 	}
-	res, _, err := ix.TopK(q, 3)
+	res, _, err := m.TopK(q, 3)
 	if err != nil || len(res) != 0 {
 		t.Fatalf("empty topk: res=%v err=%v", res, err)
 	}
-	count, _, err := ix.Count(q)
+	count, _, err := m.Count(q)
 	if err != nil || count != 0 {
 		t.Fatalf("empty count: %d err=%v", count, err)
 	}
-	lo, hi, err := ix.SelectivityBounds(q)
+	lo, hi, err := m.SelectivityBounds(q)
 	if err != nil || lo != 0 || hi != 0 {
 		t.Fatalf("empty bounds: [%d,%d] err=%v", lo, hi, err)
 	}
 	// Points added after construction are indexed.
-	id, _ := s.Append([]float64{1, 2})
-	if err := ix.Add(id); err != nil {
+	if _, err := m.Append([]float64{1, 2}); err != nil {
 		t.Fatal(err)
 	}
-	ids, _, _ = ix.InequalityIDs(q)
+	ids, _, _ = m.InequalityIDs(q)
 	if len(ids) != 1 {
 		t.Fatalf("after add: ids=%v", ids)
 	}
@@ -458,10 +470,7 @@ func TestInequalityExactnessProperty(t *testing.T) {
 		for i := range normal {
 			normal[i] = 0.1 + rng.Float64()*9.9
 		}
-		ix, err := NewIndex(s, normal, signs)
-		if err != nil {
-			t.Fatal(err)
-		}
+		m := oneIndex(t, s, normal, signs)
 		for qt := 0; qt < 10; qt++ {
 			a := make([]float64, dim)
 			for i := range a {
@@ -479,7 +488,7 @@ func TestInequalityExactnessProperty(t *testing.T) {
 				b = -b
 			}
 			q := Query{A: a, B: b, Op: op}
-			ids, st, err := ix.InequalityIDs(q)
+			ids, st, err := m.InequalityIDs(q)
 			if err != nil {
 				t.Fatalf("trial=%d qt=%d: %v", trial, qt, err)
 			}

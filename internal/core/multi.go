@@ -26,12 +26,6 @@ const (
 	SelectAngle = exec.SelectAngle
 )
 
-// ErrNoCompatibleIndex is returned (or causes a scan fallback) when
-// no index in a Multi serves the query's hyper-octant. It is the
-// pipeline's error value, re-exported so errors.Is and == comparisons
-// keep working.
-var ErrNoCompatibleIndex = exec.ErrNoCompatibleIndex
-
 // Domain is the a-priori range of one query coefficient (paper
 // Section 4.1). Lo and Hi must not straddle zero: the octant of each
 // coefficient must be known for indexes to be built.
@@ -80,18 +74,17 @@ func (d Domain) sample(rng *rand.Rand) float64 {
 
 // Multi is a budgeted collection of planar indexes over one shared
 // point store, with best-index selection at query time (Section 5)
-// and coordinated dynamic updates (Section 4.4). All methods are
-// safe for concurrent use; mutations are serialised. Queries run on
-// the internal/exec pipeline, which chooses the index afresh for
-// every query.
+// and coordinated dynamic updates (Section 4.4). It is the one query
+// surface: every query is asked of a Multi, which answers through
+// the best compatible index, or by a sequential scan when no index
+// bounds the query. All methods are safe for concurrent use;
+// mutations are serialised. Queries run on the internal/exec
+// pipeline, which chooses the index afresh for every query.
 type Multi struct {
-	mu          sync.RWMutex
-	store       *PointStore
-	indexes     []*Index
-	sel         Selection
-	fallback    bool
-	guard       float64
-	costPenalty float64 // >0 enables cost-based index-vs-scan choice
+	mu      sync.RWMutex
+	store   *PointStore
+	indexes []*Index
+	sel     Selection
 
 	// old holds the vector an Update is overwriting until every index
 	// has dropped the key it was indexed under.
@@ -111,49 +104,17 @@ func WithSelection(s Selection) MultiOption {
 	return func(m *Multi) { m.sel = s }
 }
 
-// WithFallback controls whether queries with no compatible index are
-// answered by a sequential scan (default true) or fail with
-// ErrNoCompatibleIndex.
-func WithFallback(on bool) MultiOption {
-	return func(m *Multi) { m.fallback = on }
-}
-
-// WithIndexGuard sets the conservative threshold band used by
-// indexes subsequently added to this Multi.
-func WithIndexGuard(g float64) MultiOption {
-	return func(m *Multi) { m.guard = g }
-}
-
-// WithCostBased enables cost-based execution for inequality queries
-// (top-k always prefers an index: its SI walk is pruned early, so
-// the scan rarely wins there). Before answering through an index,
-// the Multi estimates the indexed plan's cost in
-// O(log n) from the interval cardinalities — |SI| accepted
-// sequentially plus |II| verified with random point accesses, the
-// latter weighted by penalty (how much a random access costs
-// relative to one sequential scan step; 2–4 is typical) — and falls
-// back to the sequential scan when that estimate exceeds n. This
-// captures the paper's observation that with high dimensionality and
-// query randomness "the points in the intermediate interval require
-// a random access — which takes more time" than the baseline's
-// sequential pass (Section 7.2.2). penalty <= 0 disables the model.
-func WithCostBased(penalty float64) MultiOption {
-	return func(m *Multi) { m.costPenalty = penalty }
-}
-
 // NewMulti creates an empty index collection over store.
 func NewMulti(store *PointStore, opts ...MultiOption) (*Multi, error) {
 	if store == nil {
 		return nil, errors.New("core: nil point store")
 	}
 	m := &Multi{
-		store:    store,
-		sel:      SelectVolume,
-		fallback: true,
-		guard:    DefaultGuard,
-		old:      make([]float64, store.Dim()),
-		vecFn:    store.Vector,
-		eachFn:   store.Each,
+		store:  store,
+		sel:    SelectVolume,
+		old:    make([]float64, store.Dim()),
+		vecFn:  store.Vector,
+		eachFn: store.Each,
 	}
 	for _, o := range opts {
 		o(m)
@@ -202,13 +163,13 @@ func (l *sourceLease) Release() {
 }
 
 // sourceLocked snapshots the pipeline's view of the Multi: every
-// index's geometry plus the point access paths. It read-locks each
-// index so concurrent standalone mutations (Index.Add) cannot race
-// with the run; the returned lease must be Released once the pipeline
-// finishes. Callers hold m.mu (read). costBased controls whether the
-// cost-based index-vs-scan choice applies — it is sound only for
-// plans that walk the smaller interval sequentially.
-func (m *Multi) sourceLocked(costBased bool) *sourceLease {
+// index's geometry plus the point access paths. Callers hold m.mu
+// (read), which already excludes every mutation of the store and the
+// trees; the per-index read locks it takes exclude the one write
+// that runs under m.mu's read side, Index.adopt's one-time swap of a
+// checkpointed index's RAM tree for its paged twin. The returned lease
+// must be Released once the pipeline finishes.
+func (m *Multi) sourceLocked() *sourceLease {
 	l := leasePool.Get().(*sourceLease)
 	l.indexes = append(l.indexes[:0], m.indexes...)
 	infos := l.src.Indexes[:0]
@@ -218,18 +179,14 @@ func (m *Multi) sourceLocked(costBased bool) *sourceLease {
 	}
 	rows, live := m.store.RawRows()
 	l.src = exec.Source{
-		N:        m.store.Len(),
-		Indexes:  infos,
-		Sel:      m.sel,
-		Fallback: m.fallback,
-		Vector:   m.vecFn,
-		Each:     m.eachFn,
-		Rows:     rows,
-		RowLive:  live,
-		RowDim:   m.store.Dim(),
-	}
-	if costBased {
-		l.src.CostPenalty = m.costPenalty
+		N:       m.store.Len(),
+		Indexes: infos,
+		Sel:     m.sel,
+		Vector:  m.vecFn,
+		Each:    m.eachFn,
+		Rows:    rows,
+		RowLive: live,
+		RowDim:  m.store.Dim(),
 	}
 	return l
 }
@@ -246,7 +203,7 @@ func (m *Multi) AddNormal(normal []float64, signs vecmath.SignPattern) (bool, er
 			return false, nil
 		}
 	}
-	ix, err := NewIndex(m.store, normal, signs, WithGuard(m.guard))
+	ix, err := newIndex(m.store, normal, signs)
 	if err != nil {
 		return false, err
 	}
@@ -318,7 +275,7 @@ func (m *Multi) AddNormals(specs []NormalSpec) (int, error) {
 				if i >= len(jobs) {
 					return
 				}
-				ix, err := NewIndex(m.store, jobs[i].spec.Normal, jobs[i].spec.Signs, WithGuard(m.guard))
+				ix, err := newIndex(m.store, jobs[i].spec.Normal, jobs[i].spec.Signs)
 				if err != nil {
 					errs[i] = fmt.Errorf("core: index %d: %w", jobs[i].pos, err)
 					continue
@@ -383,8 +340,13 @@ func (m *Multi) RemoveAllIndexes() {
 	m.indexes = nil
 }
 
-// Inequality answers Problem 1 using the best compatible index, or a
-// sequential scan when none exists and fallback is enabled.
+// Inequality answers Problem 1 with Algorithm 1, through the best
+// compatible index or a sequential scan when none bounds the query:
+// points in the smaller interval are reported without verification,
+// points in the intermediate interval are verified by computing the
+// true scalar product, and the larger interval is rejected wholesale.
+// visit is called once per matching point id, in no particular order;
+// a false return stops early (Stats are then partial).
 //
 // The Multi's read lock is held for the whole operation: it is what
 // makes concurrent queries safe against Update/Append/Remove, which
@@ -395,10 +357,10 @@ func (m *Multi) Inequality(q Query, visit func(id uint32) bool) (Stats, error) {
 	}
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	lease := m.sourceLocked(true)
+	lease := m.sourceLocked()
 	defer lease.Release()
 	src := &lease.src
-	return exec.Run(src, q.LE(), exec.FuncSink(visit), exec.Options{})
+	return exec.Run(src, q.LE(), exec.FuncSink(visit))
 }
 
 // InequalityIDs collects all matching point ids into a fresh slice.
@@ -418,10 +380,10 @@ func (m *Multi) AppendInequalityIDs(dst []uint32, q Query) ([]uint32, Stats, err
 	}
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	lease := m.sourceLocked(true)
+	lease := m.sourceLocked()
 	defer lease.Release()
 	lease.ids.IDs = dst
-	st, err := exec.Run(&lease.src, q.LE(), &lease.ids, exec.Options{})
+	st, err := exec.Run(&lease.src, q.LE(), &lease.ids)
 	ids := lease.ids.IDs
 	lease.ids.IDs = nil
 	if err != nil {
@@ -447,7 +409,7 @@ func (m *Multi) InequalityBatch(a []float64, op Op, bs []float64) (ids [][]uint3
 	}
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	lease := m.sourceLocked(true)
+	lease := m.sourceLocked()
 	defer lease.Release()
 	src := &lease.src
 
@@ -467,7 +429,7 @@ func (m *Multi) InequalityBatch(a []float64, op Op, bs []float64) (ids [][]uint3
 	stats, err = exec.RunBatch(src, na, nbs, func(i int, _ float64) exec.Sink {
 		sinks[i] = &exec.IDSink{}
 		return sinks[i]
-	}, exec.Options{})
+	})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -478,9 +440,21 @@ func (m *Multi) InequalityBatch(a []float64, op Op, bs []float64) (ids [][]uint3
 	return ids, stats, nil
 }
 
-// TopK answers Problem 2 using the best compatible index, or a
-// sequential scan fallback. Like Inequality, it holds the read lock
-// for the whole operation.
+// Result is one answer of a top-k nearest-neighbour query: a point
+// satisfying the inequality together with its Euclidean distance to
+// the query hyperplane. It is an alias of the pipeline's result type.
+type Result = exec.Result
+
+// TopK answers Problem 2 with Algorithm 2, through the best compatible
+// index or a sequential scan when none bounds the query: among points
+// satisfying the inequality, return the k with the smallest distance
+// |⟨A,φ(x)⟩ − B| / |A| to the query hyperplane. The intermediate
+// interval is verified exhaustively; the smaller interval is walked in
+// descending key order and cut off by the lower-bound-distance pruning
+// rule of Claim 3. Stats.Verified counts intermediate-interval points
+// examined and Stats.Accepted counts smaller-interval points examined
+// before the pruning rule fired (the paper's k1). Like Inequality, it
+// holds the read lock for the whole operation.
 func (m *Multi) TopK(q Query, k int) ([]Result, Stats, error) {
 	if err := q.Validate(m.store.Dim()); err != nil {
 		return nil, Stats{}, err
@@ -488,21 +462,20 @@ func (m *Multi) TopK(q Query, k int) ([]Result, Stats, error) {
 	if k <= 0 {
 		return nil, Stats{}, fmt.Errorf("core: TopK requires k > 0, got %d", k)
 	}
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	// A zero coefficient vector is octant-compatible with every
-	// index, so whenever one exists the indexed top-k path would be
-	// selected and its distance measure is undefined; only the
-	// index-free scan fallback can serve it.
-	if vecmath.Norm(q.A) == 0 && len(m.indexes) > 0 {
+	// The distance is undefined at A = 0, whatever would answer.
+	if vecmath.Norm(q.A) == 0 {
 		return nil, Stats{}, errors.New("core: TopK requires a non-zero coefficient vector")
 	}
-	lease := m.sourceLocked(false)
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	lease := m.sourceLocked()
 	defer lease.Release()
 	src := &lease.src
 	nq := q.LE()
-	sink := topKSink(m.store, nq, k)
-	st, err := exec.Run(src, nq, sink, exec.Options{})
+	sink := exec.NewTopKSink(k, func(id uint32) float64 {
+		return nq.Distance(m.store.Vector(id))
+	})
+	st, err := exec.Run(src, nq, sink)
 	if err != nil {
 		return nil, Stats{}, err
 	}

@@ -187,16 +187,7 @@ func TestMultiFallbackScan(t *testing.T) {
 	if !sameTopK(res, bruteTopK(s, q, 5), 1e-9) {
 		t.Fatal("fallback top-k wrong")
 	}
-	// Without fallback, the error surfaces.
-	strict, _ := NewMulti(s, WithFallback(false))
-	strict.AddNormal([]float64{1, 1}, vecmath.FirstOctant(2))
-	if _, _, err := strict.InequalityIDs(q); !errors.Is(err, ErrNoCompatibleIndex) {
-		t.Fatalf("want ErrNoCompatibleIndex, got %v", err)
-	}
-	if _, _, err := strict.TopK(q, 5); !errors.Is(err, ErrNoCompatibleIndex) {
-		t.Fatalf("want ErrNoCompatibleIndex, got %v", err)
-	}
-	// Empty Multi with fallback answers by scan.
+	// An empty Multi answers by scan.
 	empty, _ := NewMulti(s)
 	ids2, st3, err := empty.InequalityIDs(Query{A: []float64{1, 1}, B: 0, Op: LE})
 	if err != nil || !st3.FellBack {
@@ -310,49 +301,6 @@ func TestMultiConcurrentReaders(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
-	}
-}
-
-func TestCostBasedExecution(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	s := randomStore(t, rng, 3000, 6, 1, 100)
-	m, _ := NewMulti(s, WithCostBased(2.5))
-	// One poorly-aligned index: most queries will have a fat II.
-	m.AddNormal([]float64{1, 1, 1, 1, 1, 1}, vecmath.FirstOctant(6))
-
-	// Unselective query with large II: the model should pick the scan.
-	wide := Query{A: []float64{5, 1, 1, 1, 1, 5}, B: 1e6, Op: LE}
-	ids, st, err := m.InequalityIDs(wide)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.FellBack {
-		t.Fatalf("cost model kept the index for an all-matching query: %+v", st)
-	}
-	if !equalIDs(sortedIDs(ids), bruteForce(s, wide)) {
-		t.Fatal("cost-based scan answered incorrectly")
-	}
-	// Highly selective, well-aligned query: the index must be used.
-	narrow := Query{A: []float64{1, 1, 1, 1, 1, 1}, B: 60, Op: LE}
-	ids, st, err = m.InequalityIDs(narrow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.FellBack {
-		t.Fatalf("cost model rejected the index for a selective parallel query: %+v", st)
-	}
-	if !equalIDs(sortedIDs(ids), bruteForce(s, narrow)) {
-		t.Fatal("indexed answer incorrect")
-	}
-	// Without the model, the index is used even for the wide query.
-	plain, _ := NewMulti(s)
-	plain.AddNormal([]float64{1, 1, 1, 1, 1, 1}, vecmath.FirstOctant(6))
-	_, st, err = plain.InequalityIDs(wide)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.FellBack {
-		t.Fatal("plain multi should not fall back")
 	}
 }
 

@@ -51,34 +51,15 @@ type IndexPersist struct {
 
 // newPrebuiltIndex validates a PrebuiltIndex against store and wires
 // it up without rebuilding its tree.
-func newPrebuiltIndex(store *PointStore, p PrebuiltIndex, guard float64) (*Index, error) {
-	if store == nil {
-		return nil, errors.New("core: nil point store")
-	}
+func newPrebuiltIndex(store *PointStore, p PrebuiltIndex) (*Index, error) {
 	if p.Tree == nil {
 		return nil, errors.New("core: prebuilt index has nil tree")
 	}
-	d := store.Dim()
-	if err := vecmath.CheckDim("index normal", p.Normal, d); err != nil {
+	ix, err := newIndexFrame(store, p.Normal, p.Signs)
+	if err != nil {
 		return nil, err
 	}
-	if !vecmath.AllFinite(p.Normal) {
-		return nil, errors.New("core: index normal must be finite")
-	}
-	for i, v := range p.Normal {
-		if v <= 0 {
-			return nil, fmt.Errorf("core: index normal component %d is %v, must be > 0", i, v)
-		}
-	}
-	if len(p.Signs) != d {
-		return nil, fmt.Errorf("core: sign pattern has dimension %d, want %d", len(p.Signs), d)
-	}
-	for i, s := range p.Signs {
-		if s != 1 && s != -1 {
-			return nil, fmt.Errorf("core: sign pattern component %d is %d, must be ±1", i, s)
-		}
-	}
-	if err := vecmath.CheckDim("index delta", p.Delta, d); err != nil {
+	if err := vecmath.CheckDim("index delta", p.Delta, store.Dim()); err != nil {
 		return nil, err
 	}
 	if !vecmath.AllFinite(p.Delta) {
@@ -92,23 +73,17 @@ func newPrebuiltIndex(store *PointStore, p PrebuiltIndex, guard float64) (*Index
 	if math.IsNaN(p.Base) || math.IsInf(p.Base, 0) {
 		return nil, fmt.Errorf("core: index key base is %v, must be finite", p.Base)
 	}
-	ix := &Index{
-		store: store,
-		c:     vecmath.Clone(p.Normal),
-		signs: append(vecmath.SignPattern(nil), p.Signs...),
-		delta: vecmath.Clone(p.Delta),
-		base:  p.Base,
-		tree:  p.Tree,
-		guard: guard,
-	}
-	ix.cs = make([]float64, d)
-	for i := 0; i < d; i++ {
-		ix.cs[i] = ix.c[i] * float64(ix.signs[i])
-	}
-	ix.shift = vecmath.Dot(ix.c, ix.delta) - ix.base
-	ix.vecFn = store.Vector
-	ix.eachFn = store.Each
+	ix.attach(vecmath.Clone(p.Delta), p.Base, p.Tree)
 	return ix, nil
+}
+
+// attach installs a restored translation, key frame and tree. It runs
+// from newPrebuiltIndex before ix is shared, so it takes no lock.
+//
+//planar:locked
+func (ix *Index) attach(delta []float64, base float64, tree *btree.Tree) {
+	ix.delta, ix.base, ix.tree = delta, base, tree
+	ix.shift = vecmath.Dot(ix.c, delta) - base
 }
 
 // AttachPrebuilt installs restored indexes without rebuilding their
@@ -120,7 +95,7 @@ func (m *Multi) AttachPrebuilt(ps []PrebuiltIndex) error {
 	defer m.mu.Unlock()
 	built := make([]*Index, len(ps))
 	for i, p := range ps {
-		ix, err := newPrebuiltIndex(m.store, p, m.guard)
+		ix, err := newPrebuiltIndex(m.store, p)
 		if err != nil {
 			return fmt.Errorf("core: prebuilt index %d: %w", i, err)
 		}

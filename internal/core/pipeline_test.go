@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"strings"
@@ -13,11 +12,11 @@ import (
 
 // pipelineMulti builds a store plus a Multi with two first-octant
 // indexes, the shared fixture for the selection and batch tests.
-func pipelineMulti(t *testing.T, opts ...MultiOption) (*PointStore, *Multi) {
+func pipelineMulti(t *testing.T) (*PointStore, *Multi) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(31))
 	s := randomStore(t, rng, 800, 3, 1, 50)
-	m, err := NewMulti(s, opts...)
+	m, err := NewMulti(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,120 +41,97 @@ func TestSelectionIsArgminOverCompatible(t *testing.T) {
 	coeffs := []float64{-3, -1, 0, 0.5, 1, 2, 7}
 
 	for _, sel := range []Selection{SelectVolume, SelectAngle} {
-		for _, fallback := range []bool{true, false} {
-			m, err := NewMulti(s, WithSelection(sel), WithFallback(fallback))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, oct := range octants {
-				for _, normal := range normals {
-					if _, err := m.AddNormal(normal, oct); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			// want is the selection rule written out longhand.
-			want := func(q Query) (pos, compatible int) {
-				le := q.LE()
-				pos, first, bestScore := -1, -1, math.Inf(1)
-				for i := 0; i < m.NumIndexes(); i++ {
-					info := m.Index(i).info()
-					if !info.Signs.Matches(le.A) {
-						continue
-					}
-					if compatible++; compatible == 1 {
-						first = i
-					}
-					score := exec.Stretch(&info, le)
-					if sel == SelectAngle {
-						score = -exec.CosToQuery(&info, le.A)
-					}
-					if score < bestScore {
-						pos, bestScore = i, score
-					}
-				}
-				if pos < 0 && !fallback {
-					pos = first // all tied at +Inf: any index answers
-				}
-				return pos, compatible
-			}
-
-			queries := make([]Query, 300)
-			for i := range queries {
-				q := Query{A: make([]float64, 3), B: rng.Float64()*400 - 100, Op: Op(i % 2)}
-				for j := range q.A {
-					q.A[j] = coeffs[rng.Intn(len(coeffs))]
-				}
-				if q.Validate(3) != nil {
-					q.A[0] = 1 // all-zero draw
-				}
-				queries[i] = q
-			}
-			chosen := make([]int, len(queries))
-			pass := func(round string) {
-				for i, q := range queries {
-					pos, compatible := want(q)
-					ids, st, err := m.InequalityIDs(q)
-					if compatible == 0 && !fallback {
-						if !errors.Is(err, ErrNoCompatibleIndex) {
-							t.Fatalf("%v %s q=%+v: err %v, want ErrNoCompatibleIndex", sel, round, q, err)
-						}
-						continue
-					}
-					if err != nil {
-						t.Fatalf("%v %s q=%+v (%d compatible): %v", sel, round, q, compatible, err)
-					}
-					if st.IndexUsed != pos {
-						t.Fatalf("%v %s q=%+v: index %d answered, argmin is %d", sel, round, q, st.IndexUsed, pos)
-					}
-					if round == "before" {
-						chosen[i] = pos
-					} else if pos != chosen[i] {
-						t.Fatalf("%v q=%+v: index %d before the update, %d after", sel, q, chosen[i], pos)
-					}
-					if !equalIDs(sortedIDs(ids), bruteForce(s, q)) {
-						t.Fatalf("%v %s q=%+v: wrong ids", sel, round, q)
-					}
-				}
-			}
-			pass("before")
-			// An update inside the data's bounding box moves one key
-			// and no index geometry.
-			if err := m.Update(7, s.Vector(8)); err != nil {
-				t.Fatal(err)
-			}
-			pass("after")
+		m, err := NewMulti(s, WithSelection(sel))
+		if err != nil {
+			t.Fatal(err)
 		}
+		for _, oct := range octants {
+			for _, normal := range normals {
+				if _, err := m.AddNormal(normal, oct); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		// want is the selection rule written out longhand: the first
+		// finite minimum, or a scan (−1) when there is none.
+		want := func(q Query) int {
+			le := q.LE()
+			pos, bestScore := -1, math.Inf(1)
+			for i := 0; i < m.NumIndexes(); i++ {
+				info := m.Index(i).info()
+				if !info.Signs.Matches(le.A) {
+					continue
+				}
+				score := exec.Stretch(&info, le)
+				if sel == SelectAngle {
+					score = -exec.CosToQuery(&info, le.A)
+				}
+				if score < bestScore {
+					pos, bestScore = i, score
+				}
+			}
+			return pos
+		}
+
+		queries := make([]Query, 300)
+		for i := range queries {
+			q := Query{A: make([]float64, 3), B: rng.Float64()*400 - 100, Op: Op(i % 2)}
+			for j := range q.A {
+				q.A[j] = coeffs[rng.Intn(len(coeffs))]
+			}
+			if q.Validate(3) != nil {
+				q.A[0] = 1 // all-zero draw
+			}
+			queries[i] = q
+		}
+		chosen := make([]int, len(queries))
+		pass := func(round string) {
+			for i, q := range queries {
+				pos := want(q)
+				ids, st, err := m.InequalityIDs(q)
+				if err != nil {
+					t.Fatalf("%v %s q=%+v: %v", sel, round, q, err)
+				}
+				if st.IndexUsed != pos {
+					t.Fatalf("%v %s q=%+v: index %d answered, argmin is %d", sel, round, q, st.IndexUsed, pos)
+				}
+				if round == "before" {
+					chosen[i] = pos
+				} else if pos != chosen[i] {
+					t.Fatalf("%v q=%+v: index %d before the update, %d after", sel, q, chosen[i], pos)
+				}
+				if !equalIDs(sortedIDs(ids), bruteForce(s, q)) {
+					t.Fatalf("%v %s q=%+v: wrong ids", sel, round, q)
+				}
+			}
+		}
+		pass("before")
+		// An update inside the data's bounding box moves one key and
+		// no index geometry.
+		if err := m.Update(7, s.Vector(8)); err != nil {
+			t.Fatal(err)
+		}
+		pass("after")
 	}
 }
 
-// A zero coefficient ties every compatible index at stretch +Inf.
-// With no scan to fall back on the Multi must still answer — through
-// an index, exactly as the standalone Index does — and with one it
-// must not blame the octant.
+// A zero coefficient ties every compatible index at stretch +Inf: no
+// index bounds the intermediate interval, so the query is scanned and
+// the plan must not blame the octant.
 func TestZeroCoefficientQuery(t *testing.T) {
-	s, strict := pipelineMulti(t, WithFallback(false))
+	s, m := pipelineMulti(t)
 	q := Query{A: []float64{1, 0, 2}, B: 60, Op: LE}
-	ids, st, err := strict.InequalityIDs(q)
-	if err != nil {
-		t.Fatalf("2 compatible indexes, fallback off: %v", err)
-	}
-	_, want, err := strict.Index(0).InequalityIDs(q)
+	ids, st, err := m.InequalityIDs(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.IndexUsed != 0 || st.FellBack || st.Accepted != want.Accepted || st.Verified != want.Verified {
-		t.Fatalf("stats %+v, want index 0 with the standalone index's intervals %+v", st, want)
+	if st.IndexUsed != -1 || !st.FellBack || st.Verified != s.Len() {
+		t.Fatalf("stats %+v, want a scan of all %d points", st, s.Len())
 	}
 	if !equalIDs(sortedIDs(ids), bruteForce(s, q)) {
 		t.Fatal("wrong ids")
 	}
-	if p, err := strict.Explain(q); err != nil || p.IndexUsed != 0 {
-		t.Fatalf("Explain = %+v, %v; the query runs on index 0", p, err)
-	}
-
-	_, lax := pipelineMulti(t)
-	p, err := lax.Explain(q)
+	p, err := m.Explain(q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,9 +19,9 @@ import (
 // hands out slices that alias it directly. All scratch memory is
 // pooled, so a steady-state query allocates nothing.
 //
-// The engine runs whenever the source exposes raw rows; ForceTreeWalk
-// pins the scalar per-entry walk in run.go instead, which remains the
-// reference implementation for correctness tests.
+// The engine runs whenever the source exposes raw rows; a row-less
+// Source runs the scalar per-entry walk in run.go instead, the
+// reference implementation correctness tests pin the engine against.
 
 // One RankChunks chunk stays within one leaf, and one leaf is
 // exactly one kernel block. The two uint conversions reject a drift

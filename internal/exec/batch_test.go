@@ -3,8 +3,11 @@ package exec
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
+	"planar/internal/btree"
+	"planar/internal/kernel"
 	"planar/internal/vecmath"
 )
 
@@ -31,13 +34,20 @@ func packSource(points [][]float64, infos []IndexInfo, live []bool) *Source {
 	src.Rows = rows
 	src.RowLive = live
 	src.RowDim = d
-	src.Fallback = true // mirror Multi's default scan fallback
 	return src
+}
+
+// rowless is src without its row view: the same indexes and points,
+// answered by the scalar reference walks.
+func rowless(src *Source) *Source {
+	ref := *src
+	ref.Rows = nil
+	return &ref
 }
 
 // TestBatchedMatchesTreeWalk is the engine's golden identity at the
 // exec layer: for random indexes and queries the batched path, the
-// forced tree walk, and brute force must report the same id set and
+// row-less tree walk, and brute force must report the same id set and
 // a consistent interval partition.
 func TestBatchedMatchesTreeWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -63,15 +73,15 @@ func TestBatchedMatchesTreeWalk(t *testing.T) {
 		}
 		q := Query{A: a, B: (rng.Float64() - 0.4) * 400}
 
-		infos := []IndexInfo{buildInfo(points, normal, signs, 1e-9)}
+		infos := []IndexInfo{buildInfo(points, normal, signs)}
 		src := packSource(points, infos, nil)
 
 		var batched, walked IDSink
-		stB, err := Run(src, q, &batched, Options{})
+		stB, err := Run(src, q, &batched)
 		if err != nil {
 			t.Fatal(err)
 		}
-		stW, err := Run(src, q, &walked, Options{ForceTreeWalk: true})
+		stW, err := Run(rowless(src), q, &walked)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,6 +99,67 @@ func TestBatchedMatchesTreeWalk(t *testing.T) {
 		if stB.Accepted+stB.Verified+stB.Rejected != n {
 			t.Fatalf("trial %d: intervals do not partition n=%d: %+v", trial, n, stB)
 		}
+	}
+}
+
+// chunkSink records the size of every accepted chunk it is handed.
+type chunkSink struct {
+	chunks  []int
+	matches int
+}
+
+func (s *chunkSink) Reserve(int) {}
+func (s *chunkSink) AcceptChunk(ids []uint32) (int, bool) {
+	s.chunks = append(s.chunks, len(ids))
+	return len(ids), true
+}
+func (s *chunkSink) Match(uint32) bool { s.matches++; return true }
+
+// TestRowlessSourceRunsReferenceWalk pins the selector every reference
+// comparison relies on: a row-less Source hands AcceptChunk one-entry
+// chunks and verifies through Source.Vector, while the same Source
+// with rows hands out leaf-sized chunks and verifies through the
+// kernels. A broken selector would let the reference tests compare
+// the kernels with themselves.
+func TestRowlessSourceRunsReferenceWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	points := randPoints(rng, 5000, 2)
+	infos := []IndexInfo{buildInfo(points, []float64{1, 2}, vecmath.SignPattern{1, 1})}
+	src := packSource(points, infos, nil)
+	vectorCalls := 0
+	src.Vector = func(id uint32) []float64 { vectorCalls++; return points[id] }
+	q := Query{A: []float64{1, 1}, B: 10}
+
+	run := func(src *Source) (*chunkSink, Stats, int) {
+		vectorCalls = 0
+		var sink chunkSink
+		st, err := Run(src, q, &sink)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &sink, noClock(st), vectorCalls
+	}
+	batched, stB, callsB := run(src)
+	walked, stW, callsW := run(rowless(src))
+
+	if stB != stW || batched.matches != walked.matches {
+		t.Fatalf("engines disagree: batched %+v, walk %+v", stB, stW)
+	}
+	if stB.Accepted <= btree.LeafCap || stB.Verified < kernel.MinBatch {
+		t.Fatalf("fixture too small to tell the engines apart: %+v", stB)
+	}
+	if len(walked.chunks) != stW.Accepted || slices.Max(walked.chunks) != 1 {
+		t.Fatalf("row-less walk handed %d chunks of at most %d ids for %d accepted, want one-entry chunks",
+			len(walked.chunks), slices.Max(walked.chunks), stW.Accepted)
+	}
+	if callsW != stW.Verified {
+		t.Fatalf("row-less walk read %d vectors for %d verified", callsW, stW.Verified)
+	}
+	if slices.Max(batched.chunks) < btree.LeafCap/2 {
+		t.Fatalf("batched engine's largest chunk is %d ids, want leaf-sized", slices.Max(batched.chunks))
+	}
+	if callsB != 0 {
+		t.Fatalf("batched engine read %d vectors, want the kernels to verify", callsB)
 	}
 }
 
@@ -126,7 +197,6 @@ func TestBatchedScanSkipsDeadRows(t *testing.T) {
 		}
 	}
 	src := packSource(all, nil, live)
-	src.Fallback = true
 	// Each must only visit live rows, like PointStore.Each.
 	src.Each = func(fn func(id uint32, v []float64) bool) {
 		for id, v := range all {
@@ -139,10 +209,10 @@ func TestBatchedScanSkipsDeadRows(t *testing.T) {
 
 	q := Query{A: []float64{1, -2, 0.5}, B: 10}
 	var batched, classic IDSink
-	if _, err := Run(src, q, &batched, Options{}); err != nil {
+	if _, err := Run(src, q, &batched); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(src, q, &classic, Options{ForceTreeWalk: true}); err != nil {
+	if _, err := Run(rowless(src), q, &classic); err != nil {
 		t.Fatal(err)
 	}
 	for _, id := range batched.IDs {
@@ -177,7 +247,7 @@ func TestBatchedEarlyStop(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	points := randPoints(rng, 800, 2)
 	signs := vecmath.SignPattern{1, 1}
-	infos := []IndexInfo{buildInfo(points, []float64{1, 2}, signs, 1e-9)}
+	infos := []IndexInfo{buildInfo(points, []float64{1, 2}, signs)}
 	src := packSource(points, infos, nil)
 	q := Query{A: []float64{1, 1}, B: 60}
 
@@ -186,7 +256,7 @@ func TestBatchedEarlyStop(t *testing.T) {
 		seen++
 		return seen < 3
 	})
-	st, err := Run(src, q, stop, Options{})
+	st, err := Run(src, q, stop)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,16 +272,16 @@ func BenchmarkExecHotPath(b *testing.B) {
 	rng := rand.New(rand.NewSource(41))
 	points := randPoints(rng, 20000, 4)
 	signs := vecmath.SignPattern{1, 1, 1, 1}
-	infos := []IndexInfo{buildInfo(points, []float64{1, 1, 1, 1}, signs, 1e-9)}
+	infos := []IndexInfo{buildInfo(points, []float64{1, 1, 1, 1}, signs)}
 	src := packSource(points, infos, nil)
 	q := Query{A: []float64{5, 0.1, 0.1, 0.1}, B: 30}
 
 	for _, mode := range []struct {
 		name string
-		opts Options
+		src  *Source
 	}{
-		{"batched", Options{}},
-		{"treewalk", Options{ForceTreeWalk: true}},
+		{"batched", src},
+		{"treewalk", rowless(src)},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			count := CountSink{}
@@ -219,7 +289,7 @@ func BenchmarkExecHotPath(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				count.N = 0
-				if _, err := Run(src, q, &count, mode.opts); err != nil {
+				if _, err := Run(mode.src, q, &count); err != nil {
 					b.Fatal(err)
 				}
 			}

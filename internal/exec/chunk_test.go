@@ -12,7 +12,7 @@ import (
 
 // The differential suite of the chunked accept path: the batched
 // engine (two ranks, one walk of the leaf chain, leaf id slices to the
-// sink) against the scalar walk behind ForceTreeWalk, on plans whose
+// sink) against the scalar walk a row-less Source runs, on plans whose
 // thresholds are placed by hand so that the smaller interval ends
 // where the chunking could go wrong.
 
@@ -75,7 +75,7 @@ func noClock(st Stats) Stats {
 // fails unless the ids the sinks saw, in order, and the Stats agree.
 func runBoth(t *testing.T, name string, src *Source, q Query, plan Plan, stopAfter int) (ids []uint32, st Stats) {
 	t.Helper()
-	run := func(opts Options) ([]uint32, Stats) {
+	run := func(src *Source) ([]uint32, Stats) {
 		var seen []uint32
 		var sink Sink = &IDSink{}
 		if stopAfter > 0 {
@@ -84,7 +84,7 @@ func runBoth(t *testing.T, name string, src *Source, q Query, plan Plan, stopAft
 				return len(seen) != stopAfter
 			})
 		}
-		st, err := Execute(src, q, plan, sink, opts)
+		st, err := Execute(src, q, plan, sink)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -93,8 +93,8 @@ func runBoth(t *testing.T, name string, src *Source, q Query, plan Plan, stopAft
 		}
 		return seen, noClock(st)
 	}
-	chunked, stC := run(Options{})
-	walked, stW := run(Options{ForceTreeWalk: true})
+	chunked, stC := run(src)
+	walked, stW := run(rowless(src))
 	if !equalIDs(chunked, walked) {
 		t.Fatalf("%s: chunked path delivered %d ids, tree walk %d, or in another order", name, len(chunked), len(walked))
 	}

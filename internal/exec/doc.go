@@ -6,10 +6,11 @@
 // of per query type:
 //
 //	Plan    octant compatibility, best-index selection (volume or
-//	        angle minimisation, Section 5.1), interval thresholds
-//	        tmin/tmax with the conservative guard band, and the
-//	        cost-based index-vs-scan choice. O(r·d′) arithmetic,
-//	        run on every query; nothing is memoised.
+//	        angle minimisation, Section 5.1) with a scan when no
+//	        compatible index bounds the query, and interval
+//	        thresholds tmin/tmax with the conservative guard band.
+//	        O(r·d′) arithmetic, run on every query; nothing is
+//	        memoised.
 //	Execute two rank queries, then one pass of the chosen index's
 //	        leaf chain over the smaller interval (whole leaf id
 //	        slices handed to the sink) and the intermediate interval

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -16,7 +15,7 @@ import (
 // buildInfo assembles an IndexInfo the way internal/core does: octant
 // translation offsets from the data, keys ⟨c, z(x)⟩ over the
 // translated frame.
-func buildInfo(points [][]float64, normal []float64, signs vecmath.SignPattern, guard float64) IndexInfo {
+func buildInfo(points [][]float64, normal []float64, signs vecmath.SignPattern) IndexInfo {
 	d := len(normal)
 	delta := make([]float64, d)
 	for _, v := range points {
@@ -42,7 +41,6 @@ func buildInfo(points [][]float64, normal []float64, signs vecmath.SignPattern, 
 		Delta: delta,
 		CS:    cs,
 		Signs: append(vecmath.SignPattern(nil), signs...),
-		Guard: guard,
 	}
 }
 
@@ -119,13 +117,11 @@ func TestPartitionProperty(t *testing.T) {
 		b := (rng.Float64() - 0.4) * 400
 		q := Query{A: a, B: b}
 
-		info := buildInfo(points, normal, signs, 1e-9)
+		info := buildInfo(points, normal, signs)
 		src := makeSource(points, []IndexInfo{info})
-		src.Single = true // standalone index: no competitive scoring
-		plan, err := PlanQuery(src, q)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
+		// The plan on this index, whatever its score: a zero
+		// coefficient leaves II unbounded, which the planner would scan.
+		plan := finishPlan(src, q, 0, 1)
 
 		var si, ii, li []uint32
 		all := func(dst *[]uint32) {
@@ -169,10 +165,7 @@ func TestPartitionProperty(t *testing.T) {
 
 		// Interval accounting must agree with the order statistics the
 		// counting plans use.
-		lo, hi, err := Bounds(&info, q)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
+		lo, hi := Bounds(&info, q)
 		if lo != len(si) || hi != len(si)+len(ii) {
 			t.Fatalf("trial %d: Bounds (%d,%d), walked (%d,%d)", trial, lo, hi, len(si), len(si)+len(ii))
 		}
@@ -194,12 +187,12 @@ func TestRunMatchesBruteForce(t *testing.T) {
 			normal[i] = 0.5 + rng.Float64()*2
 		}
 		q := Query{A: a, B: (rng.Float64() - 0.3) * 300}
-		infos := []IndexInfo{buildInfo(points, normal, signs, 1e-9)}
+		infos := []IndexInfo{buildInfo(points, normal, signs)}
 		src := makeSource(points, infos)
 		want := sortedCopy(bruteIDs(points, q))
 
 		var ids IDSink
-		if _, err := Run(src, q, &ids, Options{}); err != nil {
+		if _, err := Run(src, q, &ids); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		if !reflect.DeepEqual(sortedCopy(ids.IDs), want) {
@@ -207,7 +200,7 @@ func TestRunMatchesBruteForce(t *testing.T) {
 		}
 
 		var cnt CountSink
-		if _, err := Run(src, q, &cnt, Options{}); err != nil {
+		if _, err := Run(src, q, &cnt); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		if cnt.N != len(want) {
@@ -215,7 +208,7 @@ func TestRunMatchesBruteForce(t *testing.T) {
 		}
 
 		var got []uint32
-		_, err := Run(src, q, FuncSink(func(id uint32) bool { got = append(got, id); return true }), Options{})
+		_, err := Run(src, q, FuncSink(func(id uint32) bool { got = append(got, id); return true }))
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -224,7 +217,7 @@ func TestRunMatchesBruteForce(t *testing.T) {
 		}
 
 		trace := &TraceSink{Inner: &IDSink{}}
-		st, err := Run(src, q, trace, Options{})
+		st, err := Run(src, q, trace)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -237,13 +230,13 @@ func TestRunMatchesBruteForce(t *testing.T) {
 
 func TestFuncSinkEarlyStop(t *testing.T) {
 	points := [][]float64{{1}, {2}, {3}, {4}}
-	info := buildInfo(points, []float64{1}, vecmath.FirstOctant(1), 0)
+	info := buildInfo(points, []float64{1}, vecmath.FirstOctant(1))
 	src := makeSource(points, []IndexInfo{info})
 	calls := 0
 	st, err := Run(src, Query{A: []float64{1}, B: 100}, FuncSink(func(uint32) bool {
 		calls++
 		return calls < 2
-	}), Options{})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,52 +251,40 @@ func TestFuncSinkEarlyStop(t *testing.T) {
 }
 
 // A zero coefficient makes rejection impossible, so every compatible
-// index scores +Inf. That is a tie, not "no compatible index".
+// index scores +Inf and the query is scanned — but not for want of a
+// compatible index.
 func TestPlanZeroCoefficient(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	points := randPoints(rng, 300, 3)
 	signs := vecmath.FirstOctant(3)
 	infos := []IndexInfo{
-		buildInfo(points, []float64{1, 2, 3}, signs, 1e-9),
-		buildInfo(points, []float64{3, 1, 1}, signs, 1e-9),
+		buildInfo(points, []float64{1, 2, 3}, signs),
+		buildInfo(points, []float64{3, 1, 1}, signs),
 	}
 	src := makeSource(points, infos)
 	q := Query{A: []float64{1, 0, 2}, B: 60}
 
-	src.Fallback = false
-	p, err := PlanQuery(src, q)
-	if err != nil {
-		t.Fatalf("fallback off, 2 compatible indexes: %v", err)
-	}
-	if p.Kind != KindRange || p.IndexPos != 0 || p.Compatible != 2 || !math.IsInf(p.Tmax, 1) {
-		t.Fatalf("fallback off: plan %+v, want a range plan on the first compatible index", p)
+	p := PlanQuery(src, q)
+	if p.Kind != KindScan || p.Compatible != 2 || strings.Contains(p.Reason, "hyper-octant") {
+		t.Fatalf("plan %+v, want a scan that does not blame the octant", p)
 	}
 	var got IDSink
-	if _, err := Execute(src, q, p, &got, Options{}); err != nil {
+	if _, err := Execute(src, q, p, &got); err != nil {
 		t.Fatal(err)
 	}
 	if want := bruteIDs(points, q); !reflect.DeepEqual(sortedCopy(got.IDs), want) {
-		t.Fatalf("fallback off: %d ids, want %d", len(got.IDs), len(want))
+		t.Fatalf("%d ids, want %d", len(got.IDs), len(want))
 	}
 
-	src.Fallback = true
-	p, err = PlanQuery(src, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Kind != KindScan || p.Compatible != 2 || strings.Contains(p.Reason, "hyper-octant") {
-		t.Fatalf("fallback on: plan %+v, want a scan that does not blame the octant", p)
-	}
-
-	// The octant reason and error still mean compatible == 0.
+	// The octant reason still means compatible == 0.
 	neg := Query{A: []float64{-1, 1, 2}, B: 60}
-	p, err = PlanQuery(src, neg)
-	if err != nil || p.Compatible != 0 || !strings.Contains(p.Reason, "hyper-octant") {
-		t.Fatalf("incompatible query with fallback: plan %+v, err %v", p, err)
+	p = PlanQuery(src, neg)
+	if p.Compatible != 0 || !strings.Contains(p.Reason, "hyper-octant") {
+		t.Fatalf("incompatible query: plan %+v", p)
 	}
-	src.Fallback = false
-	if _, err = PlanQuery(src, neg); !errors.Is(err, ErrNoCompatibleIndex) {
-		t.Fatalf("incompatible query without fallback: err %v", err)
+	// An index outside the query's octant bounds nothing.
+	if lo, hi := Bounds(&infos[0], neg); lo != 0 || hi != len(points) {
+		t.Fatalf("incompatible index bounds [%d,%d], want [0,%d]", lo, hi, len(points))
 	}
 }
 
@@ -312,8 +293,8 @@ func TestRunBatchMatchesSingles(t *testing.T) {
 	points := randPoints(rng, 250, 2)
 	signs := vecmath.FirstOctant(2)
 	infos := []IndexInfo{
-		buildInfo(points, []float64{1, 1}, signs, 1e-9),
-		buildInfo(points, []float64{1, 4}, signs, 1e-9),
+		buildInfo(points, []float64{1, 1}, signs),
+		buildInfo(points, []float64{1, 4}, signs),
 	}
 	src := makeSource(points, infos)
 	a := []float64{2, 3}
@@ -323,14 +304,14 @@ func TestRunBatchMatchesSingles(t *testing.T) {
 	sts, err := RunBatch(src, a, bs, func(i int, _ float64) Sink {
 		sinks[i] = &IDSink{}
 		return sinks[i]
-	}, Options{})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, b := range bs {
 		q := Query{A: a, B: b}
 		var single IDSink
-		st, err := Run(src, q, &single, Options{})
+		st, err := Run(src, q, &single)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"fmt"
 	"math"
 	"time"
 
@@ -18,10 +17,15 @@ const (
 	KindAll
 	// KindRange: three-interval execution on the chosen index.
 	KindRange
-	// KindScan: sequential scan (no compatible index, or the cost
-	// model preferred it).
+	// KindScan: sequential scan (no compatible index bounds the
+	// intermediate interval).
 	KindScan
 )
+
+// guardBand is the relative width of the conservative band added
+// around the interval thresholds, so floating-point rounding can only
+// enlarge the verified range, never corrupt an accept/reject decision.
+const guardBand = 1e-9
 
 // Plan is the Plan stage's output: which index (if any) answers the
 // query and where its interval thresholds lie. All estimates needed
@@ -56,7 +60,8 @@ type intervals struct {
 }
 
 // thresholds computes the interval boundaries for a normalized (≤)
-// query against one index.
+// query against one index whose octant matches q's signs (every
+// caller checks Signs.Matches first).
 //
 // Returned cases:
 //   - all:   every point matches (all coefficients zero, B ≥ 0)
@@ -64,10 +69,7 @@ type intervals struct {
 //   - else tmin/tmax delimit SI/II/LI in the tree's key frame (computed
 //     in Delta's, guard band included, then moved by Shift); tmax may
 //     be +Inf when some coefficient is zero (rejection impossible).
-func thresholds(info *IndexInfo, q Query) (intervals, error) {
-	if !info.Signs.Matches(q.A) {
-		return intervals{}, ErrIncompatibleOctant
-	}
+func thresholds(info *IndexInfo, q Query) intervals {
 	iv := intervals{bPrime: q.B}
 	nonZero := 0
 	for i, a := range q.A {
@@ -82,11 +84,11 @@ func thresholds(info *IndexInfo, q Query) (intervals, error) {
 		} else {
 			iv.none = true
 		}
-		return iv, nil
+		return iv
 	}
 	if iv.bPrime < 0 {
 		iv.none = true
-		return iv, nil
+		return iv
 	}
 	iv.tmin = math.Inf(1)
 	iv.tmax = math.Inf(-1)
@@ -104,16 +106,13 @@ func thresholds(info *IndexInfo, q Query) (intervals, error) {
 		}
 	}
 	// Conservative band: only ever widens the verified range.
-	if info.Guard > 0 {
-		g := info.Guard * (1 + math.Abs(iv.tmin))
-		iv.tmin -= g
-		if !math.IsInf(iv.tmax, 1) {
-			iv.tmax += info.Guard * (1 + math.Abs(iv.tmax))
-		}
+	iv.tmin -= guardBand * (1 + math.Abs(iv.tmin))
+	if !math.IsInf(iv.tmax, 1) {
+		iv.tmax += guardBand * (1 + math.Abs(iv.tmax))
 	}
 	iv.tmin -= info.Shift
 	iv.tmax -= info.Shift // +Inf stays +Inf
-	return iv, nil
+	return iv
 }
 
 // Stretch evaluates the paper's Problem 3 objective for one index
@@ -123,10 +122,10 @@ func thresholds(info *IndexInfo, q Query) (intervals, error) {
 // hyperplane (Corollary 1). It returns +Inf for incompatible octants
 // or degenerate queries. A width, it does not depend on Shift.
 func Stretch(info *IndexInfo, q Query) float64 {
-	iv, err := thresholds(info, q)
-	if err != nil {
+	if !info.Signs.Matches(q.A) {
 		return math.Inf(1)
 	}
+	iv := thresholds(info, q)
 	if iv.all || iv.none {
 		return 0 // trivially answered without any verification
 	}
@@ -151,22 +150,23 @@ func CosToQuery(info *IndexInfo, a []float64) float64 {
 
 // Bounds returns guaranteed cardinality bounds lo ≤ |answer| ≤ hi for
 // q on one index in O(d·log n): lo is the smaller interval's size, hi
-// adds the intermediate interval.
-func Bounds(info *IndexInfo, q Query) (lo, hi int, err error) {
-	iv, err := thresholds(info, q)
-	if err != nil {
-		return 0, 0, err
-	}
+// adds the intermediate interval. An index whose octant does not match
+// q bounds nothing and returns the trivial [0, n].
+func Bounds(info *IndexInfo, q Query) (lo, hi int) {
 	n := info.Tree.Len()
+	if !info.Signs.Matches(q.A) {
+		return 0, n
+	}
+	iv := thresholds(info, q)
 	if iv.none {
-		return 0, 0, nil
+		return 0, 0
 	}
 	if iv.all {
-		return n, n, nil
+		return n, n
 	}
 	lo = info.Tree.RankLE(iv.tmin)
 	hi = lo + info.Tree.CountRange(iv.tmin, iv.tmax)
-	return lo, hi, nil
+	return lo, hi
 }
 
 // intervalSizes returns the exact SI and II cardinalities implied by
@@ -189,37 +189,28 @@ func intervalSizes(info *IndexInfo, iv intervals) (si, ii int) {
 }
 
 // PlanQuery runs the Plan stage: octant compatibility, best-index
-// selection, interval thresholds and the cost-based scan choice. A
-// plan is a pure function of the query and the source's state, so it
-// is computed afresh — O(r·d′) arithmetic — on every query.
-func PlanQuery(src *Source, q Query) (Plan, error) {
+// selection and interval thresholds. A plan is a pure function of the
+// query and the source's state, so it is computed afresh — O(r·d′)
+// arithmetic — on every query.
+func PlanQuery(src *Source, q Query) Plan {
 	start := time.Now()
-	p, err := planScored(src, q)
+	p := planScored(src, q)
 	p.PlanNanos = time.Since(start).Nanoseconds()
-	return p, err
+	return p
 }
 
 // planScored is the one place an index is chosen: every candidate is
-// octant-checked and the compatible ones are scored.
-func planScored(src *Source, q Query) (Plan, error) {
+// octant-checked and the compatible ones are scored. The best finite
+// score wins; with none, the query is scanned.
+func planScored(src *Source, q Query) Plan {
 	best, bestScore := -1, math.Inf(1)
-	first, compatible := -1, 0
+	compatible := 0
 	for i := range src.Indexes {
 		info := &src.Indexes[i]
 		if !info.Signs.Matches(q.A) {
 			continue
 		}
-		if compatible == 0 {
-			first = i
-		}
 		compatible++
-		if src.Single {
-			// A standalone index is not competing with anything; its
-			// score is irrelevant (and may legitimately be +Inf, e.g.
-			// a zero coefficient axis making rejection impossible).
-			best = i
-			continue
-		}
 		var score float64
 		switch src.Sel {
 		case SelectAngle:
@@ -231,27 +222,14 @@ func planScored(src *Source, q Query) (Plan, error) {
 			bestScore, best = score, i
 		}
 	}
-	if best < 0 && !src.Fallback {
-		// Every compatible index tied at +Inf (a zero coefficient):
-		// any of them answers exactly, and there is no scan to prefer.
-		best = first
-	}
 	return finishPlan(src, q, best, compatible)
 }
 
-// finishPlan turns a selection outcome into an executable plan:
-// no-compatible-index handling, exact thresholds for the chosen
-// index, and the cost-based scan decision.
-func finishPlan(src *Source, q Query, best, compatible int) (Plan, error) {
+// finishPlan turns a selection outcome into an executable plan: a
+// scan when no index was chosen, else the chosen (octant-compatible)
+// index's exact thresholds.
+func finishPlan(src *Source, q Query, best, compatible int) Plan {
 	if best < 0 {
-		if !src.Fallback {
-			// planScored settles for the first compatible index when
-			// there is no scan to fall back on, so nothing matched.
-			if src.Single {
-				return Plan{}, ErrIncompatibleOctant
-			}
-			return Plan{}, ErrNoCompatibleIndex
-		}
 		reason := "no index serves the query's hyper-octant"
 		if compatible > 0 {
 			reason = "a zero coefficient leaves the intermediate interval unbounded on every compatible index"
@@ -261,15 +239,9 @@ func finishPlan(src *Source, q Query, best, compatible int) (Plan, error) {
 			IndexPos:   -1,
 			Compatible: compatible,
 			Reason:     reason,
-		}, nil
+		}
 	}
-	info := &src.Indexes[best]
-	iv, err := thresholds(info, q)
-	if err != nil {
-		// Selection only returns compatible indexes, so this cannot
-		// happen; surface it rather than mask a bug.
-		return Plan{}, err
-	}
+	iv := thresholds(&src.Indexes[best], q)
 	p := Plan{
 		IndexPos:   best,
 		Compatible: compatible,
@@ -284,19 +256,6 @@ func finishPlan(src *Source, q Query, best, compatible int) (Plan, error) {
 		p.Kind = KindAll
 	default:
 		p.Kind = KindRange
-		if src.CostPenalty > 0 {
-			n := info.Tree.Len()
-			si, ii := intervalSizes(info, iv)
-			if float64(si)+src.CostPenalty*float64(ii) >= float64(n) {
-				return Plan{
-					Kind:       KindScan,
-					IndexPos:   -1,
-					Compatible: compatible,
-					Reason: fmt.Sprintf("cost model prefers scan (accept %d + %.1f×verify %d ≥ n %d)",
-						si, src.CostPenalty, ii, n),
-				}, nil
-			}
-		}
 	}
 	// Constant strings, not fmt.Sprintf: Reason is built on every
 	// range plan and a formatted string would be the only allocation
@@ -306,7 +265,7 @@ func finishPlan(src *Source, q Query, best, compatible int) (Plan, error) {
 	} else {
 		p.Reason = "best compatible index by stretch minimisation"
 	}
-	return p, nil
+	return p
 }
 
 // PlanInfo is the EXPLAIN view of a plan: the plan itself plus the
@@ -328,29 +287,18 @@ type PlanInfo struct {
 }
 
 // Explain runs the Plan stage and describes the outcome without
-// executing anything. Unlike PlanQuery it never fails on a missing
-// index — it reports the scan plan that would be used instead.
-func Explain(src *Source, q Query) (PlanInfo, error) {
-	plan, err := PlanQuery(src, q)
-	if err != nil {
-		forced := *src
-		forced.Fallback = true
-		if plan, err = PlanQuery(&forced, q); err != nil {
-			return PlanInfo{}, err
-		}
-	}
+// executing anything.
+func Explain(src *Source, q Query) PlanInfo {
+	plan := PlanQuery(src, q)
 	pi := PlanInfo{Plan: plan, N: src.N, BoundsLo: 0, BoundsHi: src.N}
 	if plan.Kind == KindScan {
 		pi.Verified = pi.N
 	} else {
 		info := &src.Indexes[plan.IndexPos]
-		iv, terr := thresholds(info, q)
-		if terr == nil {
-			si, ii := intervalSizes(info, iv)
-			pi.Accepted = si
-			pi.Verified = ii
-			pi.Rejected = info.Tree.Len() - si - ii
-		}
+		si, ii := intervalSizes(info, thresholds(info, q))
+		pi.Accepted = si
+		pi.Verified = ii
+		pi.Rejected = info.Tree.Len() - si - ii
 		pi.Stretch = Stretch(info, q)
 		pi.Cos = CosToQuery(info, q.A)
 	}
@@ -360,10 +308,7 @@ func Explain(src *Source, q Query) (PlanInfo, error) {
 		if !info.Signs.Matches(q.A) {
 			continue
 		}
-		lo, hi, err := Bounds(info, q)
-		if err != nil {
-			continue
-		}
+		lo, hi := Bounds(info, q)
 		if lo > pi.BoundsLo {
 			pi.BoundsLo = lo
 		}
@@ -371,5 +316,5 @@ func Explain(src *Source, q Query) (PlanInfo, error) {
 			pi.BoundsHi = hi
 		}
 	}
-	return pi, nil
+	return pi
 }

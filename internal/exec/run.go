@@ -10,15 +10,6 @@ import (
 	"planar/internal/vecmath"
 )
 
-// Options tunes the Execute stage.
-type Options struct {
-	// ForceTreeWalk selects the scalar per-entry verification walk
-	// instead of the batched kernel engine. Both read the same leaf
-	// arena; the scalar walk is the reference implementation that
-	// correctness tests pin the kernels against.
-	ForceTreeWalk bool
-}
-
 // ClampWorkers normalizes a worker count to [1, GOMAXPROCS]; it sizes
 // core.Multi.AddNormals' parallel index build.
 func ClampWorkers(workers int) int {
@@ -34,27 +25,23 @@ func ClampWorkers(workers int) int {
 // Run is the whole pipeline for one query: Plan, then Execute into
 // sink. It is the single entry point behind every query variant in
 // internal/core.
-func Run(src *Source, q Query, sink Sink, opts Options) (Stats, error) {
-	plan, err := PlanQuery(src, q)
-	if err != nil {
-		return Stats{}, err
-	}
-	return Execute(src, q, plan, sink, opts)
+func Run(src *Source, q Query, sink Sink) (Stats, error) {
+	return Execute(src, q, PlanQuery(src, q), sink)
 }
 
 // Execute runs a previously planned query into sink, timing the stage
 // and merging the plan's timing into the Stats.
-func Execute(src *Source, q Query, plan Plan, sink Sink, opts Options) (Stats, error) {
+func Execute(src *Source, q Query, plan Plan, sink Sink) (Stats, error) {
 	start := time.Now()
-	st, err := execute(src, q, plan, sink, opts)
+	st, err := execute(src, q, plan, sink)
 	st.ExecNanos = time.Since(start).Nanoseconds()
 	st.PlanNanos = plan.PlanNanos
 	return st, err
 }
 
-func execute(src *Source, q Query, plan Plan, sink Sink, opts Options) (Stats, error) {
+func execute(src *Source, q Query, plan Plan, sink Sink) (Stats, error) {
 	if plan.Kind == KindScan {
-		if !opts.ForceTreeWalk && src.Rows != nil && src.RowLive != nil && src.RowDim > 0 {
+		if src.Rows != nil && src.RowLive != nil && src.RowDim > 0 {
 			return executeScanBatched(src, q, sink), nil
 		}
 		return executeScan(src, q, sink), nil
@@ -62,9 +49,6 @@ func execute(src *Source, q Query, plan Plan, sink Sink, opts Options) (Stats, e
 
 	info := &src.Indexes[plan.IndexPos]
 	st := Stats{N: info.Tree.Len(), IndexUsed: plan.IndexPos}
-	if src.Single {
-		st.IndexUsed = -1
-	}
 
 	switch plan.Kind {
 	case KindNone:
@@ -100,15 +84,15 @@ func execute(src *Source, q Query, plan Plan, sink Sink, opts Options) (Stats, e
 	// Batched engine: when the store exposes its raw rows, the
 	// interval boundaries are rank queries and the intermediate
 	// interval streams straight out of the leaf arena through the
-	// block kernels. The scalar walk below is the reference engine,
-	// kept for verification-path tests behind ForceTreeWalk.
-	if !opts.ForceTreeWalk && src.Rows != nil && src.RowDim > 0 {
+	// block kernels. The scalar walk below is the reference engine a
+	// row-less Source runs, which the tests pin the kernels against.
+	if src.Rows != nil && src.RowDim > 0 {
 		return executeBatched(src, q, plan, info, sink, st)
 	}
 
 	// Smaller interval: accepted without verification. An early stop
 	// here leaves Rejected at 0 (the larger interval was never
-	// classified) — the legacy contract of Index.Inequality.
+	// classified).
 	if ac, ok := sink.(AcceptCounter); ok {
 		st.Accepted = info.Tree.RankLE(plan.Tmin)
 		ac.AcceptCount(st.Accepted)
@@ -218,15 +202,12 @@ func executeTopK(src *Source, q Query, plan Plan, info *IndexInfo, sink Sink, bo
 // per threshold — the hot pattern of repeated queries that differ
 // only in their bound. sinkFor supplies a fresh sink for each
 // threshold; out[i] is the Stats for bs[i].
-func RunBatch(src *Source, a []float64, bs []float64, sinkFor func(i int, b float64) Sink, opts Options) ([]Stats, error) {
+func RunBatch(src *Source, a []float64, bs []float64, sinkFor func(i int, b float64) Sink) ([]Stats, error) {
 	out := make([]Stats, len(bs))
 	if len(bs) == 0 {
 		return out, nil
 	}
-	base, err := PlanQuery(src, Query{A: a, B: bs[0]})
-	if err != nil {
-		return nil, err
-	}
+	base := PlanQuery(src, Query{A: a, B: bs[0]})
 	for i, b := range bs {
 		q := Query{A: a, B: b}
 		var p Plan
@@ -235,16 +216,13 @@ func RunBatch(src *Source, a []float64, bs []float64, sinkFor func(i int, b floa
 			p = base
 		case base.IndexPos >= 0:
 			t0 := time.Now()
-			p, err = finishPlan(src, q, base.IndexPos, base.Compatible)
-			if err != nil {
-				return nil, err
-			}
+			p = finishPlan(src, q, base.IndexPos, base.Compatible)
 			p.PlanNanos = time.Since(t0).Nanoseconds()
 		default:
 			// The shared plan is a scan; every threshold scans.
 			p = Plan{Kind: KindScan, IndexPos: -1, Compatible: base.Compatible, Reason: base.Reason}
 		}
-		st, err := Execute(src, q, p, sinkFor(i, b), opts)
+		st, err := Execute(src, q, p, sinkFor(i, b))
 		if err != nil {
 			return nil, err
 		}

@@ -1,21 +1,11 @@
 package exec
 
 import (
-	"errors"
 	"math"
 
 	"planar/internal/btree"
 	"planar/internal/vecmath"
 )
-
-// ErrIncompatibleOctant is returned when a query's coefficient signs
-// do not match the octant an index was built for (paper Section 4.5:
-// each index serves one hyper-octant of query normals).
-var ErrIncompatibleOctant = errors.New("core: query signs incompatible with index octant")
-
-// ErrNoCompatibleIndex is returned (or causes a scan fallback) when
-// no candidate index serves the query's hyper-octant.
-var ErrNoCompatibleIndex = errors.New("core: no index compatible with query octant")
 
 // Query is a scalar product query already normalized to ≤ form:
 // report every point x with ⟨A, φ(x)⟩ ≤ B. Callers with ≥ queries
@@ -56,9 +46,6 @@ type IndexInfo struct {
 	CS []float64
 	// Signs is the hyper-octant of query coefficient vectors served.
 	Signs vecmath.SignPattern
-	// Guard is the relative width of the conservative band added
-	// around the thresholds (0 disables it).
-	Guard float64
 }
 
 // Source is everything the pipeline may touch to answer a query: the
@@ -68,21 +55,11 @@ type Source struct {
 	// N is the number of live points.
 	N int
 	// Indexes are the candidate planar indexes (may be empty for a
-	// pure sequential-scan source).
+	// pure sequential-scan source). A query no compatible index can
+	// bound is answered by a sequential scan.
 	Indexes []IndexInfo
-	// Single marks a source wrapping exactly one standalone index: no
-	// selection is performed and an octant mismatch surfaces as
-	// ErrIncompatibleOctant instead of ErrNoCompatibleIndex.
-	Single bool
 	// Sel is the best-index selection heuristic.
 	Sel Selection
-	// Fallback controls whether queries with no compatible index are
-	// answered by a sequential scan instead of failing.
-	Fallback bool
-	// CostPenalty > 0 enables the cost-based index-vs-scan choice:
-	// the indexed plan is abandoned for a scan when
-	// |SI| + CostPenalty·|II| ≥ n (paper Section 7.2.2).
-	CostPenalty float64
 	// Vector resolves a point id to its φ vector (verification).
 	Vector func(id uint32) []float64
 	// Each iterates every live point (sequential-scan execution).
@@ -92,7 +69,8 @@ type Source struct {
 	// When set together with RowLive it enables the batched
 	// verification engine: the intermediate interval and sequential
 	// scans run as contiguous-block kernels instead of per-point
-	// callbacks. Leave nil to force the classic walks.
+	// callbacks. A Source without rows runs the scalar reference
+	// walks, which verify through Vector and Each.
 	Rows []float64
 	// RowLive flags which rows of Rows hold live points. Dead rows
 	// contain stale values; batched scans filter them after the

@@ -48,10 +48,10 @@ type Stats struct {
 	// Rejected is the size of the larger interval.
 	Rejected int
 	// FellBack reports that the answer came from a sequential scan
-	// (no compatible index, or the cost model preferred the scan).
+	// (no compatible index bounds the intermediate interval).
 	FellBack bool
 	// IndexUsed is the position of the selected index inside a Multi
-	// (-1 for a direct Index query or a fallback scan).
+	// (-1 for a sequential scan).
 	IndexUsed int
 	// PlanNanos is the time spent in the Plan stage: octant checks,
 	// best-index selection and threshold computation.

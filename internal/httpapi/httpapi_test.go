@@ -169,6 +169,20 @@ func TestErrorPaths(t *testing.T) {
 		map[string]interface{}{"a": []float64{1, 1}, "b": 1, "bogus": 1}, http.StatusBadRequest)
 }
 
+// A zero coefficient vector has no top-k distance: the request is a
+// 400 on a store without indexes, exactly as it is once one exists,
+// never a 200 carrying null distances in arbitrary order.
+func TestZeroVectorTopKIsBadRequest(t *testing.T) {
+	ts, _ := testServer(t)
+	for _, v := range [][]float64{{1, 1}, {2, 3}, {4, 1}} {
+		call(t, ts, "POST", "/v1/points", map[string]interface{}{"vec": v}, http.StatusOK)
+	}
+	zero := map[string]interface{}{"a": []float64{0, 0}, "b": 0, "k": 2}
+	call(t, ts, "POST", "/v1/topk", zero, http.StatusBadRequest)
+	call(t, ts, "POST", "/v1/indexes", map[string]interface{}{"normal": []float64{1, 2}}, http.StatusOK)
+	call(t, ts, "POST", "/v1/topk", zero, http.StatusBadRequest)
+}
+
 func TestDurabilityThroughAPI(t *testing.T) {
 	dir := t.TempDir()
 	db, err := service.Open(dir, service.Options{Dim: 1})

@@ -47,7 +47,7 @@ var lockRank = map[lockClass]int{
 	"planar/internal/core.Multi.mu":       30, // index-collection lock
 	"planar/internal/core.Index.mu":       40, // per-index lock
 	"planar/internal/replog.Sequencer.mu": 60, // commit sequencer (journal-under-lock)
-	"planar/internal/btree.pagedArena.io": 70, // paged tree: writeback chunk, checkpoint flush, release
+	"planar/internal/btree.pagedArena.io": 70, // paged tree: writeback chunk, checkpoint flush
 	"planar/internal/btree.pagedArena.mu": 72, // paged tree: op bracket, writeback stage/complete
 	"planar/internal/pager.cacheShard.mu": 74, // page cache shard
 	"planar/internal/replica.Replica.mu":  90, // replica status leaf
@@ -88,15 +88,16 @@ func init() {
 		"FeedFromDisk", "Checkpoint", "Close", "Len", "NumIndexes", "MemoryBytes",
 		"Live", "Vector")
 	add("planar/internal/core.Multi.mu", "planar/internal/core.Multi",
-		"Append", "Update", "Remove", "AddNormal", "InequalityIDs",
+		"Append", "Update", "Remove", "AddNormal", "AddNormals",
+		"AttachPrebuilt", "Inequality", "InequalityIDs", "AppendInequalityIDs",
 		"InequalityBatch", "TopK", "Count", "SelectivityBounds", "Explain",
-		"NumIndexes", "MemoryBytes")
+		"NumIndexes", "MemoryBytes", "CheckpointIndexes", "WritebackIndexes")
 	// The paged tier (DESIGN.md §12). Tree methods are tagged with the
 	// outermost arena lock they take; a RAM tree takes none, which the
 	// table cannot see, so the check is conservative. File.ReadPage and
 	// File.WritePage are lock-free and deliberately absent.
 	add("planar/internal/btree.pagedArena.io", "planar/internal/btree.Tree",
-		"WritebackPaged", "FlushPaged", "Release")
+		"WritebackPaged", "FlushPaged")
 	add("planar/internal/btree.pagedArena.mu", "planar/internal/btree.Tree",
 		"Contains", "Insert", "Delete", "Min", "Max", "AscendLE", "AscendRange",
 		"DescendLE", "RankChunks", "RangeChunks", "CollectRange", "RankLE",

@@ -12,14 +12,14 @@ import (
 	"planar/internal/exec"
 )
 
-// source wraps the bare point store as an index-free pipeline source;
-// every query planned against it becomes a sequential scan.
+// source wraps the bare point store as an index-free, row-less
+// pipeline source: every query planned against it becomes the scalar
+// sequential scan.
 func source(s *core.PointStore) *exec.Source {
 	return &exec.Source{
-		N:        s.Len(),
-		Fallback: true,
-		Vector:   s.Vector,
-		Each:     s.Each,
+		N:      s.Len(),
+		Vector: s.Vector,
+		Each:   s.Each,
 	}
 }
 
@@ -27,21 +27,21 @@ func source(s *core.PointStore) *exec.Source {
 // satisfying q. It returns the number of matches (even if visit
 // stopped the scan early, the count reflects points visited so far).
 func Inequality(s *core.PointStore, q core.Query, visit func(id uint32) bool) int {
-	st, _ := exec.Run(source(s), q.LE(), exec.FuncSink(visit), exec.Options{})
+	st, _ := exec.Run(source(s), q.LE(), exec.FuncSink(visit))
 	return st.Matched
 }
 
 // IDs collects all point ids satisfying q.
 func IDs(s *core.PointStore, q core.Query) []uint32 {
 	var sink exec.IDSink
-	_, _ = exec.Run(source(s), q.LE(), &sink, exec.Options{})
+	_, _ = exec.Run(source(s), q.LE(), &sink)
 	return sink.IDs
 }
 
 // Count returns how many points satisfy q without materialising ids.
 func Count(s *core.PointStore, q core.Query) int {
 	var sink exec.CountSink
-	_, _ = exec.Run(source(s), q.LE(), &sink, exec.Options{})
+	_, _ = exec.Run(source(s), q.LE(), &sink)
 	return sink.N
 }
 
@@ -55,6 +55,6 @@ func TopK(s *core.PointStore, q core.Query, k int) []core.Result {
 	sink := exec.NewTopKSink(k, func(id uint32) float64 {
 		return nq.Distance(s.Vector(id))
 	})
-	_, _ = exec.Run(source(s), nq, sink, exec.Options{})
+	_, _ = exec.Run(source(s), nq, sink)
 	return sink.Results()
 }

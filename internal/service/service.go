@@ -103,8 +103,6 @@ type Options struct {
 	// submitter (true) or shed with ErrBackpressure (false, the
 	// default — the HTTP layer answers 429).
 	IngestBlock bool
-	// Multi options (selection heuristic, fallback, guard band).
-	MultiOptions []core.MultiOption
 }
 
 // DB is a durable planar index store: a shard.Store plus the
@@ -268,7 +266,6 @@ func Open(dir string, opts Options) (*DB, error) {
 		RingSize:        opts.RingSize,
 		Paged:           opts.Paged,
 		PageCacheBytes:  opts.PageCacheBytes,
-		MultiOptions:    opts.MultiOptions,
 
 		WritebackInterval: opts.WritebackInterval,
 	})

@@ -73,7 +73,7 @@ func (p *partition) globalize(ids []uint32) []uint32 {
 }
 
 // freshMulti builds an empty index collection of dimension dim.
-func freshMulti(dim int, opts Options) (*core.Multi, error) {
+func freshMulti(dim int) (*core.Multi, error) {
 	if dim <= 0 {
 		return nil, errors.New("shard: Dim required to create a fresh store")
 	}
@@ -81,7 +81,7 @@ func freshMulti(dim int, opts Options) (*core.Multi, error) {
 	if err != nil {
 		return nil, err
 	}
-	return core.NewMulti(store, opts.MultiOptions...)
+	return core.NewMulti(store)
 }
 
 // openPartition restores (or initialises) one shard in dir — the only
@@ -97,7 +97,7 @@ func openPartition(dir string, dim int, opts Options) (*partition, error) {
 		checkpointEvery: opts.CheckpointEvery,
 	}
 	if dir == "" {
-		m, err := freshMulti(dim, opts)
+		m, err := freshMulti(dim)
 		if err != nil {
 			return nil, err
 		}
@@ -133,7 +133,7 @@ func openPartition(dir string, dim int, opts Options) (*partition, error) {
 		}
 		var err error
 		if pageStatErr == nil {
-			pstore, m, err = codec.OpenPaged(pagePath, opts.PageCacheBytes, opts.MultiOptions...)
+			pstore, m, err = codec.OpenPaged(pagePath, opts.PageCacheBytes)
 			if err != nil {
 				return nil, err
 			}
@@ -143,7 +143,7 @@ func openPartition(dir string, dim int, opts Options) (*partition, error) {
 			dim = pstore.Dim()
 			cpLSN = pstore.CheckpointLSN()
 		} else {
-			if m, err = freshMulti(dim, opts); err != nil {
+			if m, err = freshMulti(dim); err != nil {
 				return nil, err
 			}
 			if pstore, err = codec.CreatePaged(pagePath, dim, opts.PageCacheBytes); err != nil {
@@ -156,11 +156,11 @@ func openPartition(dir string, dim int, opts Options) (*partition, error) {
 			return nil, fmt.Errorf("shard: snapshot dimension %d, options say %d", snap.Dim, dim)
 		}
 		dim = snap.Dim
-		if m, err = snap.Restore(opts.MultiOptions...); err != nil {
+		if m, err = snap.Restore(); err != nil {
 			return nil, err
 		}
 	} else if errors.Is(err, os.ErrNotExist) {
-		if m, err = freshMulti(dim, opts); err != nil {
+		if m, err = freshMulti(dim); err != nil {
 			return nil, err
 		}
 	} else {

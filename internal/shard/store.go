@@ -44,12 +44,6 @@ type Options struct {
 	// CheckpointEvery triggers an automatic per-shard checkpoint after
 	// this many mutations on that shard (0 disables).
 	CheckpointEvery int
-	// MultiOptions configure every shard's Multi (selection heuristic,
-	// fallback, guard band, plan cache).
-	MultiOptions []core.MultiOption
-	// Fanout bounds how many shards one query executes on
-	// concurrently. 0 means min(Shards, GOMAXPROCS).
-	Fanout int
 	// RingSize bounds the in-memory tail of committed records kept
 	// for replication streaming (0 = replog.DefaultRingSize).
 	RingSize int
@@ -230,14 +224,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	n := len(dirs)
 
-	fanout := opts.Fanout
-	if fanout <= 0 {
-		fanout = runtime.GOMAXPROCS(0)
-	}
-	if fanout > n {
-		fanout = n
-	}
-	s := &Store{parts: make([]*partition, n), fanout: fanout}
+	s := &Store{parts: make([]*partition, n), fanout: min(n, runtime.GOMAXPROCS(0))}
 
 	// The page-cache budget is store-wide; each shard gets an equal
 	// slice (the per-shard cache enforces its own floor).

@@ -400,7 +400,7 @@ func TestAppendBatchValidation(t *testing.T) {
 	}); err == nil {
 		t.Error("unknown op in batch accepted")
 	}
-	// Single-record batches degrade to plain appends: a flat decoder
+	// One-record batches degrade to plain appends: a flat decoder
 	// (the replication stream) must be able to read the result.
 	if err := w.AppendBatch([]Record{{Op: OpAppend, LSN: 1, ID: 0, Vec: []float64{1, 2}}}); err != nil {
 		t.Fatal(err)
