@@ -70,14 +70,17 @@ race-pager:
 
 # A fast benchmark smoke: a handful of iterations of the pipeline and
 # planner benchmarks, of the reply's id writer against the strconv
-# loop it replaced, of paged-tree Inserts racing a writeback loop, and
-# of an Append that widens the translation beside an in-range one,
-# just to prove they still compile and run.
+# loop it replaced, of paged-tree Inserts racing a writeback loop, of
+# an Append that widens the translation beside an in-range one, and of
+# closed-loop writers acked through group commit (ack-p50-µs is one
+# fsync plus the batch ahead, not a batch-fill wait), just to prove
+# they still compile and run.
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkPlan$$|BenchmarkPipelineOverhead' -benchtime 10x .
 	$(GO) test -run xxx -bench 'BenchmarkAppendIDs' -benchtime 10x ./internal/httpapi
 	$(GO) test -run xxx -bench 'BenchmarkWritebackConcurrentInsert' -benchtime 10x ./internal/btree
 	$(GO) test -run xxx -bench 'BenchmarkAppendOutsideTranslation' -benchtime 10x ./internal/core
+	$(GO) test -run xxx -bench 'BenchmarkGroupCommitClosedLoop' -benchtime 10x ./internal/service
 
 # End-to-end replication under the race detector: in-process
 # primary+replica over real HTTP — bootstrap, catch-up identity,

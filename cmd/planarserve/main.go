@@ -12,17 +12,18 @@
 // they were created with.
 //
 // With -ingest-batch N the write path group-commits: mutations queue
-// on a per-shard ring, a committer drains batches of up to N (or
-// whatever arrived within -ingest-flush-interval), applies them under
-// one lock and journals them as a single WAL frame with one fsync.
-// Requests still ack only after their record is durable; see
-// DESIGN.md §13.
+// on a per-shard ring, a committer takes whatever is queued (up to N),
+// applies it under one lock and journals it as a single WAL frame with
+// one fsync. Requests still ack only after their record is durable;
+// see DESIGN.md §13.
 //
 // With -replicate-from the process runs as a read replica instead: it
 // bootstraps from the primary's snapshot, tails its commit stream,
 // and serves the full read API while writes answer 403 (or proxy
 // upstream with -proxy-writes). POST /v1/replication/promote fails it
-// over into a writable primary. See DESIGN.md §8.
+// over into a writable primary. A replica takes its dimension, layout
+// and write path from the primary, so it refuses the flags that set
+// them. See DESIGN.md §8.
 //
 // SIGINT/SIGTERM shut down gracefully: the listener drains in-flight
 // requests up to -shutdown-timeout, then the WAL is synced and the
@@ -56,11 +57,7 @@ func main() {
 		paged      = flag.Bool("paged", false, "use the disk-paged storage tier for a fresh directory (existing directories keep their layout)")
 		cacheMB    = flag.Int("page-cache-mb", 0, "page-cache budget in MiB for the paged tier (implies -paged; 0 = default budget)")
 
-		writebackEvery = flag.Duration("writeback-interval", 0, "paged tier: background page-writer cadence (0 = default 25ms)")
-
 		ingestBatch = flag.Int("ingest-batch", 0, "group-commit writes in batches up to this size (0 = synchronous per-request path)")
-		ingestFlush = flag.Duration("ingest-flush-interval", 0, "max time a group commit waits to fill its batch (0 = default 2ms; needs -ingest-batch)")
-		ingestQueue = flag.Int("ingest-queue", 0, "per-lane ingest ring capacity in intents (0 = 4x batch; needs -ingest-batch)")
 		ingestShed  = flag.Bool("ingest-shed", false, "answer 429 when the ingest ring is full instead of blocking the request")
 
 		role          = flag.String("role", "", "primary or replica (default: replica iff -replicate-from is set)")
@@ -71,6 +68,11 @@ func main() {
 	)
 	flag.Parse()
 
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := checkFlags(set, *replicateFrom != ""); err != nil {
+		log.Fatalf("planarserve: %v", err)
+	}
 	if *dataDirAlt != "" {
 		*dataDir = *dataDirAlt
 	}
@@ -83,8 +85,8 @@ func main() {
 	if *ingestBatch < 0 {
 		log.Fatal("planarserve: -ingest-batch must be >= 0")
 	}
-	if *ingestBatch == 0 && (*ingestFlush != 0 || *ingestQueue != 0 || *ingestShed) {
-		log.Fatal("planarserve: -ingest-flush-interval/-ingest-queue/-ingest-shed need -ingest-batch")
+	if *ingestBatch == 0 && *ingestShed {
+		log.Fatal("planarserve: -ingest-shed needs -ingest-batch")
 	}
 
 	isReplica := *replicateFrom != ""
@@ -128,13 +130,8 @@ func main() {
 			Shards:          *shards,
 			Paged:           *paged,
 			PageCacheBytes:  *cacheMB << 20,
-
-			WritebackInterval: *writebackEvery,
-
-			IngestBatch:         *ingestBatch,
-			IngestFlushInterval: *ingestFlush,
-			IngestQueueDepth:    *ingestQueue,
-			IngestBlock:         !*ingestShed,
+			IngestBatch:     *ingestBatch,
+			IngestBlock:     !*ingestShed,
 		})
 		if err == nil {
 			api, err = httpapi.New(db)
@@ -198,4 +195,24 @@ func main() {
 		}
 	}
 	log.Println("planarserve: shut down cleanly")
+}
+
+// primaryOnly names the flags that configure a primary's store. A
+// replica takes its dimension, layout and write path from the primary,
+// so it has no use for them.
+var primaryOnly = []string{"dim", "shards", "paged", "page-cache-mb", "ingest-batch", "ingest-shed"}
+
+// checkFlags refuses a flag that would be accepted and never used: a
+// primary-only flag on a replica. set holds the name of every flag
+// given on the command line.
+func checkFlags(set map[string]bool, replica bool) error {
+	if !replica {
+		return nil
+	}
+	for _, name := range primaryOnly {
+		if set[name] {
+			return fmt.Errorf("-%s configures a primary's store; a replica (-replicate-from) takes it from the primary", name)
+		}
+	}
+	return nil
 }

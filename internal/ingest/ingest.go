@@ -1,11 +1,13 @@
 // Package ingest is the asynchronous write front-end of a planar
 // store: a bounded multi-producer submission ring per commit lane
 // accepts write intents (append/update/remove) and returns awaitable
-// futures, while per-lane committer goroutines drain size- and
-// time-bounded batches and hand them to the store as one group
+// futures, while per-lane committer goroutines take whatever is
+// queued, up to a size bound, and hand it to the store as one group
 // commit — one lock acquisition, one multi-record WAL frame, one
 // fsync, one contiguous LSN range from the sequencer (see DESIGN.md
-// §13).
+// §13). Nothing waits for a batch to fill: a lone writer commits
+// alone, and under load a batch is what queued during the previous
+// commit's fsync.
 //
 // The write QPS of the synchronous path is capped by per-record fsync
 // latency; grouping amortizes that latency over the whole batch, so

@@ -36,7 +36,7 @@ func (r *recorder) commit(lane int, intents []Intent, results []Result) error {
 
 func TestSubmitResolvesInOrder(t *testing.T) {
 	rec := &recorder{}
-	p, err := New(Config{BatchSize: 8, FlushInterval: time.Millisecond, Commit: rec.commit})
+	p, err := New(Config{BatchSize: 8, Commit: rec.commit})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,17 +85,49 @@ func TestSubmitResolvesInOrder(t *testing.T) {
 	}
 }
 
+// TestLoneWriterIsNotHeldForABatch pins group commit's latency under
+// light load: a committer takes what is queued and commits it, so a
+// writer that waits for each ack before submitting the next is never
+// held back for a batch that will not fill. 200 acks in 100 ms leaves
+// each one 500 µs against a few µs of work.
+func TestLoneWriterIsNotHeldForABatch(t *testing.T) {
+	rec := &recorder{}
+	p, err := New(Config{BatchSize: 256, Commit: rec.commit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	const acks = 200
+	start := time.Now()
+	for i := 0; i < acks; i++ {
+		f, err := p.Submit(0, Intent{Op: 3, ID: uint32(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res := f.Wait(); res.Err != nil {
+			t.Fatal(res.Err)
+		}
+	}
+	if took := time.Since(start); took >= 100*time.Millisecond {
+		t.Fatalf("%d sequential acks took %v, want under 100ms", acks, took)
+	}
+	p.Close() // the last batch is counted after its ack
+	if st := p.Stats(); st.Batches != acks {
+		t.Fatalf("%d sequential acks committed in %d batches, want one each", acks, st.Batches)
+	}
+}
+
 func TestShedOnFullRing(t *testing.T) {
 	rec := &recorder{gate: make(chan struct{})}
-	p, err := New(Config{BatchSize: 2, QueueDepth: 2, FlushInterval: time.Millisecond, Commit: rec.commit})
+	p, err := New(Config{BatchSize: 1, Commit: rec.commit})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
 
-	// The committer is gated, so submissions pile up: 2 queued in the
-	// ring plus up to one batch in flight. Keep pushing until the
-	// ring refuses.
+	// The committer is gated, so submissions pile up: 4×BatchSize = 4
+	// queued in the ring plus up to one batch in flight. Keep pushing
+	// until the ring refuses.
 	var futs []*Future
 	var refused bool
 	for i := 0; i < 10; i++ {
@@ -125,13 +157,13 @@ func TestShedOnFullRing(t *testing.T) {
 
 func TestBlockingBackpressure(t *testing.T) {
 	rec := &recorder{gate: make(chan struct{})}
-	p, err := New(Config{BatchSize: 2, QueueDepth: 2, Block: true, FlushInterval: time.Millisecond, Commit: rec.commit})
+	p, err := New(Config{BatchSize: 1, Block: true, Commit: rec.commit})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
 
-	const writers = 6
+	const writers = 6 // more than the ring's 4 plus one in flight
 	var done atomic.Int32
 	var wg sync.WaitGroup
 	futs := make([]*Future, writers)
@@ -167,25 +199,46 @@ func TestBlockingBackpressure(t *testing.T) {
 }
 
 func TestCloseDrainsQueuedIntents(t *testing.T) {
-	rec := &recorder{}
-	p, err := New(Config{BatchSize: 4, FlushInterval: 50 * time.Millisecond, Commit: rec.commit})
+	rec := &recorder{gate: make(chan struct{})}
+	const batch, n = 4, 10
+	p, err := New(Config{BatchSize: batch, Commit: rec.commit})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var futs []*Future
-	for i := 0; i < 10; i++ {
+	for i := 0; i < n; i++ {
 		f, err := p.Submit(0, Intent{Op: 3, ID: uint32(i)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		futs = append(futs, f)
 	}
-	p.Close()
+	closed := make(chan struct{})
+	go func() {
+		p.Close()
+		close(closed)
+	}()
+	// Close has shut the ring while the gated committer holds at most
+	// one batch: the rest are still queued and only the drain can
+	// commit them.
+	<-p.done
+	if depth := p.Stats().QueueDepth; depth < n-batch {
+		t.Fatalf("%d intents queued at Close, want at least %d", depth, n-batch)
+	}
+	close(rec.gate)
+	<-closed
 	// Every accepted intent resolved — drain never drops acked work.
 	for i, f := range futs {
 		if res := f.Wait(); res.Err != nil {
 			t.Fatalf("intent %d failed in drain: %v", i, res.Err)
 		}
+	}
+	committed := 0
+	for _, b := range rec.batches {
+		committed += len(b)
+	}
+	if committed != n {
+		t.Fatalf("drain committed %d intents, want %d", committed, n)
 	}
 	if _, err := p.Submit(0, Intent{Op: 3}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("submit after close: %v", err)
@@ -229,7 +282,7 @@ func TestCloseStopsCommitterGoroutines(t *testing.T) {
 
 func TestWholeBatchErrorFansOut(t *testing.T) {
 	boom := errors.New("journal: disk full")
-	p, err := New(Config{BatchSize: 4, FlushInterval: time.Millisecond,
+	p, err := New(Config{BatchSize: 4,
 		Commit: func(int, []Intent, []Result) error { return boom }})
 	if err != nil {
 		t.Fatal(err)
@@ -252,7 +305,7 @@ func TestWholeBatchErrorFansOut(t *testing.T) {
 
 func TestPerIntentErrorsStayScoped(t *testing.T) {
 	bad := errors.New("apply: dead point")
-	p, err := New(Config{BatchSize: 8, FlushInterval: time.Millisecond,
+	p, err := New(Config{BatchSize: 8,
 		Commit: func(_ int, intents []Intent, results []Result) error {
 			for i, in := range intents {
 				if in.ID%2 == 1 {
@@ -288,7 +341,7 @@ func TestPerIntentErrorsStayScoped(t *testing.T) {
 
 func TestStatsCounters(t *testing.T) {
 	rec := &recorder{}
-	p, err := New(Config{BatchSize: 64, FlushInterval: 5 * time.Millisecond, Commit: rec.commit})
+	p, err := New(Config{BatchSize: 64, Commit: rec.commit})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,8 +392,7 @@ func TestResolvedFuture(t *testing.T) {
 
 func TestRaceManyWriters(t *testing.T) {
 	rec := &recorder{}
-	p, err := New(Config{Lanes: 4, BatchSize: 32, QueueDepth: 64, Block: true,
-		FlushInterval: time.Millisecond, Commit: rec.commit})
+	p, err := New(Config{Lanes: 4, BatchSize: 32, Block: true, Commit: rec.commit})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,14 +21,9 @@ type Config struct {
 	// one lane commit in submission order.
 	Lanes int
 	// BatchSize caps records per group commit (default 256, hard
-	// ceiling wal.MaxBatchRecords via the committer's WAL).
+	// ceiling wal.MaxBatchRecords via the committer's WAL). Each lane's
+	// ring holds 4×BatchSize intents.
 	BatchSize int
-	// FlushInterval bounds how long the first intent of a batch waits
-	// for the batch to fill (default 2ms). It is the ack-latency
-	// ceiling under light load.
-	FlushInterval time.Duration
-	// QueueDepth is the per-lane ring capacity (default 4×BatchSize).
-	QueueDepth int
 	// Block selects backpressure mode: block producers on a full ring
 	// (true) or shed with ErrBacklog (false, the default — the HTTP
 	// layer answers 429).
@@ -40,10 +35,6 @@ type Config struct {
 // DefaultBatchSize is the records-per-group-commit cap when Config
 // leaves BatchSize zero.
 const DefaultBatchSize = 256
-
-// DefaultFlushInterval is the batch-fill wait ceiling when Config
-// leaves FlushInterval zero.
-const DefaultFlushInterval = 2 * time.Millisecond
 
 // Pipeline is the running subsystem: one ring and one committer
 // goroutine per lane, plus shared stats.
@@ -77,17 +68,11 @@ func New(cfg Config) (*Pipeline, error) {
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = DefaultBatchSize
 	}
-	if cfg.FlushInterval <= 0 {
-		cfg.FlushInterval = DefaultFlushInterval
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 4 * cfg.BatchSize
-	}
 	p := &Pipeline{cfg: cfg, done: make(chan struct{})}
 	for i := 0; i < cfg.Lanes; i++ {
 		p.lanes = append(p.lanes, &lane{
 			idx:     i,
-			ring:    newRing(cfg.QueueDepth),
+			ring:    newRing(4 * cfg.BatchSize),
 			items:   make([]*item, 0, cfg.BatchSize),
 			intents: make([]Intent, 0, cfg.BatchSize),
 			results: make([]Result, cfg.BatchSize),
@@ -149,9 +134,8 @@ func (p *Pipeline) Stats() Stats {
 	return p.stats.snapshot(depth)
 }
 
-// run is the committer loop for one lane: collect a batch (bounded by
-// BatchSize and FlushInterval), commit it, resolve its futures;
-// repeat until the ring is closed and drained.
+// run is the committer loop for one lane: collect a batch, commit it,
+// resolve its futures; repeat until the ring is closed and drained.
 func (p *Pipeline) run(l *lane) {
 	for {
 		batch := p.collect(l)
@@ -162,41 +146,24 @@ func (p *Pipeline) run(l *lane) {
 	}
 }
 
-// collect blocks for the first queued item, then tops the batch up
-// until it is full or the flush interval from first arrival elapses.
-// After Close it returns whatever remains, then an empty batch.
+// collect blocks for the first queued item, then takes whatever else
+// is queued, up to BatchSize, without waiting for more: the batch is
+// what arrived while the previous one committed. After Close it
+// returns whatever remains, then an empty batch.
 func (p *Pipeline) collect(l *lane) []*item {
-	max := p.cfg.BatchSize
 	batch := l.items[:0]
 	for {
-		batch = l.ring.tryPop(batch, max)
-		if len(batch) > 0 {
-			break
+		if batch = l.ring.tryPop(batch, p.cfg.BatchSize); len(batch) > 0 {
+			return batch
 		}
 		select {
 		case <-l.ring.notify:
 		case <-p.done:
 			// Final drain: pick up anything pushed before close won
 			// the race; an empty result ends the committer.
-			return l.ring.tryPop(batch, max)
+			return l.ring.tryPop(batch, p.cfg.BatchSize)
 		}
 	}
-	if len(batch) < max {
-		t := time.NewTimer(p.cfg.FlushInterval)
-		for len(batch) < max {
-			select {
-			case <-l.ring.notify:
-				batch = l.ring.tryPop(batch, max-len(batch))
-			case <-p.done:
-				t.Stop()
-				return l.ring.tryPop(batch, max-len(batch))
-			case <-t.C:
-				return batch
-			}
-		}
-		t.Stop()
-	}
-	return batch
 }
 
 // commit hands one batch to the store and resolves every future; a

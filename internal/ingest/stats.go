@@ -8,7 +8,7 @@ import (
 
 // ackBuckets is the ack-latency histogram width: bucket i counts acks
 // with latency in [2^(i-1), 2^i) microseconds (bucket 0 is <1µs), so
-// the top bucket covers ~34s — far beyond any sane flush interval.
+// the top bucket covers ~34s — far beyond any fsync.
 const ackBuckets = 26
 
 // sizeBuckets is the batch-size histogram width: bucket i counts

@@ -16,8 +16,8 @@ import (
 //   - time.After inside a loop allocates a fresh timer every
 //     iteration; until Go's timers became collectable this pinned
 //     memory for the full duration, and it still churns an allocation
-//     plus runtime timer per pass — hoist a NewTimer (the ingest
-//     committer's top-up loop is the model) or use a ticker.
+//     plus runtime timer per pass — hoist a NewTimer and Reset it
+//     (pager.Writer.run is the model) or use a ticker.
 //   - a time.NewTicker result bound to a local that is never stopped
 //     in the enclosing function leaks its runtime timer. If the
 //     ticker escapes — returned, stored, passed along — ownership may

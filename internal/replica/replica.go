@@ -43,6 +43,10 @@ const (
 	StateStopped       = "stopped"       // Close was called
 )
 
+// pollBatch bounds how many records one poll may return — the apply
+// queue bound.
+const pollBatch = 512
+
 // errRebootstrap marks conditions that invalidate the local store:
 // the loop discards the data directory and bootstraps again.
 var errRebootstrap = errors.New("replica: local state unusable, re-bootstrap required")
@@ -59,20 +63,16 @@ type Options struct {
 	// Client issues the HTTP requests (nil = a dedicated client with
 	// no overall timeout — long-polls hold connections open).
 	Client *http.Client
-	// BatchMax bounds how many records one poll may return — the apply
-	// queue bound (0 = 512, capped at MaxBatch).
-	BatchMax int
 	// PollWait is how long the primary may hold an empty long-poll
 	// before answering (0 = 1s).
 	PollWait time.Duration
 	// ReadyMaxLag is the lag (primary LSN minus applied LSN) above
 	// which Ready reports false (0 = any lag is ready while streaming).
 	ReadyMaxLag uint64
-	// SyncEveryWrite, CheckpointEvery and RingSize configure the local
-	// store exactly as on a primary (see service.Options).
+	// SyncEveryWrite and CheckpointEvery configure the local store
+	// exactly as on a primary (see service.Options).
 	SyncEveryWrite  bool
 	CheckpointEvery int
-	RingSize        int
 }
 
 // Status is a point-in-time view of the replication loop.
@@ -111,12 +111,6 @@ func Start(opts Options) (*Replica, error) {
 	opts.Primary = strings.TrimRight(opts.Primary, "/")
 	if opts.Client == nil {
 		opts.Client = &http.Client{}
-	}
-	if opts.BatchMax <= 0 {
-		opts.BatchMax = 512
-	}
-	if opts.BatchMax > MaxBatch {
-		opts.BatchMax = MaxBatch
 	}
 	if opts.PollWait <= 0 {
 		opts.PollWait = time.Second
@@ -245,7 +239,7 @@ func (r *Replica) streamOnce(db *service.DB) error {
 	from := db.LastLSN() + 1
 	q := url.Values{}
 	q.Set("from", strconv.FormatUint(from, 10))
-	q.Set("max", strconv.Itoa(r.opts.BatchMax))
+	q.Set("max", strconv.Itoa(pollBatch))
 	q.Set("waitms", strconv.FormatInt(r.opts.PollWait.Milliseconds(), 10))
 	resp, err := r.get("/v1/replication/stream?" + q.Encode())
 	if err != nil {
@@ -317,7 +311,6 @@ func (r *Replica) dbOptions() service.Options {
 	return service.Options{
 		SyncEveryWrite:  r.opts.SyncEveryWrite,
 		CheckpointEvery: r.opts.CheckpointEvery,
-		RingSize:        r.opts.RingSize,
 	}
 }
 

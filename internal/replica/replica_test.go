@@ -18,6 +18,7 @@ import (
 	"planar/internal/core"
 	"planar/internal/httpapi"
 	"planar/internal/replica"
+	"planar/internal/replog"
 	"planar/internal/service"
 	"planar/internal/vecmath"
 )
@@ -25,13 +26,9 @@ import (
 const dim = 4
 
 // newPrimary opens a store and serves it over httptest.
-func newPrimary(t *testing.T, shards int, ringSize ...int) (*service.DB, *httptest.Server) {
+func newPrimary(t *testing.T, shards int) (*service.DB, *httptest.Server) {
 	t.Helper()
-	ring := 0
-	if len(ringSize) > 0 {
-		ring = ringSize[0]
-	}
-	db, err := service.Open(filepath.Join(t.TempDir(), "primary"), service.Options{Dim: dim, Shards: shards, RingSize: ring})
+	db, err := service.Open(filepath.Join(t.TempDir(), "primary"), service.Options{Dim: dim, Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +218,7 @@ func TestReplicaKillAndReconnect(t *testing.T) {
 
 func TestReplicaTooOldRebootstraps(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	db, srv := newPrimary(t, 1, 16) // tiny ring so retention actually expires
+	db, srv := newPrimary(t, 1)
 	churn(t, db, rng, 50, nil)
 
 	dir := filepath.Join(t.TempDir(), "replica")
@@ -234,10 +231,10 @@ func TestReplicaTooOldRebootstraps(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// While the replica is down, advance the primary and checkpoint:
-	// the WAL truncates, so the replica's cursor is gone from both the
-	// ring and the disk and only a fresh snapshot can help.
-	churn(t, db, rng, 300, nil)
+	// While the replica is down, advance the primary past its ring and
+	// checkpoint: the WAL truncates, so the replica's cursor is gone
+	// from both the ring and the disk and only a fresh snapshot can help.
+	churn(t, db, rng, replog.DefaultRingSize+100, nil)
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"planar/internal/core"
+	"planar/internal/replog"
 )
 
 // TestSteadyStateWriteAllocs pins the write path's envelope beside
@@ -14,8 +15,8 @@ import (
 // replication ring — allocates exactly what the same Update costs a
 // bare core.Multi. The sequencer and the WAL contribute nothing.
 func TestSteadyStateWriteAllocs(t *testing.T) {
-	const dim, n, ringSize = 4, 2048, 64
-	db, err := Open(t.TempDir(), Options{Dim: dim, RingSize: ringSize, SyncEveryWrite: false})
+	const dim, n = 4, 2048
+	db, err := Open(t.TempDir(), Options{Dim: dim, SyncEveryWrite: false})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestSteadyStateWriteAllocs(t *testing.T) {
 			}
 			next++
 		}
-		for i := 0; i < 2*ringSize; i++ {
+		for i := 0; i <= replog.DefaultRingSize; i++ {
 			run() // fill the ring and grow the WAL scratch
 		}
 		return testing.AllocsPerRun(1000, run)

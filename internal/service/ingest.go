@@ -18,11 +18,9 @@ func (db *DB) startIngest(opts Options) error {
 		return nil
 	}
 	p, err := ingest.New(ingest.Config{
-		Lanes:         db.store.NumShards(),
-		BatchSize:     min(opts.IngestBatch, wal.MaxBatchRecords),
-		FlushInterval: opts.IngestFlushInterval,
-		QueueDepth:    opts.IngestQueueDepth,
-		Block:         opts.IngestBlock,
+		Lanes:     db.store.NumShards(),
+		BatchSize: min(opts.IngestBatch, wal.MaxBatchRecords),
+		Block:     opts.IngestBlock,
 		Commit: func(lane int, intents []ingest.Intent, results []ingest.Result) error {
 			// commitMu read-held across apply+journal, exactly like a
 			// synchronous write, so CaptureState can drain in-flight

@@ -2,12 +2,14 @@ package service
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -283,10 +285,9 @@ func TestGroupedMatchesSyncGolden(t *testing.T) {
 			defer syncDB.Close()
 			groupedDir := t.TempDir()
 			groupedDB := openGolden(t, groupedDir, Options{
-				Shards:              tc.shards,
-				IngestBatch:         16,
-				IngestFlushInterval: time.Millisecond,
-				IngestBlock:         true,
+				Shards:      tc.shards,
+				IngestBatch: 16,
+				IngestBlock: true,
 			})
 			// Index configs persist at checkpoint time, not in the WAL;
 			// checkpoint the grouped store now so the replay leg below
@@ -360,10 +361,9 @@ func TestGroupedMatchesSyncGolden(t *testing.T) {
 // them lands on the primary's exact snapshot bytes.
 func TestReplicaTailsGroupedPrimary(t *testing.T) {
 	primary, err := Open(t.TempDir(), Options{
-		Dim:                 goldenDim,
-		IngestBatch:         16,
-		IngestFlushInterval: time.Millisecond,
-		IngestBlock:         true,
+		Dim:         goldenDim,
+		IngestBatch: 16,
+		IngestBlock: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -404,9 +404,8 @@ func TestIngestConcurrentWriters(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(dir, Options{
 		Dim: goldenDim, Shards: 4,
-		IngestBatch:         32,
-		IngestFlushInterval: time.Millisecond,
-		IngestBlock:         true,
+		IngestBatch: 32,
+		IngestBlock: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -495,10 +494,9 @@ func TestIngestCloseDrainsAndStopsGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	dir := t.TempDir()
 	db, err := Open(dir, Options{
-		Dim:                 goldenDim,
-		IngestBatch:         8,
-		IngestFlushInterval: 5 * time.Millisecond,
-		IngestBlock:         true,
+		Dim:         goldenDim,
+		IngestBatch: 8,
+		IngestBlock: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -610,4 +608,54 @@ func TestDirectFutureCarriesItsOwnLSN(t *testing.T) {
 			}
 		}
 	})
+}
+
+// BenchmarkGroupCommitClosedLoop times acked appends through the
+// group-commit pipeline from closed-loop writers: each one submits,
+// waits for its ack and submits again, so fewer writers than
+// IngestBatch never fill a batch. ack-p50-µs is the median submit to
+// ack time: one fsync plus the batch ahead of it, with nothing waiting
+// for the batch to fill.
+func BenchmarkGroupCommitClosedLoop(b *testing.B) {
+	for _, writers := range []int{1, 8} {
+		b.Run(fmt.Sprintf("writers=%d", writers), func(b *testing.B) {
+			db, err := Open(b.TempDir(), Options{Dim: goldenDim, IngestBatch: 256, IngestBlock: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer db.Close()
+			acks := make([][]time.Duration, writers)
+			var issued atomic.Int64
+			var wg sync.WaitGroup
+			b.ResetTimer()
+			for w := range writers {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					v := []float64{1, 2, float64(w)}
+					for issued.Add(1) <= int64(b.N) {
+						start := time.Now()
+						f, err := db.AppendAsync(v)
+						if err != nil {
+							b.Error(err)
+							return
+						}
+						if res := f.Wait(); res.Err != nil {
+							b.Error(res.Err)
+							return
+						}
+						acks[w] = append(acks[w], time.Since(start))
+					}
+				}(w)
+			}
+			wg.Wait()
+			b.StopTimer()
+			all := slices.Concat(acks...)
+			if len(all) == 0 {
+				return
+			}
+			slices.Sort(all)
+			b.ReportMetric(float64(all[len(all)/2].Nanoseconds())/1e3, "ack-p50-µs")
+		})
+	}
 }

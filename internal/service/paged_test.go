@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"planar/internal/codec"
 	"planar/internal/core"
 	"planar/internal/pager"
 	"planar/internal/vecmath"
@@ -268,7 +269,7 @@ func TestPagedNeverReopenedStore(t *testing.T) {
 	root := t.TempDir()
 	const dim = 4
 	paged, err := Open(filepath.Join(root, "paged"), Options{
-		Dim: dim, Paged: true, PageCacheBytes: 1 << 18, WritebackInterval: time.Millisecond,
+		Dim: dim, Paged: true, PageCacheBytes: 1 << 18,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -298,22 +299,36 @@ func TestPagedNeverReopenedStore(t *testing.T) {
 			}
 		}
 	}
+	pageStats := func() codec.PageTierStats {
+		t.Helper()
+		st, ok := paged.PageStats()
+		if !ok {
+			t.Fatal("PageStats not available on the paged tier")
+		}
+		return st
+	}
 	if err := paged.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	requirePaged("after the first checkpoint")
 	g.compare(10)
 
+	// The writer's own rounds, not the checkpoint's drain, must write
+	// the paged trees' dirty pages out between checkpoints.
+	written := pageStats().WritebackPages
 	g.mutate(1000)
 	g.compare(10)
+	for deadline := time.Now().Add(10 * time.Second); pageStats().WritebackPages == written; {
+		if time.Now().After(deadline) {
+			t.Fatalf("no background writeback before the second checkpoint: %+v", pageStats())
+		}
+		time.Sleep(time.Millisecond)
+	}
 	if err := paged.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	requirePaged("after the second checkpoint")
-	st, ok := paged.PageStats()
-	if !ok {
-		t.Fatal("PageStats not available on the paged tier")
-	}
+	st := pageStats()
 	if st.WritebackPages == 0 || st.WritebackErrors != 0 {
 		t.Fatalf("writer stats %+v: want tree pages written and no errors", st)
 	}
@@ -419,7 +434,7 @@ func TestPagedWritebackStats(t *testing.T) {
 	for _, shards := range []int{0, 2} {
 		dir := t.TempDir()
 		const dim = 3
-		opts := Options{Dim: dim, Paged: true, Shards: shards, WritebackInterval: time.Millisecond}
+		opts := Options{Dim: dim, Paged: true, Shards: shards}
 		db, err := Open(dir, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -451,7 +466,7 @@ func TestPagedWritebackStats(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		db, err = Open(dir, Options{WritebackInterval: time.Millisecond})
+		db, err = Open(dir, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"planar/internal/vecmath"
 )
@@ -28,7 +27,7 @@ func TestStressCaptureStateUnderWriters(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			primary, err := Open(t.TempDir(), Options{
 				Dim: 2, Shards: 1,
-				IngestBatch: tc.batch, IngestFlushInterval: time.Millisecond, IngestBlock: true,
+				IngestBatch: tc.batch, IngestBlock: true,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -65,9 +65,6 @@ type Options struct {
 	// many logged mutations (0 disables automatic checkpoints). The
 	// counter is per shard.
 	CheckpointEvery int
-	// RingSize bounds the in-memory tail of committed records kept
-	// for replication streaming (0 = replog.DefaultRingSize).
-	RingSize int
 	// Paged selects the disk-paged storage tier: state lives in a
 	// copy-on-write page file ("pages.plnr") instead of a flat
 	// snapshot, and after a restart index trees run in paged-arena
@@ -80,11 +77,6 @@ type Options struct {
 	// default; a small floor is always enforced). The budget is split
 	// evenly across shards.
 	PageCacheBytes int
-	// WritebackInterval is the paged tier's background writer cadence
-	// (0 = a 25ms default). The writer shadow-flushes dirty tree
-	// pages between checkpoints so they become clean and evictable,
-	// keeping the cache's resident set bounded under write pressure.
-	WritebackInterval time.Duration
 	// IngestBatch enables the asynchronous group-commit write pipeline
 	// (internal/ingest): up to this many mutations apply under one
 	// lock acquisition and journal as one WAL frame with one fsync.
@@ -92,16 +84,10 @@ type Options struct {
 	// Grouped commits always fsync before acking, superseding
 	// SyncEveryWrite on the grouped path.
 	IngestBatch int
-	// IngestFlushInterval bounds how long the first mutation of a
-	// batch waits for the batch to fill (0 = a 2ms default). It is the
-	// ack-latency ceiling under light load.
-	IngestFlushInterval time.Duration
-	// IngestQueueDepth is the per-lane submission ring capacity
-	// (0 = 4×IngestBatch).
-	IngestQueueDepth int
-	// IngestBlock selects backpressure mode for a full ring: block the
-	// submitter (true) or shed with ErrBackpressure (false, the
-	// default — the HTTP layer answers 429).
+	// IngestBlock selects backpressure mode for a full ring (one per
+	// shard, holding 4×IngestBatch mutations): block the submitter
+	// (true) or shed with ErrBackpressure (false, the default — the
+	// HTTP layer answers 429).
 	IngestBlock bool
 }
 
@@ -263,11 +249,8 @@ func Open(dir string, opts Options) (*DB, error) {
 		Dim:             opts.Dim,
 		SyncEveryWrite:  opts.SyncEveryWrite,
 		CheckpointEvery: opts.CheckpointEvery,
-		RingSize:        opts.RingSize,
 		Paged:           opts.Paged,
 		PageCacheBytes:  opts.PageCacheBytes,
-
-		WritebackInterval: opts.WritebackInterval,
 	})
 	if err != nil {
 		return nil, err

@@ -150,7 +150,7 @@ func openPartition(dir string, dim int, opts Options) (*partition, error) {
 				return nil, err
 			}
 		}
-		pstore.StartWriter(pager.WriterOptions{Interval: opts.WritebackInterval}, m.WritebackIndexes)
+		pstore.StartWriter(pager.WriterOptions{}, m.WritebackIndexes)
 	} else if snap, err := codec.Load(snapPath); err == nil {
 		if dim != 0 && dim != snap.Dim {
 			return nil, fmt.Errorf("shard: snapshot dimension %d, options say %d", snap.Dim, dim)

@@ -9,7 +9,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"planar/internal/codec"
 	"planar/internal/core"
@@ -44,9 +43,6 @@ type Options struct {
 	// CheckpointEvery triggers an automatic per-shard checkpoint after
 	// this many mutations on that shard (0 disables).
 	CheckpointEvery int
-	// RingSize bounds the in-memory tail of committed records kept
-	// for replication streaming (0 = replog.DefaultRingSize).
-	RingSize int
 	// Paged selects the disk-paged storage tier for every shard (see
 	// service.Options.Paged). Directories holding page files reopen
 	// paged regardless.
@@ -55,9 +51,6 @@ type Options struct {
 	// default), split evenly across shards (each shard enforces a
 	// small floor).
 	PageCacheBytes int
-	// WritebackInterval is each shard's background page-writer cadence
-	// (0 = a 25ms default; see service.Options.WritebackInterval).
-	WritebackInterval time.Duration
 }
 
 // Store is a hash-partitioned collection of planar index shards with
@@ -261,7 +254,7 @@ func Open(dir string, opts Options) (*Store, error) {
 			next = n
 		}
 	}
-	s.seq = replog.NewSequencer(next, opts.RingSize, s.Dim())
+	s.seq = replog.NewSequencer(next, 0, s.Dim())
 	for i, p := range s.parts {
 		p.seq, p.stride, p.index = s.seq, uint32(n), uint32(i)
 	}
