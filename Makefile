@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint lint-strict race race-shard race-pager replica-integration page-integration ingest-integration bench-smoke planarbench-smoke bench-record-smoke ci clean
+.PHONY: all build test vet lint lint-strict race race-shard race-pager replica-integration page-integration ingest-integration bench-smoke planarbench-smoke bench-record-smoke emit-layout ci clean
 
 all: build
 
@@ -121,6 +121,19 @@ planarbench-smoke:
 # still builds and runs against the tree.
 bench-record-smoke:
 	(cd benchmark && $(GO) test ./...)
+
+# The emit workload's code-layout lottery: where the reply's id writer
+# sits in the bench of record's binary, and that address mod 64 (its
+# offset in a cache line). Report it on both sides of a change that
+# moves emit; `bash benchmark/run.sh` builds the binary it reads.
+EMIT_BIN := .bench_build/planar-benchmark/bench
+emit-layout:
+	@if [ ! -f $(EMIT_BIN) ]; then \
+		echo "emit-layout: no $(EMIT_BIN); run bash benchmark/run.sh first" >&2; exit 1; fi
+	@addr=$$($(GO) tool nm $(EMIT_BIN) | awk '$$3 == "planar/internal/httpapi.appendIDs" { print $$1 }'); \
+		if [ -z "$$addr" ]; then \
+			echo "emit-layout: planar/internal/httpapi.appendIDs not in $(EMIT_BIN)" >&2; exit 1; fi; \
+		echo "planar/internal/httpapi.appendIDs 0x$$addr mod 64 = $$((0x$$addr % 64))"
 
 # race runs every package under the detector once; race-shard,
 # race-pager, replica-integration, page-integration and

@@ -25,9 +25,10 @@
 //	GET  /readyz                                 → store open; replicas: streaming with bounded lag
 //
 // Reads honor a monotonic read barrier: a request carrying
-// X-Planar-Min-LSN waits (up to X-Planar-Wait-Ms, default 2000) until
-// the store has committed/applied at least that LSN, answering 504 if
-// it does not get there in time. Every read answers with X-Planar-LSN,
+// X-Planar-Min-LSN waits (up to X-Planar-Wait-Ms, default 2000, at
+// most 60000) until the store has committed/applied at least that
+// LSN, answering 504 if it does not get there in time; a wait outside
+// 0..60000 is a 400. Every read answers with X-Planar-LSN,
 // a lower bound on the LSN the response reflects — clients chain it
 // into the next request's barrier for read-your-writes across
 // replicas. On a replica, mutation endpoints answer 403 with the
@@ -139,6 +140,10 @@ func (s *Server) withDB(next storeHandler) http.HandlerFunc {
 	}
 }
 
+// maxWaitMs is the longest a request may ask to be held for an LSN,
+// by the read barrier's X-Planar-Wait-Ms or a stream poll's waitms.
+const maxWaitMs = 60_000
+
 // readEndpoint wraps a read handler with the store resolution and the
 // monotonic read barrier.
 func (s *Server) readEndpoint(next storeHandler) http.HandlerFunc {
@@ -151,8 +156,8 @@ func (s *Server) readEndpoint(next storeHandler) http.HandlerFunc {
 			}
 			waitMs := int64(2000)
 			if v := r.Header.Get("X-Planar-Wait-Ms"); v != "" {
-				if waitMs, err = strconv.ParseInt(v, 10, 64); err != nil || waitMs < 0 {
-					fail(w, http.StatusBadRequest, fmt.Errorf("bad X-Planar-Wait-Ms %q", v))
+				if waitMs, err = strconv.ParseInt(v, 10, 64); err != nil || waitMs < 0 || waitMs > maxWaitMs {
+					fail(w, http.StatusBadRequest, fmt.Errorf("bad X-Planar-Wait-Ms %q (0..%d)", v, maxWaitMs))
 					return
 				}
 			}
@@ -597,8 +602,8 @@ func (s *Server) handleReplStream(w http.ResponseWriter, r *http.Request, db *se
 	}
 	if v := q.Get("waitms"); v != "" && from > db.LastLSN() {
 		ms, err := strconv.ParseInt(v, 10, 64)
-		if err != nil || ms < 0 || ms > 60_000 {
-			fail(w, http.StatusBadRequest, fmt.Errorf("bad waitms %q (0..60000)", v))
+		if err != nil || ms < 0 || ms > maxWaitMs {
+			fail(w, http.StatusBadRequest, fmt.Errorf("bad waitms %q (0..%d)", v, maxWaitMs))
 			return
 		}
 		ctx, cancel := context.WithTimeout(r.Context(), time.Duration(ms)*time.Millisecond)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -203,6 +204,41 @@ func TestDurabilityThroughAPI(t *testing.T) {
 	defer db2.Close()
 	if db2.Len() != 1 {
 		t.Fatalf("Len=%d after reopen", db2.Len())
+	}
+}
+
+// TestReadBarrierWaitBounds holds X-Planar-Wait-Ms to the 0..60000
+// range a stream poll's waitms has: beyond it a wait would park a
+// handler for years, or overflow time.Duration into a context born
+// expired.
+func TestReadBarrierWaitBounds(t *testing.T) {
+	ts, db := testServer(t)
+	call(t, ts, "POST", "/v1/points", map[string]interface{}{"vec": []float64{1, 1}}, http.StatusOK)
+	lsn := strconv.FormatUint(db.LastLSN(), 10)
+	for _, c := range []struct {
+		wait string
+		want int
+	}{
+		{"60000", http.StatusOK},
+		{"60001", http.StatusBadRequest},
+		{"9300000000000", http.StatusBadRequest},
+		{"-1", http.StatusBadRequest},
+	} {
+		req, err := http.NewRequest("POST", ts.URL+"/v1/query",
+			strings.NewReader(`{"a":[1,1],"b":7,"op":"<="}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("X-Planar-Min-LSN", lsn)
+		req.Header.Set("X-Planar-Wait-Ms", c.wait)
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Errorf("X-Planar-Wait-Ms %s: status %d want %d", c.wait, resp.StatusCode, c.want)
+		}
 	}
 }
 

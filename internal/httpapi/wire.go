@@ -2,6 +2,7 @@ package httpapi
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -512,71 +513,75 @@ func appendFloat(b []byte, f float64) []byte {
 	return b
 }
 
-// digitPairs is "00" "01" … "99": the two decimal digits of every
-// value below a hundred, read by index.
-const digitPairs = "00010203040506070809101112131415161718192021222324252627282930313233343536373839404142434445464748495051525354555657585960616263646566676869707172737475767778798081828384858687888990919293949596979899"
-
 // maxIDBytes is the longest an id gets in decimal (4294967295) plus
 // the comma after it.
 const maxIDBytes = 11
 
+// The id writer's tables, indexed by a group value v below 10⁴. Each
+// entry is four bytes in memory order, written with one 32-bit store:
+// quads[v] is v's four zero-padded digits, leads[v] its digits without
+// the padding, left-aligned, and leadLens[v] how many digits that is.
+var (
+	quads    [10000]uint32
+	leads    [10000]uint32
+	leadLens [10000]uint8
+)
+
+func init() {
+	for v := range quads {
+		d := [4]byte{byte('0' + v/1000), byte('0' + v/100%10), byte('0' + v/10%10), byte('0' + v%10)}
+		quads[v] = binary.LittleEndian.Uint32(d[:])
+		l := 4
+		for l > 1 && d[4-l] == '0' {
+			l--
+		}
+		var lead [4]byte
+		copy(lead[:], d[4-l:])
+		leads[v] = binary.LittleEndian.Uint32(lead[:])
+		leadLens[v] = uint8(l)
+	}
+}
+
 // appendIDs appends ids as a JSON array; a nil slice is [], not null.
 // The bytes are strconv.AppendUint's. Room for the longest possible
-// array is reserved once, and every id is then stored two digits at a
-// time, backwards from where its last digit belongs, with no append
-// and no capacity check per id.
+// array is reserved once, with no append and no capacity check per id.
+// Each id is split at 10⁴ and 10⁸ into groups of four digits: the
+// leading group is stored left-aligned and the cursor moves by its
+// length, every later group is stored whole. A store may write past
+// the digits it means; the next store or the comma overwrites that,
+// and the last one's overrun stays inside the reservation.
 func appendIDs(b []byte, ids []uint32) []byte {
 	n := len(b)
 	b = slices.Grow(b, maxIDBytes*len(ids)+2)[:n+maxIDBytes*len(ids)+2]
 	b[n] = '['
 	n++
 	for _, id := range ids {
-		end := n + decimalLen(id)
-		i := end
-		for id >= 100 {
-			pair := 2 * (id % 100)
-			id /= 100
-			i -= 2
-			b[i], b[i+1] = digitPairs[pair], digitPairs[pair+1]
+		switch {
+		case id < 1e4:
+			binary.LittleEndian.PutUint32(b[n:], leads[id])
+			n += int(leadLens[id])
+		case id < 1e8:
+			hi, lo := id/1e4, id%1e4
+			binary.LittleEndian.PutUint32(b[n:], leads[hi])
+			n += int(leadLens[hi])
+			binary.LittleEndian.PutUint32(b[n:], quads[lo])
+			n += 4
+		default:
+			hi, mid, lo := id/1e8, id/1e4%1e4, id%1e4
+			binary.LittleEndian.PutUint32(b[n:], leads[hi])
+			n += int(leadLens[hi])
+			binary.LittleEndian.PutUint32(b[n:], quads[mid])
+			binary.LittleEndian.PutUint32(b[n+4:], quads[lo])
+			n += 8
 		}
-		if id >= 10 {
-			b[i-2], b[i-1] = digitPairs[2*id], digitPairs[2*id+1]
-		} else {
-			b[i-1] = byte('0' + id)
-		}
-		b[end] = ','
-		n = end + 1
+		b[n] = ','
+		n++
 	}
 	if len(ids) > 0 {
 		n-- // the closing bracket takes the last comma's place
 	}
 	b[n] = ']'
 	return b[:n+1]
-}
-
-// decimalLen returns the number of decimal digits of v.
-func decimalLen(v uint32) int {
-	switch {
-	case v < 10:
-		return 1
-	case v < 100:
-		return 2
-	case v < 1000:
-		return 3
-	case v < 10000:
-		return 4
-	case v < 100000:
-		return 5
-	case v < 1000000:
-		return 6
-	case v < 10000000:
-		return 7
-	case v < 100000000:
-		return 8
-	case v < 1000000000:
-		return 9
-	}
-	return 10
 }
 
 // appendStats appends a query's pipeline statistics as the "stats"

@@ -2,6 +2,7 @@ package httpapi
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"math"
@@ -237,30 +238,62 @@ func refAppendIDs(b []byte, ids []uint32) []byte {
 }
 
 // checkIDWriter fails unless appendIDs writes ids exactly as the
-// strconv loop does, after a prefix it must leave alone.
+// strconv loop does, after a prefix it must leave alone, and touches
+// nothing past the room it reserves for them.
 func checkIDWriter(t *testing.T, ids []uint32) {
 	t.Helper()
-	const prefix = `{"ids":`
-	got, want := appendIDs([]byte(prefix), ids), refAppendIDs([]byte(prefix), ids)
-	if !bytes.Equal(got, want) {
-		t.Fatalf("appendIDs(%v)\n got %s\nwant %s", ids, got, want)
+	const prefix, guard, unwritten = `{"ids":`, 16, 0xAA
+	room := len(prefix) + maxIDBytes*len(ids) + 2
+	buf := bytes.Repeat([]byte{unwritten}, room+guard)
+	got := appendIDs(append(buf[:0], prefix...), ids)
+	if want := refAppendIDs([]byte(prefix), ids); !bytes.Equal(got, want) {
+		at := 0
+		for at < min(len(got), len(want)) && got[at] == want[at] {
+			at++
+		}
+		from := max(at-24, 0)
+		t.Fatalf("appendIDs over %d ids differs from strconv at byte %d:\n got …%s\nwant …%s",
+			len(ids), at, got[from:min(at+24, len(got))], want[from:min(at+24, len(want))])
+	}
+	if past := buf[room:]; !bytes.Equal(past, bytes.Repeat([]byte{unwritten}, guard)) {
+		t.Fatalf("appendIDs over %d ids wrote past its reservation: % x", len(ids), past)
 	}
 }
 
-// TestAppendIDsMatchesStrconv walks the id writer over every
-// digit-count boundary of a uint32, each id alone and all of them in
-// one array, and over a large answer like the emit workload's.
-func TestAppendIDsMatchesStrconv(t *testing.T) {
+// idEdges are 0, MaxUint32 and every 10^k−1, 10^k and 10^k+1 a uint32
+// holds: each digit count's first and last id, on both sides of the
+// writer's splits at 10⁴ and 10⁸.
+func idEdges() []uint32 {
 	edges := []uint32{0, math.MaxUint32}
 	for p := uint64(10); p <= math.MaxUint32; p *= 10 {
 		edges = append(edges, uint32(p-1), uint32(p), uint32(p+1))
 	}
+	return edges
+}
+
+// TestAppendIDsMatchesStrconv walks the id writer over every id below
+// 10⁶ in one array, over the digit-count edges alone, in every ordered
+// pair and all in one array, over arrays ending on a 1-digit id (whose
+// store overruns the most), and over a large answer of every length.
+func TestAppendIDsMatchesStrconv(t *testing.T) {
 	checkIDWriter(t, nil)
 	checkIDWriter(t, []uint32{})
-	for _, id := range edges {
-		checkIDWriter(t, []uint32{id})
+
+	every := make([]uint32, 1e6)
+	for i := range every {
+		every[i] = uint32(i)
+	}
+	checkIDWriter(t, every)
+
+	edges := idEdges()
+	for _, a := range edges {
+		checkIDWriter(t, []uint32{a})
+		for _, b := range edges {
+			checkIDWriter(t, []uint32{a, b})
+		}
 	}
 	checkIDWriter(t, edges)
+	checkIDWriter(t, append(edges, 7))
 
 	rng := rand.New(rand.NewSource(5))
 	large := make([]uint32, 20000)
@@ -270,24 +303,56 @@ func TestAppendIDsMatchesStrconv(t *testing.T) {
 	checkIDWriter(t, large)
 }
 
-func BenchmarkAppendIDs(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	ids := make([]uint32, 20000) // the emit workload's answer
-	for i := range ids {
-		ids[i] = uint32(rng.Intn(100000))
+// FuzzAppendIDs is the id writer's differential against the strconv
+// loop: the input, four bytes to an id, written after a prefix.
+func FuzzAppendIDs(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(binary.LittleEndian.AppendUint32(nil, 7))
+	var seed []byte
+	for _, id := range idEdges() {
+		seed = binary.LittleEndian.AppendUint32(seed, id)
 	}
-	for _, w := range []struct {
-		name  string
-		write func([]byte, []uint32) []byte
-	}{{"pairs", appendIDs}, {"strconv", refAppendIDs}} {
-		b.Run(w.name, func(b *testing.B) {
-			buf := w.write(nil, ids)
-			b.SetBytes(int64(len(buf)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				buf = w.write(buf[:0], ids)
-			}
-		})
+	f.Add(seed)
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		ids := make([]uint32, len(raw)/4)
+		for i := range ids {
+			ids[i] = binary.LittleEndian.Uint32(raw[4*i:])
+		}
+		checkIDWriter(t, ids)
+	})
+}
+
+// BenchmarkAppendIDs writes a 20 000-id answer of two shapes, each
+// beside the strconv loop: emit-shaped, the emit workload's ids below
+// 10⁵ (mostly 5 digits, split once at 10⁴), and full-range, every
+// length from 1 to 10 digits, about half of them 6 to 10, so the
+// path past the 10⁸ split is on record too.
+func BenchmarkAppendIDs(b *testing.B) {
+	for _, shape := range []struct {
+		name string
+		id   func(*rand.Rand) uint32
+	}{
+		{"emit", func(rng *rand.Rand) uint32 { return uint32(rng.Intn(100000)) }},
+		{"full", func(rng *rand.Rand) uint32 { return rng.Uint32() >> rng.Intn(32) }},
+	} {
+		rng := rand.New(rand.NewSource(5))
+		ids := make([]uint32, 20000)
+		for i := range ids {
+			ids[i] = shape.id(rng)
+		}
+		for _, w := range []struct {
+			name  string
+			write func([]byte, []uint32) []byte
+		}{{"quads", appendIDs}, {"strconv", refAppendIDs}} {
+			b.Run(shape.name+"/"+w.name, func(b *testing.B) {
+				buf := w.write(nil, ids)
+				b.SetBytes(int64(len(buf)))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					buf = w.write(buf[:0], ids)
+				}
+			})
+		}
 	}
 }
 
