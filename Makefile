@@ -94,9 +94,13 @@ replica-integration:
 # checkpoint LSN) plus the pager, codec, and paged-btree suites —
 # crash recovery at every byte offset, cache eviction, COW flushes,
 # trees adopted onto their pages at a fresh store's first checkpoint.
+# The repeated codec line races readers, the writeback loop and the
+# Index accessors against checkpoints: the Multi's lock is the only
+# lock an index has, and this is the dynamic proof that it suffices.
 page-integration:
 	$(GO) test -race ./internal/pager ./internal/codec
 	$(GO) test -race -run 'TestPaged|TestWriteback|TestWiden' ./internal/service ./internal/btree ./internal/exec ./internal/core
+	$(GO) test -race -count 20 -run 'TestPagedFirstCheckpointAdoptsTrees|TestPagedCheckpointRacesReadersAndWriteback' ./internal/codec
 
 # End-to-end group commit under the race detector: the grouped-vs-
 # sync golden identity (byte-identical snapshots, WAL batch-frame

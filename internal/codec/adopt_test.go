@@ -3,6 +3,7 @@ package codec
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"path/filepath"
@@ -29,8 +30,9 @@ func requirePaged(t *testing.T, m *core.Multi, when string) {
 // TestPagedFirstCheckpointAdoptsTrees checks that a store which is
 // never reopened runs on paged trees from its first checkpoint on:
 // the trees fault through the store's cache, answer like a RAM twin —
-// also to readers running while the checkpoint swaps the trees — and
-// stay paged across later checkpoints.
+// also to readers racing the checkpoint, which swaps the trees under
+// the Multi's lock held exclusively, so each reader runs wholly before
+// or wholly after the swap — and stay paged across later checkpoints.
 func TestPagedFirstCheckpointAdoptsTrees(t *testing.T) {
 	const dim = 4
 	m := buildPagedMulti(t, rand.New(rand.NewSource(30)), dim, 1500)
@@ -62,7 +64,7 @@ func TestPagedFirstCheckpointAdoptsTrees(t *testing.T) {
 				}
 				ids, _, err := m.InequalityIDs(core.Query{A: a, B: b, Op: core.LE})
 				if err != nil || len(ids) != len(want) {
-					t.Errorf("reader during adoption: %d ids (err %v), want %d", len(ids), err, len(want))
+					t.Errorf("reader racing the first checkpoint: %d ids (err %v), want %d", len(ids), err, len(want))
 					return
 				}
 			}
@@ -88,6 +90,90 @@ func TestPagedFirstCheckpointAdoptsTrees(t *testing.T) {
 			t.Fatal(err)
 		}
 		requirePaged(t, m, "after a later checkpoint")
+		compareMultis(t, rand.New(rand.NewSource(int64(lsn))), twin, m, dim)
+	}
+}
+
+// TestPagedCheckpointRacesReadersAndWriteback runs a fresh paged
+// store's first checkpoint and two later ones, each after a batch of
+// mutations, while query readers, a writeback loop and a caller of
+// every lock-taking Index accessor run throughout. The Multi's lock
+// is the only lock an index has, so under the race detector this is
+// the check that it guards the trees the checkpoint adopts and
+// flushes. After each checkpoint the store must answer like its RAM
+// twin.
+func TestPagedCheckpointRacesReadersAndWriteback(t *testing.T) {
+	const dim = 4
+	m := buildPagedMulti(t, rand.New(rand.NewSource(40)), dim, 1500)
+	twin := buildPagedMulti(t, rand.New(rand.NewSource(40)), dim, 1500)
+	ps, err := CreatePaged(filepath.Join(t.TempDir(), "race.plnr"), dim, 1<<16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ps.Close()
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	loop := func(step func() error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := step(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	for r := 0; r < 2; r++ {
+		loop(func() error {
+			ids, _, err := m.InequalityIDs(core.Query{A: []float64{0.4, 1.1, 0.7, 0.2}, B: 120, Op: core.LE})
+			if err != nil {
+				return fmt.Errorf("reader: %v", err)
+			}
+			seen := make(map[uint32]bool, len(ids))
+			for _, id := range ids {
+				if seen[id] {
+					return fmt.Errorf("reader: id %d answered twice", id)
+				}
+				seen[id] = true
+			}
+			return nil
+		})
+	}
+	loop(func() error {
+		_, err := m.WritebackIndexes(8)
+		return err
+	})
+	loop(func() error {
+		for i := 0; i < m.NumIndexes(); i++ {
+			ix := m.Index(i)
+			_, _ = ix.Len(), ix.Shift()
+			if ix.MemoryBytes() <= 0 || ix.Tree() == nil {
+				return fmt.Errorf("index %d has no tree", i)
+			}
+		}
+		return nil
+	})
+
+	rm, rt := rand.New(rand.NewSource(41)), rand.New(rand.NewSource(41))
+	for lsn := uint64(1); lsn <= 3; lsn++ {
+		mutateMulti(t, rm, m, dim, 200)
+		mutateMulti(t, rt, twin, dim, 200)
+		if err := ps.Checkpoint(m, lsn); err != nil {
+			t.Fatal(err)
+		}
+		requirePaged(t, m, fmt.Sprintf("after checkpoint %d", lsn))
 		compareMultis(t, rand.New(rand.NewSource(int64(lsn))), twin, m, dim)
 	}
 }

@@ -148,8 +148,8 @@ func TestMultiCountAndBounds(t *testing.T) {
 func indexBounds(t *testing.T, m *Multi, i int, q Query) (lo, hi int) {
 	t.Helper()
 	ix := m.Index(i)
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
+	m.mu.RLock()
+	defer m.mu.RUnlock()
 	info := ix.info()
 	return exec.Bounds(&info, q.LE())
 }

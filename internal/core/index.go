@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"planar/internal/btree"
 	"planar/internal/exec"
@@ -16,27 +15,27 @@ import (
 // φ (Section 4.5). The tree keeps its build's key frame for life; a
 // point outside the translation widens delta, which moves every key
 // by one constant, so only the planner's thresholds move (by shift).
-// Indexes live in a Multi, which answers every query.
+// Indexes live in a Multi, which answers every query and whose lock
+// guards every mutable field of its indexes.
 type Index struct {
-	mu    sync.RWMutex
-	store *PointStore
+	owner *Multi              // the Multi holding the index; its store and lock are the index's
 	c     []float64           // normal in the translated frame; all entries > 0
 	signs vecmath.SignPattern // octant the index serves
 	cs    []float64           // cs[i] = c[i]*signs[i]: effective normal in φ space
 	base  float64             // ⟨c, δ⟩ at the tree's build, so key = ⟨cs, φ⟩ + base
 	// delta is the query-time translation (entries >= 0); it only widens.
-	delta []float64 // guarded by mu
-	shift float64   // guarded by mu; ⟨c, delta⟩ − base, 0 until delta widens
-	tree  *btree.Tree
+	delta []float64   // guarded by Multi.mu
+	shift float64     // guarded by Multi.mu; ⟨c, delta⟩ − base, 0 until delta widens
+	tree  *btree.Tree // guarded by Multi.mu
 }
 
-// newIndexFrame validates an index's geometry against store — a
+// newIndexFrame validates an index's geometry against m's store — a
 // strictly positive normal (it lives in the translated first-octant
 // frame) and a ±1 sign pattern selecting the hyper-octant of query
 // coefficient vectors served — and returns the index without a
 // translation or a tree.
-func newIndexFrame(store *PointStore, normal []float64, signs vecmath.SignPattern) (*Index, error) {
-	d := store.Dim()
+func newIndexFrame(m *Multi, normal []float64, signs vecmath.SignPattern) (*Index, error) {
+	d := m.store.Dim()
 	if err := vecmath.CheckDim("index normal", normal, d); err != nil {
 		return nil, err
 	}
@@ -57,7 +56,7 @@ func newIndexFrame(store *PointStore, normal []float64, signs vecmath.SignPatter
 		}
 	}
 	ix := &Index{
-		store: store,
+		owner: m,
 		c:     vecmath.Clone(normal),
 		signs: append(vecmath.SignPattern(nil), signs...),
 		cs:    make([]float64, d),
@@ -68,10 +67,10 @@ func newIndexFrame(store *PointStore, normal []float64, signs vecmath.SignPatter
 	return ix, nil
 }
 
-// newIndex builds a planar index over every live point of store.
+// newIndex builds a planar index over every live point of m's store.
 // Build time is O(n log n), memory O(n) (paper Section 4.2).
-func newIndex(store *PointStore, normal []float64, signs vecmath.SignPattern) (*Index, error) {
-	ix, err := newIndexFrame(store, normal, signs)
+func newIndex(m *Multi, normal []float64, signs vecmath.SignPattern) (*Index, error) {
+	ix, err := newIndexFrame(m, normal, signs)
 	if err != nil {
 		return nil, err
 	}
@@ -85,15 +84,16 @@ func newIndex(store *PointStore, normal []float64, signs vecmath.SignPattern) (*
 //
 //planar:locked
 func (ix *Index) build() {
-	ix.delta = make([]float64, ix.store.Dim())
-	ix.store.Each(func(_ uint32, v []float64) bool {
+	store := ix.owner.store
+	ix.delta = make([]float64, store.Dim())
+	store.Each(func(_ uint32, v []float64) bool {
 		ix.widen(v)
 		return true
 	})
 	ix.base = vecmath.Dot(ix.c, ix.delta)
 
-	entries := make([]btree.Entry, 0, ix.store.Len())
-	ix.store.Each(func(id uint32, v []float64) bool {
+	entries := make([]btree.Entry, 0, store.Len())
+	store.Each(func(id uint32, v []float64) bool {
 		entries = append(entries, btree.Entry{Key: ix.key(v), ID: id})
 		return true
 	})
@@ -107,7 +107,7 @@ func (ix *Index) key(v []float64) float64 {
 
 // widen raises delta until v's translated coordinates are all
 // non-negative, in O(d′), and reports whether any offset moved.
-// Callers hold ix.mu.
+// Callers hold Multi.mu.
 //
 //planar:locked
 func (ix *Index) widen(v []float64) bool {
@@ -127,11 +127,7 @@ func (ix *Index) Normal() []float64 { return vecmath.Clone(ix.c) }
 // EffectiveNormal returns a copy of the index normal expressed in the
 // original φ space (c_i·s_i); this is the vector used for angle
 // comparisons with query hyperplanes.
-func (ix *Index) EffectiveNormal() []float64 {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return vecmath.Clone(ix.cs)
-}
+func (ix *Index) EffectiveNormal() []float64 { return vecmath.Clone(ix.cs) }
 
 // Signs returns a copy of the octant sign pattern.
 func (ix *Index) Signs() vecmath.SignPattern {
@@ -141,29 +137,36 @@ func (ix *Index) Signs() vecmath.SignPattern {
 // Shift returns how far the query-time translation has widened past
 // the tree's key frame, ⟨c, δ⟩ − ⟨c, δ_build⟩ (0 if it never has).
 func (ix *Index) Shift() float64 {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
+	ix.owner.mu.RLock()
+	defer ix.owner.mu.RUnlock()
 	return ix.shift
 }
 
 // Len returns the number of indexed points.
 func (ix *Index) Len() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
+	ix.owner.mu.RLock()
+	defer ix.owner.mu.RUnlock()
 	return ix.tree.Len()
 }
 
 // MemoryBytes returns the approximate heap footprint of the index
 // structure itself (excluding the shared point store).
 func (ix *Index) MemoryBytes() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
+	ix.owner.mu.RLock()
+	defer ix.owner.mu.RUnlock()
+	return ix.memoryBytes()
+}
+
+// memoryBytes is MemoryBytes for callers holding Multi.mu.
+//
+//planar:locked
+func (ix *Index) memoryBytes() int {
 	return ix.tree.Stats().Bytes + 8*(len(ix.c)+len(ix.delta)+len(ix.cs)) + len(ix.signs)
 }
 
 // add indexes a point already present in the store, widening the
 // translation first if the point lies outside it: O(d′ + log n)
-// either way. Callers hold ix.mu.
+// either way. Callers hold Multi.mu exclusively.
 //
 //planar:locked
 func (ix *Index) add(id uint32, v []float64) {
@@ -174,20 +177,25 @@ func (ix *Index) add(id uint32, v []float64) {
 }
 
 // remove unindexes a point given the φ vector it was indexed under.
-// Callers hold ix.mu.
+// Callers hold Multi.mu exclusively.
+//
+//planar:locked
 func (ix *Index) remove(id uint32, old []float64) {
 	ix.tree.Delete(ix.key(old), id)
 }
 
 // update re-keys a point whose φ vector changed from old to new.
-// Callers hold ix.mu. Per Section 4.4 this costs O(d' log n).
+// Callers hold Multi.mu exclusively. Per Section 4.4 this costs
+// O(d' log n).
+//
+//planar:locked
 func (ix *Index) update(id uint32, old, new []float64) {
 	ix.tree.Delete(ix.key(old), id)
 	ix.add(id, new)
 }
 
 // info returns the planner's view of this index. The slices are
-// shared, not copied; callers hold ix.mu for the lifetime of the
+// shared, not copied; callers hold Multi.mu for the lifetime of the
 // returned value.
 //
 //planar:locked

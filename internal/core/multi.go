@@ -139,12 +139,11 @@ func (m *Multi) Index(i int) *Index {
 	return m.indexes[i]
 }
 
-// sourceLease is one query's pipeline view of a Multi plus the set of
-// per-index read locks it holds. Leases are pooled: a steady-state
-// query reuses the previous query's slices and allocates nothing.
+// sourceLease is one query's pipeline view of a Multi. Leases are
+// pooled: a steady-state query reuses the previous query's slices and
+// allocates nothing.
 type sourceLease struct {
-	src     exec.Source
-	indexes []*Index // read-locked until Release
+	src exec.Source
 	// ids is the sink of an id-collecting query. It lives here so that
 	// handing it to the pipeline allocates nothing; the buffer it
 	// fills is the caller's and leaves with the answer.
@@ -153,28 +152,19 @@ type sourceLease struct {
 
 var leasePool = sync.Pool{New: func() any { return new(sourceLease) }}
 
-// Release unlocks every index the lease pinned and recycles it. Must
-// be called exactly once, after the pipeline finishes.
-func (l *sourceLease) Release() {
-	for _, ix := range l.indexes {
-		ix.mu.RUnlock()
-	}
-	leasePool.Put(l)
-}
+// Release recycles the lease. Must be called exactly once, after the
+// pipeline finishes.
+func (l *sourceLease) Release() { leasePool.Put(l) }
 
 // sourceLocked snapshots the pipeline's view of the Multi: every
 // index's geometry plus the point access paths. Callers hold m.mu
-// (read), which already excludes every mutation of the store and the
-// trees; the per-index read locks it takes exclude the one write
-// that runs under m.mu's read side, Index.adopt's one-time swap of a
-// checkpointed index's RAM tree for its paged twin. The returned lease
-// must be Released once the pipeline finishes.
+// (read) until the lease is Released; it guards the store and every
+// index field, trees included, so the snapshot stays valid while the
+// pipeline runs.
 func (m *Multi) sourceLocked() *sourceLease {
 	l := leasePool.Get().(*sourceLease)
-	l.indexes = append(l.indexes[:0], m.indexes...)
 	infos := l.src.Indexes[:0]
-	for _, ix := range l.indexes {
-		ix.mu.RLock()
+	for _, ix := range m.indexes {
 		infos = append(infos, ix.info())
 	}
 	rows, live := m.store.RawRows()
@@ -203,7 +193,7 @@ func (m *Multi) AddNormal(normal []float64, signs vecmath.SignPattern) (bool, er
 			return false, nil
 		}
 	}
-	ix, err := newIndex(m.store, normal, signs)
+	ix, err := newIndex(m, normal, signs)
 	if err != nil {
 		return false, err
 	}
@@ -275,7 +265,7 @@ func (m *Multi) AddNormals(specs []NormalSpec) (int, error) {
 				if i >= len(jobs) {
 					return
 				}
-				ix, err := newIndex(m.store, jobs[i].spec.Normal, jobs[i].spec.Signs)
+				ix, err := newIndex(m, jobs[i].spec.Normal, jobs[i].spec.Signs)
 				if err != nil {
 					errs[i] = fmt.Errorf("core: index %d: %w", jobs[i].pos, err)
 					continue
@@ -492,9 +482,7 @@ func (m *Multi) Append(v []float64) (uint32, error) {
 		return 0, err
 	}
 	for _, ix := range m.indexes {
-		ix.mu.Lock()
 		ix.add(id, m.store.Vector(id))
-		ix.mu.Unlock()
 	}
 	return id, nil
 }
@@ -513,9 +501,7 @@ func (m *Multi) Update(id uint32, v []float64) error {
 	}
 	cur := m.store.Vector(id)
 	for _, ix := range m.indexes {
-		ix.mu.Lock()
 		ix.update(id, m.old, cur)
-		ix.mu.Unlock()
 	}
 	return nil
 }
@@ -529,9 +515,7 @@ func (m *Multi) Remove(id uint32) error {
 	}
 	old := m.store.Vector(id) // the row stays as it is until store.Remove below
 	for _, ix := range m.indexes {
-		ix.mu.Lock()
 		ix.remove(id, old)
-		ix.mu.Unlock()
 	}
 	return m.store.Remove(id)
 }
@@ -543,7 +527,7 @@ func (m *Multi) MemoryBytes() int {
 	defer m.mu.RUnlock()
 	total := m.store.MemoryBytes()
 	for _, ix := range m.indexes {
-		total += ix.MemoryBytes()
+		total += ix.memoryBytes()
 	}
 	return total
 }

@@ -49,17 +49,17 @@ type IndexPersist struct {
 	DeltaPages int
 }
 
-// newPrebuiltIndex validates a PrebuiltIndex against store and wires
-// it up without rebuilding its tree.
-func newPrebuiltIndex(store *PointStore, p PrebuiltIndex) (*Index, error) {
+// newPrebuiltIndex validates a PrebuiltIndex against m's store and
+// wires it up without rebuilding its tree.
+func newPrebuiltIndex(m *Multi, p PrebuiltIndex) (*Index, error) {
 	if p.Tree == nil {
 		return nil, errors.New("core: prebuilt index has nil tree")
 	}
-	ix, err := newIndexFrame(store, p.Normal, p.Signs)
+	ix, err := newIndexFrame(m, p.Normal, p.Signs)
 	if err != nil {
 		return nil, err
 	}
-	if err := vecmath.CheckDim("index delta", p.Delta, store.Dim()); err != nil {
+	if err := vecmath.CheckDim("index delta", p.Delta, m.store.Dim()); err != nil {
 		return nil, err
 	}
 	if !vecmath.AllFinite(p.Delta) {
@@ -95,7 +95,7 @@ func (m *Multi) AttachPrebuilt(ps []PrebuiltIndex) error {
 	defer m.mu.Unlock()
 	built := make([]*Index, len(ps))
 	for i, p := range ps {
-		ix, err := newPrebuiltIndex(m.store, p)
+		ix, err := newPrebuiltIndex(m, p)
 		if err != nil {
 			return fmt.Errorf("core: prebuilt index %d: %w", i, err)
 		}
@@ -108,27 +108,24 @@ func (m *Multi) AttachPrebuilt(ps []PrebuiltIndex) error {
 // Tree exposes the index's underlying key tree for inspection (e.g.
 // checking paged mode after a checkpoint). Callers must not mutate it.
 func (ix *Index) Tree() *btree.Tree {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
+	ix.owner.mu.RLock()
+	defer ix.owner.mu.RUnlock()
 	return ix.tree
 }
 
 // persist checkpoints one index's tree into file: a RAM tree is
 // adopted first, then the paged tree flushes the dirty pages its
-// copy-on-write already relocated.
+// copy-on-write already relocated. Callers hold Multi.mu exclusively.
+//
+//planar:locked
 func (ix *Index) persist(file *pager.File, cache *pager.Cache) (IndexPersist, error) {
-	ix.mu.RLock()
-	paged := ix.tree.Paged()
-	ix.mu.RUnlock()
 	written := 0
-	if !paged {
+	if !ix.tree.Paged() {
 		var err error
 		if written, err = ix.adopt(file, cache); err != nil {
 			return IndexPersist{}, err
 		}
 	}
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
 	meta, delta, err := ix.tree.FlushPaged()
 	if err != nil {
 		return IndexPersist{}, err
@@ -146,11 +143,11 @@ func (ix *Index) persist(file *pager.File, cache *pager.Cache) (IndexPersist, er
 // adopt writes the index's RAM tree into file and swaps in the tree
 // btree.OpenPaged opens over those pages, faulting through cache —
 // the constructor a restart uses. It returns the pages written. This
-// swap happens once per index, and it is the only step of a
-// checkpoint that takes ix.mu exclusively.
+// swap happens once per index, under Multi.mu held exclusively like
+// every other write of the tree.
+//
+//planar:locked
 func (ix *Index) adopt(file *pager.File, cache *pager.Cache) (int, error) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
 	meta, err := ix.tree.WritePaged(file)
 	if err != nil {
 		return 0, err
@@ -165,20 +162,19 @@ func (ix *Index) adopt(file *pager.File, cache *pager.Cache) (int, error) {
 
 // WritebackIndexes is the background writer's flush callback target:
 // it walks the indexes shadow-writing dirty tree pages until max
-// pages are written or every index is clean. It holds Multi.mu and
-// Index.mu only to collect the paged trees, and writes with both
-// released, so a mutation never waits on its pwrites; each tree
-// serializes with its own operations and checkpoint flush
-// (Tree.WritebackPaged), and the pages being written are invisible
-// to the durable superblock until the next commit. A paged tree stays
-// its index's tree until the store closes, so the collected trees
-// remain live.
+// pages are written or every index is clean. It holds Multi.mu only
+// to collect the paged trees, and writes with it released, so a
+// mutation never waits on its pwrites; each tree serializes with its
+// own operations and checkpoint flush (Tree.WritebackPaged), and the
+// pages being written are invisible to the durable superblock until
+// the next commit. A paged tree stays its index's tree until the
+// store closes, so the collected trees remain live.
 func (m *Multi) WritebackIndexes(max int) (int, error) {
 	m.mu.RLock()
 	trees := make([]*btree.Tree, 0, len(m.indexes))
 	for _, ix := range m.indexes {
-		if t := ix.Tree(); t.Paged() {
-			trees = append(trees, t)
+		if ix.tree.Paged() {
+			trees = append(trees, ix.tree)
 		}
 	}
 	m.mu.RUnlock()
@@ -198,14 +194,15 @@ func (m *Multi) WritebackIndexes(max int) (int, error) {
 
 // CheckpointIndexes flushes every index's tree into file, adopting
 // RAM trees onto their pages (faulting through cache) on the way, and
-// returns the persistent spec list in index order. Pages written here
-// are durable only after the caller's pager.Commit; on error the
-// durable state is untouched (pages allocated by a failed pass leak
-// in memory until the next reopen, never on disk). The caller must
-// exclude concurrent mutations of the Multi for the duration.
+// returns the persistent spec list in index order. It holds Multi.mu
+// exclusively throughout, so queries, mutations and the background
+// writer's tree collection wait for it. Pages written here are durable
+// only after the caller's pager.Commit; on error the durable state is
+// untouched (pages allocated by a failed pass leak in memory until the
+// next reopen, never on disk).
 func (m *Multi) CheckpointIndexes(file *pager.File, cache *pager.Cache) ([]IndexPersist, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	out := make([]IndexPersist, len(m.indexes))
 	for i, ix := range m.indexes {
 		p, err := ix.persist(file, cache)

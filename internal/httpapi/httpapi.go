@@ -312,6 +312,10 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request, db *se
 		fail(w, http.StatusBadRequest, errors.New("batch requires at least one threshold in \"bs\""))
 		return
 	}
+	if len(req.Bs) > maxBatchThresholds {
+		fail(w, http.StatusBadRequest, fmt.Errorf("batch has %d thresholds in \"bs\", at most %d are allowed", len(req.Bs), maxBatchThresholds))
+		return
+	}
 	ids, sts, err := db.QueryBatch(req.A, op, req.Bs)
 	if err != nil {
 		fail(w, http.StatusBadRequest, err)

@@ -170,6 +170,38 @@ func TestErrorPaths(t *testing.T) {
 		map[string]interface{}{"a": []float64{1, 1}, "b": 1, "bogus": 1}, http.StatusBadRequest)
 }
 
+// TestBatchThresholdCap serves a batch of maxBatchThresholds
+// thresholds, rejects one more with a 400 that leaves the store
+// untouched, and serves the route again afterwards.
+func TestBatchThresholdCap(t *testing.T) {
+	ts, db := testServer(t)
+	for i := 0; i < 3; i++ {
+		call(t, ts, "POST", "/v1/points", map[string]any{"vec": []float64{float64(i), 1}}, http.StatusOK)
+	}
+	batch := func(n int) map[string]any {
+		bs := make([]float64, n)
+		for i := range bs {
+			bs[i] = float64(i)
+		}
+		return map[string]any{"a": []float64{1, 1}, "bs": bs, "op": "<="}
+	}
+	out := call(t, ts, "POST", "/v1/query/batch", batch(maxBatchThresholds), http.StatusOK)
+	if got := len(out["queries"].([]any)); got != maxBatchThresholds {
+		t.Fatalf("a batch of %d thresholds got %d answers", maxBatchThresholds, got)
+	}
+	out = call(t, ts, "POST", "/v1/query/batch", batch(maxBatchThresholds+1), http.StatusBadRequest)
+	if out["error"] == nil {
+		t.Fatalf("an over-cap batch got a 400 without an error body: %v", out)
+	}
+	if db.Len() != 3 {
+		t.Fatalf("after the rejected batch the store holds %d points, want 3", db.Len())
+	}
+	out = call(t, ts, "POST", "/v1/query/batch", batch(2), http.StatusOK)
+	if got := len(out["queries"].([]any)); got != 2 {
+		t.Fatalf("after the rejected batch a batch of 2 got %d answers", got)
+	}
+}
+
 // A zero coefficient vector has no top-k distance: the request is a
 // 400 on a store without indexes, exactly as it is once one exists,
 // never a 200 carrying null distances in arbitrary order.

@@ -36,6 +36,12 @@ import (
 // coordinates at full float precision.
 const maxBodyBytes = 1 << 20
 
+// maxBatchThresholds caps the thresholds of one /v1/query/batch
+// request. Each threshold materialises and encodes a full answer, so
+// the hundreds of thousands a body under maxBodyBytes can carry would
+// otherwise let one request exhaust the server's memory.
+const maxBatchThresholds = 1024
+
 // maxPooledBytes is the largest buffer a scratch keeps for the next
 // request, so one huge answer does not pin its buffers forever.
 const maxPooledBytes = 1 << 20

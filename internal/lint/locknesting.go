@@ -45,7 +45,6 @@ var lockRank = map[lockClass]int{
 	"planar/internal/service.DB.commitMu": 10, // commit barrier, outermost
 	"planar/internal/shard.partition.mu":  20, // per-shard store lock
 	"planar/internal/core.Multi.mu":       30, // index-collection lock
-	"planar/internal/core.Index.mu":       40, // per-index lock
 	"planar/internal/replog.Sequencer.mu": 60, // commit sequencer (journal-under-lock)
 	"planar/internal/btree.pagedArena.io": 70, // paged tree: writeback chunk, checkpoint flush
 	"planar/internal/btree.pagedArena.mu": 72, // paged tree: op bracket, writeback stage/complete
@@ -92,6 +91,10 @@ func init() {
 		"AttachPrebuilt", "Inequality", "InequalityIDs", "AppendInequalityIDs",
 		"InequalityBatch", "TopK", "Count", "SelectivityBounds", "Explain",
 		"NumIndexes", "MemoryBytes", "CheckpointIndexes", "WritebackIndexes")
+	// An index has no lock of its own: its accessors read-lock the
+	// Multi holding it.
+	add("planar/internal/core.Multi.mu", "planar/internal/core.Index",
+		"Shift", "Len", "MemoryBytes", "Tree")
 	// The paged tier (DESIGN.md §12). Tree methods are tagged with the
 	// outermost arena lock they take; a RAM tree takes none, which the
 	// table cannot see, so the check is conservative. File.ReadPage and

@@ -1,19 +1,22 @@
 // Fixture for the locknesting analyzer, type-checked as
 // planar/internal/replica so the local Replica type lands on the real
-// rank table's leaf (Replica.mu=90). The service, shard, replog, btree
-// and pager imports exercise the cross-package acquisition table,
-// which is how the partition lock (shard.partition.mu=20), the commit
-// barrier (service.DB.commitMu=10) and the paged tier's locks
-// (pagedArena.io=70 < pagedArena.mu=72 < cacheShard.mu=74, with
-// pager.File.mu=95 the leaf above everything) are reached from here. Legal ranked nesting
-// (partition → Multi → Index → sequencer) is what the
-// real tree does, and TestTreeClean holds it at zero findings.
+// rank table's leaf (Replica.mu=90). The service, shard, core, replog,
+// btree and pager imports exercise the cross-package acquisition
+// table, which is how the partition lock (shard.partition.mu=20), the
+// commit barrier (service.DB.commitMu=10), the index-collection lock
+// (core.Multi.mu=30, which an Index's accessors take, having no lock
+// of their own) and the paged tier's locks (pagedArena.io=70 <
+// pagedArena.mu=72 < cacheShard.mu=74, with pager.File.mu=95 the leaf
+// above everything) are reached from here. Legal ranked nesting
+// (partition → Multi → sequencer) is what the real tree does, and
+// TestTreeClean holds it at zero findings.
 package replica
 
 import (
 	"sync"
 
 	"planar/internal/btree"
+	"planar/internal/core"
 	"planar/internal/pager"
 	"planar/internal/replog"
 	"planar/internal/service"
@@ -121,4 +124,11 @@ func pagedTierUnderLeaf(r *Replica, tr *btree.Tree, c *pager.Cache, f *pager.Fil
 	c.Unpin(nil)                // want `pagedTierUnderLeaf calls Unpin which acquires planar/internal/pager.cacheShard.mu while holding planar/internal/replica.Replica.mu`
 	_ = f.NumPages()            // the page allocator is the leaf ranked above every other lock
 	_ = f.WritePage(2, 0, nil)  // page I/O is lock-free
+}
+
+func indexUnderLeaf(r *Replica, ix *core.Index) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	_ = ix.Len()             // want `indexUnderLeaf calls Len which acquires planar/internal/core.Multi.mu while holding planar/internal/replica.Replica.mu`
+	_ = ix.EffectiveNormal() // immutable geometry: takes no lock
 }
