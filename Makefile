@@ -69,14 +69,16 @@ race-pager:
 	$(GO) test -race -run 'TestPaged|TestWriteback|TestWiden' ./internal/btree ./internal/exec ./internal/core
 
 # A fast benchmark smoke: a handful of iterations of the pipeline and
-# planner benchmarks, of the reply's id writer against the strconv
-# loop it replaced, of paged-tree Inserts racing a writeback loop, of
-# an Append that widens the translation beside an in-range one, and of
+# planner benchmarks, of the engine's COUNT and top-k legs, of the
+# reply's id writer against the strconv loop it replaced, of
+# paged-tree Inserts racing a writeback loop, of an Append that
+# widens the translation beside an in-range one, and of
 # closed-loop writers acked through group commit (ack-p50-µs is one
 # fsync plus the batch ahead, not a batch-fill wait), just to prove
 # they still compile and run.
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkPlan$$|BenchmarkPipelineOverhead' -benchtime 10x .
+	$(GO) test -run xxx -bench 'BenchmarkExecHotPath' -benchtime 10x ./internal/exec
 	$(GO) test -run xxx -bench 'BenchmarkAppendIDs' -benchtime 10x ./internal/httpapi
 	$(GO) test -run xxx -bench 'BenchmarkWritebackConcurrentInsert' -benchtime 10x ./internal/btree
 	$(GO) test -run xxx -bench 'BenchmarkAppendOutsideTranslation' -benchtime 10x ./internal/core

@@ -755,18 +755,7 @@ func planOnlyFixture(b *testing.B, numIndexes int) (*exec.Source, exec.Query) {
 			Signs: vecmath.FirstOctant(dim),
 		}
 	}
-	src := &exec.Source{
-		N:       n,
-		Indexes: infos,
-		Vector:  func(id uint32) []float64 { return points[id] },
-		Each: func(fn func(id uint32, v []float64) bool) {
-			for id, v := range points {
-				if !fn(uint32(id), v) {
-					return
-				}
-			}
-		},
-	}
+	src := &exec.Source{N: n, Indexes: infos}
 	q := exec.Query{A: []float64{2, 5, 1, 3, 4, 2}, B: 9000}
 	return src, q
 }
@@ -821,17 +810,18 @@ func pipelineOverheadFixture(b *testing.B) (*exec.Source, []exec.Query, [][]floa
 		CS:    cs,
 		Signs: vecmath.FirstOctant(dim),
 	}
+	rows := make([]float64, 0, len(points)*dim)
+	live := make([]bool, len(points))
+	for id, v := range points {
+		rows = append(rows, v...)
+		live[id] = true
+	}
 	src := &exec.Source{
 		N:       len(points),
 		Indexes: []exec.IndexInfo{info},
-		Vector:  func(id uint32) []float64 { return points[id] },
-		Each: func(fn func(id uint32, v []float64) bool) {
-			for id, v := range points {
-				if !fn(uint32(id), v) {
-					return
-				}
-			}
-		},
+		Rows:    rows,
+		RowLive: live,
+		RowDim:  dim,
 	}
 	qs := make([]exec.Query, 32)
 	for i := range qs {
@@ -856,9 +846,11 @@ func BenchmarkPipelineOverhead(b *testing.B) {
 			matched := 0
 			tree := src.Indexes[0].Tree
 			tree.AscendLE(plan.Tmin, func(e btree.Entry) bool { matched++; return true })
-			tree.AscendRange(plan.Tmin, plan.Tmax, func(e btree.Entry) bool {
-				if q.Satisfies(points[e.ID]) {
-					matched++
+			tree.RangeChunks(plan.Tmin, plan.Tmax, func(_ []float64, ids []uint32) bool {
+				for _, id := range ids {
+					if q.Satisfies(points[id]) {
+						matched++
+					}
 				}
 				return true
 			})

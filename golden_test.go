@@ -5,8 +5,15 @@
 package planar
 
 import (
+	"cmp"
+	"fmt"
+	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"planar/internal/core"
@@ -128,32 +135,183 @@ func TestGoldenAllPathsAgree(t *testing.T) {
 	}
 }
 
-// TestGoldenTopK compares the indexed descending-SI top-k walk with
-// the scan fallback's exhaustive heap.
-func TestGoldenTopK(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	s := goldenStore(t, rng, 900, 3)
-	m := goldenMulti(t, s)
-	for trial := 0; trial < 20; trial++ {
-		q := core.Query{
-			A:  []float64{1 + rng.Float64()*3, 1 + rng.Float64()*3, 1 + rng.Float64()*3},
-			B:  50 + rng.Float64()*300,
-			Op: core.LE,
-		}
-		k := 1 + rng.Intn(12)
-		got, _, err := m.TopK(q, k)
+// topKCase is one top-k query of the golden suite, on the Multi m
+// over store s.
+type topKCase struct {
+	m *core.Multi
+	s *core.PointStore
+	q core.Query
+	k int
+}
+
+// goldenTopKCases builds one store per d ∈ {2, 3, 4, 6}, each indexed
+// in the first octant twice and in a mixed-sign octant once. Points
+// appended after the build lie outside every index's translation, so
+// each index's δ has widened (Shift ≠ 0), and some points are then
+// removed. The 24 queries per store are LE and GE, each near one
+// index's normal (a GE query near its negation) or, one in eight, in
+// no index's octant — which the scan answers — with B near a random
+// point's scalar product and k from 1 to 16.
+func goldenTopKCases(t *testing.T) []topKCase {
+	t.Helper()
+	rng := rand.New(rand.NewSource(35))
+	var cases []topKCase
+	for _, d := range []int{2, 3, 4, 6} {
+		s, err := core.NewPointStore(d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := scan.TopK(s, q, k)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: topk sizes %d vs %d", trial, len(got), len(want))
+		m, err := core.NewMulti(s)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := range got {
-			if got[i].ID != want[i].ID {
-				t.Fatalf("trial %d: topk[%d] id %d vs scan %d (dist %.9g vs %.9g)",
-					trial, i, got[i].ID, want[i].ID, got[i].Distance, want[i].Distance)
+		v := make([]float64, d)
+		for i := 0; i < 800; i++ {
+			for j := range v {
+				v[j] = rng.Float64()*100 - 5
 			}
+			if _, err := m.Append(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mixed := make(vecmath.SignPattern, d)
+		for j := range mixed {
+			mixed[j] = int8(1 - 2*(j%2))
+		}
+		var effective [][]float64 // each index's c_i·s_i
+		for _, signs := range []vecmath.SignPattern{vecmath.FirstOctant(d), vecmath.FirstOctant(d), mixed} {
+			normal := make([]float64, d)
+			for j := range normal {
+				normal[j] = 0.5 + rng.Float64()*3
+			}
+			if _, err := m.AddNormal(normal, signs); err != nil {
+				t.Fatal(err)
+			}
+			effective = append(effective, m.Index(m.NumIndexes()-1).EffectiveNormal())
+		}
+		for i := 0; i < 40; i++ {
+			for j := range v {
+				v[j] = rng.Float64()*110 - 12
+			}
+			if _, err := m.Append(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 120; i++ {
+			_ = m.Remove(uint32(rng.Intn(840))) // a repeat fails; that is fine
+		}
+		for i := 0; i < m.NumIndexes(); i++ {
+			if m.Index(i).Shift() == 0 {
+				t.Fatalf("d=%d: index %d's translation did not widen", d, i)
+			}
+		}
+
+		var live []uint32
+		s.Each(func(id uint32, _ []float64) bool { live = append(live, id); return true })
+		for trial := 0; trial < 24; trial++ {
+			op, sign := core.LE, 1.0
+			if trial%2 == 1 {
+				op, sign = core.GE, -1
+			}
+			near := effective[rng.Intn(len(effective))]
+			scanned := rng.Intn(8) == 0
+			a := make([]float64, d)
+			for j := range a {
+				a[j] = sign * near[j] * (0.85 + 0.3*rng.Float64())
+			}
+			if scanned {
+				a[0] = -a[0]
+			}
+			b := vecmath.Dot(a, s.Vector(live[rng.Intn(len(live))])) + (rng.Float64()-0.5)*float64(d)*10
+			cases = append(cases, topKCase{m: m, s: s, q: core.Query{A: a, B: b, Op: op}, k: 1 + rng.Intn(16)})
+		}
+	}
+	return cases
+}
+
+// bruteTopK answers c by brute force over the store's live points:
+// every point satisfying the query, sorted by (distance, id), the
+// first k kept.
+func bruteTopK(c topKCase) []core.Result {
+	nq := c.q.LE()
+	var all []core.Result
+	c.s.Each(func(id uint32, v []float64) bool {
+		if c.q.Satisfies(v) {
+			all = append(all, core.Result{ID: id, Distance: nq.Distance(v)})
+		}
+		return true
+	})
+	slices.SortFunc(all, func(x, y core.Result) int {
+		if c := cmp.Compare(x.Distance, y.Distance); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.ID, y.ID)
+	})
+	return all[:min(c.k, len(all))]
+}
+
+// TestGoldenTopK checks the indexed top-k walk and the scan baseline
+// against brute force, ids and distances exactly, on mixed-sign
+// octants, GE queries and widened translations.
+func TestGoldenTopK(t *testing.T) {
+	indexed := 0
+	for i, c := range goldenTopKCases(t) {
+		want := bruteTopK(c)
+		got, st, err := c.m.TopK(c.q, c.k)
+		if err != nil {
+			t.Fatalf("case %d: %v", i, err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("case %d (%+v, k=%d): top-k %v, brute force %v", i, c.q, c.k, got, want)
+		}
+		if sc := scan.TopK(c.s, c.q, c.k); !slices.Equal(sc, want) {
+			t.Fatalf("case %d: scan top-k %v, brute force %v", i, sc, want)
+		}
+		if st.IndexUsed >= 0 {
+			indexed++
+		}
+	}
+	if indexed < 60 {
+		t.Fatalf("only %d cases ran on an index", indexed)
+	}
+}
+
+// goldenTopKLine formats one case's answer and Stats as a line of the
+// pinned fixture: the interval counters, then id:distance-bits pairs.
+func goldenTopKLine(i int, got []core.Result, st core.Stats) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%d acc=%d ver=%d rej=%d mat=%d idx=%d", i,
+		st.Accepted, st.Verified, st.Rejected, st.Matched, st.IndexUsed)
+	for _, r := range got {
+		fmt.Fprintf(&b, " %d:%016x", r.ID, math.Float64bits(r.Distance))
+	}
+	return b.String()
+}
+
+// TestGoldenTopKPinned pins every top-k answer and its Stats —
+// Accepted is Claim 3's k1, the smaller-interval entries examined
+// before the cut-off — to testdata/golden_topk.txt. The fixture was
+// written by formatting goldenTopKCases' answers with goldenTopKLine,
+// one line per case, at commit 3e06925, the last whose top-k walked
+// the tree entry by entry (DescendLE) and verified through per-point
+// vector lookups; the leaf-chunk walk must not move a bit of it.
+func TestGoldenTopKPinned(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "golden_topk.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+	cases := goldenTopKCases(t)
+	if len(want) != len(cases) {
+		t.Fatalf("fixture has %d lines for %d cases", len(want), len(cases))
+	}
+	for i, c := range cases {
+		got, st, err := c.m.TopK(c.q, c.k)
+		if err != nil {
+			t.Fatalf("case %d: %v", i, err)
+		}
+		if line := goldenTopKLine(i, got, st); line != want[i] {
+			t.Fatalf("case %d:\n got %s\nwant %s", i, line, want[i])
 		}
 	}
 }

@@ -828,28 +828,6 @@ func (t *Tree) seekGT(key float64, id uint32) (int32, int) {
 	return s, i
 }
 
-// seekLE returns the leaf slot and index of the last entry less than
-// or equal to (key, id), or (nilSlot, 0) if no such entry exists.
-func (t *Tree) seekLE(key float64, id uint32) (int32, int) {
-	if t.height == 0 {
-		return nilSlot, 0
-	}
-	s := t.root
-	for d := 0; d < t.height-1; d++ {
-		s = t.kidv(s)[t.childIndex(s, key, id)]
-	}
-	n := int(t.lnum[s])
-	lk, li := t.lkeys(s), t.lids(s)
-	i := sort.Search(n, func(i int) bool { return less(key, id, lk[i], li[i]) })
-	if i == 0 {
-		if p := t.lprev[s]; p != nilSlot {
-			return p, int(t.lnum[p]) - 1
-		}
-		return nilSlot, 0
-	}
-	return s, i - 1
-}
-
 // AscendLE calls fn for every entry with Key <= maxKey in ascending
 // order until fn returns false.
 func (t *Tree) AscendLE(maxKey float64, fn func(Entry) bool) {
@@ -869,57 +847,6 @@ func (t *Tree) AscendLE(maxKey float64, fn func(Entry) bool) {
 		}
 		t.releaseLeaf(s)
 		s = t.lnext[s]
-	}
-}
-
-// AscendRange calls fn for every entry with loKeyExcl < Key <=
-// hiKeyIncl in ascending order until fn returns false. This is the
-// intermediate-interval scan.
-func (t *Tree) AscendRange(loKeyExcl, hiKeyIncl float64, fn func(Entry) bool) {
-	if t.beginOp(false) {
-		defer t.pg.end()
-	}
-	if loKeyExcl > hiKeyIncl {
-		return
-	}
-	s, i := t.seekGT(loKeyExcl, ^uint32(0))
-	for s != nilSlot {
-		n := int(t.lnum[s])
-		lk, li := t.lkeys(s), t.lids(s)
-		for ; i < n; i++ {
-			if lk[i] > hiKeyIncl {
-				return
-			}
-			if !fn(Entry{Key: lk[i], ID: li[i]}) {
-				return
-			}
-		}
-		t.releaseLeaf(s)
-		s = t.lnext[s]
-		i = 0
-	}
-}
-
-// DescendLE calls fn for every entry with Key <= maxKey in
-// descending order until fn returns false. This drives the top-k
-// walk over the smaller interval (Algorithm 2, lines 8-14).
-func (t *Tree) DescendLE(maxKey float64, fn func(Entry) bool) {
-	if t.beginOp(false) {
-		defer t.pg.end()
-	}
-	s, i := t.seekLE(maxKey, ^uint32(0))
-	for s != nilSlot {
-		lk, li := t.lkeys(s), t.lids(s)
-		for ; i >= 0; i-- {
-			if !fn(Entry{Key: lk[i], ID: li[i]}) {
-				return
-			}
-		}
-		t.releaseLeaf(s)
-		s = t.lprev[s]
-		if s != nilSlot {
-			i = int(t.lnum[s]) - 1
-		}
 	}
 }
 
@@ -968,6 +895,33 @@ func (t *Tree) RankChunks(lo, hi int, fn func(ids []uint32) bool) {
 		t.releaseLeaf(s)
 		s = t.lnext[s]
 		i = 0
+	}
+}
+
+// DescendChunks calls fn with contiguous key/id chunks covering
+// exactly the entries at positions [0, hi) of the key order (hi is
+// clamped to Len), from the top down, until fn returns false: the
+// first chunk ends at position hi-1, and each next one is the whole
+// leaf before. Within a chunk the entries are in ascending order, so
+// a descending walk reads it back to front. Like RankChunks, the
+// slices alias the arena, are valid only until fn returns, and stay
+// within one leaf.
+func (t *Tree) DescendChunks(hi int, fn func(keys []float64, ids []uint32) bool) {
+	if t.beginOp(false) {
+		defer t.pg.end()
+	}
+	if hi = min(hi, t.size); hi <= 0 {
+		return
+	}
+	s, i := t.seekRank(hi - 1)
+	for n := i + 1; ; n = int(t.lnum[s]) {
+		if !fn(t.lkeys(s)[:n:n], t.lids(s)[:n:n]) {
+			return
+		}
+		t.releaseLeaf(s)
+		if s = t.lprev[s]; s == nilSlot {
+			return
+		}
 	}
 }
 

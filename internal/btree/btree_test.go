@@ -14,6 +14,36 @@ func collect(t *Tree) []Entry {
 	return out
 }
 
+// ascendRange collects the entries with lo < Key <= hi in ascending
+// order through RangeChunks.
+func ascendRange(t *Tree, lo, hi float64) []Entry {
+	var out []Entry
+	t.RangeChunks(lo, hi, func(keys []float64, ids []uint32) bool {
+		for i := range keys {
+			out = append(out, Entry{Key: keys[i], ID: ids[i]})
+		}
+		return true
+	})
+	return out
+}
+
+// descendLE collects the entries with Key <= hi in descending order
+// through RankLE and DescendChunks, stopping after limit entries when
+// limit > 0.
+func descendLE(t *Tree, hi float64, limit int) []Entry {
+	var out []Entry
+	t.DescendChunks(t.RankLE(hi), func(keys []float64, ids []uint32) bool {
+		for i := len(keys) - 1; i >= 0; i-- {
+			out = append(out, Entry{Key: keys[i], ID: ids[i]})
+			if len(out) == limit {
+				return false
+			}
+		}
+		return true
+	})
+	return out
+}
+
 func mustValidate(t *testing.T, tr *Tree) {
 	t.Helper()
 	if err := tr.Validate(); err != nil {
@@ -41,7 +71,7 @@ func TestEmptyTree(t *testing.T) {
 	}
 	tr.AscendLE(10, func(Entry) bool { t.Fatal("AscendLE visited entry"); return false })
 	tr.RankChunks(0, 10, func([]uint32) bool { t.Fatal("RankChunks visited a chunk"); return false })
-	tr.DescendLE(10, func(Entry) bool { t.Fatal("DescendLE visited entry"); return false })
+	tr.DescendChunks(10, func([]float64, []uint32) bool { t.Fatal("DescendChunks visited a chunk"); return false })
 }
 
 func TestInsertLookupSmall(t *testing.T) {
@@ -196,22 +226,6 @@ func TestRangeScans(t *testing.T) {
 		tr.AscendLE(maxKey, func(e Entry) bool { out = append(out, e); return true })
 		return out
 	}
-	scanRange := func(lo, hi float64) []Entry {
-		var out []Entry
-		tr.AscendRange(lo, hi, func(e Entry) bool { out = append(out, e); return true })
-		return out
-	}
-	scanGT := func(lo float64) []Entry {
-		var out []Entry
-		tr.AscendRange(lo, math.Inf(1), func(e Entry) bool { out = append(out, e); return true })
-		return out
-	}
-	descLE := func(maxKey float64) []Entry {
-		var out []Entry
-		tr.DescendLE(maxKey, func(e Entry) bool { out = append(out, e); return true })
-		return out
-	}
-
 	for _, bound := range []float64{-1, 0, 0.5, 10, 50.5, 99, 200} {
 		var wantLE, wantGT []Entry
 		for _, e := range sorted {
@@ -230,17 +244,17 @@ func TestRangeScans(t *testing.T) {
 				t.Fatalf("AscendLE(%v) mismatch at %d", bound, i)
 			}
 		}
-		gotGT := scanGT(bound)
+		gotGT := ascendRange(tr, bound, math.Inf(1))
 		if len(gotGT) != len(wantGT) {
 			t.Fatalf("AscendGT(%v): %d entries want %d", bound, len(gotGT), len(wantGT))
 		}
-		gotD := descLE(bound)
+		gotD := descendLE(tr, bound, 0)
 		if len(gotD) != len(wantLE) {
-			t.Fatalf("DescendLE(%v): %d want %d", bound, len(gotD), len(wantLE))
+			t.Fatalf("descendLE(%v): %d want %d", bound, len(gotD), len(wantLE))
 		}
 		for i := range gotD {
 			if gotD[i] != wantLE[len(wantLE)-1-i] {
-				t.Fatalf("DescendLE(%v) order mismatch at %d", bound, i)
+				t.Fatalf("descendLE(%v) order mismatch at %d", bound, i)
 			}
 		}
 	}
@@ -252,13 +266,13 @@ func TestRangeScans(t *testing.T) {
 				want = append(want, e)
 			}
 		}
-		got := scanRange(r[0], r[1])
+		got := ascendRange(tr, r[0], r[1])
 		if len(got) != len(want) {
-			t.Fatalf("AscendRange(%v,%v): %d want %d", r[0], r[1], len(got), len(want))
+			t.Fatalf("ascendRange(%v,%v): %d want %d", r[0], r[1], len(got), len(want))
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("AscendRange(%v,%v) mismatch at %d", r[0], r[1], i)
+				t.Fatalf("ascendRange(%v,%v) mismatch at %d", r[0], r[1], i)
 			}
 		}
 	}
@@ -272,14 +286,14 @@ func TestScanEarlyStop(t *testing.T) {
 		t.Fatalf("AscendLE visited %d want 2", count)
 	}
 	count = 0
-	tr.DescendLE(10, func(Entry) bool { count++; return false })
-	if count != 1 {
-		t.Fatalf("DescendLE visited %d want 1", count)
+	tr.DescendChunks(4, func(keys []float64, _ []uint32) bool { count += len(keys); return false })
+	if count != 4 {
+		t.Fatalf("DescendChunks handed %d entries before stopping, want one chunk of 4", count)
 	}
 	count = 0
-	tr.AscendRange(0, 10, func(Entry) bool { count++; return false })
+	tr.RangeChunks(0, 10, func(keys []float64, _ []uint32) bool { count++; return false })
 	if count != 1 {
-		t.Fatalf("AscendRange visited %d want 1", count)
+		t.Fatalf("RangeChunks called fn %d times want 1", count)
 	}
 	count = 0
 	tr.AscendLE(10, func(Entry) bool { count++; return false })
@@ -290,22 +304,18 @@ func TestScanEarlyStop(t *testing.T) {
 
 func TestRangeBoundaryWithMaxID(t *testing.T) {
 	// An entry whose ID is MaxUint32 sits exactly on the seek
-	// boundary used by AscendRange; it must still be excluded from
+	// boundary used by RangeChunks; it must still be excluded from
 	// the exclusive lower bound and included under an inclusive
 	// upper bound.
 	tr := New()
 	tr.Insert(5, ^uint32(0))
 	tr.Insert(5, 1)
 	tr.Insert(6, 2)
-	var got []Entry
-	tr.AscendRange(5, 6, func(e Entry) bool { got = append(got, e); return true })
-	if len(got) != 1 || got[0] != (Entry{6, 2}) {
-		t.Fatalf("AscendRange(5,6]=%v", got)
+	if got := ascendRange(tr, 5, 6); len(got) != 1 || got[0] != (Entry{6, 2}) {
+		t.Fatalf("RangeChunks(5,6]=%v", got)
 	}
-	got = nil
-	tr.AscendRange(4, 5, func(e Entry) bool { got = append(got, e); return true })
-	if len(got) != 2 {
-		t.Fatalf("AscendRange(4,5]=%v", got)
+	if got := ascendRange(tr, 4, 5); len(got) != 2 {
+		t.Fatalf("RangeChunks(4,5]=%v", got)
 	}
 }
 
@@ -374,8 +384,7 @@ func TestQuickInsertScan(t *testing.T) {
 				want = append(want, e)
 			}
 		}
-		var got []Entry
-		tr.AscendRange(lo, hi, func(e Entry) bool { got = append(got, e); return true })
+		got := ascendRange(tr, lo, hi)
 		if len(got) != len(want) {
 			return false
 		}
@@ -514,7 +523,7 @@ func BenchmarkRangeScan(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		count := 0
-		tr.AscendRange(25000, 75000, func(Entry) bool { count++; return true })
+		tr.RangeChunks(25000, 75000, func(keys []float64, _ []uint32) bool { count += len(keys); return true })
 		if count != 50000 {
 			b.Fatalf("count=%d", count)
 		}

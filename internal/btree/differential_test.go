@@ -59,8 +59,8 @@ func compareTrees(t *testing.T, arena *Tree, ref *reftree.Tree, rng *rand.Rand) 
 		if g, w := arena.RankLE(hi), ref.RankLE(hi); g != w {
 			t.Fatalf("RankLE(%v): arena %d, ref %d", hi, g, w)
 		}
-		var ga, wa []Entry
-		arena.DescendLE(hi, func(e Entry) bool { ga = append(ga, e); return len(ga) < 300 })
+		var wa []Entry
+		ga := descendLE(arena, hi, 300)
 		ref.DescendLE(hi, func(e reftree.Entry) bool {
 			wa = append(wa, Entry{Key: e.Key, ID: e.ID})
 			return len(wa) < 300
@@ -77,8 +77,7 @@ func compareTrees(t *testing.T, arena *Tree, ref *reftree.Tree, rng *rand.Rand) 
 			if g, w := arena.CountRange(lo, hi), ref.CountRange(lo, hi); g != w {
 				t.Fatalf("CountRange(%v,%v): arena %d, ref %d", lo, hi, g, w)
 			}
-			ga, wa = ga[:0], wa[:0]
-			arena.AscendRange(lo, hi, func(e Entry) bool { ga = append(ga, e); return true })
+			ga, wa = ascendRange(arena, lo, hi), wa[:0]
 			ref.AscendRange(lo, hi, func(e reftree.Entry) bool {
 				wa = append(wa, Entry{Key: e.Key, ID: e.ID})
 				return true
@@ -178,9 +177,10 @@ func TestDifferentialBulkLoad(t *testing.T) {
 	}
 }
 
-// TestChunkViewsMatchEntryWalks pins the new contiguous-view APIs
-// (Leaves, RangeChunks, CollectRange) to the entry-at-a-time walks:
-// same entries, same order, chunks bounded by LeafCap.
+// TestChunkViewsMatchEntryWalks pins the contiguous-view APIs
+// (RankChunks, DescendChunks, RangeChunks, CollectRange) to the
+// entry-at-a-time AscendLE walk: same entries, same order, chunks
+// bounded by LeafCap.
 func TestChunkViewsMatchEntryWalks(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	ents := make([]Entry, 5000)
@@ -229,6 +229,45 @@ func TestChunkViewsMatchEntryWalks(t *testing.T) {
 		}
 	}
 
+	// DescendChunks: every prefix of positions, the empty one and the
+	// out-of-range clamp included, comes back top down — each chunk
+	// ends where the one before began, the first at position hi-1 —
+	// and read back to front is that prefix reversed.
+	for trial := 0; trial < 80; trial++ {
+		hi := rng.Intn(len(walked)+40) - 20
+		switch trial {
+		case 0:
+			hi = len(walked)
+		case 1:
+			hi = len(walked) + 5
+		case 2:
+			hi = 1
+		}
+		want := walked[:min(max(hi, 0), len(walked))]
+		var got []Entry
+		tr.DescendChunks(hi, func(keys []float64, ids []uint32) bool {
+			if len(keys) == 0 || len(keys) > LeafCap || len(ids) != len(keys) || cap(keys) != len(keys) || cap(ids) != len(ids) {
+				t.Fatalf("DescendChunks chunk len %d/%d cap %d/%d, want 0 < len = cap <= %d",
+					len(keys), len(ids), cap(keys), cap(ids), LeafCap)
+			}
+			if end := len(want) - len(got) - 1; keys[len(keys)-1] != want[end].Key || ids[len(ids)-1] != want[end].ID {
+				t.Fatalf("DescendChunks(%d): chunk does not end at position %d", hi, end)
+			}
+			for i := len(keys) - 1; i >= 0; i-- {
+				got = append(got, Entry{Key: keys[i], ID: ids[i]})
+			}
+			return true
+		})
+		if len(got) != len(want) {
+			t.Fatalf("DescendChunks(%d): %d entries, want %d", hi, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[len(want)-1-i] {
+				t.Fatalf("DescendChunks(%d) mismatch at %d: %v vs %v", hi, i, got[i], want[len(want)-1-i])
+			}
+		}
+	}
+
 	for trial := 0; trial < 60; trial++ {
 		lo := rng.Float64()*140 - 10
 		hi := lo + rng.Float64()*60
@@ -236,7 +275,11 @@ func TestChunkViewsMatchEntryWalks(t *testing.T) {
 			hi = lo // empty or single-key range
 		}
 		var want []Entry
-		tr.AscendRange(lo, hi, func(e Entry) bool { want = append(want, e); return true })
+		for _, e := range walked {
+			if e.Key > lo && e.Key <= hi {
+				want = append(want, e)
+			}
+		}
 		var got []Entry
 		tr.RangeChunks(lo, hi, func(keys []float64, ids []uint32) bool {
 			if len(keys) == 0 || len(keys) > LeafCap {
@@ -248,7 +291,7 @@ func TestChunkViewsMatchEntryWalks(t *testing.T) {
 			return true
 		})
 		if len(got) != len(want) {
-			t.Fatalf("RangeChunks(%v,%v): %d entries, AscendRange %d", lo, hi, len(got), len(want))
+			t.Fatalf("RangeChunks(%v,%v): %d entries, want %d", lo, hi, len(got), len(want))
 		}
 		for i := range want {
 			if got[i] != want[i] {
@@ -271,6 +314,11 @@ func TestChunkViewsMatchEntryWalks(t *testing.T) {
 	tr.RankChunks(0, tr.Len(), func([]uint32) bool { calls++; return false })
 	if calls != 1 {
 		t.Fatalf("RankChunks early stop made %d calls", calls)
+	}
+	calls = 0
+	tr.DescendChunks(tr.Len(), func([]float64, []uint32) bool { calls++; return false })
+	if calls != 1 {
+		t.Fatalf("DescendChunks early stop made %d calls", calls)
 	}
 	calls = 0
 	tr.RangeChunks(math.Inf(-1), math.Inf(1), func([]float64, []uint32) bool { calls++; return false })

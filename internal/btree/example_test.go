@@ -6,9 +6,10 @@ import (
 	"planar/internal/btree"
 )
 
-// Example shows the three range primitives the planar index is built
-// on: the smaller interval (AscendLE), the intermediate interval
-// (AscendRange) and an O(log n) rank query.
+// Example shows the range primitives the planar index is built on: an
+// O(log n) rank query fixes where the smaller and intermediate
+// intervals end, and RankChunks hands out each interval's ids leaf by
+// leaf.
 func Example() {
 	entries := []btree.Entry{
 		{Key: 10, ID: 0}, {Key: 20, ID: 1}, {Key: 30, ID: 2},
@@ -16,18 +17,17 @@ func Example() {
 	}
 	tree := btree.BulkLoad(entries)
 
-	var smaller []uint32
-	tree.AscendLE(25, func(e btree.Entry) bool {
-		smaller = append(smaller, e.ID)
+	acc, end := tree.RankLE(25), tree.RankLE(45)
+	var smaller, middle []uint32
+	tree.RankChunks(0, acc, func(ids []uint32) bool {
+		smaller = append(smaller, ids...)
+		return true
+	})
+	tree.RankChunks(acc, end, func(ids []uint32) bool {
+		middle = append(middle, ids...)
 		return true
 	})
 	fmt.Println("smaller interval:", smaller)
-
-	var middle []uint32
-	tree.AscendRange(25, 45, func(e btree.Entry) bool {
-		middle = append(middle, e.ID)
-		return true
-	})
 	fmt.Println("intermediate interval:", middle)
 
 	fmt.Println("rank(35):", tree.RankLE(35))

@@ -105,14 +105,13 @@ func runFuzzOps(t *testing.T, data []byte) {
 				lo, hi = hi, lo
 			}
 			want := m.ascendRange(lo, hi)
-			var got []Entry
-			tr.AscendRange(lo, hi, func(e Entry) bool { got = append(got, e); return true })
+			got := ascendRange(tr, lo, hi)
 			if len(got) != len(want) {
-				t.Fatalf("AscendRange(%v,%v): tree %d entries, model %d", lo, hi, len(got), len(want))
+				t.Fatalf("RangeChunks(%v,%v): tree %d entries, model %d", lo, hi, len(got), len(want))
 			}
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("AscendRange(%v,%v) mismatch at %d: %v vs %v", lo, hi, i, got[i], want[i])
+					t.Fatalf("RangeChunks(%v,%v) mismatch at %d: %v vs %v", lo, hi, i, got[i], want[i])
 				}
 			}
 		}

@@ -76,12 +76,9 @@ func comparePagedRAM(t *testing.T, ram, paged *Tree, rng *rand.Rand, keyMax floa
 		if !reflect.DeepEqual(ram.CollectRange(lo, hi, nil), paged.CollectRange(lo, hi, nil)) {
 			t.Fatalf("CollectRange(%v,%v) diverges", lo, hi)
 		}
-		var rd, pd []Entry
-		stop := rng.Intn(50)
-		ram.DescendLE(hi, func(e Entry) bool { rd = append(rd, e); return len(rd) < stop })
-		paged.DescendLE(hi, func(e Entry) bool { pd = append(pd, e); return len(pd) < stop })
-		if !reflect.DeepEqual(rd, pd) {
-			t.Fatalf("DescendLE(%v) diverges", hi)
+		stop := 1 + rng.Intn(50)
+		if !reflect.DeepEqual(descendLE(ram, hi, stop), descendLE(paged, hi, stop)) {
+			t.Fatalf("DescendChunks below %v diverges", hi)
 		}
 	}
 	// Chunk APIs must hand out identical columns.
@@ -209,6 +206,9 @@ func TestPagedTinyCacheScans(t *testing.T) {
 	paged.RankChunks(0, paged.Len(), func(ids []uint32) bool { pids = append(pids, ids...); return true })
 	if !reflect.DeepEqual(rids, pids) {
 		t.Fatal("RankChunks over the whole tree diverges under a tiny cache")
+	}
+	if !reflect.DeepEqual(descendLE(ram, math.Inf(1), 0), descendLE(paged, math.Inf(1), 0)) {
+		t.Fatal("DescendChunks over the whole tree diverges under a tiny cache")
 	}
 	st := cache.Stats()
 	if st.Evictions == 0 {

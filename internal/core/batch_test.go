@@ -5,27 +5,7 @@ import (
 	"runtime/debug"
 	"sort"
 	"testing"
-
-	"planar/internal/exec"
 )
-
-// treeWalkIDs answers q through the same Multi's indexes but on a
-// row-less copy of its Source — the classic per-entry B-tree walk.
-func treeWalkIDs(t *testing.T, m *Multi, q Query) []uint32 {
-	t.Helper()
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	lease := m.sourceLocked()
-	defer lease.Release()
-	rowless := lease.src
-	rowless.Rows = nil
-	var sink exec.IDSink
-	if _, err := exec.Run(&rowless, q.LE(), &sink); err != nil {
-		t.Fatal(err)
-	}
-	sort.Slice(sink.IDs, func(i, j int) bool { return sink.IDs[i] < sink.IDs[j] })
-	return sink.IDs
-}
 
 func idsEqual(a, b []uint32) bool {
 	if len(a) != len(b) {
@@ -42,8 +22,7 @@ func idsEqual(a, b []uint32) bool {
 // TestGoldenBatchedIdentity is the end-to-end golden test of the
 // batched verification engine: a store with deleted-row holes, a
 // Multi with several indexes, and random LE/GE queries must produce
-// identical answers through the batched path, the row-less tree walk,
-// and brute force.
+// the brute-force answer.
 func TestGoldenBatchedIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for _, d := range []int{2, 3, 4} {
@@ -119,10 +98,6 @@ func TestGoldenBatchedIdentity(t *testing.T) {
 			want := bruteForce(store, q)
 			if !idsEqual(got, want) {
 				t.Fatalf("d=%d trial=%d: batched answer has %d ids, brute force %d", d, trial, len(got), len(want))
-			}
-			walk := treeWalkIDs(t, m, q)
-			if !idsEqual(walk, want) {
-				t.Fatalf("d=%d trial=%d: tree walk answer has %d ids, brute force %d", d, trial, len(walk), len(want))
 			}
 		}
 	}

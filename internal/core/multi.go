@@ -89,11 +89,6 @@ type Multi struct {
 	// old holds the vector an Update is overwriting until every index
 	// has dropped the key it was indexed under.
 	old []float64 // guarded by mu
-
-	// Store accessors bound once so building a lease allocates no
-	// closures.
-	vecFn  func(uint32) []float64
-	eachFn func(func(uint32, []float64) bool)
 }
 
 // MultiOption customises a Multi.
@@ -110,11 +105,9 @@ func NewMulti(store *PointStore, opts ...MultiOption) (*Multi, error) {
 		return nil, errors.New("core: nil point store")
 	}
 	m := &Multi{
-		store:  store,
-		sel:    SelectVolume,
-		old:    make([]float64, store.Dim()),
-		vecFn:  store.Vector,
-		eachFn: store.Each,
+		store: store,
+		sel:   SelectVolume,
+		old:   make([]float64, store.Dim()),
 	}
 	for _, o := range opts {
 		o(m)
@@ -157,7 +150,7 @@ var leasePool = sync.Pool{New: func() any { return new(sourceLease) }}
 func (l *sourceLease) Release() { leasePool.Put(l) }
 
 // sourceLocked snapshots the pipeline's view of the Multi: every
-// index's geometry plus the point access paths. Callers hold m.mu
+// index's geometry plus the store's raw rows. Callers hold m.mu
 // (read) until the lease is Released; it guards the store and every
 // index field, trees included, so the snapshot stays valid while the
 // pipeline runs.
@@ -172,8 +165,6 @@ func (m *Multi) sourceLocked() *sourceLease {
 		N:       m.store.Len(),
 		Indexes: infos,
 		Sel:     m.sel,
-		Vector:  m.vecFn,
-		Each:    m.eachFn,
 		Rows:    rows,
 		RowLive: live,
 		RowDim:  m.store.Dim(),

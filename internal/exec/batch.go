@@ -7,8 +7,9 @@ import (
 	"planar/internal/kernel"
 )
 
-// This file is the batched execution engine: the KindRange and
-// KindScan strategies re-expressed over contiguous arrays. Two rank
+// This file is the execution engine: the KindRange and KindScan
+// strategies expressed over contiguous arrays, and the per-chunk
+// verifier that top-k's walk in run.go shares with them. Two rank
 // queries on the index tree fix every interval size up front, and one
 // walk of the leaf chain then serves both intervals that are read:
 // the smaller interval's leaf id slices go to the sink as they are,
@@ -16,12 +17,9 @@ import (
 // verified block-by-block through the dimension-specialized kernels
 // in internal/kernel. The id column is not copied anywhere on the
 // way: the tree's leaf arena IS the packed column, and RankChunks
-// hands out slices that alias it directly. All scratch memory is
-// pooled, so a steady-state query allocates nothing.
-//
-// The engine runs whenever the source exposes raw rows; a row-less
-// Source runs the scalar per-entry walk in run.go instead, the
-// reference implementation correctness tests pin the engine against.
+// (like top-k's DescendChunks) hands out slices that alias it
+// directly. All scratch memory is pooled, so a steady-state query
+// allocates nothing.
 
 // One RankChunks chunk stays within one leaf, and one leaf is
 // exactly one kernel block. The two uint conversions reject a drift
@@ -32,13 +30,12 @@ const (
 )
 
 // scratch is the per-query working set of the engine: a gather buffer
-// of one block of φ rows, a match-offset buffer, and the one-entry
-// chunk of the walks that decide per entry (pooled with the rest so
-// handing it to a Sink costs no allocation).
+// of one block of φ rows, a match-offset buffer, and top-k's per-axis
+// ratios |a_i|/c_i of the Claim-3 lower bound.
 type scratch struct {
 	gather  []float64
 	matches []uint32
-	one     [1]uint32
+	invCoef []float64
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -69,10 +66,10 @@ func answerReserve(accepted, verified int) int {
 
 // executeBatched is the three-interval walk over the leaf arena: SI
 // is positions [0, acc) of the key order and II the ver after it, so
-// both are one pass of the leaf chain from its first leaf. Contract
-// differences from the tree walk are deliberate and documented: once
-// SI has been delivered, Verified and Rejected are final even if the
-// sink stops early.
+// both are one pass of the leaf chain from its first leaf. A sink that
+// stops inside SI leaves partial stats (Accepted = what it took, the
+// larger interval unclassified); once SI has been delivered, Verified
+// and Rejected are final even if the sink stops early.
 func executeBatched(src *Source, q Query, plan Plan, info *IndexInfo, sink Sink, st Stats) (Stats, error) {
 	tree := info.Tree
 	acc := tree.RankLE(plan.Tmin)
@@ -90,7 +87,6 @@ func executeBatched(src *Source, q Query, plan Plan, info *IndexInfo, sink Sink,
 	}
 	sc := getScratch(src.RowDim)
 	defer putScratch(sc)
-	d := src.RowDim
 	stoppedInSI := false
 	tree.RankChunks(pos, acc+ver, func(ids []uint32) bool {
 		if pos < acc {
@@ -106,28 +102,7 @@ func executeBatched(src *Source, q Query, plan Plan, info *IndexInfo, sink Sink,
 				return true
 			}
 		}
-		// Tiny intervals skip the gather: a direct pass over the arena
-		// ids already beats the per-entry tree walk.
-		if ver < kernel.MinBatch {
-			for _, id := range ids {
-				if q.Satisfies(src.Vector(id)) {
-					st.Matched++
-					if !sink.Match(id) {
-						return false
-					}
-				}
-			}
-			return true
-		}
-		kernel.Gather(src.Rows, d, ids, sc.gather)
-		m := kernel.FilterLE(q.A, q.B, sc.gather[:len(ids)*d], sc.matches)
-		for _, off := range sc.matches[:m] {
-			st.Matched++
-			if !sink.Match(ids[off]) {
-				return false
-			}
-		}
-		return true
+		return sc.verify(src, q, ids, ver < kernel.MinBatch, sink, &st)
 	})
 	if stoppedInSI {
 		// Legacy early-stop contract: partial stats, larger
@@ -139,11 +114,39 @@ func executeBatched(src *Source, q Query, plan Plan, info *IndexInfo, sink Sink,
 	return st, nil
 }
 
-// executeScanBatched answers a scan plan with block kernels over the
-// raw row array: every complete block of rows (live and dead) runs
-// through FilterLE, and dead rows are dropped at delivery. Verified
-// counts live points only, matching the per-point scan.
-func executeScanBatched(src *Source, q Query, sink Sink) Stats {
+// verify checks one chunk of intermediate-interval ids against q and
+// hands the matches to sink, counting them in st; it reports false
+// when the sink stopped. A tiny interval (tiny = |II| < MinBatch)
+// skips the gather and reads each id's row in place.
+func (sc *scratch) verify(src *Source, q Query, ids []uint32, tiny bool, sink Sink, st *Stats) bool {
+	d := src.RowDim
+	if tiny {
+		for _, id := range ids {
+			if q.Satisfies(src.Rows[int(id)*d : (int(id)+1)*d]) {
+				st.Matched++
+				if !sink.Match(id) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	kernel.Gather(src.Rows, d, ids, sc.gather)
+	m := kernel.FilterLE(q.A, q.B, sc.gather[:len(ids)*d], sc.matches)
+	for _, off := range sc.matches[:m] {
+		st.Matched++
+		if !sink.Match(ids[off]) {
+			return false
+		}
+	}
+	return true
+}
+
+// executeScan answers a scan plan with block kernels over the raw row
+// array: every complete block of rows (live and dead) runs through
+// FilterLE, and dead rows are dropped at delivery. Verified counts
+// live points only: every live point has its scalar product computed.
+func executeScan(src *Source, q Query, sink Sink) Stats {
 	st := Stats{N: src.N, FellBack: true, IndexUsed: -1}
 	st.Verified = st.N
 	sc := getScratch(src.RowDim)

@@ -14,15 +14,18 @@
 //	Execute two rank queries, then one pass of the chosen index's
 //	        leaf chain over the smaller interval (whole leaf id
 //	        slices handed to the sink) and the intermediate interval
-//	        after it (verified) — or a sequential scan.
+//	        after it (verified through the block kernels) — or a
+//	        sequential block-kernel scan. Top-k verifies the
+//	        intermediate interval the same way, then descends the
+//	        smaller one leaf by leaf until Claim 3 cuts it off.
 //	Sink    pluggable result collectors: raw ids (IDSink), exact
 //	        counts in O(log n) (CountSink), top-k nearest to the
 //	        query hyperplane with lower-bound pruning (TopKSink),
 //	        callback streaming (FuncSink), and a stage-event
 //	        recorder (TraceSink).
 //
-// The package deliberately depends only on the btree, topk and
-// vecmath primitives; internal/core builds its public query API on
+// The package deliberately depends only on the btree, kernel, topk
+// and vecmath primitives; internal/core builds its public query API on
 // top of this pipeline, and internal/service, internal/httpapi and
 // the CLIs inherit the per-stage Stats (planning time, interval
 // sizes) uniformly.

@@ -56,19 +56,22 @@ func randPoints(rng *rand.Rand, n, d int) [][]float64 {
 	return pts
 }
 
+// makeSource wraps points as a Source over infos the way
+// internal/core does: the points flattened into the row-major Rows
+// array, every row live. The key column is read straight out of each
+// tree's leaf arena.
 func makeSource(points [][]float64, infos []IndexInfo) *Source {
-	return &Source{
-		N:       len(points),
-		Indexes: infos,
-		Vector:  func(id uint32) []float64 { return points[id] },
-		Each: func(fn func(id uint32, v []float64) bool) {
-			for id, v := range points {
-				if !fn(uint32(id), v) {
-					return
-				}
-			}
-		},
+	d := 0
+	if len(points) > 0 {
+		d = len(points[0])
 	}
+	rows := make([]float64, 0, len(points)*d)
+	live := make([]bool, len(points))
+	for i, v := range points {
+		rows = append(rows, v...)
+		live[i] = true
+	}
+	return &Source{N: len(points), Indexes: infos, Rows: rows, RowLive: live, RowDim: d}
 }
 
 func sortedCopy(ids []uint32) []uint32 {
@@ -134,8 +137,8 @@ func TestPartitionProperty(t *testing.T) {
 			all(&si)
 		case KindRange:
 			info.Tree.AscendLE(plan.Tmin, func(e btree.Entry) bool { si = append(si, e.ID); return true })
-			info.Tree.AscendRange(plan.Tmin, plan.Tmax, func(e btree.Entry) bool { ii = append(ii, e.ID); return true })
-			info.Tree.AscendRange(plan.Tmax, math.Inf(1), func(e btree.Entry) bool { li = append(li, e.ID); return true })
+			ii = info.Tree.CollectRange(plan.Tmin, plan.Tmax, nil)
+			li = info.Tree.CollectRange(plan.Tmax, math.Inf(1), nil)
 		default:
 			t.Fatalf("trial %d: unexpected plan kind %v", trial, plan.Kind)
 		}

@@ -6,7 +6,7 @@ import (
 	"runtime"
 	"time"
 
-	"planar/internal/btree"
+	"planar/internal/kernel"
 	"planar/internal/vecmath"
 )
 
@@ -41,9 +41,6 @@ func Execute(src *Source, q Query, plan Plan, sink Sink) (Stats, error) {
 
 func execute(src *Source, q Query, plan Plan, sink Sink) (Stats, error) {
 	if plan.Kind == KindScan {
-		if src.Rows != nil && src.RowLive != nil && src.RowDim > 0 {
-			return executeScanBatched(src, q, sink), nil
-		}
 		return executeScan(src, q, sink), nil
 	}
 
@@ -81,65 +78,7 @@ func execute(src *Source, q Query, plan Plan, sink Sink) (Stats, error) {
 		return executeTopK(src, q, plan, info, sink, b, st)
 	}
 
-	// Batched engine: when the store exposes its raw rows, the
-	// interval boundaries are rank queries and the intermediate
-	// interval streams straight out of the leaf arena through the
-	// block kernels. The scalar walk below is the reference engine a
-	// row-less Source runs, which the tests pin the kernels against.
-	if src.Rows != nil && src.RowDim > 0 {
-		return executeBatched(src, q, plan, info, sink, st)
-	}
-
-	// Smaller interval: accepted without verification. An early stop
-	// here leaves Rejected at 0 (the larger interval was never
-	// classified).
-	if ac, ok := sink.(AcceptCounter); ok {
-		st.Accepted = info.Tree.RankLE(plan.Tmin)
-		ac.AcceptCount(st.Accepted)
-	} else {
-		sc := getScratch(0)
-		defer putScratch(sc)
-		stopped := false
-		info.Tree.AscendLE(plan.Tmin, func(e btree.Entry) bool {
-			sc.one[0] = e.ID
-			taken, more := sink.AcceptChunk(sc.one[:])
-			st.Accepted += taken
-			stopped = !more
-			return more
-		})
-		if stopped {
-			return st, nil
-		}
-	}
-
-	// Intermediate interval: verify.
-	info.Tree.AscendRange(plan.Tmin, plan.Tmax, func(e btree.Entry) bool {
-		st.Verified++
-		if q.Satisfies(src.Vector(e.ID)) {
-			st.Matched++
-			if !sink.Match(e.ID) {
-				return false
-			}
-		}
-		return true
-	})
-	st.Rejected = st.N - st.Accepted - st.Verified
-	return st, nil
-}
-
-// executeScan answers the query with a sequential pass over the
-// store: every point is verified.
-func executeScan(src *Source, q Query, sink Sink) Stats {
-	st := Stats{N: src.N, FellBack: true, IndexUsed: -1}
-	st.Verified = st.N
-	src.Each(func(id uint32, v []float64) bool {
-		if q.Satisfies(v) {
-			st.Matched++
-			return sink.Match(id)
-		}
-		return true
-	})
-	return st
+	return executeBatched(src, q, plan, info, sink, st)
 }
 
 // executeTopK is the range walk for Bounded (top-k) sinks: the
@@ -150,47 +89,50 @@ func executeScan(src *Source, q Query, sink Sink) Stats {
 // smaller-interval points examined before the rule fired (the paper's
 // k1).
 func executeTopK(src *Source, q Query, plan Plan, info *IndexInfo, sink Sink, bounded Bounded, st Stats) (Stats, error) {
-	info.Tree.AscendRange(plan.Tmin, plan.Tmax, func(e btree.Entry) bool {
-		st.Verified++
-		if q.Satisfies(src.Vector(e.ID)) {
-			st.Matched++
-			return sink.Match(e.ID)
-		}
-		return true
+	tree := info.Tree
+	acc := tree.RankLE(plan.Tmin)
+	ver := max(tree.RankLE(plan.Tmax)-acc, 0)
+	sc := getScratch(src.RowDim)
+	defer putScratch(sc)
+	tree.RankChunks(acc, acc+ver, func(ids []uint32) bool {
+		return sc.verify(src, q, ids, ver < kernel.MinBatch, sink, &st)
 	})
+	st.Verified = ver
 
 	// Lower-bound distance from a key to the query hyperplane
 	// (Definition 5): min over nonzero axes of ||a_i|/c_i·key − b′|,
 	// scaled by 1/|a|, with the tree key moved into b′'s frame.
 	normA := vecmath.Norm(q.A)
-	invCoef := make([]float64, 0, len(q.A))
+	sc.invCoef = sc.invCoef[:0]
 	for i, a := range q.A {
 		if a != 0 {
-			invCoef = append(invCoef, math.Abs(a)/info.C[i])
+			sc.invCoef = append(sc.invCoef, math.Abs(a)/info.C[i])
 		}
 	}
-	// The cut-off is decided before every entry, so the descending
-	// walk hands one-entry chunks.
-	sc := getScratch(0)
-	defer putScratch(sc)
-	info.Tree.DescendLE(plan.Tmin, func(e btree.Entry) bool {
-		if bound, full := bounded.Bound(); full {
-			lbs := math.Inf(1)
-			key := e.Key + info.Shift
-			for _, r := range invCoef {
-				if d := math.Abs(r*key - plan.BPrime); d < lbs {
-					lbs = d
+	// The cut-off is decided before every entry, so each leaf chunk
+	// is read back to front and handed over one entry at a time.
+	tree.DescendChunks(acc, func(keys []float64, ids []uint32) bool {
+		for j := len(ids) - 1; j >= 0; j-- {
+			if bound, full := bounded.Bound(); full {
+				lbs := math.Inf(1)
+				key := keys[j] + info.Shift
+				for _, r := range sc.invCoef {
+					if d := math.Abs(r*key - plan.BPrime); d < lbs {
+						lbs = d
+					}
+				}
+				lbs /= normA
+				if lbs > bound {
+					return false // Claim 3: no remaining point can improve
 				}
 			}
-			lbs /= normA
-			if lbs > bound {
-				return false // Claim 3: no remaining point can improve
+			taken, more := sink.AcceptChunk(ids[j : j+1 : j+1])
+			st.Accepted += taken
+			if !more {
+				return false
 			}
 		}
-		sc.one[0] = e.ID
-		taken, more := sink.AcceptChunk(sc.one[:])
-		st.Accepted += taken
-		return more
+		return true
 	})
 	st.Rejected = st.N - st.Accepted - st.Verified
 	return st, nil

@@ -28,9 +28,9 @@ type Sink interface {
 	// on the paged tier — and is valid only during the call: a sink
 	// that keeps ids copies them. It returns how many ids the sink
 	// took, and more = false to stop execution; the id a sink stops
-	// on counts as taken. Walks that decide per entry (the scalar
-	// reference walk, top-k's descending cut-off) hand one-entry
-	// chunks.
+	// on counts as taken. Top-k's descent, which decides per entry,
+	// hands one-entry chunks from the top of the smaller interval
+	// down.
 	AcceptChunk(ids []uint32) (taken int, more bool)
 	Match(id uint32) bool
 }
@@ -144,8 +144,9 @@ func (s *TopKSink) Results() []Result {
 // TraceSink records how many points flowed through each delivery path
 // and optionally forwards them to an inner sink. It deliberately
 // exposes none of the optional capabilities, so the Execute stage
-// takes the generic walks and the trace observes every delivery — the
-// EXPLAIN ANALYZE of the pipeline.
+// hands it every id — the smaller interval as leaf chunks, not a
+// count, and no top-k cut-off — and the trace observes every delivery:
+// the EXPLAIN ANALYZE of the pipeline.
 type TraceSink struct {
 	Inner   Sink // may be nil
 	Accepts int  // ids delivered without verification

@@ -49,8 +49,8 @@ type IndexInfo struct {
 }
 
 // Source is everything the pipeline may touch to answer a query: the
-// candidate indexes for the Plan stage and the point access paths for
-// the Execute stage.
+// candidate indexes for the Plan stage and the raw rows for the
+// Execute stage.
 type Source struct {
 	// N is the number of live points.
 	N int
@@ -60,21 +60,13 @@ type Source struct {
 	Indexes []IndexInfo
 	// Sel is the best-index selection heuristic.
 	Sel Selection
-	// Vector resolves a point id to its φ vector (verification).
-	Vector func(id uint32) []float64
-	// Each iterates every live point (sequential-scan execution).
-	Each func(fn func(id uint32, v []float64) bool)
 	// Rows is the owner's row-major φ backing array (RowDim
 	// coordinates per row, dead rows included), aliased not copied.
-	// When set together with RowLive it enables the batched
-	// verification engine: the intermediate interval and sequential
-	// scans run as contiguous-block kernels instead of per-point
-	// callbacks. A Source without rows runs the scalar reference
-	// walks, which verify through Vector and Each.
+	// The intermediate interval is verified and a sequential scan runs
+	// as contiguous-block kernels over it.
 	Rows []float64
 	// RowLive flags which rows of Rows hold live points. Dead rows
-	// contain stale values; batched scans filter them after the
-	// kernel pass.
+	// contain stale values; scans filter them after the kernel pass.
 	RowLive []bool
 	// RowDim is the row stride of Rows.
 	RowDim int

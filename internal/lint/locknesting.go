@@ -102,9 +102,9 @@ func init() {
 	add("planar/internal/btree.pagedArena.io", "planar/internal/btree.Tree",
 		"WritebackPaged", "FlushPaged")
 	add("planar/internal/btree.pagedArena.mu", "planar/internal/btree.Tree",
-		"Contains", "Insert", "Delete", "Min", "Max", "AscendLE", "AscendRange",
-		"DescendLE", "RankChunks", "RangeChunks", "CollectRange", "RankLE",
-		"CountRange", "Validate")
+		"Contains", "Insert", "Delete", "Min", "Max", "AscendLE", "RankChunks",
+		"DescendChunks", "RangeChunks", "CollectRange", "RankLE", "CountRange",
+		"Validate")
 	add("planar/internal/pager.cacheShard.mu", "planar/internal/pager.Cache",
 		"Get", "Lookup", "NewFrame", "Unpin", "MarkDirty", "MarkClean", "Rekey",
 		"Drop", "Stats")

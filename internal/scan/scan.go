@@ -3,23 +3,26 @@
 // query computes the scalar product for every live point. It costs
 // O(n·d') per inequality query and O(n·d' + k log k) per top-k query.
 // Execution runs on the internal/exec pipeline as a pure scan source
-// (no candidate indexes), so the baseline and the indexed paths share
-// one delivery and stats implementation.
+// (no candidate indexes), so the baseline runs the same block-kernel
+// scan over the store's raw rows that an indexed query falls back to,
+// and shares its delivery and stats implementation.
 package scan
 
 import (
 	"planar/internal/core"
 	"planar/internal/exec"
+	"planar/internal/vecmath"
 )
 
-// source wraps the bare point store as an index-free, row-less
-// pipeline source: every query planned against it becomes the scalar
-// sequential scan.
+// source wraps the bare point store as an index-free pipeline source:
+// every query planned against it becomes the sequential scan.
 func source(s *core.PointStore) *exec.Source {
+	rows, live := s.RawRows()
 	return &exec.Source{
-		N:      s.Len(),
-		Vector: s.Vector,
-		Each:   s.Each,
+		N:       s.Len(),
+		Rows:    rows,
+		RowLive: live,
+		RowDim:  s.Dim(),
 	}
 }
 
@@ -46,9 +49,11 @@ func Count(s *core.PointStore, q core.Query) int {
 }
 
 // TopK returns the k points satisfying q that lie closest to the
-// query hyperplane, by brute force.
+// query hyperplane, by brute force. It returns nil when k <= 0 or
+// when q.A is the zero vector, whose "hyperplane" has no distance
+// (core.Multi.TopK rejects that query with an error).
 func TopK(s *core.PointStore, q core.Query, k int) []core.Result {
-	if k <= 0 {
+	if k <= 0 || vecmath.Norm(q.A) == 0 {
 		return nil
 	}
 	nq := q.LE()

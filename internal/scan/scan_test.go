@@ -84,6 +84,22 @@ func TestTopK(t *testing.T) {
 	}
 }
 
+// TestTopKZeroVector pins the baseline to core.Multi.TopK's contract:
+// at A = 0 the distance |⟨A,φ⟩ − B| / |A| is undefined, so there is
+// no answer — not NaN or +Inf "distances" — whatever B is, and
+// whether or not every point satisfies 0 ≤ B.
+func TestTopKZeroVector(t *testing.T) {
+	s := testStore(t, 50, 2, 4)
+	for _, b := range []float64{0, 5, -5} {
+		for _, op := range []core.Op{core.LE, core.GE} {
+			q := core.Query{A: []float64{0, 0}, B: b, Op: op}
+			if got := TopK(s, q, 3); got != nil {
+				t.Fatalf("b=%v op=%v: TopK = %v, want nil", b, op, got)
+			}
+		}
+	}
+}
+
 func TestGEQuery(t *testing.T) {
 	s := testStore(t, 300, 2, 3)
 	le := core.Query{A: []float64{1, 1}, B: 100, Op: core.LE}
