@@ -42,8 +42,7 @@ type lockClass string
 // taken while holding locks of strictly lower rank, and equal-rank
 // classes must never nest either.
 var lockRank = map[lockClass]int{
-	"planar/internal/service.DB.commitMu": 10, // commit barrier, outermost
-	"planar/internal/shard.partition.mu":  20, // per-shard store lock
+	"planar/internal/shard.partition.mu":  20, // per-shard store lock, outermost
 	"planar/internal/core.Multi.mu":       30, // index-collection lock
 	"planar/internal/replog.Sequencer.mu": 60, // commit sequencer (journal-under-lock)
 	"planar/internal/btree.pagedArena.io": 70, // paged tree: writeback chunk, checkpoint flush
@@ -72,9 +71,8 @@ func init() {
 	// service.DB methods are tagged with the outermost lock they
 	// acquire, so callers holding anything ranked at or above it are
 	// caught (e.g. a status mutex held across db.Close).
-	add("planar/internal/service.DB.commitMu", "planar/internal/service.DB",
-		"Append", "Update", "Remove", "AddNormal", "CaptureState", "ApplyReplicated")
 	add("planar/internal/shard.partition.mu", "planar/internal/service.DB",
+		"Append", "Update", "Remove", "AddNormal", "CaptureState", "ApplyReplicated",
 		"Query", "QueryBatch", "TopK", "Count", "SelectivityBounds", "Explain",
 		"Len", "Checkpoint", "Close", "FeedRead")
 	// DB.Metrics reads per-counter atomics and holds no lock, so it
@@ -83,7 +81,7 @@ func init() {
 		"WaitLSN")
 	add("planar/internal/shard.partition.mu", "planar/internal/shard.Store",
 		"Append", "Update", "Remove", "AddNormal", "Query", "QueryBatch", "TopK",
-		"Count", "SelectivityBounds", "Explain", "Apply", "CaptureAll",
+		"Count", "SelectivityBounds", "Explain", "Apply", "Capture",
 		"FeedFromDisk", "Checkpoint", "Close", "Len", "NumIndexes", "MemoryBytes",
 		"Live", "Vector")
 	add("planar/internal/core.Multi.mu", "planar/internal/core.Multi",

@@ -2,12 +2,12 @@
 // planar/internal/replica so the local Replica type lands on the real
 // rank table's leaf (Replica.mu=90). The service, shard, core, replog,
 // btree and pager imports exercise the cross-package acquisition
-// table, which is how the partition lock (shard.partition.mu=20), the
-// commit barrier (service.DB.commitMu=10), the index-collection lock
-// (core.Multi.mu=30, which an Index's accessors take, having no lock
-// of their own) and the paged tier's locks (pagedArena.io=70 <
-// pagedArena.mu=72 < cacheShard.mu=74, with pager.File.mu=95 the leaf
-// above everything) are reached from here. Legal ranked nesting
+// table, which is how the partition lock (shard.partition.mu=20, the
+// outermost), the index-collection lock (core.Multi.mu=30, which an
+// Index's accessors take, having no lock of their own) and the paged
+// tier's locks (pagedArena.io=70 < pagedArena.mu=72 <
+// cacheShard.mu=74, with pager.File.mu=95 the leaf above everything)
+// are reached from here. Legal ranked nesting
 // (partition → Multi → sequencer) is what the real tree does, and
 // TestTreeClean holds it at zero findings.
 package replica
@@ -78,7 +78,7 @@ func helper(db *service.DB) {
 func callsHelperUnderMu(r *Replica, db *service.DB) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	helper(db) // want `callsHelperUnderMu calls helper which acquires planar/internal/service.DB.commitMu while holding planar/internal/replica.Replica.mu`
+	helper(db) // want `callsHelperUnderMu calls helper which acquires planar/internal/shard.partition.mu while holding planar/internal/replica.Replica.mu`
 }
 
 func goroutineIsolated(r *Replica, db *service.DB) {

@@ -21,14 +21,7 @@ func (db *DB) startIngest(opts Options) error {
 		Lanes:     db.store.NumShards(),
 		BatchSize: min(opts.IngestBatch, wal.MaxBatchRecords),
 		Block:     opts.IngestBlock,
-		Commit: func(lane int, intents []ingest.Intent, results []ingest.Result) error {
-			// commitMu read-held across apply+journal, exactly like a
-			// synchronous write, so CaptureState can drain in-flight
-			// batches to a consistent cut.
-			db.commitMu.RLock()
-			defer db.commitMu.RUnlock()
-			return db.store.CommitBatch(lane, intents, results)
-		},
+		Commit:    db.store.CommitBatch,
 	})
 	if err != nil {
 		return err

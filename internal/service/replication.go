@@ -33,19 +33,14 @@ type ReplState struct {
 }
 
 // CaptureState snapshots the whole store in memory at one LSN. It
-// briefly drains in-flight commits (queries keep running) — the
-// price of a consistent cut without touching disk. Replication
-// bootstrap is the intended caller; it does not checkpoint, so
-// tailing replicas' cursors stay valid.
+// holds every partition's read lock while it copies (shard.Store.
+// Capture), so writers wait and queries keep running — the price of a
+// consistent cut without touching disk. Replication bootstrap is the
+// intended caller; it does not checkpoint, so tailing replicas'
+// cursors stay valid.
 func (db *DB) CaptureState() *ReplState {
-	db.commitMu.Lock()
-	defer db.commitMu.Unlock()
-	return &ReplState{
-		Shards: db.store.NumShards(),
-		Dim:    db.Dim(),
-		LSN:    db.seq.Last(),
-		Snaps:  db.store.CaptureAll(),
-	}
+	lsn, snaps := db.store.Capture()
+	return &ReplState{Shards: len(snaps), Dim: db.Dim(), LSN: lsn, Snaps: snaps}
 }
 
 // MaterializeReplState writes a captured state into dir as a fresh
@@ -67,8 +62,6 @@ func MaterializeReplState(dir string, st *ReplState) error {
 // an LSN gap) reports ErrDiverged. The read-only guard does not
 // apply: this is the one write path a replica keeps open.
 func (db *DB) ApplyReplicated(rec wal.Record) error {
-	db.commitMu.RLock()
-	defer db.commitMu.RUnlock()
 	return db.store.Apply(rec)
 }
 

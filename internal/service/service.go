@@ -12,14 +12,14 @@
 // convertible in place.
 //
 // What this package adds to the engine is the service's own job: the
-// public mutation surface with its read-only guard, the commit
-// barrier behind consistent replication snapshots, the group-commit
-// ingest pipeline, pacing, and the query metrics rollup.
+// public mutation surface with its read-only guard, the group-commit
+// ingest pipeline, pacing, and the query metrics rollup. It adds no
+// lock: a consistent replication snapshot is the store's own cut
+// (shard.Store.Capture).
 package service
 
 import (
 	"errors"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -92,22 +92,20 @@ type Options struct {
 }
 
 // DB is a durable planar index store: a shard.Store plus the
-// service's own concerns. The store has its own locks (one RWMutex
-// per partition — queries share it, a mutation or checkpoint holds
-// its partition's exclusively — and the sequencer's), so DB adds only
-// commitMu above them: lock order commitMu → partition mu → seq mu.
+// service's own concerns. The store's locks are the only ones (one
+// RWMutex per partition and the sequencer's, in that order): a
+// mutation or checkpoint holds its partition's exclusively, and a
+// query, a count or a replication capture holds every partition's
+// read lock, so it sees the store at one LSN. DB adds none above
+// them.
 type DB struct {
 	store *shard.Store // never nil
 
 	// seq is the store's commit sequencer: it assigns LSNs, orders
 	// journal appends, and retains the in-memory replication tail.
-	// commitMu lets CaptureState drain every in-flight commit (writers
-	// hold the read side for the whole apply+journal) so a replication
-	// snapshot is consistent at one LSN. readOnly guards the public
-	// mutation surface on replicas; the replication apply path
-	// bypasses it.
+	// readOnly guards the public mutation surface on replicas; the
+	// replication apply path bypasses it.
 	seq      *replog.Sequencer
-	commitMu sync.RWMutex
 	readOnly atomic.Bool
 
 	// pipe is the group-commit ingest pipeline (nil when
@@ -297,8 +295,6 @@ func (db *DB) AddNormal(normal []float64, signs vecmath.SignPattern) (bool, erro
 	if db.readOnly.Load() {
 		return false, ErrReadOnly
 	}
-	db.commitMu.RLock()
-	defer db.commitMu.RUnlock()
 	return db.store.AddNormal(normal, signs)
 }
 
@@ -322,8 +318,8 @@ func (db *DB) pace(start time.Time) {
 // write is the one route a public mutation takes: refused on a
 // read-only store; handed to the ingest pipeline when there is one,
 // which resolves the returned future after the batch's fsync; otherwise
-// committed here under the commit barrier and paced, the future nil
-// and the result — which carries any error — final on return.
+// committed here and paced, the future nil and the result — which
+// carries any error — final on return.
 func (db *DB) write(op wal.Op, id uint32, v []float64) (*ingest.Future, ingest.Result) {
 	if db.readOnly.Load() {
 		return nil, ingest.Result{Err: ErrReadOnly}
@@ -337,8 +333,6 @@ func (db *DB) write(op wal.Op, id uint32, v []float64) (*ingest.Future, ingest.R
 		return f, ingest.Result{Err: err}
 	}
 	defer db.pace(time.Now())
-	db.commitMu.RLock()
-	defer db.commitMu.RUnlock()
 	res := ingest.Result{ID: id}
 	switch op {
 	case wal.OpAppend:

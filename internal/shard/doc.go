@@ -21,7 +21,12 @@
 //
 // The paper's accept / verify / reject decision is made per point
 // from that point's own key, so the answer over a partitioned point
-// set is the union of the partitions' answers. Queries run
+// set is the union of the partitions' answers, provided every
+// partition is read in the same state. A read that spans the
+// partitions (every query, Len, the replication Capture) therefore
+// holds all of their read locks, taken in index order, for its whole
+// run; a commit applies and takes its LSN under its own partition's
+// write lock, so that cut is the store at one LSN. Queries run
 // scatter-gather through the internal/exec pipeline: the query is
 // planned once per shard (interval sizes are data-dependent, so
 // shards choose independently), executed concurrently on a bounded

@@ -13,7 +13,6 @@ import (
 	"planar/internal/ingest"
 	"planar/internal/pager"
 	"planar/internal/replog"
-	"planar/internal/vecmath"
 	"planar/internal/wal"
 )
 
@@ -31,13 +30,14 @@ const (
 // translates global ids at the boundary.
 //
 // Mutations and checkpoints hold the write lock so the WAL append and
-// the in-memory apply are atomic with respect to each other; queries
-// hold the read lock, so readers of the same shard proceed
-// concurrently and writers on *other* shards are never even
-// consulted. Commits additionally pass through the store-wide
-// sequencer (under p.mu, so the lock order is always p.mu → seq.mu),
-// which assigns the LSN, journals the record and publishes it to the
-// replication ring in one critical section.
+// the in-memory apply are atomic with respect to each other. Commits
+// additionally pass through the store-wide sequencer (under p.mu, so
+// the lock order is always p.mu → seq.mu), which assigns the LSN,
+// journals the record and publishes it to the replication ring in one
+// critical section. A mutation therefore applies and takes its LSN
+// under one hold of its partition's write lock, which is what lets a
+// read that holds every partition's read lock (Store.rlockAll) see
+// the store exactly as it stands at the last LSN.
 type partition struct {
 	mu      sync.RWMutex
 	dir     string // "" for an ephemeral partition
@@ -384,61 +384,6 @@ func (p *partition) bumpLocked(n int) error {
 		return p.checkpointLocked()
 	}
 	return nil
-}
-
-// addNormal installs an index on this shard's Multi.
-func (p *partition) addNormal(normal []float64, signs vecmath.SignPattern) (bool, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.multi.AddNormal(normal, signs)
-}
-
-// The read methods answer one query against this partition under its
-// read lock, in shard-local ids. They are all a one-partition Store
-// returns, and what a scatter runs on every shard.
-
-func (p *partition) query(dst []uint32, q core.Query) ([]uint32, core.Stats, error) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.multi.AppendInequalityIDs(dst, q)
-}
-
-func (p *partition) queryBatch(a []float64, op core.Op, bs []float64) ([][]uint32, []core.Stats, error) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.multi.InequalityBatch(a, op, bs)
-}
-
-func (p *partition) topK(q core.Query, k int) ([]core.Result, core.Stats, error) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.multi.TopK(q, k)
-}
-
-func (p *partition) count(q core.Query) (int, core.Stats, error) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.multi.Count(q)
-}
-
-func (p *partition) bounds(q core.Query) (lo, hi int, err error) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.multi.SelectivityBounds(q)
-}
-
-func (p *partition) explain(q core.Query) (core.Plan, error) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.multi.Explain(q)
-}
-
-// capture snapshots the partition's in-memory state (store layout +
-// index configuration) without touching disk.
-func (p *partition) capture() *codec.Snapshot {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return codec.Capture(p.multi)
 }
 
 // flushLog pushes buffered WAL records to the OS so a concurrent

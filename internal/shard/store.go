@@ -59,7 +59,8 @@ type Options struct {
 // An unpartitioned store is the N = 1 case, not a different thing:
 // ids are the partition's own and every answer is the partition's
 // own, returned untouched. All methods are safe for concurrent use;
-// mutations lock only the owning shard.
+// mutations lock only the owning shard, and every read that spans the
+// partitions holds all of their read locks at once (rlockAll).
 type Store struct {
 	parts  []*partition
 	fanout int
@@ -331,13 +332,32 @@ func (s *Store) scatter(fn func(shardIdx int) error) error {
 	return nil
 }
 
-// Len returns the number of live points across all shards.
-func (s *Store) Len() int {
-	total := 0
+// rlockAll takes the cut: every partition's read lock, in index
+// order. A commit applies its mutation and takes its LSN under one
+// hold of its own partition's write lock, so while all of them are
+// held no commit is half done anywhere, and the store is exactly the
+// state at seq.Last(). At N = 1 it is the one RLock a query takes.
+// runlockAll releases it. They are two methods, not one returning a
+// closure, so a query allocates nothing to take the cut.
+func (s *Store) rlockAll() {
 	for _, p := range s.parts {
 		p.mu.RLock()
-		total += p.multi.Store().Len()
+	}
+}
+
+func (s *Store) runlockAll() {
+	for _, p := range s.parts {
 		p.mu.RUnlock()
+	}
+}
+
+// Len returns the number of live points across all shards.
+func (s *Store) Len() int {
+	s.rlockAll()
+	defer s.runlockAll()
+	total := 0
+	for _, p := range s.parts {
+		total += p.multi.Store().Len()
 	}
 	return total
 }
@@ -345,19 +365,18 @@ func (s *Store) Len() int {
 // NumIndexes returns the number of planar indexes per shard (every
 // shard holds the same index configuration).
 func (s *Store) NumIndexes() int {
-	p := s.parts[0]
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.multi.NumIndexes()
+	s.rlockAll()
+	defer s.runlockAll()
+	return s.parts[0].multi.NumIndexes()
 }
 
 // MemoryBytes returns the approximate footprint of all shards.
 func (s *Store) MemoryBytes() int {
+	s.rlockAll()
+	defer s.runlockAll()
 	total := 0
 	for _, p := range s.parts {
-		p.mu.RLock()
 		total += p.multi.MemoryBytes()
-		p.mu.RUnlock()
 	}
 	return total
 }
@@ -442,11 +461,21 @@ func (s *Store) CommitBatch(lane int, intents []ingest.Intent, results []ingest.
 
 // AddNormal installs a planar index on every shard (shards must share
 // one index configuration for scatter-gather plans to be comparable).
-// It reports whether an index was added.
+// It holds every partition's write lock, taken in index order, so no
+// cut sees the index on some partitions and not on others. It reports
+// whether an index was added.
 func (s *Store) AddNormal(normal []float64, signs vecmath.SignPattern) (bool, error) {
+	for _, p := range s.parts {
+		p.mu.Lock()
+	}
+	defer func() {
+		for _, p := range s.parts {
+			p.mu.Unlock()
+		}
+	}()
 	added := false
 	for i, p := range s.parts {
-		ok, err := p.addNormal(normal, signs)
+		ok, err := p.multi.AddNormal(normal, signs)
 		if err != nil {
 			return false, s.shardErr(i, err)
 		}
@@ -505,12 +534,13 @@ func putGather(g *gatherBufs) {
 // The query methods share one shape. The accept / verify / reject
 // decision is made per point from that point's own key, so the answer
 // over a partitioned point set is the union of the partitions'
-// answers: each shard plans and executes on its own (concurrently, up
-// to the fanout) and the parts are merged. With one partition there
-// is nothing to merge and its answer is returned untouched — no id
-// rewrite, no copy, no sort, ids in the index's own order — because
-// on a 20 000-id answer the gather's sort alone costs several times
-// the query.
+// answers, provided every partition is read in the same state: each
+// method takes the cut (rlockAll) for its whole run, then each shard
+// plans and executes on its own (concurrently, up to the fanout) and
+// the parts are merged. With one partition there is nothing to merge
+// and its answer is returned untouched — no id rewrite, no copy, no
+// sort, ids in the index's own order — because on a 20 000-id answer
+// the gather's sort alone costs several times the query.
 
 // Query answers an inequality query into a fresh slice. A partitioned
 // store returns the ids in ascending global id order, with the
@@ -524,13 +554,15 @@ func (s *Store) Query(q core.Query) ([]uint32, core.Stats, error) {
 // fills dst itself; several fill pooled buffers of their own, which
 // are merged into dst.
 func (s *Store) AppendQuery(dst []uint32, q core.Query) ([]uint32, core.Stats, error) {
+	s.rlockAll()
+	defer s.runlockAll()
 	if len(s.parts) == 1 {
-		return s.parts[0].query(dst, q)
+		return s.parts[0].multi.AppendInequalityIDs(dst, q)
 	}
 	g := getGather(len(s.parts))
 	defer putGather(g)
 	err := s.scatter(func(i int) error {
-		lids, st, err := s.parts[i].query(g.ids[i], q)
+		lids, st, err := s.parts[i].multi.AppendInequalityIDs(g.ids[i], q)
 		if err != nil {
 			return err
 		}
@@ -546,13 +578,15 @@ func (s *Store) AppendQuery(dst []uint32, q core.Query) ([]uint32, core.Stats, e
 // QueryBatch answers one inequality query per threshold, sharing a
 // single plan per shard across the batch.
 func (s *Store) QueryBatch(a []float64, op core.Op, bs []float64) ([][]uint32, []core.Stats, error) {
+	s.rlockAll()
+	defer s.runlockAll()
 	if len(s.parts) == 1 {
-		return s.parts[0].queryBatch(a, op, bs)
+		return s.parts[0].multi.InequalityBatch(a, op, bs)
 	}
 	ids := make([][][]uint32, len(s.parts)) // [shard][threshold]
 	sts := make([][]core.Stats, len(s.parts))
 	err := s.scatter(func(i int) error {
-		lids, lsts, err := s.parts[i].queryBatch(a, op, bs)
+		lids, lsts, err := s.parts[i].multi.InequalityBatch(a, op, bs)
 		if err != nil {
 			return err
 		}
@@ -585,14 +619,16 @@ func (s *Store) QueryBatch(a []float64, op core.Op, bs []float64) ([][]uint32, [
 // cut-off locally, then the per-shard answers are k-way merged on
 // (distance, id).
 func (s *Store) TopK(q core.Query, k int) ([]core.Result, core.Stats, error) {
+	s.rlockAll()
+	defer s.runlockAll()
 	if len(s.parts) == 1 {
-		return s.parts[0].topK(q, k)
+		return s.parts[0].multi.TopK(q, k)
 	}
 	res := make([][]core.Result, len(s.parts))
 	sts := make([]core.Stats, len(s.parts))
 	err := s.scatter(func(i int) error {
 		p := s.parts[i]
-		rs, st, err := p.topK(q, k)
+		rs, st, err := p.multi.TopK(q, k)
 		if err != nil {
 			return err
 		}
@@ -610,13 +646,15 @@ func (s *Store) TopK(q core.Query, k int) ([]core.Result, core.Stats, error) {
 
 // Count answers an exact COUNT(*) as the sum of per-shard counts.
 func (s *Store) Count(q core.Query) (int, core.Stats, error) {
+	s.rlockAll()
+	defer s.runlockAll()
 	if len(s.parts) == 1 {
-		return s.parts[0].count(q)
+		return s.parts[0].multi.Count(q)
 	}
 	g := getGather(len(s.parts))
 	defer putGather(g)
 	err := s.scatter(func(i int) (err error) {
-		g.counts[i], g.sts[i], err = s.parts[i].count(q)
+		g.counts[i], g.sts[i], err = s.parts[i].multi.Count(q)
 		return err
 	})
 	if err != nil {
@@ -633,8 +671,10 @@ func (s *Store) Count(q core.Query) (int, core.Stats, error) {
 // each shard's answer size is individually bracketed, so the sums
 // bracket the global answer.
 func (s *Store) SelectivityBounds(q core.Query) (lo, hi int, err error) {
+	s.rlockAll()
+	defer s.runlockAll()
 	for _, p := range s.parts {
-		plo, phi, err := p.bounds(q)
+		plo, phi, err := p.multi.SelectivityBounds(q)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -651,7 +691,9 @@ func (s *Store) SelectivityBounds(q core.Query) (lo, hi int, err error) {
 // choice is representative even though data-dependent interval sizes
 // can occasionally tip another shard toward a different candidate.
 func (s *Store) Explain(q core.Query) (core.Plan, error) {
-	out, err := s.parts[0].explain(q)
+	s.rlockAll()
+	defer s.runlockAll()
+	out, err := s.parts[0].multi.Explain(q)
 	if err != nil {
 		return core.Plan{}, s.shardErr(0, err)
 	}
@@ -660,7 +702,7 @@ func (s *Store) Explain(q core.Query) (core.Plan, error) {
 	}
 	out.Reason = fmt.Sprintf("scatter-gather over %d shards: %s", len(s.parts), out.Reason)
 	for i, p := range s.parts[1:] {
-		pl, err := p.explain(q)
+		pl, err := p.multi.Explain(q)
 		if err != nil {
 			return core.Plan{}, s.shardErr(i+1, err)
 		}
@@ -683,15 +725,18 @@ func (s *Store) Apply(rec wal.Record) error {
 	return s.shardErr(si, p.applyReplicated(rec, local))
 }
 
-// CaptureAll snapshots every shard's in-memory state. The caller must
-// have drained writers (service holds its commit barrier), so the
-// per-shard snapshots are mutually consistent at the current LSN.
-func (s *Store) CaptureAll() []*codec.Snapshot {
-	snaps := make([]*codec.Snapshot, len(s.parts))
+// Capture snapshots every shard's in-memory state (store layout +
+// index configuration, no disk touched) under the cut, and returns the
+// LSN the snapshots are consistent at. Writers wait while it copies;
+// readers do not.
+func (s *Store) Capture() (lsn uint64, snaps []*codec.Snapshot) {
+	s.rlockAll()
+	defer s.runlockAll()
+	snaps = make([]*codec.Snapshot, len(s.parts))
 	for i, p := range s.parts {
-		snaps[i] = p.capture()
+		snaps[i] = codec.Capture(p.multi)
 	}
-	return snaps
+	return s.seq.Last(), snaps
 }
 
 // FeedFromDisk serves catch-up replication reads that have fallen off

@@ -220,3 +220,95 @@ func stressDurableConcurrent(t *testing.T, shards int) {
 		t.Fatal("reopened store answers differently")
 	}
 }
+
+// TestShardedReadIsOneCut checks that a read over several partitions
+// sees all of them in one state. One goroutine appends [1, 1] until
+// the store holds cutPoints points while the test keeps asking
+// a = (1, 1), b = 10, ≤, which every point satisfies: appends are
+// sequential, so the answer at any one LSN is the id prefix 0..m−1,
+// and a read that took its partitions one after another, around
+// commits, answers something else. Both answers of a two-threshold
+// batch must be the same prefix.
+func TestShardedReadIsOneCut(t *testing.T) {
+	for _, shards := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { shardedReadIsOneCut(t, shards) })
+	}
+}
+
+func shardedReadIsOneCut(t *testing.T, shards int) {
+	const cutPoints = 20000
+	st, err := Open("", Options{Shards: shards, Dim: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if _, err := st.AddNormal([]float64{1, 1}, vecmath.FirstOctant(2)); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		// Bounded: the appender stops at cutPoints however slowly the
+		// reads go.
+		for i := 0; i < cutPoints; i++ {
+			if _, _, err := st.Append([]float64{1, 1}); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+
+	// prefix reports the m for which ids is a permutation of 0..m−1,
+	// or −1.
+	seen := make([]bool, cutPoints)
+	prefix := func(ids []uint32) int {
+		clear(seen)
+		for _, id := range ids {
+			if int(id) >= len(ids) || seen[id] {
+				return -1
+			}
+			seen[id] = true
+		}
+		return len(ids)
+	}
+	a := []float64{1, 1}
+	reads, bad := 0, 0
+	var first string
+	for running := true; running; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			running = false
+		default:
+		}
+		ids, _, err := st.Query(core.Query{A: a, B: 10, Op: core.LE})
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch, _, err := st.QueryBatch(a, core.LE, []float64{10, 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := prefix(ids)
+		m10, m20 := prefix(batch[0]), prefix(batch[1])
+		reads += 2
+		if m < 0 {
+			bad++
+			if first == "" {
+				first = fmt.Sprintf("a query's %d ids are not an id prefix", len(ids))
+			}
+		}
+		if m10 < 0 || m10 != m20 {
+			bad++
+			if first == "" {
+				first = fmt.Sprintf("a batch answered %d and %d ids, not one id prefix", len(batch[0]), len(batch[1]))
+			}
+		}
+	}
+	if bad > 0 {
+		t.Fatalf("%d of %d reads were not one cut; first: %s", bad, reads, first)
+	}
+	t.Logf("%d reads, all id prefixes", reads)
+}
