@@ -107,9 +107,13 @@ page-integration:
 # End-to-end group commit under the race detector: the grouped-vs-
 # sync golden identity (byte-identical snapshots, WAL batch-frame
 # replay, replica tailing), torn-batch recovery at every byte offset,
-# concurrent-writer stress, and shutdown drain.
+# concurrent-writer stress, and shutdown drain. The repeated ingest
+# line races producers in both backpressure modes against Close: no
+# send may hit a closed queue, and the drain commits exactly the
+# accepted intents.
 ingest-integration:
 	$(GO) test -race ./internal/ingest
+	$(GO) test -race -count 20 -run TestCloseRacesSubmit ./internal/ingest
 	$(GO) test -race -run 'TestGrouped|TestReplicaTailsGrouped|TestIngest' ./internal/service
 	$(GO) test -race -run 'TestAppendBatch|TestTornBatch|TestDecodeRecordRejectsBatch' ./internal/wal
 	$(GO) test -race -run 'TestCommitBatch' ./internal/replog

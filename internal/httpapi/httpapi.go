@@ -278,7 +278,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, db *service
 	}
 	ids, st, err := db.AppendQuery(sc.ids[:0], q)
 	if err != nil {
-		fail(w, http.StatusBadRequest, err)
+		fail(w, errStatus(err), err)
 		return
 	}
 	sc.ids = ids
@@ -318,7 +318,7 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request, db *se
 	}
 	ids, sts, err := db.QueryBatch(req.A, op, req.Bs)
 	if err != nil {
-		fail(w, http.StatusBadRequest, err)
+		fail(w, errStatus(err), err)
 		return
 	}
 	sc.reply(w, appendBatchReply(sc.out[:0], req.Bs, ids, sts))
@@ -333,7 +333,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request, db *service.
 	}
 	res, st, err := db.TopK(q, k)
 	if err != nil {
-		fail(w, http.StatusBadRequest, err)
+		fail(w, errStatus(err), err)
 		return
 	}
 	sc.reply(w, appendTopKReply(sc.out[:0], res, st))
@@ -348,12 +348,12 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request, db *service
 	}
 	count, st, err := db.Count(q)
 	if err != nil {
-		fail(w, http.StatusBadRequest, err)
+		fail(w, errStatus(err), err)
 		return
 	}
 	lo, hi, err := db.SelectivityBounds(q)
 	if err != nil {
-		fail(w, http.StatusBadRequest, err)
+		fail(w, errStatus(err), err)
 		return
 	}
 	sc.reply(w, appendCountReply(sc.out[:0], count, lo, hi, st))
@@ -368,7 +368,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request, db *servi
 	}
 	plan, err := db.Explain(q)
 	if err != nil {
-		fail(w, http.StatusBadRequest, err)
+		fail(w, errStatus(err), err)
 		return
 	}
 	reply(w, map[string]interface{}{
@@ -404,18 +404,21 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request, db *servic
 	}
 	id, err := db.Append(req.Vec)
 	if err != nil {
-		fail(w, mutationStatus(err), err)
+		fail(w, errStatus(err), err)
 		return
 	}
 	sc.reply(w, appendIDReply(sc.out[:0], id))
 }
 
-// mutationStatus maps a write error to its HTTP status: a shed by a
-// full ingest ring is 429 (retry later), anything else is the caller's
-// fault.
-func mutationStatus(err error) int {
-	if errors.Is(err, service.ErrBackpressure) {
+// errStatus maps a store error to its HTTP status: a shed by a full
+// ingest queue is 429 (retry later), a closed store 503, anything else
+// is the caller's fault.
+func errStatus(err error) int {
+	switch {
+	case errors.Is(err, service.ErrBackpressure):
 		return http.StatusTooManyRequests
+	case errors.Is(err, service.ErrClosed):
+		return http.StatusServiceUnavailable
 	}
 	return http.StatusBadRequest
 }
@@ -443,7 +446,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request, db *servic
 		return
 	}
 	if err := db.Update(id, req.Vec); err != nil {
-		fail(w, mutationStatus(err), err)
+		fail(w, errStatus(err), err)
 		return
 	}
 	send(w, okReply)
@@ -456,7 +459,7 @@ func (s *Server) handleRemove(w http.ResponseWriter, r *http.Request, db *servic
 		return
 	}
 	if err := db.Remove(id); err != nil {
-		fail(w, mutationStatus(err), err)
+		fail(w, errStatus(err), err)
 		return
 	}
 	send(w, okReply)
@@ -485,7 +488,7 @@ func (s *Server) handleAddIndex(w http.ResponseWriter, r *http.Request, db *serv
 	}
 	added, err := db.AddNormal(req.Normal, signs)
 	if err != nil {
-		fail(w, http.StatusBadRequest, err)
+		fail(w, errStatus(err), err)
 		return
 	}
 	reply(w, map[string]interface{}{"added": added})
@@ -493,7 +496,11 @@ func (s *Server) handleAddIndex(w http.ResponseWriter, r *http.Request, db *serv
 
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request, db *service.DB) {
 	if err := db.Checkpoint(); err != nil {
-		fail(w, http.StatusInternalServerError, err)
+		status := http.StatusInternalServerError
+		if errors.Is(err, service.ErrClosed) {
+			status = http.StatusServiceUnavailable
+		}
+		fail(w, status, err)
 		return
 	}
 	send(w, okReply)

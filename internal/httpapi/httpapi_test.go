@@ -441,3 +441,35 @@ func TestOversizedAnswerIsNotPooled(t *testing.T) {
 		}
 	}
 }
+
+// TestClosedStoreIs503 closes the store under a running server, on the
+// direct and the grouped write route: every mutation and every query
+// answers 503 — the store is gone, the request was not at fault.
+func TestClosedStoreIs503(t *testing.T) {
+	for _, batch := range []int{0, 4} {
+		t.Run(fmt.Sprintf("ingestBatch=%d", batch), func(t *testing.T) {
+			db, err := service.Open(t.TempDir(), service.Options{Dim: 2, IngestBatch: batch})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { db.Close() })
+			api, err := New(db)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(api.Handler())
+			t.Cleanup(ts.Close)
+			call(t, ts, "POST", "/v1/points", map[string]interface{}{"vec": []float64{1, 2}}, http.StatusOK)
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			vec := map[string]interface{}{"vec": []float64{3, 4}}
+			query := map[string]interface{}{"a": []float64{1, 1}, "b": 10, "op": "<=", "k": 1}
+			call(t, ts, "POST", "/v1/points", vec, http.StatusServiceUnavailable)
+			call(t, ts, "PUT", "/v1/points/0", vec, http.StatusServiceUnavailable)
+			call(t, ts, "DELETE", "/v1/points/0", nil, http.StatusServiceUnavailable)
+			call(t, ts, "POST", "/v1/query", query, http.StatusServiceUnavailable)
+			call(t, ts, "POST", "/v1/topk", query, http.StatusServiceUnavailable)
+		})
+	}
+}

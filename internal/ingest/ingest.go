@@ -1,13 +1,13 @@
 // Package ingest is the asynchronous write front-end of a planar
-// store: a bounded multi-producer submission ring per commit lane
-// accepts write intents (append/update/remove) and returns awaitable
-// futures, while per-lane committer goroutines take whatever is
-// queued, up to a size bound, and hand it to the store as one group
-// commit — one lock acquisition, one multi-record WAL frame, one
-// fsync, one contiguous LSN range from the sequencer (see DESIGN.md
-// §13). Nothing waits for a batch to fill: a lone writer commits
-// alone, and under load a batch is what queued during the previous
-// commit's fsync.
+// store: one bounded queue per commit lane — a buffered channel of
+// futures — accepts write intents (append/update/remove) from any
+// number of producers, while per-lane committer goroutines take
+// whatever is queued, up to a size bound, and hand it to the store as
+// one group commit — one lock acquisition, one multi-record WAL frame,
+// one fsync, one contiguous LSN range from the sequencer (see
+// DESIGN.md §13). Nothing waits for a batch to fill: a lone writer
+// commits alone, and under load a batch is what queued during the
+// previous commit's fsync.
 //
 // The write QPS of the synchronous path is capped by per-record fsync
 // latency; grouping amortizes that latency over the whole batch, so
@@ -15,10 +15,10 @@
 // gets a durable ack — a future resolves only after the frame holding
 // its record has been fsynced.
 //
-// Backpressure is explicit: a full ring either blocks the producer
+// Backpressure is explicit: a full queue either parks the producer
 // (Config.Block) or sheds the intent with ErrBacklog, which the HTTP
-// layer maps to 429. Close drains — committers flush every queued
-// intent, resolve its future, and exit; a submission racing with
+// layer maps to 429. Close drains — committers commit every queued
+// intent, resolve its future, and exit; a submission that begins after
 // Close gets ErrClosed rather than a silently dropped write.
 package ingest
 
@@ -28,9 +28,9 @@ import (
 	"time"
 )
 
-// ErrBacklog reports a full submission ring in shedding mode; the
+// ErrBacklog reports a full submission queue in shedding mode; the
 // caller should retry later (HTTP 429).
-var ErrBacklog = errors.New("ingest: submission ring full")
+var ErrBacklog = errors.New("ingest: submission queue full")
 
 // ErrClosed reports a submission against a pipeline that is draining
 // or closed.
@@ -56,48 +56,25 @@ type Result struct {
 	Err error
 }
 
-// Future is the awaitable handle a submission returns. Exactly one
-// goroutine may Wait on it, exactly once.
+// Future is the awaitable handle a submission returns, and the unit a
+// lane's queue carries: the intent, its enqueue time (for ack-latency
+// accounting), and the result the committer fills in before it marks
+// the future done.
 type Future struct {
-	it *item
+	intent Intent
+	enq    time.Time
+	res    Result
+	done   sync.WaitGroup
 }
 
 // Wait blocks until the committer resolves the intent — after the
 // batch holding it has been applied and fsynced — and returns the
-// outcome. The future is consumed: a second Wait would observe a
-// recycled item.
+// outcome.
 func (f *Future) Wait() Result {
-	res := <-f.it.done
-	putItem(f.it)
-	f.it = nil
-	return res
+	f.done.Wait()
+	return f.res
 }
 
 // Resolved returns an already-resolved future, letting synchronous
 // fallback paths satisfy the async API without a pipeline.
-func Resolved(res Result) *Future {
-	it := getItem()
-	it.done <- res
-	return &Future{it: it}
-}
-
-// item is the pooled unit flowing through the ring: the intent, its
-// enqueue time (for ack-latency accounting), and the resolution
-// channel the future waits on.
-type item struct {
-	intent Intent
-	enq    time.Time
-	done   chan Result
-}
-
-var itemPool = sync.Pool{
-	New: func() any { return &item{done: make(chan Result, 1)} },
-}
-
-func getItem() *item { return itemPool.Get().(*item) }
-
-func putItem(it *item) {
-	it.intent = Intent{}
-	it.enq = time.Time{}
-	itemPool.Put(it)
-}
+func Resolved(res Result) *Future { return &Future{res: res} }

@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -218,10 +219,14 @@ func TestCloseDrainsQueuedIntents(t *testing.T) {
 		p.Close()
 		close(closed)
 	}()
-	// Close has shut the ring while the gated committer holds at most
+	// Close has shut the queue while the gated committer holds at most
 	// one batch: the rest are still queued and only the drain can
 	// commit them.
-	<-p.done
+	for shut := false; !shut; runtime.Gosched() {
+		p.closing.RLock()
+		shut = p.closed
+		p.closing.RUnlock()
+	}
 	if depth := p.Stats().QueueDepth; depth < n-batch {
 		t.Fatalf("%d intents queued at Close, want at least %d", depth, n-batch)
 	}
@@ -420,5 +425,92 @@ func TestRaceManyWriters(t *testing.T) {
 	p.Close()
 	if st := p.Stats(); st.Records != writers*perWriter {
 		t.Fatalf("records=%d, want %d", st.Records, writers*perWriter)
+	}
+}
+
+// TestCloseRacesSubmit closes a pipeline while producers are still
+// submitting, in both backpressure modes. Each submission ends one of
+// three ways — ErrClosed, ErrBacklog (shed mode only) or a future that
+// resolves without error — and the committed intents are exactly the
+// accepted ones, each once, a producer's in its submission order. A
+// send racing the close of its queue would panic.
+func TestCloseRacesSubmit(t *testing.T) {
+	for _, block := range []bool{true, false} {
+		t.Run(fmt.Sprintf("block=%v", block), func(t *testing.T) {
+			rec := &recorder{}
+			p, err := New(Config{Lanes: 2, BatchSize: 2, Block: block, Commit: rec.commit})
+			if err != nil {
+				t.Fatal(err)
+			}
+			const producers, perProducer = 8, 5000
+			accepted := make([][]*Future, producers)
+			var wg sync.WaitGroup
+			for w := 0; w < producers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := 0; i < perProducer; i++ {
+						f, err := p.Submit(w%2, Intent{Op: 3, ID: uint32(w*perProducer + i)})
+						switch {
+						case err == nil:
+							accepted[w] = append(accepted[w], f)
+						case errors.Is(err, ErrClosed):
+							return
+						case errors.Is(err, ErrBacklog) && !block:
+							runtime.Gosched()
+						default:
+							t.Errorf("producer %d: submit %d: %v", w, i, err)
+							return
+						}
+					}
+				}(w)
+			}
+			for p.Stats().Submitted < 100 {
+				runtime.Gosched()
+			}
+			p.Close()
+			wg.Wait()
+
+			want := map[uint32]bool{}
+			for w := range accepted {
+				for _, f := range accepted[w] {
+					if res := f.Wait(); res.Err != nil {
+						t.Fatalf("accepted intent %d failed: %v", f.intent.ID, res.Err)
+					}
+					want[f.intent.ID] = true
+				}
+			}
+			last := make([]int64, producers)
+			for i := range last {
+				last[i] = -1
+			}
+			got := 0
+			for _, b := range rec.batches {
+				for _, in := range b {
+					if !want[in.ID] {
+						t.Fatalf("intent %d committed but not accepted, or committed twice", in.ID)
+					}
+					delete(want, in.ID)
+					got++
+					w := in.ID / perProducer
+					if int64(in.ID) <= last[w] {
+						t.Fatalf("producer %d: intent %d committed after %d", w, in.ID, last[w])
+					}
+					last[w] = int64(in.ID)
+				}
+			}
+			if len(want) != 0 {
+				t.Fatalf("%d accepted intents never committed", len(want))
+			}
+			if got == producers*perProducer {
+				t.Fatal("every submission was accepted: Close raced none of them")
+			}
+			if st := p.Stats(); st.Records != uint64(got) || st.Submitted != uint64(got) {
+				t.Fatalf("stats: submitted %d, records %d; committed %d", st.Submitted, st.Records, got)
+			}
+			if _, err := p.Submit(0, Intent{Op: 3}); !errors.Is(err, ErrClosed) {
+				t.Fatalf("submit after close: %v", err)
+			}
+		})
 	}
 }

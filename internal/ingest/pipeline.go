@@ -1,7 +1,7 @@
 package ingest
 
 import (
-	"fmt"
+	"errors"
 	"sync"
 	"time"
 )
@@ -17,14 +17,14 @@ type CommitFunc func(lane int, intents []Intent, results []Result) error
 // Config sizes a pipeline.
 type Config struct {
 	// Lanes is the number of independent commit lanes — 1 for a
-	// single store, the shard fan-out for a sharded one. Intents in
-	// one lane commit in submission order.
+	// single store, the shard fan-out for a sharded one (0 means 1).
+	// Intents in one lane commit in submission order.
 	Lanes int
-	// BatchSize caps records per group commit (default 256, hard
-	// ceiling wal.MaxBatchRecords via the committer's WAL). Each lane's
-	// ring holds 4×BatchSize intents.
+	// BatchSize caps records per group commit and must be positive
+	// (the caller bounds it by wal.MaxBatchRecords). Each lane's queue
+	// holds 4×BatchSize intents.
 	BatchSize int
-	// Block selects backpressure mode: block producers on a full ring
+	// Block selects backpressure mode: park producers on a full queue
 	// (true) or shed with ErrBacklog (false, the default — the HTTP
 	// layer answers 429).
 	Block bool
@@ -32,48 +32,46 @@ type Config struct {
 	Commit CommitFunc
 }
 
-// DefaultBatchSize is the records-per-group-commit cap when Config
-// leaves BatchSize zero.
-const DefaultBatchSize = 256
-
-// Pipeline is the running subsystem: one ring and one committer
+// Pipeline is the running subsystem: one queue and one committer
 // goroutine per lane, plus shared stats.
 type Pipeline struct {
 	cfg       Config
 	lanes     []*lane
 	stats     stats
-	done      chan struct{} // closed by Close; committers drain and exit
 	committer sync.WaitGroup
-	closeOnce sync.Once
+
+	// closing orders sends against Close: Submit holds it shared while
+	// it enqueues, Close holds it exclusively while it closes the
+	// queues, so no send races the closing of its queue. A send that
+	// parks on a full queue keeps holding it; that cannot deadlock,
+	// because the committers that free space never take it.
+	closing sync.RWMutex
+	closed  bool // guarded by closing
 }
 
 type lane struct {
-	idx  int
-	ring *ring
+	idx   int
+	queue chan *Future
 	// committer-private scratch, reused across batches.
-	items   []*item
+	batch   []*Future
 	intents []Intent
 	results []Result
 }
 
-// New starts a pipeline. Commit must be set; zero sizing fields take
-// defaults.
+// New starts a pipeline. Commit and a positive BatchSize are required.
 func New(cfg Config) (*Pipeline, error) {
-	if cfg.Commit == nil {
-		return nil, fmt.Errorf("ingest: Config.Commit is required")
+	if cfg.Commit == nil || cfg.BatchSize <= 0 {
+		return nil, errors.New("ingest: Config needs a Commit func and a positive BatchSize")
 	}
-	if cfg.Lanes <= 0 {
-		cfg.Lanes = 1
-	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = DefaultBatchSize
-	}
-	p := &Pipeline{cfg: cfg, done: make(chan struct{})}
-	for i := 0; i < cfg.Lanes; i++ {
+	p := &Pipeline{cfg: cfg}
+	for i := 0; i < max(cfg.Lanes, 1); i++ {
 		p.lanes = append(p.lanes, &lane{
-			idx:     i,
-			ring:    newRing(4 * cfg.BatchSize),
-			items:   make([]*item, 0, cfg.BatchSize),
+			idx: i,
+			// Four batches: while one commits, the next ones queue
+			// behind it and producers keep going; past that, queueing
+			// only adds ack latency, so the queue blocks or sheds.
+			queue:   make(chan *Future, 4*cfg.BatchSize),
+			batch:   make([]*Future, 0, cfg.BatchSize),
 			intents: make([]Intent, 0, cfg.BatchSize),
 			results: make([]Result, cfg.BatchSize),
 		})
@@ -88,40 +86,48 @@ func New(cfg Config) (*Pipeline, error) {
 	return p, nil
 }
 
-// Lanes returns the pipeline's lane count (the store's routing
-// modulus).
-func (p *Pipeline) Lanes() int { return len(p.lanes) }
-
 // Submit enqueues one intent on a lane and returns its future. The
 // caller picks the lane (the store routes same-key intents to a fixed
-// lane so per-key order is preserved). A full ring blocks or sheds
-// per Config.Block; a closed pipeline reports ErrClosed.
+// lane so per-key order is preserved). A full queue parks or sheds
+// per Config.Block; a closed pipeline reports ErrClosed. A producer
+// parked when Close begins finishes its enqueue, and the drain commits
+// its intent.
 func (p *Pipeline) Submit(laneIdx int, in Intent) (*Future, error) {
-	l := p.lanes[laneIdx]
-	it := getItem()
-	it.intent = in
-	it.enq = time.Now()
-	if err := l.ring.push(it, p.cfg.Block); err != nil {
-		putItem(it)
-		if err == ErrBacklog {
+	f := &Future{intent: in, enq: time.Now()}
+	f.done.Add(1)
+	p.closing.RLock()
+	defer p.closing.RUnlock()
+	if p.closed {
+		return nil, ErrClosed
+	}
+	q := p.lanes[laneIdx].queue
+	if p.cfg.Block {
+		q <- f
+	} else {
+		select {
+		case q <- f:
+		default:
 			p.stats.shed.Add(1)
+			return nil, ErrBacklog
 		}
-		return nil, err
 	}
 	p.stats.submitted.Add(1)
-	return &Future{it: it}, nil
+	return f, nil
 }
 
-// Close drains the pipeline: rings stop accepting work, committers
-// flush and resolve everything still queued, and Close returns once
-// the last committer has exited. Safe to call more than once.
+// Close drains the pipeline: the queues stop accepting work,
+// committers commit and resolve everything still queued, and Close
+// returns once the last committer has exited. Safe to call more than
+// once.
 func (p *Pipeline) Close() {
-	p.closeOnce.Do(func() {
+	p.closing.Lock()
+	if !p.closed {
+		p.closed = true
 		for _, l := range p.lanes {
-			l.ring.close()
+			close(l.queue)
 		}
-		close(p.done)
-	})
+	}
+	p.closing.Unlock()
 	p.committer.Wait()
 }
 
@@ -129,63 +135,52 @@ func (p *Pipeline) Close() {
 func (p *Pipeline) Stats() Stats {
 	depth := 0
 	for _, l := range p.lanes {
-		depth += l.ring.depth()
+		depth += len(l.queue)
 	}
 	return p.stats.snapshot(depth)
 }
 
-// run is the committer loop for one lane: collect a batch, commit it,
-// resolve its futures; repeat until the ring is closed and drained.
+// run is the committer loop for one lane: block for the first queued
+// future, take whatever else is queued, up to BatchSize, without
+// waiting for more — the batch is what arrived while the previous one
+// committed — and commit it; exit once the queue is closed and empty.
 func (p *Pipeline) run(l *lane) {
-	for {
-		batch := p.collect(l)
-		if len(batch) == 0 {
-			return
+	for f := range l.queue {
+		batch := append(l.batch[:0], f)
+	fill:
+		for len(batch) < p.cfg.BatchSize {
+			select {
+			case next, ok := <-l.queue:
+				if !ok {
+					break fill
+				}
+				batch = append(batch, next)
+			default:
+				break fill
+			}
 		}
 		p.commit(l, batch)
 	}
 }
 
-// collect blocks for the first queued item, then takes whatever else
-// is queued, up to BatchSize, without waiting for more: the batch is
-// what arrived while the previous one committed. After Close it
-// returns whatever remains, then an empty batch.
-func (p *Pipeline) collect(l *lane) []*item {
-	batch := l.items[:0]
-	for {
-		if batch = l.ring.tryPop(batch, p.cfg.BatchSize); len(batch) > 0 {
-			return batch
-		}
-		select {
-		case <-l.ring.notify:
-		case <-p.done:
-			// Final drain: pick up anything pushed before close won
-			// the race; an empty result ends the committer.
-			return l.ring.tryPop(batch, p.cfg.BatchSize)
-		}
-	}
-}
-
 // commit hands one batch to the store and resolves every future; a
 // whole-batch error fans out to each of them.
-func (p *Pipeline) commit(l *lane, batch []*item) {
+func (p *Pipeline) commit(l *lane, batch []*Future) {
 	intents := l.intents[:0]
-	for _, it := range batch {
-		intents = append(intents, it.intent)
+	for _, f := range batch {
+		intents = append(intents, f.intent)
 	}
 	results := l.results[:len(batch)]
-	for i := range results {
-		results[i] = Result{}
-	}
+	clear(results)
 	err := p.cfg.Commit(l.idx, intents, results)
 	now := time.Now()
-	for i, it := range batch {
-		res := results[i]
+	for i, f := range batch {
+		f.res = results[i]
 		if err != nil {
-			res = Result{Err: err}
+			f.res = Result{Err: err}
 		}
-		p.stats.observeAck(now.Sub(it.enq))
-		it.done <- res
+		p.stats.observeAck(now.Sub(f.enq))
+		f.done.Done()
 		batch[i] = nil
 	}
 	p.stats.observeBatch(len(batch))

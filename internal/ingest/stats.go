@@ -50,7 +50,7 @@ func (s *stats) observeAck(d time.Duration) {
 // Stats is a point-in-time snapshot of pipeline behavior, shaped for
 // the /v1/stats ingest block.
 type Stats struct {
-	// Submitted counts intents accepted into a ring; Shed counts
+	// Submitted counts intents accepted into a queue; Shed counts
 	// intents refused with ErrBacklog.
 	Submitted uint64
 	Shed      uint64

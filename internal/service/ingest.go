@@ -5,7 +5,7 @@ import (
 	"planar/internal/wal"
 )
 
-// ErrBackpressure reports a write shed by a full ingest ring; the
+// ErrBackpressure reports a write shed by a full ingest queue; the
 // caller should retry later (the HTTP layer answers 429).
 var ErrBackpressure = ingest.ErrBacklog
 

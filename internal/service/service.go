@@ -37,6 +37,10 @@ import (
 // replication stream (httpapi rejects or proxies them upstream).
 var ErrReadOnly = errors.New("service: store is read-only (replica)")
 
+// ErrClosed reports a write, checkpoint or query against a closed
+// store, whichever route the write took (the HTTP layer answers 503).
+var ErrClosed = shard.ErrClosed
+
 const (
 	// minMutation and minPagedMutation are the pacing floors: the
 	// least time a synchronous Append, Update or Remove takes on the
@@ -84,7 +88,7 @@ type Options struct {
 	// Grouped commits always fsync before acking, superseding
 	// SyncEveryWrite on the grouped path.
 	IngestBatch int
-	// IngestBlock selects backpressure mode for a full ring (one per
+	// IngestBlock selects backpressure mode for a full queue (one per
 	// shard, holding 4×IngestBatch mutations): block the submitter
 	// (true) or shed with ErrBackpressure (false, the default — the
 	// HTTP layer answers 429).
@@ -319,7 +323,8 @@ func (db *DB) pace(start time.Time) {
 // read-only store; handed to the ingest pipeline when there is one,
 // which resolves the returned future after the batch's fsync; otherwise
 // committed here and paced, the future nil and the result — which
-// carries any error — final on return.
+// carries any error — final on return. A closed store refuses on
+// either route with ErrClosed.
 func (db *DB) write(op wal.Op, id uint32, v []float64) (*ingest.Future, ingest.Result) {
 	if db.readOnly.Load() {
 		return nil, ingest.Result{Err: ErrReadOnly}
@@ -330,6 +335,9 @@ func (db *DB) write(op wal.Op, id uint32, v []float64) (*ingest.Future, ingest.R
 			lane = db.store.NextAppendLane()
 		}
 		f, err := db.pipe.Submit(lane, ingest.Intent{Op: uint8(op), ID: id, Vec: v})
+		if errors.Is(err, ingest.ErrClosed) {
+			err = ErrClosed
+		}
 		return f, ingest.Result{Err: err}
 	}
 	defer db.pace(time.Now())
@@ -381,6 +389,7 @@ func (db *DB) Checkpoint() error { return db.store.Checkpoint() }
 // the logs are replayed on the next Open. An active ingest pipeline
 // is drained first — every queued intent commits and resolves its
 // future before the logs close, so an acked write is never dropped.
+// Every write, checkpoint and query after Close fails with ErrClosed.
 func (db *DB) Close() error {
 	if db.pipe != nil {
 		db.pipe.Close()

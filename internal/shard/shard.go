@@ -44,6 +44,7 @@ type partition struct {
 	multi   *core.Multi
 	log     *wal.Writer // guarded by mu; nil when ephemeral
 	pending int         // guarded by mu; mutations since the last checkpoint
+	closed  bool        // guarded by mu; set by close, refuses all work after
 
 	// pstore is this shard's paged checkpoint file (nil in snapshot
 	// mode); replayed counts WAL records applied at open after the
@@ -276,6 +277,9 @@ func (p *partition) pointErr(local uint32, err error) error {
 func (p *partition) commit(op wal.Op, local uint32, vec []float64) (uint32, uint64, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if p.closed {
+		return 0, 0, ErrClosed
+	}
 	local, err := apply(p.multi, op, local, vec)
 	if err != nil {
 		return 0, 0, err
@@ -299,6 +303,9 @@ func (p *partition) commit(op wal.Op, local uint32, vec []float64) (uint32, uint
 func (p *partition) commitBatch(intents []ingest.Intent, results []ingest.Result) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if p.closed {
+		return ErrClosed
+	}
 	walRecs := make([]wal.Record, 0, len(intents))
 	ringRecs := make([]wal.Record, 0, len(intents))
 	okIdx := make([]int, 0, len(intents))
@@ -362,6 +369,9 @@ func (p *partition) journalBatch(recs []wal.Record) func(uint64) error {
 func (p *partition) applyReplicated(rec wal.Record, local uint32) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if p.closed {
+		return ErrClosed
+	}
 	id, err := apply(p.multi, rec.Op, local, rec.Vec)
 	if err != nil {
 		return fmt.Errorf("apply op %d: %v: %w", rec.Op, err, replog.ErrDiverged)
@@ -411,6 +421,9 @@ func (p *partition) checkpoint() error {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if p.closed {
+		return ErrClosed
+	}
 	return p.checkpointLocked()
 }
 
@@ -444,10 +457,12 @@ func (p *partition) checkpointLocked() error {
 	return nil
 }
 
-// close flushes and releases the shard's log and page file.
+// close flushes and releases the shard's log and page file. The
+// partition refuses every write, checkpoint and query after it.
 func (p *partition) close() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.closed = true
 	var err error
 	if p.log != nil {
 		err = p.log.Sync()

@@ -28,6 +28,10 @@ const metaFile = "shards.meta"
 // options leave it unset (64 MiB).
 const defaultPageCacheBytes = 64 << 20
 
+// ErrClosed reports a write, checkpoint or query against a closed
+// store.
+var ErrClosed = errors.New("shard: store is closed")
+
 // Options configures a Store.
 type Options struct {
 	// Shards is the number of hash partitions of a fresh store (0 or 1:
@@ -337,12 +341,21 @@ func (s *Store) scatter(fn func(shardIdx int) error) error {
 // hold of its own partition's write lock, so while all of them are
 // held no commit is half done anywhere, and the store is exactly the
 // state at seq.Last(). At N = 1 it is the one RLock a query takes.
-// runlockAll releases it. They are two methods, not one returning a
-// closure, so a query allocates nothing to take the cut.
-func (s *Store) rlockAll() {
+// It reports ErrClosed when any partition is closed, whose page file
+// a query must not fault; the locks are held either way. The
+// accessors that read only what a closed store still holds in memory
+// (counts, the index configuration, Capture's copy) ignore it.
+// runlockAll releases the cut. They are two methods, not one
+// returning a closure, so a query allocates nothing to take the cut.
+func (s *Store) rlockAll() error {
+	var err error
 	for _, p := range s.parts {
 		p.mu.RLock()
+		if p.closed {
+			err = ErrClosed
+		}
 	}
+	return err
 }
 
 func (s *Store) runlockAll() {
@@ -353,7 +366,7 @@ func (s *Store) runlockAll() {
 
 // Len returns the number of live points across all shards.
 func (s *Store) Len() int {
-	s.rlockAll()
+	_ = s.rlockAll()
 	defer s.runlockAll()
 	total := 0
 	for _, p := range s.parts {
@@ -365,14 +378,14 @@ func (s *Store) Len() int {
 // NumIndexes returns the number of planar indexes per shard (every
 // shard holds the same index configuration).
 func (s *Store) NumIndexes() int {
-	s.rlockAll()
+	_ = s.rlockAll()
 	defer s.runlockAll()
 	return s.parts[0].multi.NumIndexes()
 }
 
 // MemoryBytes returns the approximate footprint of all shards.
 func (s *Store) MemoryBytes() int {
-	s.rlockAll()
+	_ = s.rlockAll()
 	defer s.runlockAll()
 	total := 0
 	for _, p := range s.parts {
@@ -463,16 +476,21 @@ func (s *Store) CommitBatch(lane int, intents []ingest.Intent, results []ingest.
 // one index configuration for scatter-gather plans to be comparable).
 // It holds every partition's write lock, taken in index order, so no
 // cut sees the index on some partitions and not on others. It reports
-// whether an index was added.
+// whether an index was added; a closed store refuses with ErrClosed.
 func (s *Store) AddNormal(normal []float64, signs vecmath.SignPattern) (bool, error) {
+	var closed bool
 	for _, p := range s.parts {
 		p.mu.Lock()
+		closed = closed || p.closed
 	}
 	defer func() {
 		for _, p := range s.parts {
 			p.mu.Unlock()
 		}
 	}()
+	if closed {
+		return false, ErrClosed
+	}
 	added := false
 	for i, p := range s.parts {
 		ok, err := p.multi.AddNormal(normal, signs)
@@ -554,14 +572,17 @@ func (s *Store) Query(q core.Query) ([]uint32, core.Stats, error) {
 // fills dst itself; several fill pooled buffers of their own, which
 // are merged into dst.
 func (s *Store) AppendQuery(dst []uint32, q core.Query) ([]uint32, core.Stats, error) {
-	s.rlockAll()
+	err := s.rlockAll()
 	defer s.runlockAll()
+	if err != nil {
+		return dst, core.Stats{}, err
+	}
 	if len(s.parts) == 1 {
 		return s.parts[0].multi.AppendInequalityIDs(dst, q)
 	}
 	g := getGather(len(s.parts))
 	defer putGather(g)
-	err := s.scatter(func(i int) error {
+	err = s.scatter(func(i int) error {
 		lids, st, err := s.parts[i].multi.AppendInequalityIDs(g.ids[i], q)
 		if err != nil {
 			return err
@@ -578,14 +599,17 @@ func (s *Store) AppendQuery(dst []uint32, q core.Query) ([]uint32, core.Stats, e
 // QueryBatch answers one inequality query per threshold, sharing a
 // single plan per shard across the batch.
 func (s *Store) QueryBatch(a []float64, op core.Op, bs []float64) ([][]uint32, []core.Stats, error) {
-	s.rlockAll()
+	err := s.rlockAll()
 	defer s.runlockAll()
+	if err != nil {
+		return nil, nil, err
+	}
 	if len(s.parts) == 1 {
 		return s.parts[0].multi.InequalityBatch(a, op, bs)
 	}
 	ids := make([][][]uint32, len(s.parts)) // [shard][threshold]
 	sts := make([][]core.Stats, len(s.parts))
-	err := s.scatter(func(i int) error {
+	err = s.scatter(func(i int) error {
 		lids, lsts, err := s.parts[i].multi.InequalityBatch(a, op, bs)
 		if err != nil {
 			return err
@@ -619,14 +643,17 @@ func (s *Store) QueryBatch(a []float64, op core.Op, bs []float64) ([][]uint32, [
 // cut-off locally, then the per-shard answers are k-way merged on
 // (distance, id).
 func (s *Store) TopK(q core.Query, k int) ([]core.Result, core.Stats, error) {
-	s.rlockAll()
+	err := s.rlockAll()
 	defer s.runlockAll()
+	if err != nil {
+		return nil, core.Stats{}, err
+	}
 	if len(s.parts) == 1 {
 		return s.parts[0].multi.TopK(q, k)
 	}
 	res := make([][]core.Result, len(s.parts))
 	sts := make([]core.Stats, len(s.parts))
-	err := s.scatter(func(i int) error {
+	err = s.scatter(func(i int) error {
 		p := s.parts[i]
 		rs, st, err := p.multi.TopK(q, k)
 		if err != nil {
@@ -646,14 +673,17 @@ func (s *Store) TopK(q core.Query, k int) ([]core.Result, core.Stats, error) {
 
 // Count answers an exact COUNT(*) as the sum of per-shard counts.
 func (s *Store) Count(q core.Query) (int, core.Stats, error) {
-	s.rlockAll()
+	err := s.rlockAll()
 	defer s.runlockAll()
+	if err != nil {
+		return 0, core.Stats{}, err
+	}
 	if len(s.parts) == 1 {
 		return s.parts[0].multi.Count(q)
 	}
 	g := getGather(len(s.parts))
 	defer putGather(g)
-	err := s.scatter(func(i int) (err error) {
+	err = s.scatter(func(i int) (err error) {
 		g.counts[i], g.sts[i], err = s.parts[i].multi.Count(q)
 		return err
 	})
@@ -671,8 +701,11 @@ func (s *Store) Count(q core.Query) (int, core.Stats, error) {
 // each shard's answer size is individually bracketed, so the sums
 // bracket the global answer.
 func (s *Store) SelectivityBounds(q core.Query) (lo, hi int, err error) {
-	s.rlockAll()
+	err = s.rlockAll()
 	defer s.runlockAll()
+	if err != nil {
+		return 0, 0, err
+	}
 	for _, p := range s.parts {
 		plo, phi, err := p.multi.SelectivityBounds(q)
 		if err != nil {
@@ -691,8 +724,11 @@ func (s *Store) SelectivityBounds(q core.Query) (lo, hi int, err error) {
 // choice is representative even though data-dependent interval sizes
 // can occasionally tip another shard toward a different candidate.
 func (s *Store) Explain(q core.Query) (core.Plan, error) {
-	s.rlockAll()
+	err := s.rlockAll()
 	defer s.runlockAll()
+	if err != nil {
+		return core.Plan{}, err
+	}
 	out, err := s.parts[0].multi.Explain(q)
 	if err != nil {
 		return core.Plan{}, s.shardErr(0, err)
@@ -730,7 +766,7 @@ func (s *Store) Apply(rec wal.Record) error {
 // LSN the snapshots are consistent at. Writers wait while it copies;
 // readers do not.
 func (s *Store) Capture() (lsn uint64, snaps []*codec.Snapshot) {
-	s.rlockAll()
+	_ = s.rlockAll()
 	defer s.runlockAll()
 	snaps = make([]*codec.Snapshot, len(s.parts))
 	for i, p := range s.parts {
