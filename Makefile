@@ -55,7 +55,7 @@ race:
 # The sharded-store stress suite under the race detector: concurrent
 # Append/Update/Remove/query mixes against scatter-gather execution.
 race-shard:
-	$(GO) test -race -run 'TestStress|TestSharded' ./internal/shard ./internal/service
+	$(GO) test -race -run 'TestStress|TestSharded' ./internal/service
 
 # The pager and paged-btree suites under the race detector: the pin
 # discipline, shard-locked cache, and paged-mode tree operations that
@@ -99,10 +99,14 @@ replica-integration:
 # The repeated codec line races readers, the writeback loop and the
 # Index accessors against checkpoints: the Multi's lock is the only
 # lock an index has, and this is the dynamic proof that it suffices.
+# The repeated service line races checkpoints, whose writeback drain
+# runs outside the partition lock, against Close: a checkpoint either
+# commits or is refused with ErrClosed, never writes to a closed file.
 page-integration:
 	$(GO) test -race ./internal/pager ./internal/codec
 	$(GO) test -race -run 'TestPaged|TestWriteback|TestWiden' ./internal/service ./internal/btree ./internal/exec ./internal/core
 	$(GO) test -race -count 20 -run 'TestPagedFirstCheckpointAdoptsTrees|TestPagedCheckpointRacesReadersAndWriteback' ./internal/codec
+	$(GO) test -race -count 20 -run TestCheckpointRacesClose ./internal/service
 
 # End-to-end group commit under the race detector: the grouped-vs-
 # sync golden identity (byte-identical snapshots, WAL batch-frame

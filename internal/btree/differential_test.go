@@ -3,6 +3,8 @@ package btree
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"planar/internal/btree/reftree"
@@ -324,5 +326,76 @@ func TestChunkViewsMatchEntryWalks(t *testing.T) {
 	tr.RangeChunks(math.Inf(-1), math.Inf(1), func([]float64, []uint32) bool { calls++; return false })
 	if calls != 1 {
 		t.Fatalf("RangeChunks early stop made %d calls", calls)
+	}
+}
+
+// TestDifferentialInnerBorrow deletes 90 % of a tree three levels
+// deep, so underfull inner nodes are fixed by rotating a child from a
+// sibling (borrowInnerLeft, borrowInnerRight) as well as by merges,
+// and holds the tree to a sorted model on the RAM and the paged
+// arena. The deletions run in random order, and range-first: a
+// contiguous key range goes first, the rest at random.
+func TestDifferentialInnerBorrow(t *testing.T) {
+	const n, keep = 60000, 6000
+	rng := rand.New(rand.NewSource(45))
+	ents := make([]Entry, n)
+	for i := range ents {
+		ents[i] = Entry{Key: math.Floor(rng.Float64()*1e6) / 16, ID: uint32(i)}
+	}
+	sort.Slice(ents, func(i, j int) bool { return less(ents[i].Key, ents[i].ID, ents[j].Key, ents[j].ID) })
+	random := rng.Perm(n)
+	// Range-first: the middle half of the key order, then the rest at
+	// random.
+	rangeFirst := make([]int, 0, n)
+	for i := n / 4; i < 3*n/4; i++ {
+		rangeFirst = append(rangeFirst, i)
+	}
+	for _, i := range rng.Perm(n) {
+		if i < n/4 || i >= 3*n/4 {
+			rangeFirst = append(rangeFirst, i)
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		order []int
+	}{{"random", random}, {"range-first", rangeFirst}} {
+		order := c.order
+		for _, arena := range []string{"ram", "paged"} {
+			t.Run(c.name+"/"+arena, func(t *testing.T) {
+				tr := BulkLoad(append([]Entry(nil), ents...))
+				if arena == "paged" {
+					_, paged, f, _ := buildPaged(t, ents, 1<<20)
+					defer f.Close()
+					tr = paged
+				}
+				dead := make([]bool, n)
+				for step, i := range order[:n-keep] {
+					if !tr.Delete(ents[i].Key, ents[i].ID) {
+						t.Fatalf("delete %v failed", ents[i])
+					}
+					dead[i] = true
+					if step%9000 == 0 {
+						mustValidate(t, tr)
+					}
+				}
+				mustValidate(t, tr)
+				var model []Entry
+				for i, e := range ents {
+					if !dead[i] {
+						model = append(model, e)
+					}
+				}
+				if got := collectAll(tr); !reflect.DeepEqual(got, model) {
+					t.Fatalf("tree holds %d entries, model %d", len(got), len(model))
+				}
+				for probe := 0; probe < 200; probe++ {
+					k := rng.Float64() * 1e6 / 16
+					want := sort.Search(len(model), func(i int) bool { return model[i].Key > k })
+					if got := tr.RankLE(k); got != want {
+						t.Fatalf("RankLE(%v) = %d, model %d", k, got, want)
+					}
+				}
+			})
+		}
 	}
 }

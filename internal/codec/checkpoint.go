@@ -418,13 +418,13 @@ func (ps *PagedStore) Path() string { return ps.file.Path() }
 // Dim returns the store dimensionality recorded in the file.
 func (ps *PagedStore) Dim() int { return ps.dim }
 
-// Close stops the background writer (if any) and closes the
-// underlying page file. Trees opened from this store, or adopted by
-// its checkpoints, must not be used afterwards.
+// Close stops the background writer (if any), waiting out a
+// DrainWriteback in progress, and closes the underlying page file.
+// Trees opened from this store, or adopted by its checkpoints, must
+// not be used afterwards; a DrainWriteback after Close writes nothing.
 func (ps *PagedStore) Close() error {
 	if ps.writer != nil {
 		ps.writer.Close()
-		ps.writer = nil
 	}
 	return ps.file.Close()
 }

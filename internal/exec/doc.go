@@ -21,8 +21,7 @@
 //	Sink    pluggable result collectors: raw ids (IDSink), exact
 //	        counts in O(log n) (CountSink), top-k nearest to the
 //	        query hyperplane with lower-bound pruning (TopKSink),
-//	        callback streaming (FuncSink), and a stage-event
-//	        recorder (TraceSink).
+//	        and callback streaming (FuncSink).
 //
 // The package deliberately depends only on the btree, kernel, topk
 // and vecmath primitives; internal/core builds its public query API on

@@ -140,43 +140,3 @@ func (s *TopKSink) Results() []Result {
 	}
 	return out
 }
-
-// TraceSink records how many points flowed through each delivery path
-// and optionally forwards them to an inner sink. It deliberately
-// exposes none of the optional capabilities, so the Execute stage
-// hands it every id — the smaller interval as leaf chunks, not a
-// count, and no top-k cut-off — and the trace observes every delivery:
-// the EXPLAIN ANALYZE of the pipeline.
-type TraceSink struct {
-	Inner   Sink // may be nil
-	Accepts int  // ids delivered without verification
-	Matches int  // ids delivered after verification
-	Stopped bool // the inner sink stopped execution early
-}
-
-func (s *TraceSink) Reserve(n int) {
-	if s.Inner != nil {
-		s.Inner.Reserve(n)
-	}
-}
-
-func (s *TraceSink) AcceptChunk(ids []uint32) (int, bool) {
-	taken, more := len(ids), true
-	if s.Inner != nil {
-		taken, more = s.Inner.AcceptChunk(ids)
-	}
-	s.Accepts += taken
-	if !more {
-		s.Stopped = true
-	}
-	return taken, more
-}
-
-func (s *TraceSink) Match(id uint32) bool {
-	s.Matches++
-	if s.Inner != nil && !s.Inner.Match(id) {
-		s.Stopped = true
-		return false
-	}
-	return true
-}

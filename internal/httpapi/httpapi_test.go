@@ -6,11 +6,14 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"planar/internal/ingest"
+	"planar/internal/replica"
 	"planar/internal/service"
 )
 
@@ -471,5 +474,57 @@ func TestClosedStoreIs503(t *testing.T) {
 			call(t, ts, "POST", "/v1/query", query, http.StatusServiceUnavailable)
 			call(t, ts, "POST", "/v1/topk", query, http.StatusServiceUnavailable)
 		})
+	}
+}
+
+// TestReplicationStatus reads GET /v1/replication/status on a primary
+// and on a replica tailing it: both report their role, LSN, read-only
+// guard and point count, and only the replica adds the primary's URL
+// and its replication loop's status.
+func TestReplicationStatus(t *testing.T) {
+	ts, db := testServer(t)
+	for i := 0; i < 3; i++ {
+		if _, err := db.Append([]float64{float64(i), 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := call(t, ts, "GET", "/v1/replication/status", nil, http.StatusOK)
+	if st["role"] != "primary" || st["lsn"] != 3.0 || st["readOnly"] != false || st["points"] != 3.0 {
+		t.Fatalf("primary status %v", st)
+	}
+	if _, ok := st["primary"]; ok {
+		t.Fatalf("primary status names a primary: %v", st)
+	}
+	if _, ok := st["replica"]; ok {
+		t.Fatalf("primary status has a replica block: %v", st)
+	}
+
+	rep, err := replica.Start(replica.Options{Primary: ts.URL, Dir: filepath.Join(t.TempDir(), "replica"), PollWait: 50 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rep.Close() })
+	streaming := func() bool { st := rep.Status(); return st.State == replica.StateStreaming && st.LastApplied >= 3 }
+	for deadline := time.Now().Add(15 * time.Second); !streaming(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("replica stuck at %+v", rep.Status())
+		}
+	}
+	api, err := New(nil, WithReplica(rep, ts.URL, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := httptest.NewServer(api.Handler())
+	t.Cleanup(rs.Close)
+	st = call(t, rs, "GET", "/v1/replication/status", nil, http.StatusOK)
+	if st["role"] != "replica" || st["lsn"] != 3.0 || st["readOnly"] != true || st["points"] != 3.0 {
+		t.Fatalf("replica status %v", st)
+	}
+	if st["primary"] != ts.URL {
+		t.Fatalf("replica status names primary %v, want %s", st["primary"], ts.URL)
+	}
+	loop, ok := st["replica"].(map[string]interface{})
+	if !ok || loop["state"] != replica.StateStreaming || loop["lastApplied"] != 3.0 || loop["bootstraps"] != 1.0 {
+		t.Fatalf("replica block %v", st["replica"])
 	}
 }

@@ -27,7 +27,7 @@ import (
 // Acquisitions are propagated interprocedurally two ways: a fixpoint
 // over same-package calls, and a table of exported entry points that
 // acquire locks internally (Sequencer.Commit takes the sequencer
-// lock, shard.Store methods take partition locks, core.Multi methods
+// lock, service.DB methods take partition locks, core.Multi methods
 // take the collection lock, …) so cross-package nesting is checked
 // without whole-program analysis.
 var Locknesting = &analysis.Analyzer{
@@ -42,14 +42,14 @@ type lockClass string
 // taken while holding locks of strictly lower rank, and equal-rank
 // classes must never nest either.
 var lockRank = map[lockClass]int{
-	"planar/internal/shard.partition.mu":  20, // per-shard store lock, outermost
-	"planar/internal/core.Multi.mu":       30, // index-collection lock
-	"planar/internal/replog.Sequencer.mu": 60, // commit sequencer (journal-under-lock)
-	"planar/internal/btree.pagedArena.io": 70, // paged tree: writeback chunk, checkpoint flush
-	"planar/internal/btree.pagedArena.mu": 72, // paged tree: op bracket, writeback stage/complete
-	"planar/internal/pager.cacheShard.mu": 74, // page cache shard
-	"planar/internal/replica.Replica.mu":  90, // replica status leaf
-	"planar/internal/pager.File.mu":       95, // page allocator leaf (page I/O takes no lock)
+	"planar/internal/service.partition.mu": 20, // per-shard store lock, outermost
+	"planar/internal/core.Multi.mu":        30, // index-collection lock
+	"planar/internal/replog.Sequencer.mu":  60, // commit sequencer (journal-under-lock)
+	"planar/internal/btree.pagedArena.io":  70, // paged tree: writeback chunk, checkpoint flush
+	"planar/internal/btree.pagedArena.mu":  72, // paged tree: op bracket, writeback stage/complete
+	"planar/internal/pager.cacheShard.mu":  74, // page cache shard
+	"planar/internal/replica.Replica.mu":   90, // replica status leaf
+	"planar/internal/pager.File.mu":        95, // page allocator leaf (page I/O takes no lock)
 }
 
 // lockAcquiredByCall maps exported entry points ("pkgpath.Type.Method"
@@ -71,19 +71,14 @@ func init() {
 	// service.DB methods are tagged with the outermost lock they
 	// acquire, so callers holding anything ranked at or above it are
 	// caught (e.g. a status mutex held across db.Close).
-	add("planar/internal/shard.partition.mu", "planar/internal/service.DB",
+	add("planar/internal/service.partition.mu", "planar/internal/service.DB",
 		"Append", "Update", "Remove", "AddNormal", "CaptureState", "ApplyReplicated",
 		"Query", "QueryBatch", "TopK", "Count", "SelectivityBounds", "Explain",
-		"Len", "Checkpoint", "Close", "FeedRead")
+		"Len", "Checkpoint", "Close", "FeedRead", "NumIndexes", "MemoryBytes")
 	// DB.Metrics reads per-counter atomics and holds no lock, so it
 	// has no entry here.
 	add("planar/internal/replog.Sequencer.mu", "planar/internal/service.DB",
 		"WaitLSN")
-	add("planar/internal/shard.partition.mu", "planar/internal/shard.Store",
-		"Append", "Update", "Remove", "AddNormal", "Query", "QueryBatch", "TopK",
-		"Count", "SelectivityBounds", "Explain", "Apply", "Capture",
-		"FeedFromDisk", "Checkpoint", "Close", "Len", "NumIndexes", "MemoryBytes",
-		"Live", "Vector")
 	add("planar/internal/core.Multi.mu", "planar/internal/core.Multi",
 		"Append", "Update", "Remove", "AddNormal", "AddNormals",
 		"AttachPrebuilt", "Inequality", "InequalityIDs", "AppendInequalityIDs",

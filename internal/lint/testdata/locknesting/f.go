@@ -1,8 +1,8 @@
 // Fixture for the locknesting analyzer, type-checked as
 // planar/internal/replica so the local Replica type lands on the real
-// rank table's leaf (Replica.mu=90). The service, shard, core, replog,
-// btree and pager imports exercise the cross-package acquisition
-// table, which is how the partition lock (shard.partition.mu=20, the
+// rank table's leaf (Replica.mu=90). The service, core, replog, btree
+// and pager imports exercise the cross-package acquisition table,
+// which is how the partition lock (service.partition.mu=20, the
 // outermost), the index-collection lock (core.Multi.mu=30, which an
 // Index's accessors take, having no lock of their own) and the paged
 // tier's locks (pagedArena.io=70 < pagedArena.mu=72 <
@@ -20,7 +20,6 @@ import (
 	"planar/internal/pager"
 	"planar/internal/replog"
 	"planar/internal/service"
-	"planar/internal/shard"
 )
 
 type Replica struct {
@@ -36,13 +35,13 @@ func rightOrder(r *Replica, db *service.DB) {
 func wrongOrder(r *Replica, db *service.DB) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	_ = db.Close() // want `wrongOrder calls Close which acquires planar/internal/shard.partition.mu while holding planar/internal/replica.Replica.mu`
+	_ = db.Close() // want `wrongOrder calls Close which acquires planar/internal/service.partition.mu while holding planar/internal/replica.Replica.mu`
 }
 
-func storeUnderLeaf(r *Replica, st *shard.Store) {
+func storeUnderLeaf(r *Replica, db *service.DB) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	_ = st.Len() // want `storeUnderLeaf calls Len which acquires planar/internal/shard.partition.mu while holding planar/internal/replica.Replica.mu`
+	_ = db.Len() // want `storeUnderLeaf calls Len which acquires planar/internal/service.partition.mu while holding planar/internal/replica.Replica.mu`
 }
 
 func doubleAcquire(r *Replica) {
@@ -78,7 +77,7 @@ func helper(db *service.DB) {
 func callsHelperUnderMu(r *Replica, db *service.DB) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	helper(db) // want `callsHelperUnderMu calls helper which acquires planar/internal/shard.partition.mu while holding planar/internal/replica.Replica.mu`
+	helper(db) // want `callsHelperUnderMu calls helper which acquires planar/internal/service.partition.mu while holding planar/internal/replica.Replica.mu`
 }
 
 func goroutineIsolated(r *Replica, db *service.DB) {

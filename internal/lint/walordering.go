@@ -11,8 +11,8 @@ import (
 // (core.Multi.Append/Update/Remove) in the serving layer must be
 // paired with a journal step — a replog.Sequencer.Commit/CommitAt in
 // the same function — so that no acknowledged write can be lost on
-// restart. The check is scoped to internal/service and internal/shard,
-// the only layers that own both a store and a journal; core itself is
+// restart. The check is scoped to internal/service, the only layer
+// that owns both a store and a journal; core itself is
 // storage-only and replay paths reconstruct state *from* the journal.
 //
 // Two escape hatches:
@@ -33,7 +33,6 @@ var Walordering = &analysis.Analyzer{
 
 var walorderingScope = []string{
 	"internal/service",
-	"internal/shard",
 }
 
 // walMutators are the store entry points that change durable state.

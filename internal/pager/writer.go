@@ -27,7 +27,12 @@ type Writer struct {
 	kick     chan struct{}
 	stop     chan struct{}
 	stopOnce sync.Once
-	wg       sync.WaitGroup
+	wg       sync.WaitGroup // the writer goroutine and every Drain in progress
+
+	// mu orders a Drain's wg.Add before Close's wg.Wait: no Drain
+	// starts once closed is set.
+	mu     sync.Mutex
+	closed bool // guarded by mu
 
 	pages  atomic.Uint64
 	bytes  atomic.Uint64
@@ -150,8 +155,17 @@ func (w *Writer) round() {
 
 // Drain synchronously flushes until the tier reports nothing left.
 // Callers run it before taking a checkpoint's write lock so the
-// locked section only handles the residual dirtied since.
+// locked section only handles the residual dirtied since. After Close
+// it writes nothing: the file under the tier may be closing.
 func (w *Writer) Drain() error {
+	w.mu.Lock()
+	if w.closed {
+		w.mu.Unlock()
+		return nil
+	}
+	w.wg.Add(1)
+	w.mu.Unlock()
+	defer w.wg.Done()
 	for {
 		n, err := w.flush(w.batch)
 		if err != nil {
@@ -166,9 +180,13 @@ func (w *Writer) Drain() error {
 	}
 }
 
-// Close stops the writer and joins its goroutine. Idempotent.
+// Close stops the writer, waits for a Drain in progress, and joins
+// its goroutine. Idempotent.
 func (w *Writer) Close() {
 	w.stopOnce.Do(func() { close(w.stop) })
+	w.mu.Lock()
+	w.closed = true
+	w.mu.Unlock()
 	w.wg.Wait()
 }
 

@@ -93,7 +93,7 @@ func closeUnderWriters(t *testing.T, paged bool, shards int, grouped bool) {
 	points := 0
 	for w := range want {
 		for id, v := range want[w] {
-			got, err := re.store.Vector(id)
+			got, err := re.vector(id)
 			if err != nil {
 				t.Fatalf("acked point %d lost: %v", id, err)
 			}
@@ -164,5 +164,82 @@ func TestQueryAfterClose(t *testing.T) {
 				}
 			})
 		})
+	}
+}
+
+// TestCheckpointRacesClose races checkpoints against Close on RAM and
+// paged stores at N = 1 and 2. A paged checkpoint drains the
+// background writer before it takes its partition's lock; Close must
+// not close the page file under that drain. Each trial dirties a
+// store whose page cache is far smaller than its trees, then one
+// goroutine alternates checkpoints with updates while the test
+// updates and closes: every checkpoint and update either succeeds or
+// is refused with ErrClosed.
+func TestCheckpointRacesClose(t *testing.T) {
+	for _, paged := range []bool{false, true} {
+		for _, shards := range []int{1, 2} {
+			t.Run(fmt.Sprintf("paged=%v/shards=%d", paged, shards), func(t *testing.T) {
+				for trial := 0; trial < 5; trial++ {
+					checkpointRacesClose(t, paged, shards)
+				}
+			})
+		}
+	}
+}
+
+func checkpointRacesClose(t *testing.T, paged bool, shards int) {
+	const points, updates = 3000, 200
+	db, err := Open(t.TempDir(), Options{Dim: 3, Shards: shards, Paged: paged, PageCacheBytes: 64 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vec := func(i int) []float64 { return []float64{float64(i%97 + 1), float64(i%89 + 1), float64(i%83 + 1)} }
+	for i := 0; i < points; i++ {
+		if _, err := db.Append(vec(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := db.AddNormal([]float64{1, 2, 3}, vecmath.FirstOctant(3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	update := func(i int) error {
+		if err := db.Update(uint32(i%points), vec(i*7)); err != nil && !errors.Is(err, ErrClosed) {
+			return err
+		}
+		return nil
+	}
+	done := make(chan error, 1)
+	go func() {
+		for round := 0; ; round++ {
+			err := db.Checkpoint()
+			if errors.Is(err, ErrClosed) {
+				done <- nil
+				return
+			}
+			if err != nil {
+				done <- fmt.Errorf("checkpoint: %w", err)
+				return
+			}
+			for i := 0; i < updates; i++ {
+				if err := update(round*updates + i); err != nil {
+					done <- err
+					return
+				}
+			}
+		}
+	}()
+	for i := 0; i < updates; i++ {
+		if err := update(points + i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 }

@@ -11,17 +11,20 @@ var ErrBackpressure = ingest.ErrBacklog
 
 // startIngest wires the group-commit pipeline when opts.IngestBatch
 // asks for one: a lane per shard, committed through the store's
-// batch-commit path. Replicas never configure a pipeline — their
-// writes arrive pre-sequenced on the replication stream.
+// batch-commit path (partition.commitBatch). Replicas never configure
+// a pipeline — their writes arrive pre-sequenced on the replication
+// stream.
 func (db *DB) startIngest(opts Options) error {
 	if opts.IngestBatch <= 0 {
 		return nil
 	}
 	p, err := ingest.New(ingest.Config{
-		Lanes:     db.store.NumShards(),
+		Lanes:     len(db.parts),
 		BatchSize: min(opts.IngestBatch, wal.MaxBatchRecords),
 		Block:     opts.IngestBlock,
-		Commit:    db.store.CommitBatch,
+		Commit: func(lane int, intents []ingest.Intent, results []ingest.Result) error {
+			return db.parts[lane].commitBatch(intents, results)
+		},
 	})
 	if err != nil {
 		return err

@@ -323,7 +323,7 @@ func TestGroupedMatchesSyncGolden(t *testing.T) {
 			same("sync", syncDB)
 			same("grouped", groupedDB)
 			for route, db := range map[string]*DB{"sync": syncDB, "grouped": groupedDB} {
-				recs, tooOld, err := db.store.FeedFromDisk(1, 0)
+				recs, tooOld, err := db.feedFromDisk(1, 0)
 				if err != nil || tooOld || uint64(len(recs)) != wantLSN {
 					t.Fatalf("%s log holds %d records for %d commits (tooOld=%v, err=%v)", route, len(recs), wantLSN, tooOld, err)
 				}

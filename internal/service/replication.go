@@ -11,10 +11,12 @@ package service
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
 
 	"planar/internal/codec"
 	"planar/internal/replog"
-	"planar/internal/shard"
 	"planar/internal/wal"
 )
 
@@ -32,26 +34,55 @@ type ReplState struct {
 	Snaps  []*codec.Snapshot
 }
 
-// CaptureState snapshots the whole store in memory at one LSN. It
-// holds every partition's read lock while it copies (shard.Store.
-// Capture), so writers wait and queries keep running — the price of a
-// consistent cut without touching disk. Replication bootstrap is the
-// intended caller; it does not checkpoint, so tailing replicas'
-// cursors stay valid.
+// CaptureState snapshots every shard's in-memory state (store layout
+// + index configuration, no disk touched) at one LSN. It holds every
+// partition's read lock while it copies (rlockAll), so writers wait
+// and queries keep running — the price of a consistent cut without
+// touching disk. Replication bootstrap is the intended caller; it
+// does not checkpoint, so tailing replicas' cursors stay valid.
 func (db *DB) CaptureState() *ReplState {
-	lsn, snaps := db.store.Capture()
-	return &ReplState{Shards: len(snaps), Dim: db.Dim(), LSN: lsn, Snaps: snaps}
+	_ = db.rlockAll()
+	defer db.runlockAll()
+	snaps := make([]*codec.Snapshot, len(db.parts))
+	for i, p := range db.parts {
+		snaps[i] = codec.Capture(p.multi)
+	}
+	return &ReplState{Shards: len(snaps), Dim: db.Dim(), LSN: db.seq.Last(), Snaps: snaps}
 }
 
-// MaterializeReplState writes a captured state into dir as a fresh
-// data directory in the layout its shard count implies (see
-// shard.WriteLayout), so opening the directory resumes the
-// replication cursor exactly where the snapshot left off.
+// MaterializeReplState lays a captured state down in dir as a fresh
+// data directory — replica bootstrap's way of adopting a primary's
+// topology: one snapshot per partition where partDir puts it (and the
+// meta file when there are several), each beside an empty WAL segment
+// whose base is pinned at LSN+1, so opening the directory resumes the
+// replication cursor exactly where the cut was taken.
 func MaterializeReplState(dir string, st *ReplState) error {
-	if len(st.Snaps) != st.Shards || st.Shards < 1 {
-		return fmt.Errorf("service: state has %d snapshots for %d shards", len(st.Snaps), st.Shards)
+	n := len(st.Snaps)
+	if n != st.Shards || n < 1 || st.Dim <= 0 {
+		return fmt.Errorf("service: state has %d snapshots for %d shards, dim %d", n, st.Shards, st.Dim)
 	}
-	return shard.WriteLayout(dir, st.Dim, st.LSN, st.Snaps)
+	write := func(pd string, snap *codec.Snapshot) error {
+		if err := os.MkdirAll(pd, 0o755); err != nil {
+			return err
+		}
+		if err := snap.Save(filepath.Join(pd, snapshotFile)); err != nil {
+			return err
+		}
+		w, err := wal.Create(filepath.Join(pd, walFile), st.Dim, st.LSN+1)
+		if err != nil {
+			return err
+		}
+		return w.Close()
+	}
+	for i, snap := range st.Snaps {
+		if err := write(partDir(dir, i, n), snap); err != nil {
+			return fmt.Errorf("shard %d: %w", i, err)
+		}
+	}
+	if n == 1 {
+		return nil
+	}
+	return writeMeta(filepath.Join(dir, metaFile), n, st.Dim)
 }
 
 // ApplyReplicated applies one record streamed from a primary,
@@ -62,7 +93,8 @@ func MaterializeReplState(dir string, st *ReplState) error {
 // an LSN gap) reports ErrDiverged. The read-only guard does not
 // apply: this is the one write path a replica keeps open.
 func (db *DB) ApplyReplicated(rec wal.Record) error {
-	return db.store.Apply(rec)
+	p, si, local := db.shardOf(rec.ID)
+	return db.shardErr(si, p.applyReplicated(rec, local))
 }
 
 // FeedRead returns up to max committed records starting at LSN from,
@@ -75,7 +107,46 @@ func (db *DB) FeedRead(from uint64, max int) (recs []wal.Record, tooOld bool, er
 	if !tooOld {
 		return recs, false, nil
 	}
-	return db.store.FeedFromDisk(from, max)
+	return db.feedFromDisk(from, max)
+}
+
+// feedFromDisk serves catch-up reads that have fallen off the
+// in-memory ring: it flushes every shard's WAL buffer, scans the
+// segments for records at or past from, rewrites local ids to global
+// ids, and merges them by LSN. tooOld reports that the segments no
+// longer cover from (a checkpoint truncated them).
+func (db *DB) feedFromDisk(from uint64, max int) (recs []wal.Record, tooOld bool, err error) {
+	for _, p := range db.parts {
+		if err := p.flushLog(); err != nil {
+			return nil, false, err
+		}
+	}
+	var merged []wal.Record
+	for i, p := range db.parts {
+		part, err := replog.ReadSegmentFrom(filepath.Join(p.dir, walFile), from, max, p.gid)
+		if err != nil {
+			return nil, false, db.shardErr(i, err)
+		}
+		merged = append(merged, part...)
+	}
+	sort.Slice(merged, func(a, b int) bool { return merged[a].LSN < merged[b].LSN })
+	if len(merged) == 0 || merged[0].LSN > from {
+		// The requested position predates what the segments retain.
+		return nil, true, nil
+	}
+	// Keep only the dense prefix: a gap means an interleaved
+	// checkpoint truncated part of the range mid-scan.
+	out := merged[:0]
+	for i, rec := range merged {
+		if rec.LSN != from+uint64(i) {
+			break
+		}
+		out = append(out, rec)
+		if max > 0 && len(out) >= max {
+			break
+		}
+	}
+	return out, false, nil
 }
 
 // LastLSN returns the most recently committed (primary) or applied

@@ -1,34 +1,15 @@
-// Package service is the durable scalar-product store a downstream
-// application embeds or exposes over HTTP (cmd/planarserve). The
-// engine underneath is always an internal/shard Store — N hash
-// partitions, each with its own index collection, checkpoint file
-// (a CRC-checked snapshot or a page file, package codec) and
-// write-ahead log (package wal); opening a directory restores each
-// partition's checkpoint and replays its log. The default, unsharded
-// store is the N = 1 case: one partition rooted at the directory
-// itself, its answers handed back untouched. Options.Shards > 1 lays
-// a fresh directory out partitioned; an existing directory reopens
-// with the layout it was created with, and the two are not
-// convertible in place.
-//
-// What this package adds to the engine is the service's own job: the
-// public mutation surface with its read-only guard, the group-commit
-// ingest pipeline, pacing, and the query metrics rollup. It adds no
-// lock: a consistent replication snapshot is the store's own cut
-// (shard.Store.Capture).
 package service
 
 import (
 	"errors"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"time"
 
-	"planar/internal/codec"
 	"planar/internal/core"
 	"planar/internal/ingest"
 	"planar/internal/replog"
-	"planar/internal/shard"
-	"planar/internal/vecmath"
 	"planar/internal/wal"
 )
 
@@ -39,7 +20,7 @@ var ErrReadOnly = errors.New("service: store is read-only (replica)")
 
 // ErrClosed reports a write, checkpoint or query against a closed
 // store, whichever route the write took (the HTTP layer answers 503).
-var ErrClosed = shard.ErrClosed
+var ErrClosed = errors.New("service: store is closed")
 
 const (
 	// minMutation and minPagedMutation are the pacing floors: the
@@ -56,7 +37,7 @@ type Options struct {
 	Dim int
 	// Shards hash-partitions a fresh store's points across this many
 	// shards, each with its own indexes, checkpoint file and WAL
-	// segment in a sub-directory (see internal/shard). 0 or 1 keeps
+	// segment in a sub-directory (see layout). 0 or 1 keeps
 	// one partition, whose files sit in the directory itself. A
 	// directory created sharded reopens sharded regardless; the stored
 	// count is validated against a non-zero Shards.
@@ -95,20 +76,27 @@ type Options struct {
 	IngestBlock bool
 }
 
-// DB is a durable planar index store: a shard.Store plus the
-// service's own concerns. The store's locks are the only ones (one
-// RWMutex per partition and the sequencer's, in that order): a
+// DB is a durable planar index store: a hash-partitioned collection
+// of planar index shards with scatter-gather query execution. Global
+// point ids are dense across the store: global id g lives on shard
+// g mod N as local id g div N. An unsharded store is the N = 1 case,
+// not a different thing: ids are the partition's own and every answer
+// is the partition's own, returned untouched. Its locks are one
+// RWMutex per partition and the sequencer's, in that order: a
 // mutation or checkpoint holds its partition's exclusively, and a
 // query, a count or a replication capture holds every partition's
-// read lock, so it sees the store at one LSN. DB adds none above
-// them.
+// read lock (rlockAll), so it sees the store at one LSN. All methods
+// are safe for concurrent use.
 type DB struct {
-	store *shard.Store // never nil
+	parts  []*partition
+	fanout int           // scatter worker bound: min(N, GOMAXPROCS)
+	rr     atomic.Uint64 // round-robin append cursor (nextAppendLane)
 
-	// seq is the store's commit sequencer: it assigns LSNs, orders
-	// journal appends, and retains the in-memory replication tail.
-	// readOnly guards the public mutation surface on replicas; the
-	// replication apply path bypasses it.
+	// seq is the store-wide commit sequencer shared by every
+	// partition: it assigns LSNs, orders journal appends, and retains
+	// the in-memory replication tail. readOnly guards the public
+	// mutation surface on replicas; the replication apply path
+	// bypasses it.
 	seq      *replog.Sequencer
 	readOnly atomic.Bool
 
@@ -155,7 +143,7 @@ type metricsBlock struct {
 	verified  atomic.Uint64
 }
 
-// record folds one query's stats into the rollup.
+// record folds one succeeded query's stats into the rollup.
 func (db *DB) record(st core.Stats) {
 	db.met.queries.Add(1)
 	db.met.planNanos.Add(st.PlanNanos)
@@ -179,86 +167,57 @@ func (db *DB) Metrics() Metrics {
 	}
 }
 
-// Query answers an inequality query into a fresh slice, recording
-// pipeline metrics. A sharded store returns the ids in ascending
-// global id order, an unsharded one in its index's own order.
-func (db *DB) Query(q core.Query) ([]uint32, core.Stats, error) {
-	return db.AppendQuery(nil, q)
-}
-
-// AppendQuery is Query appending the answer to dst, which it returns
-// extended as append does: a caller that hands the returned slice
-// back, cut to [:0], reuses one buffer across queries.
-func (db *DB) AppendQuery(dst []uint32, q core.Query) ([]uint32, core.Stats, error) {
-	ids, st, err := db.store.AppendQuery(dst, q)
-	if err == nil {
-		db.record(st)
-	}
-	return ids, st, err
-}
-
-// QueryBatch answers one inequality query per threshold, sharing a
-// single plan across the batch (see core.Multi.InequalityBatch).
-func (db *DB) QueryBatch(a []float64, op core.Op, bs []float64) ([][]uint32, []core.Stats, error) {
-	ids, sts, err := db.store.QueryBatch(a, op, bs)
-	if err == nil {
-		for _, st := range sts {
-			db.record(st)
-		}
-	}
-	return ids, sts, err
-}
-
-// TopK answers a top-k nearest-to-hyperplane query, recording
-// pipeline metrics.
-func (db *DB) TopK(q core.Query, k int) ([]core.Result, core.Stats, error) {
-	res, st, err := db.store.TopK(q, k)
-	if err == nil {
-		db.record(st)
-	}
-	return res, st, err
-}
-
-// Count answers an exact COUNT(*), recording pipeline metrics.
-func (db *DB) Count(q core.Query) (int, core.Stats, error) {
-	n, st, err := db.store.Count(q)
-	if err == nil {
-		db.record(st)
-	}
-	return n, st, err
-}
-
-// SelectivityBounds returns guaranteed cardinality bounds
-// lo ≤ |answer| ≤ hi without computing a scalar product: the sum of
-// the per-shard bounds (each shard's answer is individually
-// bracketed).
-func (db *DB) SelectivityBounds(q core.Query) (lo, hi int, err error) {
-	return db.store.SelectivityBounds(q)
-}
-
-// Explain returns the execution plan for q without touching data;
-// interval sizes and bounds aggregate across shards.
-func (db *DB) Explain(q core.Query) (core.Plan, error) { return db.store.Explain(q) }
-
-// Open restores (or initialises) a DB in dir. Layout, recovery and
-// the option defaults are shard.Open's.
+// Open restores (or initialises) the store in dir; see layout for
+// where its partitions live. Crash recovery opens every shard in
+// parallel: each shard independently loads its checkpoint and replays
+// its own WAL segment.
 func Open(dir string, opts Options) (*DB, error) {
 	if dir == "" {
 		return nil, errors.New("service: empty directory")
 	}
-	st, err := shard.Open(dir, shard.Options{
-		Shards:          opts.Shards,
-		Dim:             opts.Dim,
-		SyncEveryWrite:  opts.SyncEveryWrite,
-		CheckpointEvery: opts.CheckpointEvery,
-		Paged:           opts.Paged,
-		PageCacheBytes:  opts.PageCacheBytes,
-	})
+	dirs, dim, err := layout(dir, opts.Shards, opts.Dim)
 	if err != nil {
 		return nil, err
 	}
-	db := &DB{store: st, seq: st.Seq(), floor: minMutation}
-	if st.Paged() {
+	n := len(dirs)
+	db := &DB{parts: make([]*partition, n), fanout: min(n, runtime.GOMAXPROCS(0)), floor: minMutation}
+
+	// The page-cache budget is store-wide; each shard gets an equal
+	// slice (the per-shard cache enforces its own floor).
+	if opts.PageCacheBytes <= 0 {
+		opts.PageCacheBytes = defaultPageCacheBytes
+	}
+	opts.PageCacheBytes /= n
+
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range dirs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			db.parts[i], errs[i] = openPartition(dirs[i], dim, opts)
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			db.Close() // release shards that did open
+			return nil, db.shardErr(i, err)
+		}
+	}
+
+	// The commit sequence resumes one past the highest LSN any shard
+	// has journaled (each segment's header pins the position even
+	// when the segment is empty).
+	next := uint64(1)
+	for _, p := range db.parts {
+		next = max(next, p.nextLSN())
+	}
+	db.seq = replog.NewSequencer(next, 0, db.Dim())
+	for i, p := range db.parts {
+		p.seq, p.stride, p.index = db.seq, uint32(n), uint32(i)
+	}
+	if db.Paged() {
 		db.floor = minPagedMutation
 	}
 	if err := db.startIngest(opts); err != nil {
@@ -267,39 +226,39 @@ func Open(dir string, opts Options) (*DB, error) {
 	return db, nil
 }
 
-// Multi exposes the underlying index collection of an unsharded
-// store. It returns nil on a sharded one — use the DB-level accessors
-// (Len, Dim, NumIndexes, MemoryBytes, SelectivityBounds, …), which
-// work for any shard count.
-func (db *DB) Multi() *core.Multi { return db.store.Multi() }
+// Multi exposes the index collection of an unsharded store, whose
+// local ids are the global ids. It returns nil on a sharded one — use
+// the DB-level accessors (Len, Dim, NumIndexes, MemoryBytes,
+// SelectivityBounds, …), which work for any shard count.
+func (db *DB) Multi() *core.Multi {
+	if len(db.parts) != 1 {
+		return nil
+	}
+	return db.parts[0].multi
+}
 
 // Shards returns the number of hash partitions (1 when unsharded).
-func (db *DB) Shards() int { return db.store.NumShards() }
+func (db *DB) Shards() int { return len(db.parts) }
 
 // Dim returns the φ dimensionality.
-func (db *DB) Dim() int { return db.store.Dim() }
+func (db *DB) Dim() int { return db.parts[0].multi.Store().Dim() }
 
-// Len returns the number of live points.
-func (db *DB) Len() int { return db.store.Len() }
-
-// NumIndexes returns the number of planar indexes (per shard — every
-// shard holds the same configuration).
-func (db *DB) NumIndexes() int { return db.store.NumIndexes() }
-
-// MemoryBytes returns the approximate footprint of the store and
-// indexes, summed across shards.
-func (db *DB) MemoryBytes() int { return db.store.MemoryBytes() }
-
-// AddNormal installs a planar index (on every shard); the
-// configuration is persisted at the next checkpoint. Index changes
-// are not journaled, so they reach replicas only through a snapshot
-// bootstrap — query answers do not depend on indexes, only query
-// speed, so replicated results stay identical either way.
-func (db *DB) AddNormal(normal []float64, signs vecmath.SignPattern) (bool, error) {
-	if db.readOnly.Load() {
-		return false, ErrReadOnly
-	}
-	return db.store.AddNormal(normal, signs)
+// nextAppendLane returns the shard the next append routes to, in
+// round-robin order. Both write routes draw from this one counter, so
+// they assign points to shards in the same order, which is what makes
+// them produce identical stores. For an append-only stream the
+// assigned ids are the dense sequence 0, 1, 2, … whatever N is; after
+// removals each shard recycles its own local ids, so ids stay unique
+// and stable but the exact values depend on N.
+//
+// The counter is not persisted: it restarts at lane 0 at every Open,
+// wherever the previous process left off. Ids stay unique (each shard
+// hands out its own next local id), but the dense 0, 1, 2, … sequence
+// breaks at a restart that did not fall on a multiple of N, so a twin
+// store fed the same appends without the restart assigns different
+// ids from there on.
+func (db *DB) nextAppendLane() int {
+	return int(db.rr.Add(1)-1) % len(db.parts)
 }
 
 // pace holds a directly committed mutation that began at start until
@@ -320,20 +279,24 @@ func (db *DB) pace(start time.Time) {
 }
 
 // write is the one route a public mutation takes: refused on a
-// read-only store; handed to the ingest pipeline when there is one,
-// which resolves the returned future after the batch's fsync; otherwise
-// committed here and paced, the future nil and the result — which
-// carries any error — final on return. A closed store refuses on
-// either route with ErrClosed.
+// read-only store; routed to its shard — the next in round-robin
+// order for an append, the owning one otherwise, so same-key
+// operations ride one ingest lane and commit in submission order;
+// handed to the ingest pipeline when there is one, which resolves the
+// returned future after the batch's fsync; otherwise committed here
+// and paced, the future nil and the result — which carries any error
+// — final on return. A closed store refuses on either route with
+// ErrClosed.
 func (db *DB) write(op wal.Op, id uint32, v []float64) (*ingest.Future, ingest.Result) {
 	if db.readOnly.Load() {
 		return nil, ingest.Result{Err: ErrReadOnly}
 	}
+	p, lane, local := db.shardOf(id)
+	if op == wal.OpAppend {
+		lane = db.nextAppendLane()
+		p = db.parts[lane]
+	}
 	if db.pipe != nil {
-		lane := db.store.LaneOf(id)
-		if op == wal.OpAppend {
-			lane = db.store.NextAppendLane()
-		}
 		f, err := db.pipe.Submit(lane, ingest.Intent{Op: uint8(op), ID: id, Vec: v})
 		if errors.Is(err, ingest.ErrClosed) {
 			err = ErrClosed
@@ -341,16 +304,14 @@ func (db *DB) write(op wal.Op, id uint32, v []float64) (*ingest.Future, ingest.R
 		return f, ingest.Result{Err: err}
 	}
 	defer db.pace(time.Now())
-	res := ingest.Result{ID: id}
-	switch op {
-	case wal.OpAppend:
-		res.ID, res.LSN, res.Err = db.store.Append(v)
-	case wal.OpUpdate:
-		res.LSN, res.Err = db.store.Update(id, v)
-	case wal.OpRemove:
-		res.LSN, res.Err = db.store.Remove(id)
+	got, lsn, err := p.commit(op, local, v)
+	if err == nil {
+		return nil, ingest.Result{ID: p.gid(got), LSN: lsn}
 	}
-	return nil, res
+	if op != wal.OpAppend {
+		err = p.pointErr(local, err)
+	}
+	return nil, ingest.Result{ID: id, Err: err}
 }
 
 // settled waits out a pipelined write; a direct one is already final.
@@ -379,12 +340,6 @@ func (db *DB) Remove(id uint32) error {
 	return settled(db.write(wal.OpRemove, id, nil)).Err
 }
 
-// Checkpoint makes every shard's state durable in its checkpoint file
-// (a fresh snapshot written atomically, or an incremental page-file
-// commit on the paged tier) and truncates its log; shards checkpoint
-// in parallel.
-func (db *DB) Checkpoint() error { return db.store.Checkpoint() }
-
 // Close flushes the logs and releases the DB. It does not checkpoint;
 // the logs are replayed on the next Open. An active ingest pipeline
 // is drained first — every queued intent commits and resolves its
@@ -394,18 +349,14 @@ func (db *DB) Close() error {
 	if db.pipe != nil {
 		db.pipe.Close()
 	}
-	return db.store.Close()
+	var first error
+	for _, p := range db.parts {
+		if p == nil {
+			continue // never opened (a failed Open)
+		}
+		if err := p.close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
 }
-
-// Paged reports whether the DB runs on the disk-paged storage tier.
-func (db *DB) Paged() bool { return db.store.Paged() }
-
-// PageStats returns the paged tier's cache and file counters, summed
-// across shards. ok is false when the DB runs on the flat-snapshot
-// tier.
-func (db *DB) PageStats() (st codec.PageTierStats, ok bool) { return db.store.PageStats() }
-
-// ReplayedRecords returns how many WAL records Open applied after the
-// checkpoint filter — the restart-cost observability hook (paged mode
-// replays only post-checkpoint entries), summed across shards.
-func (db *DB) ReplayedRecords() int { return db.store.ReplayedRecords() }

@@ -48,6 +48,25 @@ func partDirs(root string, shards int) []string {
 	return dirs
 }
 
+// live reports whether a global id names a live point.
+func (db *DB) live(gid uint32) bool {
+	p, _, local := db.shardOf(gid)
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	return p.multi.Store().Live(local)
+}
+
+// vector returns a copy of a live point's φ vector.
+func (db *DB) vector(gid uint32) ([]float64, error) {
+	p, _, local := db.shardOf(gid)
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	if !p.multi.Store().Live(local) {
+		return nil, fmt.Errorf("point %d is not live", gid)
+	}
+	return slices.Clone(p.multi.Store().Vector(local)), nil
+}
+
 // bruteForce is the answer to q over a reference copy of the points.
 func bruteForce(ref map[uint32][]float64, q core.Query) []uint32 {
 	var ids []uint32
@@ -134,7 +153,7 @@ func TestDurabilityAcrossReopen(t *testing.T) {
 		if db2.NumIndexes() != 1 {
 			t.Fatalf("NumIndexes=%d", db2.NumIndexes())
 		}
-		if !db2.store.Live(extra) {
+		if !db2.live(extra) {
 			t.Fatal("post-checkpoint append lost")
 		}
 		// Same answer as before the restart, and the right one.
@@ -228,7 +247,7 @@ func TestChurnAgainstReference(t *testing.T) {
 				t.Fatalf("Len=%d reference has %d", db.Len(), len(ref))
 			}
 			for id, v := range ref {
-				got, err := db.store.Vector(id)
+				got, err := db.vector(id)
 				if err != nil {
 					t.Fatalf("id %d missing: %v", id, err)
 				}

@@ -11,7 +11,7 @@ import (
 // TestShardedMatchesSingle drives the same mutation stream through a
 // unsharded DB and a sharded DB and checks every DB-level query
 // method answers identically — the service-layer cut of the golden
-// cross-path suite in internal/shard.
+// cross-path suite in golden_test.go.
 func TestShardedMatchesSingle(t *testing.T) {
 	single, err := Open(t.TempDir(), Options{Dim: 3})
 	if err != nil {
