@@ -72,10 +72,11 @@ race-pager:
 # planner benchmarks, of the engine's COUNT and top-k legs, of the
 # reply's id writer against the strconv loop it replaced, of
 # paged-tree Inserts racing a writeback loop, of an Append that
-# widens the translation beside an in-range one, and of
+# widens the translation beside an in-range one, of
 # closed-loop writers acked through group commit (ack-p50-µs is one
-# fsync plus the batch ahead, not a batch-fill wait), just to prove
-# they still compile and run.
+# fsync plus the batch ahead, not a batch-fill wait), and of the
+# snapshot layout's save, load and restore at 100 000 points, just to
+# prove they still compile and run.
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkPlan$$|BenchmarkPipelineOverhead' -benchtime 10x .
 	$(GO) test -run xxx -bench 'BenchmarkExecHotPath' -benchtime 10x ./internal/exec
@@ -83,6 +84,7 @@ bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkWritebackConcurrentInsert' -benchtime 10x ./internal/btree
 	$(GO) test -run xxx -bench 'BenchmarkAppendOutsideTranslation' -benchtime 10x ./internal/core
 	$(GO) test -run xxx -bench 'BenchmarkGroupCommitClosedLoop' -benchtime 10x ./internal/service
+	$(GO) test -run xxx -bench 'BenchmarkSnapshotRecover' -benchtime 1x ./internal/codec
 
 # End-to-end replication under the race detector: in-process
 # primary+replica over real HTTP — bootstrap, catch-up identity,

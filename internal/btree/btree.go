@@ -27,6 +27,7 @@ package btree
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -314,20 +315,10 @@ func (t *Tree) lastLeaf() int32 {
 	return s
 }
 
-// BulkLoad builds a tree from entries in O(n log n). The input slice
-// is sorted in place. Duplicate (Key, ID) pairs are collapsed.
+// BulkLoad builds a tree from entries. The input slice is sorted in
+// place, by sortEntries in O(n); input already in (key, id) order costs
+// one check. Duplicate (Key, ID) pairs are collapsed.
 func BulkLoad(entries []Entry) *Tree {
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Less(entries[j]) })
-	// Collapse duplicates.
-	dedup := entries[:0]
-	for i, e := range entries {
-		if i > 0 && !dedup[len(dedup)-1].Less(e) {
-			continue
-		}
-		dedup = append(dedup, e)
-	}
-	entries = dedup
-
 	if len(entries) == 0 {
 		return &Tree{}
 	}
@@ -352,6 +343,17 @@ func BulkLoad(entries []Entry) *Tree {
 		knum:    make([]int32, 0, ni),
 		counts:  make([]int32, 0, ni),
 	}
+	// The leaf arena is the sort's scratch until the leaves are packed.
+	sortEntries(entries, t.keys[:len(entries)], t.ids[:len(entries)])
+	// Collapse duplicates.
+	dedup := entries[:0]
+	for i, e := range entries {
+		if i > 0 && !dedup[len(dedup)-1].Less(e) {
+			continue
+		}
+		dedup = append(dedup, e)
+	}
+	entries = dedup
 
 	var level []int32
 	var mins []Entry
@@ -362,6 +364,10 @@ func BulkLoad(entries []Entry) *Tree {
 		for j, e := range entries[off : off+n] {
 			lk[j], li[j] = e.Key, e.ID
 		}
+		// Zero what the sort left past the live count, as a fresh
+		// arena would be: WritePaged copies whole leaf columns.
+		clear(lk[n:])
+		clear(li[n:])
 		t.lnum[s] = int32(n)
 		if len(level) > 0 {
 			p := level[len(level)-1]
@@ -403,6 +409,104 @@ func BulkLoad(entries []Entry) *Tree {
 	}
 	t.root = level[0]
 	return t
+}
+
+// radixKey maps a key to a uint64 whose unsigned order is the key's
+// order under less: the sign bit is flipped on positives and every
+// bit on negatives, and −0 is folded into +0 first, since less holds
+// them equal.
+func radixKey(k float64) uint64 {
+	b := math.Float64bits(k)
+	if b == 1<<63 {
+		b = 0
+	}
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
+}
+
+// sortEntries sorts entries into (key, id) order with a stable LSD
+// radix sort, one byte a pass: the id's four bytes, then the key's
+// eight. The passes move the entries between entries and the scratch
+// columns keys and ids, which must be at least as long. A pass whose
+// byte is the same in every entry is skipped, and so are the id passes
+// when the ids already ascend (Index.build hands them over in id
+// order), since a stable sort by key then leaves equal keys in id
+// order. Entries already in order return after one check, without
+// touching the scratch.
+func sortEntries(entries []Entry, keys []float64, ids []uint32) {
+	sorted := true
+	for i := 1; i < len(entries) && sorted; i++ {
+		sorted = !less(entries[i].Key, entries[i].ID, entries[i-1].Key, entries[i-1].ID)
+	}
+	if sorted {
+		return
+	}
+	idsAscend := true
+	for i := 1; i < len(entries) && idsAscend; i++ {
+		idsAscend = entries[i].ID >= entries[i-1].ID
+	}
+	// counts[p] is the histogram of the byte pass p sorts on: passes
+	// 0–3 are the id's bytes, 4–11 the key's, least significant first.
+	var counts [12][256]int
+	for _, e := range entries {
+		if !idsAscend {
+			for p := 0; p < 4; p++ {
+				counts[p][byte(e.ID>>(8*p))]++
+			}
+		}
+		k := radixKey(e.Key)
+		for p := 0; p < 8; p++ {
+			counts[4+p][byte(k>>(8*p))]++
+		}
+	}
+	keys, ids = keys[:len(entries)], ids[:len(entries)]
+	inScratch := false // whether the entries sit in keys/ids
+	for p := range counts {
+		if p < 4 && idsAscend {
+			continue
+		}
+		d0 := radixDigit(p, entries[0].Key, entries[0].ID)
+		if inScratch {
+			d0 = radixDigit(p, keys[0], ids[0])
+		}
+		if counts[p][d0] == len(entries) {
+			continue
+		}
+		var at [256]int
+		for d, sum := 0, 0; d < 256; d++ {
+			at[d] = sum
+			sum += counts[p][d]
+		}
+		if inScratch {
+			for j, k := range keys {
+				d := radixDigit(p, k, ids[j])
+				entries[at[d]] = Entry{Key: k, ID: ids[j]}
+				at[d]++
+			}
+		} else {
+			for _, e := range entries {
+				d := radixDigit(p, e.Key, e.ID)
+				keys[at[d]], ids[at[d]] = e.Key, e.ID
+				at[d]++
+			}
+		}
+		inScratch = !inScratch
+	}
+	if inScratch {
+		for j := range entries {
+			entries[j] = Entry{Key: keys[j], ID: ids[j]}
+		}
+	}
+}
+
+// radixDigit is the byte of (k, id) that sortEntries' pass p sorts on.
+func radixDigit(p int, k float64, id uint32) byte {
+	if p < 4 {
+		return byte(id >> (8 * p))
+	}
+	return byte(radixKey(k) >> (8 * (p - 4)))
 }
 
 // chunkWidth picks how many of rem items the next bulk-load node

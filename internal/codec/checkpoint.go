@@ -22,7 +22,7 @@ import (
 // therefore pread-lazy for the dominant cost: trees come back in
 // paged-arena mode with only their slot metadata in RAM, and node
 // pages fault through a shared cache on first touch instead of being
-// rebuilt with an O(n log n) bulk load.
+// rebuilt with a bulk load.
 //
 // Checkpoints are incremental. The row array is chunked into fixed
 // 510-float data pages tracked by a manifest in the superblock meta;

@@ -2,9 +2,12 @@ package codec
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"io"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -243,5 +246,81 @@ func TestEmptySnapshot(t *testing.T) {
 	}
 	if back.Dim != 4 || back.NumRows() != 0 || len(back.Indexes) != 0 {
 		t.Fatalf("empty snapshot round trip: %+v", back)
+	}
+}
+
+// hostileHeader is a 24-byte header claiming dim 65 536 and 1 048 576
+// rows (512 GiB of row data), followed by 1 MiB of zero bytes: enough
+// to pass as the live bitmap, nothing more.
+func hostileHeader() []byte {
+	b := binary.LittleEndian.AppendUint32(nil, magic)
+	for _, v := range []uint32{version, 1 << 16, 1 << 20, 0, 0} {
+		b = binary.LittleEndian.AppendUint32(b, v)
+	}
+	return append(b, make([]byte, 1<<20)...)
+}
+
+// TestHostileHeaderIsAnError: Read allocates as bytes arrive, not as
+// the header claims, so a header promising far more than the stream
+// holds ends in an error instead of an out-of-memory crash.
+func TestHostileHeaderIsAnError(t *testing.T) {
+	in := hostileHeader()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Read(bytes.NewReader(in)); err == nil {
+		t.Fatal("hostile header accepted")
+	}
+	runtime.ReadMemStats(&after)
+	// The live bitmap grows to the 1 MiB that arrived, by doubling.
+	if got := after.TotalAlloc - before.TotalAlloc; got > 16<<20 {
+		t.Fatalf("Read allocated %d bytes for a %d-byte stream", got, len(in))
+	}
+}
+
+// TestReadConsumesOneSnapshot: two snapshots back to back and a
+// sentinel behind a plain, unbuffered reader. Both decode, and the
+// sentinel is left for the next reader.
+func TestReadConsumesOneSnapshot(t *testing.T) {
+	a, b := Capture(buildMulti(t, 3000)), Capture(buildMulti(t, 7))
+	var buf bytes.Buffer
+	for _, s := range []*Snapshot{a, b} {
+		if err := s.Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sentinel := []byte("sentinel")
+	buf.Write(sentinel)
+	r := struct{ io.Reader }{&buf}
+	for i, want := range []*Snapshot{a, b} {
+		got, err := Read(r)
+		if err != nil {
+			t.Fatalf("snapshot %d: %v", i, err)
+		}
+		if got.NumLive() != want.NumLive() || len(got.Data) != len(want.Data) || len(got.Indexes) != len(want.Indexes) {
+			t.Fatalf("snapshot %d: %d live, %d values, %d indexes; want %d, %d, %d", i,
+				got.NumLive(), len(got.Data), len(got.Indexes), want.NumLive(), len(want.Data), len(want.Indexes))
+		}
+		for j := range got.Data {
+			if got.Data[j] != want.Data[j] {
+				t.Fatalf("snapshot %d: value %d is %v, want %v", i, j, got.Data[j], want.Data[j])
+			}
+		}
+	}
+	if rest, _ := io.ReadAll(r); !bytes.Equal(rest, sentinel) {
+		t.Fatalf("left %q after two snapshots, want %q", rest, sentinel)
+	}
+}
+
+// TestWriteRejectsBadSpecBeforeWriting: a spec of the wrong dimension
+// is refused before the first byte goes out.
+func TestWriteRejectsBadSpecBeforeWriting(t *testing.T) {
+	s := Capture(buildMulti(t, 50))
+	s.Indexes = append(s.Indexes, IndexSpec{Normal: []float64{1, 2}, Signs: vecmath.SignPattern{1, 1}})
+	var buf bytes.Buffer
+	if err := s.Write(&buf); err == nil {
+		t.Fatal("wrong-dim index spec accepted")
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("Write wrote %d bytes before refusing", buf.Len())
 	}
 }

@@ -32,6 +32,7 @@ func FuzzRead(f *testing.F) {
 	f.Add(flipped)
 	f.Add([]byte{})
 	f.Add([]byte{0x52, 0x4e, 0x4c, 0x50}) // magic only
+	f.Add(hostileHeader())                // header promising 512 GiB
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := Read(bytes.NewReader(data))

@@ -68,7 +68,8 @@ func newIndexFrame(m *Multi, normal []float64, signs vecmath.SignPattern) (*Inde
 }
 
 // newIndex builds a planar index over every live point of m's store.
-// Build time is O(n log n), memory O(n) (paper Section 4.2).
+// Build time and memory are O(n): the paper's O(n log n) sort (Section
+// 4.2) is a radix sort in btree.BulkLoad.
 func newIndex(m *Multi, normal []float64, signs vecmath.SignPattern) (*Index, error) {
 	ix, err := newIndexFrame(m, normal, signs)
 	if err != nil {

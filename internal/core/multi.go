@@ -202,7 +202,7 @@ type NormalSpec struct {
 // AddNormals installs a batch of indexes at once, bulk-loading their
 // arenas on up to GOMAXPROCS goroutines. This is the recovery path:
 // snapshot restore and shard bootstrap rebuild every index of a store
-// from its spec list, and each build is an independent O(n log n)
+// from its spec list, and each build is an independent O(n)
 // BulkLoad over the shared (read-only) point store. Redundant specs —
 // parallel normal, same octant, against existing indexes or an
 // earlier spec in the batch — are skipped exactly as repeated

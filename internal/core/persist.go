@@ -20,7 +20,7 @@ import (
 //     only the epoch's delta.
 //   - Restart: AttachPrebuilt installs indexes whose trees were opened
 //     straight from those pages (btree.OpenPaged), skipping the
-//     O(n log n) bulk load that Snapshot.Restore pays.
+//     bulk load (a radix sort and a pack) that Snapshot.Restore pays.
 //
 // The key frame (base, fixed at the tree's build) and the translation
 // (delta, widened since and never shrunk by deletes) both travel with

@@ -222,7 +222,8 @@ func (s *PointStore) Raw() (data []float64, live []bool, free []uint32) {
 // NewPointStoreFromRaw reconstructs a store from the layout returned
 // by Raw. Identifiers (row numbers and the recycling order of freed
 // rows) are preserved exactly, which write-ahead-log replay depends
-// on.
+// on. The store takes ownership of data, live and free: it keeps and
+// mutates them, so the caller must not use them afterwards.
 func NewPointStoreFromRaw(dim int, data []float64, live []bool, free []uint32) (*PointStore, error) {
 	s, err := NewPointStore(dim)
 	if err != nil {
@@ -255,9 +256,7 @@ func NewPointStoreFromRaw(dim int, data []float64, live []bool, free []uint32) (
 			return nil, fmt.Errorf("core: dead row %d missing from the free list", i)
 		}
 	}
-	s.data = append([]float64(nil), data...)
-	s.live = append([]bool(nil), live...)
-	s.free = append([]uint32(nil), free...)
+	s.data, s.live, s.free = data, live, free
 	s.dirty = make([]bool, len(live))
 	s.n = n
 	return s, nil
