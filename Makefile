@@ -70,7 +70,8 @@ race-pager:
 
 # A fast benchmark smoke: a handful of iterations of the pipeline and
 # planner benchmarks, of the engine's COUNT and top-k legs, of the
-# reply's id writer against the strconv loop it replaced, of
+# reply's id writer against the strconv loop it replaced, of a
+# select-shaped query served through the HTTP handler in-process, of
 # paged-tree Inserts racing a writeback loop, of an Append that
 # widens the translation beside an in-range one, of
 # closed-loop writers acked through group commit (ack-p50-µs is one
@@ -80,7 +81,7 @@ race-pager:
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkPlan$$|BenchmarkPipelineOverhead' -benchtime 10x .
 	$(GO) test -run xxx -bench 'BenchmarkExecHotPath' -benchtime 10x ./internal/exec
-	$(GO) test -run xxx -bench 'BenchmarkAppendIDs' -benchtime 10x ./internal/httpapi
+	$(GO) test -run xxx -bench 'BenchmarkAppendIDs|BenchmarkServeQuery' -benchtime 10x ./internal/httpapi
 	$(GO) test -run xxx -bench 'BenchmarkWritebackConcurrentInsert' -benchtime 10x ./internal/btree
 	$(GO) test -run xxx -bench 'BenchmarkAppendOutsideTranslation' -benchtime 10x ./internal/core
 	$(GO) test -run xxx -bench 'BenchmarkGroupCommitClosedLoop' -benchtime 10x ./internal/service

@@ -37,6 +37,23 @@
 // Per-query stats come straight from the execution pipeline
 // (internal/exec): interval sizes and plan/execute stage times in
 // nanoseconds.
+//
+// Routing is by exact path, then by method; the only path with a
+// parameter is /v1/points/{id}, whose id is one segment. A GET route
+// answers HEAD as well. A path that names no route answers 404
+// "404 page not found", and a route asked with a method it does not
+// answer 405 "Method Not Allowed" with an Allow header listing the
+// methods it does (GET, HEAD for a GET route). Escapes in a path are
+// resolved per segment before matching, so an escaped slash stays
+// inside its segment. A path not in canonical form (an empty, . or
+// .. segment) answers 301 with its cleaned form as the Location,
+// whether or not that names a route. These are the answers net/http's
+// pattern router gave these routes; the exact table only avoids its
+// cost on the paths that need no cleaning.
+//
+// Response header names go out in canonical form (X-Planar-Lsn,
+// Content-Type), as net/http's Header.Set stores them; header names
+// are case-insensitive, so clients match them either way.
 package httpapi
 
 import (
@@ -47,6 +64,8 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"strings"
+	"sync/atomic"
 	"time"
 
 	"planar/internal/core"
@@ -62,6 +81,27 @@ type Server struct {
 	primary string
 	proxy   bool
 	client  *http.Client
+
+	// lsn is the X-Planar-Lsn header of the last LSN a read answered
+	// at; reads at the same LSN share it.
+	lsn atomic.Pointer[lsnHeader]
+}
+
+// lsnHeader is one LSN and its X-Planar-Lsn header value.
+type lsnHeader struct {
+	lsn   uint64
+	value [1]string
+}
+
+// lsnValue returns the X-Planar-Lsn header value of lsn, formatted
+// once per LSN: a store that is not written to formats it once.
+func (s *Server) lsnValue(lsn uint64) []string {
+	h := s.lsn.Load()
+	if h == nil || h.lsn != lsn {
+		h = &lsnHeader{lsn: lsn, value: [1]string{strconv.FormatUint(lsn, 10)}}
+		s.lsn.Store(h)
+	}
+	return h.value[:]
 }
 
 // Option customises a Server.
@@ -99,26 +139,27 @@ func New(db *service.DB, opts ...Option) (*Server, error) {
 
 // Handler returns the routed HTTP handler.
 func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
 	read, write := s.readEndpoint, s.writeEndpoint
-	mux.HandleFunc("POST /v1/query", read(s.handleQuery))
-	mux.HandleFunc("POST /v1/query/batch", read(s.handleQueryBatch))
-	mux.HandleFunc("POST /v1/topk", read(s.handleTopK))
-	mux.HandleFunc("POST /v1/count", read(s.handleCount))
-	mux.HandleFunc("POST /v1/explain", read(s.handleExplain))
-	mux.HandleFunc("POST /v1/points", write(s.handleAppend))
-	mux.HandleFunc("PUT /v1/points/{id}", write(s.handleUpdate))
-	mux.HandleFunc("DELETE /v1/points/{id}", write(s.handleRemove))
-	mux.HandleFunc("POST /v1/indexes", write(s.handleAddIndex))
-	mux.HandleFunc("POST /v1/checkpoint", write(s.handleCheckpoint))
-	mux.HandleFunc("GET /v1/stats", read(s.handleStats))
-	mux.HandleFunc("GET /v1/replication/snapshot", s.withDB(s.handleReplSnapshot))
-	mux.HandleFunc("GET /v1/replication/stream", s.withDB(s.handleReplStream))
-	mux.HandleFunc("GET /v1/replication/status", s.handleReplStatus)
-	mux.HandleFunc("POST /v1/replication/promote", s.handleReplPromote)
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /readyz", s.handleReadyz)
-	return mux
+	return &router{
+		routes: map[string]*route{
+			"/v1/query":                {post: read(s.handleQuery)},
+			"/v1/query/batch":          {post: read(s.handleQueryBatch)},
+			"/v1/topk":                 {post: read(s.handleTopK)},
+			"/v1/count":                {post: read(s.handleCount)},
+			"/v1/explain":              {post: read(s.handleExplain)},
+			"/v1/points":               {post: write(s.handleAppend)},
+			"/v1/indexes":              {post: write(s.handleAddIndex)},
+			"/v1/checkpoint":           {post: write(s.handleCheckpoint)},
+			"/v1/stats":                {get: read(s.handleStats)},
+			"/v1/replication/snapshot": {get: s.withDB(s.handleReplSnapshot)},
+			"/v1/replication/stream":   {get: s.withDB(s.handleReplStream)},
+			"/v1/replication/status":   {get: s.handleReplStatus},
+			"/v1/replication/promote":  {post: s.handleReplPromote},
+			"/healthz":                 {get: s.handleHealthz},
+			"/readyz":                  {get: s.handleReadyz},
+		},
+		point: route{put: write(s.handleUpdate), delete: write(s.handleRemove)},
+	}
 }
 
 // A storeHandler serves one request against the store withDB resolved
@@ -148,29 +189,34 @@ const maxWaitMs = 60_000
 // monotonic read barrier.
 func (s *Server) readEndpoint(next storeHandler) http.HandlerFunc {
 	return s.withDB(func(w http.ResponseWriter, r *http.Request, db *service.DB) {
-		if raw := r.Header.Get("X-Planar-Min-LSN"); raw != "" {
+		// Request header keys are canonical (net/http's server stores
+		// them so, Header.Set too): look them up as stored.
+		if raw := headerValue(r.Header, "X-Planar-Min-Lsn"); raw != "" {
 			min, err := strconv.ParseUint(raw, 10, 64)
 			if err != nil {
 				fail(w, http.StatusBadRequest, fmt.Errorf("bad X-Planar-Min-LSN %q", raw))
 				return
 			}
 			waitMs := int64(2000)
-			if v := r.Header.Get("X-Planar-Wait-Ms"); v != "" {
+			if v := headerValue(r.Header, "X-Planar-Wait-Ms"); v != "" {
 				if waitMs, err = strconv.ParseInt(v, 10, 64); err != nil || waitMs < 0 || waitMs > maxWaitMs {
 					fail(w, http.StatusBadRequest, fmt.Errorf("bad X-Planar-Wait-Ms %q (0..%d)", v, maxWaitMs))
 					return
 				}
 			}
-			ctx, cancel := context.WithTimeout(r.Context(), time.Duration(waitMs)*time.Millisecond)
-			err = db.WaitLSN(ctx, min)
-			cancel()
-			if err != nil {
-				fail(w, http.StatusGatewayTimeout,
-					fmt.Errorf("read barrier: store at LSN %d, %d not reached: %v", db.LastLSN(), min, err))
-				return
+			// A barrier the store has already passed costs no timer.
+			if db.LastLSN() < min {
+				ctx, cancel := context.WithTimeout(r.Context(), time.Duration(waitMs)*time.Millisecond)
+				err = db.WaitLSN(ctx, min)
+				cancel()
+				if err != nil {
+					fail(w, http.StatusGatewayTimeout,
+						fmt.Errorf("read barrier: store at LSN %d, %d not reached: %v", db.LastLSN(), min, err))
+					return
+				}
 			}
 		}
-		w.Header().Set("X-Planar-LSN", strconv.FormatUint(db.LastLSN(), 10))
+		w.Header()["X-Planar-Lsn"] = s.lsnValue(db.LastLSN())
 		next(w, r, db)
 	})
 }
@@ -188,7 +234,7 @@ func (s *Server) writeEndpoint(next storeHandler) http.HandlerFunc {
 					s.proxyToPrimary(w, r)
 					return
 				}
-				w.Header().Set("Content-Type", "application/json")
+				w.Header()["Content-Type"] = jsonType
 				w.WriteHeader(http.StatusForbidden)
 				_ = json.NewEncoder(w).Encode(map[string]string{
 					"error":   "read-only replica; write to the primary",
@@ -215,8 +261,9 @@ func (s *Server) proxyToPrimary(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer func() { _ = resp.Body.Close() }()
-	w.Header().Set("Content-Type", resp.Header.Get("Content-Type"))
-	w.Header().Set("X-Planar-Proxied", "primary")
+	h := w.Header()
+	h["Content-Type"] = []string{resp.Header.Get("Content-Type")}
+	h["X-Planar-Proxied"] = proxiedPrimary
 	w.WriteHeader(resp.StatusCode)
 	_, _ = io.Copy(w, resp.Body)
 }
@@ -252,6 +299,7 @@ func parseOp(op string) (core.Op, error) {
 func (sc *scratch) decodeQuery(w http.ResponseWriter, r *http.Request) (q core.Query, k int, ok bool) {
 	var req queryRequest
 	fields := req.fields()
+	fields[0].buf = &sc.a
 	if !sc.decode(w, r, fields[:]) {
 		return q, 0, false
 	}
@@ -300,6 +348,7 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request, db *se
 	defer sc.release()
 	var req batchRequest
 	fields := req.fields()
+	fields[0].buf, fields[1].buf = &sc.a, &sc.bs
 	if !sc.decode(w, r, fields[:]) {
 		return
 	}
@@ -423,8 +472,10 @@ func errStatus(err error) int {
 	return http.StatusBadRequest
 }
 
+// pathID parses the id of /v1/points/{id}: the router matched the
+// path, so it is the rest of the unescaped path after pointPrefix.
 func pathID(r *http.Request) (uint32, error) {
-	raw := r.PathValue("id")
+	raw := strings.TrimPrefix(r.URL.Path, pointPrefix)
 	id, err := strconv.ParseUint(raw, 10, 32)
 	if err != nil {
 		return 0, fmt.Errorf("bad point id %q", raw)
@@ -587,8 +638,9 @@ func (s *Server) role() string {
 // the cut is valid at) followed by one binary snapshot per shard.
 func (s *Server) handleReplSnapshot(w http.ResponseWriter, r *http.Request, db *service.DB) {
 	st := db.CaptureState()
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-Planar-LSN", strconv.FormatUint(st.LSN, 10))
+	h := w.Header()
+	h["Content-Type"] = binaryType
+	h["X-Planar-Lsn"] = []string{strconv.FormatUint(st.LSN, 10)}
 	if err := replica.WriteSnapshot(w, st); err != nil {
 		// Headers are gone; the torn body fails the client's CRC check.
 		return
@@ -634,8 +686,9 @@ func (s *Server) handleReplStream(w http.ResponseWriter, r *http.Request, db *se
 	} else {
 		h.TooOld = tooOld
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-Planar-LSN", strconv.FormatUint(last, 10))
+	hdr := w.Header()
+	hdr["Content-Type"] = binaryType
+	hdr["X-Planar-Lsn"] = []string{strconv.FormatUint(last, 10)}
 	_ = replica.WriteStream(w, h, recs)
 }
 
@@ -697,12 +750,32 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // status, health) through encoding/json; the query and mutation routes
 // encode theirs with the wire codec.
 func reply(w http.ResponseWriter, body interface{}) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonType
 	_ = json.NewEncoder(w).Encode(body)
 }
 
 func fail(w http.ResponseWriter, status int, err error) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonType
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
+}
+
+// Response headers are set as map entries under their canonical keys,
+// the form Header.Set would store them in, without its per-call
+// canonicalisation. The values that never change are shared by every
+// response: net/http only reads a response's header map, and a handler
+// that replaces a value replaces the slice.
+var (
+	jsonType        = []string{"application/json"}
+	binaryType      = []string{"application/octet-stream"}
+	connectionClose = []string{"close"}
+	proxiedPrimary  = []string{"primary"}
+)
+
+// headerValue is h.Get(key) for a key already in canonical form.
+func headerValue(h http.Header, key string) string {
+	if v := h[key]; len(v) > 0 {
+		return v[0]
+	}
+	return ""
 }

@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"unicode/utf16"
 	"unicode/utf8"
 
@@ -47,14 +48,19 @@ const maxBatchThresholds = 1024
 const maxPooledBytes = 1 << 20
 
 // scratch holds one request's buffers. Nothing decoded or encoded
-// aliases it after the handler returns: decoded arrays and strings
-// are copied out, and the response is written before release.
+// aliases it after the handler returns: a read route's a and bs are
+// decoded into buffers of their own here and used only until the
+// reply is written, every other array and string is copied out, and
+// the response is written before release.
 type scratch struct {
-	in   bytes.Buffer // request body, at most maxBodyBytes
-	tmp  []byte       // a string value or key with its escapes resolved
-	nums []float64    // an array's elements before their exact-size copy
-	ids  []uint32     // a query's answer, filled by service.DB.AppendQuery
-	out  []byte       // response body
+	body io.LimitedReader // the request body, cut one byte past maxBodyBytes
+	in   bytes.Buffer     // request body, at most maxBodyBytes+1 bytes
+	tmp  []byte           // a string value or key with its escapes resolved
+	nums []float64        // an array's elements before their exact-size copy
+	a    []float64        // a read route's "a"
+	bs   []float64        // /v1/query/batch's "bs"
+	ids  []uint32         // a query's answer, filled by service.DB.AppendQuery
+	out  []byte           // response body
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -68,11 +74,18 @@ func (sc *scratch) release() {
 	if 4*cap(sc.ids) > maxPooledBytes {
 		sc.ids = nil
 	}
+	for _, f := range []*[]float64{&sc.nums, &sc.a, &sc.bs} {
+		if 8*cap(*f) > maxPooledBytes {
+			*f = nil
+		}
+	}
 	scratchPool.Put(sc)
 }
 
 // field binds one key of a request object to the variable its value
-// decodes into; exactly one pointer is set. name is lower-case ASCII.
+// decodes into; exactly one of floats, float, text, count and signs is
+// set. name is lower-case ASCII. An array of floats is decoded into
+// *buf when buf is set, and into a fresh slice when not.
 type field struct {
 	name   string
 	floats *[]float64
@@ -80,6 +93,7 @@ type field struct {
 	text   *string
 	count  *int
 	signs  *[]int8
+	buf    *[]float64
 }
 
 // errDuplicateField is the decoder's one deliberate departure from
@@ -91,13 +105,18 @@ var errDuplicateField = errors.New("duplicate field")
 // else it rejects.
 func (sc *scratch) decode(w http.ResponseWriter, r *http.Request, fields []field) bool {
 	sc.in.Reset()
-	if _, err := sc.in.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
-		status := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		fail(w, status, fmt.Errorf("reading request: %w", err))
+	sc.body = io.LimitedReader{R: r.Body, N: maxBodyBytes + 1}
+	_, err := sc.in.ReadFrom(&sc.body)
+	sc.body.R = nil
+	if err != nil {
+		fail(w, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
+		return false
+	}
+	if sc.in.Len() > maxBodyBytes {
+		// The rest of the body is left unread, so the connection cannot
+		// carry another request: net/http closes it after this reply.
+		w.Header()["Connection"] = connectionClose
+		fail(w, http.StatusRequestEntityTooLarge, fmt.Errorf("reading request: %w", &http.MaxBytesError{Limit: maxBodyBytes}))
 		return false
 	}
 	if err := sc.decodeObject(sc.in.Bytes(), fields); err != nil {
@@ -295,11 +314,15 @@ func (d *decoder) elements(f *field, elem func() error) error {
 	}
 }
 
-// floatArray decodes an array of numbers into *f.floats: a fresh
-// slice of exactly the array's length (empty, not nil, for []). A null
-// element reads as 0.
+// floatArray decodes an array of numbers into *f.floats: *f.buf
+// refilled when f.buf is set, else a fresh slice of exactly the
+// array's length; empty, not nil, for []. A null element reads as 0.
 func (d *decoder) floatArray(f *field) error {
-	nums := d.sc.nums[:0]
+	into := &d.sc.nums
+	if f.buf != nil {
+		into = f.buf
+	}
+	nums := (*into)[:0]
 	err := d.elements(f, func() error {
 		if d.skipSpace() == 'n' {
 			nums = append(nums, 0)
@@ -309,11 +332,17 @@ func (d *decoder) floatArray(f *field) error {
 		nums = append(nums, v)
 		return err
 	})
-	d.sc.nums = nums
-	if err != nil {
+	*into = nums
+	switch {
+	case err != nil:
 		return err
+	case f.buf == nil:
+		*f.floats = append(make([]float64, 0, len(nums)), nums...)
+	case nums == nil:
+		*f.floats = []float64{}
+	default:
+		*f.floats = nums
 	}
-	*f.floats = append(make([]float64, 0, len(nums)), nums...)
 	return nil
 }
 
@@ -340,40 +369,48 @@ func (d *decoder) signArray(f *field) error {
 // -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and returns it.
 func (d *decoder) number() ([]byte, error) {
 	start := d.pos
-	digits := func() bool {
-		from := d.pos
-		for d.pos < len(d.buf) && '0' <= d.buf[d.pos] && d.buf[d.pos] <= '9' {
-			d.pos++
-		}
-		return d.pos > from
-	}
-	at := func(set string) bool {
-		return d.pos < len(d.buf) && strings.IndexByte(set, d.buf[d.pos]) >= 0
-	}
-	if at("-") {
+	if d.peek() == '-' {
 		d.pos++
 	}
-	if at("0") {
+	if d.peek() == '0' {
 		d.pos++
-	} else if !digits() {
+	} else if !d.digits() {
 		return nil, errors.New("want a number")
 	}
-	if at(".") {
+	if d.peek() == '.' {
 		d.pos++
-		if !digits() {
+		if !d.digits() {
 			return nil, errors.New("want a digit after the decimal point")
 		}
 	}
-	if at("eE") {
+	if c := d.peek(); c == 'e' || c == 'E' {
 		d.pos++
-		if at("+-") {
+		if c := d.peek(); c == '+' || c == '-' {
 			d.pos++
 		}
-		if !digits() {
+		if !d.digits() {
 			return nil, errors.New("want a digit in the exponent")
 		}
 	}
 	return d.buf[start:d.pos], nil
+}
+
+// peek returns the byte at the cursor, or 0 at the end of the body.
+func (d *decoder) peek() byte {
+	if d.pos < len(d.buf) {
+		return d.buf[d.pos]
+	}
+	return 0
+}
+
+// digits consumes a run of decimal digits and reports whether there
+// was at least one.
+func (d *decoder) digits() bool {
+	from := d.pos
+	for d.pos < len(d.buf) && '0' <= d.buf[d.pos] && d.buf[d.pos] <= '9' {
+		d.pos++
+	}
+	return d.pos > from
 }
 
 // float decodes one number as encoding/json does into a float64:
@@ -492,9 +529,28 @@ func (d *decoder) hex4(at int) (rune, bool) {
 // declared.
 func send(w http.ResponseWriter, body []byte) {
 	h := w.Header()
-	h.Set("Content-Type", "application/json")
-	h.Set("Content-Length", strconv.Itoa(len(body)))
+	h["Content-Type"] = jsonType
+	h["Content-Length"] = contentLength(len(body))
 	_, _ = w.Write(body)
+}
+
+// contentLengths holds the Content-Length header value of each body
+// length below 4 KiB once a reply of that length has been sent; the
+// replies of a route come in a few lengths, so each is formatted once.
+var contentLengths [4096]atomic.Pointer[[1]string]
+
+// contentLength returns the Content-Length header value of an n-byte
+// body.
+func contentLength(n int) []string {
+	if n >= len(contentLengths) {
+		return []string{strconv.Itoa(n)}
+	}
+	v := contentLengths[n].Load()
+	if v == nil {
+		v = &[1]string{strconv.Itoa(n)}
+		contentLengths[n].Store(v)
+	}
+	return v[:]
 }
 
 // appendFloat appends f as encoding/json formats a float64: the

@@ -473,6 +473,11 @@ func TestOversizedBody(t *testing.T) {
 		if err != nil || out["error"] == nil {
 			t.Fatalf("%s %s: 413 without an error body: %v %v", c.method, c.path, out, err)
 		}
+		// The rest of the body is never read, so the connection cannot
+		// carry another request.
+		if !resp.Close {
+			t.Fatalf("%s %s: the server keeps the connection open after a 413", c.method, c.path)
+		}
 	}
 	if db.Len() != 0 {
 		t.Fatalf("oversized requests stored %d points", db.Len())
