@@ -14,12 +14,13 @@ import (
 // walk of the leaf chain then serves both intervals that are read:
 // the smaller interval's leaf id slices go to the sink as they are,
 // and the intermediate interval, which follows it in key order, is
-// verified block-by-block through the dimension-specialized kernels
-// in internal/kernel. The id column is not copied anywhere on the
-// way: the tree's leaf arena IS the packed column, and RankChunks
-// (like top-k's DescendChunks) hands out slices that alias it
-// directly. All scratch memory is pooled, so a steady-state query
-// allocates nothing.
+// verified leaf by leaf through the dimension-specialized by-id
+// kernel in internal/kernel, which reads each id's φ row where it
+// lies in Source.Rows. Neither column is copied on the way: the
+// tree's leaf arena IS the packed id column, and RankChunks (like
+// top-k's DescendChunks) hands out slices that alias it directly;
+// the rows are read in place. All scratch memory is pooled, so a
+// steady-state query allocates nothing.
 
 // One RankChunks chunk stays within one leaf, and one leaf is
 // exactly one kernel block. The two uint conversions reject a drift
@@ -29,22 +30,18 @@ const (
 	_ = uint(btree.LeafCap - kernel.BlockRows)
 )
 
-// scratch is the per-query working set of the engine: a gather buffer
-// of one block of φ rows, a match-offset buffer, and top-k's per-axis
-// ratios |a_i|/c_i of the Claim-3 lower bound.
+// scratch is the per-query working set of the engine: a match-offset
+// buffer of one block and top-k's per-axis ratios |a_i|/c_i of the
+// Claim-3 lower bound.
 type scratch struct {
-	gather  []float64
 	matches []uint32
 	invCoef []float64
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-func getScratch(dim int) *scratch {
+func getScratch() *scratch {
 	sc := scratchPool.Get().(*scratch)
-	if need := kernel.BlockRows * dim; cap(sc.gather) < need {
-		sc.gather = make([]float64, need)
-	}
 	if cap(sc.matches) < kernel.BlockRows {
 		sc.matches = make([]uint32, kernel.BlockRows)
 	}
@@ -85,7 +82,7 @@ func executeBatched(src *Source, q Query, plan Plan, info *IndexInfo, sink Sink,
 	} else {
 		sink.Reserve(answerReserve(acc, ver))
 	}
-	sc := getScratch(src.RowDim)
+	sc := getScratch()
 	defer putScratch(sc)
 	stoppedInSI := false
 	tree.RankChunks(pos, acc+ver, func(ids []uint32) bool {
@@ -102,7 +99,7 @@ func executeBatched(src *Source, q Query, plan Plan, info *IndexInfo, sink Sink,
 				return true
 			}
 		}
-		return sc.verify(src, q, ids, ver < kernel.MinBatch, sink, &st)
+		return sc.verify(src, q, ids, sink, &st)
 	})
 	if stoppedInSI {
 		// Legacy early-stop contract: partial stats, larger
@@ -114,25 +111,11 @@ func executeBatched(src *Source, q Query, plan Plan, info *IndexInfo, sink Sink,
 	return st, nil
 }
 
-// verify checks one chunk of intermediate-interval ids against q and
-// hands the matches to sink, counting them in st; it reports false
-// when the sink stopped. A tiny interval (tiny = |II| < MinBatch)
-// skips the gather and reads each id's row in place.
-func (sc *scratch) verify(src *Source, q Query, ids []uint32, tiny bool, sink Sink, st *Stats) bool {
-	d := src.RowDim
-	if tiny {
-		for _, id := range ids {
-			if q.Satisfies(src.Rows[int(id)*d : (int(id)+1)*d]) {
-				st.Matched++
-				if !sink.Match(id) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	kernel.Gather(src.Rows, d, ids, sc.gather)
-	m := kernel.FilterLE(q.A, q.B, sc.gather[:len(ids)*d], sc.matches)
+// verify checks one chunk of intermediate-interval ids against q in
+// place and hands the matches to sink in chunk order, counting them
+// in st; it reports false when the sink stopped.
+func (sc *scratch) verify(src *Source, q Query, ids []uint32, sink Sink, st *Stats) bool {
+	m := kernel.FilterIDsLE(q.A, q.B, src.Rows, ids, sc.matches)
 	for _, off := range sc.matches[:m] {
 		st.Matched++
 		if !sink.Match(ids[off]) {
@@ -149,7 +132,7 @@ func (sc *scratch) verify(src *Source, q Query, ids []uint32, tiny bool, sink Si
 func executeScan(src *Source, q Query, sink Sink) Stats {
 	st := Stats{N: src.N, FellBack: true, IndexUsed: -1}
 	st.Verified = st.N
-	sc := getScratch(src.RowDim)
+	sc := getScratch()
 	defer putScratch(sc)
 	d := src.RowDim
 	rows := len(src.RowLive)

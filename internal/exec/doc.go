@@ -14,7 +14,7 @@
 //	Execute two rank queries, then one pass of the chosen index's
 //	        leaf chain over the smaller interval (whole leaf id
 //	        slices handed to the sink) and the intermediate interval
-//	        after it (verified through the block kernels) — or a
+//	        after it (verified in place by the by-id kernel) — or a
 //	        sequential block-kernel scan. Top-k verifies the
 //	        intermediate interval the same way, then descends the
 //	        smaller one leaf by leaf until Claim 3 cuts it off.

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"time"
 
-	"planar/internal/kernel"
 	"planar/internal/vecmath"
 )
 
@@ -92,10 +91,10 @@ func executeTopK(src *Source, q Query, plan Plan, info *IndexInfo, sink Sink, bo
 	tree := info.Tree
 	acc := tree.RankLE(plan.Tmin)
 	ver := max(tree.RankLE(plan.Tmax)-acc, 0)
-	sc := getScratch(src.RowDim)
+	sc := getScratch()
 	defer putScratch(sc)
 	tree.RankChunks(acc, acc+ver, func(ids []uint32) bool {
-		return sc.verify(src, q, ids, ver < kernel.MinBatch, sink, &st)
+		return sc.verify(src, q, ids, sink, &st)
 	})
 	st.Verified = ver
 

@@ -62,8 +62,9 @@ type Source struct {
 	Sel Selection
 	// Rows is the owner's row-major φ backing array (RowDim
 	// coordinates per row, dead rows included), aliased not copied.
-	// The intermediate interval is verified and a sequential scan runs
-	// as contiguous-block kernels over it.
+	// The intermediate interval is verified by a kernel that reads
+	// each id's row in place, and a sequential scan runs as
+	// contiguous-block kernels over it.
 	Rows []float64
 	// RowLive flags which rows of Rows hold live points. Dead rows
 	// contain stale values; scans filter them after the kernel pass.

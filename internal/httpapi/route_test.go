@@ -141,6 +141,12 @@ func TestRouteTable(t *testing.T) {
 		{method: "DELETE", path: "/v1/points/..", status: 301, location: "/v1"},
 		{method: "DELETE", path: "/v1/points/.", status: 301, location: "/v1/points"},
 		{method: "GET", path: "/v1//nope?x=1", status: 301, location: "/v1/nope?x=1"},
+		// A cleaned path keeps its escapes as they arrived: they are
+		// not escaped a second time, and following the redirect
+		// reaches the route the escapes name.
+		{method: "GET", path: "/v1//a%20b", status: 301, location: "/v1/a%20b"},
+		{method: "POST", path: "/v1//%71uery", body: query, status: 301, location: "/v1/%71uery",
+			want: `{"ids":[0],"stats":` + stats + "}\n"},
 	} {
 		name := c.method + " " + c.path
 		req, err := http.NewRequest(c.method, ts.URL+c.path, strings.NewReader(c.body))
@@ -165,6 +171,12 @@ func TestRouteTable(t *testing.T) {
 			if got := resp.Header.Get("Location"); got != c.location {
 				t.Errorf("%s: Location %q, want %q", name, got, c.location)
 			}
+			if c.want != "" {
+				// Follow the redirect with the same method and body.
+				if got := followRedirect(t, client, ts.URL+c.location, c.method, c.body); got != c.want {
+					t.Errorf("%s: redirect answered %q, want %q", name, got, c.want)
+				}
+			}
 			continue
 		}
 		if got := resp.Header.Get("Content-Type"); got != c.ctype {
@@ -183,4 +195,28 @@ func TestRouteTable(t *testing.T) {
 			t.Errorf("%s: body %q, want %q", name, body, c.want)
 		}
 	}
+}
+
+// followRedirect sends method and body to url and returns the 200
+// reply's body with its stage timings masked, failing on any other
+// status.
+func followRedirect(t *testing.T, client *http.Client, url, method, body string) string {
+	t.Helper()
+	req, err := http.NewRequest(method, url, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := client.Do(req)
+	if err != nil {
+		t.Fatalf("%s %s: %v", method, url, err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("%s %s: %v", method, url, err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s %s: status %d (%q)", method, url, resp.StatusCode, raw)
+	}
+	return nanos.ReplaceAllString(string(raw), `"$1":0`)
 }

@@ -97,8 +97,13 @@ func (rt *router) slow(w http.ResponseWriter, r *http.Request) {
 	escaped := r.URL.EscapedPath()
 	if r.Method != http.MethodConnect {
 		if clean := cleanPath(escaped); clean != escaped {
-			u := &url.URL{Path: clean, RawQuery: r.URL.RawQuery}
-			http.Redirect(w, r, u.String(), http.StatusMovedPermanently)
+			// clean is already escaped: it goes into Location as it
+			// is, so /v1//%71uery is sent to /v1/%71uery, not to a
+			// path whose % is escaped a second time.
+			if r.URL.RawQuery != "" {
+				clean += "?" + r.URL.RawQuery
+			}
+			http.Redirect(w, r, clean, http.StatusMovedPermanently)
 			return
 		}
 	}

@@ -1,36 +1,35 @@
 // Package kernel provides the batched verification kernels behind the
 // execution pipeline's intermediate-interval scan: dimension-
-// specialized, unrolled dot-product filters that consume a block of
-// row-major φ vectors at once and emit the offsets of the rows
-// satisfying ⟨a, φ⟩ ≤ b into a caller-supplied buffer.
+// specialized, unrolled dot-product filters that test a block of φ
+// rows at once and emit the offsets of the rows satisfying
+// ⟨a, φ⟩ ≤ b into a caller-supplied buffer.
 //
 // The kernels exist to kill the constant factor of the one loop the
-// paper cannot prune (Section 4.3): per-point B-tree callbacks chase
-// pointers and re-check slice bounds on every coordinate, while a
-// block kernel streams contiguous memory with the coefficient vector
-// held in registers. Specializations cover the dimensionalities the
-// system targets (d' = 2, 3, 4, 8); everything else takes the generic
-// fallback, which is still branch-light and allocation-free.
+// paper cannot prune (Section 4.3). FilterLE streams a contiguous
+// block of rows (the sequential scan); FilterIDsLE reads the rows an
+// index chunk names where they live in the row-major backing array,
+// fusing the random access with the scalar product, so the
+// intermediate interval is verified without copying a row. Both hold
+// the coefficient vector in registers and re-slice each row once so
+// its coordinates are read without per-coordinate bounds checks.
+// FilterLE specializes d' = 2, 3, 4 and 8, FilterIDsLE d' = 2, 3
+// and 4; everything else takes the generic fallback, which is still
+// branch-light and allocation-free.
 //
-// Numerical contract: every kernel accumulates the scalar product in
-// ascending coordinate order with a single accumulator — exactly like
-// vecmath.Dot — so a batched verdict is bit-for-bit identical to the
-// serial one. Exact floating-point comparison is therefore correct
-// here by construction (and the floatkey analyzer exempts this
-// package for that reason).
+// Numerical contract: every kernel, the by-id one included,
+// accumulates the scalar product in ascending coordinate order with a
+// single accumulator — exactly like vecmath.Dot — so a batched
+// verdict is bit-for-bit identical to the serial one. Exact
+// floating-point comparison is therefore correct here by construction
+// (and the floatkey analyzer exempts this package for that reason).
 //
 // No function in this package allocates.
 package kernel
 
 // BlockRows is the number of φ rows a caller should process per
 // batch: large enough to amortise dispatch, small enough that a
-// block's gather buffer (BlockRows·d' float64s) stays cache-resident.
+// block's match offsets stay cache-resident.
 const BlockRows = 256
-
-// MinBatch is the intermediate-interval size below which batching is
-// not worth the gather set-up; callers fall back to a direct
-// point-at-a-time walk under it.
-const MinBatch = 32
 
 // FilterLE scans the row-major block rows (d = len(a) coordinates per
 // row) and writes the offset of every row with ⟨a, row⟩ ≤ b into out,
@@ -51,32 +50,32 @@ func FilterLE(a []float64, b float64, rows []float64, out []uint32) int {
 	}
 }
 
-// Dots computes ⟨a, row⟩ for every complete row of the block into
-// out[0:len(rows)/len(a)], with the same accumulation order as
-// vecmath.Dot. It is the unfiltered sibling of FilterLE, used by
-// tests and aggregate consumers.
-func Dots(a []float64, rows []float64, out []float64) {
-	d := len(a)
-	if d == 0 {
-		return
-	}
-	r := 0
-	for off := 0; off+d <= len(rows); off += d {
-		row := rows[off : off+d : off+d]
-		var s float64
-		for i, v := range a {
-			s += v * row[i]
-		}
-		out[r] = s
-		r++
+// FilterIDsLE tests the rows of the row-major array data (d = len(a)
+// coordinates per row) named by ids, reading each where it lies, and
+// writes the offset into ids of every row with ⟨a, row⟩ ≤ b into out,
+// returning how many matched. out must have room for len(ids)
+// offsets; every id must name a complete row of data. Ids need not be
+// sorted or distinct.
+func FilterIDsLE(a []float64, b float64, data []float64, ids []uint32, out []uint32) int {
+	switch len(a) {
+	case 2:
+		return filterIDsLE2(a, b, data, ids, out)
+	case 3:
+		return filterIDsLE3(a, b, data, ids, out)
+	case 4:
+		return filterIDsLE4(a, b, data, ids, out)
+	default:
+		return filterIDsLEGeneric(a, b, data, ids, out)
 	}
 }
 
 // Gather packs the φ vectors of ids out of the row-major backing
 // array data (dim coordinates per row) into the contiguous block dst,
-// which must have room for len(ids)·dim values. It is the random-
-// access half of the batched scan: the index hands over sorted-key
-// order ids, Gather turns them into a kernel-friendly block.
+// which must have room for len(ids)·dim values. The program verifies
+// ids in place through FilterIDsLE and does not call it. Its callers
+// are the bench of record's trace probe, which times the gather +
+// FilterLE split the executor used to run, and BenchmarkFilterIDsLE's
+// gather leg; it goes with that probe, and the leg with it.
 func Gather(data []float64, dim int, ids []uint32, dst []float64) {
 	switch dim {
 	case 2:
@@ -189,6 +188,73 @@ func filterLEGeneric(a []float64, b float64, rows []float64, out []uint32) int {
 			n++
 		}
 		rows = rows[d:]
+	}
+	return n
+}
+
+// The by-id specializations re-slice each row as data[o:o+d:o+d], so
+// one bounds check covers the row and the sum reads it unchecked; the
+// sum is the same left-to-right expression as FilterLE's.
+
+func filterIDsLE2(a []float64, b float64, data []float64, ids []uint32, out []uint32) int {
+	a0, a1 := a[0], a[1]
+	n := 0
+	for i, id := range ids {
+		o := int(id) * 2
+		row := data[o : o+2 : o+2]
+		s := a0*row[0] + a1*row[1]
+		if s <= b {
+			out[n] = uint32(i)
+			n++
+		}
+	}
+	return n
+}
+
+func filterIDsLE3(a []float64, b float64, data []float64, ids []uint32, out []uint32) int {
+	a0, a1, a2 := a[0], a[1], a[2]
+	n := 0
+	for i, id := range ids {
+		o := int(id) * 3
+		row := data[o : o+3 : o+3]
+		s := a0*row[0] + a1*row[1] + a2*row[2]
+		if s <= b {
+			out[n] = uint32(i)
+			n++
+		}
+	}
+	return n
+}
+
+func filterIDsLE4(a []float64, b float64, data []float64, ids []uint32, out []uint32) int {
+	a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
+	n := 0
+	for i, id := range ids {
+		o := int(id) * 4
+		row := data[o : o+4 : o+4]
+		s := a0*row[0] + a1*row[1] + a2*row[2] + a3*row[3]
+		if s <= b {
+			out[n] = uint32(i)
+			n++
+		}
+	}
+	return n
+}
+
+func filterIDsLEGeneric(a []float64, b float64, data []float64, ids []uint32, out []uint32) int {
+	d := len(a)
+	n := 0
+	for i, id := range ids {
+		o := int(id) * d
+		row := data[o : o+d : o+d]
+		var s float64
+		for j, v := range a {
+			s += v * row[j]
+		}
+		if s <= b {
+			out[n] = uint32(i)
+			n++
+		}
 	}
 	return n
 }
