@@ -2,6 +2,9 @@ package experiments
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -57,9 +60,26 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+var (
+	durationRe = regexp.MustCompile(`[0-9]+(\.[0-9]+)?(ns|µs|ms|s)\b`)
+	spacesRe   = regexp.MustCompile(` +`)
+	dashesRe   = regexp.MustCompile(`-{2,}`)
+)
+
+// mask blanks what changes from run to run in an experiment's output:
+// every duration becomes T, and runs of spaces and of dashes, whose
+// length follows the width of the timing strings, are squeezed.
+func mask(out string) string {
+	out = durationRe.ReplaceAllString(out, "T")
+	out = spacesRe.ReplaceAllString(out, " ")
+	return dashesRe.ReplaceAllString(out, "--")
+}
+
 // TestEveryExperimentRuns executes the full registry at tiny scale
-// and sanity-checks the rendered output. This is the integration
-// test that the whole reproduction pipeline is wired correctly.
+// and compares each masked output with testdata/<id>.golden, so every
+// fixture, query stream, pruning figure and result count is pinned.
+// This is the integration test that the whole reproduction pipeline
+// is wired correctly.
 func TestEveryExperimentRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration sweep skipped in -short mode")
@@ -80,6 +100,13 @@ func TestEveryExperimentRuns(t *testing.T) {
 			// header separator.
 			if !strings.Contains(out, "--") {
 				t.Fatalf("%s output lacks a table:\n%s", e.ID, out)
+			}
+			want, err := os.ReadFile(filepath.Join("testdata", e.ID+".golden"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := mask(out); got != string(want) {
+				t.Fatalf("%s masked output differs from its golden file\ngot:\n%s\nwant:\n%s", e.ID, got, want)
 			}
 		})
 	}
