@@ -68,8 +68,9 @@ race-pager:
 	$(GO) test -race ./internal/pager
 	$(GO) test -race -run 'TestPaged|TestWriteback|TestWiden' ./internal/btree ./internal/exec ./internal/core
 
-# A fast benchmark smoke: a handful of iterations of the pipeline and
-# planner benchmarks, of the engine's COUNT and top-k legs, of the
+# A fast benchmark smoke: one pass over the cells of one paper figure
+# (Figure 14(c), a few ms each), a handful of iterations of the
+# pipeline and planner benchmarks, of the engine's COUNT and top-k legs, of the
 # intermediate interval's by-id kernel against gather + filter and a
 # contiguous filter, of the reply's id writer against the strconv
 # loop it replaced, of a select-shaped query served through the HTTP
@@ -80,6 +81,7 @@ race-pager:
 # snapshot layout's save, load and restore at 100 000 points, just to
 # prove they still compile and run.
 bench-smoke:
+	$(GO) test -run xxx -bench 'BenchmarkPaper/fig14c/' -benchtime 1x .
 	$(GO) test -run xxx -bench 'BenchmarkPlan$$|BenchmarkPipelineOverhead' -benchtime 10x .
 	$(GO) test -run xxx -bench 'BenchmarkExecHotPath' -benchtime 10x ./internal/exec
 	$(GO) test -run xxx -bench 'BenchmarkFilterIDsLE' -benchtime 10x ./internal/kernel
@@ -127,12 +129,12 @@ ingest-integration:
 	$(GO) test -race -run 'TestAppendBatch|TestTornBatch|TestDecodeRecordRejectsBatch' ./internal/wal
 	$(GO) test -race -run 'TestCommitBatch' ./internal/replog
 
-# The paper-figure binary still runs: the experiment list, and the
-# cheapest of the paper's figures (13(c), index build plus dynamic
-# updates, a few ms) at a small cardinality.
+# The paper-figure binary still runs: the experiment list, and every
+# experiment at the unit tests' tiny configuration (a few seconds),
+# each planar answer checked against its baseline.
 planarbench-smoke:
 	$(GO) run ./cmd/planarbench -list
-	$(GO) run ./cmd/planarbench -exp fig13c -points 2000
+	$(GO) run ./cmd/planarbench -exp all -points 2000 -realpoints 1500 -queries 5 -moving 60
 
 # The bench of record (benchmark/, BENCHMARK.json) is a nested module,
 # invisible to `go test ./...` at the root: its own smoke test — every

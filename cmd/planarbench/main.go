@@ -64,32 +64,22 @@ func main() {
 		cfg.Seed = *seed
 	}
 
-	run := func(id, title string) error {
-		fmt.Printf("== %s — %s\n", id, title)
+	exps := experiments.All()
+	if *expID != "all" {
+		e, ok := experiments.Find(*expID)
+		if !ok {
+			fmt.Fprintf(os.Stderr, "planarbench: unknown experiment %q (try -list)\n", *expID)
+			os.Exit(2)
+		}
+		exps = []experiments.Experiment{e}
+	}
+	for _, e := range exps {
+		fmt.Printf("== %s — %s\n", e.ID, e.Title)
 		start := time.Now()
-		if err := experiments.Run(id, cfg, os.Stdout); err != nil {
-			return err
+		if err := experiments.Run(e.ID, cfg, os.Stdout); err != nil {
+			fmt.Fprintf(os.Stderr, "planarbench: %s: %v\n", e.ID, err)
+			os.Exit(1)
 		}
 		fmt.Printf("(completed in %s)\n\n", time.Since(start).Round(time.Millisecond))
-		return nil
-	}
-
-	if *expID == "all" {
-		for _, e := range experiments.All() {
-			if err := run(e.ID, e.Title); err != nil {
-				fmt.Fprintf(os.Stderr, "planarbench: %s: %v\n", e.ID, err)
-				os.Exit(1)
-			}
-		}
-		return
-	}
-	e, ok := experiments.Find(*expID)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "planarbench: unknown experiment %q (try -list)\n", *expID)
-		os.Exit(2)
-	}
-	if err := run(e.ID, e.Title); err != nil {
-		fmt.Fprintf(os.Stderr, "planarbench: %v\n", err)
-		os.Exit(1)
 	}
 }

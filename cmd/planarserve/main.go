@@ -12,10 +12,10 @@
 // they were created with.
 //
 // With -ingest-batch N the write path group-commits: mutations queue
-// on a per-shard ring, a committer takes whatever is queued (up to N),
-// applies it under one lock and journals it as a single WAL frame with
-// one fsync. Requests still ack only after their record is durable;
-// see DESIGN.md §13.
+// on a buffered channel per commit lane, a committer takes whatever is
+// queued (up to N), applies it under one lock and journals it as a
+// single WAL frame with one fsync. Requests still ack only after their
+// record is durable; see DESIGN.md §13.
 //
 // With -replicate-from the process runs as a read replica instead: it
 // bootstraps from the primary's snapshot, tails its commit stream,
@@ -58,7 +58,7 @@ func main() {
 		cacheMB    = flag.Int("page-cache-mb", 0, "page-cache budget in MiB for the paged tier (implies -paged; 0 = default budget)")
 
 		ingestBatch = flag.Int("ingest-batch", 0, "group-commit writes in batches up to this size (0 = synchronous per-request path)")
-		ingestShed  = flag.Bool("ingest-shed", false, "answer 429 when the ingest ring is full instead of blocking the request")
+		ingestShed  = flag.Bool("ingest-shed", false, "answer 429 when the ingest queue is full instead of blocking the request")
 
 		role          = flag.String("role", "", "primary or replica (default: replica iff -replicate-from is set)")
 		replicateFrom = flag.String("replicate-from", "", "primary base URL to replicate from (enables replica role)")

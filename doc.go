@@ -6,9 +6,10 @@
 // in internal/core, its substrates (B+ tree, vector math, top-k
 // buffer) and the paper's applications (complex SQL functions,
 // moving-object intersection, active learning) in sibling packages.
-// Executables are under cmd/, runnable examples under examples/, and
-// the benchmark suite reproducing every table and figure of the
-// paper's evaluation is in bench_test.go next to this file.
+// Executables are under cmd/ and runnable examples under examples/.
+// The paper's evaluation is reproduced by internal/experiments, which
+// cmd/planarbench prints as tables and BenchmarkPaper in bench_test.go
+// next to this file runs as benchmarks.
 //
 // See README.md for a tour, DESIGN.md for the system inventory and
 // per-experiment index, and EXPERIMENTS.md for paper-vs-measured

@@ -1,7 +1,17 @@
 // Package experiments regenerates every table and figure of the
 // paper's evaluation (Section 7) as plain-text tables. Each
 // experiment is registered under the paper's figure/table id and is
-// runnable through cmd/planarbench or the root benchmark suite.
+// runnable through cmd/planarbench, which prints its tables, or the
+// root benchmark suite, whose BenchmarkPaper runs each of its cells
+// as the sub-benchmark BenchmarkPaper/<id>/<cell> at DefaultConfig.
+//
+// A cell is one named, measured operation: the planar side or the
+// baseline of a printed figure, or a build or update the figure
+// times. It runs over a fixture its experiment builds on first use,
+// shared with its sibling cells. One loop (sweep.measure) times every
+// cell for the printed tables, and checks each planar answer against
+// the baseline's answer to the same query outside the timed region:
+// a mismatch fails the experiment.
 //
 // Absolute times depend on the machine; what the experiments are
 // meant to reproduce is the paper's shape: who wins, by roughly what
@@ -13,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -61,12 +72,47 @@ func (c Config) Validate() error {
 type Experiment struct {
 	ID    string
 	Title string
-	Run   func(cfg Config, w io.Writer) error
+	// sweep prints the experiment's tables, declaring each cell where
+	// its figure is printed.
+	sweep func(s *sweep) error
+}
+
+// Run prints the experiment's tables at cfg, measuring every cell.
+func (e Experiment) Run(cfg Config, w io.Writer) error {
+	return e.sweep(&sweep{Config: cfg, w: w})
+}
+
+// Cells lists the experiment's cells at cfg in the order Run measures
+// them. Listing builds no dataset, store or index: only the moving
+// objects and query parameters some experiments draw up front.
+func (e Experiment) Cells(cfg Config) ([]Cell, error) {
+	s := &sweep{Config: cfg, w: io.Discard, listing: true}
+	err := e.sweep(s)
+	return s.cells, err
+}
+
+// A Cell is one named, measured operation of an experiment.
+type Cell struct {
+	Name    string
+	prepare func() (op, check, error)
+}
+
+// Prepare builds the cell's fixture, unless a sibling cell has built
+// it, and returns its operation: run(i) performs the i-th operation
+// of the cell's stream, for any i ≥ 0 (query streams repeat).
+func (c Cell) Prepare() (run func(i int) error, err error) {
+	o, _, err := c.prepare()
+	if err != nil {
+		return nil, err
+	}
+	return func(i int) error { _, err := o(i); return err }, nil
 }
 
 var registry []Experiment
 
-func register(e Experiment) { registry = append(registry, e) }
+func register(id, title string, sweep func(s *sweep) error) {
+	registry = append(registry, Experiment{ID: id, Title: title, sweep: sweep})
+}
 
 // All returns every registered experiment sorted by id.
 func All() []Experiment {
@@ -105,54 +151,198 @@ func ids() []string {
 	return out
 }
 
-// measured aggregates one query-set measurement.
-type measured struct {
-	avg      time.Duration
-	pruning  float64 // mean pruning fraction, 0..1
-	matched  float64 // mean result-set size
-	fellBack int
+// A sweep is one pass over an experiment. Printing, it builds each
+// cell's fixture, measures the cell and writes the tables to w.
+// Listing, it only collects the cells: every result reads zero and
+// no fixture is built.
+type sweep struct {
+	Config
+	w       io.Writer
+	listing bool
+	cells   []Cell
 }
 
-// runIndexed averages nq generated queries through m.
-func runIndexed(m *core.Multi, gen func() core.Query, nq int) (measured, error) {
-	var out measured
-	var total time.Duration
-	for i := 0; i < nq; i++ {
-		q := gen()
+// op performs the i-th operation of a cell's stream.
+type op func(i int) (outcome, error)
+
+// check compares the i-th operation's outcome with a reference answer.
+type check func(i int, got outcome) error
+
+// outcome is what one operation answered.
+type outcome struct {
+	n        int      // answer size: matches, pairs, or indexes or groups built
+	ids      []uint32 // the answer's ids, in order, where they are compared (top-k)
+	stat     float64  // the planar side's own figure: pruned or examined share, candidates
+	fellBack bool
+}
+
+// result aggregates one measurement of a cell.
+type result struct {
+	total    time.Duration
+	n        int     // operations timed
+	answers  int     // summed outcome sizes
+	stat     float64 // summed outcome figures
+	fellBack int     // operations answered by a scan
+}
+
+// mean is the mean time of one operation (0 in a listing).
+func (r result) mean() time.Duration {
+	if r.n == 0 {
+		return 0
+	}
+	return r.total / time.Duration(r.n)
+}
+
+func (r result) avgStat() float64 { return r.stat / float64(r.n) }
+
+func (r result) avgAnswer() float64 { return float64(r.answers) / float64(r.n) }
+
+// measure declares a cell and, when printing, times n operations of
+// it: the one timing loop of every figure, whose measure is their
+// mean. Each outcome is checked outside the timed region; a mismatch
+// fails the experiment.
+func (s *sweep) measure(name string, n int, prepare func() (op, check, error)) (result, error) {
+	if s.listing {
+		s.cells = append(s.cells, Cell{Name: name, prepare: prepare})
+		return result{}, nil
+	}
+	fail := func(err error) (result, error) { return result{}, fmt.Errorf("experiments: %s: %w", name, err) }
+	run, chk, err := prepare()
+	if err != nil {
+		return fail(err)
+	}
+	r := result{n: n}
+	for i := 0; i < n; i++ {
 		start := time.Now()
-		st, err := m.Inequality(q, func(uint32) bool { return true })
-		total += time.Since(start)
+		got, err := run(i)
+		r.total += time.Since(start)
+		if err == nil && chk != nil {
+			err = chk(i, got)
+		}
 		if err != nil {
-			return out, err
+			return fail(err)
 		}
-		out.pruning += st.PruningFraction()
-		out.matched += float64(st.Results())
-		if st.FellBack {
-			out.fellBack++
+		r.answers += got.n
+		r.stat += got.stat
+		if got.fellBack {
+			r.fellBack++
 		}
 	}
-	out.avg = total / time.Duration(nq)
-	out.pruning /= float64(nq)
-	out.matched /= float64(nq)
-	return out, nil
+	return r, nil
 }
 
-// runBaseline averages nq generated queries via sequential scan.
-func runBaseline(store *core.PointStore, gen func() core.Query, nq int) time.Duration {
-	var total time.Duration
-	for i := 0; i < nq; i++ {
-		q := gen()
-		start := time.Now()
-		n := 0
-		scan.Inequality(store, q, func(uint32) bool { n++; return true })
-		total += time.Since(start)
+func (s *sweep) print(text string) error {
+	_, err := io.WriteString(s.w, text)
+	return err
+}
+
+// peek reads a figure off a fixture that a measured cell has built; a
+// listing builds nothing and reads the zero value.
+func peek[T any](s *sweep, read func() T) T {
+	var zero T
+	if s.listing {
+		return zero
 	}
-	return total / time.Duration(nq)
+	return read()
 }
 
-// synthSetup builds a synthetic dataset, its store, an Eq18
-// generator and a Multi with the requested index budget.
-func synthSetup(kind dataset.Kind, n, dim, rq, budget int, seed int64) (*core.PointStore, *core.Multi, queries.Eq18, error) {
+// lazily returns a getter that builds a fixture on its first call and
+// returns the same fixture after, so the cells sharing it build it
+// once and only when one of them is prepared.
+func lazily[T any](build func() (T, error)) func() (T, error) {
+	var (
+		v     T
+		err   error
+		built bool
+	)
+	return func() (T, error) {
+		if !built {
+			v, err = build()
+			built = true
+		}
+		return v, err
+	}
+}
+
+// built is a structure a build cell times. The cell builds it afresh
+// on every operation and keeps the last one for the query cells,
+// which build their own when the build cell has not run.
+type built[T any] struct {
+	inputs func() error // builds what build reads, untimed; may be nil
+	build  func() (T, error)
+	last   *T
+}
+
+func (b *built[T]) get() (T, error) {
+	if b.last == nil {
+		v, err := b.build()
+		if err != nil {
+			return v, err
+		}
+		b.last = &v
+	}
+	return *b.last, nil
+}
+
+// cell prepares the build cell: op(i) builds afresh, keeps the result
+// and answers size(result), or 0 when size is nil.
+func (b *built[T]) cell(size func(T) int) func() (op, check, error) {
+	return func() (op, check, error) {
+		if b.inputs != nil {
+			if err := b.inputs(); err != nil {
+				return nil, nil, err
+			}
+		}
+		return func(int) (outcome, error) {
+			v, err := b.build()
+			if err != nil {
+				return outcome{}, err
+			}
+			b.last = &v
+			if size == nil {
+				return outcome{}, nil
+			}
+			return outcome{n: size(v)}, nil
+		}, nil, nil
+	}
+}
+
+// same checks an outcome against the reference's answer to the same
+// operation: the answer size, and the ids in order where the outcome
+// carries them.
+func same(ref op) check {
+	return func(i int, got outcome) error {
+		want, err := ref(i)
+		if err != nil {
+			return err
+		}
+		if got.n != want.n || !slices.Equal(got.ids, want.ids) {
+			return fmt.Errorf("operation %d disagrees with the baseline: %d results against %d", i, got.n, want.n)
+		}
+		return nil
+	}
+}
+
+// synth is a synthetic fixture: a store, its Eq18 generator and an
+// index set over it.
+type synth struct {
+	store *core.PointStore
+	m     *core.Multi
+	g     queries.Eq18
+}
+
+// lazySynth is SynthSetup's fixture, built on first use.
+func lazySynth(kind dataset.Kind, n, dim, rq, budget int, seed int64) func() (synth, error) {
+	return lazily(func() (synth, error) {
+		store, m, g, err := SynthSetup(kind, n, dim, rq, budget, seed)
+		return synth{store, m, g}, err
+	})
+}
+
+// SynthSetup builds a synthetic dataset, its store, an Eq18
+// generator and a Multi with the requested index budget: the fixture
+// of the synthetic figures.
+func SynthSetup(kind dataset.Kind, n, dim, rq, budget int, seed int64) (*core.PointStore, *core.Multi, queries.Eq18, error) {
 	d := dataset.Synthetic(kind, n, dim, seed)
 	store, err := d.Store()
 	if err != nil {
@@ -174,6 +364,86 @@ func synthSetup(kind dataset.Kind, n, dim, rq, budget int, seed int64) (*core.Po
 	return store, m, g, nil
 }
 
+// Draw returns the first n queries of g's stream for seed: the query
+// stream of the Eq18 figures (the synthetic ones draw theirs for
+// Config.Seed+42).
+func Draw(g queries.Eq18, seed int64, n int) []core.Query {
+	rng := rand.New(rand.NewSource(seed))
+	qs := make([]core.Query, n)
+	for i := range qs {
+		qs[i] = g.Query(rng)
+	}
+	return qs
+}
+
+// indexed prepares the planar side of a query stream: op(i) answers
+// the i-th of n queries drawn from the fixture's generator for seed
+// through its index set, checked against the scan.
+func indexed(fx func() (synth, error), seed int64, n int) func() (op, check, error) {
+	return func() (op, check, error) {
+		f, err := fx()
+		if err != nil {
+			return nil, nil, err
+		}
+		qs := Draw(f.g, seed, n)
+		return func(i int) (outcome, error) {
+			n := 0
+			st, err := f.m.Inequality(qs[i%len(qs)], func(uint32) bool { n++; return true })
+			return outcome{n: n, stat: st.PruningFraction(), fellBack: st.FellBack}, err
+		}, same(scanned(f.store, qs)), nil
+	}
+}
+
+// baseline prepares the scan of the query stream indexed answers.
+func baseline(fx func() (synth, error), seed int64, n int) func() (op, check, error) {
+	return func() (op, check, error) {
+		f, err := fx()
+		if err != nil {
+			return nil, nil, err
+		}
+		return scanned(f.store, Draw(f.g, seed, n)), nil, nil
+	}
+}
+
+// scanned answers the i-th query of qs by sequential scan.
+func scanned(store *core.PointStore, qs []core.Query) op {
+	return func(i int) (outcome, error) {
+		return outcome{n: scan.Inequality(store, qs[i%len(qs)], func(uint32) bool { return true })}, nil
+	}
+}
+
+// A ladder grows one index set along a sweep's budgets, a printed row
+// at a time, so a row's index set is the same whether or not the rows
+// before it were measured. Rows are measured in order.
+type ladder struct {
+	budgets []int
+	rungs   int // budgets climbed
+	climb   func(budget int) error
+}
+
+func (l *ladder) to(budget int) error {
+	for ; l.rungs < len(l.budgets) && l.budgets[l.rungs] <= budget; l.rungs++ {
+		if err := l.climb(l.budgets[l.rungs]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// eq18Ladder climbs m's budgets the way the Eq18 sweeps do: each rung
+// adds the missing indexes with a generator seeded by seed+budget.
+func eq18Ladder(m *core.Multi, g queries.Eq18, budgets []int, seed int64) *ladder {
+	have := 0
+	return &ladder{budgets: budgets, climb: func(budget int) error {
+		if budget <= have {
+			return nil
+		}
+		added, err := g.BuildIndexes(m, budget-have, rand.New(rand.NewSource(seed+int64(budget))))
+		have += added
+		return err
+	}}
+}
+
 // cloneWithSelection rebuilds a Multi over the same store and
 // normals but with angle-minimisation selection, for the selection
 // ablation.
@@ -189,10 +459,4 @@ func cloneWithSelection(m *core.Multi) (*core.Multi, error) {
 		}
 	}
 	return out, nil
-}
-
-// genFor returns a deterministic query generator for a given seed.
-func genFor(g queries.Eq18, seed int64) func() core.Query {
-	rng := rand.New(rand.NewSource(seed))
-	return func() core.Query { return g.Query(rng) }
 }

@@ -7,6 +7,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"planar/internal/dataset"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -27,7 +29,7 @@ func TestRegistryComplete(t *testing.T) {
 		if e.ID != want[i] {
 			t.Fatalf("experiment %d is %q, want %q", i, e.ID, want[i])
 		}
-		if e.Title == "" || e.Run == nil {
+		if e.Title == "" || e.sweep == nil {
 			t.Fatalf("experiment %q lacks title or runner", e.ID)
 		}
 	}
@@ -125,4 +127,69 @@ func TestFig14aAnswersAgree(t *testing.T) {
 	if !strings.Contains(buf.String(), "mbr-tree") {
 		t.Fatal("fig14a output missing MBR-tree column")
 	}
+}
+
+// TestRunFailsOnWrongAnswer runs an experiment whose planar side drops
+// one id of every answer: the loop's check against the scan must fail
+// the run.
+func TestRunFailsOnWrongAnswer(t *testing.T) {
+	fx := lazySynth(dataset.KindIndependent, 2000, 4, 4, 10, 1)
+	e := Experiment{ID: "dropping", Title: "drops an id", sweep: func(s *sweep) error {
+		_, err := s.measure("planar", s.Queries, func() (op, check, error) {
+			run, chk, err := indexed(fx, 42, s.Queries)()
+			return func(i int) (outcome, error) {
+				got, err := run(i)
+				got.n-- // the first id is dropped
+				return got, err
+			}, chk, err
+		})
+		return err
+	}}
+	var buf bytes.Buffer
+	err := e.Run(TinyConfig(), &buf)
+	if err == nil || !strings.Contains(err.Error(), "disagrees with the baseline") {
+		t.Fatalf("Run with a dropped id returned %v", err)
+	}
+}
+
+// TestCellsBuildLazily lists every experiment's cells without building
+// a fixture, and prepares one cell of a large grid on its own.
+func TestCellsBuildLazily(t *testing.T) {
+	for _, e := range All() {
+		cells, err := e.Cells(DefaultConfig())
+		if err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+		if len(cells) == 0 && e.ID != "fig13b" && e.ID != "table2" {
+			t.Fatalf("%s declares no cells", e.ID)
+		}
+		seen := map[string]bool{}
+		for _, c := range cells {
+			if seen[c.Name] {
+				t.Fatalf("%s: cell %q declared twice", e.ID, c.Name)
+			}
+			seen[c.Name] = true
+		}
+	}
+	e, _ := Find("fig8")
+	cells, err := e.Cells(TinyConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cells {
+		if c.Name != "dim14/ind50/anti" {
+			continue
+		}
+		run, err := c.Prepare()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2*TinyConfig().Queries; i++ {
+			if err := run(i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return
+	}
+	t.Fatal("fig8 has no cell dim14/ind50/anti")
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"time"
 
@@ -14,189 +13,176 @@ import (
 )
 
 func init() {
-	register(Experiment{
-		ID:    "fig6a",
-		Title: "Figure 6(a): query time, Consumption SQL function (Critical_Consume)",
-		Run:   fig6a,
-	})
-	register(Experiment{
-		ID:    "fig6b",
-		Title: "Figure 6(b): query time, CMoment, RQ × #index",
-		Run:   func(cfg Config, w io.Writer) error { return fig6bc(cfg, w, "cmoment") },
-	})
-	register(Experiment{
-		ID:    "fig6c",
-		Title: "Figure 6(c): query time, CTexture, RQ × #index",
-		Run:   func(cfg Config, w io.Writer) error { return fig6bc(cfg, w, "ctexture") },
-	})
-	register(Experiment{
-		ID:    "fig6d",
-		Title: "Figure 6(d): index construction time, real-world datasets",
-		Run:   fig6d,
-	})
+	register("fig6a", "Figure 6(a): query time, Consumption SQL function (Critical_Consume)", fig6a)
+	register("fig6b", "Figure 6(b): query time, CMoment, RQ × #index",
+		func(s *sweep) error { return fig6bc(s, dataset.CMoment) })
+	register("fig6c", "Figure 6(c): query time, CTexture, RQ × #index",
+		func(s *sweep) error { return fig6bc(s, dataset.CTexture) })
+	register("fig6d", "Figure 6(d): index construction time, real-world datasets", fig6d)
+}
+
+// consumption is fig6a's fixture: one CriticalConsume whose index
+// budget grows along the printed rows.
+type consumption struct {
+	cc     *sqlfunc.CriticalConsume
+	budget *ladder
 }
 
 // fig6a reproduces the Consumption experiment: the Critical_Consume
 // SQL function answered with 10..200 planar indexes versus a
 // sequential scan. The paper reports 62ms baseline vs 9ms with 200
 // indexes (~7× speed-up) on 2.07M rows.
-func fig6a(cfg Config, w io.Writer) error {
-	d := dataset.Consumption(cfg.RealPoints, cfg.Seed)
-	tbl, err := sqlfunc.FromData(d, dataset.ConsumptionColumns)
-	if err != nil {
-		return err
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	out := stats.NewTable(
-		fmt.Sprintf("Figure 6(a) — Consumption (n=%d), threshold ~ U(0.1, 1.0)", cfg.RealPoints),
-		"#index", "query", "pruned%", "fellback")
-
-	// One CriticalConsume reused; budgets grow incrementally.
-	cc, err := sqlfunc.NewCriticalConsume(tbl, "active_power", "voltage", "current",
-		core.Domain{Lo: 0.1, Hi: 1.0}, 10, rng)
-	if err != nil {
-		return err
-	}
-	thresholds := func(seed int64) func() float64 {
-		r := rand.New(rand.NewSource(seed))
-		return func() float64 { return 0.1 + 0.9*r.Float64() }
-	}
-	measure := func() (time.Duration, float64, int, error) {
-		next := thresholds(cfg.Seed + 7)
-		var total time.Duration
-		var pruning float64
-		fellBack := 0
-		for i := 0; i < cfg.Queries; i++ {
-			th := next()
-			start := time.Now()
-			_, st, err := cc.Query(th)
-			total += time.Since(start)
-			if err != nil {
-				return 0, 0, 0, err
-			}
-			pruning += st.PruningFraction()
-			if st.FellBack {
-				fellBack++
-			}
+func fig6a(s *sweep) error {
+	budgets := []int{10, 50, 100, 200}
+	fx := lazily(func() (consumption, error) {
+		d := dataset.Consumption(s.RealPoints, s.Seed)
+		tbl, err := sqlfunc.FromData(d, dataset.ConsumptionColumns)
+		if err != nil {
+			return consumption{}, err
 		}
-		return total / time.Duration(cfg.Queries), pruning / float64(cfg.Queries), fellBack, nil
-	}
-
-	have := 10
-	for _, budget := range []int{10, 50, 100, 200} {
-		if budget > have {
+		rng := rand.New(rand.NewSource(s.Seed))
+		cc, err := sqlfunc.NewCriticalConsume(tbl, "active_power", "voltage", "current",
+			core.Domain{Lo: 0.1, Hi: 1.0}, 10, rng)
+		have := 10
+		return consumption{cc, &ladder{budgets: budgets, climb: func(budget int) error {
+			if budget <= have {
+				return nil
+			}
 			doms := []core.Domain{{Lo: 1, Hi: 1}, {Lo: -1.0, Hi: -0.1}}
-			if _, err := cc.Index().AddIndexes(budget-have, doms, rng); err != nil {
-				return err
-			}
+			_, err := cc.Index().AddIndexes(budget-have, doms, rng)
 			have = budget
+			return err
+		}}}, err
+	})
+	rng := rand.New(rand.NewSource(s.Seed + 7))
+	thresholds := make([]float64, s.Queries)
+	for i := range thresholds {
+		thresholds[i] = 0.1 + 0.9*rng.Float64()
+	}
+	scan := func(f consumption) op {
+		return func(i int) (outcome, error) {
+			return outcome{n: len(f.cc.QueryScan(thresholds[i%len(thresholds)]))}, nil
 		}
-		avg, pruning, fb, err := measure()
+	}
+	out := stats.NewTable(
+		fmt.Sprintf("Figure 6(a) — Consumption (n=%d), threshold ~ U(0.1, 1.0)", s.RealPoints),
+		"#index", "query", "pruned%", "fellback")
+	for _, budget := range budgets {
+		res, err := s.measure(fmt.Sprintf("ind%d", budget), s.Queries, func() (op, check, error) {
+			f, err := fx()
+			if err == nil {
+				err = f.budget.to(budget)
+			}
+			if err != nil {
+				return nil, nil, err
+			}
+			return func(i int) (outcome, error) {
+				ids, st, err := f.cc.Query(thresholds[i%len(thresholds)])
+				return outcome{n: len(ids), stat: st.PruningFraction(), fellBack: st.FellBack}, err
+			}, same(scan(f)), nil
+		})
 		if err != nil {
 			return err
 		}
-		out.AddRow(cc.Index().Multi().NumIndexes(), avg, 100*pruning, fb)
+		indexes := peek(s, func() int { f, _ := fx(); return f.cc.Index().Multi().NumIndexes() })
+		out.AddRow(indexes, res.mean(), 100*res.avgStat(), res.fellBack)
 	}
-
-	// Baseline scan.
-	next := thresholds(cfg.Seed + 7)
-	var total time.Duration
-	for i := 0; i < cfg.Queries; i++ {
-		th := next()
-		start := time.Now()
-		cc.QueryScan(th)
-		total += time.Since(start)
+	res, err := s.measure("baseline", s.Queries, func() (op, check, error) {
+		f, err := fx()
+		return scan(f), nil, err
+	})
+	if err != nil {
+		return err
 	}
-	out.AddRow("baseline", total/time.Duration(cfg.Queries), 0.0, 0)
-	_, err = io.WriteString(w, out.String())
-	return err
+	out.AddRow("baseline", res.mean(), 0.0, 0)
+	return s.print(out.String())
 }
 
 // fig6bc reproduces the image-feature experiments: Equation 18
 // queries over CMoment (9-d) or CTexture (16-d) sweeping RQ and the
 // index budget.
-func fig6bc(cfg Config, w io.Writer, which string) error {
-	var d *dataset.Data
-	if which == "cmoment" {
-		d = dataset.CMoment(cfg.RealPoints, cfg.Seed)
-	} else {
-		d = dataset.CTexture(cfg.RealPoints, cfg.Seed)
-	}
-	store, err := d.Store()
-	if err != nil {
-		return err
-	}
-	out := stats.NewTable(
-		fmt.Sprintf("Figure 6 — %s (n=%d, d=%d)", d.Name, d.Len(), d.Dim()),
-		"RQ", "#index", "query", "pruned%", "baseline")
+func fig6bc(s *sweep, gen func(n int, seed int64) *dataset.Data) error {
+	budgets := []int{1, 10, 50, 100}
+	data := lazily(func() (*dataset.Data, error) { return gen(s.RealPoints, s.Seed), nil })
+	store := lazily(func() (*core.PointStore, error) { d, _ := data(); return d.Store() })
+	out := stats.NewTable(peek(s, func() string {
+		d, _ := data()
+		return fmt.Sprintf("Figure 6 — %s (n=%d, d=%d)", d.Name, d.Len(), d.Dim())
+	}), "RQ", "#index", "query", "pruned%", "baseline")
 	for _, rq := range []int{2, 4, 8, 12} {
-		g, err := queries.NewEq18(d.AxisMaxes(), rq)
-		if err != nil {
-			return err
-		}
-		m, err := core.NewMulti(store)
-		if err != nil {
-			return err
-		}
-		base := runBaseline(store, genFor(g, cfg.Seed+99), cfg.Queries)
-		have := 0
-		for _, budget := range []int{1, 10, 50, 100} {
-			if budget > have {
-				added, err := g.BuildIndexes(m, budget-have, rand.New(rand.NewSource(cfg.Seed+int64(budget))))
-				if err != nil {
-					return err
-				}
-				have += added
+		fx := lazily(func() (synth, error) {
+			st, err := store()
+			if err != nil {
+				return synth{}, err
 			}
-			res, err := runIndexed(m, genFor(g, cfg.Seed+99), cfg.Queries)
+			d, _ := data()
+			g, err := queries.NewEq18(d.AxisMaxes(), rq)
+			if err != nil {
+				return synth{}, err
+			}
+			m, err := core.NewMulti(st)
+			return synth{st, m, g}, err
+		})
+		base, err := s.measure(fmt.Sprintf("RQ%d/baseline", rq), s.Queries, baseline(fx, s.Seed+99, s.Queries))
+		if err != nil {
+			return err
+		}
+		grown := growing(fx, budgets, s.Seed)
+		for _, budget := range budgets {
+			res, err := s.measure(fmt.Sprintf("RQ%d/ind%d", rq, budget), s.Queries,
+				indexed(grown(budget), s.Seed+99, s.Queries))
 			if err != nil {
 				return err
 			}
-			out.AddRow(rq, m.NumIndexes(), res.avg, 100*res.pruning, base)
+			indexes := peek(s, func() int { f, _ := fx(); return f.m.NumIndexes() })
+			out.AddRow(rq, indexes, res.mean(), 100*res.avgStat(), base.mean())
 		}
 	}
-	_, err = io.WriteString(w, out.String())
-	return err
+	return s.print(out.String())
 }
+
+// realSets are the simulated real-world datasets, by the name each
+// generator gives its data.
+var realSets = []struct {
+	name string
+	gen  func(n int, seed int64) *dataset.Data
+}{{"cmoment", dataset.CMoment}, {"ctexture", dataset.CTexture}, {"consumption", dataset.Consumption}}
 
 // fig6d times planar index construction over the three real-world
 // datasets for growing budgets. The paper reports 0.12–3.11 s per
 // index at full scale.
-func fig6d(cfg Config, w io.Writer) error {
-	sets := []*dataset.Data{
-		dataset.CMoment(cfg.RealPoints, cfg.Seed),
-		dataset.CTexture(cfg.RealPoints, cfg.Seed),
-		dataset.Consumption(cfg.RealPoints, cfg.Seed),
-	}
+func fig6d(s *sweep) error {
 	out := stats.NewTable("Figure 6(d) — index construction time (total for the budget)",
 		"dataset", "#index", "build", "per-index")
-	for _, d := range sets {
-		store, err := d.Store()
-		if err != nil {
-			return err
-		}
-		doms := make([]core.Domain, d.Dim())
-		for i := range doms {
-			doms[i] = core.Domain{Lo: 1, Hi: 12}
-		}
+	for _, set := range realSets {
+		store := lazily(func() (*core.PointStore, error) { return set.gen(s.RealPoints, s.Seed).Store() })
 		for _, budget := range []int{1, 10, 50, 100, 200} {
-			m, err := core.NewMulti(store)
+			res, err := s.measure(fmt.Sprintf("%s/ind%d", set.name, budget), 1, func() (op, check, error) {
+				st, err := store()
+				if err != nil {
+					return nil, nil, err
+				}
+				doms := make([]core.Domain, st.Dim())
+				for i := range doms {
+					doms[i] = core.Domain{Lo: 1, Hi: 12}
+				}
+				return func(int) (outcome, error) {
+					m, err := core.NewMulti(st)
+					if err != nil {
+						return outcome{}, err
+					}
+					added, err := m.SampleBudget(budget, doms, rand.New(rand.NewSource(s.Seed)))
+					if err == nil && added == 0 {
+						err = fmt.Errorf("experiments: no indexes added for %s", set.name)
+					}
+					return outcome{n: added}, err
+				}, nil, nil
+			})
 			if err != nil {
 				return err
 			}
-			rng := rand.New(rand.NewSource(cfg.Seed))
-			start := time.Now()
-			added, err := m.SampleBudget(budget, doms, rng)
-			build := time.Since(start)
-			if err != nil {
-				return err
-			}
-			if added == 0 {
-				return fmt.Errorf("experiments: no indexes added for %s", d.Name)
-			}
-			out.AddRow(d.Name, added, build, build/time.Duration(added))
+			out.AddRow(set.name, res.answers, res.total, res.total/time.Duration(max(res.answers, 1)))
 		}
 	}
-	_, err := io.WriteString(w, out.String())
-	return err
+	return s.print(out.String())
 }

@@ -1,14 +1,27 @@
 package experiments
 
 import (
+	"io"
 	"testing"
 
 	"planar/internal/dataset"
 	"planar/internal/scan"
 )
 
+// measured times n queries of f's stream for seed through the index
+// set, by the loop every experiment uses.
+func measured(t *testing.T, f synth, seed int64, n int) result {
+	t.Helper()
+	s := &sweep{Config: TinyConfig(), w: io.Discard}
+	res, err := s.measure("planar", n, indexed(func() (synth, error) { return f, nil }, seed, n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestSynthSetupAndHelpers(t *testing.T) {
-	store, m, g, err := synthSetup(dataset.KindCorrelated, 500, 3, 4, 10, 1)
+	store, m, g, err := SynthSetup(dataset.KindCorrelated, 500, 3, 4, 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,44 +35,45 @@ func TestSynthSetupAndHelpers(t *testing.T) {
 		t.Fatalf("generator %+v", g)
 	}
 
-	// genFor is deterministic per seed.
-	g1, g2 := genFor(g, 42), genFor(g, 42)
-	for i := 0; i < 5; i++ {
-		a, b := g1(), g2()
-		if a.B != b.B {
-			t.Fatal("genFor not deterministic")
+	// Draw is deterministic per seed.
+	q1, q2 := Draw(g, 42, 5), Draw(g, 42, 5)
+	for i := range q1 {
+		if q1[i].B != q2[i].B {
+			t.Fatal("Draw not deterministic")
 		}
-		for j := range a.A {
-			if a.A[j] != b.A[j] {
-				t.Fatal("genFor not deterministic")
+		for j := range q1[i].A {
+			if q1[i].A[j] != q2[i].A[j] {
+				t.Fatal("Draw not deterministic")
 			}
 		}
 	}
 
-	// runIndexed aggregates sane statistics and matches the scan.
-	res, err := runIndexed(m, genFor(g, 7), 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.avg <= 0 {
+	// The loop aggregates sane statistics and matches the scan.
+	f := synth{store, m, g}
+	res := measured(t, f, 7, 5)
+	if res.mean() <= 0 {
 		t.Fatal("non-positive average time")
 	}
-	if res.pruning < 0 || res.pruning > 1 {
-		t.Fatalf("pruning=%v", res.pruning)
+	if p := res.avgStat(); p < 0 || p > 1 {
+		t.Fatalf("pruning=%v", p)
 	}
 	if res.fellBack != 0 {
 		t.Fatalf("fellBack=%d", res.fellBack)
 	}
-	gen := genFor(g, 7)
-	var matched float64
-	for i := 0; i < 5; i++ {
-		matched += float64(scan.Count(store, gen()))
+	var matched int
+	for _, q := range Draw(g, 7, 5) {
+		matched += scan.Count(store, q)
 	}
-	if matched/5 != res.matched {
-		t.Fatalf("matched %v vs scan %v", res.matched, matched/5)
+	if matched != res.answers {
+		t.Fatalf("matched %v vs scan %v", res.answers, matched)
 	}
-	if d := runBaseline(store, genFor(g, 7), 3); d <= 0 {
-		t.Fatalf("baseline time %v", d)
+	s := &sweep{Config: TinyConfig(), w: io.Discard}
+	base, err := s.measure("baseline", 3, baseline(func() (synth, error) { return f, nil }, 7, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.mean() <= 0 || base.answers == 0 {
+		t.Fatalf("baseline time %v, %d matches", base.mean(), base.answers)
 	}
 
 	// cloneWithSelection mirrors the index set.
@@ -70,7 +84,7 @@ func TestSynthSetupAndHelpers(t *testing.T) {
 	if angle.NumIndexes() != m.NumIndexes() {
 		t.Fatalf("clone has %d indexes, original %d", angle.NumIndexes(), m.NumIndexes())
 	}
-	q := genFor(g, 9)()
+	q := Draw(g, 9, 1)[0]
 	a, _, err := m.InequalityIDs(q)
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +99,7 @@ func TestSynthSetupAndHelpers(t *testing.T) {
 }
 
 func TestSynthSetupErrors(t *testing.T) {
-	if _, _, _, err := synthSetup(dataset.KindIndependent, 100, 2, 0, 5, 1); err == nil {
+	if _, _, _, err := SynthSetup(dataset.KindIndependent, 100, 2, 0, 5, 1); err == nil {
 		t.Fatal("RQ=0 accepted")
 	}
 }

@@ -21,15 +21,11 @@ func TestPaperShapes(t *testing.T) {
 
 	pruningAt := func(dim, rq, budget int) float64 {
 		t.Helper()
-		_, m, g, err := synthSetup(dataset.KindIndependent, n, dim, rq, budget, seed)
+		store, m, g, err := SynthSetup(dataset.KindIndependent, n, dim, rq, budget, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := runIndexed(m, genFor(g, seed+42), 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.pruning
+		return measured(t, synth{store, m, g}, seed+42, 10).avgStat()
 	}
 
 	t.Run("PruningFallsWithRQ", func(t *testing.T) {
@@ -64,18 +60,14 @@ func TestPaperShapes(t *testing.T) {
 		// mechanism is the intermediate interval (the verified
 		// fraction = 1 − pruning), which is deterministic — wall
 		// clock at this scale is too noisy to assert on.
-		_, m, g, err := synthSetup(dataset.KindIndependent, n, 6, 4, 50, seed)
+		store, m, g, err := SynthSetup(dataset.KindIndependent, n, 6, 4, 50, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
 		verifiedAt := func(ineq float64) float64 {
-			gg := g
-			gg.Ineq = ineq
-			res, err := runIndexed(m, genFor(gg, seed+42), 10)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return 1 - res.pruning
+			f := synth{store, m, g}
+			f.g.Ineq = ineq
+			return 1 - measured(t, f, seed+42, 10).avgStat()
 		}
 		low, mid, high := verifiedAt(0.10), verifiedAt(0.50), verifiedAt(1.00)
 		if mid < low || mid < high {

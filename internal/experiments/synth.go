@@ -2,46 +2,24 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 
 	"planar/internal/core"
 	"planar/internal/dataset"
-	"planar/internal/queries"
 	"planar/internal/stats"
 )
 
 func init() {
-	register(Experiment{
-		ID:    "fig7",
-		Title: "Figure 7: query time, synthetic datasets, dim × RQ, 100 indexes",
-		Run:   func(cfg Config, w io.Writer) error { return synthSweepRQ(cfg, w, false) },
-	})
-	register(Experiment{
-		ID:    "fig8",
-		Title: "Figure 8: query time, synthetic datasets, dim × #index, RQ=4",
-		Run:   func(cfg Config, w io.Writer) error { return synthSweepBudget(cfg, w, false) },
-	})
-	register(Experiment{
-		ID:    "fig9",
-		Title: "Figure 9: pruning percentage, synthetic datasets, dim × RQ, 100 indexes",
-		Run:   func(cfg Config, w io.Writer) error { return synthSweepRQ(cfg, w, true) },
-	})
-	register(Experiment{
-		ID:    "fig10",
-		Title: "Figure 10: pruning percentage, synthetic datasets, dim × #index, RQ=4",
-		Run:   func(cfg Config, w io.Writer) error { return synthSweepBudget(cfg, w, true) },
-	})
-	register(Experiment{
-		ID:    "fig11",
-		Title: "Figure 11: selectivity and query time vs inequality parameter",
-		Run:   fig11,
-	})
-	register(Experiment{
-		ID:    "fig12",
-		Title: "Figure 12: scalability with the number of data points",
-		Run:   fig12,
-	})
+	register("fig7", "Figure 7: query time, synthetic datasets, dim × RQ, 100 indexes",
+		func(s *sweep) error { return synthSweepRQ(s, false) })
+	register("fig8", "Figure 8: query time, synthetic datasets, dim × #index, RQ=4",
+		func(s *sweep) error { return synthSweepBudget(s, false) })
+	register("fig9", "Figure 9: pruning percentage, synthetic datasets, dim × RQ, 100 indexes",
+		func(s *sweep) error { return synthSweepRQ(s, true) })
+	register("fig10", "Figure 10: pruning percentage, synthetic datasets, dim × #index, RQ=4",
+		func(s *sweep) error { return synthSweepBudget(s, true) })
+	register("fig11", "Figure 11: selectivity and query time vs inequality parameter", fig11)
+	register("fig12", "Figure 12: scalability with the number of data points", fig12)
 }
 
 var (
@@ -53,41 +31,41 @@ var (
 // synthSweepRQ reproduces Figures 7 (times) and 9 (pruning): 100
 // indexes, dimensions 2–14, RQ 2–12, all three synthetic
 // distributions.
-func synthSweepRQ(cfg Config, w io.Writer, pruningOnly bool) error {
+func synthSweepRQ(s *sweep, pruningOnly bool) error {
 	what := "query time"
 	if pruningOnly {
 		what = "pruning %"
 	}
 	for _, dim := range sweepDims {
 		out := stats.NewTable(
-			fmt.Sprintf("dim=%d (%s, n=%d, #index=100)", dim, what, cfg.Points),
+			fmt.Sprintf("dim=%d (%s, n=%d, #index=100)", dim, what, s.Points),
 			"RQ", "indp", "corr", "anti", "baseline")
 		for _, rq := range sweepRQs {
 			row := []interface{}{rq}
-			var base interface{}
+			var base interface{} = "-"
 			for _, kind := range dataset.Kinds {
-				store, m, g, err := synthSetup(kind, cfg.Points, dim, rq, 100, cfg.Seed)
-				if err != nil {
-					return err
-				}
-				res, err := runIndexed(m, genFor(g, cfg.Seed+42), cfg.Queries)
+				fx := lazySynth(kind, s.Points, dim, rq, 100, s.Seed)
+				name := fmt.Sprintf("dim%d/RQ%d/", dim, rq)
+				res, err := s.measure(name+kind.String(), s.Queries, indexed(fx, s.Seed+42, s.Queries))
 				if err != nil {
 					return err
 				}
 				if pruningOnly {
-					row = append(row, 100*res.pruning)
-					base = "-"
-				} else {
-					row = append(row, res.avg)
-					if kind == dataset.KindIndependent {
-						base = runBaseline(store, genFor(g, cfg.Seed+42), cfg.Queries)
+					row = append(row, 100*res.avgStat())
+					continue
+				}
+				row = append(row, res.mean())
+				if kind == dataset.KindIndependent {
+					b, err := s.measure(name+"baseline", s.Queries, baseline(fx, s.Seed+42, s.Queries))
+					if err != nil {
+						return err
 					}
+					base = b.mean()
 				}
 			}
-			row = append(row, base)
-			out.AddRow(row...)
+			out.AddRow(append(row, base)...)
 		}
-		if _, err := io.WriteString(w, out.String()+"\n"); err != nil {
+		if err := s.print(out.String() + "\n"); err != nil {
 			return err
 		}
 	}
@@ -96,7 +74,7 @@ func synthSweepRQ(cfg Config, w io.Writer, pruningOnly bool) error {
 
 // synthSweepBudget reproduces Figures 8 (times) and 10 (pruning):
 // RQ=4, budgets 1–100.
-func synthSweepBudget(cfg Config, w io.Writer, pruningOnly bool) error {
+func synthSweepBudget(s *sweep, pruningOnly bool) error {
 	what := "query time"
 	if pruningOnly {
 		what = "pruning %"
@@ -104,98 +82,111 @@ func synthSweepBudget(cfg Config, w io.Writer, pruningOnly bool) error {
 	const rq = 4
 	for _, dim := range sweepDims {
 		out := stats.NewTable(
-			fmt.Sprintf("dim=%d (%s, n=%d, RQ=%d)", dim, what, cfg.Points, rq),
+			fmt.Sprintf("dim=%d (%s, n=%d, RQ=%d)", dim, what, s.Points, rq),
 			"#index", "indp", "corr", "anti", "baseline")
-		type state struct {
-			store *core.PointStore
-			m     *core.Multi
-			g     queries.Eq18
-			have  int
-		}
-		var sts []*state
+		var bases []func() (synth, error)
+		var grown []func(budget int) func() (synth, error)
 		for _, kind := range dataset.Kinds {
-			store, m, g, err := synthSetup(kind, cfg.Points, dim, rq, 0, cfg.Seed)
-			if err != nil {
-				return err
-			}
-			sts = append(sts, &state{store: store, m: m, g: g})
+			fx := lazySynth(kind, s.Points, dim, rq, 0, s.Seed)
+			bases = append(bases, fx)
+			grown = append(grown, growing(fx, sweepBudgets, s.Seed))
 		}
+		var base interface{} = "-"
 		for _, budget := range sweepBudgets {
 			row := []interface{}{budget}
-			var base interface{} = "-"
-			for si, st := range sts {
-				if budget > st.have {
-					added, err := st.g.BuildIndexes(st.m, budget-st.have,
-						rand.New(rand.NewSource(cfg.Seed+int64(budget))))
-					if err != nil {
-						return err
-					}
-					st.have += added
-				}
-				res, err := runIndexed(st.m, genFor(st.g, cfg.Seed+42), cfg.Queries)
+			for ki, kind := range dataset.Kinds {
+				res, err := s.measure(fmt.Sprintf("dim%d/ind%d/%s", dim, budget, kind), s.Queries,
+					indexed(grown[ki](budget), s.Seed+42, s.Queries))
 				if err != nil {
 					return err
 				}
 				if pruningOnly {
-					row = append(row, 100*res.pruning)
-				} else {
-					row = append(row, res.avg)
-					if si == 0 {
-						base = runBaseline(st.store, genFor(st.g, cfg.Seed+42), cfg.Queries)
+					row = append(row, 100*res.avgStat())
+					continue
+				}
+				row = append(row, res.mean())
+				if ki == 0 && budget == sweepBudgets[0] {
+					// The scan does not depend on the budget: one
+					// measurement serves every row.
+					b, err := s.measure(fmt.Sprintf("dim%d/baseline", dim), s.Queries,
+						baseline(bases[0], s.Seed+42, s.Queries))
+					if err != nil {
+						return err
 					}
+					base = b.mean()
 				}
 			}
-			row = append(row, base)
-			out.AddRow(row...)
+			out.AddRow(append(row, base)...)
 		}
-		if _, err := io.WriteString(w, out.String()+"\n"); err != nil {
+		if err := s.print(out.String() + "\n"); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
+// growing returns, for a budget, fx's index set grown along budgets
+// to that budget (see ladder).
+func growing(fx func() (synth, error), budgets []int, seed int64) func(budget int) func() (synth, error) {
+	lad := lazily(func() (*ladder, error) {
+		f, err := fx()
+		if err != nil {
+			return nil, err
+		}
+		return eq18Ladder(f.m, f.g, budgets, seed), nil
+	})
+	return func(budget int) func() (synth, error) {
+		return func() (synth, error) {
+			l, err := lad()
+			if err != nil {
+				return synth{}, err
+			}
+			f, _ := fx()
+			return f, l.to(budget)
+		}
+	}
+}
+
 // fig11 sweeps the inequality parameter from 0.10 to 1.00 at RQ=4
 // and 100 indexes, reporting selectivity and query time. The paper
 // observes time peaking around 0.50–0.75.
-func fig11(cfg Config, w io.Writer) error {
+func fig11(s *sweep) error {
 	ineqs := []float64{0.10, 0.25, 0.50, 0.75, 1.00}
 	for _, dim := range []int{6, 10} {
 		out := stats.NewTable(
-			fmt.Sprintf("Figure 11 — dim=%d (n=%d, RQ=4, #index=100)", dim, cfg.Points),
+			fmt.Sprintf("Figure 11 — dim=%d (n=%d, RQ=4, #index=100)", dim, s.Points),
 			"ineq", "sel-indp%", "t-indp", "sel-corr%", "t-corr", "sel-anti%", "t-anti", "baseline")
-		type state struct {
-			store *core.PointStore
-			m     *core.Multi
-			g     queries.Eq18
-		}
-		var sts []*state
+		var fxs []func() (synth, error)
 		for _, kind := range dataset.Kinds {
-			store, m, g, err := synthSetup(kind, cfg.Points, dim, 4, 100, cfg.Seed)
-			if err != nil {
-				return err
-			}
-			sts = append(sts, &state{store, m, g})
+			fxs = append(fxs, lazySynth(kind, s.Points, dim, 4, 100, s.Seed))
 		}
 		for _, ineq := range ineqs {
 			row := []interface{}{ineq}
 			var base interface{}
-			for si, st := range sts {
-				g := st.g
-				g.Ineq = ineq
-				res, err := runIndexed(st.m, genFor(g, cfg.Seed+42), cfg.Queries)
+			for ki, kind := range dataset.Kinds {
+				fx := fxs[ki]
+				at := func() (synth, error) {
+					f, err := fx()
+					f.g.Ineq = ineq
+					return f, err
+				}
+				name := fmt.Sprintf("dim%d/ineq%.2f/", dim, ineq)
+				res, err := s.measure(name+kind.String(), s.Queries, indexed(at, s.Seed+42, s.Queries))
 				if err != nil {
 					return err
 				}
-				row = append(row, 100*res.matched/float64(st.store.Len()), res.avg)
-				if si == 0 {
-					base = runBaseline(st.store, genFor(g, cfg.Seed+42), cfg.Queries)
+				row = append(row, 100*res.avgAnswer()/float64(s.Points), res.mean())
+				if ki == 0 {
+					b, err := s.measure(name+"baseline", s.Queries, baseline(at, s.Seed+42, s.Queries))
+					if err != nil {
+						return err
+					}
+					base = b.mean()
 				}
 			}
-			row = append(row, base)
-			out.AddRow(row...)
+			out.AddRow(append(row, base)...)
 		}
-		if _, err := io.WriteString(w, out.String()+"\n"); err != nil {
+		if err := s.print(out.String() + "\n"); err != nil {
 			return err
 		}
 	}
@@ -205,71 +196,85 @@ func fig11(cfg Config, w io.Writer) error {
 // fig12 measures build and query time while growing the dataset from
 // 10% to 100% of cfg.Points (dim=6, RQ=4). Index time should grow
 // loglinearly and query time sublinearly.
-func fig12(cfg Config, w io.Writer) error {
+func fig12(s *sweep) error {
 	fractions := []float64{0.1, 0.3, 0.5, 0.7, 1.0}
 	budgets := []int{1, 10, 50, 100}
 
 	build := stats.NewTable(
-		fmt.Sprintf("Figure 12(a) — index build time (dim=6, up to n=%d)", cfg.Points),
+		fmt.Sprintf("Figure 12(a) — index build time (dim=6, up to n=%d)", s.Points),
 		"n", "#ind=1", "#ind=10", "#ind=50", "#ind=100")
-	type qrow struct {
-		kind dataset.Kind
-		tbl  *stats.Table
-	}
-	var qtables []qrow
+	var qtables []*stats.Table
 	for _, kind := range dataset.Kinds {
-		qtables = append(qtables, qrow{kind, stats.NewTable(
+		qtables = append(qtables, stats.NewTable(
 			fmt.Sprintf("Figure 12 — query time, %s (dim=6, RQ=4)", kind),
-			"n", "#ind=1", "#ind=10", "#ind=50", "#ind=100", "baseline")})
+			"n", "#ind=1", "#ind=10", "#ind=50", "#ind=100", "baseline"))
 	}
 
 	for _, frac := range fractions {
-		n := int(frac * float64(cfg.Points))
-		if n < 10 {
-			n = 10
-		}
+		n := max(int(frac*float64(s.Points)), 10)
 		buildRow := []interface{}{n}
-		measuredBuild := false
-		for qi, kind := range dataset.Kinds {
+		for ki, kind := range dataset.Kinds {
 			row := []interface{}{n}
-			store, _, g, err := synthSetup(kind, n, 6, 4, 0, cfg.Seed)
+			fx := lazySynth(kind, n, 6, 4, 0, s.Seed)
+			for _, budget := range budgets {
+				// The query cell runs on the index set the build cell
+				// built last, or builds its own.
+				m := freshly(fx, budget, s.Seed+int64(budget))
+				if ki == 0 {
+					res, err := s.measure(fmt.Sprintf("n%d/build/ind%d", n, budget), 1, m.cell(indexCount))
+					if err != nil {
+						return err
+					}
+					buildRow = append(buildRow, res.mean())
+				}
+				res, err := s.measure(fmt.Sprintf("n%d/%s/ind%d", n, kind, budget), s.Queries,
+					indexed(m.get, s.Seed+42, s.Queries))
+				if err != nil {
+					return err
+				}
+				row = append(row, res.mean())
+			}
+			res, err := s.measure(fmt.Sprintf("n%d/%s/baseline", n, kind), s.Queries,
+				baseline(fx, s.Seed+42, s.Queries))
 			if err != nil {
 				return err
 			}
-			for _, budget := range budgets {
-				m, err := core.NewMulti(store)
-				if err != nil {
-					return err
-				}
-				timer := stats.Timer{}
-				timer.Measure(func() {
-					_, err = g.BuildIndexes(m, budget, rand.New(rand.NewSource(cfg.Seed+int64(budget))))
-				})
-				if err != nil {
-					return err
-				}
-				if !measuredBuild {
-					buildRow = append(buildRow, timer.Mean())
-				}
-				res, err := runIndexed(m, genFor(g, cfg.Seed+42), cfg.Queries)
-				if err != nil {
-					return err
-				}
-				row = append(row, res.avg)
-			}
-			measuredBuild = true
-			row = append(row, runBaseline(store, genFor(g, cfg.Seed+42), cfg.Queries))
-			qtables[qi].tbl.AddRow(row...)
+			qtables[ki].AddRow(append(row, res.mean())...)
 		}
 		build.AddRow(buildRow...)
 	}
-	if _, err := io.WriteString(w, build.String()+"\n"); err != nil {
-		return err
-	}
-	for _, q := range qtables {
-		if _, err := io.WriteString(w, q.tbl.String()+"\n"); err != nil {
+	for _, t := range append([]*stats.Table{build}, qtables...) {
+		if err := s.print(t.String() + "\n"); err != nil {
 			return err
 		}
 	}
 	return nil
 }
+
+// fresh builds a new index set of budget Eq18 indexes over f's store,
+// sampled with a generator seeded by seed.
+func fresh(f synth, budget int, seed int64) (synth, error) {
+	m, err := core.NewMulti(f.store)
+	if err != nil {
+		return f, err
+	}
+	f.m = m
+	_, err = f.g.BuildIndexes(m, budget, rand.New(rand.NewSource(seed)))
+	return f, err
+}
+
+// freshly is fresh on fx's fixture, as a built structure.
+func freshly(fx func() (synth, error), budget int, seed int64) *built[synth] {
+	return &built[synth]{
+		inputs: func() error { _, err := fx(); return err },
+		build: func() (synth, error) {
+			f, err := fx()
+			if err != nil {
+				return f, err
+			}
+			return fresh(f, budget, seed)
+		},
+	}
+}
+
+func indexCount(f synth) int { return f.m.NumIndexes() }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"math"
 
 	"planar/internal/dataset"
@@ -10,11 +9,7 @@ import (
 )
 
 func init() {
-	register(Experiment{
-		ID:    "table2",
-		Title: "Table 2: dataset characteristics (computed from the generators)",
-		Run:   table2,
-	})
+	register("table2", "Table 2: dataset characteristics (computed from the generators)", table2)
 }
 
 // table2 regenerates the paper's dataset characteristics table from
@@ -23,9 +18,12 @@ func init() {
 // attribute ranges (paper Table 2: Indp/Corr/Anti 1M × 2–14 in
 // (1,100); CMoment 68,040 × 9 in (−4.15, 4.59); CTexture 68,040 × 16
 // in (−5.25, 50.21); Consumption 2,075,259 × 4 in (0, 254)).
-func table2(cfg Config, w io.Writer) error {
+func table2(s *sweep) error {
+	if s.listing {
+		return nil // it times nothing: no cells
+	}
 	out := stats.NewTable(
-		fmt.Sprintf("Table 2 — dataset characteristics (generated at n=%d / %d)", cfg.Points, cfg.RealPoints),
+		fmt.Sprintf("Table 2 — dataset characteristics (generated at n=%d / %d)", s.Points, s.RealPoints),
 		"dataset", "#points", "#dim", "range")
 	add := func(d *dataset.Data) {
 		lo, hi := math.Inf(1), math.Inf(-1)
@@ -40,11 +38,10 @@ func table2(cfg Config, w io.Writer) error {
 		out.AddRow(d.Name, d.Len(), d.Dim(), fmt.Sprintf("(%.2f, %.2f)", lo, hi))
 	}
 	for _, kind := range dataset.Kinds {
-		add(dataset.Synthetic(kind, cfg.Points, 6, cfg.Seed))
+		add(dataset.Synthetic(kind, s.Points, 6, s.Seed))
 	}
-	add(dataset.CMoment(cfg.RealPoints, cfg.Seed))
-	add(dataset.CTexture(cfg.RealPoints, cfg.Seed))
-	add(dataset.Consumption(cfg.RealPoints, cfg.Seed))
-	_, err := io.WriteString(w, out.String())
-	return err
+	for _, set := range realSets {
+		add(set.gen(s.RealPoints, s.Seed))
+	}
+	return s.print(out.String())
 }

@@ -1,4 +1,4 @@
-// Package stats provides the timing helpers and plain-text table
+// Package stats provides the duration formatting and plain-text table
 // rendering the experiment harness uses to reproduce the paper's
 // figures as terminal output.
 package stats
@@ -6,69 +6,9 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"time"
 )
-
-// Timer measures wall-clock durations of repeated runs.
-type Timer struct {
-	samples []time.Duration
-}
-
-// Measure runs fn once and records its duration, which is also
-// returned.
-func (t *Timer) Measure(fn func()) time.Duration {
-	start := time.Now()
-	fn()
-	d := time.Since(start)
-	t.samples = append(t.samples, d)
-	return d
-}
-
-// Add records an externally measured duration.
-func (t *Timer) Add(d time.Duration) { t.samples = append(t.samples, d) }
-
-// N returns the number of recorded samples.
-func (t *Timer) N() int { return len(t.samples) }
-
-// Mean returns the average duration (0 with no samples).
-func (t *Timer) Mean() time.Duration {
-	if len(t.samples) == 0 {
-		return 0
-	}
-	var total time.Duration
-	for _, d := range t.samples {
-		total += d
-	}
-	return total / time.Duration(len(t.samples))
-}
-
-// Percentile returns the p-th percentile (0 ≤ p ≤ 100) duration.
-func (t *Timer) Percentile(p float64) time.Duration {
-	if len(t.samples) == 0 {
-		return 0
-	}
-	sorted := append([]time.Duration(nil), t.samples...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo] + time.Duration(frac*float64(sorted[hi]-sorted[lo]))
-}
-
-// Reset clears all samples.
-func (t *Timer) Reset() { t.samples = t.samples[:0] }
 
 // Ms renders a duration as fractional milliseconds, the unit the
 // paper's figures use.

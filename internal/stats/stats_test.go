@@ -6,46 +6,6 @@ import (
 	"time"
 )
 
-func TestTimerBasics(t *testing.T) {
-	var tm Timer
-	if tm.Mean() != 0 || tm.Percentile(50) != 0 || tm.N() != 0 {
-		t.Fatal("empty timer not zero")
-	}
-	d := tm.Measure(func() { time.Sleep(time.Millisecond) })
-	if d < time.Millisecond {
-		t.Fatalf("measured %v", d)
-	}
-	if tm.N() != 1 {
-		t.Fatalf("N=%d", tm.N())
-	}
-	tm.Reset()
-	if tm.N() != 0 {
-		t.Fatal("Reset failed")
-	}
-}
-
-func TestTimerStats(t *testing.T) {
-	var tm Timer
-	for _, ms := range []int{10, 20, 30, 40} {
-		tm.Add(time.Duration(ms) * time.Millisecond)
-	}
-	if got := tm.Mean(); got != 25*time.Millisecond {
-		t.Fatalf("Mean=%v", got)
-	}
-	if got := tm.Percentile(0); got != 10*time.Millisecond {
-		t.Fatalf("P0=%v", got)
-	}
-	if got := tm.Percentile(100); got != 40*time.Millisecond {
-		t.Fatalf("P100=%v", got)
-	}
-	if got := tm.Percentile(50); got != 25*time.Millisecond {
-		t.Fatalf("P50=%v", got)
-	}
-	if got := tm.Percentile(150); got != 40*time.Millisecond {
-		t.Fatalf("P>100=%v", got)
-	}
-}
-
 func TestMsAndMean(t *testing.T) {
 	if got := Ms(1500 * time.Microsecond); got != "1.500" {
 		t.Fatalf("Ms=%q", got)
