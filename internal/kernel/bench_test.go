@@ -3,6 +3,7 @@ package kernel
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"planar/internal/vecmath"
@@ -70,7 +71,11 @@ func BenchmarkDotOneAtATime(b *testing.B) {
 // the bar each specialization must clear), by gathering each chunk
 // into a block first (Gather + FilterLE, the former executor path),
 // and, as the floor, the same number of contiguous rows (FilterLE).
-// ns/row is per tested row.
+// At d' = 4 a fifth leg, go, times the Go loop that the AVX2 body
+// replaces where the CPU has it. Every leg runs at two bounds: mean,
+// the mean scalar product, where half the rows pass and the match
+// branch is unpredictable, and sel, where 2 % pass, about the share
+// the served verify class passes. ns/row is per tested row.
 //
 //	go test -run xxx -bench FilterIDsLE ./internal/kernel
 func BenchmarkFilterIDsLE(b *testing.B) {
@@ -91,47 +96,59 @@ func BenchmarkFilterIDsLE(b *testing.B) {
 		for i := range data {
 			data[i] = rng.Float64() * 100
 		}
-		// The mean scalar product, so the match branch stays
-		// unpredictable.
-		bound := float64(dim) * 50
+		dots := make([]float64, len(ids32))
+		for i, id := range ids32 {
+			dots[i] = vecmath.Dot(a, data[int(id)*dim:int(id+1)*dim])
+		}
+		sort.Float64s(dots)
 		gather := make([]float64, BlockRows*dim)
 		perRow := func(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ids32)), "ns/row")
 		}
-		b.Run(fmt.Sprintf("d%d/inplace", dim), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for lo := 0; lo < len(ids32); lo += BlockRows {
-					FilterIDsLE(a, bound, data, ids32[lo:min(lo+BlockRows, len(ids32))], out)
+		// byID times one by-id filter over every chunk of ids32.
+		byID := func(filter byIDFilter, bound float64) func(*testing.B) {
+			return func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					for lo := 0; lo < len(ids32); lo += BlockRows {
+						filter(a, bound, data, ids32[lo:min(lo+BlockRows, len(ids32))], out)
+					}
 				}
+				perRow(b)
 			}
-			perRow(b)
-		})
-		b.Run(fmt.Sprintf("d%d/generic", dim), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for lo := 0; lo < len(ids32); lo += BlockRows {
-					filterIDsLEGeneric(a, bound, data, ids32[lo:min(lo+BlockRows, len(ids32))], out)
+		}
+		for _, at := range []struct {
+			name  string
+			bound float64
+		}{
+			{"mean", float64(dim) * 50},
+			{"sel", dots[len(dots)/50]},
+		} {
+			bound := at.bound
+			leg := func(name string) string { return fmt.Sprintf("d%d/%s/%s", dim, at.name, name) }
+			b.Run(leg("inplace"), byID(FilterIDsLE, bound))
+			if dim == 4 {
+				b.Run(leg("go"), byID(filterIDsLE4, bound))
+			}
+			b.Run(leg("generic"), byID(filterIDsLEGeneric, bound))
+			b.Run(leg("gather"), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					for lo := 0; lo < len(ids32); lo += BlockRows {
+						blk := ids32[lo:min(lo+BlockRows, len(ids32))]
+						Gather(data, dim, blk, gather)
+						FilterLE(a, bound, gather[:len(blk)*dim], out)
+					}
 				}
-			}
-			perRow(b)
-		})
-		b.Run(fmt.Sprintf("d%d/gather", dim), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for lo := 0; lo < len(ids32); lo += BlockRows {
-					blk := ids32[lo:min(lo+BlockRows, len(ids32))]
-					Gather(data, dim, blk, gather)
-					FilterLE(a, bound, gather[:len(blk)*dim], out)
+				perRow(b)
+			})
+			b.Run(leg("contiguous"), func(b *testing.B) {
+				block := BlockRows * dim
+				for i := 0; i < b.N; i++ {
+					for lo := 0; lo < len(ids32)*dim; lo += block {
+						FilterLE(a, bound, data[lo:min(lo+block, len(ids32)*dim)], out)
+					}
 				}
-			}
-			perRow(b)
-		})
-		b.Run(fmt.Sprintf("d%d/contiguous", dim), func(b *testing.B) {
-			block := BlockRows * dim
-			for i := 0; i < b.N; i++ {
-				for lo := 0; lo < len(ids32)*dim; lo += block {
-					FilterLE(a, bound, data[lo:min(lo+block, len(ids32)*dim)], out)
-				}
-			}
-			perRow(b)
-		})
+				perRow(b)
+			})
+		}
 	}
 }

@@ -16,12 +16,29 @@
 // and 4; everything else takes the generic fallback, which is still
 // branch-light and allocation-free.
 //
+// Dispatch: on amd64, FilterIDsLE's d' = 4 case has an AVX2 assembly
+// body, chosen once at package init when CPUID reports AVX2 and
+// XGETBV shows that the OS saves the YMM registers. It tests four ids
+// a step: one 32-byte load per row, a 4×4 transpose into one vector
+// per coordinate, one lane per row. A chunk's last 0–3 ids, and every
+// id on other CPUs and architectures, go through the Go loop. The
+// assembly stops before a group of four naming a row past
+// len(data)/4, so the Go loop reaches that id and panics with its own
+// bounds error.
+//
 // Numerical contract: every kernel, the by-id one included,
 // accumulates the scalar product in ascending coordinate order with a
 // single accumulator — exactly like vecmath.Dot — so a batched
-// verdict is bit-for-bit identical to the serial one. Exact
-// floating-point comparison is therefore correct here by construction
-// (and the floatkey analyzer exempts this package for that reason).
+// verdict is bit-for-bit identical to the serial one. The AVX2 body
+// keeps it lane by lane: each lane computes
+// ((a0·x + a1·y) + a2·z) + a3·w with a separate multiply and add per
+// term, each rounded to float64, as Go's amd64 compiler emits for
+// vecmath.Dot. It uses no FMA: a fused multiply-add rounds once
+// where the Go code rounds twice, which would flip verdicts on the
+// ≤ edge. The compare is ordered (VCMPPD predicate 2), false on NaN
+// as Go's <= is. Exact floating-point comparison is therefore correct
+// here by construction (and the floatkey analyzer exempts this
+// package for that reason).
 //
 // No function in this package allocates.
 package kernel
@@ -63,7 +80,15 @@ func FilterIDsLE(a []float64, b float64, data []float64, ids []uint32, out []uin
 	case 3:
 		return filterIDsLE3(a, b, data, ids, out)
 	case 4:
-		return filterIDsLE4(a, b, data, ids, out)
+		// The vector body stops before a chunk's last 0–3 ids and
+		// before a group naming a row past the end of data; the Go
+		// loop tests the rest, so it also raises that id's panic.
+		done, n := filterIDsLE4Vec(a, b, data, ids[:min(len(ids), len(out))&^3], out)
+		m := filterIDsLE4(a, b, data, ids[done:], out[n:])
+		for j := n; j < n+m; j++ {
+			out[j] += uint32(done)
+		}
+		return n + m
 	default:
 		return filterIDsLEGeneric(a, b, data, ids, out)
 	}

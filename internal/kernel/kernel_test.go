@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"planar/internal/vecmath"
@@ -65,19 +66,30 @@ func filterIDsOracle(a []float64, b float64, data []float64, ids []uint32) []uin
 	return want
 }
 
-// checkFilterIDsLE runs FilterIDsLE and fails unless its offsets are
-// exactly the oracle's.
+// byIDFilter is the signature of FilterIDsLE and its per-d' loops.
+type byIDFilter func(a []float64, b float64, data []float64, ids []uint32, out []uint32) int
+
+// checkFilterIDsLE runs FilterIDsLE, and at d' = 4 the Go loop its
+// AVX2 body replaces, and fails unless each one's offsets are exactly
+// the oracle's. On a CPU with AVX2, FilterIDsLE takes the Go loop only
+// for a chunk's last 0–3 ids, so the loop is called here directly.
 func checkFilterIDsLE(t *testing.T, name string, a []float64, b float64, data []float64, ids []uint32) {
 	t.Helper()
-	out := make([]uint32, len(ids))
-	got := FilterIDsLE(a, b, data, ids, out)
 	want := filterIDsOracle(a, b, data, ids)
-	if got != len(want) {
-		t.Fatalf("%s: kernel matched %d ids, serial matched %d", name, got, len(want))
+	paths := map[string]byIDFilter{"FilterIDsLE": FilterIDsLE}
+	if len(a) == 4 {
+		paths["filterIDsLE4"] = filterIDsLE4
 	}
-	for i, off := range out[:got] {
-		if off != want[i] {
-			t.Fatalf("%s: match %d is offset %d, serial says %d", name, i, off, want[i])
+	for path, filter := range paths {
+		out := make([]uint32, len(ids))
+		got := filter(a, b, data, ids, out)
+		if got != len(want) {
+			t.Fatalf("%s %s: kernel matched %d ids, serial matched %d", name, path, got, len(want))
+		}
+		for i, off := range out[:got] {
+			if off != want[i] {
+				t.Fatalf("%s %s: match %d is offset %d, serial says %d", name, path, i, off, want[i])
+			}
 		}
 	}
 }
@@ -138,15 +150,26 @@ func TestFilterIDsLEMatchesDot(t *testing.T) {
 			for i := range descending {
 				descending[i] = uint32(rows - 1 - i)
 			}
-			idSets := []struct {
+			type idSet struct {
 				name string
 				ids  []uint32
-			}{
+			}
+			idSets := []idSet{
 				{"empty", []uint32{}},
 				{"repeated", []uint32{last, 0, last, last, 0}},
 				{"unsorted", random},
 				{"last row", []uint32{last}},
 				{"every row, descending", descending},
+			}
+			// Chunks of every length up to 9, and a full chunk and one
+			// short of it: each vector step takes four ids, so these
+			// put tails of 1–3 ids after a multiple of four.
+			for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, BlockRows - 1, BlockRows} {
+				ids := make([]uint32, n)
+				for i := range ids {
+					ids[i] = uint32(rng.Intn(rows))
+				}
+				idSets = append(idSets, idSet{fmt.Sprintf("%d random", n), ids})
 			}
 			// Thresholds: the scalar products of a few rows and the
 			// floats either side of them, a random one, and the
@@ -167,8 +190,9 @@ func TestFilterIDsLEMatchesDot(t *testing.T) {
 	}
 }
 
-// FuzzFilterIDsLE holds FilterIDsLE to the vecmath.Dot oracle on
-// arbitrary float bits: d' comes from dim, a and the rows from raw (8
+// FuzzFilterIDsLE holds FilterIDsLE (and at d' = 4 the Go loop too,
+// through checkFilterIDsLE) to the vecmath.Dot oracle on arbitrary
+// float bits: d' comes from dim, a and the rows from raw (8
 // bytes a float), and each byte of idBytes names a row. Besides b,
 // every named row's own scalar product is tried as the threshold.
 func FuzzFilterIDsLE(f *testing.F) {
@@ -185,6 +209,8 @@ func FuzzFilterIDsLE(f *testing.F) {
 		mixed = binary.LittleEndian.AppendUint64(mixed, math.Float64bits(v))
 	}
 	f.Add(uint8(3), 0.6, mixed, []byte{0})
+	// Two groups of four ids and a tail of one, at d' = 4.
+	f.Add(uint8(4), 0.5, seed, []byte{1, 0, 1, 1, 0, 0, 1, 0, 1})
 	f.Fuzz(func(t *testing.T, dim uint8, b float64, raw, idBytes []byte) {
 		d := 1 + int(dim)%11
 		vals := make([]float64, len(raw)/8)
@@ -207,6 +233,44 @@ func FuzzFilterIDsLE(f *testing.F) {
 			checkFilterIDsLE(t, fmt.Sprintf("d=%d b=%v (row %d)", d, edge, id), a, edge, data, ids)
 		}
 	})
+}
+
+// TestFilterIDsLEPanicsPastLastRow: an id one past the last row of
+// data makes both d' = 4 paths panic with the Go loop's own bounds
+// error, whether the id falls in a group of four or in a chunk's tail.
+func TestFilterIDsLEPanicsPastLastRow(t *testing.T) {
+	const rows = 16
+	a := []float64{1, 2, 3, 4}
+	data := make([]float64, rows*4)
+	for _, n := range []int{1, 4, 8, 9, 11} {
+		for pos := 0; pos < n; pos++ {
+			ids := make([]uint32, n)
+			for i := range ids {
+				ids[i] = uint32(i)
+			}
+			ids[pos] = rows
+			msgs := map[string]string{}
+			for path, filter := range map[string]byIDFilter{"FilterIDsLE": FilterIDsLE, "filterIDsLE4": filterIDsLE4} {
+				msgs[path] = panicMessage(func() { filter(a, 0, data, ids, make([]uint32, n)) })
+			}
+			if msgs["filterIDsLE4"] == "" || msgs["FilterIDsLE"] != msgs["filterIDsLE4"] {
+				t.Fatalf("%d ids, row %d at %d: FilterIDsLE panicked with %q, the Go loop with %q",
+					n, rows, pos, msgs["FilterIDsLE"], msgs["filterIDsLE4"])
+			}
+		}
+	}
+}
+
+// panicMessage runs f and returns the runtime error it panicked with,
+// or "" when it returned.
+func panicMessage(f func()) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = r.(runtime.Error).Error()
+		}
+	}()
+	f()
+	return ""
 }
 
 // TestFilterLEIgnoresPartialTrailingRow checks that a block whose
@@ -252,7 +316,9 @@ func TestGather(t *testing.T) {
 	}
 }
 
-// TestKernelAllocs pins the package contract: no kernel allocates.
+// TestKernelAllocs pins the package contract: no kernel allocates,
+// FilterIDsLE's d' = 4 path included, on a whole chunk and on one
+// whose last three ids take the Go loop.
 func TestKernelAllocs(t *testing.T) {
 	a := []float64{1, 2, 3, 4}
 	rows := make([]float64, BlockRows*4)
@@ -265,6 +331,7 @@ func TestKernelAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() {
 		FilterLE(a, 1, rows, out)
 		FilterIDsLE(a, 1, rows, ids, out)
+		FilterIDsLE(a, 1, rows, ids[:BlockRows-1], out)
 		Gather(rows, 4, ids, dst)
 	}); n != 0 {
 		t.Fatalf("kernels allocated %v times per run", n)
