@@ -77,8 +77,8 @@ race-pager:
 # (Figure 14(c), a few ms each), a handful of iterations of the
 # pipeline and planner benchmarks, of the engine's COUNT and top-k legs, of the
 # intermediate interval's by-id kernel against its Go loop, gather +
-# filter and a contiguous filter, of the reply's id writer against the strconv
-# loop it replaced, of a select-shaped query served through the HTTP
+# filter and a contiguous filter, of the reply's id writer against its
+# table loop alone and the strconv loop, of a select-shaped query served through the HTTP
 # handler in-process, of paged-tree Inserts racing a writeback loop,
 # of an Append that widens the translation beside an in-range one, of
 # closed-loop writers acked through group commit (ack-p50-µs is one
@@ -150,16 +150,24 @@ bench-record-smoke:
 
 # The emit workload's code-layout lottery: where the reply's id writer
 # sits in the bench of record's binary, and that address mod 64 (its
-# offset in a cache line). Report it on both sides of a change that
-# moves emit; `bash benchmark/run.sh` builds the binary it reads.
+# offset in a cache line). The writer is two symbols: appendIDsOn
+# (appendIDs inlines to it), whose table loop writes a reply's last 0–3
+# ids and every id off AVX2, and writeIDsAVX2.abi0, the assembly body
+# that holds the hot loop on AVX2. Report both on both sides of a
+# change that moves emit; `bash benchmark/run.sh` builds the binary it
+# reads.
 EMIT_BIN := .bench_build/planar-benchmark/bench
+EMIT_SYMS := planar/internal/httpapi.appendIDsOn planar/internal/httpapi.writeIDsAVX2.abi0
 emit-layout:
 	@if [ ! -f $(EMIT_BIN) ]; then \
 		echo "emit-layout: no $(EMIT_BIN); run bash benchmark/run.sh first" >&2; exit 1; fi
-	@addr=$$($(GO) tool nm $(EMIT_BIN) | awk '$$3 == "planar/internal/httpapi.appendIDs" { print $$1 }'); \
+	@syms=$$($(GO) tool nm $(EMIT_BIN)); \
+	for sym in $(EMIT_SYMS); do \
+		addr=$$(echo "$$syms" | awk -v s=$$sym '$$3 == s { print $$1 }'); \
 		if [ -z "$$addr" ]; then \
-			echo "emit-layout: planar/internal/httpapi.appendIDs not in $(EMIT_BIN)" >&2; exit 1; fi; \
-		echo "planar/internal/httpapi.appendIDs 0x$$addr mod 64 = $$((0x$$addr % 64))"
+			echo "emit-layout: $$sym not in $(EMIT_BIN)" >&2; exit 1; fi; \
+		echo "$$sym 0x$$addr mod 64 = $$((0x$$addr % 64))"; \
+	done
 
 # race runs every package under the detector once; race-shard,
 # race-pager, replica-integration, page-integration and

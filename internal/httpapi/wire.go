@@ -17,6 +17,7 @@ import (
 	"unicode/utf8"
 
 	"planar/internal/core"
+	"planar/internal/kernel"
 )
 
 // The wire codec of the query and mutation routes. Their request
@@ -607,16 +608,31 @@ func init() {
 // appendIDs appends ids as a JSON array; a nil slice is [], not null.
 // The bytes are strconv.AppendUint's. Room for the longest possible
 // array is reserved once, with no append and no capacity check per id.
-// Each id is split at 10⁴ and 10⁸ into groups of four digits: the
-// leading group is stored left-aligned and the cursor moves by its
-// length, every later group is stored whole. A store may write past
-// the digits it means; the next store or the comma overwrites that,
-// and the last one's overrun stays inside the reservation.
+// Where kernel.HasAVX2 reports AVX2, an assembly body formats four ids
+// a step (appendids_amd64.s) and the table loop below writes a reply's
+// last 0–3 ids; elsewhere the loop writes them all.
 func appendIDs(b []byte, ids []uint32) []byte {
+	return appendIDsOn(b, ids, kernel.HasAVX2())
+}
+
+// appendIDsOn is appendIDs with the AVX2 body on or off. Off, it is
+// the table loop alone: the path of other CPUs and architectures, and
+// the reference the tests hold the body to. The loop splits each id at
+// 10⁴ and 10⁸ into groups of four digits: the leading group is stored
+// left-aligned and the cursor moves by its length, every later group
+// is stored whole. A store may write past the digits it means; the
+// next store or the comma overwrites that, and the last one's overrun
+// stays inside the reservation.
+func appendIDsOn(b []byte, ids []uint32, avx2 bool) []byte {
 	n := len(b)
 	b = slices.Grow(b, maxIDBytes*len(ids)+2)[:n+maxIDBytes*len(ids)+2]
 	b[n] = '['
 	n++
+	if avx2 {
+		var done int
+		done, n = writeIDsVec(b, n, ids)
+		ids = ids[done:]
+	}
 	for _, id := range ids {
 		switch {
 		case id < 1e4:
@@ -639,7 +655,7 @@ func appendIDs(b []byte, ids []uint32) []byte {
 		b[n] = ','
 		n++
 	}
-	if len(ids) > 0 {
+	if b[n-1] == ',' {
 		n-- // the closing bracket takes the last comma's place
 	}
 	b[n] = ']'

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -237,26 +238,41 @@ func refAppendIDs(b []byte, ids []uint32) []byte {
 	return append(b, ']')
 }
 
-// checkIDWriter fails unless appendIDs writes ids exactly as the
-// strconv loop does, after a prefix it must leave alone, and touches
-// nothing past the room it reserves for them.
+type idWriter struct {
+	name  string
+	write func([]byte, []uint32) []byte
+}
+
+// idWriters are the id writer's two paths: appendIDs as served, with
+// the AVX2 body where the CPU has it, and the table loop alone.
+var idWriters = []idWriter{
+	{"appendIDs", appendIDs},
+	{"go", func(b []byte, ids []uint32) []byte { return appendIDsOn(b, ids, false) }},
+}
+
+// checkIDWriter fails unless both paths of the id writer write ids
+// exactly as the strconv loop does, after a prefix they must leave
+// alone, and touch nothing past the room they reserve for them.
 func checkIDWriter(t *testing.T, ids []uint32) {
 	t.Helper()
 	const prefix, guard, unwritten = `{"ids":`, 16, 0xAA
 	room := len(prefix) + maxIDBytes*len(ids) + 2
-	buf := bytes.Repeat([]byte{unwritten}, room+guard)
-	got := appendIDs(append(buf[:0], prefix...), ids)
-	if want := refAppendIDs([]byte(prefix), ids); !bytes.Equal(got, want) {
-		at := 0
-		for at < min(len(got), len(want)) && got[at] == want[at] {
-			at++
+	want := refAppendIDs([]byte(prefix), ids)
+	for _, w := range idWriters {
+		buf := bytes.Repeat([]byte{unwritten}, room+guard)
+		got := w.write(append(buf[:0], prefix...), ids)
+		if !bytes.Equal(got, want) {
+			at := 0
+			for at < min(len(got), len(want)) && got[at] == want[at] {
+				at++
+			}
+			from := max(at-24, 0)
+			t.Fatalf("%s over %d ids differs from strconv at byte %d:\n got …%s\nwant …%s",
+				w.name, len(ids), at, got[from:min(at+24, len(got))], want[from:min(at+24, len(want))])
 		}
-		from := max(at-24, 0)
-		t.Fatalf("appendIDs over %d ids differs from strconv at byte %d:\n got …%s\nwant …%s",
-			len(ids), at, got[from:min(at+24, len(got))], want[from:min(at+24, len(want))])
-	}
-	if past := buf[room:]; !bytes.Equal(past, bytes.Repeat([]byte{unwritten}, guard)) {
-		t.Fatalf("appendIDs over %d ids wrote past its reservation: % x", len(ids), past)
+		if past := buf[room:]; !bytes.Equal(past, bytes.Repeat([]byte{unwritten}, guard)) {
+			t.Fatalf("%s over %d ids wrote past its reservation: % x", w.name, len(ids), past)
+		}
 	}
 }
 
@@ -274,7 +290,9 @@ func idEdges() []uint32 {
 // TestAppendIDsMatchesStrconv walks the id writer over every id below
 // 10⁶ in one array, over the digit-count edges alone, in every ordered
 // pair and all in one array, over arrays ending on a 1-digit id (whose
-// store overruns the most), and over a large answer of every length.
+// store overruns the most), over 9- and 10-digit ids, 0 and MaxUint32
+// in each lane of a group of four, and over answers of every length
+// around the groups' edges and a large one.
 func TestAppendIDsMatchesStrconv(t *testing.T) {
 	checkIDWriter(t, nil)
 	checkIDWriter(t, []uint32{})
@@ -295,16 +313,32 @@ func TestAppendIDsMatchesStrconv(t *testing.T) {
 	checkIDWriter(t, edges)
 	checkIDWriter(t, append(edges, 7))
 
+	// Each lane of the AVX2 body's group, among ids that strip no
+	// leading zero and among ids that strip seven.
+	for _, id := range []uint32{0, 1e8, 123456789, 1e9, 4012345678, math.MaxUint32} {
+		for _, other := range []uint32{7, 12345678} {
+			for lane := range 4 {
+				group := []uint32{other, other, other, other}
+				group[lane] = id
+				checkIDWriter(t, group)
+			}
+		}
+	}
+
 	rng := rand.New(rand.NewSource(5))
 	large := make([]uint32, 20000)
 	for i := range large {
 		large[i] = rng.Uint32() >> rng.Intn(32)
 	}
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 255, 256, 257} {
+		checkIDWriter(t, large[:n])
+	}
 	checkIDWriter(t, large)
 }
 
 // FuzzAppendIDs is the id writer's differential against the strconv
-// loop: the input, four bytes to an id, written after a prefix.
+// loop, on both its paths: the input, four bytes to an id, written
+// after a prefix.
 func FuzzAppendIDs(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(binary.LittleEndian.AppendUint32(nil, 7))
@@ -322,11 +356,11 @@ func FuzzAppendIDs(f *testing.F) {
 	})
 }
 
-// BenchmarkAppendIDs writes a 20 000-id answer of two shapes, each
-// beside the strconv loop: emit-shaped, the emit workload's ids below
-// 10⁵ (mostly 5 digits, split once at 10⁴), and full-range, every
-// length from 1 to 10 digits, about half of them 6 to 10, so the
-// path past the 10⁸ split is on record too.
+// BenchmarkAppendIDs writes a 20 000-id answer of two shapes, through
+// appendIDs as served, the table loop alone (go) and the strconv loop:
+// emit-shaped, the emit workload's ids below 10⁵ (mostly 5 digits),
+// and full-range, every length from 1 to 10 digits, about half of
+// them 6 to 10, so the paths past the 10⁸ split are on record too.
 func BenchmarkAppendIDs(b *testing.B) {
 	for _, shape := range []struct {
 		name string
@@ -340,10 +374,7 @@ func BenchmarkAppendIDs(b *testing.B) {
 		for i := range ids {
 			ids[i] = shape.id(rng)
 		}
-		for _, w := range []struct {
-			name  string
-			write func([]byte, []uint32) []byte
-		}{{"quads", appendIDs}, {"strconv", refAppendIDs}} {
+		for _, w := range slices.Concat(idWriters, []idWriter{{"strconv", refAppendIDs}}) {
 			b.Run(shape.name+"/"+w.name, func(b *testing.B) {
 				buf := w.write(nil, ids)
 				b.SetBytes(int64(len(buf)))

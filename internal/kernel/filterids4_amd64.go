@@ -2,9 +2,14 @@ package kernel
 
 // useAVX2 is chosen once, at package init: the CPU runs AVX2 and the
 // OS saves the YMM registers across context switches.
-var useAVX2 = hasAVX2()
+var useAVX2 = detectAVX2()
 
-func hasAVX2() bool {
+// HasAVX2 reports the package's init-time decision: the CPU runs AVX2
+// and the OS saves the YMM registers. It is the program's one CPU
+// check; other packages' AVX2 bodies are chosen by it.
+func HasAVX2() bool { return useAVX2 }
+
+func detectAVX2() bool {
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	if maxLeaf < 7 {
 		return false

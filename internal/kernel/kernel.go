@@ -24,7 +24,13 @@
 // id on other CPUs and architectures, go through the Go loop. The
 // assembly stops before a group of four naming a row past
 // len(data)/4, so the Go loop reaches that id and panics with its own
-// bounds error.
+// bounds error. FilterIDsLE caps data at its length first, so no loop
+// reads a row from spare capacity past len(data).
+//
+// The CPU check is the program's only one: HasAVX2 reports it, and
+// httpapi's AVX2 id writer is chosen by it too. Neither body uses
+// BMI1/BMI2 instructions, so AVX2 and the OS-saved YMM state are all
+// either needs.
 //
 // Numerical contract: every kernel, the by-id one included,
 // accumulates the scalar product in ascending coordinate order with a
@@ -74,6 +80,10 @@ func FilterLE(a []float64, b float64, rows []float64, out []uint32) int {
 // offsets; every id must name a complete row of data. Ids need not be
 // sorted or distinct.
 func FilterIDsLE(a []float64, b float64, data []float64, ids []uint32, out []uint32) int {
+	// The Go loops re-slice each row up to its end, a bound Go checks
+	// against cap(data): without this, an id past len(data) would read
+	// the spare capacity instead of panicking.
+	data = data[:len(data):len(data)]
 	switch len(a) {
 	case 2:
 		return filterIDsLE2(a, b, data, ids, out)

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"planar/internal/vecmath"
@@ -194,7 +195,8 @@ func TestFilterIDsLEMatchesDot(t *testing.T) {
 // through checkFilterIDsLE) to the vecmath.Dot oracle on arbitrary
 // float bits: d' comes from dim, a and the rows from raw (8
 // bytes a float), and each byte of idBytes names a row. Besides b,
-// every named row's own scalar product is tried as the threshold.
+// the own scalar product of each of the first four distinct rows named
+// is tried as the threshold.
 func FuzzFilterIDsLE(f *testing.F) {
 	seed := make([]byte, 8*12)
 	for i := 0; i < len(seed); i += 8 {
@@ -228,7 +230,18 @@ func FuzzFilterIDsLE(f *testing.F) {
 			ids[i] = uint32(int(v) % rows)
 		}
 		checkFilterIDsLE(t, fmt.Sprintf("d=%d b=%v", d, b), a, b, data, ids)
+		// Each row-edge threshold is one more pass over ids, so only the
+		// first few distinct ids get one: an input costs O(|ids|), not
+		// O(|ids|²).
+		var edged []uint32
 		for _, id := range ids {
+			if len(edged) == 4 {
+				break
+			}
+			if slices.Contains(edged, id) {
+				continue
+			}
+			edged = append(edged, id)
 			edge := vecmath.Dot(a, data[int(id)*d:int(id+1)*d])
 			checkFilterIDsLE(t, fmt.Sprintf("d=%d b=%v (row %d)", d, edge, id), a, edge, data, ids)
 		}
@@ -236,26 +249,34 @@ func FuzzFilterIDsLE(f *testing.F) {
 }
 
 // TestFilterIDsLEPanicsPastLastRow: an id one past the last row of
-// data makes both d' = 4 paths panic with the Go loop's own bounds
-// error, whether the id falls in a group of four or in a chunk's tail.
+// data makes FilterIDsLE panic with the Go loop's own bounds error, at
+// d' = 2, 3, 4 and on the generic loop, whether the id falls in a group
+// of four or in a chunk's tail, and whether or not data has capacity
+// past its length: a row past len(data) is never read.
 func TestFilterIDsLEPanicsPastLastRow(t *testing.T) {
 	const rows = 16
-	a := []float64{1, 2, 3, 4}
-	data := make([]float64, rows*4)
-	for _, n := range []int{1, 4, 8, 9, 11} {
-		for pos := 0; pos < n; pos++ {
-			ids := make([]uint32, n)
-			for i := range ids {
-				ids[i] = uint32(i)
-			}
-			ids[pos] = rows
-			msgs := map[string]string{}
-			for path, filter := range map[string]byIDFilter{"FilterIDsLE": FilterIDsLE, "filterIDsLE4": filterIDsLE4} {
-				msgs[path] = panicMessage(func() { filter(a, 0, data, ids, make([]uint32, n)) })
-			}
-			if msgs["filterIDsLE4"] == "" || msgs["FilterIDsLE"] != msgs["filterIDsLE4"] {
-				t.Fatalf("%d ids, row %d at %d: FilterIDsLE panicked with %q, the Go loop with %q",
-					n, rows, pos, msgs["FilterIDsLE"], msgs["filterIDsLE4"])
+	for _, loop := range []struct {
+		d      int
+		filter byIDFilter
+	}{{2, filterIDsLE2}, {3, filterIDsLE3}, {4, filterIDsLE4}, {5, filterIDsLEGeneric}} {
+		a := make([]float64, loop.d)
+		for _, spare := range []int{0, 2 * loop.d} {
+			data := make([]float64, rows*loop.d, rows*loop.d+spare)
+			capped := data[:len(data):len(data)]
+			for _, n := range []int{1, 4, 8, 9, 11} {
+				for pos := 0; pos < n; pos++ {
+					ids := make([]uint32, n)
+					for i := range ids {
+						ids[i] = uint32(i)
+					}
+					ids[pos] = rows
+					got := panicMessage(func() { FilterIDsLE(a, 0, data, ids, make([]uint32, n)) })
+					want := panicMessage(func() { loop.filter(a, 0, capped, ids, make([]uint32, n)) })
+					if want == "" || got != want {
+						t.Fatalf("d'=%d, cap %d past len, %d ids, row %d at %d: FilterIDsLE panicked with %q, the Go loop with %q",
+							loop.d, spare, n, rows, pos, got, want)
+					}
+				}
 			}
 		}
 	}
