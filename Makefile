@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint lint-strict race race-shard race-pager replica-integration page-integration ingest-integration bench-smoke planarbench-smoke bench-record-smoke emit-layout ci clean
+.PHONY: all build test vet lint lint-strict race race-shard race-pager replica-integration page-integration ingest-integration bench-smoke planarbench-smoke bench-record-smoke emit-layout fuzz ci clean
 
 all: build
 
@@ -153,9 +153,13 @@ bench-record-smoke:
 # offset in a cache line). The writer is two symbols: appendIDsOn
 # (appendIDs inlines to it), whose table loop writes a reply's last 0–3
 # ids and every id off AVX2, and writeIDsAVX2.abi0, the assembly body
-# that holds the hot loop on AVX2. Report both on both sides of a
-# change that moves emit; `bash benchmark/run.sh` builds the binary it
-# reads.
+# that holds the hot loop on AVX2. emit's ids are all below 10⁷, so
+# every group of that loop takes the body's compact path: two 16-byte
+# stores per four ids, packed by a shuffle from the idPairs table
+# (data, whose place is not part of the lottery); its time is now
+# mostly the digit split, not the stores. Report both on both sides of
+# a change that moves emit, writeIDsAVX2.abi0 first; `bash
+# benchmark/run.sh` builds the binary it reads.
 EMIT_BIN := .bench_build/planar-benchmark/bench
 EMIT_SYMS := planar/internal/httpapi.appendIDsOn planar/internal/httpapi.writeIDsAVX2.abi0
 emit-layout:
@@ -169,11 +173,34 @@ emit-layout:
 		echo "$$sym 0x$$addr mod 64 = $$((0x$$addr % 64))"; \
 	done
 
+# Every fuzz target in turn for FUZZTIME each, printing each one's last
+# progress line and its execs/s over the whole run (the line's own
+# rate covers only its last few seconds). Minimizing a new input stops
+# every worker for up to -fuzzminimizetime, a minute by default, so
+# without the 5s cap a run mostly waits. A failing target prints its
+# whole output and stops the run; go test saves the failing input in
+# the package's testdata/fuzz. go test fuzzes one target per run.
+FUZZTIME ?= 30s
+FUZZ_TARGETS := FuzzAppendIDs:./internal/httpapi FuzzWireDecode:./internal/httpapi \
+	FuzzFilterIDsLE:./internal/kernel FuzzTreeVsModel:./internal/btree \
+	FuzzPageCodec:./internal/btree FuzzRead:./internal/codec FuzzParse:./internal/sqlfunc
+fuzz:
+	@for t in $(FUZZ_TARGETS); do \
+		name=$${t%%:*}; pkg=$${t#*:}; \
+		out=$$($(GO) test -run xxx -fuzz "^$$name\$$" -fuzztime $(FUZZTIME) -fuzzminimizetime 5s $$pkg 2>&1) || \
+			{ echo "$$out"; exit 1; }; \
+		echo "$$out" | grep 'execs:' | tail -1 | awk -v name=$$name '{ \
+			t = $$3; s = 0; if (t ~ /m/) { split(t, p, "m"); s = 60 * p[1]; t = p[2] } \
+			s += t + 0; n = $$5 + 0; \
+			printf "%s: %s; %d execs/s over the run\n", name, $$0, s ? n / s : 0 }'; \
+	done
+
 # race runs every package under the detector once; race-shard,
 # race-pager, replica-integration, page-integration and
 # ingest-integration are named subsets of it for working on one
 # subsystem, not further steps.
 ci: vet lint build race bench-smoke planarbench-smoke bench-record-smoke
+	$(MAKE) fuzz FUZZTIME=5s
 
 clean:
 	$(GO) clean ./...

@@ -7,8 +7,8 @@ DATA idsDiv1e8<>+0(SB)/8, $1441151881 // ⌈2⁵⁷/10⁸⌉
 GLOBL idsDiv1e8<>(SB), RODATA|NOPTR, $8
 DATA ids1e8<>+0(SB)/8, $100000000
 GLOBL ids1e8<>(SB), RODATA|NOPTR, $8
-DATA idsMax8<>+0(SB)/8, $99999999
-GLOBL idsMax8<>(SB), RODATA|NOPTR, $8
+DATA idsMax7<>+0(SB)/8, $9999999
+GLOBL idsMax7<>(SB), RODATA|NOPTR, $8
 DATA idsDiv1e4<>+0(SB)/8, $109951163 // ⌈2⁴⁰/10⁴⌉
 GLOBL idsDiv1e4<>(SB), RODATA|NOPTR, $8
 DATA idsPack1e4<>+0(SB)/8, $4294957296 // 2³² − 10⁴
@@ -23,6 +23,11 @@ DATA idsPack10<>+0(SB)/2, $246 // 2⁸ − 10
 GLOBL idsPack10<>(SB), RODATA|NOPTR, $2
 DATA idsASCII<>+0(SB)/1, $0x30
 GLOBL idsASCII<>(SB), RODATA|NOPTR, $1
+
+// idsComma makes a lane of digits ASCII, and its top digit, always
+// zero below 10⁷, a comma.
+DATA idsComma<>+0(SB)/8, $0x303030303030302c
+GLOBL idsComma<>(SB), RODATA|NOPTR, $8
 
 // idsReverse reverses the bytes of each 64-bit lane: the split leaves
 // the least significant digit first.
@@ -101,11 +106,15 @@ GLOBL idsTop<>(SB), RODATA|NOPTR, $32
 //
 // Four ids a step, each followed by a comma, from dst on; n is the
 // bytes written. len(ids) is a multiple of four, and dst has room for
-// 11·len(ids) bytes: no store reaches past an id's eleven. A group
-// whose ids are all below 10⁸ writes each id's digits with the leading
-// zeros stripped. Any other group splits its ids at 10⁸ first; an id
-// of 9 or 10 digits then writes its 1–2 top digits and all eight of
-// the rest.
+// 11·len(ids) bytes: no store reaches past a group's 44. A group whose
+// ids are all below 10⁷ is compact: each lane's top digit is zero, so
+// one OR makes it the id's comma, and one byte shuffle (a pair of
+// idPairs entries) packs each half's two ids with their leading zeros
+// stripped; each half is one 16-byte store, ending at most 32 bytes
+// past the group's start. Any other group is wide: it splits its ids
+// at 10⁸ first and writes each id with an 8-byte store and a comma
+// store; an id of 9 or 10 digits writes its 1–2 top digits and all
+// eight of the rest.
 TEXT ·writeIDsAVX2(SB), NOSPLIT, $0-40
 	MOVQ dst+0(FP), DI
 	MOVQ ids_base+8(FP), SI
@@ -119,28 +128,46 @@ TEXT ·writeIDsAVX2(SB), NOSPLIT, $0-40
 	VPBROADCASTW ids100<>(SB), Y13
 	VPBROADCASTW idsDiv10<>(SB), Y14
 	VPBROADCASTW idsPack10<>(SB), Y15
-	VPBROADCASTQ idsMax8<>(SB), Y9
+	VPBROADCASTQ idsMax7<>(SB), Y9
+	VPBROADCASTQ idsComma<>(SB), Y8
+	LEAQ         ·idPairs(SB), R14
 	VMOVDQU      idsReverse<>(SB), Y7
 	VPBROADCASTB idsASCII<>(SB), Y6
 	VPXOR        Y5, Y5, Y5
 	PCALIGN      $32 // the loop's place in a cache line does not follow the link
 
 loop:
-	VPMOVZXDQ (SI), Y0   // four ids, one per 64-bit lane
-	VPCMPGTQ  Y9, Y0, Y1 // ids of 9 or 10 digits
-	VPTEST    Y1, Y1
-	JNZ       wide
+	VPMOVZXDQ    (SI), Y0   // four ids, one per 64-bit lane
+	VPCMPGTQ     Y9, Y0, Y1 // ids of 8 to 10 digits
+	VPTEST       Y1, Y1
+	JNZ          wide
 	DIGITS
-	VPCMPEQB  Y5, Y0, Y3
-	VPMOVMSKB Y3, AX
-	NOTL      AX
-	ORL       $0x80808080, AX
-	VPOR      Y6, Y0, Y0
-	LANES
-	ID(R8)
-	ID(R9)
-	ID(R10)
-	ID(R11)
+	VPCMPEQB     Y5, Y0, Y3
+	VPMOVMSKB    Y3, AX
+	NOTL         AX
+	ORL          $0x80808080, AX
+	VPOR         Y8, Y0, Y0 // ASCII digits, a comma in each top byte
+	BSFL         AX, R8     // lz0–lz3: each lane's leading zero digits, 1–7
+	SHRL         $8, AX
+	BSFL         AX, R9
+	SHRL         $8, AX
+	BSFL         AX, R10
+	SHRL         $8, AX
+	BSFL         AX, R11
+	LEAQ         (R9)(R8*8), CX
+	SHLQ         $4, CX
+	VMOVDQU      (R14)(CX*1), X1 // idPairs[lz0·8 + lz1]
+	LEAQ         (R11)(R10*8), DX
+	SHLQ         $4, DX
+	VINSERTI128  $1, (R14)(DX*1), Y1, Y1 // idPairs[lz2·8 + lz3]
+	VPSHUFB      Y1, Y0, Y0
+	VMOVDQU      X0, (DI) // the first two ids and their commas
+	ADDQ         R9, R8
+	SUBQ         R8, DI
+	VEXTRACTI128 $1, Y0, 18(DI) // the last two, from 18 − lz0 − lz1 on
+	ADDQ         R11, R10
+	SUBQ         R10, DI
+	ADDQ         $36, DI
 
 next:
 	ADDQ $16, SI

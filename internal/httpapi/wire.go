@@ -590,7 +590,32 @@ var (
 	leadLens [10000]uint8
 )
 
+// idPairs is the AVX2 body's shuffle for two ids below 10⁷, each a
+// 64-bit lane of eight ASCII digits whose top byte is a comma
+// (appendids_amd64.s). Entry lz0·8 + lz1, for ids with lz0 and lz1
+// leading zero digits, packs the first id's digits after its zeros,
+// its comma, then the second id's digits and comma: 18 − lz0 − lz1
+// bytes, left-aligned. The rest of the entry selects bytes the next
+// store overwrites. A count is 1–7 below 10⁷, so entries with a count
+// of 0 are never read and stay zero.
+var idPairs [64][16]byte
+
 func init() {
+	for i := range idPairs {
+		lz0, lz1 := i/8, i%8
+		if lz0 == 0 || lz1 == 0 {
+			continue
+		}
+		e, n := &idPairs[i], 0
+		for _, lane := range [2]struct{ from, comma int }{{lz0, 0}, {8 + lz1, 8}} {
+			for j := lane.from; j < lane.comma+8; j++ {
+				e[n] = byte(j)
+				n++
+			}
+			e[n] = byte(lane.comma)
+			n++
+		}
+	}
 	for v := range quads {
 		d := [4]byte{byte('0' + v/1000), byte('0' + v/100%10), byte('0' + v/10%10), byte('0' + v%10)}
 		quads[v] = binary.LittleEndian.Uint32(d[:])

@@ -291,8 +291,8 @@ func idEdges() []uint32 {
 // 10⁶ in one array, over the digit-count edges alone, in every ordered
 // pair and all in one array, over arrays ending on a 1-digit id (whose
 // store overruns the most), over 9- and 10-digit ids, 0 and MaxUint32
-// in each lane of a group of four, and over answers of every length
-// around the groups' edges and a large one.
+// in each lane of a group of four, over the compact cases, and over
+// answers of every length around the groups' edges and a large one.
 func TestAppendIDsMatchesStrconv(t *testing.T) {
 	checkIDWriter(t, nil)
 	checkIDWriter(t, []uint32{})
@@ -325,6 +325,10 @@ func TestAppendIDsMatchesStrconv(t *testing.T) {
 		}
 	}
 
+	for _, ids := range compactCases() {
+		checkIDWriter(t, ids)
+	}
+
 	rng := rand.New(rand.NewSource(5))
 	large := make([]uint32, 20000)
 	for i := range large {
@@ -336,18 +340,61 @@ func TestAppendIDsMatchesStrconv(t *testing.T) {
 	checkIDWriter(t, large)
 }
 
+// compactCases hold the AVX2 body's compact groups (four ids below
+// 10⁷) to the strconv loop: every idPairs entry in both halves of a
+// group, and 9 999 999 and 10⁷, the last compact id and the first wide
+// one, in each lane, each case followed by a tail of 0–3 ids for the
+// table loop. No case is longer than FuzzAppendIDs' cap.
+func compactCases() [][]uint32 {
+	var cases [][]uint32
+	// withDigits[l] has l digits and no zero among them.
+	withDigits := [8]uint32{0, 7, 76, 765, 7654, 76543, 765432, 7654321}
+	for i := range 49 {
+		l0, l1 := 1+i/7, 1+i%7
+		var ids []uint32
+		for j := range 49 {
+			ids = append(ids, withDigits[l0], withDigits[l1], withDigits[1+j/7], withDigits[1+j%7])
+		}
+		cases = append(cases, append(ids, withDigits[1:1+i%4]...))
+	}
+	for _, id := range []uint32{9999999, 1e7} {
+		for lane := range 4 {
+			for tail := range 4 {
+				ids := []uint32{7, 7, 7, 7, 7, 7, 7, 7}
+				ids[4+lane] = id
+				for range tail {
+					ids = append(ids, id)
+				}
+				cases = append(cases, ids)
+			}
+		}
+	}
+	return cases
+}
+
+// maxFuzzIDs caps FuzzAppendIDs' input at 1 024 ids (4 KiB): a longer
+// one reaches no path a shorter one does not, and would only slow each
+// run and its minimization.
+const maxFuzzIDs = 1024
+
 // FuzzAppendIDs is the id writer's differential against the strconv
-// loop, on both its paths: the input, four bytes to an id, written
-// after a prefix.
+// loop, on both its paths: the input, four bytes to an id and at most
+// maxFuzzIDs ids, written after a prefix. The seeds include every
+// compact case.
 func FuzzAppendIDs(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(binary.LittleEndian.AppendUint32(nil, 7))
-	var seed []byte
-	for _, id := range idEdges() {
-		seed = binary.LittleEndian.AppendUint32(seed, id)
+	for _, ids := range append([][]uint32{idEdges()}, compactCases()...) {
+		var seed []byte
+		for _, id := range ids {
+			seed = binary.LittleEndian.AppendUint32(seed, id)
+		}
+		f.Add(seed)
 	}
-	f.Add(seed)
 	f.Fuzz(func(t *testing.T, raw []byte) {
+		if len(raw) > 4*maxFuzzIDs {
+			return
+		}
 		ids := make([]uint32, len(raw)/4)
 		for i := range ids {
 			ids[i] = binary.LittleEndian.Uint32(raw[4*i:])
@@ -356,11 +403,13 @@ func FuzzAppendIDs(f *testing.F) {
 	})
 }
 
-// BenchmarkAppendIDs writes a 20 000-id answer of two shapes, through
+// BenchmarkAppendIDs writes a 20 000-id answer of three shapes, through
 // appendIDs as served, the table loop alone (go) and the strconv loop:
 // emit-shaped, the emit workload's ids below 10⁵ (mostly 5 digits),
-// and full-range, every length from 1 to 10 digits, about half of
-// them 6 to 10, so the paths past the 10⁸ split are on record too.
+// all in the AVX2 body's compact groups; full-range, every length from
+// 1 to 10 digits, about half of them 6 to 10, so the paths past the
+// 10⁸ split are on record too; and eight, every id of 8 digits, the
+// shortest ids whose groups the body writes wide.
 func BenchmarkAppendIDs(b *testing.B) {
 	for _, shape := range []struct {
 		name string
@@ -368,6 +417,7 @@ func BenchmarkAppendIDs(b *testing.B) {
 	}{
 		{"emit", func(rng *rand.Rand) uint32 { return uint32(rng.Intn(100000)) }},
 		{"full", func(rng *rand.Rand) uint32 { return rng.Uint32() >> rng.Intn(32) }},
+		{"eight", func(rng *rand.Rand) uint32 { return uint32(1e7 + rng.Intn(9e7)) }},
 	} {
 		rng := rand.New(rand.NewSource(5))
 		ids := make([]uint32, 20000)

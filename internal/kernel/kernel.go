@@ -12,8 +12,8 @@
 // intermediate interval is verified without copying a row. Both hold
 // the coefficient vector in registers and re-slice each row once so
 // its coordinates are read without per-coordinate bounds checks.
-// FilterLE specializes d' = 2, 3, 4 and 8, FilterIDsLE d' = 2, 3
-// and 4; everything else takes the generic fallback, which is still
+// FilterLE specializes d' = 2 and 4, FilterIDsLE d' = 2, 3 and 4;
+// everything else takes the generic fallback, which is still
 // branch-light and allocation-free.
 //
 // Dispatch: on amd64, FilterIDsLE's d' = 4 case has an AVX2 assembly
@@ -62,12 +62,8 @@ func FilterLE(a []float64, b float64, rows []float64, out []uint32) int {
 	switch len(a) {
 	case 2:
 		return filterLE2(a, b, rows, out)
-	case 3:
-		return filterLE3(a, b, rows, out)
 	case 4:
 		return filterLE4(a, b, rows, out)
-	case 8:
-		return filterLE8(a, b, rows, out)
 	default:
 		return filterLEGeneric(a, b, rows, out)
 	}
@@ -162,20 +158,6 @@ func filterLE2(a []float64, b float64, rows []float64, out []uint32) int {
 	return n
 }
 
-func filterLE3(a []float64, b float64, rows []float64, out []uint32) int {
-	a0, a1, a2 := a[0], a[1], a[2]
-	n := 0
-	for r := uint32(0); len(rows) >= 3; r++ {
-		s := a0*rows[0] + a1*rows[1] + a2*rows[2]
-		if s <= b {
-			out[n] = r
-			n++
-		}
-		rows = rows[3:]
-	}
-	return n
-}
-
 func filterLE4(a []float64, b float64, rows []float64, out []uint32) int {
 	a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
 	n := 0
@@ -186,22 +168,6 @@ func filterLE4(a []float64, b float64, rows []float64, out []uint32) int {
 			n++
 		}
 		rows = rows[4:]
-	}
-	return n
-}
-
-func filterLE8(a []float64, b float64, rows []float64, out []uint32) int {
-	a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
-	a4, a5, a6, a7 := a[4], a[5], a[6], a[7]
-	n := 0
-	for r := uint32(0); len(rows) >= 8; r++ {
-		s := a0*rows[0] + a1*rows[1] + a2*rows[2] + a3*rows[3] +
-			a4*rows[4] + a5*rows[5] + a6*rows[6] + a7*rows[7]
-		if s <= b {
-			out[n] = r
-			n++
-		}
-		rows = rows[8:]
 	}
 	return n
 }

@@ -196,7 +196,10 @@ func TestFilterIDsLEMatchesDot(t *testing.T) {
 // float bits: d' comes from dim, a and the rows from raw (8
 // bytes a float), and each byte of idBytes names a row. Besides b,
 // the own scalar product of each of the first four distinct rows named
-// is tried as the threshold.
+// is tried as the threshold. The input is capped at 1 024 ids and
+// 4 096 values (a and the rows): a byte names one of at most 256 rows,
+// so a longer input reaches no path a shorter one does not, and would
+// only slow each run and its minimization.
 func FuzzFilterIDsLE(f *testing.F) {
 	seed := make([]byte, 8*12)
 	for i := 0; i < len(seed); i += 8 {
@@ -214,6 +217,9 @@ func FuzzFilterIDsLE(f *testing.F) {
 	// Two groups of four ids and a tail of one, at d' = 4.
 	f.Add(uint8(4), 0.5, seed, []byte{1, 0, 1, 1, 0, 0, 1, 0, 1})
 	f.Fuzz(func(t *testing.T, dim uint8, b float64, raw, idBytes []byte) {
+		if len(idBytes) > 1024 || len(raw) > 8*4096 {
+			return
+		}
 		d := 1 + int(dim)%11
 		vals := make([]float64, len(raw)/8)
 		for i := range vals {
